@@ -115,7 +115,7 @@ pub struct Ancestors {
 impl Ancestors {
     /// Computes ancestor bitsets for a graph whose `preds` are strictly
     /// decreasing (topologically ordered by index), e.g. an
-    /// [`zerosim_strategies::IterPlan`] or a lowered DAG.
+    /// [`zerosim_strategies::WorkloadPlan`] or a lowered DAG.
     pub fn compute(preds_of: impl Fn(usize) -> Vec<usize>, n: usize) -> Self {
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];

@@ -1,8 +1,9 @@
 //! `zerosim-analyzer` — `planlint`: static analysis over the three
 //! artifact layers the simulator produces.
 //!
-//! Every registry strategy compiles to a typed [`IterPlan`] IR, lowers
-//! to a [`zerosim_simkit::Dag`], and may carry a
+//! Every registry strategy compiles to a typed
+//! [`zerosim_strategies::WorkloadPlan`] IR, lowers to a
+//! [`zerosim_simkit::Dag`], and may carry a
 //! [`zerosim_simkit::FaultSchedule`]. That makes the paper's headline
 //! properties — which interconnect binds each ZeRO stage, when a model
 //! stops fitting — *statically decidable* before a single simulated

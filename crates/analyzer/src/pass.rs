@@ -4,7 +4,7 @@
 
 use zerosim_hw::Cluster;
 use zerosim_simkit::{Dag, FaultSchedule};
-use zerosim_strategies::{Calibration, IterPlan, MemoryPlan};
+use zerosim_strategies::{Calibration, MemoryPlan, WorkloadPlan};
 use zerosim_testkit::json::Json;
 
 use crate::diag::{Diagnostic, LintCode, LintConfig, LintLevel, Severity, Site};
@@ -18,7 +18,7 @@ pub struct Artifacts<'a> {
     /// The hardware model everything is checked against.
     pub cluster: &'a Cluster,
     /// The iteration-plan IR (ZL001–ZL004).
-    pub plan: Option<&'a IterPlan>,
+    pub plan: Option<&'a WorkloadPlan>,
     /// The strategy's memory placement (ZL001 residency, ZL002 credit).
     pub memory: Option<&'a MemoryPlan>,
     /// The lowered DAG (ZL005/ZL006).
@@ -52,7 +52,7 @@ impl<'a> Artifacts<'a> {
 
     /// Attaches the iteration plan.
     #[must_use]
-    pub fn with_plan(mut self, plan: &'a IterPlan) -> Self {
+    pub fn with_plan(mut self, plan: &'a WorkloadPlan) -> Self {
         self.plan = Some(plan);
         self
     }

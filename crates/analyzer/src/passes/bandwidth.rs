@@ -240,9 +240,9 @@ mod tests {
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_collectives::{CollectiveKind, CommGroup};
     use zerosim_hw::{ClusterSpec, GpuId, IoDir, MemLoc, NvmeId, SocketId};
-    use zerosim_strategies::{IterPlan, PhaseStage};
+    use zerosim_strategies::{PhaseStage, WorkloadPlan};
 
-    fn run(cluster: &Cluster, plan: &IterPlan) -> AnalysisReport {
+    fn run(cluster: &Cluster, plan: &WorkloadPlan) -> AnalysisReport {
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(BandwidthFeasibilityPass));
         pm.run(&Artifacts::new(cluster).with_plan(plan))
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn single_node_allreduce_is_wire_bound_on_nvlink() {
         let cluster = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         plan.push(
             PlanOp::Collective {
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn capped_internode_collective_is_protocol_bound_on_roce() {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         plan.push(
             PlanOp::Collective {
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn unroutable_transfer_and_bad_rank_fire() {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         plan.push(
             PlanOp::TierTransfer {
@@ -340,7 +340,7 @@ mod tests {
             NvmeId { node: 0, drive: 0 },
             NvmeId { node: 0, drive: 1 },
         ]);
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Step, 0);
         plan.push(
             PlanOp::VolumeIo {

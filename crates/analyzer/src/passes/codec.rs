@@ -165,9 +165,9 @@ mod tests {
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_collectives::{CollectiveKind, CommGroup};
     use zerosim_hw::{Cluster, ClusterSpec, GpuId};
-    use zerosim_strategies::{Dtype, IterPlan, PhaseStage};
+    use zerosim_strategies::{Dtype, PhaseStage, WorkloadPlan};
 
-    fn run(plan: &IterPlan) -> AnalysisReport {
+    fn run(plan: &WorkloadPlan) -> AnalysisReport {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(CodecLegalityPass));
@@ -178,7 +178,7 @@ mod tests {
         GpuId { node: 0, gpu }
     }
 
-    fn gather(plan: &mut IterPlan, codec: Option<Codec>) -> zerosim_strategies::OpId {
+    fn gather(plan: &mut WorkloadPlan, codec: Option<Codec>) -> zerosim_strategies::OpId {
         let id = plan.push(
             PlanOp::Collective {
                 kind: CollectiveKind::AllGather,
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn quantize_then_dequant_then_compute_is_clean() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         let h = gather(
             &mut plan,
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn compute_on_encoded_bytes_is_a_missing_decode() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         let h = gather(
             &mut plan,
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn inconsistent_ratio_and_zero_block_fire() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         let mut bad = Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048);
         bad.ratio = 0.25; // Fp16 -> Int8 implies 0.5
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn quantized_input_dtype_is_double_quantization() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         gather(
             &mut plan,
@@ -274,7 +274,7 @@ mod tests {
     fn chained_collectives_do_not_propagate_taint() {
         // comm_chain-style serialization: a second codec'd reduce depends
         // on the first, but operates on a distinct bucket. Must be clean.
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let c = Codec::quantize(Dtype::Fp16, Dtype::Int4, 512);
         let h1 = plan.push(

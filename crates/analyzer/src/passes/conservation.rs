@@ -1,6 +1,6 @@
 //! ZL002 — per-shard produced/consumed byte conservation.
 //!
-//! Stricter than `IterPlan::validate`: instead of trusting emission
+//! Stricter tha `WorkloadPlan::validate`: instead of trusting emission
 //! order, the pass computes exact happens-before ancestor sets
 //! ([`crate::graph::Ancestors`]) and requires that every op reading
 //! staged bytes out of host DRAM or the NVMe pool can account for them —
@@ -238,9 +238,9 @@ mod tests {
     use crate::diag::LintConfig;
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_hw::{Cluster, ClusterSpec, GpuId, SocketId};
-    use zerosim_strategies::{IterPlan, MemoryPlan, PhaseStage};
+    use zerosim_strategies::{MemoryPlan, PhaseStage, WorkloadPlan};
 
-    fn run(plan: &IterPlan, memory: Option<&MemoryPlan>) -> AnalysisReport {
+    fn run(plan: &WorkloadPlan, memory: Option<&MemoryPlan>) -> AnalysisReport {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(ByteConservationPass));
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn produced_then_consumed_is_clean() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let d2h = plan.push(
             PlanOp::TierTransfer {
@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn consuming_unproduced_bytes_fires_once_at_the_op() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Step, 0);
         // Two reads of phantom host bytes: only the first is reported.
         for _ in 0..2 {
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn resident_state_and_staging_are_credited() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         // Same-node host staging is exempt as a consumer and counts as a
         // producer for downstream h2d.
         let prep = plan.push(
@@ -339,7 +339,7 @@ mod tests {
         assert!(run(&plan, None).is_clean());
 
         // Resident DRAM also covers reads without explicit producers.
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Step, 0);
         plan.push(
             PlanOp::TierTransfer {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn producer_must_be_an_ancestor_not_just_earlier() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         // Producer exists earlier in emission order but the consumer does
         // not depend on it: emission order proves nothing.

@@ -19,7 +19,7 @@
 
 use zerosim_hw::{IoDir, MemLoc};
 use zerosim_simkit::TaskKind;
-use zerosim_strategies::{IterPlan, PhaseStage, PlanOp};
+use zerosim_strategies::{PhaseStage, PlanOp, WorkloadPlan};
 
 use crate::diag::{LintCode, Site};
 use crate::graph::GraphView;
@@ -57,7 +57,7 @@ fn is_legal_sink(op: &PlanOp, stage: PhaseStage) -> bool {
     }
 }
 
-fn dead_plan_ops(plan: &IterPlan, sink: &mut Sink<'_>) {
+fn dead_plan_ops(plan: &WorkloadPlan, sink: &mut Sink<'_>) {
     let nodes = plan.nodes();
     let mut dependents = vec![0usize; nodes.len()];
     for n in nodes {
@@ -225,11 +225,11 @@ mod tests {
     fn dead_collective_in_plan_warns_legal_sinks_do_not() {
         use zerosim_collectives::{CollectiveKind, CommGroup};
         use zerosim_hw::GpuId;
-        use zerosim_strategies::{IterPlan, OptimizerDevice, PhaseStage, PlanOp};
+        use zerosim_strategies::{OptimizerDevice, PhaseStage, PlanOp, WorkloadPlan};
 
         let cluster = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
         let g0 = GpuId { node: 0, gpu: 0 };
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let b = plan.push(
             PlanOp::LayerCompute {

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use zerosim_hw::{Cluster, IoDir, MemLoc};
-use zerosim_strategies::{IterPlan, MemoryPlan, Phase, PlanOp};
+use zerosim_strategies::{MemoryPlan, Phase, PlanOp, WorkloadPlan};
 
 use crate::diag::{LintCode, Severity, Site};
 use crate::pass::{Artifacts, MemoryVerdict, Pass, Sink};
@@ -43,7 +43,7 @@ struct Transients {
 }
 
 /// Per-phase transient staging bytes flowing *into* each tier.
-fn transients(plan: &IterPlan) -> Transients {
+fn transients(plan: &WorkloadPlan) -> Transients {
     // (phase, gpu) / (phase, node) -> staged bytes.
     let mut gpu: HashMap<(Phase, (usize, usize)), f64> = HashMap::new();
     let mut cpu: HashMap<(Phase, usize), f64> = HashMap::new();
@@ -215,7 +215,7 @@ mod tests {
     fn run(
         cluster: &Cluster,
         memory: &MemoryPlan,
-        plan: Option<&IterPlan>,
+        plan: Option<&WorkloadPlan>,
     ) -> crate::pass::AnalysisReport {
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(MemoryResidencyPass));
@@ -264,7 +264,7 @@ mod tests {
         let c = Cluster::new(ClusterSpec::default()).unwrap();
         let g = GpuId { node: 0, gpu: 0 };
         let s = SocketId { node: 0, socket: 0 };
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         // Stage 20 GB into a GPU already holding 30 GB resident: peak
         // 50 GB > 40 GB HBM, but residency fits.

@@ -247,9 +247,9 @@ mod tests {
     use crate::diag::LintConfig;
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_hw::{Cluster, ClusterSpec, GpuId};
-    use zerosim_strategies::{IterPlan, OptimizerDevice};
+    use zerosim_strategies::{OptimizerDevice, WorkloadPlan};
 
-    fn run(plan: &IterPlan) -> AnalysisReport {
+    fn run(plan: &WorkloadPlan) -> AnalysisReport {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(PhaseOrderingPass));
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn forward_backward_step_chain_is_clean() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
         let f = plan.push(
             PlanOp::LayerCompute {
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn backward_before_forward_fires() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let b = plan.push(
             PlanOp::LayerCompute {
@@ -326,7 +326,7 @@ mod tests {
         // 1F1B: forward of micro 1 depending on backward of micro 0 is
         // fine; so is the non-pipelined serialization where backward of
         // micro 0 waits for the forward of the *last* micro-batch.
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let b0 = plan.push(
             PlanOp::LayerCompute {
@@ -347,7 +347,7 @@ mod tests {
         );
         assert!(run(&plan).is_clean());
 
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 3);
         let f3 = plan.push(
             PlanOp::LayerCompute {
@@ -373,7 +373,7 @@ mod tests {
     fn same_stage_dep_on_later_micro_fires() {
         // A stage consumes micro-batches in order: forward of micro 0
         // waiting on forward of micro 1 is unsatisfiable in any schedule.
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 1);
         let f1 = plan.push(
             PlanOp::LayerCompute {
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn nothing_inside_the_iteration_may_wait_on_the_step() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         let b = plan.push(
             PlanOp::LayerCompute {
@@ -434,7 +434,7 @@ mod tests {
 
     #[test]
     fn unfed_optimizer_step_fires() {
-        let mut plan = IterPlan::new();
+        let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
         plan.push(
             PlanOp::LayerCompute {
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn checkpoint_kind_rules() {
-        let mut plan = IterPlan::new_checkpoint();
+        let mut plan = WorkloadPlan::new_checkpoint();
         plan.set_phase(PhaseStage::Forward, 0);
         plan.push(
             PlanOp::LayerCompute {

@@ -35,10 +35,11 @@
 
 use std::time::Instant;
 
+use zerosim_bench::cli::{
+    parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
+};
 use zerosim_bench::experiments::fleet::{golden_brackets, ENSEMBLE_SEED};
 use zerosim_core::{fleet_search, FleetCostConfig, FleetReport, YoungDalyBracket};
-use zerosim_hw::TopologySpec;
-use zerosim_model::GptConfig;
 use zerosim_testkit::json::Json;
 
 fn usage() -> ! {
@@ -49,52 +50,6 @@ fn usage() -> ! {
     eprintln!("topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> |");
     eprintln!("            pods:<pods>x<islands>x<gpus>:<pod_over>:<spine_over>");
     std::process::exit(2);
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} needs an argument");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn parse_or_exit<T: std::str::FromStr>(raw: Option<String>, flag: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    match raw {
-        Some(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{flag}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => default,
-    }
-}
-
-fn parse_model(raw: &str) -> GptConfig {
-    let (wide, digits) = match raw.strip_prefix("wide:") {
-        Some(rest) => (true, rest),
-        None => (false, raw),
-    };
-    let billions: f64 = match digits.parse() {
-        Ok(b) if b > 0.0 => b,
-        _ => {
-            eprintln!("--model: expected a positive size in billions, got {raw:?}");
-            std::process::exit(2);
-        }
-    };
-    if wide {
-        GptConfig::wide_model_with_params(billions)
-    } else {
-        GptConfig::paper_model_with_params(billions)
-    }
 }
 
 fn report_json(report: &FleetReport) -> Json {
@@ -177,26 +132,14 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let mut json = false;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        json = true;
-    }
-    let topology = match take_value(&mut args, "--topology") {
-        Some(raw) => match TopologySpec::parse(&raw) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("--topology {raw}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => TopologySpec::default(),
-    };
+    let json = take_flag(&mut args, "--json");
+    let topology = parse_topology(take_value(&mut args, "--topology"));
     let model = parse_model(&take_value(&mut args, "--model").unwrap_or_else(|| "1.4".into()));
     let rate: f64 = parse_or_exit(take_value(&mut args, "--rate"), "--rate", 0.05);
     if !(rate.is_finite() && rate >= 0.0) {
-        eprintln!("--rate: expected a non-negative failure rate, got {rate}");
-        std::process::exit(2);
+        usage_error(&format!(
+            "--rate: expected a non-negative failure rate, got {rate}"
+        ));
     }
     let days: Option<f64> =
         take_value(&mut args, "--days").map(|raw| parse_or_exit(Some(raw), "--days", f64::NAN));

@@ -27,9 +27,8 @@
 
 use std::time::Instant;
 
+use zerosim_bench::cli::{parse_model, parse_or_exit, parse_topology, take_flag, take_value};
 use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SearchReport};
-use zerosim_hw::TopologySpec;
-use zerosim_model::GptConfig;
 use zerosim_testkit::json::Json;
 
 fn usage() -> ! {
@@ -40,36 +39,6 @@ fn usage() -> ! {
     eprintln!("topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> |");
     eprintln!("            pods:<pods>x<islands>x<gpus>:<pod_over>:<spine_over>");
     std::process::exit(2);
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} needs an argument");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn parse_model(raw: &str) -> GptConfig {
-    let (wide, digits) = match raw.strip_prefix("wide:") {
-        Some(rest) => (true, rest),
-        None => (false, raw),
-    };
-    let billions: f64 = match digits.parse() {
-        Ok(b) if b > 0.0 => b,
-        _ => {
-            eprintln!("--model: expected a positive size in billions, got {raw:?}");
-            std::process::exit(2);
-        }
-    };
-    if wide {
-        GptConfig::wide_model_with_params(billions)
-    } else {
-        GptConfig::paper_model_with_params(billions)
-    }
 }
 
 fn report_json(report: &SearchReport, workers: usize, wall_secs: f64) -> Json {
@@ -126,42 +95,11 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let mut json = false;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        json = true;
-    }
-    let topology = match take_value(&mut args, "--topology") {
-        Some(raw) => match TopologySpec::parse(&raw) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("--topology {raw}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => TopologySpec::default(),
-    };
+    let json = take_flag(&mut args, "--json");
+    let topology = parse_topology(take_value(&mut args, "--topology"));
     let model = parse_model(&take_value(&mut args, "--model").unwrap_or_else(|| "1.4".into()));
-    let workers: usize = match take_value(&mut args, "--workers") {
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("--workers: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => 1,
-    };
-    let top: usize = match take_value(&mut args, "--top") {
-        Some(raw) => match raw.parse() {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("--top: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => 5,
-    };
+    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
+    let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 5);
     let bench_path = take_value(&mut args, "--bench");
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");

@@ -44,8 +44,8 @@ use zerosim_core::{RunConfig, TrainingSim};
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, NvmeId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_strategies::{
-    Calibration, Codec, Dtype, InfinityPlacement, IterPlan, PhaseStage, PlanOp, Strategy,
-    StrategyRegistry, TrainOptions, ZeroStage,
+    Calibration, Codec, Dtype, InfinityPlacement, PhaseStage, PlanOp, Strategy, StrategyRegistry,
+    TrainOptions, WorkloadPlan, ZeroStage,
 };
 use zerosim_testkit::json::Json;
 
@@ -282,8 +282,8 @@ fn render_json(results: &[(String, AnalysisReport)]) -> Json {
 /// Builds a deliberately illegal codec plan: a quantized all-gather
 /// whose declared ratio contradicts its dtype pair, feeding compute with
 /// no decode in between. ZL008 must deny both.
-fn seeded_codec_violation() -> IterPlan {
-    let mut plan = IterPlan::new();
+fn seeded_codec_violation() -> WorkloadPlan {
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Forward, 0);
     let g0 = GpuId { node: 0, gpu: 0 };
     let g1 = GpuId { node: 0, gpu: 1 };

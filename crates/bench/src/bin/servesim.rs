@@ -30,6 +30,7 @@
 
 use std::time::Instant;
 
+use zerosim_bench::cli::{parse_or_exit, take_flag, take_value, usage_error};
 use zerosim_bench::experiments::serving::{
     golden_runs, golden_trace, regime_sweep, RegimePoint, SERVE_SEED,
 };
@@ -48,41 +49,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} needs an argument");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn parse_or_exit<T: std::str::FromStr>(raw: Option<String>, flag: &str, default: T) -> T
-where
-    T::Err: std::fmt::Display,
-{
-    match raw {
-        Some(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{flag}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => default,
-    }
-}
-
 fn parse_range(raw: Option<String>, flag: &str, default: (usize, usize)) -> (usize, usize) {
     let Some(raw) = raw else { return default };
     let parts: Vec<&str> = raw.split(',').collect();
     let parse = |s: &str| -> usize {
-        s.trim().parse().unwrap_or_else(|e| {
-            eprintln!("{flag}: {e}");
-            std::process::exit(2);
-        })
+        s.trim()
+            .parse()
+            .unwrap_or_else(|e| usage_error(&format!("{flag}: {e}")))
     };
     match parts.as_slice() {
         [one] => {
@@ -90,10 +63,7 @@ fn parse_range(raw: Option<String>, flag: &str, default: (usize, usize)) -> (usi
             (v, v)
         }
         [lo, hi] => (parse(lo), parse(hi)),
-        _ => {
-            eprintln!("{flag}: expected LO,HI");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("{flag}: expected LO,HI")),
     }
 }
 
@@ -102,8 +72,9 @@ fn parse_arrivals(raw: Option<String>) -> ArrivalProcess {
         return ArrivalProcess::Closed { concurrency: 8 };
     };
     let bad = || -> ! {
-        eprintln!("--arrivals: expected open:RPS or closed:C, got {raw:?}");
-        std::process::exit(2);
+        usage_error(&format!(
+            "--arrivals: expected open:RPS or closed:C, got {raw:?}"
+        ))
     };
     if let Some(rate) = raw.strip_prefix("open:") {
         match rate.parse() {
@@ -212,11 +183,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
-    let mut json = false;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        json = true;
-    }
+    let json = take_flag(&mut args, "--json");
     let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "dense".into());
     let billions: f64 = parse_or_exit(take_value(&mut args, "--model"), "--model", 1.4);
     let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
@@ -241,8 +208,7 @@ fn main() {
     }
 
     if !(billions > 0.0 && billions.is_finite()) {
-        eprintln!("--model: expected a positive size in billions");
-        std::process::exit(2);
+        usage_error("--model: expected a positive size in billions");
     }
     let model = GptConfig::paper_model_with_params(billions);
     let trace = TraceConfig {
@@ -274,10 +240,9 @@ fn main() {
             )
             .with_volume(vec![d(0), d(1)])
         }
-        other => {
-            eprintln!("unknown strategy {other:?} (expected dense or nvme)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown strategy {other:?} (expected dense or nvme)"
+        )),
     }
     .with_cluster(ClusterSpec::default().with_nodes(nodes))
     .with_max_batch(batch);

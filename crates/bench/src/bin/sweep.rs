@@ -6,11 +6,12 @@
 //! Strategies: ddp, megatron, zero1, zero2, zero3, zero1-cpu, zero2-cpu,
 //! zero3-cpu, infinity.
 
+use zerosim_bench::cli::strategy_by_name;
 use zerosim_core::{RunConfig, TrainingSim};
-use zerosim_hw::{ClusterSpec, LinkClass, NvmeId};
+use zerosim_hw::{ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_report::Table;
-use zerosim_strategies::{InfinityPlacement, Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::TrainOptions;
 
 struct Args {
     strategy: String,
@@ -73,46 +74,6 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn build_strategy(name: &str, nodes: usize, sim: &mut TrainingSim) -> Result<Strategy, String> {
-    Ok(match name {
-        "ddp" => Strategy::Ddp,
-        "megatron" => Strategy::Megatron {
-            tp: 4 * nodes,
-            pp: 1,
-        },
-        "zero1" => Strategy::Zero {
-            stage: ZeroStage::One,
-        },
-        "zero2" => Strategy::Zero {
-            stage: ZeroStage::Two,
-        },
-        "zero3" => Strategy::Zero {
-            stage: ZeroStage::Three,
-        },
-        "zero1-cpu" => Strategy::ZeroOffload {
-            stage: ZeroStage::One,
-            offload_params: false,
-        },
-        "zero2-cpu" => Strategy::ZeroOffload {
-            stage: ZeroStage::Two,
-            offload_params: false,
-        },
-        "zero3-cpu" => Strategy::ZeroOffload {
-            stage: ZeroStage::Three,
-            offload_params: false,
-        },
-        "infinity" => {
-            let d = |drive| NvmeId { node: 0, drive };
-            let vol = sim.cluster_mut().create_volume(vec![d(0), d(1)]);
-            Strategy::ZeroInfinity {
-                offload_params: false,
-                placement: InfinityPlacement::new(vec![vol]),
-            }
-        }
-        other => return Err(format!("unknown strategy {other:?}")),
-    })
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -136,7 +97,7 @@ fn main() {
     ]);
     for &billions in &args.sizes {
         let mut sim = TrainingSim::new(ClusterSpec::default()).expect("default spec");
-        let strategy = match build_strategy(&args.strategy, args.nodes, &mut sim) {
+        let strategy = match strategy_by_name(&args.strategy, args.nodes, &mut sim) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {e}");

@@ -3,19 +3,20 @@
 //! counterpart of the paper's nsys captures (Fig. 5).
 //!
 //! Usage: `trace <strategy> <billions> <nodes> [output.json]`
-//! where strategy ∈ {ddp, megatron, zero1, zero2, zero3, zero2-cpu,
-//! zero3-cpu, infinity}.
+//! where strategy ∈ {ddp, megatron, zero1, zero2, zero3, zero1-cpu,
+//! zero2-cpu, zero3-cpu, infinity}.
 
+use zerosim_bench::cli::{strategy_by_name, usage_error, STRATEGY_NAMES};
 use zerosim_core::{to_chrome_trace, RunConfig, TrainingSim};
-use zerosim_hw::{ClusterSpec, NvmeId};
+use zerosim_hw::ClusterSpec;
 use zerosim_model::GptConfig;
-use zerosim_strategies::{InfinityPlacement, Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::TrainOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() < 3 {
         eprintln!("usage: trace <strategy> <billions> <nodes> [output.json]");
-        eprintln!("strategies: ddp megatron zero1 zero2 zero3 zero2-cpu zero3-cpu infinity");
+        eprintln!("strategies: {}", STRATEGY_NAMES.join(" "));
         std::process::exit(2);
     }
     let billions: f64 = args[1].parse()?;
@@ -23,42 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = args.get(3).cloned().unwrap_or_else(|| "trace.json".into());
 
     let mut sim = TrainingSim::new(ClusterSpec::default())?;
-    let strategy = match args[0].as_str() {
-        "ddp" => Strategy::Ddp,
-        "megatron" => Strategy::Megatron {
-            tp: 4 * nodes,
-            pp: 1,
-        },
-        "zero1" => Strategy::Zero {
-            stage: ZeroStage::One,
-        },
-        "zero2" => Strategy::Zero {
-            stage: ZeroStage::Two,
-        },
-        "zero3" => Strategy::Zero {
-            stage: ZeroStage::Three,
-        },
-        "zero2-cpu" => Strategy::ZeroOffload {
-            stage: ZeroStage::Two,
-            offload_params: false,
-        },
-        "zero3-cpu" => Strategy::ZeroOffload {
-            stage: ZeroStage::Three,
-            offload_params: false,
-        },
-        "infinity" => {
-            let d = |drive| NvmeId { node: 0, drive };
-            let vol = sim.cluster_mut().create_volume(vec![d(0), d(1)]);
-            Strategy::ZeroInfinity {
-                offload_params: false,
-                placement: InfinityPlacement::new(vec![vol]),
-            }
-        }
-        other => {
-            eprintln!("unknown strategy {other:?}");
-            std::process::exit(2);
-        }
-    };
+    let strategy = strategy_by_name(&args[0], nodes, &mut sim).unwrap_or_else(|e| usage_error(&e));
 
     let opts = if nodes == 1 {
         TrainOptions::single_node()

@@ -3,8 +3,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use zerosim_core::{
-    max_model_size, CapacityResult, RunConfig, ServeRunner, SweepRun, SweepRunner, SweepSpec,
-    TrainingReport, TrainingSim,
+    max_model_size, CapacityResult, RunConfig, SweepRun, SweepRunner, SweepSpec, TrainingReport,
+    TrainingSim,
 };
 use zerosim_hw::{ClusterSpec, NvmeDrivePlacement, NvmeId, VolumeId};
 use zerosim_model::GptConfig;
@@ -30,10 +30,11 @@ pub fn runner() -> SweepRunner {
     SweepRunner::new(sweep_workers())
 }
 
-/// A serving runner at an explicit width (the `servesim` binary takes
-/// its own `--workers` flag, so this does not read the sweep global).
-pub fn serve_runner_with(workers: usize) -> ServeRunner {
-    ServeRunner::new(workers)
+/// A runner at an explicit width for serving specs (the `servesim`
+/// binary takes its own `--workers` flag, so this does not read the sweep
+/// global).
+pub fn serve_runner_with(workers: usize) -> SweepRunner {
+    SweepRunner::new(workers)
 }
 
 /// Fans `specs` over [`runner`], panicking on configuration errors (the
@@ -258,10 +259,8 @@ impl NvmeConfig {
 /// The golden strategy × node-count matrix of `tests/plan_equivalence.rs`
 /// plus the ZeRO-Infinity configuration: 12 sweep specs in fixed order.
 ///
-/// This is the canonical regression workload — `tests/sweep_determinism.rs`
-/// pins its width-invariance, `tests/engine_equivalence.rs` pins
-/// arena-vs-reference digests over it, and the `engine_arena` bench
-/// measures iteration throughput on it.
+/// This is the canonical regression workload: `tests/sweep_determinism.rs`
+/// pins its width-invariance.
 pub fn golden_specs() -> Vec<SweepSpec> {
     let model = GptConfig::paper_model_with_params(1.4);
     let run = RunConfig {

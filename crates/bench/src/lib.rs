@@ -6,6 +6,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod data;
 pub mod experiments;
 

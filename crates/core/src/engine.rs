@@ -5,7 +5,7 @@
 
 use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{BandwidthRecorder, Dag, DagEngine, EngineMode, FlowObserver, SimTime};
+use zerosim_simkit::{BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
     lower, plan_checkpoint, plan_restore, Calibration, CheckpointSink, IterCtx, StrategyPlan,
     TrainOptions,
@@ -76,7 +76,6 @@ impl RunConfig {
 pub struct TrainingSim {
     cluster: Cluster,
     calib: Calibration,
-    engine_mode: EngineMode,
 }
 
 impl TrainingSim {
@@ -88,7 +87,6 @@ impl TrainingSim {
         Ok(TrainingSim {
             cluster: Cluster::new(spec).map_err(CoreError::BadCluster)?,
             calib: Calibration::default(),
-            engine_mode: EngineMode::default(),
         })
     }
 
@@ -100,21 +98,7 @@ impl TrainingSim {
         Ok(TrainingSim {
             cluster: Cluster::new(spec).map_err(CoreError::BadCluster)?,
             calib,
-            engine_mode: EngineMode::default(),
         })
-    }
-
-    /// The DAG-executor implementation runs will use
-    /// ([`EngineMode::Arena`] unless overridden by `ZEROSIM_ENGINE`).
-    pub fn engine_mode(&self) -> EngineMode {
-        self.engine_mode
-    }
-
-    /// Selects the DAG-executor implementation for subsequent runs — the
-    /// differential equivalence suite uses this to pin one simulator to
-    /// [`EngineMode::Reference`] and compare digests against the arena.
-    pub fn set_engine_mode(&mut self, mode: EngineMode) {
-        self.engine_mode = mode;
     }
 
     /// The simulated cluster (e.g. to create NVMe volumes before an
@@ -135,7 +119,7 @@ impl TrainingSim {
 
     /// Characterizes one training configuration.
     ///
-    /// The strategy's [`zerosim_strategies::IterPlan`] is lowered to a
+    /// The strategy's [`zerosim_strategies::WorkloadPlan`] is lowered to a
     /// task graph **once**; each warm-up and measured iteration only
     /// re-stamps the jitter-seeded compute durations
     /// ([`zerosim_strategies::LoweredPlan::stamp`]) before execution.
@@ -177,7 +161,6 @@ impl TrainingSim {
         let plan_lowerings = 1usize;
 
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
 
         // Warm-up (unrecorded). Each iteration re-stamps with its own
         // jitter seed so the measured window shows realistic run-to-run
@@ -243,32 +226,6 @@ impl TrainingSim {
         })
     }
 
-    /// Characterizes one training configuration under a fault schedule,
-    /// with checkpoint/restart recovery.
-    ///
-    /// Semantics match [`TrainingSim::run`] exactly when `faults` is
-    /// [`FaultConfig::healthy`] — same seed sequence, same recorder
-    /// origin, byte-identical [`TrainingReport::digest`]. On top of that:
-    ///
-    /// * the fault schedule is consumed by one [`zerosim_simkit::FaultCursor`]
-    ///   shared across all iterations, so the virtual clock and the fault
-    ///   clock stay aligned;
-    /// * every `policy.checkpoint_interval` committed iterations, the
-    ///   strategy's checkpoint plan (state snapshot to `sink`) runs on the
-    ///   same engine — lowered once, like the iteration plan;
-    /// * a node loss aborts the in-flight iteration; the run restarts
-    ///   after `policy.restart_delay_s`, replays the restore plan if a
-    ///   snapshot exists, rolls back to the last committed checkpoint,
-    ///   and replays the lost iterations — up to `policy.max_recoveries`
-    ///   times.
-    ///
-    /// The returned report carries [`ResilienceMetrics`] (goodput,
-    /// iteration-time percentiles, replay/recovery accounting, and the
-    /// schedule digest). When the call returns — success or
-    /// [`CoreError::RecoveryExhausted`] — every link is restored to its
-    /// nominal capacity, so the same simulator can run further
-    /// characterizations; the faults belong to the run, not the cluster.
-    ///
     /// Measures the cost of one checkpoint snapshot on this cluster: the
     /// makespan (seconds) of the strategy-independent `plan_checkpoint`
     /// state-movement plan for `model` under `opts`, executed on an
@@ -297,11 +254,36 @@ impl TrainingSim {
         save.validate(&self.cluster)?;
         let dag = lower(&save, &self.cluster, &self.calib)?.into_dag();
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
         let out = engine.run(self.cluster.net_mut(), &dag, SimTime::ZERO, None)?;
         Ok(out.makespan().as_secs())
     }
 
+    /// Characterizes one training configuration under a fault schedule,
+    /// with checkpoint/restart recovery.
+    ///
+    /// Semantics match [`TrainingSim::run`] exactly when `faults` is
+    /// [`FaultConfig::healthy`] — same seed sequence, same recorder
+    /// origin, byte-identical [`TrainingReport::digest`]. On top of that:
+    ///
+    /// * the fault schedule is consumed by one [`zerosim_simkit::FaultCursor`]
+    ///   shared across all iterations, so the virtual clock and the fault
+    ///   clock stay aligned;
+    /// * every `policy.checkpoint_interval` committed iterations, the
+    ///   strategy's checkpoint plan (state snapshot to `sink`) runs on the
+    ///   same engine — lowered once, like the iteration plan;
+    /// * a node loss aborts the in-flight iteration; the run restarts
+    ///   after `policy.restart_delay_s`, replays the restore plan if a
+    ///   snapshot exists, rolls back to the last committed checkpoint,
+    ///   and replays the lost iterations — up to `policy.max_recoveries`
+    ///   times.
+    ///
+    /// The returned report carries [`ResilienceMetrics`] (goodput,
+    /// iteration-time percentiles, replay/recovery accounting, and the
+    /// schedule digest). When the call returns — success or
+    /// [`CoreError::RecoveryExhausted`] — every link is restored to its
+    /// nominal capacity, so the same simulator can run further
+    /// characterizations; the faults belong to the run, not the cluster.
+    ///
     /// # Errors
     /// Everything [`TrainingSim::run`] returns, plus
     /// [`CoreError::RecoveryExhausted`] when node losses outrun the
@@ -351,7 +333,6 @@ impl TrainingSim {
         };
 
         let mut engine = DagEngine::new(self.cluster.resource_slots());
-        engine.set_mode(self.engine_mode);
         let mut cursor = faults.schedule.cursor();
         let scheduled_faults = cursor.remaining();
 

@@ -63,15 +63,13 @@ pub use fleet::{
 };
 pub use report::{BandwidthReport, HotLink, ResilienceMetrics, TrainingReport};
 pub use search::{search_plans, CandidateOutcome, PlanCandidate, SearchConfig, SearchReport};
-pub use serve::{
-    serve, ArrivalProcess, Request, ServeReport, ServeRun, ServeRunner, ServeSpec, TraceConfig,
-};
-pub use sweep::{SweepRun, SweepRunner, SweepSpec};
+pub use serve::{serve, ArrivalProcess, Request, ServeReport, ServeRun, ServeSpec, TraceConfig};
+pub use sweep::{Execute, SweepRun, SweepRunner, SweepSpec};
 pub use timeline::{profile_tracks, to_chrome_trace, TrackProfile};
 
 // Re-export the pieces callers need alongside the engine.
-pub use zerosim_simkit::{EngineMode, EngineStats, FaultKind, FaultSchedule};
+pub use zerosim_simkit::{EngineStats, FaultKind, FaultSchedule};
 pub use zerosim_strategies::{
-    Calibration, CheckpointSink, IterCtx, IterPlan, LoweredPlan, RecoveryPolicy, ServingStrategy,
-    Strategy, StrategyError, StrategyPlan, StrategyRegistry, TrainOptions,
+    Calibration, CheckpointSink, IterCtx, LoweredPlan, RecoveryPolicy, ServingStrategy, Strategy,
+    StrategyError, StrategyPlan, StrategyRegistry, TrainOptions,
 };

@@ -219,12 +219,11 @@ pub struct TrainingReport {
     /// the run was computed, not *what* was measured, so it is excluded
     /// from [`TrainingReport::digest`].
     pub solver: SolverStats,
-    /// DAG-engine work accounting for the run (ticks, batch sizes, arena
-    /// reuse hits — see [`zerosim_simkit::EngineStats`]). Like
-    /// [`TrainingReport::solver`], these counters describe how the
-    /// simulation executed, not what it measured, so they are excluded
-    /// from [`TrainingReport::digest`]: the arena and reference engines
-    /// must produce equal digests even though only the arena batches.
+    /// DAG-engine work accounting for the run (runs, retired tasks,
+    /// started flows, event-loop ticks — see
+    /// [`zerosim_simkit::EngineStats`]). Like [`TrainingReport::solver`],
+    /// these counters describe how the simulation executed, not what it
+    /// measured, so they are excluded from [`TrainingReport::digest`].
     pub engine: EngineStats,
 }
 
@@ -418,13 +417,10 @@ mod tests {
         d.solver.solves = 999;
         d.solver.links_touched = 12345;
         assert_eq!(a.digest(), d.digest());
-        // Engine work accounting (ticks, batches, arena reuse) is also an
-        // execution detail: the arena and reference engines must digest
-        // identically despite disjoint counter profiles.
+        // Engine work accounting is also an execution detail.
         let mut e = blank_report();
         e.engine.ticks = 777;
-        e.engine.batches = 42;
-        e.engine.arena_reuse_hits = 7;
+        e.engine.flows_started = 42;
         assert_eq!(a.digest(), e.digest());
         assert_eq!(
             c.resilience.as_ref().unwrap().time_to_recover(),

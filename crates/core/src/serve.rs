@@ -21,25 +21,25 @@
 //! Traces are synthetic and deterministic: [`TraceConfig::sample`] draws
 //! arrivals and token lengths from the workspace RNG
 //! ([`zerosim_testkit::rng::Rng`]), so the same seed replays the same
-//! trace on every platform, and [`ServeRunner`] fans specs across the
-//! hermetic thread pool with input-ordered, width-independent results —
-//! the same determinism contract as [`crate::SweepRunner`].
+//! trace on every platform, and [`crate::SweepRunner`] fans [`ServeSpec`]s
+//! across the hermetic thread pool with input-ordered, width-independent
+//! results, exactly as it does training specs.
 
 use std::collections::{HashMap, VecDeque};
 
 use zerosim_hw::{ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{DagEngine, EngineMode, SimTime};
+use zerosim_simkit::{DagEngine, SimTime};
 use zerosim_strategies::{
     kv_bucket, kv_bytes_per_token, lower, Calibration, IterCtx, LoweredPlan, ServingStrategy,
     TrainOptions,
 };
-use zerosim_testkit::pool::ThreadPool;
 use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
 use crate::error::CoreError;
 use crate::report::{mix, mix_str};
+use crate::sweep::Execute;
 
 /// How requests enter the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -283,7 +283,6 @@ pub fn serve(
         .collect();
 
     let mut engine = DagEngine::new(sim.cluster().resource_slots());
-    engine.set_mode(sim.engine_mode());
     // Plan caches: decode keyed by (batch, KV bucket), prefill by the
     // admitted (total prompt tokens, request count) shape.
     let mut decode_cache: HashMap<(usize, usize), LoweredPlan> = HashMap::new();
@@ -486,8 +485,6 @@ pub struct ServeSpec {
     pub trace: TraceConfig,
     /// Continuous-batching slot count.
     pub max_batch: usize,
-    /// The DAG-executor implementation to run with.
-    pub engine: EngineMode,
 }
 
 impl ServeSpec {
@@ -509,7 +506,6 @@ impl ServeSpec {
             opts,
             trace,
             max_batch: 8,
-            engine: EngineMode::default(),
         }
     }
 
@@ -531,19 +527,12 @@ impl ServeSpec {
         self
     }
 
-    /// Pins the DAG-executor implementation for this spec.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Builds a fresh simulator and executes this spec to completion.
     ///
     /// # Errors
     /// Whatever [`TrainingSim::new`] or [`serve`] return.
     pub fn execute(&self) -> Result<ServeRun, CoreError> {
         let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        sim.set_engine_mode(self.engine);
         for members in &self.volumes {
             sim.cluster_mut().create_volume(members.clone());
         }
@@ -574,33 +563,11 @@ pub struct ServeRun {
     pub report: ServeReport,
 }
 
-/// Fans [`ServeSpec`]s across the hermetic thread pool with the same
-/// determinism contract as [`crate::SweepRunner`]: input-ordered results
-/// independent of worker count.
-#[derive(Debug, Clone)]
-pub struct ServeRunner {
-    pool: ThreadPool,
-}
+impl Execute for ServeSpec {
+    type Run = ServeRun;
 
-impl ServeRunner {
-    /// A runner with `workers` threads (clamped to the machine).
-    pub fn new(workers: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        ServeRunner {
-            pool: ThreadPool::new(workers.max(1).min(cores)),
-        }
-    }
-
-    /// Executes every spec, in parallel, returning results in **input
-    /// order** regardless of worker count or scheduling.
-    ///
-    /// # Errors
-    /// The input-order-first [`CoreError`] among failed specs, if any.
-    pub fn run_parallel(&self, specs: Vec<ServeSpec>) -> Result<Vec<ServeRun>, CoreError> {
-        self.pool
-            .map(specs, |spec| spec.execute())
-            .into_iter()
-            .collect()
+    fn execute(&self) -> Result<ServeRun, CoreError> {
+        ServeSpec::execute(self)
     }
 }
 
@@ -688,7 +655,9 @@ mod tests {
             .map(|s| s.execute().unwrap().digest)
             .collect();
         for workers in [1, 4] {
-            let par = ServeRunner::new(workers).run_parallel(specs(0)).unwrap();
+            let par = crate::SweepRunner::new(workers)
+                .run_parallel(specs(0))
+                .unwrap();
             let digests: Vec<u64> = par.iter().map(|r| r.digest).collect();
             assert_eq!(digests, serial, "width {workers} changed results");
         }

@@ -18,6 +18,9 @@
 //!   [`zerosim_testkit::pool::ThreadPool`], the workspace's hermetic
 //!   `std::thread`-only work-stealing pool.
 //!
+//! The runner takes any [`Execute`] spec, so serving sweeps over
+//! [`crate::ServeSpec`] share the same contract.
+//!
 //! ```
 //! use zerosim_core::{RunConfig, SweepRunner, SweepSpec};
 //! use zerosim_strategies::{Strategy, TrainOptions};
@@ -45,7 +48,6 @@
 
 use zerosim_hw::{ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
-use zerosim_simkit::EngineMode;
 use zerosim_strategies::{Calibration, Strategy, TrainOptions};
 use zerosim_testkit::pool::ThreadPool;
 
@@ -84,10 +86,6 @@ pub struct SweepSpec {
     /// [`TrainingSim::run_resilient`] with this fault schedule; when
     /// `None`, through the plain [`TrainingSim::run`].
     pub faults: Option<FaultConfig>,
-    /// The DAG-executor implementation to run with. Part of the spec so a
-    /// differential sweep can rebuild the identical world on both engines;
-    /// the digest must not depend on this choice.
-    pub engine: EngineMode,
 }
 
 impl SweepSpec {
@@ -109,7 +107,6 @@ impl SweepSpec {
             opts,
             run: RunConfig::default(),
             faults: None,
-            engine: EngineMode::default(),
         }
     }
 
@@ -144,12 +141,6 @@ impl SweepSpec {
         self
     }
 
-    /// Pins the DAG-executor implementation for this spec.
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Builds a fresh simulator and executes this spec to completion.
     ///
     /// # Errors
@@ -157,7 +148,6 @@ impl SweepSpec {
     /// [`TrainingSim::run_resilient`] return for this configuration.
     pub fn execute(&self) -> Result<SweepRun, CoreError> {
         let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        sim.set_engine_mode(self.engine);
         for members in &self.volumes {
             sim.cluster_mut().create_volume(members.clone());
         }
@@ -188,7 +178,28 @@ pub struct SweepRun {
     pub report: TrainingReport,
 }
 
-/// Fans [`SweepSpec`]s across a thread pool; see the [module docs](self).
+/// A self-contained run description a [`SweepRunner`] can execute on any
+/// worker: [`SweepSpec`] for training, [`crate::ServeSpec`] for serving.
+pub trait Execute: Send {
+    /// The completed run.
+    type Run: Send;
+
+    /// Builds a fresh simulator and executes the spec to completion.
+    ///
+    /// # Errors
+    /// Whatever building or running the spec returns.
+    fn execute(&self) -> Result<Self::Run, CoreError>;
+}
+
+impl Execute for SweepSpec {
+    type Run = SweepRun;
+
+    fn execute(&self) -> Result<SweepRun, CoreError> {
+        SweepSpec::execute(self)
+    }
+}
+
+/// Fans specs across a thread pool; see the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     pool: ThreadPool,
@@ -238,9 +249,9 @@ impl SweepRunner {
     ///
     /// # Errors
     /// The input-order-first [`CoreError`] among failed specs, if any.
-    pub fn run_parallel(&self, specs: Vec<SweepSpec>) -> Result<Vec<SweepRun>, CoreError> {
+    pub fn run_parallel<S: Execute>(&self, specs: Vec<S>) -> Result<Vec<S::Run>, CoreError> {
         self.pool
-            .map(specs, |spec| spec.execute())
+            .map(specs, |spec| Execute::execute(&spec))
             .into_iter()
             .collect()
     }
@@ -249,8 +260,8 @@ impl SweepRunner {
     /// outcome in **input order** — one failed configuration does not mask
     /// the others. This is what `planfind` uses to simulate a candidate
     /// set where some survivors may still fail at run time.
-    pub fn run_each(&self, specs: Vec<SweepSpec>) -> Vec<Result<SweepRun, CoreError>> {
-        self.pool.map(specs, |spec| spec.execute())
+    pub fn run_each<S: Execute>(&self, specs: Vec<S>) -> Vec<Result<S::Run, CoreError>> {
+        self.pool.map(specs, |spec| Execute::execute(&spec))
     }
 }
 

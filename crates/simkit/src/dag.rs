@@ -8,15 +8,6 @@
 
 use crate::flow::LinkId;
 use crate::time::SimTime;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of unique DAG structure identities. Ids start at 1 so that 0 can
-/// serve as the "no identity" sentinel used by [`Dag::default`].
-static NEXT_DAG_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_dag_id() -> u64 {
-    NEXT_DAG_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Identifies a task within one [`Dag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,48 +72,13 @@ pub struct TaskSpec {
 ///
 /// Built with [`DagBuilder`]; guaranteed acyclic by construction because
 /// dependencies may only reference previously created tasks.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Dag {
     pub(crate) tasks: Vec<TaskSpec>,
     /// Predecessors of each task.
     pub(crate) preds: Vec<Vec<TaskId>>,
     /// Successors of each task (derived).
     pub(crate) succs: Vec<Vec<TaskId>>,
-    /// Unique identity of this graph's *structure* (topology, routes, byte
-    /// volumes). Assigned by [`DagBuilder::build`]; 0 for the default
-    /// (empty) DAG, which never matches a cached identity. Clones receive a
-    /// fresh id because they can diverge through
-    /// [`Dag::set_compute_duration`].
-    pub(crate) structure_id: u64,
-    /// Bumped whenever [`Dag::set_compute_duration`] compacts the log; a
-    /// cached `(structure_id, epoch, log position)` triple is only valid
-    /// while the epoch is unchanged.
-    pub(crate) duration_epoch: u64,
-    /// Append-only log of in-place duration overwrites since the last
-    /// compaction, as `(task index, new duration)`. Lets an executor that
-    /// has already ingested the structure refresh only the durations that
-    /// actually changed instead of re-walking every task.
-    pub(crate) duration_log: Vec<(u32, SimTime)>,
-}
-
-impl Clone for Dag {
-    fn clone(&self) -> Self {
-        Self {
-            tasks: self.tasks.clone(),
-            preds: self.preds.clone(),
-            succs: self.succs.clone(),
-            // A clone is a *new* structure as far as caching goes: the
-            // original and the copy can be restamped independently, so
-            // sharing an id would let one poison caches keyed on the other.
-            structure_id: if self.structure_id == 0 {
-                0
-            } else {
-                fresh_dag_id()
-            },
-            duration_epoch: 0,
-            duration_log: Vec::new(),
-        }
-    }
 }
 
 impl Dag {
@@ -181,35 +137,11 @@ impl Dag {
     /// # Panics
     /// Panics if `task` does not belong to this DAG or is not a
     /// [`TaskKind::Compute`] task.
-    #[allow(clippy::cast_possible_truncation)] // task counts fit in u32
     pub fn set_compute_duration(&mut self, task: TaskId, duration: SimTime) {
         match &mut self.tasks[task.0].kind {
             TaskKind::Compute { duration: d, .. } => *d = duration,
             other => panic!("task {task:?} is not a compute task (got {other:?})"),
         }
-        // Keep the log bounded: once it outgrows the graph severalfold,
-        // a full re-read is cheaper than replaying it, so start a new
-        // epoch. Readers holding an old epoch fall back to a full refresh.
-        if self.duration_log.len() >= self.tasks.len().saturating_mul(4) {
-            self.duration_log.clear();
-            self.duration_epoch += 1;
-        }
-        self.duration_log.push((task.0 as u32, duration));
-    }
-
-    /// Identity of this graph's structure (0 = unbuilt/default sentinel).
-    pub(crate) fn structure_id(&self) -> u64 {
-        self.structure_id
-    }
-
-    /// Current duration-log epoch (see [`Dag::set_compute_duration`]).
-    pub(crate) fn duration_epoch(&self) -> u64 {
-        self.duration_epoch
-    }
-
-    /// Duration overwrites appended in the current epoch.
-    pub(crate) fn duration_log(&self) -> &[(u32, SimTime)] {
-        &self.duration_log
     }
 
     /// Total busy time requested from `resource` by compute tasks.
@@ -388,11 +320,9 @@ impl DagBuilder {
         self.dag.tasks.is_empty()
     }
 
-    /// Finalizes the DAG, assigning it a unique structure identity.
+    /// Finalizes the DAG.
     pub fn build(self) -> Dag {
-        let mut dag = self.dag;
-        dag.structure_id = fresh_dag_id();
-        dag
+        self.dag
     }
 }
 
@@ -447,51 +377,6 @@ mod tests {
         assert_eq!(dag.compute_demand(r), SimTime::from_ms(5.0));
         // Structure untouched.
         assert_eq!(dag.len(), 1);
-    }
-
-    #[test]
-    fn structure_identity_is_unique_and_clone_gets_a_fresh_one() {
-        let mut b = DagBuilder::new();
-        b.marker(&[]);
-        let d1 = b.build();
-        let d2 = DagBuilder::new().build();
-        assert_ne!(d1.structure_id(), 0, "built DAGs have a real identity");
-        assert_ne!(d1.structure_id(), d2.structure_id());
-        let c = d1.clone();
-        assert_ne!(
-            c.structure_id(),
-            d1.structure_id(),
-            "clones can diverge, so they must not share identity"
-        );
-        assert_eq!(Dag::default().structure_id(), 0, "default is the sentinel");
-        assert_eq!(Dag::default().clone().structure_id(), 0);
-    }
-
-    #[test]
-    fn duration_log_records_restamps_and_compacts() {
-        let mut b = DagBuilder::new();
-        let t = b.compute(ResourceId(0), SimTime::from_ms(1.0), "k", &[]);
-        let u = b.compute(ResourceId(0), SimTime::from_ms(1.0), "k2", &[]);
-        let mut dag = b.build();
-        assert!(dag.duration_log().is_empty());
-        dag.set_compute_duration(t, SimTime::from_ms(2.0));
-        dag.set_compute_duration(u, SimTime::from_ms(3.0));
-        assert_eq!(
-            dag.duration_log(),
-            &[(0, SimTime::from_ms(2.0)), (1, SimTime::from_ms(3.0))]
-        );
-        assert_eq!(dag.duration_epoch(), 0);
-        // Push past the 4×len bound: the log compacts and the epoch bumps.
-        for _ in 0..8 {
-            dag.set_compute_duration(t, SimTime::from_ms(9.0));
-        }
-        assert!(dag.duration_epoch() > 0, "compaction must bump the epoch");
-        assert!(
-            dag.duration_log().len() <= 4 * dag.len() + 1,
-            "log stays bounded"
-        );
-        // The overwrite itself still lands regardless of compaction.
-        assert_eq!(dag.compute_demand(ResourceId(0)), SimTime::from_ms(12.0));
     }
 
     #[test]

@@ -53,19 +53,6 @@ impl LinkId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u64);
 
-impl FlowId {
-    /// Raw sequence number, for crate-internal dense indexing (the arena
-    /// engine keys its flow→task table on `raw - base`).
-    pub(crate) fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an id from its raw sequence number (crate-internal).
-    pub(crate) fn from_raw(raw: u64) -> Self {
-        FlowId(raw)
-    }
-}
-
 /// Capacity model of a link.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Capacity {
@@ -251,12 +238,6 @@ impl FlowNet {
     /// Number of active flows.
     pub fn flow_count(&self) -> usize {
         self.flows.len()
-    }
-
-    /// The raw id the next started flow will receive (crate-internal; the
-    /// arena engine snapshots this as the base of its dense flow→task map).
-    pub(crate) fn next_flow_raw(&self) -> u64 {
-        self.next_flow
     }
 
     /// The name given to `link` at creation.

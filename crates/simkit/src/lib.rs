@@ -54,7 +54,7 @@ mod time;
 
 pub use bucket::TokenBucket;
 pub use dag::{Dag, DagBuilder, ResourceId, TaskId, TaskKind};
-pub use engine::{DagEngine, EngineMode, RunOutcome};
+pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};
 pub use flow::{FlowId, FlowNet, FlowObserver, LinkId, NullObserver};

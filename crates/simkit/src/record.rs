@@ -118,19 +118,9 @@ impl SolverStats {
 
 /// Counters describing how much work the DAG engine did.
 ///
-/// The arena engine drains same-instant completions in batches and reuses
-/// its flat node storage across runs, so these counters are the direct
-/// measure of both effects: `batches` / `max_batch` show how much event
-/// processing was amortized, and `arena_reuse_hits` counts runs that
-/// recycled the arena's capacity without touching the allocator. They
-/// accumulate monotonically over the life of a
+/// They accumulate monotonically over the life of a
 /// [`DagEngine`](crate::engine::DagEngine); use
 /// [`EngineStats::delta_since`] to window them around a measured region.
-///
-/// The reference engine maintains the shared counters (`runs`,
-/// `tasks_finished`, `flows_started`, `ticks`) identically, which is what
-/// lets equivalence tests assert event-count conservation across engines;
-/// the batching and arena gauges stay zero there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
     /// Completed `run`/`run_faulted` calls.
@@ -142,44 +132,16 @@ pub struct EngineStats {
     pub flows_started: u64,
     /// Outer event-loop iterations (virtual-time advances) across all runs.
     pub ticks: u64,
-    /// Same-instant completion batches drained (arena engine only).
-    pub batches: u64,
-    /// Largest single completion batch, in events (arena engine only).
-    pub max_batch: usize,
-    /// Runs that had to (re)allocate arena storage.
-    pub arena_builds: u64,
-    /// Runs that refilled the arena entirely within retained capacity.
-    pub arena_reuse_hits: u64,
-    /// Runs cross-checked against the reference engine in shadow mode.
-    pub shadow_runs: u64,
 }
 
 impl EngineStats {
-    /// Mean completion events per batch (0 when no batch was drained).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            (self.tasks_finished + self.flows_started) as f64 / self.batches as f64
-        }
-    }
-
-    /// Counter difference `self - earlier` for windowed measurement. The
-    /// `max_batch` gauge is taken from `self` (an upper bound for the
-    /// window).
+    /// Counter difference `self - earlier` for windowed measurement.
     pub fn delta_since(&self, earlier: &EngineStats) -> EngineStats {
         EngineStats {
             runs: self.runs.saturating_sub(earlier.runs),
             tasks_finished: self.tasks_finished.saturating_sub(earlier.tasks_finished),
             flows_started: self.flows_started.saturating_sub(earlier.flows_started),
             ticks: self.ticks.saturating_sub(earlier.ticks),
-            batches: self.batches.saturating_sub(earlier.batches),
-            max_batch: self.max_batch,
-            arena_builds: self.arena_builds.saturating_sub(earlier.arena_builds),
-            arena_reuse_hits: self
-                .arena_reuse_hits
-                .saturating_sub(earlier.arena_reuse_hits),
-            shadow_runs: self.shadow_runs.saturating_sub(earlier.shadow_runs),
         }
     }
 }
@@ -535,41 +497,25 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_means_and_delta() {
+    fn engine_stats_delta() {
         let earlier = EngineStats {
             runs: 1,
             tasks_finished: 10,
             flows_started: 2,
             ticks: 8,
-            batches: 4,
-            max_batch: 3,
-            arena_builds: 1,
-            arena_reuse_hits: 0,
-            shadow_runs: 0,
         };
         let later = EngineStats {
             runs: 3,
             tasks_finished: 30,
             flows_started: 6,
             ticks: 24,
-            batches: 12,
-            max_batch: 5,
-            arena_builds: 1,
-            arena_reuse_hits: 2,
-            shadow_runs: 1,
         };
         let d = later.delta_since(&earlier);
         assert_eq!(d.runs, 2);
         assert_eq!(d.tasks_finished, 20);
         assert_eq!(d.flows_started, 4);
         assert_eq!(d.ticks, 16);
-        assert_eq!(d.batches, 8);
-        assert_eq!(d.max_batch, 5);
-        assert_eq!(d.arena_builds, 0);
-        assert_eq!(d.arena_reuse_hits, 2);
-        assert_eq!(d.shadow_runs, 1);
-        assert!((d.mean_batch() - 3.0).abs() < 1e-12);
-        assert_eq!(EngineStats::default().mean_batch(), 0.0);
+        assert_eq!(earlier.delta_since(&later), EngineStats::default());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`IterCtx`] carries the read-only inputs of strategy compilation and
 //! the pure performance-model arithmetic; [`PlanCtx`] wraps it with an
-//! in-progress [`IterPlan`] and the semantic op emitters that replaced
+//! in-progress [`WorkloadPlan`] and the semantic op emitters that replaced
 //! the seed implementation's raw `DagBuilder` helpers.
 
 use std::ops::Deref;
@@ -13,7 +13,7 @@ use zerosim_model::GptConfig;
 
 use crate::calib::Calibration;
 use crate::options::TrainOptions;
-use crate::plan::{Codec, IterPlan, OpId, PhaseStage, PlanOp};
+use crate::plan::{Codec, OpId, PhaseStage, PlanOp, WorkloadPlan};
 
 /// Everything an iteration planner needs to consult.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +86,7 @@ impl<'a> IterCtx<'a> {
     }
 }
 
-/// An [`IterCtx`] plus the [`IterPlan`] being emitted.
+/// An [`IterCtx`] plus the [`WorkloadPlan`] being emitted.
 ///
 /// Strategies describe one training iteration through these emitters;
 /// none of them touches simkit. The expansion into tasks (collective ring
@@ -95,7 +95,7 @@ impl<'a> IterCtx<'a> {
 #[derive(Debug)]
 pub struct PlanCtx<'a> {
     ctx: IterCtx<'a>,
-    plan: IterPlan,
+    plan: WorkloadPlan,
 }
 
 impl<'a> Deref for PlanCtx<'a> {
@@ -110,7 +110,7 @@ impl<'a> PlanCtx<'a> {
     pub fn new(ctx: IterCtx<'a>) -> Self {
         PlanCtx {
             ctx,
-            plan: IterPlan::new(),
+            plan: WorkloadPlan::new(),
         }
     }
 
@@ -119,7 +119,7 @@ impl<'a> PlanCtx<'a> {
     pub fn new_checkpoint(ctx: IterCtx<'a>) -> Self {
         PlanCtx {
             ctx,
-            plan: IterPlan::new_checkpoint(),
+            plan: WorkloadPlan::new_checkpoint(),
         }
     }
 
@@ -128,7 +128,7 @@ impl<'a> PlanCtx<'a> {
     pub fn new_prefill(ctx: IterCtx<'a>) -> Self {
         PlanCtx {
             ctx,
-            plan: IterPlan::new_prefill(),
+            plan: WorkloadPlan::new_prefill(),
         }
     }
 
@@ -137,12 +137,12 @@ impl<'a> PlanCtx<'a> {
     pub fn new_decode(ctx: IterCtx<'a>) -> Self {
         PlanCtx {
             ctx,
-            plan: IterPlan::new_decode(),
+            plan: WorkloadPlan::new_decode(),
         }
     }
 
     /// Finalizes the plan.
-    pub fn finish(self) -> IterPlan {
+    pub fn finish(self) -> WorkloadPlan {
         self.plan
     }
 

@@ -10,7 +10,7 @@ use zerosim_model::ModelStates;
 use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
-use crate::plan::{IterPlan, OpId, PhaseStage};
+use crate::plan::{OpId, PhaseStage, WorkloadPlan};
 
 /// Builds the memory plan for DDP.
 pub(crate) fn memory_plan(ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError> {
@@ -46,10 +46,10 @@ fn act_bytes(ctx: &IterCtx<'_>) -> f64 {
         * 2.0
 }
 
-/// Describes one DDP training iteration as an [`IterPlan`].
+/// Describes one DDP training iteration as a [`WorkloadPlan`].
 // Micro-step indices are tiny (grad-accum counts): fit u32.
 #[allow(clippy::cast_possible_truncation)]
-pub(crate) fn plan_iteration(ctx: &IterCtx<'_>) -> Result<IterPlan, StrategyError> {
+pub(crate) fn plan_iteration(ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError> {
     let gpus = ctx.opts.gpus(ctx.cluster);
     let group = CommGroup::new(gpus.clone());
     let tokens_gpu = (ctx.opts.per_gpu_batch * ctx.model.seq_len) as f64;

@@ -6,10 +6,10 @@
 //!
 //! 1. **Planning** — a [`StrategyPlan`] implementation (the [`Strategy`]
 //!    enum covers the paper's matrix) compiles model + cluster + options
-//!    into a [`MemoryPlan`] (bytes per tier) and an [`IterPlan`]: a typed
+//!    into a [`MemoryPlan`] (bytes per tier) and a [`WorkloadPlan`]: a typed
 //!    IR of semantic operations (layer compute, collectives, tier
 //!    transfers, optimizer steps) with explicit dependencies and phase
-//!    labels. [`IterPlan::validate`] machine-checks the paper's
+//!    labels. [`WorkloadPlan::validate`] machine-checks the paper's
 //!    conservation laws against the cluster.
 //! 2. **Lowering** — [`lower`] compiles the plan once per configuration
 //!    to a simkit task graph; [`LoweredPlan::stamp`] re-stamps only the
@@ -69,8 +69,8 @@ pub use memory::MemoryPlan;
 pub use options::TrainOptions;
 pub use placement::{ParallelPlacement, PlacementSpans};
 pub use plan::{
-    Codec, Dtype, IterPlan, OpId, OptimizerDevice, Phase, PhaseStage, PlanNode, PlanOp,
-    WorkloadKind, WorkloadPlan,
+    Codec, Dtype, OpId, OptimizerDevice, Phase, PhaseStage, PlanNode, PlanOp, WorkloadKind,
+    WorkloadPlan,
 };
 pub use registry::StrategyRegistry;
 pub use resilience::{
@@ -89,7 +89,7 @@ use zerosim_simkit::Dag;
 /// The seam between strategy semantics and the simulation engine.
 ///
 /// Implementations describe *what* one training iteration does — as an
-/// [`IterPlan`] of semantic ops plus a [`MemoryPlan`] — and never touch
+/// [`WorkloadPlan`] of semantic ops plus a [`MemoryPlan`] — and never touch
 /// simkit. The engine lowers the plan once per configuration and
 /// re-stamps durations per iteration; out-of-tree strategies plug in
 /// through a [`StrategyRegistry`].
@@ -104,11 +104,11 @@ pub trait StrategyPlan: Debug {
     /// layout, placement violating Table I, ...).
     fn plan_memory(&self, ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError>;
 
-    /// Describes one training iteration as an [`IterPlan`].
+    /// Describes one training iteration as a [`WorkloadPlan`].
     ///
     /// # Errors
     /// [`StrategyError`] when the configuration is infeasible.
-    fn plan_iteration(&self, ctx: &IterCtx<'_>) -> Result<IterPlan, StrategyError>;
+    fn plan_iteration(&self, ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError>;
 
     /// The ZeRO capability row (Table I), for ZeRO-family strategies.
     fn capability(&self) -> Option<ZeroCapability> {
@@ -378,7 +378,7 @@ impl StrategyPlan for Strategy {
         }
     }
 
-    fn plan_iteration(&self, ctx: &IterCtx<'_>) -> Result<IterPlan, StrategyError> {
+    fn plan_iteration(&self, ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError> {
         match self {
             Strategy::Ddp => ddp::plan_iteration(ctx),
             Strategy::Megatron { tp, pp } => megatron::plan_iteration(ctx, *tp, *pp),

@@ -1,4 +1,4 @@
-//! Lowering: compiles an [`IterPlan`] into an executable simkit [`Dag`].
+//! Lowering: compiles a [`WorkloadPlan`] into an executable simkit [`Dag`].
 //!
 //! This is the **only** place in the strategy stack that knows about
 //! `TaskSpec`s. Each semantic op expands to the exact task fragment the
@@ -26,7 +26,7 @@ use zerosim_simkit::{Dag, DagBuilder, SimTime, TaskId};
 
 use crate::calib::Calibration;
 use crate::error::StrategyError;
-use crate::plan::{IterPlan, OptimizerDevice, PlanOp};
+use crate::plan::{OptimizerDevice, PlanOp, WorkloadPlan};
 
 /// One jitter-stamped GEMM span and its dependent element-wise span.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,7 +131,7 @@ fn jitter_factor(amp: f64, seed: u64, position: usize) -> f64 {
 /// Compiles `plan` against `cluster` and `calib`.
 ///
 /// In debug/test builds the plan is first machine-checked by
-/// [`IterPlan::validate`] (collective wire-volume closed forms, route
+/// [`WorkloadPlan::validate`] (collective wire-volume closed forms, route
 /// feasibility, phase ordering); release builds skip the check and trust
 /// the strategy.
 ///
@@ -141,7 +141,7 @@ fn jitter_factor(amp: f64, seed: u64, position: usize) -> f64 {
 /// # Errors
 /// [`StrategyError::InvalidPlan`] when validation rejects the plan.
 pub fn lower(
-    plan: &IterPlan,
+    plan: &WorkloadPlan,
     cluster: &Cluster,
     calib: &Calibration,
 ) -> Result<LoweredPlan, StrategyError> {
@@ -288,9 +288,9 @@ mod tests {
         )
     }
 
-    fn small_plan() -> IterPlan {
+    fn small_plan() -> WorkloadPlan {
         let g = GpuId { node: 0, gpu: 0 };
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         let pro = p.push(PlanOp::Overhead, &[]);
         p.set_phase(PhaseStage::Forward, 0);
         let fwd = p.push(
@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn invalid_plan_is_rejected_in_debug_builds() {
         let (c, k) = fixtures();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.push(PlanOp::Overhead, &[]); // no optimizer step
         if cfg!(debug_assertions) {
             assert!(lower(&p, &c, &k).is_err());

@@ -23,7 +23,7 @@ use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
 use crate::placement::ParallelPlacement;
-use crate::plan::{IterPlan, OpId, PhaseStage};
+use crate::plan::{OpId, PhaseStage, WorkloadPlan};
 
 /// Microbatches per iteration for a pipeline depth of `pp` (the paper's
 /// nsys timeline shows four; deeper pipelines need at least `pp` to keep
@@ -78,7 +78,7 @@ pub(crate) fn memory_plan(
 
 /// Describes one Megatron training iteration (tensor-parallel degree
 /// `tp`, pipeline depth `pp`, data parallelism over the remainder) as an
-/// [`IterPlan`].
+/// [`WorkloadPlan`].
 ///
 /// # Errors
 /// [`StrategyError::InvalidLayout`] if `tp × pp` does not divide the
@@ -90,7 +90,7 @@ pub(crate) fn plan_iteration(
     ctx: &IterCtx<'_>,
     tp: usize,
     pp: usize,
-) -> Result<IterPlan, StrategyError> {
+) -> Result<WorkloadPlan, StrategyError> {
     let layout = resolve(ctx, tp, pp)?;
     let layers = ctx.model.num_layers;
     if layers < layout.pp {

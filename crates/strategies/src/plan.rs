@@ -22,7 +22,7 @@
 //!
 //! 1. **Extensibility** — out-of-tree strategies implement
 //!    [`crate::StrategyPlan`] and emit ops; they never touch `TaskSpec`.
-//! 2. **Validation** — [`IterPlan::validate`] machine-checks the paper's
+//! 2. **Validation** — [`WorkloadPlan::validate`] machine-checks the paper's
 //!    conservation laws (collective wire-volume closed forms, route
 //!    feasibility, phase ordering) on every plan.
 //! 3. **Caching** — plan structure is iteration-invariant, so the engine
@@ -36,7 +36,7 @@ use zerosim_hw::{Cluster, GpuId, IoDir, MemLoc, SocketId, VolumeId};
 
 use crate::error::StrategyError;
 
-/// Identifies an operation within one [`IterPlan`].
+/// Identifies an operation within one [`WorkloadPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub(crate) usize);
 
@@ -361,11 +361,6 @@ pub struct WorkloadPlan {
     /// variants stay codec-agnostic for out-of-tree matchers).
     codecs: BTreeMap<usize, Codec>,
 }
-
-/// The historical name of [`WorkloadPlan`], kept as an alias: training
-/// call sites read naturally as "iteration plans" and the two names are
-/// the same type.
-pub type IterPlan = WorkloadPlan;
 
 impl WorkloadPlan {
     /// Creates an empty plan in the [`Phase::INPUT`] phase.
@@ -810,7 +805,7 @@ mod tests {
     #[test]
     fn minimal_plan_validates() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         let pro = p.push(PlanOp::Overhead, &[]);
         p.set_phase(PhaseStage::Forward, 0);
         let fwd = p.push(
@@ -836,7 +831,7 @@ mod tests {
     #[test]
     fn plan_without_optimizer_rejected() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.push(PlanOp::Overhead, &[]);
         let e = p.validate(&c).unwrap_err();
         assert!(e.to_string().contains("no optimizer step"));
@@ -845,7 +840,7 @@ mod tests {
     #[test]
     fn step_phase_is_a_sink() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Step, 0);
         let opt = p.push(
             PlanOp::OptimizerStep {
@@ -870,7 +865,7 @@ mod tests {
     #[test]
     fn offcluster_gpu_rejected() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Step, 0);
         p.push(
             PlanOp::OptimizerStep {
@@ -885,7 +880,7 @@ mod tests {
     #[test]
     fn unregistered_volume_rejected() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.push(
             PlanOp::VolumeIo {
                 volume: VolumeId(0),
@@ -912,14 +907,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not precede")]
     fn forward_dependency_panics() {
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.push(PlanOp::Overhead, &[OpId(3)]);
     }
 
     #[test]
     fn checkpoint_plan_validates_without_optimizer() {
         let c = cluster();
-        let mut p = IterPlan::new_checkpoint();
+        let mut p = WorkloadPlan::new_checkpoint();
         assert_eq!(p.kind(), WorkloadKind::Checkpoint);
         let d2h = p.push(
             PlanOp::TierTransfer {
@@ -938,7 +933,7 @@ mod tests {
     #[test]
     fn checkpoint_plan_must_move_state() {
         let c = cluster();
-        let mut p = IterPlan::new_checkpoint();
+        let mut p = WorkloadPlan::new_checkpoint();
         p.push(PlanOp::Barrier, &[]);
         let e = p.validate(&c).unwrap_err();
         assert!(e.to_string().contains("moves no state"));
@@ -947,7 +942,7 @@ mod tests {
     #[test]
     fn checkpoint_plan_rejects_optimizer_step() {
         let c = cluster();
-        let mut p = IterPlan::new_checkpoint();
+        let mut p = WorkloadPlan::new_checkpoint();
         p.push(
             PlanOp::OptimizerStep {
                 device: OptimizerDevice::Gpu(gpu0()),
@@ -962,7 +957,7 @@ mod tests {
     #[test]
     fn iteration_plan_rejects_checkpoint_phase() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Checkpoint, 0);
         p.push(PlanOp::Overhead, &[]);
         let e = p.validate(&c).unwrap_err();
@@ -1076,7 +1071,7 @@ mod tests {
     #[test]
     fn iteration_plan_rejects_kv_append() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Forward, 0);
         p.push(
             PlanOp::KvAppend {
@@ -1092,7 +1087,7 @@ mod tests {
     #[test]
     fn codec_roundtrip_and_strip() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Forward, 0);
         let coll = p.push(
             PlanOp::Collective {
@@ -1130,7 +1125,7 @@ mod tests {
     #[test]
     fn codec_on_compute_op_rejected() {
         let c = cluster();
-        let mut p = IterPlan::new();
+        let mut p = WorkloadPlan::new();
         p.set_phase(PhaseStage::Forward, 0);
         let fwd = p.push(
             PlanOp::LayerCompute {

@@ -21,7 +21,7 @@
 use zerosim_hw::{IoDir, MemLoc};
 
 use crate::builders::{IterCtx, PlanCtx};
-use crate::plan::{IterPlan, WorkloadKind};
+use crate::plan::{WorkloadKind, WorkloadPlan};
 use crate::zero::InfinityPlacement;
 
 /// How a resilient run checkpoints and recovers from node loss.
@@ -109,13 +109,13 @@ pub fn snapshot_bytes_total(ctx: &IterCtx<'_>) -> f64 {
 /// Builds the checkpoint-snapshot plan: every rank drains its state shard
 /// GPU→DRAM (and onward to NVMe for [`CheckpointSink::Nvme`]), joined by
 /// a final barrier so the snapshot commits atomically.
-pub fn plan_checkpoint(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> IterPlan {
+pub fn plan_checkpoint(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> WorkloadPlan {
     plan_state_movement(ctx, sink, Direction::Save)
 }
 
 /// Builds the restore plan: the mirror of [`plan_checkpoint`] (NVMe→DRAM
 /// →GPU reads), run once after a restart before training resumes.
-pub fn plan_restore(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> IterPlan {
+pub fn plan_restore(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> WorkloadPlan {
     plan_state_movement(ctx, sink, Direction::Restore)
 }
 
@@ -125,7 +125,7 @@ enum Direction {
     Restore,
 }
 
-fn plan_state_movement(ctx: &IterCtx<'_>, sink: &CheckpointSink, dir: Direction) -> IterPlan {
+fn plan_state_movement(ctx: &IterCtx<'_>, sink: &CheckpointSink, dir: Direction) -> WorkloadPlan {
     let bytes = snapshot_bytes_per_rank(ctx);
     let mut p = PlanCtx::new_checkpoint(*ctx);
     let mut joins = Vec::new();

@@ -13,7 +13,7 @@ use zerosim_hw::{GpuId, IoDir, MemLoc, VolumeId};
 use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
-use crate::plan::{Codec, Dtype, IterPlan, OpId, PhaseStage};
+use crate::plan::{Codec, Dtype, OpId, PhaseStage, WorkloadPlan};
 
 /// ZeRO optimization stage (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -259,13 +259,13 @@ pub(crate) fn memory_plan(ctx: &IterCtx<'_>, v: &ZeroVariant) -> Result<MemoryPl
     })
 }
 
-/// Describes one ZeRO training iteration as an [`IterPlan`].
+/// Describes one ZeRO training iteration as a [`WorkloadPlan`].
 // Micro-step indices are tiny (grad-accum counts): fit u32.
 #[allow(clippy::cast_possible_truncation)]
 pub(crate) fn plan_iteration(
     ctx: &IterCtx<'_>,
     v: &ZeroVariant,
-) -> Result<IterPlan, StrategyError> {
+) -> Result<WorkloadPlan, StrategyError> {
     v.validate()?;
     // CPU offload's automatic placement is not NUMA-aware (Sec. V-A3);
     // the NVMe placements of Sec. V-E were hand-tuned by the authors, so

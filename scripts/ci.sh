@@ -16,10 +16,6 @@ cargo test --release --workspace
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== engine bench: arena/reference digest parity =="
-cargo bench -p zerosim-bench --bench engine_arena -- --quick
-grep -q '"digests_equal":true' BENCH_engine.json
-
 echo "== scorecard =="
 cargo run --release -p zerosim-bench --bin repro -- scorecard | tail -n +2 | head -4
 

@@ -11,26 +11,23 @@
 #   5. solver:      shadow-mode equivalence smoke (incremental max-min
 #                   solve cross-checked against the full reference on a
 #                   golden config) and the BENCH_solver.json scorecard
-#   6. engine:      shadow-mode engine equivalence (arena executor
-#                   cross-checked against the reference executor on the
-#                   golden dozen) and the BENCH_engine.json scorecard
-#   7. sweep:       `repro --workers 4` must render the scorecard
+#   6. sweep:       `repro --workers 4` must render the scorecard
 #                   byte-identically to the serial run
-#   8. planlint:    static analysis (ZL001-ZL009) over the 12 golden
+#   7. planlint:    static analysis (ZL001-ZL009) over the 12 golden
 #                   paper configurations; any deny-level finding fails.
 #                   The v2 gate additionally pins zero warnings, the
 #                   JSON schema_version, the zl008-selfcheck exit code,
 #                   and the ZL009 bound verdict (BENCH_planlint.json)
-#   9. planfind:    placement search smoke on a capacity-edge scenario;
+#   8. planfind:    placement search smoke on a capacity-edge scenario;
 #                   asserts the >=50% static-prune floor
 #                   (BENCH_planfind.json) and width-invariant digests
-#  10. fleetplan:   resilience-economics gate: the dollars-to-train
+#   9. fleetplan:   resilience-economics gate: the dollars-to-train
 #                   search on a pods fleet, plus the Young/Daly
 #                   validation scorecard (BENCH_fleet.json) — every
 #                   golden config's analytic interval must beat both the
 #                   2x and 0.5x cadence on ensemble goodput, with
 #                   digests byte-identical at --workers 1 vs 4
-#  11. servesim:    serving gate: TTFT/TPOT scorecard on the three
+#  10. servesim:    serving gate: TTFT/TPOT scorecard on the three
 #                   golden deployments plus the decode regime sweep
 #                   (BENCH_serve.json) — the in-binary sanity verdict
 #                   must hold and digests must be byte-identical at
@@ -95,28 +92,6 @@ echo "== solver bench: BENCH_solver.json (full vs incremental, sweep) =="
 # Emits BENCH_solver.json at the repo root and asserts the >=5x
 # links-touched-per-solve floor on dual-node ZeRO-3 11.4 B.
 cargo bench -p zerosim-bench --bench solver_incremental -- --quick
-
-echo "== engine-equivalence smoke: arena shadow mode on the golden dozen =="
-# ZEROSIM_ENGINE_SHADOW=1 makes every arena-executor run replay on the
-# reference executor against cloned state and assert bitwise-equal
-# outcomes, spans, and fault cursors (DagEngine::run_faulted). Debug
-# tests default shadow on; forcing the env keeps this a gate, not a
-# default. The golden-sweep test executes all 12 paper configurations.
-ZEROSIM_ENGINE_SHADOW=1 cargo test -q --test sweep_determinism golden_sweep_is_width_invariant
-
-echo "== engine bench: BENCH_engine.json (arena vs reference) =="
-# Emits BENCH_engine.json at the repo root; asserts the >=5x
-# bookkeeping-allocations-per-iteration floor and golden-dozen digest
-# equality between the two executors.
-cargo bench -p zerosim-bench --bench engine_arena -- --quick
-if ! grep -q '"digests_equal":true' BENCH_engine.json; then
-  echo "ERROR: BENCH_engine.json does not report digests_equal:true" >&2
-  exit 1
-fi
-echo "engine scorecard: $(grep -o '"cores":[0-9.]*' BENCH_engine.json)," \
-  "golden $(grep -o '"iters_per_sec_ratio":[0-9.]*' BENCH_engine.json | head -1)," \
-  "hot-path $(grep -o '"iters_per_sec_ratio":[0-9.]*' BENCH_engine.json | tail -1)," \
-  "alloc $(grep -o '"reduction":[0-9.]*' BENCH_engine.json)"
 
 echo "== sweep smoke: --workers 4 renders the scorecard byte-identically =="
 SWEEP_TMP="$(mktemp -d)"

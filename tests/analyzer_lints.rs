@@ -26,9 +26,8 @@ use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, NvmeId, SocketId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{FaultKind, FaultSchedule};
 use zerosim_strategies::{
-    Calibration, Codec, Dtype, InfinityPlacement, IterCtx, IterPlan, MemoryPlan, OptimizerDevice,
-    PhaseStage, PlanOp, ServingStrategy, Strategy, StrategyPlan, TrainOptions, WorkloadPlan,
-    ZeroStage,
+    Calibration, Codec, Dtype, InfinityPlacement, IterCtx, MemoryPlan, OptimizerDevice, PhaseStage,
+    PlanOp, ServingStrategy, Strategy, StrategyPlan, TrainOptions, WorkloadPlan, ZeroStage,
 };
 use zerosim_testkit::gen::usize_range;
 use zerosim_testkit::{prop, prop_assert};
@@ -151,7 +150,7 @@ fn zl001_fires_once_when_residency_exceeds_hbm() {
 #[test]
 fn zl002_fires_once_at_the_op_consuming_phantom_bytes() {
     // One h2d that reads 4 GB out of host DRAM nobody ever staged.
-    let mut plan = IterPlan::new();
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Step, 0);
     plan.push(
         PlanOp::TierTransfer {
@@ -175,7 +174,7 @@ fn zl002_fires_once_at_the_op_consuming_phantom_bytes() {
 
 #[test]
 fn zl003_fires_once_when_iteration_work_waits_on_the_step() {
-    let mut plan = IterPlan::new();
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Backward, 0);
     let b = plan.push(
         PlanOp::LayerCompute {
@@ -223,7 +222,7 @@ fn zl004_fires_once_for_an_off_cluster_collective() {
         node: nodes,
         gpu: 0,
     };
-    let mut plan = IterPlan::new();
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Backward, 0);
     let b = plan.push(
         PlanOp::LayerCompute {
@@ -262,7 +261,7 @@ fn zl004_fires_once_for_an_off_cluster_collective() {
 #[test]
 fn zl005_warns_once_on_a_dead_gradient_collective() {
     let cluster = default_cluster();
-    let mut plan = IterPlan::new();
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Backward, 0);
     let b = plan.push(
         PlanOp::LayerCompute {
@@ -382,7 +381,7 @@ fn zl007_events_past_the_horizon_are_advisory_only() {
 /// whether the KV append depends on the forward compute (legal) or only
 /// on the input staging (a decode-effect ordering violation).
 fn decode_fixture(kv_bytes: f64, wire_kv_to_compute: bool) -> WorkloadPlan {
-    let mut plan = IterPlan::new_decode();
+    let mut plan = WorkloadPlan::new_decode();
     let h2d = plan.push(
         PlanOp::TierTransfer {
             src: cpu0(),
@@ -499,7 +498,7 @@ fn zl005_kv_append_is_a_legal_sink_in_serving_phases() {
     // Reorder so the KV append is dependent-less (token d2h hangs off
     // the compute only): the cache write *is* the effect, ZL005 stays
     // silent exactly as it does for checkpoint write-backs.
-    let mut plan = IterPlan::new_decode();
+    let mut plan = WorkloadPlan::new_decode();
     plan.set_phase(PhaseStage::Decode, 0);
     let gemm = plan.push(
         PlanOp::LayerCompute {
@@ -738,7 +737,7 @@ fn zl004_static_link_set_covers_the_simulated_hot_links() {
 #[test]
 fn zl008_fires_once_on_compute_consuming_encoded_bytes() {
     let cluster = default_cluster();
-    let mut plan = IterPlan::new();
+    let mut plan = WorkloadPlan::new();
     plan.set_phase(PhaseStage::Forward, 0);
     let gather = plan.push(
         PlanOp::Collective {
@@ -948,7 +947,7 @@ prop! {
         let bytes = gbs as f64 * 1e9;
         let staged = bytes * codec.ratio;
         let build = |consume: f64| {
-            let mut plan = IterPlan::new();
+            let mut plan = WorkloadPlan::new();
             plan.set_phase(PhaseStage::Backward, 0);
             let d2h = plan.push(
                 PlanOp::TierTransfer {

@@ -9,12 +9,12 @@ use zerosim_core::max_model_size;
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{
-    BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, EngineMode, FlowNet, FlowObserver,
-    LinkId, NullObserver, ResourceId, SimTime, TokenBucket,
+    BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FlowNet, FlowObserver, LinkId,
+    NullObserver, ResourceId, SimTime, TokenBucket,
 };
 use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
 use zerosim_testkit::domain::{flow_paths, link_caps};
-use zerosim_testkit::gen::{f64_range, tuple2, tuple3, u64_range, usize_range, vec_of};
+use zerosim_testkit::gen::{f64_range, tuple3, u64_range, usize_range, vec_of};
 use zerosim_testkit::{prop, prop_assert, prop_assert_eq};
 
 // ---------- flow network ----------
@@ -496,7 +496,7 @@ prop! {
     }
 }
 
-// ---------- arena executor vs reference executor ----------
+// ---------- DAG executor ----------
 
 /// Shared generator shape for the executor properties: a random mixed DAG
 /// of compute / transfer / delay tasks with random fan-in, built over one
@@ -526,10 +526,10 @@ fn mixed_random_dag(spec: &[(usize, u64, usize)], link: LinkId) -> (zerosim_simk
 }
 
 prop! {
-    /// The arena's batched ready-set updates preserve topological
-    /// legality: on random mixed DAGs, no task finishes before any of its
-    /// predecessors, and tasks with their own duration finish strictly
-    /// after their latest predecessor by at least that duration.
+    /// The executor's ready-set updates preserve topological legality: on
+    /// random mixed DAGs, no task finishes before any of its predecessors,
+    /// and delays finish exactly their duration after their latest
+    /// predecessor.
     #[cases(64)]
     fn batched_ready_set_preserves_topological_order(
         spec in vec_of(
@@ -542,7 +542,6 @@ prop! {
         let l = net.add_link("l", 1e8);
         let (dag, _) = mixed_random_dag(&spec, l);
         let mut eng = DagEngine::new(vec![2, 2]);
-        eng.set_mode(EngineMode::Arena);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
         for t in dag.task_ids() {
             for p in dag.preds(t) {
@@ -568,9 +567,10 @@ prop! {
         }
     }
 
-    /// Event-count conservation: both executors retire exactly one
+    /// Event-count conservation: independent executors retire exactly one
     /// completion per task and start exactly one flow per transfer, and
-    /// their per-task finish times agree bitwise.
+    /// their per-task finish times and event-loop tick counts agree
+    /// bitwise.
     #[cases(64)]
     fn event_counts_are_conserved_across_executors(
         spec in vec_of(
@@ -579,84 +579,21 @@ prop! {
             40,
         ),
     ) {
-        let run_mode = |mode: EngineMode| {
+        let run = || {
             let mut net = FlowNet::new();
             let l = net.add_link("l", 1e8);
             let (dag, transfers) = mixed_random_dag(&spec, l);
             let mut eng = DagEngine::new(vec![2, 2]);
-            eng.set_mode(mode);
             let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
             (out, eng.stats(), dag.len(), transfers)
         };
-        let (arena, arena_stats, n, transfers) = run_mode(EngineMode::Arena);
-        let (reference, reference_stats, ..) = run_mode(EngineMode::Reference);
-        prop_assert_eq!(arena_stats.tasks_finished, n as u64);
-        prop_assert_eq!(reference_stats.tasks_finished, n as u64);
-        prop_assert_eq!(arena_stats.flows_started, transfers as u64);
-        prop_assert_eq!(reference_stats.flows_started, transfers as u64);
-        prop_assert_eq!(&arena.task_finish, &reference.task_finish);
-        prop_assert_eq!(arena.finished, reference.finished);
-    }
-
-    /// Arena reuse across replays never leaks stamped durations: a warm
-    /// arena re-run after restamping behaves exactly like a cold engine on
-    /// the restamped DAG, replays are bit-stable, and restamping back
-    /// reproduces the original outcome.
-    #[cases(64)]
-    fn arena_reuse_across_replays_never_leaks_stamped_durations(
-        pairs in vec_of(
-            tuple2(u64_range(1, 1_000_000), u64_range(1, 1_000_000)),
-            2,
-            8,
-        ),
-    ) {
-        let mut b = DagBuilder::new();
-        let mut prev = None;
-        let mut ids = Vec::new();
-        for (d1, _) in &pairs {
-            let deps: Vec<_> = prev.into_iter().collect();
-            let t = b.compute(ResourceId(0), SimTime::from_nanos(*d1), "k", &deps);
-            prev = Some(t);
-            ids.push(t);
-        }
-        let mut dag = b.build();
-        let mut net = FlowNet::new();
-        let mut eng = DagEngine::new(vec![1]);
-        eng.set_mode(EngineMode::Arena);
-        let first = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        prop_assert_eq!(
-            first.makespan().as_nanos(),
-            pairs.iter().map(|(a, _)| *a).sum::<u64>()
-        );
-        // Restamp every duration; the warm engine (arena already ingested
-        // the structure) must match a cold engine run exactly.
-        for (t, (_, d2)) in ids.iter().zip(&pairs) {
-            dag.set_compute_duration(*t, SimTime::from_nanos(*d2));
-        }
-        let warm = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        let replay = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        let mut cold_eng = DagEngine::new(vec![1]);
-        cold_eng.set_mode(EngineMode::Arena);
-        let cold = cold_eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        prop_assert_eq!(&warm.task_finish, &cold.task_finish);
-        prop_assert_eq!(&replay.task_finish, &warm.task_finish);
-        prop_assert_eq!(
-            warm.makespan().as_nanos(),
-            pairs.iter().map(|(_, b)| *b).sum::<u64>()
-        );
-        // Restamping back to the original durations reproduces the first
-        // outcome bit-for-bit — nothing from the second stamping survives.
-        for (t, (d1, _)) in ids.iter().zip(&pairs) {
-            dag.set_compute_duration(*t, SimTime::from_nanos(*d1));
-        }
-        let back = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        prop_assert_eq!(&back.task_finish, &first.task_finish);
-        // The warm runs really did take the reuse path.
-        prop_assert!(
-            eng.stats().arena_reuse_hits >= 3,
-            "expected reuse hits, got {:?}",
-            eng.stats()
-        );
+        let (first, first_stats, n, transfers) = run();
+        let (second, second_stats, ..) = run();
+        prop_assert_eq!(first_stats.tasks_finished, n as u64);
+        prop_assert_eq!(first_stats.flows_started, transfers as u64);
+        prop_assert_eq!(first_stats, second_stats);
+        prop_assert_eq!(&first.task_finish, &second.task_finish);
+        prop_assert_eq!(first.finished, second.finished);
     }
 }
 

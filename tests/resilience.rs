@@ -1,9 +1,11 @@
 //! Resilience invariants across the stack: fault-free resilient runs are
 //! byte-identical to plain runs for every golden paper configuration;
 //! degrade-then-restore windows never speed a run up; node-loss replay is
-//! bounded by the checkpoint interval; and identical seeds + schedules
-//! reproduce identical reports under faults.
+//! bounded by the checkpoint interval; identical seeds + schedules
+//! reproduce identical reports under faults; and every ext11 fault-matrix
+//! cell reproduces its pinned digest.
 
+use zerosim_bench::experiments::resilience::{cell_spec, fault_matrix_scenarios, MATRIX_BILLIONS};
 use zerosim_core::{
     CheckpointSink, FaultConfig, FaultScenario, RecoveryPolicy, RunConfig, TrainingSim,
 };
@@ -149,6 +151,82 @@ fn fault_free_resilient_run_is_byte_identical_for_zero_infinity() {
         )
         .unwrap();
     assert_eq!(plain.digest(), resilient.digest());
+}
+
+// ---------- pinned fault matrix ----------
+
+/// ZeRO-3 over every ext11 fault-matrix cell, healthy first:
+/// `(scenario, TrainingReport::digest, resilient wall time in ns, goodput
+/// bits)`. The digest excludes resilience accounting, so wall time and
+/// goodput pin what the faults did: link rescaling mid-flow, a straggler's
+/// slot handoffs, and node-loss flow cancellation with restart and replay.
+const FAULT_MATRIX_PINS: [(&str, u64, u64, u64); 6] = [
+    (
+        "healthy",
+        0x232a_8c21_7cbe_8321,
+        8_785_865_995,
+        0x42dd_5718_29ac_0819,
+    ),
+    (
+        "RoCE@50%",
+        0x232a_8c21_7cbe_8321,
+        8_785_865_995,
+        0x42dd_5718_29ac_0819,
+    ),
+    (
+        "RoCE@10%",
+        0x232a_8c21_7cbe_8321,
+        8_785_865_995,
+        0x42dd_5718_29ac_0819,
+    ),
+    (
+        "straggler 0.7x",
+        0x90d9_cf27_cd3a_3faf,
+        8_806_121_111,
+        0x42dd_45d1_6764_8cb0,
+    ),
+    (
+        "nvme stall",
+        0x232a_8c21_7cbe_8321,
+        8_785_865_995,
+        0x42dd_5718_29ac_0819,
+    ),
+    (
+        "node loss",
+        0xefd6_3188_61a0_f123,
+        10_379_884_058,
+        0x42d8_d5a1_7081_c06e,
+    ),
+];
+
+#[test]
+fn fault_matrix_cells_reproduce_their_pinned_digests() {
+    let strategy = Strategy::Zero {
+        stage: ZeroStage::Three,
+    };
+    let model = GptConfig::paper_model_with_params(MATRIX_BILLIONS);
+    let pin = |scenario: &FaultScenario| {
+        let run = cell_spec(&strategy, &model, scenario)
+            .execute()
+            .expect("fault-matrix cell runs");
+        let m = run.report.resilience.expect("resilient runs carry metrics");
+        (
+            scenario.label().into_owned(),
+            run.digest,
+            m.wall_time.as_nanos(),
+            m.goodput_flops.to_bits(),
+        )
+    };
+    // The healthy run anchors each fault's injection time, as in ext11.
+    let healthy = pin(&FaultScenario::Healthy);
+    let wall = SimTime::from_nanos(healthy.2).as_secs();
+    let mut cells = vec![healthy];
+    cells.extend(fault_matrix_scenarios(wall).iter().skip(1).map(pin));
+    let cells: Vec<(&str, u64, u64, u64)> = cells
+        .iter()
+        .map(|(label, d, w, g)| (label.as_str(), *d, *w, *g))
+        .collect();
+    assert_eq!(cells, FAULT_MATRIX_PINS);
 }
 
 // ---------- degraded links ----------

@@ -1,13 +1,23 @@
 //! Serving runs are deterministic: the golden ext14 deployments (shared
 //! with the `servesim --bench` scorecard via
-//! [`zerosim_bench::experiments::serving::golden_deployments`]) yield the
-//! same ordered label and digest vectors at any worker width, trace
-//! sampling is a pure function of its seed, and re-executing a spec
-//! reproduces its report byte-for-byte — scheduling must never leak into
-//! serving results.
+//! [`zerosim_bench::experiments::serving::golden_deployments`]) yield
+//! pinned digests and the same ordered label and digest vectors at any
+//! worker width, trace sampling is a pure function of its seed, and
+//! re-executing a spec reproduces its report byte-for-byte — scheduling
+//! must never leak into serving results.
 
 use zerosim_bench::experiments::serving::{golden_deployments, golden_trace};
-use zerosim_core::{ServeRunner, TraceConfig};
+use zerosim_core::{SweepRunner, TraceConfig};
+
+/// `ServeRun::digest` of each golden deployment, in `golden_deployments()`
+/// order. Every prefill and decode step is its own short engine run, so
+/// these pins cover the executor's event order on the serving path, which
+/// the training digest pins never reach.
+const GOLDEN_SERVE_DIGESTS: [(&str, u64); 3] = [
+    ("Dense TP=4 @ 1 node", 0x6ef8_f0b1_01b3_93e5),
+    ("Dense TP=8 @ 2 nodes", 0xd12e_f057_85df_a437),
+    ("ZeRO-Inference NVMe @ 1 node", 0x3c45_9aa8_48fe_516b),
+];
 
 #[test]
 fn golden_serving_sweep_is_width_invariant() {
@@ -15,10 +25,18 @@ fn golden_serving_sweep_is_width_invariant() {
     assert_eq!(specs.len(), 3, "golden serving matrix must stay at 3");
 
     // Serial execution is the reference ordering.
-    let reference = ServeRunner::new(1)
+    let reference = SweepRunner::new(1)
         .run_parallel(specs.clone())
         .expect("golden deployments run");
     assert_eq!(reference.len(), 3);
+    let pinned: Vec<(&str, u64)> = reference
+        .iter()
+        .map(|r| (r.label.as_str(), r.digest))
+        .collect();
+    assert_eq!(
+        pinned, GOLDEN_SERVE_DIGESTS,
+        "golden serving digests drifted"
+    );
     for run in &reference {
         assert_eq!(
             run.report.requests,
@@ -29,7 +47,7 @@ fn golden_serving_sweep_is_width_invariant() {
     }
 
     for workers in [2usize, 4] {
-        let runs = ServeRunner::new(workers)
+        let runs = SweepRunner::new(workers)
             .run_parallel(specs.clone())
             .expect("golden deployments run");
         let labels: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
