@@ -232,8 +232,27 @@ impl DagEngine {
         net: &mut FlowNet,
         dag: &Dag,
         start: SimTime,
+        obs: Option<&mut dyn FlowObserver>,
+        faults: &mut FaultCursor,
+    ) -> Result<RunOutcome, SimError> {
+        // Backstop against pathological event storms (e.g. a token bucket
+        // oscillating at nanosecond granularity): proportional to DAG size
+        // plus a generous constant for background-flow churn.
+        let budget = 10_000_000u64 + 200 * dag.len() as u64;
+        self.run_faulted_with_budget(net, dag, start, obs, faults, budget)
+    }
+
+    /// [`DagEngine::run_faulted`] with an explicit event budget: the run
+    /// fails with [`SimError::EventLimit`] once its loop turns more than
+    /// `budget` times.
+    fn run_faulted_with_budget(
+        &mut self,
+        net: &mut FlowNet,
+        dag: &Dag,
+        start: SimTime,
         mut obs: Option<&mut dyn FlowObserver>,
         faults: &mut FaultCursor,
+        budget: u64,
     ) -> Result<RunOutcome, SimError> {
         let n = dag.len();
         let mut indeg: Vec<usize> = (0..n).map(|i| dag.preds(TaskId(i)).len()).collect();
@@ -248,6 +267,8 @@ impl DagEngine {
             .collect();
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         let mut flow_task: HashMap<FlowId, TaskId> = HashMap::new();
+        // Flows finished by one network step; reused for the whole run.
+        let mut done_flows: Vec<FlowId> = Vec::new();
         let mut task_start: Vec<SimTime> = vec![SimTime::ZERO; n];
         let mut task_finish: Vec<SimTime> = vec![SimTime::ZERO; n];
         let mut finished = 0usize;
@@ -318,18 +339,12 @@ impl DagEngine {
             }};
         }
 
-        // Backstop against pathological event storms (e.g. a token bucket
-        // oscillating at nanosecond granularity): proportional to DAG size
-        // plus a generous constant for background-flow churn.
-        let event_budget = 10_000_000u64 + 200 * n as u64;
         let mut events = 0u64;
         loop {
             events += 1;
             self.stats.ticks += 1;
-            if events > event_budget {
-                return Err(SimError::EventLimit {
-                    budget: event_budget,
-                });
+            if events > budget {
+                return Err(SimError::EventLimit { budget });
             }
             // Apply every fault due at (or before) the current clock before
             // launching new work, so tasks that become ready at a fault
@@ -455,12 +470,18 @@ impl DagEngine {
 
             // Advance the network to t_next.
             let dt_secs = (t_next - now).as_secs();
-            let done_flows = match obs.as_deref_mut() {
-                Some(o) => net.advance(now, dt_secs, o),
-                None => net.advance(now, dt_secs, &mut crate::flow::NullObserver),
-            };
+            done_flows.clear();
+            match obs.as_deref_mut() {
+                Some(o) => net.advance(now, dt_secs, o, &mut done_flows),
+                None => net.advance(
+                    now,
+                    dt_secs,
+                    &mut crate::flow::NullObserver,
+                    &mut done_flows,
+                ),
+            }
             now = t_next;
-            for fid in done_flows {
+            for &fid in &done_flows {
                 if let Some(t) = flow_task.remove(&fid) {
                     finish_task!(t);
                 }
@@ -738,14 +759,31 @@ mod budget_tests {
     }
 
     #[test]
-    fn event_budget_error_is_surfaced() {
-        // A DAG needing more events than the budget allows must error, not
-        // hang. Build a chain long enough to exceed a tiny artificial
-        // budget... the budget is generous, so instead verify the error
-        // type renders and compares.
-        let e = SimError::EventLimit { budget: 7 };
-        assert!(e.to_string().contains('7'));
-        assert_eq!(e, SimError::EventLimit { budget: 7 });
+    fn event_budget_trips_on_a_longer_run() {
+        // A three-task chain needs three loop turns: one per launch. A
+        // budget of two must stop it with a typed error, not a hang.
+        let mut net = FlowNet::new();
+        let mut b = DagBuilder::new();
+        let a = b.compute(ResourceId(0), SimTime::from_ms(1.0), "a", &[]);
+        let c = b.compute(ResourceId(0), SimTime::from_ms(1.0), "b", &[a]);
+        b.compute(ResourceId(0), SimTime::from_ms(1.0), "c", &[c]);
+        let dag = b.build();
+        let mut eng = DagEngine::new(vec![1]);
+        let err = eng
+            .run_faulted_with_budget(
+                &mut net,
+                &dag,
+                SimTime::ZERO,
+                None,
+                &mut FaultCursor::empty(),
+                2,
+            )
+            .unwrap_err();
+        assert_eq!(err, SimError::EventLimit { budget: 2 });
+        assert!(err.to_string().contains("event budget of 2"));
+        // The default budget lets the same DAG finish.
+        let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
+        assert_eq!(out.makespan(), SimTime::from_ms(3.0));
     }
 
     #[test]

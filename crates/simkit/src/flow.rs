@@ -28,10 +28,25 @@
 //! behind interior mutability, so the read paths ([`FlowNet::flow_rate`],
 //! [`FlowNet::link_demand`], [`FlowNet::next_event_in`]) take `&self`.
 //!
+//! # Storage and ordering
+//!
+//! Flows live in a slab: a dense vector of slots plus a free list, so a
+//! retired flow's slot — and its route buffer — is reused by the next flow
+//! started. A live list holds `(FlowId, slot)` pairs in ascending id order.
+//! [`FlowId`]s are the monotonic creation sequence and are never reused, so
+//! a retired id stops resolving even after its slot is taken again. Every
+//! walk whose order can reach a result goes through the live list: observer
+//! callbacks, completion lists, and next-event tie-breaks all run in id
+//! order. Rates, per-link flow lists, and the dirty set are slot- or
+//! link-indexed vectors. The component closure uses epoch marks and scratch
+//! buffers kept across solves, then sorts its links by index and its flows
+//! by id before progressive filling, which reproduces the reference
+//! solver's floating-point operation order. A steady-state start → solve →
+//! [`FlowNet::advance`] cycle therefore allocates nothing.
+//!
 //! Links are unidirectional; model a full-duplex interface as two links.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bucket::TokenBucket;
 use crate::error::SimError;
@@ -83,8 +98,12 @@ struct LinkState {
     scale: f64,
 }
 
+/// One slab slot. A slot is occupied exactly when it appears in the live
+/// list; a free slot keeps its route buffer for the next occupant.
 #[derive(Debug, Clone)]
 struct FlowState {
+    /// The flow occupying this slot (stale once the slot is free).
+    id: FlowId,
     route: Vec<LinkId>,
     remaining: f64,
     /// Per-flow rate ceiling (bytes/second), e.g. from the SerDes-pair
@@ -121,25 +140,47 @@ const DRAIN_EVENT_BUDGET: u64 = 10_000_000;
 /// take `&self`. All fields are private to the flow module.
 #[derive(Debug, Clone, Default)]
 struct Solver {
-    /// Links whose converged state is stale; emptied by each solve.
-    dirty: BTreeSet<usize>,
-    /// Converged per-flow rates, valid for `epoch`.
-    rates: BTreeMap<FlowId, f64>,
+    /// Links whose converged state is stale, each listed once; emptied by
+    /// each solve.
+    dirty: Vec<usize>,
+    /// Per-link membership flag for `dirty`.
+    is_dirty: Vec<bool>,
+    /// Converged per-slot flow rates, valid for `epoch` on occupied slots.
+    rates: Vec<f64>,
     /// Converged per-link aggregate demand (bytes/second), valid for
     /// `epoch`.
     demand: Vec<f64>,
-    /// Which flows cross each link. Connectivity only: a route that visits
-    /// a link twice appears once here; multiplicity is recounted from raw
-    /// routes during a solve (matching the reference solver's arithmetic).
-    on_link: Vec<BTreeSet<FlowId>>,
+    /// The slots whose routes cross each link, once per route entry and in
+    /// no particular order: the closure only needs connectivity, and it
+    /// sorts what it collects.
+    on_link: Vec<Vec<usize>>,
     /// Scratch: residual capacity per link. Only the entries belonging to
     /// the current dirty component are (re)initialized each solve.
     residual: Vec<f64>,
     /// Scratch: unfixed route-entry count per link (counts duplicates).
     unfixed_on_link: Vec<usize>,
+    /// Closure marks: a link or slot belongs to the component being solved
+    /// when its mark equals that solve's epoch.
+    link_mark: Vec<u64>,
+    slot_mark: Vec<u64>,
+    /// Scratch: the component's links (ascending index) and flows
+    /// (ascending id), with the per-flow fill state in component order.
+    comp_links: Vec<usize>,
+    comp_flows: Vec<(FlowId, usize)>,
+    unfixed: Vec<bool>,
+    rate_of: Vec<f64>,
     /// Monotonic solve counter stamping the converged state.
     epoch: u64,
     stats: SolverStats,
+}
+
+impl Solver {
+    fn mark_dirty(&mut self, link: usize) {
+        if !self.is_dirty[link] {
+            self.is_dirty[link] = true;
+            self.dirty.push(link);
+        }
+    }
 }
 
 fn shadow_default() -> bool {
@@ -166,7 +207,14 @@ fn shadow_default() -> bool {
 #[derive(Debug, Clone)]
 pub struct FlowNet {
     links: Vec<LinkState>,
-    flows: BTreeMap<FlowId, FlowState>,
+    /// Indices of the token-bucket links, ascending.
+    bucketed: Vec<usize>,
+    /// The flow slab, indexed by slot.
+    slots: Vec<FlowState>,
+    /// Unoccupied slots, reused last-in first-out.
+    free: Vec<usize>,
+    /// Active flows as `(id, slot)`, ascending by id.
+    live: Vec<(FlowId, usize)>,
     next_flow: u64,
     solver: RefCell<Solver>,
     /// Run the reference full solver next to the incremental one and assert
@@ -182,13 +230,30 @@ impl Default for FlowNet {
     fn default() -> Self {
         FlowNet {
             links: Vec::new(),
-            flows: BTreeMap::new(),
+            bucketed: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: Vec::new(),
             next_flow: 0,
             solver: RefCell::new(Solver::default()),
             shadow: shadow_default(),
             full: false,
         }
     }
+}
+
+/// Frees `slot`: unlists it from every link its route crosses, marks those
+/// links dirty, and returns the slot to the free list. The caller removes
+/// the flow from the live list.
+fn release(slots: &[FlowState], free: &mut Vec<usize>, s: &mut Solver, slot: usize) {
+    for l in &slots[slot].route {
+        let on = &mut s.on_link[l.0];
+        if let Some(p) = on.iter().position(|&x| x == slot) {
+            on.swap_remove(p);
+        }
+        s.mark_dirty(l.0);
+    }
+    free.push(slot);
 }
 
 impl FlowNet {
@@ -216,6 +281,9 @@ impl FlowNet {
 
     fn push_link(&mut self, name: String, capacity: Capacity) -> LinkId {
         let id = LinkId(self.links.len());
+        if matches!(capacity, Capacity::Bucketed(_)) {
+            self.bucketed.push(id.0);
+        }
         self.links.push(LinkState {
             name,
             nominal: capacity.clone(),
@@ -223,10 +291,12 @@ impl FlowNet {
             scale: 1.0,
         });
         let s = self.solver.get_mut();
+        s.is_dirty.push(false);
         s.demand.push(0.0);
-        s.on_link.push(BTreeSet::new());
+        s.on_link.push(Vec::new());
         s.residual.push(0.0);
         s.unfixed_on_link.push(0);
+        s.link_mark.push(0);
         id
     }
 
@@ -237,7 +307,7 @@ impl FlowNet {
 
     /// Number of active flows.
     pub fn flow_count(&self) -> usize {
-        self.flows.len()
+        self.live.len()
     }
 
     /// The name given to `link` at creation.
@@ -347,39 +417,59 @@ impl FlowNet {
         }
         let id = FlowId(self.next_flow);
         self.next_flow += 1;
-        self.flows.insert(
-            id,
-            FlowState {
-                route: route.to_vec(),
-                remaining: bytes,
-                cap,
-            },
-        );
         let s = self.solver.get_mut();
-        s.rates.insert(id, 0.0);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                let f = &mut self.slots[slot];
+                f.id = id;
+                f.route.clear();
+                f.route.extend_from_slice(route);
+                f.remaining = bytes;
+                f.cap = cap;
+                slot
+            }
+            None => {
+                self.slots.push(FlowState {
+                    id,
+                    route: route.to_vec(),
+                    remaining: bytes,
+                    cap,
+                });
+                s.rates.push(0.0);
+                s.slot_mark.push(0);
+                self.slots.len() - 1
+            }
+        };
+        // Ids only grow, so appending keeps the live list sorted.
+        self.live.push((id, slot));
+        s.rates[slot] = 0.0;
         for l in route {
-            s.on_link[l.0].insert(id);
-            s.dirty.insert(l.0);
+            s.on_link[l.0].push(slot);
+            s.mark_dirty(l.0);
         }
         Ok(id)
+    }
+
+    /// The slot of an active flow, or `None` once it has retired.
+    fn slot_of(&self, flow: FlowId) -> Option<usize> {
+        self.live_pos(flow).map(|k| self.live[k].1)
+    }
+
+    /// The position of an active flow in the live list.
+    fn live_pos(&self, flow: FlowId) -> Option<usize> {
+        self.live.binary_search_by_key(&flow, |&(id, _)| id).ok()
     }
 
     /// Removes an active flow without completing it (the bytes already moved
     /// stay moved; the remainder is abandoned). Returns `true` if the flow
     /// was active. Used when a node loss aborts a run mid-flight.
     pub fn cancel_flow(&mut self, flow: FlowId) -> bool {
-        match self.flows.remove(&flow) {
-            Some(f) => {
-                let s = self.solver.get_mut();
-                s.rates.remove(&flow);
-                for l in &f.route {
-                    s.on_link[l.0].remove(&flow);
-                    s.dirty.insert(l.0);
-                }
-                true
-            }
-            None => false,
-        }
+        let Some(k) = self.live_pos(flow) else {
+            return false;
+        };
+        let (_, slot) = self.live.remove(k);
+        release(&self.slots, &mut self.free, self.solver.get_mut(), slot);
+        true
     }
 
     /// Rescales `link` to `factor` times its *nominal* (creation-time)
@@ -418,7 +508,7 @@ impl FlowNet {
             }
         };
         l.scale = factor;
-        self.solver.get_mut().dirty.insert(link.0);
+        self.solver.get_mut().mark_dirty(link.0);
         Ok(())
     }
 
@@ -473,7 +563,7 @@ impl FlowNet {
 
     /// Remaining bytes of `flow`, or `None` once it has completed.
     pub fn flow_remaining(&self, flow: FlowId) -> Option<f64> {
-        self.flows.get(&flow).map(|f| f.remaining)
+        self.slot_of(flow).map(|slot| self.slots[slot].remaining)
     }
 
     /// Current max-min fair rate of `flow` in bytes/second, or `None` once
@@ -483,7 +573,8 @@ impl FlowNet {
     /// dirty component if needed — hence `&self`.
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.solver.borrow().rates.get(&flow).copied()
+        let slot = self.slot_of(flow)?;
+        Some(self.solver.borrow().rates[slot])
     }
 
     /// Re-converges the dirty component, if any.
@@ -493,7 +584,9 @@ impl FlowNet {
             return;
         }
         if self.full {
-            s.dirty = (0..self.links.len()).collect();
+            for li in 0..self.links.len() {
+                s.mark_dirty(li);
+            }
         }
         self.solve(&mut s);
     }
@@ -506,47 +599,73 @@ impl FlowNet {
     /// recompute (asserted by [`FlowNet::set_shadow_verify`] mode).
     fn solve(&self, s: &mut Solver) {
         // --- Dirty-component closure. -----------------------------------
-        let mut comp_links: BTreeSet<usize> = s.dirty.iter().copied().collect();
-        let mut comp_flows: BTreeSet<FlowId> = BTreeSet::new();
-        let mut frontier: Vec<usize> = comp_links.iter().copied().collect();
-        while let Some(li) = frontier.pop() {
-            for id in &s.on_link[li] {
-                if comp_flows.insert(*id) {
-                    for l in &self.flows[id].route {
-                        if comp_links.insert(l.0) {
-                            frontier.push(l.0);
-                        }
+        // Breadth-first over `comp_links`, which doubles as the work queue;
+        // a mark equal to this solve's epoch means "already collected".
+        let stamp = s.epoch + 1;
+        s.comp_links.clear();
+        s.comp_flows.clear();
+        for &li in &s.dirty {
+            s.link_mark[li] = stamp;
+            s.comp_links.push(li);
+        }
+        let mut head = 0;
+        while let Some(&li) = s.comp_links.get(head) {
+            head += 1;
+            for &slot in &s.on_link[li] {
+                if s.slot_mark[slot] == stamp {
+                    continue;
+                }
+                s.slot_mark[slot] = stamp;
+                s.comp_flows.push((self.slots[slot].id, slot));
+                for l in &self.slots[slot].route {
+                    if s.link_mark[l.0] != stamp {
+                        s.link_mark[l.0] = stamp;
+                        s.comp_links.push(l.0);
                     }
                 }
             }
         }
+        // Visit order above depends on slab history; the filling below
+        // must see links by index and flows by id, as the reference does.
+        s.comp_links.sort_unstable();
+        s.comp_flows.sort_unstable();
 
         // --- Restricted progressive filling. ----------------------------
         // Residuals and unfixed counts live in persistent scratch vectors;
         // only component entries are touched. Counting uses the raw routes
         // (duplicates included), matching the reference solver.
-        for &li in &comp_links {
-            s.residual[li] = self.links[li].capacity.current();
-            s.unfixed_on_link[li] = 0;
+        let Solver {
+            comp_links,
+            comp_flows,
+            unfixed,
+            rate_of,
+            residual,
+            unfixed_on_link,
+            ..
+        } = s;
+        for &li in comp_links.iter() {
+            residual[li] = self.links[li].capacity.current();
+            unfixed_on_link[li] = 0;
         }
-        let ids: Vec<FlowId> = comp_flows.iter().copied().collect();
-        let mut unfixed: Vec<bool> = vec![true; ids.len()];
-        let mut rate_of: Vec<f64> = vec![0.0; ids.len()];
-        for id in &ids {
-            for l in &self.flows[id].route {
-                s.unfixed_on_link[l.0] += 1;
+        unfixed.clear();
+        unfixed.resize(comp_flows.len(), true);
+        rate_of.clear();
+        rate_of.resize(comp_flows.len(), 0.0);
+        for &(_, slot) in comp_flows.iter() {
+            for l in &self.slots[slot].route {
+                unfixed_on_link[l.0] += 1;
             }
         }
 
-        let mut remaining_unfixed = ids.len();
+        let mut remaining_unfixed = comp_flows.len();
         while remaining_unfixed > 0 {
             // Bottleneck link: smallest fair share among component links
             // with unfixed flows (ascending index, strict `<`, so ties go
             // to the lowest index — as in the reference solver).
             let mut link_best: Option<(f64, usize)> = None;
-            for &li in &comp_links {
-                if s.unfixed_on_link[li] > 0 {
-                    let share = (s.residual[li] / s.unfixed_on_link[li] as f64).max(0.0);
+            for &li in comp_links.iter() {
+                if unfixed_on_link[li] > 0 {
+                    let share = (residual[li] / unfixed_on_link[li] as f64).max(0.0);
                     if link_best.is_none_or(|(b, _)| share < b) {
                         link_best = Some((share, li));
                     }
@@ -555,9 +674,9 @@ impl FlowNet {
             // Capped flow that would saturate before the link share
             // (ascending flow id, strict `<`).
             let mut cap_best: Option<(f64, usize)> = None;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, &(_, slot)) in comp_flows.iter().enumerate() {
                 if unfixed[i] {
-                    let cap = self.flows[id].cap;
+                    let cap = self.slots[slot].cap;
                     if cap.is_finite() && cap_best.is_none_or(|(c, _)| cap < c) {
                         cap_best = Some((cap, i));
                     }
@@ -576,9 +695,9 @@ impl FlowNet {
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = cap;
-                for l in &self.flows[&ids[i]].route {
-                    s.residual[l.0] = (s.residual[l.0] - cap).max(0.0);
-                    s.unfixed_on_link[l.0] -= 1;
+                for l in &self.slots[comp_flows[i].1].route {
+                    residual[l.0] = (residual[l.0] - cap).max(0.0);
+                    unfixed_on_link[l.0] -= 1;
                 }
                 continue;
             }
@@ -589,21 +708,21 @@ impl FlowNet {
 
             // Fix every unfixed flow crossing the bottleneck at `share`.
             let mut fixed_any = false;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, &(_, slot)) in comp_flows.iter().enumerate() {
                 if !unfixed[i] {
                     continue;
                 }
-                let crosses = self.flows[id].route.iter().any(|l| l.0 == bottleneck);
-                if !crosses {
+                let route = &self.slots[slot].route;
+                if !route.iter().any(|l| l.0 == bottleneck) {
                     continue;
                 }
                 fixed_any = true;
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = share;
-                for l in &self.flows[id].route {
-                    s.residual[l.0] = (s.residual[l.0] - share).max(0.0);
-                    s.unfixed_on_link[l.0] -= 1;
+                for l in route {
+                    residual[l.0] = (residual[l.0] - share).max(0.0);
+                    unfixed_on_link[l.0] -= 1;
                 }
             }
             debug_assert!(fixed_any, "progressive filling made no progress");
@@ -613,21 +732,25 @@ impl FlowNet {
         }
 
         // --- Commit the component back into the converged state. --------
-        for (i, id) in ids.iter().enumerate() {
-            s.rates.insert(*id, rate_of[i]);
+        for (i, &(_, slot)) in s.comp_flows.iter().enumerate() {
+            s.rates[slot] = s.rate_of[i];
         }
-        for &li in &comp_links {
+        for &li in &s.comp_links {
             s.demand[li] = (self.links[li].capacity.current() - s.residual[li]).max(0.0);
         }
-        s.epoch += 1;
+        let comp = s.comp_links.len();
+        s.epoch = stamp;
         s.stats.solves += 1;
-        if comp_links.len() == self.links.len() {
+        if comp == self.links.len() {
             s.stats.full_solves += 1;
         }
-        s.stats.links_touched += comp_links.len() as u64;
-        s.stats.flows_touched += ids.len() as u64;
-        s.stats.max_component_links = s.stats.max_component_links.max(comp_links.len());
-        s.stats.last_component_links = comp_links.len();
+        s.stats.links_touched += comp as u64;
+        s.stats.flows_touched += s.comp_flows.len() as u64;
+        s.stats.max_component_links = s.stats.max_component_links.max(comp);
+        s.stats.last_component_links = comp;
+        for &li in &s.dirty {
+            s.is_dirty[li] = false;
+        }
         s.dirty.clear();
 
         if self.shadow {
@@ -637,22 +760,23 @@ impl FlowNet {
 
     /// Reference full solver (the pre-incremental algorithm, verbatim
     /// arithmetic): progressive filling over the whole network into fresh
-    /// buffers. Used by shadow verification and differential tests.
-    fn reference_solve(&self) -> (BTreeMap<FlowId, f64>, Vec<f64>) {
+    /// buffers. Returns the rates in live-list (ascending id) order and
+    /// the per-link demands. Used by shadow verification.
+    fn reference_solve(&self) -> (Vec<f64>, Vec<f64>) {
         let n_links = self.links.len();
         let mut residual: Vec<f64> = self.links.iter().map(|l| l.capacity.current()).collect();
         let mut unfixed_on_link = vec![0usize; n_links];
 
-        let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-        let mut unfixed: Vec<bool> = vec![true; ids.len()];
-        let mut rate_of: Vec<f64> = vec![0.0; ids.len()];
-        for id in &ids {
-            for l in &self.flows[id].route {
+        let flows: Vec<&FlowState> = self.live.iter().map(|&(_, s)| &self.slots[s]).collect();
+        let mut unfixed: Vec<bool> = vec![true; flows.len()];
+        let mut rate_of: Vec<f64> = vec![0.0; flows.len()];
+        for f in &flows {
+            for l in &f.route {
                 unfixed_on_link[l.0] += 1;
             }
         }
 
-        let mut remaining_unfixed = ids.len();
+        let mut remaining_unfixed = flows.len();
         while remaining_unfixed > 0 {
             let mut link_best: Option<(f64, usize)> = None;
             for li in 0..n_links {
@@ -664,9 +788,9 @@ impl FlowNet {
                 }
             }
             let mut cap_best: Option<(f64, usize)> = None;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, f) in flows.iter().enumerate() {
                 if unfixed[i] {
-                    let cap = self.flows[id].cap;
+                    let cap = f.cap;
                     if cap.is_finite() && cap_best.is_none_or(|(c, _)| cap < c) {
                         cap_best = Some((cap, i));
                     }
@@ -681,7 +805,7 @@ impl FlowNet {
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = cap;
-                for l in &self.flows[&ids[i]].route {
+                for l in &flows[i].route {
                     residual[l.0] = (residual[l.0] - cap).max(0.0);
                     unfixed_on_link[l.0] -= 1;
                 }
@@ -691,18 +815,18 @@ impl FlowNet {
                 break;
             };
             let mut fixed_any = false;
-            for (i, id) in ids.iter().enumerate() {
+            for (i, f) in flows.iter().enumerate() {
                 if !unfixed[i] {
                     continue;
                 }
-                if !self.flows[id].route.iter().any(|l| l.0 == bottleneck) {
+                if !f.route.iter().any(|l| l.0 == bottleneck) {
                     continue;
                 }
                 fixed_any = true;
                 unfixed[i] = false;
                 remaining_unfixed -= 1;
                 rate_of[i] = share;
-                for l in &self.flows[id].route {
+                for l in &f.route {
                     residual[l.0] = (residual[l.0] - share).max(0.0);
                     unfixed_on_link[l.0] -= 1;
                 }
@@ -712,31 +836,21 @@ impl FlowNet {
             }
         }
 
-        let rates: BTreeMap<FlowId, f64> = ids
-            .iter()
-            .zip(rate_of.iter())
-            .map(|(id, r)| (*id, *r))
-            .collect();
         let demand: Vec<f64> = self
             .links
             .iter()
             .zip(residual.iter())
             .map(|(l, r)| (l.capacity.current() - r).max(0.0))
             .collect();
-        (rates, demand)
+        (rate_of, demand)
     }
 
     /// Asserts bitwise equality between the incremental solver's converged
     /// state and a fresh reference full solve.
     fn shadow_check(&self, s: &Solver) {
         let (ref_rates, ref_demand) = self.reference_solve();
-        assert_eq!(
-            s.rates.len(),
-            ref_rates.len(),
-            "shadow solver: flow-set mismatch"
-        );
-        for (id, rate) in &s.rates {
-            let reference = ref_rates[id];
+        for (&(id, slot), &reference) in self.live.iter().zip(&ref_rates) {
+            let rate = s.rates[slot];
             assert!(
                 rate.to_bits() == reference.to_bits(),
                 "shadow solver: flow {id:?} rate diverged \
@@ -762,17 +876,17 @@ impl FlowNet {
         self.ensure_rates();
         let s = self.solver.borrow();
         let mut next: Option<f64> = None;
-        for (id, f) in &self.flows {
-            let rate = s.rates.get(id).copied().unwrap_or(0.0);
+        for &(_, slot) in &self.live {
+            let rate = s.rates[slot];
             if rate > 0.0 {
-                let t = f.remaining / rate;
+                let t = self.slots[slot].remaining / rate;
                 if next.is_none_or(|n| t < n) {
                     next = Some(t);
                 }
             }
         }
-        for (li, l) in self.links.iter().enumerate() {
-            if let Capacity::Bucketed(b) = &l.capacity {
+        for &li in &self.bucketed {
+            if let Capacity::Bucketed(b) = &self.links[li].capacity {
                 if let Some(t) = b.next_transition(s.demand[li]) {
                     if next.is_none_or(|n| t < n) {
                         next = Some(t);
@@ -784,7 +898,9 @@ impl FlowNet {
     }
 
     /// Advances the network by exactly `dt_secs`, reporting per-link bytes to
-    /// `obs` and returning the flows that completed during the interval.
+    /// `obs` and appending the flows that completed during the interval to
+    /// `done`, in ascending id order. `done` is not cleared first, so one
+    /// buffer can serve a whole run without reallocating.
     ///
     /// The caller is responsible for choosing `dt_secs` no larger than
     /// [`FlowNet::next_event_in`]; larger steps lose events (debug builds
@@ -794,44 +910,49 @@ impl FlowNet {
         now: SimTime,
         dt_secs: f64,
         obs: &mut dyn FlowObserver,
-    ) -> Vec<FlowId> {
+        done: &mut Vec<FlowId>,
+    ) {
         assert!(dt_secs >= 0.0 && dt_secs.is_finite());
         self.ensure_rates();
         let s = self.solver.get_mut();
 
-        let mut completed = Vec::new();
-        for (id, f) in self.flows.iter_mut() {
-            let rate = s.rates.get(id).copied().unwrap_or(0.0);
+        let first = done.len();
+        for &(id, slot) in &self.live {
+            let rate = s.rates[slot];
             if rate <= 0.0 {
                 continue;
             }
+            let f = &mut self.slots[slot];
             let bytes = (rate * dt_secs).min(f.remaining);
             f.remaining -= bytes;
             for l in &f.route {
                 obs.on_transfer(*l, now, dt_secs, bytes);
             }
             if f.remaining <= EPS_BYTES {
-                completed.push(*id);
+                done.push(id);
             }
         }
         // Buckets drain/refill with the pre-advance demand; their capacity
         // moves with time, so every bucketed link is dirty after a step.
-        for (li, l) in self.links.iter_mut().enumerate() {
-            if let Capacity::Bucketed(b) = &mut l.capacity {
+        for &li in &self.bucketed {
+            if let Capacity::Bucketed(b) = &mut self.links[li].capacity {
                 b.advance(dt_secs, s.demand[li]);
-                s.dirty.insert(li);
+                s.mark_dirty(li);
             }
         }
-        for id in &completed {
-            if let Some(f) = self.flows.remove(id) {
-                s.rates.remove(id);
-                for l in &f.route {
-                    s.on_link[l.0].remove(id);
-                    s.dirty.insert(l.0);
+        // Both lists ascend by id, so one merge pass retires the finished.
+        let finished = &done[first..];
+        if !finished.is_empty() {
+            let mut k = 0;
+            self.live.retain(|&(id, slot)| {
+                if finished.get(k) != Some(&id) {
+                    return true;
                 }
-            }
+                k += 1;
+                release(&self.slots, &mut self.free, s, slot);
+                false
+            });
         }
-        completed
     }
 
     /// Convenience driver: advances to the next intrinsic event and returns
@@ -842,7 +963,8 @@ impl FlowNet {
         obs: &mut dyn FlowObserver,
     ) -> Option<(f64, Vec<FlowId>)> {
         let dt = self.next_event_in()?;
-        let done = self.advance(now, dt, obs);
+        let mut done = Vec::new();
+        self.advance(now, dt, obs, &mut done);
         Some((dt, done))
     }
 
@@ -981,7 +1103,12 @@ mod tests {
         let t1 = drain_time(&mut net);
         assert!((t1 - 1.0).abs() < 1e-6);
         // Idle 4 s -> refills 8 tokens.
-        net.advance(SimTime::from_secs(t1), 4.0, &mut NullObserver);
+        net.advance(
+            SimTime::from_secs(t1),
+            4.0,
+            &mut NullObserver,
+            &mut Vec::new(),
+        );
         net.start_flow(&[l], 10.0).unwrap();
         let t2 = drain_time(&mut net);
         assert!(
@@ -1098,7 +1225,7 @@ mod tests {
         let mut net = FlowNet::new();
         let l = net.add_link("roce", 10.0);
         net.start_flow(&[l], 100.0).unwrap();
-        net.advance(SimTime::ZERO, 4.0, &mut NullObserver);
+        net.advance(SimTime::ZERO, 4.0, &mut NullObserver, &mut Vec::new());
         net.scale_link(l, 0.5).unwrap();
         let t = net.drain(&mut NullObserver).unwrap();
         assert!((t - 12.0).abs() < 1e-9, "t = {t}");
@@ -1120,7 +1247,7 @@ mod tests {
         net.start_flow(&[l], 100.0).unwrap();
         // Drain half the tokens: serving at 10 while sustaining 2 drains
         // 8 tokens/s -> 0.625 s drains 5 tokens.
-        net.advance(SimTime::ZERO, 0.625, &mut NullObserver);
+        net.advance(SimTime::ZERO, 0.625, &mut NullObserver, &mut Vec::new());
         net.scale_link(l, 0.5).unwrap();
         // Burst rate halves but the device still has burst headroom left.
         assert_eq!(net.link_capacity(l), 5.0);

@@ -10,7 +10,10 @@
 #                   regression check
 #   5. solver:      shadow-mode equivalence smoke (incremental max-min
 #                   solve cross-checked against the full reference on a
-#                   golden config) and the BENCH_solver.json scorecard
+#                   golden config, then on every pinned training,
+#                   fault-matrix and serving digest), the zero-allocation
+#                   gate on the solver hot path, and the BENCH_solver.json
+#                   scorecard
 #   6. sweep:       `repro --workers 4` must render the scorecard
 #                   byte-identically to the serial run
 #   7. planlint:    static analysis (ZL001-ZL009) over the 12 golden
@@ -84,9 +87,17 @@ echo "== solver-equivalence smoke: shadow mode on a golden config =="
 # Debug tests default shadow on; forcing the env keeps this a gate, not a
 # default. dual_node_uses_roce runs a golden dual-node configuration.
 ZEROSIM_SHADOW=1 cargo test -q -p zerosim-core dual_node_uses_roce
+# The same oracle over every pinned digest: the 48 golden training
+# digests, the ext11 fault-matrix cells and the golden serving digests
+# (release, a few seconds).
+ZEROSIM_SHADOW=1 cargo test -q --release --test plan_equivalence \
+  --test resilience --test serve_determinism
 # The incremental solver must also match the pre-refactor cost profile's
 # results bit-for-bit across randomized topologies (64-case property test).
 cargo test -q --test proptest_invariants incremental_solver_matches_full_recompute
+# Steady-state start -> solve -> advance cycles must allocate nothing
+# (counting global allocator in its own test binary).
+cargo test -q --release -p zerosim-simkit --test solver_allocs
 
 echo "== solver bench: BENCH_solver.json (full vs incremental, sweep) =="
 # Emits BENCH_solver.json at the repo root and asserts the >=5x

@@ -101,7 +101,10 @@ prop! {
 
     /// The incremental dirty-component solver is bit-identical to a full
     /// recompute under random interleavings of flow arrivals, completions,
-    /// cancellations, and link fault events on random topologies.
+    /// cancellations, and link fault events on random topologies. Both
+    /// sides share the flow slab, so the slab's own contract is checked
+    /// directly: completions come in ascending id order, and a retired id
+    /// stays retired after later flows reuse its slot.
     #[cases(64)]
     fn incremental_solver_matches_full_recompute(
         caps in link_caps(2, 8),
@@ -128,16 +131,15 @@ prop! {
             })
             .collect();
         let mut active: Vec<zerosim_simkit::FlowId> = Vec::new();
+        let mut retired: Vec<zerosim_simkit::FlowId> = Vec::new();
         for (op, sel, value) in &ops {
             match op {
                 // Flow arrival (40% of ops), occasionally rate-capped.
                 0 | 1 => {
+                    // A two-hop route may visit the same link twice.
                     let mut route = vec![links[sel % n]];
                     if sel / n % 2 == 1 {
-                        let second = (sel / 2) % n;
-                        if second != sel % n {
-                            route.push(links[second]);
-                        }
+                        route.push(links[(sel / 2) % n]);
                     }
                     let cap = if sel % 5 == 0 { *value * 0.25 } else { f64::INFINITY };
                     let a = inc.start_flow_capped(&route, *value, cap).unwrap();
@@ -153,7 +155,12 @@ prop! {
                         (Some((ta, done_a)), Some((tb, done_b))) => {
                             prop_assert_eq!(ta.to_bits(), tb.to_bits());
                             prop_assert_eq!(&done_a, &done_b);
+                            prop_assert!(
+                                done_a.windows(2).all(|w| w[0] < w[1]),
+                                "completions out of id order: {done_a:?}"
+                            );
                             active.retain(|f| !done_a.contains(f));
+                            retired.extend(done_a);
                         }
                         (None, None) => {}
                         other => prop_assert!(false, "event divergence: {other:?}"),
@@ -164,6 +171,7 @@ prop! {
                     if !active.is_empty() {
                         let victim = active.remove(sel % active.len());
                         prop_assert_eq!(inc.cancel_flow(victim), full.cancel_flow(victim));
+                        retired.push(victim);
                     }
                 }
                 // Fault events: degrade or restore a link.
@@ -188,6 +196,16 @@ prop! {
                     ra.map(f64::to_bits) == rb.map(f64::to_bits),
                     "flow {f:?}: incremental {ra:?} vs full {rb:?}"
                 );
+            }
+            // Retired ids never resolve again, whoever holds their slot.
+            for f in &retired {
+                for net in [&mut inc, &mut full] {
+                    prop_assert!(
+                        net.flow_rate(*f).is_none() && net.flow_remaining(*f).is_none(),
+                        "retired flow {f:?} still resolves"
+                    );
+                    prop_assert!(!net.cancel_flow(*f), "retired flow {f:?} cancelled again");
+                }
             }
             for (li, link) in links.iter().enumerate() {
                 let da = inc.link_demand(*link);
