@@ -39,13 +39,15 @@
 //! `schema_version` field and the per-config reports under `configs`.
 
 use zerosim_analyzer::{analyze_strategy, AnalysisReport, Artifacts, LintConfig, PassManager};
+use zerosim_bench::cli::{parse_or_exit, parse_topology, take_flag, take_value, usage_error};
+use zerosim_bench::data::golden_matrix;
 use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_core::{RunConfig, TrainingSim};
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, NvmeId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_strategies::{
     Calibration, Codec, Dtype, InfinityPlacement, PhaseStage, PlanOp, Strategy, StrategyRegistry,
-    TrainOptions, WorkloadPlan, ZeroStage,
+    TrainOptions, WorkloadPlan,
 };
 use zerosim_testkit::json::Json;
 
@@ -90,52 +92,7 @@ fn infinity_on(cluster: &mut Cluster, offload_params: bool) -> Strategy {
 /// The paper's golden strategy matrix: every `(strategy, nodes)` pair the
 /// reproduction harness characterizes, plus the ZeRO-Infinity NVMe config.
 fn golden_cases() -> Vec<Case> {
-    let matrix: Vec<(Strategy, usize)> = vec![
-        (Strategy::Ddp, 1),
-        (Strategy::Ddp, 2),
-        (Strategy::Megatron { tp: 4, pp: 1 }, 1),
-        (Strategy::Megatron { tp: 8, pp: 1 }, 2),
-        (Strategy::Megatron { tp: 4, pp: 2 }, 2),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::One,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Two,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            2,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            1,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Three,
-                offload_params: true,
-            },
-            1,
-        ),
-    ];
-    let mut cases: Vec<Case> = matrix
+    let mut cases: Vec<Case> = golden_matrix()
         .into_iter()
         .map(|(strategy, nodes)| Case {
             label: format!("{} @ {nodes} node(s)", strategy.name()),
@@ -207,36 +164,15 @@ fn named_case(name: &str, nodes: usize, topology: Option<&TopologySpec>) -> Opti
         }
         None => (cluster_with_nodes(nodes), nodes),
     };
-    let candidates = [
-        Strategy::Ddp,
-        Strategy::Megatron { tp: 4, pp: 1 },
-        Strategy::Megatron { tp: 8, pp: 1 },
-        Strategy::Megatron { tp: 4, pp: 2 },
-        Strategy::Zero {
-            stage: ZeroStage::One,
-        },
-        Strategy::Zero {
-            stage: ZeroStage::Two,
-        },
-        Strategy::Zero {
-            stage: ZeroStage::Three,
-        },
-        Strategy::ZeroOffload {
-            stage: ZeroStage::Two,
-            offload_params: false,
-        },
-        Strategy::ZeroOffload {
-            stage: ZeroStage::Three,
-            offload_params: true,
-        },
-        Strategy::qwz(),
-        Strategy::hpz(),
-        Strategy::qgz(),
-    ];
+    // Every golden strategy plus the ZeRO++ family.
+    let mut candidates = golden_matrix()
+        .into_iter()
+        .map(|(strategy, _)| strategy)
+        .chain([Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]);
     let strategy = match name {
         "ZeRO-Infinity (NVME opt)" => infinity_on(&mut cluster, false),
         "ZeRO-Infinity (NVME opt+param)" => infinity_on(&mut cluster, true),
-        _ => candidates.iter().find(|s| s.name() == name)?.clone(),
+        _ => candidates.find(|s| s.name() == name)?,
     };
     Some(Case {
         label: format!("{name} @ {nodes} node(s)"),
@@ -451,64 +387,21 @@ fn main() {
     if args.iter().any(|a| a == "zl008-selfcheck") {
         zl008_selfcheck();
     }
-    if let Some(pos) = args.iter().position(|a| a == "--bench") {
-        if pos + 1 >= args.len() {
-            eprintln!("--bench needs an output file path");
-            std::process::exit(2);
-        }
-        let path = args[pos + 1].clone();
+    if let Some(path) = take_value(&mut args, "--bench") {
         bench_bounds(&path);
     }
-    let mut json = false;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        args.remove(pos);
-        json = true;
-    }
+    let json = take_flag(&mut args, "--json");
     let mut config = LintConfig::new();
-    while let Some(pos) = args.iter().position(|a| a == "--level") {
-        if pos + 1 >= args.len() {
-            eprintln!("--level needs a CODE=LEVEL argument");
-            std::process::exit(2);
-        }
-        let directive = args.remove(pos + 1);
-        args.remove(pos);
+    while let Some(directive) = take_value(&mut args, "--level") {
         if let Err(e) = config.apply_directive(&directive) {
-            eprintln!("--level {directive}: {e}");
-            std::process::exit(2);
+            usage_error(&format!("--level {directive}: {e}"));
         }
     }
-    let mut nodes = 1usize;
-    if let Some(pos) = args.iter().position(|a| a == "--nodes") {
-        if pos + 1 >= args.len() {
-            eprintln!("--nodes needs a node count");
-            std::process::exit(2);
-        }
-        let raw = args.remove(pos + 1);
-        args.remove(pos);
-        nodes = match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--nodes: expected a positive integer, got {raw:?}");
-                std::process::exit(2);
-            }
-        };
+    let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
+    if nodes == 0 {
+        usage_error("--nodes: expected a positive integer, got 0");
     }
-    let mut topology: Option<TopologySpec> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--topology") {
-        if pos + 1 >= args.len() {
-            eprintln!("--topology needs a topology spec");
-            std::process::exit(2);
-        }
-        let raw = args.remove(pos + 1);
-        args.remove(pos);
-        topology = match TopologySpec::parse(&raw) {
-            Ok(t) => Some(t),
-            Err(e) => {
-                eprintln!("--topology {raw}: {e}");
-                std::process::exit(2);
-            }
-        };
-    }
+    let topology = take_value(&mut args, "--topology").map(|raw| parse_topology(Some(raw)));
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
     }
@@ -521,16 +414,14 @@ fn main() {
 
     let cases: Vec<Case> = if args.iter().any(|a| a == "golden") {
         if topology.is_some() {
-            eprintln!("--topology applies to named strategies; `golden` pins the paper shapes");
-            std::process::exit(2);
+            usage_error("--topology applies to named strategies; `golden` pins the paper shapes");
         }
         golden_cases()
     } else {
         args.iter()
             .map(|name| {
                 named_case(name, nodes, topology.as_ref()).unwrap_or_else(|| {
-                    eprintln!("unknown strategy {name:?}; run `planlint list`");
-                    std::process::exit(2);
+                    usage_error(&format!("unknown strategy {name:?}; run `planlint list`"))
                 })
             })
             .collect()

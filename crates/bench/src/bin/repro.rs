@@ -8,32 +8,12 @@
 
 use std::time::Instant;
 
+use zerosim_bench::cli::{parse_or_exit, take_value, usage_error};
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        if pos + 1 >= args.len() {
-            eprintln!("--out needs a directory argument");
-            std::process::exit(2);
-        }
-        out_dir = Some(args.remove(pos + 1));
-        args.remove(pos);
-    }
-    let mut workers = 1usize;
-    if let Some(pos) = args.iter().position(|a| a == "--workers") {
-        if pos + 1 >= args.len() {
-            eprintln!("--workers needs a thread count");
-            std::process::exit(2);
-        }
-        workers = match args.remove(pos + 1).parse() {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("--workers: {e}");
-                std::process::exit(2);
-            }
-        };
-        args.remove(pos);
-    }
+    let out_dir = take_value(&mut args, "--out");
+    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
     zerosim_bench::data::set_sweep_workers(workers);
     {
         // Report both the requested and the (clamped) effective width so
@@ -61,11 +41,10 @@ fn main() {
     };
     for id in &ids {
         if !zerosim_bench::ARTIFACTS.contains(id) {
-            eprintln!(
+            usage_error(&format!(
                 "unknown artifact {id:?}; known: {}",
                 zerosim_bench::ARTIFACTS.join(" ")
-            );
-            std::process::exit(2);
+            ));
         }
     }
     if let Some(dir) = &out_dir {

@@ -6,85 +6,32 @@
 //! Strategies: ddp, megatron, zero1, zero2, zero3, zero1-cpu, zero2-cpu,
 //! zero3-cpu, infinity.
 
-use zerosim_bench::cli::strategy_by_name;
+use zerosim_bench::cli::{parse_or_exit, strategy_by_name, take_flag, take_value, usage_error};
 use zerosim_core::{RunConfig, TrainingSim};
 use zerosim_hw::{ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_report::Table;
 use zerosim_strategies::TrainOptions;
 
-struct Args {
-    strategy: String,
-    sizes: Vec<f64>,
-    nodes: usize,
-    batch: usize,
-    csv: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut strategy = "zero2".to_string();
-    let mut sizes = vec![0.7, 1.4, 2.9, 5.5];
-    let mut nodes = 1usize;
-    let mut batch = 16usize;
-    let mut csv = false;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let need = |i: usize| -> Result<&String, String> {
-            argv.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", argv[i]))
-        };
-        match argv[i].as_str() {
-            "--strategy" => {
-                strategy = need(i)?.clone();
-                i += 2;
-            }
-            "--sizes" => {
-                sizes = need(i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().map_err(|e| e.to_string()))
-                    .collect::<Result<_, _>>()?;
-                i += 2;
-            }
-            "--nodes" => {
-                nodes = need(i)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| e.to_string())?;
-                i += 2;
-            }
-            "--batch" => {
-                batch = need(i)?
-                    .parse()
-                    .map_err(|e: std::num::ParseIntError| e.to_string())?;
-                i += 2;
-            }
-            "--csv" => {
-                csv = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(Args {
-        strategy,
-        sizes,
-        nodes,
-        batch,
-        csv,
-    })
-}
+const USAGE: &str = "usage: sweep --strategy <name> --sizes 0.7,1.4 --nodes 1 [--batch 16] [--csv]";
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: sweep --strategy <name> --sizes 0.7,1.4 --nodes 1 [--batch 16] [--csv]"
-            );
-            std::process::exit(2);
-        }
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let csv = take_flag(&mut args, "--csv");
+    let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "zero2".into());
+    let sizes: Vec<f64> = match take_value(&mut args, "--sizes") {
+        Some(raw) => raw
+            .split(',')
+            .map(|s| s.trim().parse::<f64>())
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| usage_error(&format!("--sizes: {e}\n{USAGE}"))),
+        None => vec![0.7, 1.4, 2.9, 5.5],
     };
+    let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
+    let batch: usize = parse_or_exit(take_value(&mut args, "--batch"), "--batch", 16);
+    if let Some(other) = args.first() {
+        usage_error(&format!("error: unknown argument {other:?}\n{USAGE}"));
+    }
 
     let mut t = Table::new(vec![
         "size B",
@@ -95,18 +42,13 @@ fn main() {
         "NVLink GBps",
         "RoCE GBps",
     ]);
-    for &billions in &args.sizes {
+    for &billions in &sizes {
         let mut sim = TrainingSim::new(ClusterSpec::default()).expect("default spec");
-        let strategy = match strategy_by_name(&args.strategy, args.nodes, &mut sim) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+        let strategy = strategy_by_name(&strategy_name, nodes, &mut sim)
+            .unwrap_or_else(|e| usage_error(&format!("error: {e}")));
         let opts = TrainOptions {
-            per_gpu_batch: args.batch,
-            nodes: args.nodes,
+            per_gpu_batch: batch,
+            nodes,
             ..TrainOptions::default()
         };
         let model = GptConfig::paper_model_with_params(billions);
@@ -141,14 +83,11 @@ fn main() {
             }
         }
     }
-    if args.csv {
+    if csv {
         print!("{}", t.to_csv());
     } else {
         println!(
-            "sweep: {} on {} node(s), batch {}\n{}",
-            args.strategy,
-            args.nodes,
-            args.batch,
+            "sweep: {strategy_name} on {nodes} node(s), batch {batch}\n{}",
             t.render()
         );
     }

@@ -256,8 +256,33 @@ impl NvmeConfig {
     }
 }
 
-/// The golden strategy × node-count matrix of `tests/plan_equivalence.rs`
-/// plus the ZeRO-Infinity configuration: 12 sweep specs in fixed order.
+/// The paper's golden `(strategy, nodes)` matrix, in golden order: the
+/// 11 configurations that run on a plain paper cluster. The 12th golden
+/// configuration, ZeRO-Infinity, needs an NVMe volume on its cluster, so
+/// each user builds it next to its own cluster (see [`golden_specs`]).
+pub fn golden_matrix() -> Vec<(Strategy, usize)> {
+    let zero = |stage| Strategy::Zero { stage };
+    let offload = |stage, offload_params| Strategy::ZeroOffload {
+        stage,
+        offload_params,
+    };
+    vec![
+        (Strategy::Ddp, 1),
+        (Strategy::Ddp, 2),
+        (Strategy::Megatron { tp: 4, pp: 1 }, 1),
+        (Strategy::Megatron { tp: 8, pp: 1 }, 2),
+        (Strategy::Megatron { tp: 4, pp: 2 }, 2),
+        (zero(ZeroStage::One), 1),
+        (zero(ZeroStage::Two), 1),
+        (zero(ZeroStage::Three), 1),
+        (zero(ZeroStage::Three), 2),
+        (offload(ZeroStage::Two, false), 1),
+        (offload(ZeroStage::Three, true), 1),
+    ]
+}
+
+/// The [`golden_matrix`] plus the ZeRO-Infinity configuration: 12 sweep
+/// specs in fixed order.
 ///
 /// This is the canonical regression workload: `tests/sweep_determinism.rs`
 /// pins its width-invariance.
@@ -267,52 +292,7 @@ pub fn golden_specs() -> Vec<SweepSpec> {
         allow_overflow: true,
         ..RunConfig::quick()
     };
-    let matrix: Vec<(Strategy, usize)> = vec![
-        (Strategy::Ddp, 1),
-        (Strategy::Ddp, 2),
-        (Strategy::Megatron { tp: 4, pp: 1 }, 1),
-        (Strategy::Megatron { tp: 8, pp: 1 }, 2),
-        (Strategy::Megatron { tp: 4, pp: 2 }, 2),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::One,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Two,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            2,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            1,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Three,
-                offload_params: true,
-            },
-            1,
-        ),
-    ];
-    let mut specs: Vec<SweepSpec> = matrix
+    let mut specs: Vec<SweepSpec> = golden_matrix()
         .into_iter()
         .enumerate()
         .map(|(i, (strategy, nodes))| {

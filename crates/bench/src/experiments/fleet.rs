@@ -71,7 +71,7 @@ pub fn golden_configs() -> Vec<(&'static str, Strategy, usize)> {
 
 /// Runs the Young/Daly bracket for one golden configuration: measures the
 /// healthy iteration time and the DRAM checkpoint cost, compresses the
-/// node-fatal MTBF so the analytic interval lands near [`K_TARGET`]
+/// node-fatal MTBF so the analytic interval lands near four
 /// iterations, and replays the same `samples` sampled schedules at half,
 /// exactly, and twice that interval.
 ///

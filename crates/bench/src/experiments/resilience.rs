@@ -139,12 +139,7 @@ fn matrix_rows() -> Vec<(&'static str, Vec<TrainingReport>)> {
     // Phase 2: every remaining (strategy × scenario) cell in one sweep.
     let mut fault_specs = Vec::new();
     for ((_, strategy), healthy) in baselines.iter().zip(&healthy) {
-        let wall = healthy
-            .resilience
-            .as_ref()
-            .expect("resilient runs carry metrics")
-            .wall_time
-            .as_secs();
+        let wall = healthy.resilience.wall_time.as_secs();
         for scenario in fault_matrix_scenarios(wall).into_iter().skip(1) {
             fault_specs.push(cell_spec(strategy, &model, &scenario));
         }
@@ -183,12 +178,7 @@ pub fn infinity_stall_cells() -> (TrainingReport, TrainingReport) {
         .execute()
         .expect("infinity config fits")
         .report;
-    let wall = healthy
-        .resilience
-        .as_ref()
-        .expect("resilient runs carry metrics")
-        .wall_time
-        .as_secs();
+    let wall = healthy.resilience.wall_time.as_secs();
     let stalled = spec_for(&FaultScenario::NvmeStall {
         node: 0,
         factor: 0.05,
@@ -224,14 +214,10 @@ pub fn goodput_table() -> String {
     for (name, reports) in matrix_rows() {
         let mut row = vec![name.to_string()];
         for r in &reports {
-            let m = r.resilience.as_ref().expect("metrics");
-            row.push(format!("{:.1}", m.goodput_tflops()));
+            row.push(format!("{:.1}", r.resilience.goodput_tflops()));
         }
         t.row(row);
-        let loss = reports
-            .last()
-            .and_then(|r| r.resilience.as_ref())
-            .expect("node-loss cell");
+        let loss = &reports.last().expect("node-loss cell").resilience;
         detail.row(vec![
             name.to_string(),
             format!("{:.0} ms", loss.iter_p50.as_millis()),
@@ -245,7 +231,7 @@ pub fn goodput_table() -> String {
     let (inf_healthy, inf_stalled) = infinity_stall_cells();
     let mut inf = Table::new(vec!["ZeRO-Infinity (config B)", "goodput", "p50", "p99"]);
     for (label, r) in [("healthy", &inf_healthy), ("NVMe stall@5%", &inf_stalled)] {
-        let m = r.resilience.as_ref().expect("metrics");
+        let m = &r.resilience;
         inf.row(vec![
             label.to_string(),
             format!("{:.1} TFLOP/s", m.goodput_tflops()),
@@ -286,8 +272,8 @@ mod tests {
         let b = run_cell(&strategy, &model, &scenario);
         assert_eq!(a.digest(), b.digest(), "same seed+schedule, same bytes");
         assert_eq!(a.resilience, b.resilience);
-        let hm = healthy.resilience.as_ref().unwrap();
-        let sm = a.resilience.as_ref().unwrap();
+        let hm = &healthy.resilience;
+        let sm = &a.resilience;
         assert!(
             sm.goodput_flops < hm.goodput_flops,
             "straggler goodput {} must trail healthy {}",
@@ -302,7 +288,7 @@ mod tests {
         // DDP never touches the staging tier: the stall is invisible.
         let model = GptConfig::paper_model_with_params(MATRIX_BILLIONS);
         let healthy = run_cell(&Strategy::Ddp, &model, &FaultScenario::Healthy);
-        let wall = healthy.resilience.as_ref().unwrap().wall_time.as_secs();
+        let wall = healthy.resilience.wall_time.as_secs();
         let stalled = run_cell(
             &Strategy::Ddp,
             &model,
@@ -313,13 +299,13 @@ mod tests {
                 dur_s: 0.25 * wall,
             },
         );
-        let hm = healthy.resilience.as_ref().unwrap();
-        let dm = stalled.resilience.as_ref().unwrap();
+        let hm = &healthy.resilience;
+        let dm = &stalled.resilience;
         assert_eq!(hm.goodput_flops, dm.goodput_flops, "DDP ignores NVMe");
         // ZeRO-Infinity stages optimizer state through the stalled drives.
         let (inf_healthy, inf_stalled) = infinity_stall_cells();
-        let ihm = inf_healthy.resilience.as_ref().unwrap();
-        let ism = inf_stalled.resilience.as_ref().unwrap();
+        let ihm = &inf_healthy.resilience;
+        let ism = &inf_stalled.resilience;
         assert!(ism.faults_applied >= 1, "stall events must fire");
         assert!(
             ism.goodput_flops < 0.95 * ihm.goodput_flops,
@@ -336,7 +322,7 @@ mod tests {
             stage: zerosim_strategies::ZeroStage::Three,
         };
         let healthy = run_cell(&strategy, &model, &FaultScenario::Healthy);
-        let wall = healthy.resilience.as_ref().unwrap().wall_time.as_secs();
+        let wall = healthy.resilience.wall_time.as_secs();
         let loss = run_cell(
             &strategy,
             &model,
@@ -345,9 +331,9 @@ mod tests {
                 at_s: 0.55 * wall,
             },
         );
-        let m = loss.resilience.as_ref().unwrap();
+        let m = &loss.resilience;
         assert_eq!(m.recoveries, 1);
         assert!(m.checkpoints_taken >= 1);
-        assert!(m.goodput_flops < healthy.resilience.as_ref().unwrap().goodput_flops);
+        assert!(m.goodput_flops < healthy.resilience.goodput_flops);
     }
 }

@@ -11,9 +11,11 @@ use zerosim_strategies::{
     TrainOptions,
 };
 
-use crate::error::CoreError;
+use crate::error::{ensure_fits, CoreError};
 use crate::faults::FaultConfig;
-use crate::report::{rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport};
+use crate::report::{
+    nearest_rank, rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport,
+};
 
 /// How a characterization run samples and averages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,12 +119,10 @@ impl TrainingSim {
         &self.calib
     }
 
-    /// Characterizes one training configuration.
-    ///
-    /// The strategy's [`zerosim_strategies::WorkloadPlan`] is lowered to a
-    /// task graph **once**; each warm-up and measured iteration only
-    /// re-stamps the jitter-seeded compute durations
-    /// ([`zerosim_strategies::LoweredPlan::stamp`]) before execution.
+    /// Characterizes one training configuration on a healthy cluster:
+    /// [`TrainingSim::run_resilient`] with [`FaultConfig::healthy`], so the
+    /// report's [`ResilienceMetrics`] show no faults, replays or
+    /// recoveries.
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] if the strategy rejects the
@@ -137,100 +137,15 @@ impl TrainingSim {
         opts: &TrainOptions,
         cfg: &RunConfig,
     ) -> Result<TrainingReport, CoreError> {
-        let ctx = IterCtx {
-            cluster: &self.cluster,
-            model,
-            opts,
-            calib: &self.calib,
-        };
-        let memory = strategy.plan_memory(&ctx)?;
-        if !cfg.allow_overflow {
-            if let Some(tier) = memory.bottleneck(&self.cluster) {
-                let requested = match tier {
-                    "gpu" => memory.per_gpu_bytes,
-                    "cpu" => memory.per_node_cpu_bytes,
-                    _ => memory.nvme_bytes,
-                };
-                return Err(CoreError::DoesNotFit { tier, requested });
-            }
-        }
-
-        // Plan + lower once: structure is iteration-invariant.
-        let plan = strategy.plan_iteration(&ctx)?;
-        let mut lowered = lower(&plan, &self.cluster, &self.calib)?;
-        let plan_lowerings = 1usize;
-
-        let mut engine = DagEngine::new(self.cluster.resource_slots());
-
-        // Warm-up (unrecorded). Each iteration re-stamps with its own
-        // jitter seed so the measured window shows realistic run-to-run
-        // variation.
-        let mut t = SimTime::ZERO;
-        let mut seed = opts.jitter_seed;
-        for _ in 0..cfg.warmup_iters {
-            let dag = lowered.stamp(seed);
-            seed += 1;
-            t = engine.run(self.cluster.net_mut(), dag, t, None)?.finished;
-        }
-        engine.take_spans(); // discard warm-up spans
-
-        // Measured iterations.
-        let solver_before = self.cluster.net().solver_stats();
-        let mut rec = BandwidthRecorder::with_origin(cfg.bucket, t);
-        let mut total = SimTime::ZERO;
-        let n_measured = cfg.measure_iters.max(1);
-        for _ in 0..n_measured {
-            let dag = lowered.stamp(seed);
-            seed += 1;
-            let out = engine.run(self.cluster.net_mut(), dag, t, Some(&mut rec))?;
-            total += out.makespan();
-            t = out.finished;
-        }
-        let iter_time = total / (n_measured as u64);
-
-        // Per-(node, class) aggregation, Table IV style.
-        let mut bandwidth = BandwidthReport::new(cfg.bucket);
-        for node in 0..opts.nodes {
-            for class in LinkClass::TABLE_IV {
-                let links = self.cluster.links(node, class);
-                let stats = rec.stats(links);
-                let series = rec.aggregate_series(links);
-                bandwidth.insert(node, class, stats, series);
-            }
-        }
-
-        // Per-link "hot wires" ranking across every physical link class.
-        let hot_links = rank_hot_links(&self.cluster, opts.nodes, &rec, total.as_secs());
-
-        let tokens = model.tokens_per_iteration(opts.per_gpu_batch, opts.num_gpus(&self.cluster))
-            * opts.grad_accum as f64;
-        Ok(TrainingReport {
-            strategy: strategy.display_name(),
-            model_params: model.num_params(),
-            nodes: opts.nodes,
-            iter_time,
-            flops_per_iteration: model.iteration_flops(tokens).total(),
-            tokens_per_iteration: tokens,
-            memory,
-            bandwidth,
-            spans: engine.take_spans(),
-            hot_links,
-            plan_lowerings,
-            resilience: None,
-            solver: self
-                .cluster
-                .net()
-                .solver_stats()
-                .delta_since(&solver_before),
-            engine: engine.stats(),
-        })
+        self.run_resilient(strategy, model, opts, cfg, &FaultConfig::healthy())
     }
 
     /// Measures the cost of one checkpoint snapshot on this cluster: the
     /// makespan (seconds) of the strategy-independent `plan_checkpoint`
     /// state-movement plan for `model` under `opts`, executed on an
     /// otherwise idle network. This is the `C` that drives Young/Daly
-    /// interval selection in [`crate::fleet`] — measured from the same
+    /// interval selection ([`crate::young_interval_s`],
+    /// [`crate::fleet_search`]) — measured from the same
     /// lowered DAG [`TrainingSim::run_resilient`] replays at every
     /// checkpoint, not estimated from bandwidth math.
     ///
@@ -259,11 +174,18 @@ impl TrainingSim {
     }
 
     /// Characterizes one training configuration under a fault schedule,
-    /// with checkpoint/restart recovery.
+    /// with checkpoint/restart recovery. This is the one training loop:
+    /// [`TrainingSim::run`] is this call on [`FaultConfig::healthy`].
     ///
-    /// Semantics match [`TrainingSim::run`] exactly when `faults` is
-    /// [`FaultConfig::healthy`] — same seed sequence, same recorder
-    /// origin, byte-identical [`TrainingReport::digest`]. On top of that:
+    /// The loop follows the paper's measurement protocol (Sec. III-B).
+    /// The strategy's [`zerosim_strategies::WorkloadPlan`] is lowered to a
+    /// task graph **once**; each iteration only re-stamps the
+    /// jitter-seeded compute durations
+    /// ([`zerosim_strategies::LoweredPlan::stamp`]) before execution.
+    /// Warm-up iterations run unrecorded; at the first measured iteration
+    /// their spans are discarded and the bandwidth recorder is anchored,
+    /// and the measured window yields throughput and per-link avg/p90/peak
+    /// bandwidth. On top of that:
     ///
     /// * the fault schedule is consumed by one [`zerosim_simkit::FaultCursor`]
     ///   shared across all iterations, so the virtual clock and the fault
@@ -304,18 +226,11 @@ impl TrainingSim {
         };
         let memory = strategy.plan_memory(&ctx)?;
         if !cfg.allow_overflow {
-            if let Some(tier) = memory.bottleneck(&self.cluster) {
-                let requested = match tier {
-                    "gpu" => memory.per_gpu_bytes,
-                    "cpu" => memory.per_node_cpu_bytes,
-                    _ => memory.nvme_bytes,
-                };
-                return Err(CoreError::DoesNotFit { tier, requested });
-            }
+            ensure_fits(&memory, &self.cluster)?;
         }
 
-        // Plan + lower once, as in `run`; checkpoint and restore plans
-        // are likewise lowered exactly once.
+        // Plan + lower once: structure is iteration-invariant. Checkpoint
+        // and restore plans are likewise lowered exactly once.
         let plan = strategy.plan_iteration(&ctx)?;
         let mut lowered = lower(&plan, &self.cluster, &self.calib)?;
         let plan_lowerings = 1usize;
@@ -407,9 +322,9 @@ impl TrainingSim {
 
         while committed < target {
             // Entering the measured window: discard warm-up spans and
-            // anchor the recorder, exactly as `run` does. Once created,
-            // the recorder keeps counting through replays and recoveries
-            // (hardware counters do not pause for a crash).
+            // anchor the recorder. Once created, the recorder keeps
+            // counting through replays and recoveries (hardware counters
+            // do not pause for a crash).
             if rec.is_none() && committed >= cfg.warmup_iters {
                 engine.take_spans();
                 measure_start = t;
@@ -454,8 +369,7 @@ impl TrainingSim {
         // scales live in the network and must be reset explicitly.)
         self.cluster.net_mut().restore_all_links();
 
-        // Mean over the surviving measured iterations (identical to
-        // `run`'s arithmetic when nothing faults).
+        // Mean over the surviving measured iterations.
         let mut total = SimTime::ZERO;
         for &mk in &committed_times[cfg.warmup_iters..] {
             total += mk;
@@ -463,6 +377,8 @@ impl TrainingSim {
         let iter_time = total / (n_measured as u64);
         let measured_wall = t - measure_start;
 
+        // Per-(node, class) aggregation, Table IV style, plus the per-link
+        // "hot wires" ranking across every physical link class.
         let rec = rec.unwrap_or_else(|| BandwidthRecorder::with_origin(cfg.bucket, t));
         let mut bandwidth = BandwidthReport::new(cfg.bucket);
         for node in 0..opts.nodes {
@@ -479,25 +395,13 @@ impl TrainingSim {
             * opts.grad_accum as f64;
         let flops_per_iteration = model.iteration_flops(tokens).total();
 
-        let mut sorted = completed.clone();
-        sorted.sort_unstable();
-        let percentile = |q: f64| -> SimTime {
-            if sorted.is_empty() {
-                return SimTime::ZERO;
-            }
-            // q in [0,1], so the rank is bounded by len: exact as usize.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let idx = ((q * sorted.len() as f64).ceil() as usize)
-                .saturating_sub(1)
-                .min(sorted.len() - 1);
-            sorted[idx]
-        };
+        completed.sort_unstable();
         let resilience = ResilienceMetrics {
             goodput_flops: flops_per_iteration * n_measured as f64
                 / measured_wall.as_secs().max(1e-12),
-            iter_p50: percentile(0.50),
-            iter_p90: percentile(0.90),
-            iter_p99: percentile(0.99),
+            iter_p50: nearest_rank(&completed, 0.50),
+            iter_p90: nearest_rank(&completed, 0.90),
+            iter_p99: nearest_rank(&completed, 0.99),
             executed_iterations: executed,
             committed_iterations: committed,
             replayed_iterations: replayed,
@@ -522,7 +426,7 @@ impl TrainingSim {
             spans: engine.take_spans(),
             hot_links,
             plan_lowerings,
-            resilience: Some(resilience),
+            resilience,
             solver: self
                 .cluster
                 .net()
@@ -613,24 +517,22 @@ mod tests {
     }
 
     #[test]
-    fn resilient_run_without_faults_matches_plain_run() {
-        let model = GptConfig::paper_model_with_params(1.4);
-        let opts = TrainOptions::single_node();
-        let cfg = RunConfig::default();
-        let plain = sim().run(&Strategy::Ddp, &model, &opts, &cfg).unwrap();
-        let resilient = sim()
-            .run_resilient(&Strategy::Ddp, &model, &opts, &cfg, &FaultConfig::healthy())
+    fn healthy_run_reports_zero_fault_accounting() {
+        let report = sim()
+            .run(
+                &Strategy::Ddp,
+                &GptConfig::paper_model_with_params(1.4),
+                &TrainOptions::single_node(),
+                &RunConfig::default(),
+            )
             .unwrap();
-        assert_eq!(plain.digest(), resilient.digest());
-        assert_eq!(plain.iter_time, resilient.iter_time);
-        let m = resilient.resilience.as_ref().unwrap();
+        let m = &report.resilience;
         assert_eq!(m.recoveries, 0);
         assert_eq!(m.replayed_iterations, 0);
         assert_eq!(m.faults_applied, 0);
         // Equal up to the nanosecond truncation of the mean iteration time.
-        let rel = (m.goodput_flops - resilient.throughput_flops()).abs() / m.goodput_flops;
+        let rel = (m.goodput_flops - report.throughput_flops()).abs() / m.goodput_flops;
         assert!(rel < 1e-6, "goodput deviates: rel {rel}");
-        assert_eq!(resilient.plan_lowerings, 1);
     }
 
     #[test]
@@ -650,7 +552,7 @@ mod tests {
         let healthy = s
             .run_resilient(&Strategy::Ddp, &model, &opts, &cfg, &FaultConfig::healthy())
             .unwrap();
-        let wall = healthy.resilience.as_ref().unwrap().wall_time.as_secs();
+        let wall = healthy.resilience.wall_time.as_secs();
         let schedule = FaultScenario::NodeLoss {
             node: 0,
             at_s: 0.55 * wall,
@@ -665,7 +567,7 @@ mod tests {
         let faulted = s2
             .run_resilient(&Strategy::Ddp, &model, &opts, &cfg, &faults)
             .unwrap();
-        let m = faulted.resilience.as_ref().unwrap();
+        let m = &faulted.resilience;
         assert_eq!(m.recoveries, 1);
         assert_eq!(m.faults_applied, 1);
         // Lost work is bounded by the checkpoint interval (zero when the
@@ -678,7 +580,7 @@ mod tests {
         assert!(m.executed_iterations > 6);
         // Replay + recovery strictly reduce goodput below the healthy run.
         assert!(
-            m.goodput_flops < healthy.resilience.as_ref().unwrap().goodput_flops,
+            m.goodput_flops < healthy.resilience.goodput_flops,
             "goodput under node loss must drop"
         );
         assert_eq!(faulted.plan_lowerings, 1);
@@ -744,8 +646,8 @@ mod tests {
                 &FaultConfig::without_checkpoints(schedule),
             )
             .unwrap();
-        let hm = healthy.resilience.as_ref().unwrap();
-        let sm = slow.resilience.as_ref().unwrap();
+        let hm = &healthy.resilience;
+        let sm = &slow.resilience;
         assert!(
             sm.iter_p50 > hm.iter_p50,
             "straggler must stretch iterations: {} vs {}",

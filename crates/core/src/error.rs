@@ -3,8 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
+use zerosim_hw::Cluster;
 use zerosim_simkit::SimError;
-use zerosim_strategies::StrategyError;
+use zerosim_strategies::{MemoryPlan, StrategyError};
 
 /// Errors from running a training characterization.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,6 +88,20 @@ impl From<StrategyError> for CoreError {
     fn from(e: StrategyError) -> Self {
         CoreError::InvalidConfig(e)
     }
+}
+
+/// The memory-fit check shared by training and serving: the first tier
+/// `memory` overflows on `cluster` becomes [`CoreError::DoesNotFit`].
+pub(crate) fn ensure_fits(memory: &MemoryPlan, cluster: &Cluster) -> Result<(), CoreError> {
+    let Some(tier) = memory.bottleneck(cluster) else {
+        return Ok(());
+    };
+    let requested = match tier {
+        "gpu" => memory.per_gpu_bytes,
+        "cpu" => memory.per_node_cpu_bytes,
+        _ => memory.nvme_bytes,
+    };
+    Err(CoreError::DoesNotFit { tier, requested })
 }
 
 #[cfg(test)]

@@ -28,8 +28,9 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// An empty schedule with no checkpointing: behaviourally identical
-    /// to a plain [`crate::TrainingSim::run`].
+    /// An empty schedule with no checkpointing: the configuration
+    /// [`crate::TrainingSim::run`] and a default [`crate::SweepSpec`] run
+    /// with.
     pub fn healthy() -> Self {
         FaultConfig {
             schedule: FaultSchedule::default(),

@@ -735,11 +735,7 @@ pub fn run_ensemble(
         schedule_digests.push(schedule.digest());
         let mut spec = base.clone();
         spec.label = format!("{} / s{i:02}", base.label);
-        spec.faults = Some(FaultConfig::new(
-            schedule,
-            cfg.policy.clone(),
-            cfg.sink.clone(),
-        ));
+        spec.faults = FaultConfig::new(schedule, cfg.policy.clone(), cfg.sink.clone());
         specs.push(spec);
     }
     let outcomes = SweepRunner::new(cfg.workers.max(1)).run_each(specs);
@@ -760,14 +756,7 @@ pub fn run_ensemble(
         h = mix(h, schedule_digests[i]);
         match outcome {
             Ok(run) => {
-                // `run_resilient` always attaches resilience metrics for
-                // faulted specs; guard anyway so a healthy sample (empty
-                // schedule still runs resilient) cannot panic.
-                let Some(res) = &run.report.resilience else {
-                    failed += 1;
-                    h = mix_str(h, "missing resilience metrics");
-                    continue;
-                };
+                let res = &run.report.resilience;
                 goodput.push(res.goodput_tflops());
                 ttr.push(res.time_to_recover().as_secs());
                 faults_applied += res.faults_applied;

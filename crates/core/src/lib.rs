@@ -9,7 +9,9 @@
 //! * per-interconnect bandwidth statistics and utilization patterns
 //!   (Table IV, Figs. 9/10/12);
 //! * memory placement per tier (Sec. IV-D / V);
-//! * device timelines (Fig. 5).
+//! * device timelines (Fig. 5);
+//! * resilience accounting: goodput, iteration-time percentiles, and
+//!   fault, replay and recovery counts (all zero on a healthy run).
 //!
 //! [`max_model_size`] performs the achieved-model-size search of Fig. 6.
 //!

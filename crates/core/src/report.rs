@@ -124,17 +124,33 @@ pub(crate) fn rank_hot_links(
     hot_links
 }
 
-/// Resilience accounting for a faulted run (see
-/// [`crate::TrainingSim::run_resilient`]).
+/// Nearest-rank percentile (`q` in `[0, 1]`) of an already-sorted
+/// sample; [`SimTime::ZERO`] for an empty one.
+pub(crate) fn nearest_rank(sorted: &[SimTime], q: f64) -> SimTime {
+    if sorted.is_empty() {
+        return SimTime::ZERO;
+    }
+    // q in [0,1], so the rank is bounded by len: exact as usize.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let idx = ((q * sorted.len() as f64).ceil() as usize)
+        .saturating_sub(1)
+        .min(sorted.len() - 1);
+    sorted[idx]
+}
+
+/// Resilience accounting of a training run (see
+/// [`crate::TrainingSim::run_resilient`]). Every run carries it: a
+/// healthy run applies no faults and reports zero replays and recoveries.
 ///
 /// All counters include the warm-up window: faults do not distinguish
 /// between warm-up and measured iterations.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceMetrics {
     /// Useful FLOP/s over the measured window: committed model FLOPs
     /// divided by wall time *including* replayed iterations, checkpoint
     /// traffic, restart delays, and restore traffic. Equals
-    /// [`TrainingReport::throughput_flops`] when nothing faults.
+    /// [`TrainingReport::throughput_flops`] (up to the nanosecond
+    /// truncation of the mean iteration time) when nothing faults.
     pub goodput_flops: f64,
     /// Median duration over every *completed* iteration execution
     /// (committed or later rolled back).
@@ -210,14 +226,14 @@ pub struct TrainingReport {
     /// How many times the iteration plan was lowered to a task graph for
     /// this run (1 when the lower-once / re-stamp cache works).
     pub plan_lowerings: usize,
-    /// Resilience accounting; `Some` for [`crate::TrainingSim::run_resilient`]
-    /// runs, `None` for plain characterization runs.
-    pub resilience: Option<ResilienceMetrics>,
+    /// Resilience accounting: goodput, iteration-time percentiles, and
+    /// fault, replay, checkpoint and recovery counts (all zero for a
+    /// healthy run). Excluded from [`TrainingReport::digest`].
+    pub resilience: ResilienceMetrics,
     /// Max-min solver work accounting for the *measured* window (delta of
-    /// [`zerosim_simkit::FlowNet::solver_stats`] across it). Like
-    /// [`TrainingReport::resilience`], this is instrumentation about *how*
-    /// the run was computed, not *what* was measured, so it is excluded
-    /// from [`TrainingReport::digest`].
+    /// [`zerosim_simkit::FlowNet::solver_stats`] across it). This is
+    /// instrumentation about *how* the run was computed, not *what* was
+    /// measured, so it is excluded from [`TrainingReport::digest`].
     pub solver: SolverStats,
     /// DAG-engine work accounting for the run (runs, retired tasks,
     /// started flows, event-loop ticks — see
@@ -248,13 +264,13 @@ impl TrainingReport {
     /// timing, FLOPs, memory plan, every bandwidth stat and sample, every
     /// timeline span, the hot-link ranking, and the lowering count.
     ///
-    /// The [`TrainingReport::resilience`] and [`TrainingReport::solver`]
-    /// bookkeeping are deliberately excluded: `resilience` so a fault-free
-    /// resilient run can be compared bit-for-bit against a plain
-    /// [`crate::TrainingSim::run`] (compare `resilience` separately via its
-    /// `PartialEq`), and `solver` because solver work counters describe how
-    /// the simulation was computed (incremental vs full solves), not the
-    /// physics it measured. Equal digests mean byte-identical measurements.
+    /// The [`TrainingReport::resilience`], [`TrainingReport::solver`] and
+    /// [`TrainingReport::engine`] bookkeeping are deliberately excluded:
+    /// `resilience` accounts for the fault schedule (compare it separately
+    /// via its `PartialEq`), so a faulted run whose faults never bite
+    /// digests like the healthy run; `solver` and `engine` describe how the
+    /// simulation was computed, not the physics it measured. Equal digests
+    /// mean byte-identical measurements.
     pub fn digest(&self) -> u64 {
         let mut h = mix_str(0x5153_u64, &self.strategy);
         h = mix(h, self.model_params.to_bits());
@@ -379,7 +395,7 @@ mod tests {
             spans: SpanLog::new(),
             hot_links: Vec::new(),
             plan_lowerings: 1,
-            resilience: None,
+            resilience: ResilienceMetrics::default(),
             solver: SolverStats::default(),
             engine: EngineStats::default(),
         }
@@ -393,22 +409,11 @@ mod tests {
         b.iter_time = SimTime::from_ms(501.0);
         assert_ne!(a.digest(), b.digest());
         let mut c = blank_report();
-        c.resilience = Some(ResilienceMetrics {
+        c.resilience = ResilienceMetrics {
             goodput_flops: 1.0,
-            iter_p50: SimTime::ZERO,
-            iter_p90: SimTime::ZERO,
-            iter_p99: SimTime::ZERO,
-            executed_iterations: 0,
-            committed_iterations: 0,
-            replayed_iterations: 0,
-            checkpoints_taken: 0,
-            checkpoint_time: SimTime::ZERO,
-            recoveries: 0,
-            recovery_time: SimTime::ZERO,
-            faults_applied: 0,
-            wall_time: SimTime::ZERO,
-            schedule_digest: 0,
-        });
+            faults_applied: 3,
+            ..ResilienceMetrics::default()
+        };
         // Resilience bookkeeping is excluded from the measurement digest.
         assert_eq!(a.digest(), c.digest());
         // Solver work accounting likewise measures the simulator, not the
@@ -422,10 +427,7 @@ mod tests {
         e.engine.ticks = 777;
         e.engine.flows_started = 42;
         assert_eq!(a.digest(), e.digest());
-        assert_eq!(
-            c.resilience.as_ref().unwrap().time_to_recover(),
-            SimTime::ZERO
-        );
+        assert_eq!(c.resilience.time_to_recover(), SimTime::ZERO);
     }
 
     #[test]
@@ -449,7 +451,7 @@ mod tests {
             spans: SpanLog::new(),
             hot_links: Vec::new(),
             plan_lowerings: 1,
-            resilience: None,
+            resilience: ResilienceMetrics::default(),
             solver: SolverStats::default(),
             engine: EngineStats::default(),
         };

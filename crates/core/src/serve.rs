@@ -37,8 +37,8 @@ use zerosim_strategies::{
 use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
-use crate::error::CoreError;
-use crate::report::{mix, mix_str};
+use crate::error::{ensure_fits, CoreError};
+use crate::report::{mix, mix_str, nearest_rank};
 use crate::sweep::Execute;
 
 /// How requests enter the system.
@@ -244,14 +244,7 @@ pub fn serve(
         opts,
         calib: sim.calibration(),
     });
-    if let Some(tier) = memory.bottleneck(sim.cluster()) {
-        let requested = match tier {
-            "gpu" => memory.per_gpu_bytes,
-            "cpu" => memory.per_node_cpu_bytes,
-            _ => memory.nvme_bytes,
-        };
-        return Err(CoreError::DoesNotFit { tier, requested });
-    }
+    ensure_fits(&memory, sim.cluster())?;
 
     let requests = trace.sample();
     // Quantize finite arrivals onto the simulator's tick grid up front.
@@ -435,29 +428,16 @@ pub fn serve(
         nodes: opts.nodes,
         requests: done,
         tokens_generated,
-        ttft_p50: percentile(&ttft, 0.50),
-        ttft_p99: percentile(&ttft, 0.99),
-        tpot_p50: percentile(&tpot, 0.50),
-        tpot_p99: percentile(&tpot, 0.99),
+        ttft_p50: nearest_rank(&ttft, 0.50),
+        ttft_p99: nearest_rank(&ttft, 0.99),
+        tpot_p50: nearest_rank(&tpot, 0.50),
+        tpot_p99: nearest_rank(&tpot, 0.99),
         wall: t,
         prefills,
         decode_steps,
         plan_lowerings,
         kv_peak_bytes,
     })
-}
-
-/// Nearest-rank percentile over an already-sorted sample.
-fn percentile(sorted: &[SimTime], q: f64) -> SimTime {
-    if sorted.is_empty() {
-        return SimTime::ZERO;
-    }
-    // q in [0,1], so the rank is bounded by len: exact as usize.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = ((q * sorted.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// A complete, self-contained description of one serving run — the

@@ -39,7 +39,7 @@ use std::fmt;
 use crate::spec::{ClusterSpec, FabricSpec, FabricTier};
 
 /// A named, parameterized cluster topology that lowers to a
-/// [`ClusterSpec`]. See the [module docs](self).
+/// [`ClusterSpec`]: flat switches, fat trees, or NVLink-island pods.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TopologySpec {
     /// N paper-style nodes on a single non-blocking switch.

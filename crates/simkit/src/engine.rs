@@ -510,32 +510,6 @@ impl DagEngine {
             interrupted,
         })
     }
-
-    /// Runs `dag` `count` times back to back, returning the outcomes.
-    ///
-    /// # Errors
-    /// Propagates the first error from [`DagEngine::run`].
-    pub fn run_iterations(
-        &mut self,
-        net: &mut FlowNet,
-        dag: &Dag,
-        start: SimTime,
-        count: usize,
-        mut obs: Option<&mut dyn FlowObserver>,
-    ) -> Result<Vec<RunOutcome>, SimError> {
-        let mut outcomes = Vec::with_capacity(count);
-        let mut t = start;
-        for _ in 0..count {
-            let reborrow: Option<&mut dyn FlowObserver> = match obs.as_mut() {
-                Some(o) => Some(&mut **o),
-                None => None,
-            };
-            let outcome = self.run(net, dag, t, reborrow)?;
-            t = outcome.finished;
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
-    }
 }
 
 #[cfg(test)]
@@ -629,21 +603,6 @@ mod tests {
         let mut eng = DagEngine::new(vec![1]);
         eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
         assert_eq!(eng.spans().busy_time(0, "gemm"), ms(2.0));
-    }
-
-    #[test]
-    fn iterations_keep_continuous_clock() {
-        let mut net = FlowNet::new();
-        let mut b = DagBuilder::new();
-        b.compute(ResourceId(0), ms(10.0), "iter", &[]);
-        let dag = b.build();
-        let mut eng = DagEngine::new(vec![1]);
-        let outs = eng
-            .run_iterations(&mut net, &dag, SimTime::ZERO, 3, None)
-            .unwrap();
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[2].finished, ms(30.0));
-        assert_eq!(outs[1].started, ms(10.0));
     }
 
     #[test]

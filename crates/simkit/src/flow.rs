@@ -19,10 +19,12 @@
 //! components are independent and the restricted solve performs the exact
 //! floating-point operation sequence the global solve would perform on that
 //! component, the result is **bit-identical** to a full recompute. A shadow
-//! verification mode (on by default in debug builds, or via
-//! `ZEROSIM_SHADOW=1`) runs the reference full solver next to the
-//! incremental one and asserts bitwise rate/demand equality after every
-//! solve. [`SolverStats`] counters expose how much work each event cost.
+//! verification mode ([`FlowNet::set_shadow_verify`], or
+//! `ZEROSIM_SHADOW=1` for every network) runs the reference full solver
+//! next to the incremental one and asserts bitwise rate/demand equality
+//! after every solve. It is off by default in every build, so debug and
+//! release builds run the same solver code. [`SolverStats`] counters
+//! expose how much work each event cost.
 //!
 //! Converged state is epoch-stamped ([`FlowNet::solver_epoch`]) and cached
 //! behind interior mutability, so the read paths ([`FlowNet::flow_rate`],
@@ -184,10 +186,7 @@ impl Solver {
 }
 
 fn shadow_default() -> bool {
-    match std::env::var("ZEROSIM_SHADOW") {
-        Ok(v) => v != "0" && !v.is_empty(),
-        Err(_) => cfg!(debug_assertions),
-    }
+    std::env::var("ZEROSIM_SHADOW").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// The flow network: links plus the set of currently active flows.
@@ -218,12 +217,8 @@ pub struct FlowNet {
     next_flow: u64,
     solver: RefCell<Solver>,
     /// Run the reference full solver next to the incremental one and assert
-    /// bitwise equality (defaults to on in debug builds; `ZEROSIM_SHADOW`
-    /// overrides).
+    /// bitwise equality (off unless `ZEROSIM_SHADOW` is set).
     shadow: bool,
-    /// Treat every link as dirty on each solve (the pre-incremental
-    /// behaviour); kept for benchmarking and differential testing.
-    full: bool,
 }
 
 impl Default for FlowNet {
@@ -237,7 +232,6 @@ impl Default for FlowNet {
             next_flow: 0,
             solver: RefCell::new(Solver::default()),
             shadow: shadow_default(),
-            full: false,
         }
     }
 }
@@ -352,9 +346,9 @@ impl FlowNet {
 
     /// Enables or disables shadow verification: every incremental solve is
     /// followed by a reference full solve and a bitwise equality assert on
-    /// all rates and demands. Defaults to on in debug builds; the
-    /// `ZEROSIM_SHADOW` environment variable (`1`/`0`) overrides the
-    /// default at [`FlowNet::new`] time.
+    /// all rates and demands. Off by default; setting the `ZEROSIM_SHADOW`
+    /// environment variable (to anything but `0`) turns it on at
+    /// [`FlowNet::new`] time.
     pub fn set_shadow_verify(&mut self, on: bool) {
         self.shadow = on;
     }
@@ -362,18 +356,6 @@ impl FlowNet {
     /// Whether shadow verification is active.
     pub fn shadow_verify(&self) -> bool {
         self.shadow
-    }
-
-    /// Forces every solve to re-converge the entire network (the
-    /// pre-incremental behaviour). Useful for differential testing and for
-    /// benchmarking the incremental solver's win.
-    pub fn set_full_solve(&mut self, on: bool) {
-        self.full = on;
-    }
-
-    /// Whether full-solve mode is active.
-    pub fn full_solve(&self) -> bool {
-        self.full
     }
 
     /// Starts a flow of `bytes` along `route` and returns its id.
@@ -542,13 +524,17 @@ impl FlowNet {
         self.scale_link(link, 1.0)
     }
 
-    /// Restores every link to its nominal capacity. Used by callers that
-    /// inject faults for one characterization run and want the network
-    /// healthy again afterwards.
+    /// Restores every degraded link to its nominal capacity. Used by
+    /// callers that inject faults for one characterization run and want the
+    /// network healthy again afterwards. Links already at scale 1.0 are
+    /// skipped: restoring them would change nothing but mark them dirty, so
+    /// a healthy network stays converged and its solver counters unchanged.
     pub fn restore_all_links(&mut self) {
         for i in 0..self.links.len() {
-            // In-range by construction; `scale_link(·, 1.0)` cannot fail.
-            let _ = self.restore_link(LinkId(i));
+            if self.links[i].scale != 1.0 {
+                // In-range by construction; `scale_link(·, 1.0)` cannot fail.
+                let _ = self.restore_link(LinkId(i));
+            }
         }
     }
 
@@ -582,11 +568,6 @@ impl FlowNet {
         let mut s = self.solver.borrow_mut();
         if s.dirty.is_empty() {
             return;
-        }
-        if self.full {
-            for li in 0..self.links.len() {
-                s.mark_dirty(li);
-            }
         }
         self.solve(&mut s);
     }
@@ -1219,6 +1200,25 @@ mod tests {
     }
 
     #[test]
+    fn restore_all_links_leaves_healthy_links_converged() {
+        let mut net = FlowNet::new();
+        let healthy = net.add_link("nvlink", 10.0);
+        let degraded = net.add_link("roce", 10.0);
+        net.start_flow(&[healthy], 100.0).unwrap();
+        net.scale_link(degraded, 0.5).unwrap();
+        net.link_demand(healthy);
+        let solves = net.solver_stats().solves;
+        net.restore_all_links();
+        assert_eq!(net.link_capacity(degraded), 10.0);
+        net.link_demand(healthy);
+        assert_eq!(net.solver_stats().last_component_links, 1, "only roce");
+        // A fully healthy network has nothing to restore and nothing to solve.
+        net.restore_all_links();
+        net.link_demand(healthy);
+        assert_eq!(net.solver_stats().solves, solves + 1);
+    }
+
+    #[test]
     fn degraded_link_stretches_completion() {
         // 100 bytes over a 10 B/s link degraded to 5 B/s after 4 s:
         // 40 bytes move in the first phase, the remaining 60 take 12 s.
@@ -1341,43 +1341,6 @@ mod tests {
         net.scale_link(l0, 0.5).unwrap();
         net.link_demand(l2);
         assert_eq!(net.solver_stats().last_component_links, 3);
-    }
-
-    #[test]
-    fn full_solve_mode_matches_incremental_rates() {
-        let build = |full: bool| {
-            let mut net = FlowNet::new();
-            net.set_full_solve(full);
-            let shared = net.add_link("shared", 10.0);
-            let private = net.add_link("private", 2.0);
-            let iso = net.add_link("iso", 7.0);
-            let a = net.start_flow(&[private, shared], 100.0).unwrap();
-            let b = net.start_flow(&[shared], 100.0).unwrap();
-            let c = net.start_flow_capped(&[iso], 100.0, 3.0).unwrap();
-            net.advance_to_next_event(SimTime::ZERO, &mut NullObserver);
-            (
-                net.flow_rate(a).map(f64::to_bits),
-                net.flow_rate(b).map(f64::to_bits),
-                net.flow_rate(c).map(f64::to_bits),
-                net.link_demand(shared).to_bits(),
-            )
-        };
-        assert_eq!(build(false), build(true));
-    }
-
-    #[test]
-    fn full_solve_mode_counts_full_solves() {
-        let mut net = FlowNet::new();
-        net.set_full_solve(true);
-        net.set_shadow_verify(false);
-        let a = net.add_link("a", 10.0);
-        let _b = net.add_link("b", 10.0);
-        net.start_flow(&[a], 100.0).unwrap();
-        net.flow_rate(FlowId(0)).unwrap();
-        let stats = net.solver_stats();
-        assert_eq!(stats.solves, 1);
-        assert_eq!(stats.full_solves, 1);
-        assert_eq!(stats.links_touched, 2);
     }
 
     #[test]

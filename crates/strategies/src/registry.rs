@@ -96,7 +96,7 @@ impl StrategyRegistry {
     }
 
     /// Extends the registry with the three ZeRO++ strategies
-    /// (arXiv 2306.10209): qwZ, hpZ, and qgZ. Kept out of [`paper`]
+    /// (arXiv 2306.10209): qwZ, hpZ, and qgZ. Kept out of [`Self::paper`]
     /// so the Fig. 4/5 sweep matrix is unchanged; planlint and ext15
     /// opt in explicitly.
     #[must_use]

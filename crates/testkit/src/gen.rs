@@ -2,7 +2,7 @@
 //!
 //! A [`Gen`] produces random values from an [`Rng`] and, given a failing
 //! value, proposes *simpler* candidate values ([`Gen::shrink`]). The
-//! property runner ([`crate::prop`]) walks the shrink candidates greedily
+//! property runner ([`crate::prop`](mod@crate::prop)) walks the shrink candidates greedily
 //! until none of them still fail, which converges on a (locally) minimal
 //! counterexample.
 //!

@@ -8,10 +8,10 @@
 //!   explicit seeding. Same seed ⇒ same sequence, on every platform.
 //! * [`gen`] — composable value generators with failure-case shrinking
 //!   (the `proptest` replacement's strategy layer).
-//! * [`prop`] — the property runner: case counts and seeds come from
+//! * [`prop`](mod@prop) — the property runner: case counts and seeds come from
 //!   `ZEROSIM_PT_CASES` / `ZEROSIM_PT_SEED`, and a failing case prints
 //!   the seed needed to replay it before panicking.
-//! * [`bench`] — a micro-bench harness (warmup + timed samples,
+//! * [`bench`](mod@bench) — a micro-bench harness (warmup + timed samples,
 //!   median/p90 reporting) compatible with `harness = false` bench
 //!   targets (the `criterion` replacement).
 //! * [`json`] — a minimal JSON value, renderer, parser, and

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ndeterminism: two seed-{MATRIX_SEED} straggler runs -> digest {:#018x} twice",
         a.digest()
     );
-    let m = a.resilience.expect("resilient runs carry metrics");
+    let m = &a.resilience;
     println!(
         "straggler cell: {:.1} TFLOP/s goodput, p50 {:.0} ms / p99 {:.0} ms, {} fault event(s)",
         m.goodput_tflops(),

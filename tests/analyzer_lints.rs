@@ -54,58 +54,13 @@ fn opts_for(nodes: usize) -> TrainOptions {
     }
 }
 
-/// The 12 golden paper configs: the registry matrix plus ZeRO-Infinity
-/// (which needs a per-cluster NVMe volume). Mirrors
-/// `tests/plan_equivalence.rs` and the `planlint golden` set.
+/// The 12 golden paper configs: the shared golden matrix plus
+/// ZeRO-Infinity (which needs a per-cluster NVMe volume), in the order of
+/// `zerosim_bench::data::golden_specs` and the `planlint golden` set.
 fn golden_case(idx: usize) -> (Cluster, Strategy, TrainOptions) {
-    let configs: [(Strategy, usize); 11] = [
-        (Strategy::Ddp, 1),
-        (Strategy::Ddp, 2),
-        (Strategy::Megatron { tp: 4, pp: 1 }, 1),
-        (Strategy::Megatron { tp: 8, pp: 1 }, 2),
-        (Strategy::Megatron { tp: 4, pp: 2 }, 2),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::One,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Two,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            2,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            1,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Three,
-                offload_params: true,
-            },
-            1,
-        ),
-    ];
-    if idx < configs.len() {
-        let (strategy, nodes) = configs[idx].clone();
-        (default_cluster(), strategy, opts_for(nodes))
+    let matrix = zerosim_bench::data::golden_matrix();
+    if let Some((strategy, nodes)) = matrix.get(idx) {
+        (default_cluster(), strategy.clone(), opts_for(*nodes))
     } else {
         let mut cluster = default_cluster();
         let d = |drive| NvmeId { node: 0, drive };

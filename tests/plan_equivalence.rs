@@ -8,6 +8,7 @@
 //! validator enforces, checked per strategy family by the testkit
 //! harness.
 
+use zerosim_bench::data;
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagEngine, SimTime};
@@ -18,55 +19,6 @@ use zerosim_strategies::{
 use zerosim_testkit::gen::{u64_range, usize_range};
 use zerosim_testkit::{prop, prop_assert};
 
-/// The paper's strategy matrix (plus NVMe variants needing volumes).
-fn paper_configs() -> Vec<(Strategy, usize)> {
-    vec![
-        (Strategy::Ddp, 1),
-        (Strategy::Ddp, 2),
-        (Strategy::Megatron { tp: 4, pp: 1 }, 1),
-        (Strategy::Megatron { tp: 8, pp: 1 }, 2),
-        (Strategy::Megatron { tp: 4, pp: 2 }, 2),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::One,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Two,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            1,
-        ),
-        (
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-            2,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            1,
-        ),
-        (
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Three,
-                offload_params: true,
-            },
-            1,
-        ),
-    ]
-}
-
 fn infinity_cluster() -> (Cluster, Strategy) {
     let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
     let d = |drive| NvmeId { node: 0, drive };
@@ -76,14 +28,6 @@ fn infinity_cluster() -> (Cluster, Strategy) {
         placement: InfinityPlacement::new(vec![vol]),
     };
     (cluster, strategy)
-}
-
-fn opts_for(nodes: usize) -> TrainOptions {
-    if nodes == 1 {
-        TrainOptions::single_node()
-    } else {
-        TrainOptions::dual_node()
-    }
 }
 
 /// Makespan + total wire bytes + task count of one stamped execution.
@@ -130,15 +74,15 @@ fn assert_equivalent(cluster: &Cluster, strategy: &Strategy, opts: &TrainOptions
 #[test]
 fn restamped_plans_match_fresh_builds_for_every_paper_config() {
     let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-    for (strategy, nodes) in paper_configs() {
-        assert_equivalent(&cluster, &strategy, &opts_for(nodes));
+    for (strategy, nodes) in data::golden_matrix() {
+        assert_equivalent(&cluster, &strategy, &data::opts(nodes));
     }
 }
 
 #[test]
 fn restamped_plan_matches_fresh_build_for_zero_infinity() {
     let (cluster, strategy) = infinity_cluster();
-    assert_equivalent(&cluster, &strategy, &opts_for(1));
+    assert_equivalent(&cluster, &strategy, &data::opts(1));
 }
 
 #[test]
@@ -198,7 +142,8 @@ fn registry_covers_the_paper_matrix_and_all_plans_validate() {
 /// captured from the pre-`WorkloadKind` (v0.9.0, `PlanKind`-era) code.
 /// The generalization of the plan IR to serving workloads must be
 /// observationally invisible to training: every one of these 48 numbers
-/// has to keep reproducing byte-identically.
+/// has to keep reproducing byte-identically. Since every run goes through
+/// the resilient training loop, these also pin that loop's healthy case.
 const GOLDEN_DIGESTS: [(u64, &str, u64); 48] = [
     (0, "golden-00 PyTorch DDP 1n", 0x1dc0034c5881c635),
     (0, "golden-01 PyTorch DDP 2n", 0x4467c7b443b880b3),
@@ -274,7 +219,7 @@ const GOLDEN_DIGESTS: [(u64, &str, u64); 48] = [
 fn golden_dozen_digests_survive_the_workload_ir_refactor() {
     let mut it = GOLDEN_DIGESTS.iter();
     for seed in [0u64, 1, 7, 42] {
-        for mut spec in zerosim_bench::data::golden_specs() {
+        for mut spec in data::golden_specs() {
             spec.opts.jitter_seed = seed;
             let run = spec.execute().expect("golden spec runs");
             let &(want_seed, want_label, want_digest) = it
@@ -288,6 +233,14 @@ fn golden_dozen_digests_survive_the_workload_ir_refactor() {
                 "digest drifted for {} at seed {seed}",
                 run.label
             );
+            // A healthy run is the zero-fault case of the resilient loop.
+            let m = &run.report.resilience;
+            assert_eq!(m.faults_applied, 0, "{}", run.label);
+            assert_eq!(m.replayed_iterations, 0, "{}", run.label);
+            assert_eq!(m.recoveries, 0, "{}", run.label);
+            // Equal up to the nanosecond truncation of the mean iteration time.
+            let rel = (m.goodput_flops - run.report.throughput_flops()).abs() / m.goodput_flops;
+            assert!(rel < 1e-6, "{}: goodput deviates by {rel}", run.label);
         }
     }
 }
