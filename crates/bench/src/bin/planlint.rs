@@ -39,15 +39,15 @@
 //! `schema_version` field and the per-config reports under `configs`.
 
 use zerosim_analyzer::{analyze_strategy, AnalysisReport, Artifacts, LintConfig, PassManager};
-use zerosim_bench::cli::{parse_or_exit, parse_topology, take_flag, take_value, usage_error};
+use zerosim_bench::cli::{parse_nodes, parse_topology, take_flag, take_value, usage_error};
 use zerosim_bench::data::golden_matrix;
 use zerosim_collectives::{CollectiveKind, CommGroup};
-use zerosim_core::{RunConfig, TrainingSim};
-use zerosim_hw::{Cluster, ClusterSpec, GpuId, NvmeId, TopologySpec};
+use zerosim_core::{RunConfig, SweepSpec};
+use zerosim_hw::{Cluster, ClusterSpec, GpuId, NvmeId, TopologySpec, VolumeId};
 use zerosim_model::GptConfig;
 use zerosim_strategies::{
-    Calibration, Codec, Dtype, InfinityPlacement, PhaseStage, PlanOp, Strategy, StrategyRegistry,
-    TrainOptions, WorkloadPlan,
+    Codec, Dtype, InfinityPlacement, PhaseStage, PlanOp, Strategy, StrategyRegistry, TrainOptions,
+    WorkloadPlan,
 };
 use zerosim_testkit::json::Json;
 
@@ -58,72 +58,53 @@ const SCHEMA_VERSION: f64 = 2.0;
 /// Jitter seeds the `--bench` mode simulates each config under.
 const BENCH_SEEDS: [u64; 4] = [0, 1, 7, 42];
 
-/// One lintable configuration: a strategy on a concrete cluster shape.
-struct Case {
-    label: String,
-    cluster: Cluster,
-    strategy: Strategy,
-    opts: TrainOptions,
+/// A lintable configuration: the paper's 1.4 B model under `strategy`
+/// on every node of `cluster`.
+fn case(strategy: Strategy, cluster: ClusterSpec) -> SweepSpec {
+    let nodes = cluster.nodes;
+    SweepSpec::new(
+        format!("{} @ {nodes} node(s)", strategy.name()),
+        strategy,
+        GptConfig::paper_model_with_params(1.4),
+        TrainOptions::for_nodes(nodes),
+    )
+    .with_cluster(cluster)
+    .with_run(RunConfig::quick())
 }
 
-fn cluster_with_nodes(nodes: usize) -> Cluster {
-    Cluster::new(ClusterSpec::default().with_nodes(nodes)).expect("paper cluster spec is valid")
-}
-
-fn opts_for(nodes: usize) -> TrainOptions {
-    TrainOptions::for_nodes(nodes)
-}
-
-/// Attaches the paper's two-drive NVMe volume (node 0, drives 0 and 1)
-/// and returns the ZeRO-Infinity strategy striped over it.
-fn infinity_on(cluster: &mut Cluster, offload_params: bool) -> Strategy {
-    let vol = cluster
-        .try_create_volume(vec![
-            NvmeId { node: 0, drive: 0 },
-            NvmeId { node: 0, drive: 1 },
-        ])
-        .expect("default spec has two NVMe drives on node 0");
-    Strategy::ZeroInfinity {
+/// A [`case`] for ZeRO-Infinity striped over the paper's two-drive volume
+/// on node 0.
+fn infinity_case(offload_params: bool, cluster: ClusterSpec) -> SweepSpec {
+    let strategy = Strategy::ZeroInfinity {
         offload_params,
-        placement: InfinityPlacement::new(vec![vol]),
-    }
+        placement: InfinityPlacement::new(vec![VolumeId(0)]),
+    };
+    let d = |drive| NvmeId { node: 0, drive };
+    case(strategy, cluster).with_volume(vec![d(0), d(1)])
+}
+
+fn paper_cluster(nodes: usize) -> ClusterSpec {
+    ClusterSpec::default().with_nodes(nodes)
 }
 
 /// The paper's golden strategy matrix: every `(strategy, nodes)` pair the
 /// reproduction harness characterizes, plus the ZeRO-Infinity NVMe config.
-fn golden_cases() -> Vec<Case> {
-    let mut cases: Vec<Case> = golden_matrix()
+fn golden_cases() -> Vec<SweepSpec> {
+    let mut cases: Vec<SweepSpec> = golden_matrix()
         .into_iter()
-        .map(|(strategy, nodes)| Case {
-            label: format!("{} @ {nodes} node(s)", strategy.name()),
-            cluster: cluster_with_nodes(nodes),
-            strategy,
-            opts: opts_for(nodes),
-        })
+        .map(|(strategy, nodes)| case(strategy, paper_cluster(nodes)))
         .collect();
-    let mut cluster = cluster_with_nodes(1);
-    let strategy = infinity_on(&mut cluster, true);
-    cases.push(Case {
-        label: format!("{} @ 1 node(s)", strategy.name()),
-        cluster,
-        strategy,
-        opts: opts_for(1),
-    });
+    cases.push(infinity_case(true, paper_cluster(1)));
     cases
 }
 
 /// The three ZeRO++ strategies on the paper's dual-node testbed — the
 /// configurations whose codec-aware accounting this linter exists to
 /// check.
-fn zeropp_cases() -> Vec<Case> {
+fn zeropp_cases() -> Vec<SweepSpec> {
     [Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]
         .into_iter()
-        .map(|strategy| Case {
-            label: format!("{} @ 2 node(s)", strategy.name()),
-            cluster: cluster_with_nodes(2),
-            strategy,
-            opts: opts_for(2),
-        })
+        .map(|strategy| case(strategy, paper_cluster(2)))
         .collect()
 }
 
@@ -150,45 +131,34 @@ fn lintable_names() -> Vec<String> {
     names
 }
 
-/// A named strategy on a `--nodes N` cluster or a `--topology` generated
-/// cluster. NVMe strategies get the paper's two-drive volume registered
-/// on the cluster first.
-fn named_case(name: &str, nodes: usize, topology: Option<&TopologySpec>) -> Option<Case> {
-    let (mut cluster, nodes) = match topology {
-        Some(t) => {
-            let spec = t.build().expect("parsed topology builds");
-            (
-                Cluster::new(spec).expect("generated topology lowers to a cluster"),
-                t.nodes(),
-            )
-        }
-        None => (cluster_with_nodes(nodes), nodes),
+/// A named strategy on a `--nodes N` paper cluster or a `--topology`
+/// generated cluster, spanning all its nodes.
+fn named_case(name: &str, nodes: usize, topology: Option<&TopologySpec>) -> Option<SweepSpec> {
+    let cluster = match topology {
+        Some(t) => t.build().expect("parsed topology builds"),
+        None => paper_cluster(nodes),
     };
     // Every golden strategy plus the ZeRO++ family.
     let mut candidates = golden_matrix()
         .into_iter()
         .map(|(strategy, _)| strategy)
         .chain([Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]);
-    let strategy = match name {
-        "ZeRO-Infinity (NVME opt)" => infinity_on(&mut cluster, false),
-        "ZeRO-Infinity (NVME opt+param)" => infinity_on(&mut cluster, true),
-        _ => candidates.find(|s| s.name() == name)?,
-    };
-    Some(Case {
-        label: format!("{name} @ {nodes} node(s)"),
-        cluster,
-        strategy,
-        opts: opts_for(nodes),
+    Some(match name {
+        "ZeRO-Infinity (NVME opt)" => infinity_case(false, cluster),
+        "ZeRO-Infinity (NVME opt+param)" => infinity_case(true, cluster),
+        _ => case(candidates.find(|s| s.name() == name)?, cluster),
     })
 }
 
-fn lint(case: &Case, config: LintConfig) -> Result<AnalysisReport, String> {
+/// Lints `spec`'s strategy on the cluster [`SweepSpec::build_sim`] makes.
+fn lint(spec: &SweepSpec, config: LintConfig) -> Result<AnalysisReport, String> {
+    let sim = spec.build_sim().map_err(|e| e.to_string())?;
     analyze_strategy(
-        &case.cluster,
-        &case.strategy,
-        &GptConfig::paper_model_with_params(1.4),
-        &case.opts,
-        &Calibration::default(),
+        sim.cluster(),
+        &spec.strategy,
+        &spec.model,
+        &spec.opts,
+        sim.calibration(),
         config,
     )
     .map_err(|e| e.to_string())
@@ -248,7 +218,7 @@ fn seeded_codec_violation() -> WorkloadPlan {
 
 /// `zl008-selfcheck`: exits 2 when ZL008 catches the seeded violation.
 fn zl008_selfcheck() -> ! {
-    let cluster = cluster_with_nodes(1);
+    let cluster = Cluster::new(paper_cluster(1)).expect("paper cluster spec is valid");
     let plan = seeded_codec_violation();
     let pm = PassManager::with_default_passes(LintConfig::new());
     let report = pm.run(&Artifacts::new(&cluster).with_plan(&plan));
@@ -286,33 +256,11 @@ fn bench_bounds(path: &str) -> ! {
         let mut sims: Vec<f64> = Vec::new();
         let mut holds = true;
         for seed in BENCH_SEEDS {
-            let mut sim = match TrainingSim::new(case.cluster.spec().clone()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{}: cannot build sim: {e}", case.label);
-                    std::process::exit(1);
-                }
-            };
-            let strategy = match &case.strategy {
-                // The NVMe volume lives on the case's cluster; recreate
-                // it on the sim's own cluster (same drives, same id).
-                Strategy::ZeroInfinity { offload_params, .. } => {
-                    let vol = sim.cluster_mut().create_volume(vec![
-                        NvmeId { node: 0, drive: 0 },
-                        NvmeId { node: 0, drive: 1 },
-                    ]);
-                    Strategy::ZeroInfinity {
-                        offload_params: *offload_params,
-                        placement: InfinityPlacement::new(vec![vol]),
-                    }
-                }
-                s => s.clone(),
-            };
-            let opts = case.opts.with_jitter_seed(seed);
-            let model = GptConfig::paper_model_with_params(1.4);
-            match sim.run(&strategy, &model, &opts, &RunConfig::quick()) {
-                Ok(r) => {
-                    let t = r.iter_time.as_secs();
+            let mut spec = case.clone();
+            spec.opts = spec.opts.with_jitter_seed(seed);
+            match spec.execute() {
+                Ok(run) => {
+                    let t = run.report.iter_time.as_secs();
                     holds &= bound.protocol_s <= t * (1.0 + 1e-9);
                     sims.push(t);
                 }
@@ -397,10 +345,7 @@ fn main() {
             usage_error(&format!("--level {directive}: {e}"));
         }
     }
-    let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
-    if nodes == 0 {
-        usage_error("--nodes: expected a positive integer, got 0");
-    }
+    let nodes = parse_nodes(take_value(&mut args, "--nodes"), "--nodes");
     let topology = take_value(&mut args, "--topology").map(|raw| parse_topology(Some(raw)));
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage();
@@ -412,7 +357,7 @@ fn main() {
         return;
     }
 
-    let cases: Vec<Case> = if args.iter().any(|a| a == "golden") {
+    let cases: Vec<SweepSpec> = if args.iter().any(|a| a == "golden") {
         if topology.is_some() {
             usage_error("--topology applies to named strategies; `golden` pins the paper shapes");
         }

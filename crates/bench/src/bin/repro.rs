@@ -1,10 +1,10 @@
 //! Regenerates the paper's tables and figures on the simulated cluster.
 //!
 //! Usage: `repro [--out DIR] [--workers N] <artifact>...` where artifact
-//! ∈ {fig1..fig13, table1..table6, ext1..ext13, all}. With `--out`, each
-//! artifact is also written to `DIR/<id>.txt`. `--workers N` fans the
-//! experiment sweeps across N threads — output is byte-identical at any
-//! width.
+//! ∈ {fig1..fig13, table1..table6, ext1..ext15, scorecard, all}. With
+//! `--out`, each artifact is also written to `DIR/<id>.txt`. `--workers N`
+//! fans every artifact's simulation runs across N threads — output is
+//! byte-identical at any width.
 
 use std::time::Instant;
 

@@ -6,9 +6,12 @@
 //! Strategies: ddp, megatron, zero1, zero2, zero3, zero1-cpu, zero2-cpu,
 //! zero3-cpu, infinity.
 
-use zerosim_bench::cli::{parse_or_exit, strategy_by_name, take_flag, take_value, usage_error};
-use zerosim_core::{RunConfig, TrainingSim};
-use zerosim_hw::{ClusterSpec, LinkClass};
+use zerosim_bench::cli::{
+    parse_billions, parse_nodes, parse_or_exit, strategy_by_name, take_flag, take_value,
+    usage_error,
+};
+use zerosim_core::RunConfig;
+use zerosim_hw::LinkClass;
 use zerosim_model::GptConfig;
 use zerosim_report::Table;
 use zerosim_strategies::TrainOptions;
@@ -22,16 +25,29 @@ fn main() {
     let sizes: Vec<f64> = match take_value(&mut args, "--sizes") {
         Some(raw) => raw
             .split(',')
-            .map(|s| s.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| usage_error(&format!("--sizes: {e}\n{USAGE}"))),
+            .map(|s| parse_billions(s.trim(), "--sizes"))
+            .collect(),
         None => vec![0.7, 1.4, 2.9, 5.5],
     };
-    let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
+    let nodes = parse_nodes(take_value(&mut args, "--nodes"), "--nodes");
     let batch: usize = parse_or_exit(take_value(&mut args, "--batch"), "--batch", 16);
     if let Some(other) = args.first() {
         usage_error(&format!("error: unknown argument {other:?}\n{USAGE}"));
     }
+    let opts = TrainOptions {
+        per_gpu_batch: batch,
+        nodes,
+        ..TrainOptions::default()
+    };
+    let spec = |billions| {
+        strategy_by_name(
+            &strategy_name,
+            GptConfig::paper_model_with_params(billions),
+            opts,
+        )
+        .map(|s| s.with_run(RunConfig::default()))
+        .unwrap_or_else(|e| usage_error(&format!("error: {e}")))
+    };
 
     let mut t = Table::new(vec![
         "size B",
@@ -43,17 +59,9 @@ fn main() {
         "RoCE GBps",
     ]);
     for &billions in &sizes {
-        let mut sim = TrainingSim::new(ClusterSpec::default()).expect("default spec");
-        let strategy = strategy_by_name(&strategy_name, nodes, &mut sim)
-            .unwrap_or_else(|e| usage_error(&format!("error: {e}")));
-        let opts = TrainOptions {
-            per_gpu_batch: batch,
-            nodes,
-            ..TrainOptions::default()
-        };
-        let model = GptConfig::paper_model_with_params(billions);
-        match sim.run(&strategy, &model, &opts, &RunConfig::default()) {
-            Ok(report) => {
+        match spec(billions).execute() {
+            Ok(run) => {
+                let report = run.report;
                 t.row(vec![
                     format!("{billions}"),
                     "yes".into(),

@@ -5,39 +5,48 @@
 //! Usage: `trace <strategy> <billions> <nodes> [output.json]`
 //! where strategy ∈ {ddp, megatron, zero1, zero2, zero3, zero1-cpu,
 //! zero2-cpu, zero3-cpu, infinity}.
+//!
+//! Exit status: 0 on success, 1 when the configuration cannot run or the
+//! trace cannot be written, 2 on usage errors.
 
-use zerosim_bench::cli::{strategy_by_name, usage_error, STRATEGY_NAMES};
-use zerosim_core::{to_chrome_trace, RunConfig, TrainingSim};
-use zerosim_hw::ClusterSpec;
+use zerosim_bench::cli::{
+    parse_billions, parse_nodes, strategy_by_name, usage_error, STRATEGY_NAMES,
+};
+use zerosim_core::{to_chrome_trace, RunConfig};
 use zerosim_model::GptConfig;
 use zerosim_strategies::TrainOptions;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
+}
+
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.len() < 3 {
-        eprintln!("usage: trace <strategy> <billions> <nodes> [output.json]");
-        eprintln!("strategies: {}", STRATEGY_NAMES.join(" "));
-        std::process::exit(2);
+        usage_error(&format!(
+            "usage: trace <strategy> <billions> <nodes> [output.json]\nstrategies: {}",
+            STRATEGY_NAMES.join(" ")
+        ));
     }
-    let billions: f64 = args[1].parse()?;
-    let nodes: usize = args[2].parse()?;
+    let billions = parse_billions(&args[1], "<billions>");
+    let nodes = parse_nodes(Some(args[2].clone()), "<nodes>");
     let out = args.get(3).cloned().unwrap_or_else(|| "trace.json".into());
 
-    let mut sim = TrainingSim::new(ClusterSpec::default())?;
-    let strategy = strategy_by_name(&args[0], nodes, &mut sim).unwrap_or_else(|e| usage_error(&e));
-
-    let opts = if nodes == 1 {
-        TrainOptions::single_node()
-    } else {
-        TrainOptions::dual_node()
-    };
     let model = GptConfig::paper_model_with_params(billions);
-    let cfg = RunConfig {
-        allow_overflow: true,
-        ..RunConfig::quick()
-    };
-    let report = sim.run(&strategy, &model, &opts, &cfg)?;
-    std::fs::write(&out, to_chrome_trace(&report.spans))?;
+    let spec = strategy_by_name(&args[0], model, TrainOptions::for_nodes(nodes))
+        .unwrap_or_else(|e| usage_error(&e))
+        .with_run(RunConfig {
+            allow_overflow: true,
+            ..RunConfig::quick()
+        });
+    let report = spec
+        .execute()
+        .unwrap_or_else(|e| fail(&e.to_string()))
+        .report;
+    if let Err(e) = std::fs::write(&out, to_chrome_trace(&report.spans)) {
+        fail(&format!("cannot write {out}: {e}"));
+    }
     eprintln!(
         "{}: {:.3}s iteration, {:.0} TFLOP/s — {} spans written to {out}",
         report.strategy,
@@ -45,5 +54,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.throughput_tflops(),
         report.spans.spans().len(),
     );
-    Ok(())
 }

@@ -1,10 +1,12 @@
 //! Argument handling shared by the command-line binaries. Every usage
 //! error prints one line to stderr and exits with status 2.
 
-use zerosim_core::TrainingSim;
-use zerosim_hw::{NvmeId, TopologySpec};
+use zerosim_core::SweepSpec;
+use zerosim_hw::TopologySpec;
 use zerosim_model::GptConfig;
-use zerosim_strategies::{InfinityPlacement, Strategy, ZeroStage};
+use zerosim_strategies::{Strategy, TrainOptions, ZeroStage};
+
+use crate::data::{cpu_offload, paper_infinity};
 
 /// Prints `message` to stderr and exits with the usage-error status 2.
 pub fn usage_error(message: &str) -> ! {
@@ -49,23 +51,43 @@ where
     }
 }
 
+/// Parses a paper-shaped model size in billions of parameters for `what`
+/// (a flag or positional argument). Exits unless it is a finite number
+/// no smaller than the shape's embedding-only size.
+pub fn parse_billions(raw: &str, what: &str) -> f64 {
+    let floor = GptConfig::paper_model(0).num_params();
+    match raw.parse::<f64>() {
+        Ok(b) if b.is_finite() && b * 1e9 >= floor => b,
+        _ => usage_error(&format!(
+            "{what}: expected a model size of at least {:.2} billion parameters, got {raw:?}",
+            floor / 1e9
+        )),
+    }
+}
+
+/// Parses a node count for `flag`, 1 when absent. Exits unless it is a
+/// positive integer; a count above the cluster's is the library's typed
+/// error.
+pub fn parse_nodes(raw: Option<String>, flag: &str) -> usize {
+    let nodes = parse_or_exit(raw, flag, 1);
+    if nodes == 0 {
+        usage_error(&format!("{flag}: expected a positive integer, got 0"));
+    }
+    nodes
+}
+
 /// Parses `--model B` (paper-shaped, depth-scaled) or `--model wide:B`
-/// (fixed-depth wide shape). Exits unless `B` is a positive number.
+/// (fixed-depth wide shape). Exits unless `B` is a size that shape can
+/// take.
 pub fn parse_model(raw: &str) -> GptConfig {
-    let (wide, digits) = match raw.strip_prefix("wide:") {
-        Some(rest) => (true, rest),
-        None => (false, raw),
+    let Some(digits) = raw.strip_prefix("wide:") else {
+        return GptConfig::paper_model_with_params(parse_billions(raw, "--model"));
     };
-    let billions: f64 = match digits.parse() {
-        Ok(b) if b > 0.0 => b,
+    match digits.parse::<f64>() {
+        Ok(b) if b.is_finite() && b > 0.0 => GptConfig::wide_model_with_params(b),
         _ => usage_error(&format!(
             "--model: expected a positive size in billions, got {raw:?}"
         )),
-    };
-    if wide {
-        GptConfig::wide_model_with_params(billions)
-    } else {
-        GptConfig::paper_model_with_params(billions)
     }
 }
 
@@ -92,55 +114,42 @@ pub const STRATEGY_NAMES: [&str; 9] = [
     "infinity",
 ];
 
-/// Builds the strategy `name` for `nodes` nodes: Megatron uses TP = 4 per
-/// node, the CPU-offload variants keep parameters on the GPU, and
-/// `infinity` creates a two-drive volume on node 0 of `sim`'s cluster.
+/// A spec, labelled `name`, training strategy `name` at `model` under
+/// `opts` on the paper cluster: Megatron uses TP = 4 per node, the
+/// CPU-offload variants keep parameters on the GPU, and `infinity`
+/// stripes the optimizer over the two-drive volume on node 0
+/// ([`crate::data::paper_infinity`]).
 ///
 /// # Errors
 /// Names outside [`STRATEGY_NAMES`].
 pub fn strategy_by_name(
     name: &str,
-    nodes: usize,
-    sim: &mut TrainingSim,
-) -> Result<Strategy, String> {
-    let offload = |stage| Strategy::ZeroOffload {
-        stage,
-        offload_params: false,
-    };
-    Ok(match name {
+    model: GptConfig,
+    opts: TrainOptions,
+) -> Result<SweepSpec, String> {
+    let zero = |stage| Strategy::Zero { stage };
+    let strategy = match name {
         "ddp" => Strategy::Ddp,
         "megatron" => Strategy::Megatron {
-            tp: 4 * nodes,
+            tp: 4 * opts.nodes,
             pp: 1,
         },
-        "zero1" => Strategy::Zero {
-            stage: ZeroStage::One,
-        },
-        "zero2" => Strategy::Zero {
-            stage: ZeroStage::Two,
-        },
-        "zero3" => Strategy::Zero {
-            stage: ZeroStage::Three,
-        },
-        "zero1-cpu" => offload(ZeroStage::One),
-        "zero2-cpu" => offload(ZeroStage::Two),
-        "zero3-cpu" => offload(ZeroStage::Three),
-        "infinity" => {
-            let d = |drive| NvmeId { node: 0, drive };
-            let vol = sim.cluster_mut().create_volume(vec![d(0), d(1)]);
-            Strategy::ZeroInfinity {
-                offload_params: false,
-                placement: InfinityPlacement::new(vec![vol]),
-            }
-        }
+        "zero1" => zero(ZeroStage::One),
+        "zero2" => zero(ZeroStage::Two),
+        "zero3" => zero(ZeroStage::Three),
+        "zero1-cpu" => cpu_offload(ZeroStage::One),
+        "zero2-cpu" => cpu_offload(ZeroStage::Two),
+        "zero3-cpu" => cpu_offload(ZeroStage::Three),
+        "infinity" => return Ok(paper_infinity(name, false, model, opts)),
         other => return Err(format!("unknown strategy {other:?}")),
-    })
+    };
+    Ok(SweepSpec::new(name, strategy, model, opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerosim_hw::ClusterSpec;
+    use zerosim_core::{CoreError, RunConfig};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_string()).collect()
@@ -169,14 +178,33 @@ mod tests {
             GptConfig::wide_model_with_params(14.0).num_params()
         );
         assert_eq!(parse_topology(None), TopologySpec::default());
+        assert_eq!(parse_billions("0.7", "--sizes"), 0.7);
+        assert_eq!(parse_nodes(None, "--nodes"), 1);
+        assert_eq!(parse_nodes(Some("3".into()), "--nodes"), 3);
     }
 
     #[test]
     fn every_listed_strategy_name_builds() {
-        let mut sim = TrainingSim::new(ClusterSpec::default()).unwrap();
+        let model = GptConfig::paper_model_with_params(1.4);
         for name in STRATEGY_NAMES {
-            assert!(strategy_by_name(name, 1, &mut sim).is_ok(), "{name}");
+            let spec = strategy_by_name(name, model, TrainOptions::for_nodes(2)).unwrap();
+            assert_eq!(spec.label, name);
         }
-        assert!(strategy_by_name("zero4", 1, &mut sim).is_err());
+        let megatron = strategy_by_name("megatron", model, TrainOptions::for_nodes(2)).unwrap();
+        assert!(matches!(
+            megatron.strategy,
+            Strategy::Megatron { tp: 8, pp: 1 }
+        ));
+        assert!(strategy_by_name("zero4", model, TrainOptions::single_node()).is_err());
+    }
+
+    #[test]
+    fn infinity_on_two_nodes_is_a_typed_error() {
+        let model = GptConfig::paper_model_with_params(1.4);
+        let spec = strategy_by_name("infinity", model, TrainOptions::for_nodes(2)).unwrap();
+        // Node 1's ranks would stripe onto node 0's drives.
+        let err = spec.with_run(RunConfig::quick()).execute().unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("is not on node 1"), "{err}");
     }
 }

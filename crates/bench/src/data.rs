@@ -2,10 +2,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use zerosim_core::{
-    max_model_size, CapacityResult, RunConfig, SweepRun, SweepRunner, SweepSpec, TrainingReport,
-    TrainingSim,
-};
+use zerosim_core::{max_model_size, CapacityResult, RunConfig, SweepRun, SweepRunner, SweepSpec};
 use zerosim_hw::{ClusterSpec, NvmeDrivePlacement, NvmeId, VolumeId};
 use zerosim_model::GptConfig;
 use zerosim_strategies::{InfinityPlacement, Strategy, TrainOptions, ZeroStage};
@@ -30,13 +27,6 @@ pub fn runner() -> SweepRunner {
     SweepRunner::new(sweep_workers())
 }
 
-/// A runner at an explicit width for serving specs (the `servesim`
-/// binary takes its own `--workers` flag, so this does not read the sweep
-/// global).
-pub fn serve_runner_with(workers: usize) -> SweepRunner {
-    SweepRunner::new(workers)
-}
-
 /// Fans `specs` over [`runner`], panicking on configuration errors (the
 /// experiment harness only sweeps configurations that are known to fit).
 pub fn sweep(specs: Vec<SweepSpec>) -> Vec<SweepRun> {
@@ -45,9 +35,8 @@ pub fn sweep(specs: Vec<SweepSpec>) -> Vec<SweepRun> {
         .expect("experiment sweep configurations run")
 }
 
-/// A sweep spec mirroring [`run`]: default cluster, `strategy` at
-/// `model` on `nodes` nodes (quick single-iteration measurement unless
-/// `thorough`).
+/// A sweep spec over the default paper cluster: `strategy` at `model` on
+/// `nodes` nodes (quick single-iteration measurement unless `thorough`).
 pub fn spec(
     label: impl Into<String>,
     strategy: Strategy,
@@ -60,20 +49,31 @@ pub fn spec(
     } else {
         RunConfig::quick()
     };
-    SweepSpec::new(label, strategy, model, opts(nodes)).with_run(cfg)
+    SweepSpec::new(label, strategy, model, TrainOptions::for_nodes(nodes)).with_run(cfg)
 }
 
-/// A fresh simulator over the paper's two-node cluster.
-pub fn sim() -> TrainingSim {
-    TrainingSim::new(ClusterSpec::default()).expect("default spec valid")
+/// ZeRO-Infinity striped over the paper's scratch volume (drives 0 and 1
+/// of node 0, the spec's first volume) on the default paper cluster.
+pub fn paper_infinity(
+    label: impl Into<String>,
+    offload_params: bool,
+    model: GptConfig,
+    opts: TrainOptions,
+) -> SweepSpec {
+    let strategy = Strategy::ZeroInfinity {
+        offload_params,
+        placement: InfinityPlacement::new(vec![VolumeId(0)]),
+    };
+    let d = |drive| NvmeId { node: 0, drive };
+    SweepSpec::new(label, strategy, model, opts).with_volume(vec![d(0), d(1)])
 }
 
-/// Options for `nodes` nodes with the paper's batch size.
-pub fn opts(nodes: usize) -> TrainOptions {
-    if nodes == 1 {
-        TrainOptions::single_node()
-    } else {
-        TrainOptions::dual_node()
+/// ZeRO-`stage` with the optimizer offloaded to CPU memory and the
+/// parameters kept on the GPU.
+pub fn cpu_offload(stage: ZeroStage) -> Strategy {
+    Strategy::ZeroOffload {
+        stage,
+        offload_params: false,
     }
 }
 
@@ -104,35 +104,32 @@ pub fn baselines(nodes: usize) -> Vec<(&'static str, Strategy)> {
     ]
 }
 
-/// Capacity search for `strategy` on a fresh cluster.
+/// The achieved-model-size search for `spec`'s strategy and options on
+/// the cluster and volumes [`SweepSpec::build_sim`] makes of it (`spec`'s
+/// model is ignored).
+pub fn capacity_of(spec: &SweepSpec) -> CapacityResult {
+    let sim = spec.build_sim().expect("experiment clusters build");
+    max_model_size(sim.cluster(), &spec.strategy, &spec.opts, sim.calibration())
+        .expect("every experiment strategy fits at least one layer")
+}
+
+/// Capacity search for `strategy` on `nodes` nodes of the paper cluster.
 pub fn capacity(strategy: &Strategy, nodes: usize) -> CapacityResult {
-    let s = sim();
-    max_model_size(s.cluster(), strategy, &opts(nodes), s.calibration())
-        .expect("all paper strategies fit at least one layer")
+    capacity_of(&spec(
+        "capacity",
+        strategy.clone(),
+        GptConfig::paper_model(1),
+        nodes,
+        false,
+    ))
 }
 
-/// Runs `strategy` at `model` and returns the report (quick
-/// single-iteration measurement unless `thorough`).
-pub fn run(strategy: &Strategy, model: &GptConfig, nodes: usize, thorough: bool) -> TrainingReport {
-    let mut s = sim();
-    let cfg = if thorough {
-        RunConfig::default()
-    } else {
-        RunConfig::quick()
-    };
-    s.run(strategy, model, &opts(nodes), &cfg)
-        .expect("configuration fits")
-}
-
-/// Runs `strategy` at its own capacity limit.
-pub fn run_at_capacity(
-    strategy: &Strategy,
-    nodes: usize,
-    thorough: bool,
-) -> (CapacityResult, TrainingReport) {
-    let cap = capacity(strategy, nodes);
-    let model = GptConfig::paper_model(cap.num_layers);
-    (cap, run(strategy, &model, nodes, thorough))
+/// `spec` retargeted at the largest paper-shaped model its strategy fits
+/// ([`capacity_of`]), returned with that capacity.
+pub fn at_capacity(mut spec: SweepSpec) -> (CapacityResult, SweepSpec) {
+    let cap = capacity_of(&spec);
+    spec.model = GptConfig::paper_model(cap.num_layers);
+    (cap, spec)
 }
 
 /// The NVMe data-placement configurations of Fig. 14 / Table VI.
@@ -224,29 +221,21 @@ impl NvmeConfig {
         InfinityPlacement::new(rank_volumes)
     }
 
-    /// Builds the simulator, volumes, and rank placement for this
-    /// configuration (single-node training, ranks 0–3).
-    pub fn build(&self) -> (TrainingSim, InfinityPlacement) {
-        let mut s = TrainingSim::new(self.cluster()).expect("valid spec");
-        let cluster = s.cluster_mut();
-        for group in self.volume_groups() {
-            cluster.create_volume(group);
-        }
-        (s, self.placement())
-    }
-
-    /// The ZeRO-Infinity strategy (optimizer offload) for this config.
-    pub fn strategy(&self, placement: InfinityPlacement) -> Strategy {
-        Strategy::ZeroInfinity {
-            offload_params: false,
-            placement,
-        }
-    }
-
-    /// A single-node sweep spec running this configuration (ZeRO-Infinity
-    /// optimizer offload) at `model` under `run`.
-    pub fn spec(&self, label: impl Into<String>, model: GptConfig, run: RunConfig) -> SweepSpec {
-        let mut s = SweepSpec::new(label, self.strategy(self.placement()), model, opts(1))
+    /// A single-node ZeRO-Infinity sweep spec on this configuration's
+    /// cluster and volumes at `model` under `run`; `offload_params` moves
+    /// the parameters to NVMe as well as the optimizer state.
+    pub fn spec(
+        &self,
+        label: impl Into<String>,
+        offload_params: bool,
+        model: GptConfig,
+        run: RunConfig,
+    ) -> SweepSpec {
+        let strategy = Strategy::ZeroInfinity {
+            offload_params,
+            placement: self.placement(),
+        };
+        let mut s = SweepSpec::new(label, strategy, model, TrainOptions::single_node())
             .with_cluster(self.cluster())
             .with_run(run);
         for group in self.volume_groups() {
@@ -258,8 +247,8 @@ impl NvmeConfig {
 
 /// The paper's golden `(strategy, nodes)` matrix, in golden order: the
 /// 11 configurations that run on a plain paper cluster. The 12th golden
-/// configuration, ZeRO-Infinity, needs an NVMe volume on its cluster, so
-/// each user builds it next to its own cluster (see [`golden_specs`]).
+/// configuration, ZeRO-Infinity, needs an NVMe volume, which
+/// [`paper_infinity`] adds to its spec (see [`golden_specs`]).
 pub fn golden_matrix() -> Vec<(Strategy, usize)> {
     let zero = |stage| Strategy::Zero { stage };
     let offload = |stage, offload_params| Strategy::ZeroOffload {
@@ -300,24 +289,19 @@ pub fn golden_specs() -> Vec<SweepSpec> {
                 format!("golden-{i:02} {} {nodes}n", strategy.name()),
                 strategy,
                 model,
-                opts(nodes),
+                TrainOptions::for_nodes(nodes),
             )
             .with_run(run)
         })
         .collect();
     // Config 12: ZeRO-Infinity over a two-drive RAID0 scratch volume.
-    let d = |drive| NvmeId { node: 0, drive };
     specs.push(
-        SweepSpec::new(
+        paper_infinity(
             "golden-11 ZeRO-Infinity 1n",
-            Strategy::ZeroInfinity {
-                offload_params: true,
-                placement: InfinityPlacement::new(vec![VolumeId(0)]),
-            },
+            true,
             model,
-            opts(1),
+            TrainOptions::single_node(),
         )
-        .with_volume(vec![d(0), d(1)])
         .with_run(run),
     );
     specs
@@ -326,20 +310,8 @@ pub fn golden_specs() -> Vec<SweepSpec> {
 /// The offload configurations compared in Sec. V (Figs. 11/12).
 pub fn offload_strategies() -> Vec<(&'static str, Strategy)> {
     vec![
-        (
-            "ZeRO-2 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-        ),
-        (
-            "ZeRO-3 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Three,
-                offload_params: false,
-            },
-        ),
+        ("ZeRO-2 (CPU)", cpu_offload(ZeroStage::Two)),
+        ("ZeRO-3 (CPU)", cpu_offload(ZeroStage::Three)),
     ]
 }
 
@@ -361,9 +333,12 @@ mod tests {
         assert_eq!(NvmeConfig::A.layout().len(), 1);
         assert_eq!(NvmeConfig::B.layout().len(), 2);
         assert_eq!(NvmeConfig::E.layout().len(), 4);
+        let model = GptConfig::paper_model_with_params(1.4);
         for c in NvmeConfig::ALL {
-            let (_, placement) = c.build();
-            assert_eq!(placement.rank_volumes.len(), 4);
+            let spec = c.spec("placement", false, model, RunConfig::quick());
+            let sim = spec.build_sim().expect("every NVMe config builds");
+            assert_eq!(c.placement().rank_volumes.len(), 4);
+            assert_eq!(sim.cluster().volume_count(), c.volume_groups().len());
         }
     }
 

@@ -2,13 +2,13 @@
 //! questions its conclusions raise, answered on the same simulated
 //! testbed.
 
-use zerosim_core::{RunConfig, SweepSpec, TrainingSim};
-use zerosim_hw::{ClusterSpec, LinkClass, NvmeDrivePlacement, NvmeId};
+use zerosim_core::{RunConfig, SweepSpec};
+use zerosim_hw::{ClusterSpec, LinkClass, NvmeDrivePlacement, NvmeId, VolumeId};
 use zerosim_model::GptConfig;
 use zerosim_report::{gbps, Table};
 use zerosim_strategies::{InfinityPlacement, Strategy, TrainOptions, ZeroStage};
 
-use crate::data;
+use crate::data::{self, NvmeConfig};
 
 /// The overflow-tolerant quick config most extension sweeps use.
 fn overflow_quick() -> RunConfig {
@@ -69,39 +69,55 @@ pub fn ext1_megatron_layouts() -> String {
 pub fn ext2_eight_nvme() -> String {
     let model = GptConfig::paper_model_with_params(33.3);
     let mut t = Table::new(vec!["drives", "volumes", "TFLOP/s", "PCIe-NVME avg GBps"]);
-    for drives in [2usize, 4, 8] {
-        // Drives split evenly; one per-socket volume group per 2 drives,
-        // affinity-mapped (the paper's recommended layout).
-        let layout: Vec<NvmeDrivePlacement> = (0..drives)
-            .map(|i| NvmeDrivePlacement {
-                socket: if i < drives / 2 { 0 } else { 1 },
-            })
-            .collect();
-        let mut sim =
-            TrainingSim::new(ClusterSpec::default().with_nvme_layout(layout)).expect("valid spec");
-        let half = drives / 2;
-        let cluster = sim.cluster_mut();
-        let d = |i| NvmeId { node: 0, drive: i };
-        let v0 = cluster.create_volume((0..half).map(d).collect());
-        let v1 = cluster.create_volume((half..drives).map(d).collect());
-        let placement = InfinityPlacement::new(vec![v0, v0, v1, v1]);
-        let cfg = RunConfig {
-            allow_overflow: true,
-            warmup_iters: 1,
-            measure_iters: 1,
-            ..RunConfig::default()
-        };
-        let report = sim
-            .run(
-                &Strategy::ZeroInfinity {
-                    offload_params: false,
-                    placement,
-                },
-                &model,
-                &TrainOptions::single_node(),
-                &cfg,
+    let run = RunConfig {
+        allow_overflow: true,
+        warmup_iters: 1,
+        measure_iters: 1,
+        ..RunConfig::default()
+    };
+    let d = |i| NvmeId { node: 0, drive: i };
+    let drive_counts = [2usize, 4, 8];
+    let mut specs: Vec<SweepSpec> = drive_counts
+        .iter()
+        .map(|&drives| {
+            // Drives split evenly; one per-socket volume group per half,
+            // affinity-mapped (the paper's recommended layout).
+            let half = drives / 2;
+            let layout: Vec<NvmeDrivePlacement> = (0..drives)
+                .map(|i| NvmeDrivePlacement {
+                    socket: if i < half { 0 } else { 1 },
+                })
+                .collect();
+            let v = VolumeId;
+            let strategy = Strategy::ZeroInfinity {
+                offload_params: false,
+                placement: InfinityPlacement::new(vec![v(0), v(0), v(1), v(1)]),
+            };
+            SweepSpec::new(
+                format!("ext2 {drives} drives"),
+                strategy,
+                model,
+                TrainOptions::single_node(),
             )
-            .expect("infinity runs");
+            .with_cluster(ClusterSpec::default().with_nvme_layout(layout))
+            .with_volume((0..half).map(d).collect())
+            .with_volume((half..drives).map(d).collect())
+            .with_run(run)
+        })
+        .collect();
+    // Reference: CPU offload at the largest size the paper reaches with it.
+    specs.push(
+        data::spec(
+            "ext2 cpu offload",
+            data::cpu_offload(ZeroStage::Two),
+            GptConfig::paper_model_with_params(12.6),
+            1,
+            false,
+        )
+        .with_run(overflow_quick()),
+    );
+    let mut runs = data::sweep(specs).into_iter().map(|run| run.report);
+    for (drives, report) in drive_counts.into_iter().zip(runs.by_ref()) {
         t.row(vec![
             drives.to_string(),
             "2".into(),
@@ -109,23 +125,7 @@ pub fn ext2_eight_nvme() -> String {
             gbps(report.bandwidth.stats(0, LinkClass::PcieNvme).avg),
         ]);
     }
-    // Reference: CPU offload at the largest size the paper reaches with it.
-    let mut sim = data::sim();
-    let cfg = RunConfig {
-        allow_overflow: true,
-        ..RunConfig::quick()
-    };
-    let cpu = sim
-        .run(
-            &Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            &GptConfig::paper_model_with_params(12.6),
-            &TrainOptions::single_node(),
-            &cfg,
-        )
-        .expect("cpu offload runs");
+    let cpu = runs.next().expect("cpu offload reference");
     format!(
         "ext2 — NVMe slot population at 33.3 B (ZeRO-Infinity, optimizer offload):\n{}\n\
          CPU-offload reference (ZeRO-2 at its 12.6 B capacity): {:.1} TFLOP/s.\n\
@@ -164,23 +164,20 @@ pub fn ext3_iod_ablation() -> String {
 
     // And the training-level impact on the worst-affected configuration.
     let model = GptConfig::paper_model_with_params(11.2);
-    let run = |spec: ClusterSpec| {
-        let mut sim = TrainingSim::new(spec).unwrap();
-        let cfg = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::quick()
-        };
-        sim.run(
-            &Strategy::Megatron { tp: 8, pp: 1 },
-            &model,
-            &TrainOptions::dual_node(),
-            &cfg,
-        )
-        .unwrap()
-        .throughput_tflops()
-    };
-    let real = run(ClusterSpec::default());
-    let perfect = run(ideal);
+    let specs = [("as built", ClusterSpec::default()), ("ideal IOD", ideal)]
+        .into_iter()
+        .map(|(name, cluster)| {
+            let megatron = Strategy::Megatron { tp: 8, pp: 1 };
+            data::spec(format!("ext3 {name}"), megatron, model, 2, false)
+                .with_cluster(cluster)
+                .with_run(overflow_quick())
+        })
+        .collect();
+    let tput: Vec<f64> = data::sweep(specs)
+        .iter()
+        .map(|run| run.report.throughput_tflops())
+        .collect();
+    let (real, perfect) = (tput[0], tput[1]);
     format!(
         "ext3 — EPYC I/O-die SerDes contention ablation:\n{}\n\
          Dual-node Megatron (TP=8): {real:.0} TFLOP/s as built vs \
@@ -380,18 +377,17 @@ pub fn ext7_cost() -> String {
             2,
         ),
     ];
-    for (name, strategy, nodes, drives) in entries {
-        let mut sim = data::sim();
-        let cfg = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::quick()
-        };
-        let report = sim
-            .run(&strategy, &model, &data::opts(nodes), &cfg)
-            .expect("runs");
-        let c = cost.estimate(&report, 4, drives);
+    let specs = entries
+        .iter()
+        .map(|(name, strategy, nodes, _)| {
+            data::spec(*name, strategy.clone(), model, *nodes, false).with_run(overflow_quick())
+        })
+        .collect();
+    for ((name, _, _, drives), run) in entries.iter().zip(data::sweep(specs)) {
+        let report = run.report;
+        let c = cost.estimate(&report, 4, *drives);
         t.row(vec![
-            name.into(),
+            (*name).into(),
             format!("{:.0}", c.capital_usd / 1000.0),
             format!("{:.0}", report.throughput_tflops()),
             format!("{:.1}", c.tflops_per_kusd()),
@@ -410,7 +406,6 @@ pub fn ext7_cost() -> String {
 /// grow the cluster outward (more nodes, ZeRO-3) or grow one node inward
 /// (CPU/NVMe offload) for the same target model.
 pub fn ext8_horizontal_vs_vertical() -> String {
-    use zerosim_hw::ClusterSpec as Spec;
     let model = GptConfig::paper_model_with_params(11.2);
     let mut t = Table::new(vec![
         "approach",
@@ -421,87 +416,38 @@ pub fn ext8_horizontal_vs_vertical() -> String {
     ]);
 
     // Horizontal: ZeRO-3 over 2 and 4 nodes.
-    for nodes in [2usize, 4] {
-        let mut sim = TrainingSim::new(Spec::default().with_nodes(nodes)).expect("valid");
-        let opts = TrainOptions {
-            per_gpu_batch: 16,
-            nodes,
-            ..TrainOptions::default()
-        };
-        let cfg = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::quick()
-        };
-        let report = sim
-            .run(
-                &Strategy::Zero {
-                    stage: ZeroStage::Three,
-                },
-                &model,
-                &opts,
-                &cfg,
-            )
-            .expect("runs");
-        let gpus = nodes * 4;
+    let zero3 = Strategy::Zero {
+        stage: ZeroStage::Three,
+    };
+    let mut specs: Vec<SweepSpec> = [2usize, 4]
+        .into_iter()
+        .map(|nodes| {
+            data::spec("horizontal: ZeRO-3", zero3.clone(), model, nodes, false)
+                .with_cluster(ClusterSpec::default().with_nodes(nodes))
+                .with_run(overflow_quick())
+        })
+        .collect();
+    // Vertical: one node with CPU offload, then NVMe offload.
+    let cpu = data::cpu_offload(ZeroStage::Two);
+    specs.push(
+        data::spec("vertical: ZeRO-2 CPU offload", cpu, model, 1, false).with_run(overflow_quick()),
+    );
+    let nvme_run = RunConfig {
+        allow_overflow: true,
+        warmup_iters: 1,
+        measure_iters: 1,
+        ..RunConfig::default()
+    };
+    specs.push(NvmeConfig::B.spec("vertical: ZeRO-Infinity 2xNVMe", false, model, nvme_run));
+    for run in data::sweep(specs) {
+        let report = run.report;
+        let gpus = report.nodes * 4;
         t.row(vec![
-            "horizontal: ZeRO-3".into(),
-            nodes.to_string(),
+            run.label,
+            report.nodes.to_string(),
             format!("{:.0}", report.throughput_tflops()),
             gpus.to_string(),
             format!("{:.0}", report.throughput_tflops() / gpus as f64),
-        ]);
-    }
-
-    // Vertical: one node with CPU offload, then NVMe offload.
-    {
-        let (name, strategy) = (
-            "vertical: ZeRO-2 CPU offload",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-        );
-        let mut sim = data::sim();
-        let cfg = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::quick()
-        };
-        let report = sim
-            .run(&strategy, &model, &data::opts(1), &cfg)
-            .expect("runs");
-        t.row(vec![
-            name.into(),
-            "1".into(),
-            format!("{:.0}", report.throughput_tflops()),
-            "4".into(),
-            format!("{:.0}", report.throughput_tflops() / 4.0),
-        ]);
-    }
-    {
-        let (mut sim, placement) = crate::data::NvmeConfig::B.build();
-        let cfg = RunConfig {
-            allow_overflow: true,
-            warmup_iters: 1,
-            measure_iters: 1,
-            ..RunConfig::default()
-        };
-        let report = sim
-            .run(
-                &Strategy::ZeroInfinity {
-                    offload_params: false,
-                    placement,
-                },
-                &model,
-                &data::opts(1),
-                &cfg,
-            )
-            .expect("runs");
-        t.row(vec![
-            "vertical: ZeRO-Infinity 2xNVMe".into(),
-            "1".into(),
-            format!("{:.0}", report.throughput_tflops()),
-            "4".into(),
-            format!("{:.0}", report.throughput_tflops() / 4.0),
         ]);
     }
     format!(

@@ -19,7 +19,7 @@
 
 use zerosim_core::{
     fleet_search, young_daly_bracket, CheckpointSink, EnsembleConfig, FleetCostConfig,
-    FleetProfile, FleetReport, RecoveryPolicy, RunConfig, SweepSpec, TrainingSim, YoungDalyBracket,
+    FleetProfile, FleetReport, RecoveryPolicy, RunConfig, SweepSpec, YoungDalyBracket,
 };
 use zerosim_hw::{ClusterSpec, TopologySpec};
 use zerosim_model::GptConfig;
@@ -87,7 +87,6 @@ pub fn golden_bracket(
     workers: usize,
 ) -> YoungDalyBracket {
     let model = GptConfig::paper_model_with_params(GOLDEN_BILLIONS);
-    let cluster = ClusterSpec::default().with_nodes(nodes);
     let opts = TrainOptions::for_nodes(nodes);
     let run = RunConfig {
         warmup_iters: 0,
@@ -95,15 +94,15 @@ pub fn golden_bracket(
         ..RunConfig::default()
     };
     let base = SweepSpec::new(format!("fleet / {name}"), strategy.clone(), model, opts)
-        .with_cluster(cluster.clone())
+        .with_cluster(ClusterSpec::default().with_nodes(nodes))
         .with_run(run);
     let healthy = base.execute().expect("golden config runs healthy");
     let iter_s = healthy.report.iter_time.as_secs();
     let wall_s = iter_s * measure_iters as f64;
 
-    let mut sim = TrainingSim::new(cluster).expect("golden cluster builds");
-    let ckpt_cost_s = sim
-        .checkpoint_cost(&model, &opts, &CheckpointSink::Dram)
+    let ckpt_cost_s = base
+        .build_sim()
+        .and_then(|mut sim| sim.checkpoint_cost(&model, &opts, &CheckpointSink::Dram))
         .expect("checkpoint plan lowers");
 
     // Compress the fatal MTBF so τ_young = √(2·C·M) = K_TARGET

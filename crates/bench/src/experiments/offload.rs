@@ -1,6 +1,6 @@
 //! Offload experiments: Figs. 11–13 and Table VI (Fig. 14 configs).
 
-use zerosim_core::{max_model_size, RunConfig, TrainingReport};
+use zerosim_core::{CapacityResult, RunConfig, SweepSpec, TrainingReport};
 use zerosim_hw::LinkClass;
 use zerosim_model::GptConfig;
 use zerosim_report::{downsample, gb, gbps, sparkline, Table};
@@ -11,48 +11,35 @@ use crate::data::{self, NvmeConfig};
 /// The consolidation target: the largest model dual-node Megatron fits.
 pub const CONSOLIDATION_BILLIONS: f64 = 11.4;
 
-fn consolidation_rows() -> Vec<(String, TrainingReport)> {
+/// The consolidation runs at 11.4 B, labelled for Figs. 11/12: the
+/// dual-node Megatron reference first, then the CPU and NVMe offload
+/// configurations.
+pub(crate) fn consolidation_specs() -> Vec<SweepSpec> {
     let model = GptConfig::paper_model_with_params(CONSOLIDATION_BILLIONS);
     let cfg = RunConfig {
         allow_overflow: true,
         ..RunConfig::default()
     };
-    let mut rows = Vec::new();
-
-    // Reference: Megatron-LM on two nodes.
-    let mut sim = data::sim();
-    let report = sim
-        .run(
-            &Strategy::Megatron { tp: 8, pp: 1 },
-            &model,
-            &data::opts(2),
-            &cfg,
-        )
-        .expect("megatron dual");
-    rows.push(("Megatron-LM (2 nodes)".to_string(), report));
-
+    let megatron = Strategy::Megatron { tp: 8, pp: 1 };
+    let mut specs =
+        vec![data::spec("Megatron-LM (2 nodes)", megatron, model, 2, true).with_run(cfg)];
     for (name, strategy) in data::offload_strategies() {
-        let mut sim = data::sim();
-        let report = sim
-            .run(&strategy, &model, &data::opts(1), &cfg)
-            .expect("offload runs");
-        rows.push((name.to_string(), report));
+        specs.push(data::spec(name, strategy, model, 1, true).with_run(cfg));
     }
     for (nvme, label) in [(NvmeConfig::A, "1xNVME"), (NvmeConfig::B, "2xNVME")] {
-        for offload_params in [false, true] {
-            let (mut sim, placement) = nvme.build();
-            let strategy = Strategy::ZeroInfinity {
-                offload_params,
-                placement,
-            };
-            let report = sim
-                .run(&strategy, &model, &data::opts(1), &cfg)
-                .expect("infinity runs");
-            let what = if offload_params { "opt+param" } else { "opt" };
-            rows.push((format!("ZeRO-Infinity ({label} {what})"), report));
+        for (what, offload_params) in [("opt", false), ("opt+param", true)] {
+            let name = format!("ZeRO-Infinity ({label} {what})");
+            specs.push(nvme.spec(name, offload_params, model, cfg));
         }
     }
-    rows
+    specs
+}
+
+fn consolidation_rows() -> Vec<(String, TrainingReport)> {
+    data::sweep(consolidation_specs())
+        .into_iter()
+        .map(|run| (run.label, run.report))
+        .collect()
 }
 
 /// Fig. 11 — throughput and memory when consolidating dual-node training
@@ -120,62 +107,32 @@ pub fn fig13() -> String {
         "CPU GB",
         "NVME GB",
     ]);
-    let entries: Vec<(&str, Strategy, Option<NvmeConfig>, f64, f64)> = vec![
-        (
+    let any = GptConfig::paper_model(1);
+    let (caps, specs): (Vec<CapacityResult>, Vec<SweepSpec>) = [
+        data::spec(
             "ZeRO-1 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::One,
-                offload_params: false,
-            },
-            None,
-            8.9,
-            155.3,
+            data::cpu_offload(ZeroStage::One),
+            any,
+            1,
+            false,
         ),
-        (
+        data::spec(
             "ZeRO-2 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            None,
-            14.2,
-            180.2,
+            data::cpu_offload(ZeroStage::Two),
+            any,
+            1,
+            false,
         ),
-        (
-            "ZeRO-3 (2xNVME)",
-            Strategy::Ddp,
-            Some(NvmeConfig::B),
-            33.3,
-            37.2,
-        ),
-    ];
-    for (name, strategy, nvme, paper_b, paper_t) in entries {
-        let (cap, report) = match nvme {
-            None => {
-                let sim = data::sim();
-                let cap =
-                    max_model_size(sim.cluster(), &strategy, &data::opts(1), sim.calibration())
-                        .expect("fits");
-                let model = GptConfig::paper_model(cap.num_layers);
-                (cap, data::run(&strategy, &model, 1, false))
-            }
-            Some(c) => {
-                let (mut sim, placement) = c.build();
-                let s = Strategy::ZeroInfinity {
-                    offload_params: false,
-                    placement,
-                };
-                let cap = max_model_size(sim.cluster(), &s, &data::opts(1), sim.calibration())
-                    .expect("fits");
-                let model = GptConfig::paper_model(cap.num_layers);
-                let report = sim
-                    .run(&s, &model, &data::opts(1), &RunConfig::quick())
-                    .expect("runs");
-                (cap, report)
-            }
-        };
+        NvmeConfig::B.spec("ZeRO-3 (2xNVME)", false, any, RunConfig::quick()),
+    ]
+    .into_iter()
+    .map(data::at_capacity)
+    .unzip();
+    let paper = [(8.9, 155.3), (14.2, 180.2), (33.3, 37.2)];
+    for ((run, cap), (paper_b, paper_t)) in data::sweep(specs).into_iter().zip(caps).zip(paper) {
+        let report = run.report;
         t.row(vec![
-            name.into(),
+            run.label,
             format!("{:.1}", cap.billions()),
             format!("{paper_b:.1}"),
             format!("{:.1}", report.throughput_tflops()),
@@ -194,6 +151,22 @@ pub fn fig13() -> String {
 /// Paper Table VI reference throughputs for configs A–G.
 pub const PAPER_TABLE6: [f64; 7] = [19.6, 37.16, 35.43, 40.22, 51.22, 64.61, 65.16];
 
+/// The Table VI runs: ZeRO-Infinity (optimizer offload) at 33.3 B on
+/// each NVMe placement, in configuration order.
+pub fn table6_specs() -> Vec<SweepSpec> {
+    let model = GptConfig::paper_model_with_params(33.3);
+    let run = RunConfig {
+        allow_overflow: true,
+        warmup_iters: 1,
+        measure_iters: 1,
+        ..RunConfig::default()
+    };
+    NvmeConfig::ALL
+        .into_iter()
+        .map(|cfg| cfg.spec(format!("table6 config {}", cfg.letter()), false, model, run))
+        .collect()
+}
+
 /// Table VI — ZeRO-Infinity vs NVMe data placement (Fig. 14 configs A–G)
 /// at the 33.3 B model.
 pub fn table6() -> String {
@@ -208,25 +181,15 @@ pub fn table6() -> String {
         "PCIe-NVME 90th",
         "PCIe-NVME peak",
     ]);
-    let model = GptConfig::paper_model_with_params(33.3);
-    for (i, cfg) in NvmeConfig::ALL.into_iter().enumerate() {
-        let (mut sim, placement) = cfg.build();
-        let strategy = cfg.strategy(placement);
-        let rc = RunConfig {
-            allow_overflow: true,
-            warmup_iters: 1,
-            measure_iters: 1,
-            ..RunConfig::default()
-        };
-        let report = sim
-            .run(&strategy, &model, &data::opts(1), &rc)
-            .expect("infinity runs");
+    let runs = data::sweep(table6_specs());
+    for ((cfg, run), paper) in NvmeConfig::ALL.into_iter().zip(runs).zip(PAPER_TABLE6) {
+        let report = run.report;
         let xgmi = report.bandwidth.stats(0, LinkClass::Xgmi);
         let nvme = report.bandwidth.stats(0, LinkClass::PcieNvme);
         t.row(vec![
             cfg.letter().to_string(),
             format!("{:.1}", report.throughput_tflops()),
-            format!("{:.1}", PAPER_TABLE6[i]),
+            format!("{paper:.1}"),
             gbps(xgmi.avg),
             gbps(xgmi.p90),
             gbps(xgmi.peak),
@@ -276,21 +239,22 @@ mod tests {
     #[test]
     fn nvme_placement_ordering_matches_table6() {
         let model = GptConfig::paper_model_with_params(33.3);
-        let tput = |cfg: NvmeConfig| {
-            let (mut sim, placement) = cfg.build();
-            let strategy = cfg.strategy(placement);
-            let rc = RunConfig {
-                allow_overflow: true,
-                ..RunConfig::quick()
-            };
-            sim.run(&strategy, &model, &data::opts(1), &rc)
-                .unwrap()
-                .throughput_tflops()
+        let rc = RunConfig {
+            allow_overflow: true,
+            ..RunConfig::quick()
         };
-        let a = tput(NvmeConfig::A);
-        let b = tput(NvmeConfig::B);
-        let e = tput(NvmeConfig::E);
-        let g = tput(NvmeConfig::G);
+        let configs = [NvmeConfig::A, NvmeConfig::B, NvmeConfig::E, NvmeConfig::G];
+        let specs = configs
+            .iter()
+            .map(|cfg| cfg.spec(cfg.letter().to_string(), false, model, rc))
+            .collect();
+        let tput: Vec<f64> = data::sweep(specs)
+            .iter()
+            .map(|run| run.report.throughput_tflops())
+            .collect();
+        let [a, b, e, g] = tput[..] else {
+            panic!("four placements, four runs");
+        };
         assert!(b > 1.4 * a, "two drives {b} vs one {a}");
         assert!(e > b, "four drives {e} vs two {b}");
         // Paper has G beating E (RAID spanning sockets pays xGMI costs we

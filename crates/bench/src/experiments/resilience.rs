@@ -81,32 +81,30 @@ pub fn fault_matrix_scenarios(wall_secs: f64) -> Vec<FaultScenario> {
     ]
 }
 
-/// The fault configuration a scenario compiles to (node loss gets
-/// checkpoint/restart recovery; everything else runs unprotected).
-fn matrix_faults(scenario: &FaultScenario) -> FaultConfig {
-    let probe = data::sim();
+/// `spec` under `scenario`, compiled against the cluster `spec` builds
+/// (node loss gets checkpoint/restart recovery; everything else runs
+/// unprotected).
+fn with_matrix_faults(spec: SweepSpec, scenario: &FaultScenario) -> SweepSpec {
+    let probe = spec.build_sim().expect("matrix clusters build");
     let schedule = scenario.compile(probe.cluster(), MATRIX_SEED);
-    match scenario {
+    let faults = match scenario {
         FaultScenario::NodeLoss { .. } => FaultConfig::new(
             schedule,
             RecoveryPolicy::every(2).with_restart_delay(1.0),
             CheckpointSink::Dram,
         ),
         _ => FaultConfig::without_checkpoints(schedule),
-    }
+    };
+    spec.with_faults(faults)
 }
 
 /// The sweep spec for one matrix cell (strategy × scenario on the
 /// default dual-node cluster).
 pub fn cell_spec(strategy: &Strategy, model: &GptConfig, scenario: &FaultScenario) -> SweepSpec {
-    SweepSpec::new(
-        format!("{} / {}", strategy.name(), scenario.label()),
-        strategy.clone(),
-        *model,
-        data::opts(MATRIX_NODES),
-    )
-    .with_run(matrix_run_config())
-    .with_faults(matrix_faults(scenario))
+    let label = format!("{} / {}", strategy.name(), scenario.label());
+    let spec = data::spec(label, strategy.clone(), *model, MATRIX_NODES, false)
+        .with_run(matrix_run_config());
+    with_matrix_faults(spec, scenario)
 }
 
 /// Runs one strategy under one scenario and returns the report.
@@ -162,16 +160,9 @@ fn matrix_rows() -> Vec<(&'static str, Vec<TrainingReport>)> {
 pub fn infinity_stall_cells() -> (TrainingReport, TrainingReport) {
     let model = GptConfig::paper_model_with_params(MATRIX_BILLIONS);
     let spec_for = |scenario: &FaultScenario| -> SweepSpec {
-        // Schedules compile against a cluster with config B's drive layout.
-        let (probe, _) = NvmeConfig::B.build();
-        let schedule = scenario.compile(probe.cluster(), MATRIX_SEED);
-        NvmeConfig::B
-            .spec(
-                format!("infinity B / {}", scenario.label()),
-                model,
-                matrix_run_config(),
-            )
-            .with_faults(FaultConfig::without_checkpoints(schedule))
+        let label = format!("infinity B / {}", scenario.label());
+        let spec = NvmeConfig::B.spec(label, false, model, matrix_run_config());
+        with_matrix_faults(spec, scenario)
     };
     // Healthy pre-pass anchors the stall window.
     let healthy = spec_for(&FaultScenario::Healthy)

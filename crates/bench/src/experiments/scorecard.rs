@@ -2,14 +2,15 @@
 //! the simulated value, with the relative delta and a pass/fail verdict —
 //! EXPERIMENTS.md as machine-checkable code.
 
-use zerosim_core::{max_model_size, RunConfig, SweepRun, TrainingSim};
-use zerosim_hw::{ClusterSpec, LinkClass};
+use zerosim_core::{RunConfig, SweepRun};
+use zerosim_hw::LinkClass;
 use zerosim_model::GptConfig;
 use zerosim_perftest::{stress_test, StressScenario};
 use zerosim_report::Table;
 use zerosim_strategies::{Strategy, TrainOptions, ZeroStage};
 
 use crate::data::{self, NvmeConfig};
+use crate::experiments::{offload, train};
 
 /// One scorecard line.
 #[derive(Debug, Clone)]
@@ -36,11 +37,7 @@ impl ScoreRow {
     }
 }
 
-fn capacity_b(strategy: &Strategy, nodes: usize) -> f64 {
-    data::capacity(strategy, nodes).billions()
-}
-
-/// Every `TrainingSim` run the scorecard needs, as one spec batch in a
+/// Every simulation run the scorecard needs, as one spec batch in a
 /// fixed order (capacity searches stay serial: they are analytic, not
 /// simulation runs). The order here is consumed positionally by
 /// [`compute_rows`].
@@ -49,16 +46,7 @@ fn scorecard_specs() -> Vec<zerosim_core::SweepSpec> {
 
     // fig7: each baseline at its own capacity, quick measurement.
     for nodes in [1usize, 2] {
-        for (name, strategy) in data::baselines(nodes) {
-            let cap = data::capacity(&strategy, nodes);
-            specs.push(data::spec(
-                format!("fig7 {name} {nodes}n"),
-                strategy,
-                GptConfig::paper_model(cap.num_layers),
-                nodes,
-                false,
-            ));
-        }
+        specs.extend(train::baseline_specs(nodes, false));
     }
 
     // fig11: consolidation runs at 11.4 B, overflow allowed.
@@ -80,10 +68,7 @@ fn scorecard_specs() -> Vec<zerosim_core::SweepSpec> {
     specs.push(
         data::spec(
             "fig11 zero2-cpu 1n",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
+            data::cpu_offload(ZeroStage::Two),
             model,
             1,
             false,
@@ -96,8 +81,8 @@ fn scorecard_specs() -> Vec<zerosim_core::SweepSpec> {
         measure_iters: 1,
         ..RunConfig::default()
     };
-    specs.push(NvmeConfig::A.spec("fig11 infinity A", model, inf_rc));
-    specs.push(NvmeConfig::B.spec("fig11 infinity B", model, inf_rc));
+    specs.push(NvmeConfig::A.spec("fig11 infinity A", false, model, inf_rc));
+    specs.push(NvmeConfig::B.spec("fig11 infinity B", false, model, inf_rc));
 
     // table4: DDP / ZeRO-3 dual-node at capacity, thorough measurement.
     for strategy in [
@@ -106,21 +91,13 @@ fn scorecard_specs() -> Vec<zerosim_core::SweepSpec> {
             stage: ZeroStage::Three,
         },
     ] {
-        let cap = data::capacity(&strategy, 2);
-        specs.push(data::spec(
-            format!("table4 {} 2n", strategy.name()),
-            strategy,
-            GptConfig::paper_model(cap.num_layers),
-            2,
-            true,
-        ));
+        let label = format!("table4 {} 2n", strategy.name());
+        let spec = data::spec(label, strategy, GptConfig::paper_model(1), 2, true);
+        specs.push(data::at_capacity(spec).1);
     }
 
     // table6: every NVMe placement at 33.3 B.
-    let big = GptConfig::paper_model_with_params(33.3);
-    for cfg in NvmeConfig::ALL {
-        specs.push(cfg.spec(format!("table6 config {}", cfg.letter()), big, inf_rc));
-    }
+    specs.extend(offload::table6_specs());
 
     specs
 }
@@ -139,7 +116,7 @@ pub fn compute_rows() -> Vec<ScoreRow> {
         });
     };
 
-    // Fan every TrainingSim run out in one parallel sweep up front;
+    // Fan every simulation run out in one parallel sweep up front;
     // results come back in spec order and are consumed positionally.
     let runs = data::sweep(scorecard_specs());
     let mut runs = runs.into_iter();
@@ -188,7 +165,7 @@ pub fn compute_rows() -> Vec<ScoreRow> {
         add(
             &format!("fig6: {name} capacity 1-node B"),
             paper_cap_1[i],
-            capacity_b(strategy, 1),
+            data::capacity(strategy, 1).billions(),
             0.20,
         );
     }
@@ -196,7 +173,7 @@ pub fn compute_rows() -> Vec<ScoreRow> {
         add(
             &format!("fig6: {name} capacity 2-node B"),
             paper_cap_2[i],
-            capacity_b(strategy, 2),
+            data::capacity(strategy, 2).billions(),
             0.20,
         );
     }
@@ -256,33 +233,21 @@ pub fn compute_rows() -> Vec<ScoreRow> {
     add(
         "fig13: ZeRO-2 CPU capacity B",
         14.2,
-        capacity_b(
-            &Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            1,
-        ),
+        data::capacity(&data::cpu_offload(ZeroStage::Two), 1).billions(),
         0.20,
     );
-    {
-        let mut sim = TrainingSim::new(ClusterSpec::default()).unwrap();
-        let d = |drive| zerosim_hw::NvmeId { node: 0, drive };
-        let vol = sim.cluster_mut().create_volume(vec![d(0), d(1)]);
-        let s = Strategy::ZeroInfinity {
-            offload_params: false,
-            placement: zerosim_strategies::InfinityPlacement::new(vec![vol]),
-        };
-        let cap = max_model_size(
-            sim.cluster(),
-            &s,
-            &TrainOptions::single_node(),
-            sim.calibration(),
-        )
-        .unwrap()
-        .billions();
-        add("fig13: ZeRO-Infinity capacity B", 33.3, cap, 0.20);
-    }
+    let infinity = data::paper_infinity(
+        "fig13 infinity",
+        false,
+        GptConfig::paper_model(1),
+        TrainOptions::single_node(),
+    );
+    add(
+        "fig13: ZeRO-Infinity capacity B",
+        33.3,
+        data::capacity_of(&infinity).billions(),
+        0.20,
+    );
 
     // --- Table IV spot checks (sweep positions 14–15): dual-node RoCE
     // averages (loose: counter conventions differ; see EXPERIMENTS.md).

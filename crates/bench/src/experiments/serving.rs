@@ -24,7 +24,7 @@
 //! Everything is seed-stamped and byte-identical at any worker width; the
 //! `servesim --bench` scorecard gates on it in `verify.sh`.
 
-use zerosim_core::{ArrivalProcess, ServeRun, ServeSpec, TraceConfig};
+use zerosim_core::{ArrivalProcess, ServeRun, ServeSpec, SweepRunner, TraceConfig};
 use zerosim_hw::{ClusterSpec, NvmeId, VolumeId};
 use zerosim_model::GptConfig;
 use zerosim_report::Table;
@@ -92,7 +92,7 @@ pub fn golden_deployments() -> Vec<ServeSpec> {
 /// Panics when a golden deployment fails to fit or run — these are the
 /// artifact's own baseline shapes, so that is a harness bug.
 pub fn golden_runs(workers: usize) -> Vec<ServeRun> {
-    data::serve_runner_with(workers)
+    SweepRunner::new(workers)
         .run_parallel(golden_deployments())
         .expect("golden serving deployments run")
 }
@@ -197,7 +197,7 @@ pub fn regime_sweep(workers: usize) -> Vec<RegimePoint> {
             );
         }
     }
-    let runs = data::serve_runner_with(workers)
+    let runs = SweepRunner::new(workers)
         .run_parallel(specs)
         .expect("regime sweep runs");
     let overhead = Calibration::default().serve_step_overhead_s;

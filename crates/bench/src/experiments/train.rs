@@ -1,12 +1,13 @@
 //! Training characterization experiments: Figs. 5–10, Tables IV and V.
 
-use zerosim_core::{profile_tracks, RunConfig, TrainingReport};
+use zerosim_core::{profile_tracks, RunConfig, SweepRun, SweepSpec, TrainingReport};
 use zerosim_hw::LinkClass;
 use zerosim_model::GptConfig;
 use zerosim_report::{downsample, gbps, scatter, sparkline, Table};
-use zerosim_strategies::{Strategy, ZeroStage};
+use zerosim_strategies::ZeroStage;
 
 use crate::data::{self, NvmeConfig};
+use crate::experiments::offload;
 
 /// Paper reference values (Fig. 6): achieved model size in billions.
 pub const PAPER_CAPACITY: [(&str, f64, f64); 5] = [
@@ -26,64 +27,34 @@ pub const PAPER_THROUGHPUT: [(&str, f64, f64); 5] = [
     ("ZeRO-3", 381.0, 458.0),
 ];
 
-/// The nine configurations of Fig. 5, all at the 1.4 B model.
-fn fig5_configs() -> Vec<(&'static str, Strategy, Option<NvmeConfig>)> {
-    let mut v: Vec<(&'static str, Strategy, Option<NvmeConfig>)> = data::baselines(1)
-        .into_iter()
-        .map(|(n, s)| (n, s, None))
-        .collect();
-    v.push((
-        "ZeRO-1 (CPU opt)",
-        Strategy::ZeroOffload {
-            stage: ZeroStage::One,
-            offload_params: false,
-        },
-        None,
-    ));
-    v.push((
-        "ZeRO-2 (CPU opt)",
-        Strategy::ZeroOffload {
-            stage: ZeroStage::Two,
-            offload_params: false,
-        },
-        None,
-    ));
-    v.push(("ZeRO-3 (2xNVME opt)", Strategy::Ddp, Some(NvmeConfig::B)));
-    v.push((
-        "ZeRO-3 (2xNVME opt+param)",
-        Strategy::Ddp,
-        Some(NvmeConfig::B),
-    ));
-    v
-}
-
-fn run_fig5_config(name: &str, strategy: Strategy, nvme: Option<NvmeConfig>) -> TrainingReport {
+/// The nine configurations of Fig. 5, all at the 1.4 B model, labelled
+/// with their figure names.
+fn fig5_specs() -> Vec<SweepSpec> {
     let model = GptConfig::paper_model_with_params(1.4);
-    let opts = data::opts(1);
-    let cfg = RunConfig {
+    let run = RunConfig {
         allow_overflow: true,
         ..RunConfig::quick()
     };
-    match nvme {
-        None => {
-            let mut sim = data::sim();
-            sim.run(&strategy, &model, &opts, &cfg).expect("runs")
-        }
-        Some(c) => {
-            let (mut sim, placement) = c.build();
-            let offload_params = name.contains("param");
-            let s = Strategy::ZeroInfinity {
-                offload_params,
-                placement,
-            };
-            let cfg = RunConfig {
-                warmup_iters: 3,
-                allow_overflow: true,
-                ..RunConfig::default()
-            };
-            sim.run(&s, &model, &opts, &cfg).expect("runs")
-        }
+    let mut specs: Vec<SweepSpec> = data::baselines(1)
+        .into_iter()
+        .chain([
+            ("ZeRO-1 (CPU opt)", data::cpu_offload(ZeroStage::One)),
+            ("ZeRO-2 (CPU opt)", data::cpu_offload(ZeroStage::Two)),
+        ])
+        .map(|(name, strategy)| data::spec(name, strategy, model, 1, false).with_run(run))
+        .collect();
+    let nvme_run = RunConfig {
+        warmup_iters: 3,
+        allow_overflow: true,
+        ..RunConfig::default()
+    };
+    for (name, offload_params) in [
+        ("ZeRO-3 (2xNVME opt)", false),
+        ("ZeRO-3 (2xNVME opt+param)", true),
+    ] {
+        specs.push(NvmeConfig::B.spec(name, offload_params, model, nvme_run));
     }
+    specs
 }
 
 /// Fig. 5 — single-iteration characterization of all nine configurations
@@ -98,8 +69,7 @@ pub fn fig5() -> String {
         "staging %",
         "idle %",
     ]);
-    for (name, strategy, nvme) in fig5_configs() {
-        let report = run_fig5_config(name, strategy, nvme);
+    for SweepRun { label, report, .. } in data::sweep(fig5_specs()) {
         let profiles = profile_tracks(&report.spans);
         let gpu0 = profiles.iter().find(|p| p.track == 0);
         let (gemm, ew, nccl, staging, idle) = match gpu0 {
@@ -140,7 +110,7 @@ pub fn fig5() -> String {
             None => (0.0, 0.0, 0.0, 0.0, 100.0),
         };
         t.row(vec![
-            name.into(),
+            label,
             format!("{}", report.iter_time),
             format!("{gemm:.1}"),
             format!("{ew:.1}"),
@@ -164,19 +134,13 @@ pub fn fig6() -> String {
         "2-node B",
         "paper",
     ]);
-    for (i, (name, strategy)) in data::baselines(1).into_iter().enumerate() {
-        let single = data::capacity(&strategy, 1);
-        let dual_strategy = if matches!(strategy, Strategy::Megatron { .. }) {
-            Strategy::Megatron { tp: 8, pp: 1 }
-        } else {
-            strategy.clone()
-        };
-        let dual = data::capacity(&dual_strategy, 2);
+    let dual = data::baselines(2);
+    for (i, ((name, single), (_, dual))) in data::baselines(1).iter().zip(&dual).enumerate() {
         t.row(vec![
-            name.into(),
-            format!("{:.1}", single.billions()),
+            (*name).into(),
+            format!("{:.1}", data::capacity(single, 1).billions()),
             format!("{:.1}", PAPER_CAPACITY[i].1),
-            format!("{:.1}", dual.billions()),
+            format!("{:.1}", data::capacity(dual, 2).billions()),
             format!("{:.1}", PAPER_CAPACITY[i].2),
         ]);
     }
@@ -186,14 +150,23 @@ pub fn fig6() -> String {
     )
 }
 
-/// Runs the five baselines at their capacity for `nodes` nodes.
-pub fn baseline_reports(nodes: usize, thorough: bool) -> Vec<(&'static str, TrainingReport)> {
+/// The five baselines on `nodes` nodes, each at its own capacity (quick
+/// single-iteration measurement unless `thorough`).
+pub fn baseline_specs(nodes: usize, thorough: bool) -> Vec<SweepSpec> {
     data::baselines(nodes)
         .into_iter()
         .map(|(name, strategy)| {
-            let (_, report) = data::run_at_capacity(&strategy, nodes, thorough);
-            (name, report)
+            let spec = data::spec(name, strategy, GptConfig::paper_model(1), nodes, thorough);
+            data::at_capacity(spec).1
         })
+        .collect()
+}
+
+/// Runs the five baselines at their capacity for `nodes` nodes.
+pub fn baseline_reports(nodes: usize, thorough: bool) -> Vec<(String, TrainingReport)> {
+    data::sweep(baseline_specs(nodes, thorough))
+        .into_iter()
+        .map(|run| (run.label, run.report))
         .collect()
 }
 
@@ -210,7 +183,7 @@ pub fn fig7() -> String {
     let dual = baseline_reports(2, false);
     for (i, ((name, s), (_, d))) in single.iter().zip(&dual).enumerate() {
         t.row(vec![
-            (*name).into(),
+            name.clone(),
             format!("{:.0}", s.throughput_tflops()),
             format!("{:.0}", PAPER_THROUGHPUT[i].1),
             format!("{:.0}", d.throughput_tflops()),
@@ -230,7 +203,7 @@ pub fn fig8() -> String {
         let reports = baseline_reports(nodes, false);
         let pts: Vec<(f64, f64, &str)> = reports
             .iter()
-            .map(|(name, r)| (r.model_billions(), r.throughput_tflops(), *name))
+            .map(|(name, r)| (r.model_billions(), r.throughput_tflops(), name.as_str()))
             .collect();
         out.push_str(&format!(
             "Fig. 8-{} — trade-off, {}-node (x: size B, y: TFLOP/s):\n{}\n",
@@ -284,145 +257,96 @@ pub fn fig10() -> String {
     out
 }
 
-fn table4_row(t: &mut Table, name: &str, report: &TrainingReport) {
-    let mut cells = vec![name.to_string()];
-    for class in LinkClass::TABLE_IV {
-        let s = report.bandwidth.stats(0, class);
-        cells.push(gbps(s.avg));
-        cells.push(gbps(s.p90));
-        cells.push(gbps(s.peak));
-    }
-    t.row(cells);
-}
-
-fn table4_header() -> Table {
+/// One titled Table IV section: node-0 avg/p90/peak per link class for
+/// each named report.
+fn table4_section<'a>(
+    title: &str,
+    rows: impl IntoIterator<Item = (&'a str, &'a TrainingReport)>,
+) -> String {
     let mut headers = vec!["configuration".to_string()];
     for class in LinkClass::TABLE_IV {
         for stat in ["avg", "90th", "peak"] {
             headers.push(format!("{class} {stat}"));
         }
     }
-    Table::new(headers)
+    let mut t = Table::new(headers);
+    for (name, report) in rows {
+        let mut cells = vec![name.to_string()];
+        for class in LinkClass::TABLE_IV {
+            let s = report.bandwidth.stats(0, class);
+            cells.push(gbps(s.avg));
+            cells.push(gbps(s.p90));
+            cells.push(gbps(s.peak));
+        }
+        t.row(cells);
+    }
+    format!("\n[{title}]\n{}", t.render())
+}
+
+fn named(runs: &[SweepRun]) -> impl Iterator<Item = (&str, &TrainingReport)> {
+    runs.iter().map(|run| (run.label.as_str(), &run.report))
 }
 
 /// Table IV — bandwidth utilization for every configuration section.
 pub fn table4() -> String {
     let mut out =
         String::from("Table IV — bandwidth utilization (GBps, node-0 aggregate bidirectional):\n");
-
-    let mut t = table4_header();
-    for (name, report) in baseline_reports(1, true) {
-        table4_row(&mut t, name, &report);
+    for (title, nodes) in [("Single node", 1), ("Dual nodes", 2)] {
+        let runs = data::sweep(baseline_specs(nodes, true));
+        out.push_str(&table4_section(title, named(&runs)));
     }
-    out.push_str(&format!("\n[Single node]\n{}", t.render()));
 
-    let mut t = table4_header();
-    for (name, report) in baseline_reports(2, true) {
-        table4_row(&mut t, name, &report);
-    }
-    out.push_str(&format!("\n[Dual nodes]\n{}", t.render()));
-
-    // Consolidation rows at the 11.4 B model (Sec. V-A / V-B).
-    let model = GptConfig::paper_model_with_params(11.4);
-    let mut t = table4_header();
-    for (name, strategy) in data::offload_strategies() {
-        let mut sim = data::sim();
-        let cfg = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::default()
-        };
-        let report = sim
-            .run(&strategy, &model, &data::opts(1), &cfg)
-            .expect("offload runs");
-        table4_row(&mut t, name, &report);
-    }
-    out.push_str(&format!(
-        "\n[Consolidate dual → single with ZeRO-Offload (CPU optimizer), 11.4 B]\n{}",
-        t.render()
+    // Consolidation rows at the 11.4 B model (Sec. V-A / V-B): the runs of
+    // Fig. 11 after its dual-node Megatron reference.
+    let consolidation = data::sweep(offload::consolidation_specs().split_off(1));
+    out.push_str(&table4_section(
+        "Consolidate dual → single with ZeRO-Offload (CPU optimizer), 11.4 B",
+        named(&consolidation[..2]),
     ));
-
-    for (nvme, label) in [(NvmeConfig::A, "1 x NVME"), (NvmeConfig::B, "2 x NVME")] {
-        let mut t = table4_header();
-        for offload_params in [false, true] {
-            let (mut sim, placement) = nvme.build();
-            let strategy = Strategy::ZeroInfinity {
-                offload_params,
-                placement,
-            };
-            let cfg = RunConfig {
-                allow_overflow: true,
-                ..RunConfig::default()
-            };
-            let report = sim
-                .run(&strategy, &model, &data::opts(1), &cfg)
-                .expect("infinity runs");
-            let name = if offload_params {
-                "Optimizer & Parameter"
-            } else {
-                "Optimizer"
-            };
-            table4_row(&mut t, name, &report);
-        }
-        out.push_str(&format!(
-            "\n[Consolidate dual → single with ZeRO-Infinity ({label}), 11.4 B]\n{}",
-            t.render()
+    for (label, runs) in [
+        ("1 x NVME", &consolidation[2..4]),
+        ("2 x NVME", &consolidation[4..6]),
+    ] {
+        out.push_str(&table4_section(
+            &format!("Consolidate dual → single with ZeRO-Infinity ({label}), 11.4 B"),
+            ["Optimizer", "Optimizer & Parameter"]
+                .into_iter()
+                .zip(runs.iter().map(|run| &run.report)),
         ));
     }
 
     // Largest single-node model per offload configuration (Sec. V-C rows).
-    let mut t = table4_header();
-    let largest: Vec<(&str, Strategy, Option<NvmeConfig>)> = vec![
-        (
-            "ZeRO-1 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::One,
-                offload_params: false,
-            },
-            None,
-        ),
-        (
-            "ZeRO-2 (CPU)",
-            Strategy::ZeroOffload {
-                stage: ZeroStage::Two,
-                offload_params: false,
-            },
-            None,
-        ),
-        ("ZeRO-3 (2 x NVME)", Strategy::Ddp, Some(NvmeConfig::B)),
-    ];
-    for (name, strategy, nvme) in largest {
-        let report = match nvme {
-            None => {
-                let (_, report) = data::run_at_capacity(&strategy, 1, true);
-                report
-            }
-            Some(c) => {
-                let (mut sim, placement) = c.build();
-                let s = Strategy::ZeroInfinity {
-                    offload_params: false,
-                    placement,
-                };
-                let cap = zerosim_core::max_model_size(
-                    sim.cluster(),
-                    &s,
-                    &data::opts(1),
-                    sim.calibration(),
-                )
-                .expect("fits");
-                let m = GptConfig::paper_model(cap.num_layers);
-                let cfg = RunConfig {
-                    warmup_iters: 1,
-                    measure_iters: 1,
-                    ..RunConfig::default()
-                };
-                sim.run(&s, &m, &data::opts(1), &cfg).expect("runs")
-            }
-        };
-        table4_row(&mut t, name, &report);
-    }
-    out.push_str(&format!(
-        "\n[Largest model for single node with ZeRO-Offload / ZeRO-Infinity]\n{}",
-        t.render()
+    let any = GptConfig::paper_model(1);
+    let nvme_run = RunConfig {
+        warmup_iters: 1,
+        measure_iters: 1,
+        ..RunConfig::default()
+    };
+    let largest = data::sweep(
+        [
+            data::spec(
+                "ZeRO-1 (CPU)",
+                data::cpu_offload(ZeroStage::One),
+                any,
+                1,
+                true,
+            ),
+            data::spec(
+                "ZeRO-2 (CPU)",
+                data::cpu_offload(ZeroStage::Two),
+                any,
+                1,
+                true,
+            ),
+            NvmeConfig::B.spec("ZeRO-3 (2 x NVME)", false, any, nvme_run),
+        ]
+        .into_iter()
+        .map(|spec| data::at_capacity(spec).1)
+        .collect(),
+    );
+    out.push_str(&table4_section(
+        "Largest model for single node with ZeRO-Offload / ZeRO-Infinity",
+        named(&largest),
     ));
 
     out
@@ -439,61 +363,39 @@ pub fn table5() -> String {
     headers.extend(TABLE5_SIZES.iter().map(|s| format!("{s}")));
     let mut t = Table::new(headers);
 
-    let mut configs: Vec<(&'static str, Strategy, Option<NvmeConfig>)> = data::baselines(1)
-        .into_iter()
-        .map(|(n, s)| (n, s, None))
-        .collect();
-    configs.push((
-        "ZeRO-1 (CPU)",
-        Strategy::ZeroOffload {
-            stage: ZeroStage::One,
-            offload_params: false,
-        },
-        None,
-    ));
-    configs.push((
-        "ZeRO-2 (CPU)",
-        Strategy::ZeroOffload {
-            stage: ZeroStage::Two,
-            offload_params: false,
-        },
-        None,
-    ));
-    configs.push(("ZeRO-3 (2xNVME)", Strategy::Ddp, Some(NvmeConfig::B)));
-
-    for (name, strategy, nvme) in configs {
+    // One row per configuration, one spec per size; a size that does not
+    // fit leaves its cell blank.
+    let mut row = |name: &str, spec_at: &dyn Fn(GptConfig) -> SweepSpec| {
+        let specs = TABLE5_SIZES
+            .iter()
+            .map(|&b| spec_at(GptConfig::paper_model_with_params(b)))
+            .collect();
         let mut cells = vec![name.to_string()];
-        for &billions in &TABLE5_SIZES {
-            let model = GptConfig::paper_model_with_params(billions);
-            let tput = match &nvme {
-                None => {
-                    let mut sim = data::sim();
-                    sim.run(&strategy, &model, &data::opts(1), &RunConfig::quick())
-                        .ok()
-                        .map(|r| r.throughput_tflops())
-                }
-                Some(c) => {
-                    let (mut sim, placement) = c.build();
-                    let s = Strategy::ZeroInfinity {
-                        offload_params: false,
-                        placement,
-                    };
-                    // NVMe runs need several iterations to drain the
-                    // drives' DRAM caches into steady state.
-                    let cfg = RunConfig {
-                        warmup_iters: 4,
-                        measure_iters: 2,
-                        ..RunConfig::default()
-                    };
-                    sim.run(&s, &model, &data::opts(1), &cfg)
-                        .ok()
-                        .map(|r| r.throughput_tflops())
-                }
-            };
-            cells.push(tput.map(|v| format!("{v:.0}")).unwrap_or_default());
+        for outcome in data::runner().run_each(specs) {
+            let tput = outcome.map(|run| format!("{:.0}", run.report.throughput_tflops()));
+            cells.push(tput.unwrap_or_default());
         }
         t.row(cells);
+    };
+    let mut configs = data::baselines(1);
+    configs.push(("ZeRO-1 (CPU)", data::cpu_offload(ZeroStage::One)));
+    configs.push(("ZeRO-2 (CPU)", data::cpu_offload(ZeroStage::Two)));
+    for (name, strategy) in configs {
+        row(name, &|model| {
+            data::spec(name, strategy.clone(), model, 1, false)
+        });
     }
+    // NVMe runs need several iterations to drain the drives' DRAM caches
+    // into steady state.
+    let nvme_run = RunConfig {
+        warmup_iters: 4,
+        measure_iters: 2,
+        ..RunConfig::default()
+    };
+    let name = "ZeRO-3 (2xNVME)";
+    row(name, &|model| {
+        NvmeConfig::B.spec(name, false, model, nvme_run)
+    });
     format!(
         "Table V — throughput (TFLOP/s) vs model size (billions), single node:\n{}",
         t.render()
@@ -530,7 +432,7 @@ mod tests {
         let by_name = |n: &str| {
             single
                 .iter()
-                .find(|(name, _)| *name == n)
+                .find(|(name, _)| name == n)
                 .map(|(_, r)| r.throughput_tflops())
                 .unwrap()
         };

@@ -1,5 +1,5 @@
 //! `zerosim-bench` — the experiment harness regenerating every table and
-//! figure of the paper, plus the Criterion micro-benchmarks.
+//! figure of the paper, plus the in-house (testkit) micro-benchmarks.
 //!
 //! Run `cargo run --release -p zerosim-bench --bin repro -- all` to
 //! regenerate everything, or pass an artifact id (`fig6`, `table4`, ...).

@@ -11,7 +11,7 @@ use zerosim_strategies::{
     TrainOptions,
 };
 
-use crate::error::{ensure_fits, CoreError};
+use crate::error::{ensure_fits, ensure_nodes, CoreError};
 use crate::faults::FaultConfig;
 use crate::report::{
     nearest_rank, rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport,
@@ -125,8 +125,9 @@ impl TrainingSim {
     /// recoveries.
     ///
     /// # Errors
-    /// [`CoreError::InvalidConfig`] if the strategy rejects the
-    /// configuration; [`CoreError::DoesNotFit`] if the memory plan
+    /// [`CoreError::InvalidConfig`] if `opts` spans no node or more nodes
+    /// than the cluster has, or the strategy rejects the configuration;
+    /// [`CoreError::DoesNotFit`] if the memory plan
     /// overflows a tier (and `cfg.allow_overflow` is false);
     /// [`CoreError::Sim`] if the DAG deadlocks (cannot happen for the
     /// built-in strategies).
@@ -150,7 +151,8 @@ impl TrainingSim {
     /// checkpoint, not estimated from bandwidth math.
     ///
     /// # Errors
-    /// [`CoreError::InvalidConfig`] when the checkpoint plan does not
+    /// [`CoreError::InvalidConfig`] when `opts` spans no node or more
+    /// nodes than the cluster has, or when the checkpoint plan does not
     /// validate against the cluster (e.g. an NVMe sink whose volumes do
     /// not exist); [`CoreError::Sim`] if the DAG cannot execute.
     pub fn checkpoint_cost(
@@ -159,6 +161,7 @@ impl TrainingSim {
         opts: &TrainOptions,
         sink: &CheckpointSink,
     ) -> Result<f64, CoreError> {
+        ensure_nodes(opts, &self.cluster)?;
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -166,7 +169,6 @@ impl TrainingSim {
             calib: &self.calib,
         };
         let save = plan_checkpoint(&ctx, sink);
-        save.validate(&self.cluster)?;
         let dag = lower(&save, &self.cluster, &self.calib)?.into_dag();
         let mut engine = DagEngine::new(self.cluster.resource_slots());
         let out = engine.run(self.cluster.net_mut(), &dag, SimTime::ZERO, None)?;
@@ -218,6 +220,7 @@ impl TrainingSim {
         cfg: &RunConfig,
         faults: &FaultConfig,
     ) -> Result<TrainingReport, CoreError> {
+        ensure_nodes(opts, &self.cluster)?;
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -237,8 +240,6 @@ impl TrainingSim {
         let ckpt_dags: Option<(Dag, Dag)> = if faults.policy.checkpoint_interval > 0 {
             let save = plan_checkpoint(&ctx, &faults.sink);
             let restore = plan_restore(&ctx, &faults.sink);
-            save.validate(&self.cluster)?;
-            restore.validate(&self.cluster)?;
             Some((
                 lower(&save, &self.cluster, &self.calib)?.into_dag(),
                 lower(&restore, &self.cluster, &self.calib)?.into_dag(),
@@ -482,6 +483,23 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("must divide the GPU count"));
+    }
+
+    #[test]
+    fn node_counts_outside_the_cluster_are_typed_errors() {
+        let model = GptConfig::paper_model_with_params(1.4);
+        for nodes in [0, 3] {
+            let opts = TrainOptions::for_nodes(nodes);
+            let err = sim()
+                .run(&Strategy::Ddp, &model, &opts, &RunConfig::quick())
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("the cluster has 2"), "{err}");
+            let err = sim()
+                .checkpoint_cost(&model, &opts, &CheckpointSink::Dram)
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 
 use zerosim_hw::Cluster;
 use zerosim_simkit::SimError;
-use zerosim_strategies::{MemoryPlan, StrategyError};
+use zerosim_strategies::{MemoryPlan, StrategyError, TrainOptions};
 
 /// Errors from running a training characterization.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +88,20 @@ impl From<StrategyError> for CoreError {
     fn from(e: StrategyError) -> Self {
         CoreError::InvalidConfig(e)
     }
+}
+
+/// The node-count check shared by training, checkpointing and serving: a
+/// run spans at least one node and no more than `cluster` has, else
+/// [`CoreError::InvalidConfig`].
+pub(crate) fn ensure_nodes(opts: &TrainOptions, cluster: &Cluster) -> Result<(), CoreError> {
+    let have = cluster.spec().nodes;
+    if opts.nodes == 0 || opts.nodes > have {
+        return Err(CoreError::InvalidConfig(StrategyError::layout(format!(
+            "run spans {} nodes; the cluster has {have}",
+            opts.nodes
+        ))));
+    }
+    Ok(())
 }
 
 /// The memory-fit check shared by training and serving: the first tier

@@ -42,12 +42,12 @@
 use zerosim_hw::{Cluster, GpuId, LinkClass, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{FaultKind, FaultSchedule};
-use zerosim_strategies::{CheckpointSink, RecoveryPolicy, Strategy, TrainOptions};
+use zerosim_strategies::{CheckpointSink, RecoveryPolicy, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
 use crate::cost::CostModel;
 use crate::energy::PowerModel;
-use crate::engine::{RunConfig, TrainingSim};
+use crate::engine::RunConfig;
 use crate::error::CoreError;
 use crate::faults::FaultConfig;
 use crate::report::{mix, mix_str};
@@ -1101,10 +1101,11 @@ impl FleetReport {
 }
 
 /// Runs the fleet cost search: placement search ([`search_plans`]) →
-/// re-simulate the top `cfg.top` survivors for full reports → measure
-/// each one's checkpoint cost → Young/Daly interval at the configured
-/// failure rate → analytic goodput → dollars-to-train (amortized capital
-/// + energy) → rank cheapest-feasible first.
+/// re-simulate the top `cfg.top` survivors for full reports (a
+/// [`SweepRunner`] of `cfg.workers`) → measure the checkpoint cost →
+/// Young/Daly interval at the configured failure rate → analytic goodput
+/// → dollars-to-train (amortized capital + energy) → rank
+/// cheapest-feasible first.
 ///
 /// # Errors
 /// [`CoreError::BadCluster`] when the topology does not build, plus any
@@ -1131,17 +1132,32 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
         .and_then(|p| p.fatal_mtbf_s(nodes))
         .unwrap_or(f64::INFINITY);
 
-    let ranked: Vec<(String, String, Strategy)> = search
+    let (placements, specs): (Vec<String>, Vec<SweepSpec>) = search
         .ranking()
         .into_iter()
         .take(cfg.top.max(1))
-        .map(|c| (c.strategy_name.clone(), c.placement(), c.strategy.clone()))
-        .collect();
-    let mut candidates = Vec::with_capacity(ranked.len());
-    for (strategy_name, placement, strategy) in ranked {
-        let mut sim = TrainingSim::with_calibration(spec.clone(), Calibration::default())?;
-        let report = sim.run(&strategy, &cfg.model, &opts, &cfg.run)?;
-        let ckpt_cost_s = sim.checkpoint_cost(&cfg.model, &opts, &CheckpointSink::Dram)?;
+        .map(|c| {
+            let run = SweepSpec::new(c.strategy_name.clone(), c.strategy.clone(), cfg.model, opts)
+                .with_cluster(spec.clone())
+                .with_run(cfg.run);
+            (c.placement(), run)
+        })
+        .unzip();
+    // The checkpoint plan depends on the model, options and cluster, not
+    // on the strategy: one measurement on a fresh simulator prices every
+    // candidate.
+    let ckpt_cost_s = match specs.first() {
+        Some(first) => {
+            first
+                .build_sim()?
+                .checkpoint_cost(&cfg.model, &opts, &CheckpointSink::Dram)?
+        }
+        None => 0.0,
+    };
+    let runs = SweepRunner::new(cfg.workers).run_parallel(specs)?;
+    let mut candidates = Vec::with_capacity(runs.len());
+    for (placement, run) in placements.into_iter().zip(runs) {
+        let report = run.report;
         let interval_s = daly_interval_s(ckpt_cost_s, mtbf_s);
         let iter_s = report.iter_time.as_secs();
         let k = interval_iters(interval_s, iter_s);
@@ -1165,7 +1181,7 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
             capital_usd * train_days / (365.0 * cfg.amortize_years) + energy_usd + wear_usd;
         let feasible = cfg.deadline_days.is_none_or(|d| train_days <= d);
         candidates.push(FleetCandidate {
-            strategy_name,
+            strategy_name: run.label,
             placement,
             throughput_tflops: report.throughput_tflops(),
             ckpt_cost_s,
@@ -1200,8 +1216,6 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
         search_digest: search.digest(),
     })
 }
-
-use zerosim_strategies::Calibration;
 
 #[cfg(test)]
 mod tests {

@@ -37,9 +37,9 @@ use zerosim_strategies::{
 use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
-use crate::error::{ensure_fits, CoreError};
+use crate::error::{ensure_fits, ensure_nodes, CoreError};
 use crate::report::{mix, mix_str, nearest_rank};
-use crate::sweep::Execute;
+use crate::sweep::{build_sim, Execute};
 
 /// How requests enter the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,8 +227,9 @@ struct ReqState {
 ///
 /// # Errors
 /// [`CoreError::DoesNotFit`] when the strategy's resident footprint
-/// overflows a tier; [`CoreError::InvalidConfig`] when a plan fails
-/// validation; [`CoreError::Sim`] if a DAG cannot execute.
+/// overflows a tier; [`CoreError::InvalidConfig`] when `opts` spans no
+/// node or more nodes than the cluster has, or a plan fails validation;
+/// [`CoreError::Sim`] if a DAG cannot execute.
 #[allow(clippy::too_many_lines)]
 pub fn serve(
     sim: &mut TrainingSim,
@@ -238,6 +239,7 @@ pub fn serve(
     trace: &TraceConfig,
     max_batch: usize,
 ) -> Result<ServeReport, CoreError> {
+    ensure_nodes(opts, sim.cluster())?;
     let memory = strategy.plan_memory(&IterCtx {
         cluster: sim.cluster(),
         model,
@@ -344,7 +346,6 @@ pub fn serve(
                         calib: sim.calibration(),
                     };
                     let plan = strategy.plan_prefill(&ctx, prompt_sum, admitted.len())?;
-                    plan.validate(sim.cluster())?;
                     plan_lowerings += 1;
                     e.insert(lower(&plan, sim.cluster(), sim.calibration())?)
                 }
@@ -378,7 +379,6 @@ pub fn serve(
                         calib: sim.calibration(),
                     };
                     let plan = strategy.plan_decode(&ctx, 0, batch, bucket)?;
-                    plan.validate(sim.cluster())?;
                     plan_lowerings += 1;
                     e.insert(lower(&plan, sim.cluster(), sim.calibration())?)
                 }
@@ -507,15 +507,14 @@ impl ServeSpec {
         self
     }
 
-    /// Builds a fresh simulator and executes this spec to completion.
+    /// Builds a fresh simulator, exactly as [`crate::SweepSpec::build_sim`]
+    /// does, and executes this spec to completion.
     ///
     /// # Errors
-    /// Whatever [`TrainingSim::new`] or [`serve`] return.
+    /// [`CoreError::BadCluster`] when the cluster or a volume does not
+    /// build, plus whatever [`serve`] returns.
     pub fn execute(&self) -> Result<ServeRun, CoreError> {
-        let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        for members in &self.volumes {
-            sim.cluster_mut().create_volume(members.clone());
-        }
+        let mut sim = build_sim(&self.cluster, self.calibration, &self.volumes)?;
         let report = serve(
             &mut sim,
             &self.strategy,
@@ -640,6 +639,16 @@ mod tests {
                 .unwrap();
             let digests: Vec<u64> = par.iter().map(|r| r.digest).collect();
             assert_eq!(digests, serial, "width {workers} changed results");
+        }
+    }
+
+    #[test]
+    fn node_counts_outside_the_cluster_are_typed_errors() {
+        for nodes in [0, 3] {
+            let mut spec = dense_spec(0);
+            spec.opts = TrainOptions::for_nodes(nodes);
+            let err = spec.execute().unwrap_err();
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
         }
     }
 

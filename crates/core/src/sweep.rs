@@ -6,8 +6,9 @@
 //! each [`SweepSpec`] describes a complete world (cluster spec, NVMe
 //! volumes, strategy, model, options, run config, fault schedule), and
 //! execution builds a fresh [`TrainingSim`] owning its own
-//! [`zerosim_hw::Cluster`] from scratch. That independence is what makes
-//! the fan-out embarrassingly parallel *and* deterministic:
+//! [`zerosim_hw::Cluster`] from scratch ([`SweepSpec::build_sim`]). That
+//! independence is what makes the fan-out embarrassingly parallel *and*
+//! deterministic:
 //!
 //! * **Deterministic** — a run's result depends only on its spec, never on
 //!   scheduling. [`SweepRunner::run_parallel`] returns results in input
@@ -140,17 +141,26 @@ impl SweepSpec {
         self
     }
 
-    /// Builds a fresh simulator and executes this spec to completion.
+    /// Builds the fresh simulator this spec runs on: its cluster, its
+    /// calibration, and its NVMe volumes created in order, so volume `i`
+    /// is `VolumeId(i)`. Capacity searches, fault-schedule compilation and
+    /// checkpoint-cost probes use it to see the cluster a run will see.
     ///
     /// # Errors
-    /// Whatever [`TrainingSim::new`] or [`TrainingSim::run_resilient`]
+    /// [`CoreError::BadCluster`] when the cluster spec is inconsistent or
+    /// a volume is empty or names a drive the cluster does not have.
+    pub fn build_sim(&self) -> Result<TrainingSim, CoreError> {
+        build_sim(&self.cluster, self.calibration, &self.volumes)
+    }
+
+    /// Builds a fresh simulator ([`SweepSpec::build_sim`]) and executes
+    /// this spec to completion.
+    ///
+    /// # Errors
+    /// Whatever [`SweepSpec::build_sim`] or [`TrainingSim::run_resilient`]
     /// return for this configuration.
     pub fn execute(&self) -> Result<SweepRun, CoreError> {
-        let mut sim = TrainingSim::with_calibration(self.cluster.clone(), self.calibration)?;
-        for members in &self.volumes {
-            sim.cluster_mut().create_volume(members.clone());
-        }
-        let report = sim.run_resilient(
+        let report = self.build_sim()?.run_resilient(
             &self.strategy,
             &self.model,
             &self.opts,
@@ -163,6 +173,23 @@ impl SweepSpec {
             report,
         })
     }
+}
+
+/// The simulator a training or serving spec runs on: `cluster` with
+/// `calibration`, and `volumes` created in order (volume `i` becomes
+/// `VolumeId(i)`).
+pub(crate) fn build_sim(
+    cluster: &ClusterSpec,
+    calibration: Calibration,
+    volumes: &[Vec<NvmeId>],
+) -> Result<TrainingSim, CoreError> {
+    let mut sim = TrainingSim::with_calibration(cluster.clone(), calibration)?;
+    for members in volumes {
+        sim.cluster_mut()
+            .try_create_volume(members.clone())
+            .map_err(|e| CoreError::BadCluster(e.to_string()))?;
+    }
+    Ok(sim)
 }
 
 /// One completed sweep entry: the spec's label, its full report, and the
@@ -336,6 +363,26 @@ mod tests {
             Err(CoreError::DoesNotFit { .. }) | Err(CoreError::InvalidConfig(_))
         ));
         assert_eq!(outcomes[1].as_ref().unwrap().label, "z3");
+    }
+
+    #[test]
+    fn build_sim_creates_volumes_in_order_and_rejects_unknown_drives() {
+        use zerosim_hw::VolumeId;
+
+        let d = |drive| NvmeId { node: 0, drive };
+        let spec = quick_specs()
+            .remove(0)
+            .with_volume(vec![d(1)])
+            .with_volume(vec![d(0), d(1)]);
+        let sim = spec.build_sim().unwrap();
+        assert_eq!(sim.cluster().volume_count(), 2);
+        assert_eq!(sim.cluster().volume(VolumeId(0)).members, [d(1)]);
+        assert_eq!(sim.cluster().volume(VolumeId(1)).members, [d(0), d(1)]);
+
+        // The paper cluster has two drives per node: drive 2 is unknown.
+        let err = spec.with_volume(vec![d(2)]).build_sim().unwrap_err();
+        assert!(matches!(err, CoreError::BadCluster(_)), "{err}");
+        assert!(err.to_string().contains("does not exist"), "{err}");
     }
 
     #[test]

@@ -794,12 +794,6 @@ impl Cluster {
         self.volumes.len()
     }
 
-    /// True when `id` names a registered volume (used by iteration-plan
-    /// validation to check route feasibility before lowering).
-    pub fn has_volume(&self, id: VolumeId) -> bool {
-        id.0 < self.volumes.len()
-    }
-
     /// Routes for a striped I/O of any size against `volume` issued from
     /// CPU socket `from`: one route per member, each carrying
     /// `1 / member_count` of the bytes.

@@ -130,10 +130,9 @@ fn jitter_factor(amp: f64, seed: u64, position: usize) -> f64 {
 
 /// Compiles `plan` against `cluster` and `calib`.
 ///
-/// In debug/test builds the plan is first machine-checked by
-/// [`WorkloadPlan::validate`] (collective wire-volume closed forms, route
-/// feasibility, phase ordering); release builds skip the check and trust
-/// the strategy.
+/// The plan is first machine-checked by [`WorkloadPlan::validate`]
+/// (collective wire-volume closed forms, route feasibility, phase
+/// ordering), so lowering never meets an op it cannot route.
 ///
 /// GEMM durations in the returned [`LoweredPlan`] are un-jittered; call
 /// [`LoweredPlan::stamp`] before running.
@@ -145,9 +144,7 @@ pub fn lower(
     cluster: &Cluster,
     calib: &Calibration,
 ) -> Result<LoweredPlan, StrategyError> {
-    if cfg!(debug_assertions) {
-        plan.validate(cluster)?;
-    }
+    plan.validate(cluster)?;
     let mut b = DagBuilder::new();
     let mut stamps: Vec<ComputeStamp> = Vec::new();
     // Done-task per op: the TaskId downstream ops hook their deps onto.
@@ -366,12 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn invalid_plan_is_rejected_in_debug_builds() {
+    fn invalid_plan_is_rejected() {
         let (c, k) = fixtures();
         let mut p = WorkloadPlan::new();
         p.push(PlanOp::Overhead, &[]); // no optimizer step
-        if cfg!(debug_assertions) {
-            assert!(lower(&p, &c, &k).is_err());
-        }
+        assert!(lower(&p, &c, &k).is_err());
     }
 }

@@ -566,8 +566,10 @@ impl WorkloadPlan {
     /// * per-kind phase membership: every op's stage must be one of
     ///   [`WorkloadKind::allowed_stages`] for the plan's kind, so training
     ///   plans cannot carry serving stages and vice versa;
-    /// * every referenced GPU / socket / volume physically exists, so
-    ///   every `TierTransfer` and `VolumeIo` has a resolvable route;
+    /// * every referenced GPU / socket / volume physically exists, and
+    ///   every volume a `VolumeIo` touches sits on the issuing socket's
+    ///   node, so every `TierTransfer` and `VolumeIo` has a resolvable
+    ///   route;
     /// * collective payloads are positive and finite with all ranks on
     ///   the cluster, and their wire volumes obey the ring closed forms
     ///   (all-reduce `2 (n−1)/n · S` per rank; the hierarchical schedule
@@ -711,11 +713,22 @@ impl WorkloadPlan {
                     bytes,
                     ..
                 } => {
-                    if !cluster.has_volume(*volume) {
+                    let Ok(v) = cluster.try_volume(*volume) else {
                         return err(i, format!("volume {volume:?} not registered"));
-                    }
+                    };
                     if !socket_ok(socket) {
                         return err(i, format!("socket {socket:?} not on cluster"));
+                    }
+                    // Volume I/O stays on the issuing node: no route
+                    // reaches another node's drives.
+                    if let Some(m) = v.members.iter().find(|m| m.node != socket.node) {
+                        return err(
+                            i,
+                            format!(
+                                "volume {volume:?} drive {m:?} is not on node {}",
+                                socket.node
+                            ),
+                        );
                     }
                     if !(bytes.is_finite() && *bytes >= 0.0) {
                         return err(i, format!("bad volume I/O bytes {bytes}"));
@@ -792,7 +805,7 @@ impl WorkloadPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerosim_hw::ClusterSpec;
+    use zerosim_hw::{ClusterSpec, NvmeId};
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterSpec::default()).unwrap()
@@ -878,30 +891,44 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_volume_rejected() {
-        let c = cluster();
-        let mut p = WorkloadPlan::new();
-        p.push(
-            PlanOp::VolumeIo {
-                volume: VolumeId(0),
-                socket: SocketId { node: 0, socket: 0 },
-                dir: IoDir::Read,
-                bytes: 1e6,
-                label: "nvme_read",
-                track: 0,
-            },
-            &[],
+    fn volume_io_needs_a_registered_volume_on_its_node() {
+        let read_from = |node| {
+            let mut p = WorkloadPlan::new();
+            p.push(
+                PlanOp::VolumeIo {
+                    volume: VolumeId(0),
+                    socket: SocketId { node, socket: 0 },
+                    dir: IoDir::Read,
+                    bytes: 1e6,
+                    label: "nvme_read",
+                    track: 0,
+                },
+                &[],
+            );
+            p.set_phase(PhaseStage::Step, 0);
+            p.push(
+                PlanOp::OptimizerStep {
+                    device: OptimizerDevice::Gpu(gpu0()),
+                    params: 1.0,
+                },
+                &[],
+            );
+            p
+        };
+        let mut c = cluster();
+        let e = read_from(0).validate(&c).unwrap_err();
+        assert!(e.to_string().contains("not registered"), "{e}");
+
+        c.create_volume(vec![NvmeId { node: 0, drive: 0 }]);
+        assert!(read_from(0).validate(&c).is_ok());
+        // Node 1 cannot reach node 0's drive: a typed error, not the
+        // routing panic lowering would otherwise hit.
+        let e = read_from(1).validate(&c).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("drive NvmeId { node: 0, drive: 0 } is not on node 1"),
+            "{e}"
         );
-        p.set_phase(PhaseStage::Step, 0);
-        p.push(
-            PlanOp::OptimizerStep {
-                device: OptimizerDevice::Gpu(gpu0()),
-                params: 1.0,
-            },
-            &[],
-        );
-        let e = p.validate(&c).unwrap_err();
-        assert!(e.to_string().contains("volume"));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use zerosim_core::RunConfig;
 use zerosim_hw::LinkClass;
 use zerosim_model::GptConfig;
 use zerosim_report::{gbps, tflops, Table};
-use zerosim_strategies::Strategy;
 
 // The experiment harness already knows the seven configurations; reuse it.
 use zerosim_bench::data::NvmeConfig;
@@ -33,28 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "PCIe-NVME avg GBps",
         "xGMI avg GBps",
     ]);
+    let rc = RunConfig {
+        allow_overflow: true,
+        ..RunConfig::quick()
+    };
     let mut best: Option<(char, f64)> = None;
     for cfg in NvmeConfig::ALL {
-        let (mut sim, placement) = cfg.build();
-        let volumes = placement
-            .rank_volumes
-            .iter()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        let strategy = Strategy::ZeroInfinity {
-            offload_params: false,
-            placement,
-        };
-        let rc = RunConfig {
-            allow_overflow: true,
-            ..RunConfig::quick()
-        };
-        let report = sim.run(
-            &strategy,
-            &model,
-            &zerosim_strategies::TrainOptions::single_node(),
-            &rc,
-        )?;
+        let spec = cfg.spec(cfg.letter().to_string(), false, model, rc);
+        let volumes = spec.volumes.len();
+        let report = spec.execute()?.report;
         let tput = report.throughput_tflops();
         if best.is_none_or(|(_, b)| tput > b) {
             best = Some((cfg.letter(), tput));

@@ -15,8 +15,9 @@
 #                   training, fault-matrix and serving digest), the
 #                   zero-allocation gate on the solver hot path, and the
 #                   BENCH_solver.json scorecard
-#   6. sweep:       `repro --workers 4` must render the scorecard
-#                   byte-identically to the serial run
+#   6. sweep:       `repro --workers 4` must render the scorecard and
+#                   the fifteen artifacts that moved onto the sweep
+#                   runner byte-identically to the serial run
 #   7. planlint:    static analysis (ZL001-ZL009) over the 12 golden
 #                   paper configurations; any deny-level finding fails.
 #                   The v2 gate additionally pins zero warnings, the
@@ -104,19 +105,24 @@ echo "== solver bench: BENCH_solver.json (links touched per solve, sweep) =="
 # link_count / mean links per solve).
 cargo bench -p zerosim-bench --bench solver_incremental -- --quick
 
-echo "== sweep smoke: --workers 4 renders the scorecard byte-identically =="
+echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
+# The scorecard plus every artifact whose runs moved onto the sweep runner
+# in v0.15.0 (ext13's fleet search is covered by the fleetplan gate).
+WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 cargo run --release -q -p zerosim-bench --bin repro -- \
-  --out "$SWEEP_TMP/serial" scorecard >/dev/null
+  --out "$SWEEP_TMP/serial" $WIDTH_ARTIFACTS >/dev/null
 cargo run --release -q -p zerosim-bench --bin repro -- \
-  --out "$SWEEP_TMP/wide" --workers 4 scorecard >/dev/null
-if ! cmp -s "$SWEEP_TMP/serial/scorecard.txt" "$SWEEP_TMP/wide/scorecard.txt"; then
-  echo "ERROR: scorecard differs between --workers 1 and --workers 4" >&2
-  diff "$SWEEP_TMP/serial/scorecard.txt" "$SWEEP_TMP/wide/scorecard.txt" >&2 || true
-  exit 1
-fi
-echo "scorecard byte-identical at widths 1 and 4"
+  --out "$SWEEP_TMP/wide" --workers 4 $WIDTH_ARTIFACTS >/dev/null
+for id in $WIDTH_ARTIFACTS; do
+  if ! cmp -s "$SWEEP_TMP/serial/$id.txt" "$SWEEP_TMP/wide/$id.txt"; then
+    echo "ERROR: $id differs between --workers 1 and --workers 4" >&2
+    diff "$SWEEP_TMP/serial/$id.txt" "$SWEEP_TMP/wide/$id.txt" >&2 || true
+    exit 1
+  fi
+done
+echo "$(echo $WIDTH_ARTIFACTS | wc -w) artifacts byte-identical at widths 1 and 4"
 # Ordering and digests must also hold across the 12 golden paper
 # configurations at widths 1/2/8 (tests/sweep_determinism.rs).
 cargo test -q --test sweep_determinism

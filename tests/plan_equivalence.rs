@@ -75,14 +75,14 @@ fn assert_equivalent(cluster: &Cluster, strategy: &Strategy, opts: &TrainOptions
 fn restamped_plans_match_fresh_builds_for_every_paper_config() {
     let cluster = Cluster::new(ClusterSpec::default()).unwrap();
     for (strategy, nodes) in data::golden_matrix() {
-        assert_equivalent(&cluster, &strategy, &data::opts(nodes));
+        assert_equivalent(&cluster, &strategy, &TrainOptions::for_nodes(nodes));
     }
 }
 
 #[test]
 fn restamped_plan_matches_fresh_build_for_zero_infinity() {
     let (cluster, strategy) = infinity_cluster();
-    assert_equivalent(&cluster, &strategy, &data::opts(1));
+    assert_equivalent(&cluster, &strategy, &TrainOptions::single_node());
 }
 
 #[test]
