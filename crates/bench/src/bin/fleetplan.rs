@@ -25,7 +25,7 @@
 //! * `--top N` — placements costed in full from the throughput ranking
 //!   (default 4).
 //! * `--samples N` — Monte-Carlo samples per Young/Daly validation
-//!   ensemble in the `--bench` scorecard (default 32).
+//!   ensemble in the `--bench` scorecard (default 32; at least 1).
 //! * `--json` — machine-readable report instead of text.
 //! * `--bench PATH` — also write a `BENCH_fleet.json` scorecard: the
 //!   costed ranking plus the Young/Daly bracket validation on the three
@@ -36,7 +36,7 @@
 use std::time::Instant;
 
 use zerosim_bench::cli::{
-    parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
+    parse_count, parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
 };
 use zerosim_bench::experiments::fleet::{golden_brackets, ENSEMBLE_SEED};
 use zerosim_core::{fleet_search, FleetCostConfig, FleetReport, YoungDalyBracket};
@@ -147,7 +147,7 @@ fn main() {
         take_value(&mut args, "--tokens").map(|raw| parse_or_exit(Some(raw), "--tokens", f64::NAN));
     let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
     let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 4);
-    let samples: usize = parse_or_exit(take_value(&mut args, "--samples"), "--samples", 32);
+    let samples = parse_count(take_value(&mut args, "--samples"), "--samples", 32);
     let bench_path = take_value(&mut args, "--bench");
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");

@@ -39,7 +39,7 @@
 //! `schema_version` field and the per-config reports under `configs`.
 
 use zerosim_analyzer::{analyze_strategy, AnalysisReport, Artifacts, LintConfig, PassManager};
-use zerosim_bench::cli::{parse_nodes, parse_topology, take_flag, take_value, usage_error};
+use zerosim_bench::cli::{parse_count, parse_topology, take_flag, take_value, usage_error};
 use zerosim_bench::data::golden_matrix;
 use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_core::{RunConfig, SweepSpec};
@@ -345,7 +345,7 @@ fn main() {
             usage_error(&format!("--level {directive}: {e}"));
         }
     }
-    let nodes = parse_nodes(take_value(&mut args, "--nodes"), "--nodes");
+    let nodes = parse_count(take_value(&mut args, "--nodes"), "--nodes", 1);
     let topology = take_value(&mut args, "--topology").map(|raw| parse_topology(Some(raw)));
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         usage();

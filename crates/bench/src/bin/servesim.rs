@@ -17,7 +17,8 @@
 //! * `--nodes N` — nodes the deployment spans (TP widens accordingly).
 //! * `--batch N` — continuous-batching slot count.
 //! * `--requests N`, `--arrivals`, `--prompt`, `--output`, `--seed` —
-//!   the synthetic trace (deterministic per seed).
+//!   the synthetic trace (deterministic per seed). `--prompt` and
+//!   `--output` take inclusive token ranges `LO,HI` with `1 <= LO <= HI`.
 //! * `--workers N` — fan-out for the `--bench` scorecard sweeps; results
 //!   are byte-identical at any width (only wall-clock changes).
 //! * `--json` — machine-readable report instead of text.
@@ -26,11 +27,14 @@
 //!   regime sweep, with width-invariant digests and the sanity verdict
 //!   `verify.sh` gates on.
 //!
-//! Exit status: 0 on success, 1 when the run fails, 2 on usage errors.
+//! Exit status: 0 on success, 1 when the run fails, 2 on usage errors
+//! (including a zero `--nodes`, `--batch` or `--requests`).
 
 use std::time::Instant;
 
-use zerosim_bench::cli::{parse_or_exit, take_flag, take_value, usage_error};
+use zerosim_bench::cli::{
+    parse_count, parse_or_exit, parse_range, take_flag, take_value, usage_error,
+};
 use zerosim_bench::experiments::serving::{
     golden_runs, golden_trace, regime_sweep, RegimePoint, SERVE_SEED,
 };
@@ -47,24 +51,6 @@ fn usage() -> ! {
          [--seed S] [--workers N] [--json] [--bench PATH]"
     );
     std::process::exit(2);
-}
-
-fn parse_range(raw: Option<String>, flag: &str, default: (usize, usize)) -> (usize, usize) {
-    let Some(raw) = raw else { return default };
-    let parts: Vec<&str> = raw.split(',').collect();
-    let parse = |s: &str| -> usize {
-        s.trim()
-            .parse()
-            .unwrap_or_else(|e| usage_error(&format!("{flag}: {e}")))
-    };
-    match parts.as_slice() {
-        [one] => {
-            let v = parse(one);
-            (v, v)
-        }
-        [lo, hi] => (parse(lo), parse(hi)),
-        _ => usage_error(&format!("{flag}: expected LO,HI")),
-    }
 }
 
 fn parse_arrivals(raw: Option<String>) -> ArrivalProcess {
@@ -186,9 +172,9 @@ fn main() {
     let json = take_flag(&mut args, "--json");
     let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "dense".into());
     let billions: f64 = parse_or_exit(take_value(&mut args, "--model"), "--model", 1.4);
-    let nodes: usize = parse_or_exit(take_value(&mut args, "--nodes"), "--nodes", 1);
-    let batch: usize = parse_or_exit(take_value(&mut args, "--batch"), "--batch", 8);
-    let requests: usize = parse_or_exit(take_value(&mut args, "--requests"), "--requests", 24);
+    let nodes = parse_count(take_value(&mut args, "--nodes"), "--nodes", 1);
+    let batch = parse_count(take_value(&mut args, "--batch"), "--batch", 8);
+    let requests = parse_count(take_value(&mut args, "--requests"), "--requests", 24);
     let arrivals = parse_arrivals(take_value(&mut args, "--arrivals"));
     let prompt = parse_range(take_value(&mut args, "--prompt"), "--prompt", (128, 512));
     let output = parse_range(take_value(&mut args, "--output"), "--output", (16, 48));

@@ -4,11 +4,11 @@
 //! `sweep --strategy zero2 --sizes 0.7,1.4,2.9 --nodes 1 [--batch 16] [--csv]`
 //!
 //! Strategies: ddp, megatron, zero1, zero2, zero3, zero1-cpu, zero2-cpu,
-//! zero3-cpu, infinity.
+//! zero3-cpu, infinity. A size below the paper shape's embedding-only
+//! size, or a zero node count or batch, is a usage error (exit 2).
 
 use zerosim_bench::cli::{
-    parse_billions, parse_nodes, parse_or_exit, strategy_by_name, take_flag, take_value,
-    usage_error,
+    parse_billions, parse_count, strategy_by_name, take_flag, take_value, usage_error,
 };
 use zerosim_core::RunConfig;
 use zerosim_hw::LinkClass;
@@ -29,8 +29,8 @@ fn main() {
             .collect(),
         None => vec![0.7, 1.4, 2.9, 5.5],
     };
-    let nodes = parse_nodes(take_value(&mut args, "--nodes"), "--nodes");
-    let batch: usize = parse_or_exit(take_value(&mut args, "--batch"), "--batch", 16);
+    let nodes = parse_count(take_value(&mut args, "--nodes"), "--nodes", 1);
+    let batch = parse_count(take_value(&mut args, "--batch"), "--batch", 16);
     if let Some(other) = args.first() {
         usage_error(&format!("error: unknown argument {other:?}\n{USAGE}"));
     }

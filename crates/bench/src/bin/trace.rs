@@ -10,7 +10,7 @@
 //! trace cannot be written, 2 on usage errors.
 
 use zerosim_bench::cli::{
-    parse_billions, parse_nodes, strategy_by_name, usage_error, STRATEGY_NAMES,
+    parse_billions, parse_count, strategy_by_name, usage_error, STRATEGY_NAMES,
 };
 use zerosim_core::{to_chrome_trace, RunConfig};
 use zerosim_model::GptConfig;
@@ -30,7 +30,7 @@ fn main() {
         ));
     }
     let billions = parse_billions(&args[1], "<billions>");
-    let nodes = parse_nodes(Some(args[2].clone()), "<nodes>");
+    let nodes = parse_count(Some(args[2].clone()), "<nodes>", 1);
     let out = args.get(3).cloned().unwrap_or_else(|| "trace.json".into());
 
     let model = GptConfig::paper_model_with_params(billions);

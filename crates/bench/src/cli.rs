@@ -65,15 +65,40 @@ pub fn parse_billions(raw: &str, what: &str) -> f64 {
     }
 }
 
-/// Parses a node count for `flag`, 1 when absent. Exits unless it is a
-/// positive integer; a count above the cluster's is the library's typed
-/// error.
-pub fn parse_nodes(raw: Option<String>, flag: &str) -> usize {
-    let nodes = parse_or_exit(raw, flag, 1);
-    if nodes == 0 {
+/// Parses a count (nodes, batch slots, requests, samples) for `flag`, or
+/// returns `default` when the flag was absent. Exits unless it is a
+/// positive integer; a node count above the cluster's is the library's
+/// typed error.
+pub fn parse_count(raw: Option<String>, flag: &str, default: usize) -> usize {
+    let count = parse_or_exit(raw, flag, default);
+    if count == 0 {
         usage_error(&format!("{flag}: expected a positive integer, got 0"));
     }
-    nodes
+    count
+}
+
+/// Parses an inclusive token range `LO,HI` (a single `N` means `N,N`) for
+/// `flag`, or returns `default` when the flag was absent. Exits unless
+/// both bounds are integers with `1 <= LO <= HI`.
+pub fn parse_range(raw: Option<String>, flag: &str, default: (usize, usize)) -> (usize, usize) {
+    let Some(raw) = raw else { return default };
+    let parse = |s: &str| -> usize {
+        s.trim()
+            .parse()
+            .unwrap_or_else(|e| usage_error(&format!("{flag}: {e}")))
+    };
+    let (lo, hi) = match raw.split(',').collect::<Vec<_>>().as_slice() {
+        [one] => {
+            let v = parse(one);
+            (v, v)
+        }
+        [lo, hi] => (parse(lo), parse(hi)),
+        _ => usage_error(&format!("{flag}: expected LO,HI, got {raw:?}")),
+    };
+    if lo == 0 || lo > hi {
+        usage_error(&format!("{flag}: expected 1 <= LO <= HI, got {raw:?}"));
+    }
+    (lo, hi)
 }
 
 /// Parses `--model B` (paper-shaped, depth-scaled) or `--model wide:B`
@@ -179,8 +204,14 @@ mod tests {
         );
         assert_eq!(parse_topology(None), TopologySpec::default());
         assert_eq!(parse_billions("0.7", "--sizes"), 0.7);
-        assert_eq!(parse_nodes(None, "--nodes"), 1);
-        assert_eq!(parse_nodes(Some("3".into()), "--nodes"), 3);
+        assert_eq!(parse_count(None, "--nodes", 1), 1);
+        assert_eq!(parse_count(Some("3".into()), "--nodes", 1), 3);
+        assert_eq!(parse_range(None, "--prompt", (128, 512)), (128, 512));
+        assert_eq!(parse_range(Some("5".into()), "--output", (16, 48)), (5, 5));
+        assert_eq!(
+            parse_range(Some("1, 9".into()), "--output", (16, 48)),
+            (1, 9)
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `zerosim-bench` — the experiment harness regenerating every table and
-//! figure of the paper, plus the in-house (testkit) micro-benchmarks.
+//! figure of the paper, plus the command-line tools built on it.
 //!
 //! Run `cargo run --release -p zerosim-bench --bin repro -- all` to
 //! regenerate everything, or pass an artifact id (`fig6`, `table4`, ...).
@@ -49,14 +49,6 @@ pub const ARTIFACTS: [&str; 35] = [
     "ext15",
     "scorecard",
 ];
-
-/// Renders one artifact by id with experiment sweeps fanned across
-/// `workers` threads ([`data::set_sweep_workers`]). Results are
-/// byte-identical at any width; only wall-clock changes.
-pub fn render_with(id: &str, workers: usize) -> String {
-    data::set_sweep_workers(workers);
-    render(id)
-}
 
 /// Renders one artifact by id.
 ///

@@ -1,0 +1,77 @@
+//! The usage-error contract of the command-line tools: an argument a tool
+//! cannot honour (an unknown flag, a zero count, an empty or reversed
+//! range, a malformed size) exits with status 2 and a message on stderr.
+//! Every row below is rejected while arguments are parsed, so this file
+//! simulates nothing.
+
+use std::path::Path;
+use std::process::Command;
+
+const FLEETPLAN: &str = env!("CARGO_BIN_EXE_fleetplan");
+const PLANFIND: &str = env!("CARGO_BIN_EXE_planfind");
+const PLANLINT: &str = env!("CARGO_BIN_EXE_planlint");
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+const SERVESIM: &str = env!("CARGO_BIN_EXE_servesim");
+const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
+const TRACE: &str = env!("CARGO_BIN_EXE_trace");
+
+/// Where `fleetplan --samples 0 --bench` would write, were it to run.
+const FLEET_BENCH: &str = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_usage_fleet.json");
+
+/// (binary, arguments): every invocation must be a usage error.
+const USAGE_ERRORS: &[(&str, &[&str])] = &[
+    // Counts and ranges servesim cannot honour.
+    (SERVESIM, &["--batch", "0"]),
+    (SERVESIM, &["--requests", "0"]),
+    (SERVESIM, &["--nodes", "0"]),
+    (SERVESIM, &["--output", "5,1"]),
+    (SERVESIM, &["--output", "0,0"]),
+    (SERVESIM, &["--prompt", "0,0"]),
+    // Zero counts in sweep and fleetplan.
+    (SWEEP, &["--batch", "0", "--sizes", "1.4"]),
+    (FLEETPLAN, &["--samples", "0", "--bench", FLEET_BENCH]),
+    // Sizes and node counts sweep and trace cannot run.
+    (SWEEP, &["--sizes", "-1"]),
+    (SWEEP, &["--nodes", "0"]),
+    (TRACE, &["zero3", "abc", "1"]),
+    (TRACE, &["zero3", "1.4", "0"]),
+    // An unknown flag, on every binary.
+    (FLEETPLAN, &["--bogus"]),
+    (PLANFIND, &["--bogus"]),
+    (PLANLINT, &["--bogus"]),
+    (REPRO, &["--bogus"]),
+    (SERVESIM, &["--bogus"]),
+    (SWEEP, &["--bogus"]),
+    (TRACE, &["--bogus"]),
+];
+
+#[test]
+fn unusable_arguments_exit_2_with_a_message() {
+    let failures: Vec<String> = USAGE_ERRORS
+        .iter()
+        .filter_map(|&(bin, args)| {
+            let out = Command::new(bin)
+                .args(args)
+                .output()
+                .unwrap_or_else(|e| panic!("cannot spawn {bin}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            if out.status.code() == Some(2) && !stderr.trim().is_empty() {
+                return None;
+            }
+            let name = Path::new(bin)
+                .file_name()
+                .map_or(bin.into(), |n| n.to_string_lossy());
+            Some(format!(
+                "{name} {}: status {:?}, stderr {:?}",
+                args.join(" "),
+                out.status.code(),
+                stderr.trim()
+            ))
+        })
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "expected exit 2 and a message for:\n{}",
+        failures.join("\n")
+    );
+}

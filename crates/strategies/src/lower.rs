@@ -17,8 +17,8 @@
 //!   once per iteration.
 //!
 //! The engine therefore performs one full DAG build per run instead of
-//! `warmup + measure` of them; `crates/bench/benches/dag_build.rs`
-//! measures the difference.
+//! `warmup + measure` of them; perfbench's traced op reports the two
+//! halves as `lower.s` and `stamp.s`.
 
 use zerosim_collectives::emit_collective_capped;
 use zerosim_hw::Cluster;

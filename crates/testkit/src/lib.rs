@@ -1,7 +1,7 @@
 //! Zero-dependency test substrate for the ZeroSim workspace.
 //!
 //! The workspace must build and test **hermetically** — with no registry
-//! access whatsoever — so everything the tests and benches used to pull
+//! access whatsoever — so everything the tests and tools used to pull
 //! from crates.io lives here instead:
 //!
 //! * [`rng`] — a deterministic [splitmix64 + xoshiro256**] generator with
@@ -11,9 +11,6 @@
 //! * [`prop`](mod@prop) — the property runner: case counts and seeds come from
 //!   `ZEROSIM_PT_CASES` / `ZEROSIM_PT_SEED`, and a failing case prints
 //!   the seed needed to replay it before panicking.
-//! * [`bench`](mod@bench) — a micro-bench harness (warmup + timed samples,
-//!   median/p90 reporting) compatible with `harness = false` bench
-//!   targets (the `criterion` replacement).
 //! * [`json`] — a minimal JSON value, renderer, parser, and
 //!   [`json::ToJson`]/[`json::FromJson`] traits plus the [`impl_json!`]
 //!   derive-macro replacement (the `serde`+`serde_json` replacement).
@@ -48,7 +45,6 @@
 //!
 //! [splitmix64 + xoshiro256**]: https://prng.di.unimi.it/
 
-pub mod bench;
 pub mod domain;
 pub mod gen;
 pub mod json;
@@ -61,7 +57,3 @@ pub use json::{FromJson, Json, JsonError, ToJson};
 pub use pool::ThreadPool;
 pub use prop::{check, Config};
 pub use rng::Rng;
-
-/// Re-export of [`std::hint::black_box`] so benches don't need to reach
-/// into `std::hint` themselves (criterion's `black_box` equivalent).
-pub use std::hint::black_box;

@@ -3,44 +3,44 @@
 #
 #   1. hygiene:     cargo fmt --check && cargo clippy -D warnings &&
 #                   cargo doc -D warnings
-#   2. tier-1:      cargo build --release && cargo test -q
+#   2. tier-1:      cargo build --release && cargo test -q (the root
+#                   package's tests/, including the >=5x
+#                   links-touched-per-solve floor on dual-node ZeRO-3)
 #   3. hermeticity: the same build must succeed with --offline and the
 #                   manifests must declare no registry dependencies
-#   4. bench smoke: in-house-harness bench targets in --quick mode,
-#                   including the plan-cache (lower-once / re-stamp)
-#                   regression check
-#   5. solver:      every test of every crate with the shadow oracle on
-#                   (each incremental max-min solve cross-checked against
-#                   the full reference solver, including on every pinned
-#                   training, fault-matrix and serving digest), the
-#                   zero-allocation gate on the solver hot path, and the
-#                   BENCH_solver.json scorecard
-#   6. sweep:       `repro --workers 4` must render the scorecard and
-#                   the fifteen artifacts that moved onto the sweep
-#                   runner byte-identically to the serial run
-#   7. planlint:    static analysis (ZL001-ZL009) over the 12 golden
+#   4. solver:      every test of every crate in release with the shadow
+#                   oracle on (each incremental max-min solve
+#                   cross-checked against the full reference solver,
+#                   including on every pinned training, fault-matrix and
+#                   serving digest), and the zero-allocation gate on the
+#                   solver hot path
+#   5. sweep:       `repro --workers 4` must render the scorecard and
+#                   sixteen runner artifacts, the ext11 fault matrix
+#                   among them, byte-identically to the serial run
+#   6. planlint:    static analysis (ZL001-ZL009) over the 12 golden
 #                   paper configurations; any deny-level finding fails.
 #                   The v2 gate additionally pins zero warnings, the
 #                   JSON schema_version, the zl008-selfcheck exit code,
 #                   and the ZL009 bound verdict (BENCH_planlint.json)
-#   8. planfind:    placement search smoke on a capacity-edge scenario;
+#   7. planfind:    placement search smoke on a capacity-edge scenario;
 #                   asserts the >=50% static-prune floor
 #                   (BENCH_planfind.json) and width-invariant digests
-#   9. fleetplan:   resilience-economics gate: the dollars-to-train
+#   8. fleetplan:   resilience-economics gate: the dollars-to-train
 #                   search on a pods fleet, plus the Young/Daly
 #                   validation scorecard (BENCH_fleet.json) — every
 #                   golden config's analytic interval must beat both the
 #                   2x and 0.5x cadence on ensemble goodput, with
 #                   digests byte-identical at --workers 1 vs 4
-#  10. servesim:    serving gate: TTFT/TPOT scorecard on the three
+#   9. servesim:    serving gate: TTFT/TPOT scorecard on the three
 #                   golden deployments plus the decode regime sweep
 #                   (BENCH_serve.json) — the in-binary sanity verdict
 #                   must hold and digests must be byte-identical at
 #                   --workers 1 vs 4
 #
-# The workspace must never require network/registry access; everything
-# external was replaced by crates/testkit (see DESIGN.md, "Testing
-# strategy").
+# Host-time performance is perfbench's job (BENCHMARK.json), not this
+# script's. The workspace must never require network/registry access;
+# everything external was replaced by crates/testkit (see DESIGN.md,
+# "Testing strategy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,41 +74,25 @@ if grep -rn "proptest\|criterion\|serde\|crossbeam\|parking_lot\|rand\b\|bytes =
 fi
 echo "manifests clean: path dependencies only"
 
-echo "== bench smoke (in-house harness, --quick) =="
-cargo bench -p zerosim-bench --bench flow_solver -- --quick
-
-echo "== plan-cache smoke: lowering amortized, re-stamp cheap =="
-# dag_build benches the full plan→lower→stamp pipeline next to the cached
-# lower-once + re-stamp split; a run that silently falls back to
-# rebuilding DAGs per iteration would show up here as stamp ≈ build.
-cargo bench -p zerosim-bench --bench dag_build -- --quick
-# The engine must report exactly one lowering per characterization run
-# (ddp_run_produces_sane_report asserts report.plan_lowerings == 1).
-cargo test -q -p zerosim-core ddp_run_produces_sane_report
-
 echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # ZEROSIM_SHADOW=1 makes every incremental solve run the full reference
 # solver next to it and assert bitwise-equal rates and demands
 # (FlowNet::shadow_check). The oracle is off by default in every build;
 # this one command runs every test of every crate under it, including the
 # 48 golden training digests, the ext11 fault-matrix cells, the golden
-# serving digests and the randomized solver property.
+# serving digests, the randomized solver property, the >=5x
+# links-touched-per-solve floor and the CLI usage-error table
+# (crates/bench/tests/cli_usage.rs).
 ZEROSIM_SHADOW=1 cargo test -q --release --workspace
 # Steady-state start -> solve -> advance cycles must allocate nothing
 # (counting global allocator in its own test binary).
 cargo test -q --release -p zerosim-simkit --test solver_allocs
 
-echo "== solver bench: BENCH_solver.json (links touched per solve, sweep) =="
-# Emits BENCH_solver.json at the repo root and asserts the >=5x
-# links-touched-per-solve floor on dual-node ZeRO-3 11.4 B (a full
-# re-solve touches every link, so the reduction is
-# link_count / mean links per solve).
-cargo bench -p zerosim-bench --bench solver_incremental -- --quick
-
 echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
-# The scorecard plus every artifact whose runs moved onto the sweep runner
-# in v0.15.0 (ext13's fleet search is covered by the fleetplan gate).
-WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8"
+# The scorecard, every artifact whose runs moved onto the sweep runner in
+# v0.15.0, and the ext11 fault matrix (ext13's fleet search is covered by
+# the fleetplan gate).
+WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8 ext11"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 cargo run --release -q -p zerosim-bench --bin repro -- \
@@ -123,16 +107,13 @@ for id in $WIDTH_ARTIFACTS; do
   fi
 done
 echo "$(echo $WIDTH_ARTIFACTS | wc -w) artifacts byte-identical at widths 1 and 4"
-# Ordering and digests must also hold across the 12 golden paper
-# configurations at widths 1/2/8 (tests/sweep_determinism.rs).
-cargo test -q --test sweep_determinism
 
 echo "== planlint gate: golden configs must be deny-clean =="
-# Static analysis (ZL001-ZL007) over the 12 golden paper configurations;
+# Static analysis (ZL001-ZL009) over the 12 golden paper configurations;
 # planlint exits non-zero on any deny-level finding. The lint fixtures
-# and simulator-consistency checks live in tests/analyzer_lints.rs.
+# and simulator-consistency checks live in tests/analyzer_lints.rs (run
+# by the tier-1 step).
 cargo run --release -q -p zerosim-bench --bin planlint -- golden
-cargo test -q --test analyzer_lints
 
 echo "== planlint v2 gate: codec legality + static step-time bounds =="
 # The golden dozen must lint at zero deny AND zero warnings — every
@@ -205,12 +186,6 @@ if [ -z "$PF1_DIGEST" ] || [ "$PF1_DIGEST" != "$PF4_DIGEST" ]; then
 fi
 echo "planfind digest width-invariant: $PF1_DIGEST"
 
-echo "== resilience smoke: fault matrix deterministic, goodput bounded =="
-# One small fault-matrix cell, run twice with the same seed + schedule:
-# byte-identical digests, and faulted goodput strictly below healthy
-# (straggler cell, 1.4 B dual-node).
-cargo test -q -p zerosim-bench straggler_cell_loses_goodput_but_stays_deterministic
-
 echo "== fleetplan gate: cost ranking + Young/Daly validation, width-invariant =="
 # The acceptance CLI shape: rank (strategy x placement x interval) by
 # dollars-to-train on a pods fleet under a failure rate and a deadline.
@@ -265,9 +240,6 @@ if [ -z "$SV1" ] || [ "$SV1" != "$SV4" ]; then
   echo "  serial: $SV1  fanned: $SV4" >&2
   exit 1
 fi
-# Trace sampling and the golden deployments must also replay identically
-# across runs and widths (tests/serve_determinism.rs).
-cargo test -q --test serve_determinism
 echo "servesim scorecard: $SV1," \
   "$(grep -o '"nvme_ttft_ratio":[0-9.]*' BENCH_serve.json)"
 
