@@ -1,13 +1,11 @@
-//! A minimal dependency-graph view shared by the DAG-level passes.
+//! A minimal dependency-graph view for the cycle/deadlock pass (ZL006),
+//! plus the ancestor bitsets the dataflow passes share.
 //!
-//! In-tree [`zerosim_simkit::Dag`]s are acyclic by construction, so the
-//! cycle/deadlock pass (ZL006) would never fire on them. The analyzer
-//! still owns the check — lowered plans may come from out-of-tree
-//! strategies or serialized artifacts — and [`GraphView::from_edges`]
-//! admits arbitrary (possibly cyclic, possibly dangling) edge lists so
-//! the pass is testable and usable on untrusted graphs.
-
-use zerosim_simkit::Dag;
+//! A [`zerosim_simkit::Dag`] is acyclic by construction
+//! (`DagBuilder::push` requires every dependency to precede its task), so
+//! ZL006 never looks at one. It checks only graphs built from untrusted
+//! edge lists by [`GraphView::from_edges`], which may be cyclic or
+//! dangling.
 
 /// A dependency graph: node `i` depends on every node in `preds[i]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,16 +14,6 @@ pub struct GraphView {
 }
 
 impl GraphView {
-    /// The dependency structure of a lowered DAG.
-    pub fn from_dag(dag: &Dag) -> Self {
-        GraphView {
-            preds: dag
-                .task_ids()
-                .map(|t| dag.preds(t).iter().map(|p| p.index()).collect())
-                .collect(),
-        }
-    }
-
     /// A graph over `n` nodes from `(from, to)` edges (`to` depends on
     /// `from`). Edges may form cycles or reference nodes `>= n`
     /// (dangling); the passes report both.

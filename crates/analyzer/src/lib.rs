@@ -1,7 +1,7 @@
 //! `zerosim-analyzer` — `planlint`: static analysis over the three
 //! artifact layers the simulator produces.
 //!
-//! Every registry strategy compiles to a typed
+//! Every strategy compiles to a typed
 //! [`zerosim_strategies::WorkloadPlan`] IR, lowers to a
 //! [`zerosim_simkit::Dag`], and may carry a
 //! [`zerosim_simkit::FaultSchedule`]. That makes the paper's headline
@@ -18,7 +18,7 @@
 //! | ZL003 | phase-ordering         | plan           |
 //! | ZL004 | bandwidth-feasibility  | plan + cluster |
 //! | ZL005 | dead-ops               | lowered DAG    |
-//! | ZL006 | dag-cycle              | DAG / graph    |
+//! | ZL006 | dag-cycle              | graph          |
 //! | ZL007 | fault-schedule         | fault schedule |
 //! | ZL008 | codec-legality         | plan           |
 //! | ZL009 | step-time-bound        | DAG + calib    |
@@ -27,15 +27,13 @@
 //! use zerosim_analyzer::{analyze_strategy, LintConfig};
 //! use zerosim_hw::{Cluster, ClusterSpec};
 //! use zerosim_model::GptConfig;
-//! use zerosim_strategies::{Calibration, StrategyRegistry, TrainOptions};
+//! use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cluster = Cluster::new(ClusterSpec::default().with_nodes(1))?;
-//! let registry = StrategyRegistry::paper();
-//! let strategy = registry.get("ZeRO-3").expect("paper registry has ZeRO-3");
 //! let report = analyze_strategy(
 //!     &cluster,
-//!     strategy,
+//!     &Strategy::Zero { stage: ZeroStage::Three },
 //!     &GptConfig::paper_model_with_params(1.4),
 //!     &TrainOptions::single_node(),
 //!     &Calibration::default(),
@@ -72,7 +70,7 @@ use zerosim_strategies::{lower, Calibration, IterCtx, StrategyError, StrategyPla
 /// Plans, lowers, and lints one strategy end to end: memory plan +
 /// iteration plan + lowered DAG through every default pass.
 ///
-/// This is the `planlint` entry point for registry strategies; callers
+/// This is the `planlint` entry point for named strategies; callers
 /// holding raw artifacts (a bare schedule, an untrusted graph) build an
 /// [`Artifacts`] and run a [`PassManager`] directly.
 ///
@@ -110,16 +108,14 @@ pub fn analyze_strategy(
 mod tests {
     use super::*;
     use zerosim_hw::ClusterSpec;
-    use zerosim_strategies::StrategyRegistry;
+    use zerosim_strategies::Strategy;
 
     #[test]
     fn analyze_strategy_runs_the_full_stack() {
         let cluster = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
-        let registry = StrategyRegistry::paper();
-        let strategy = registry.get("PyTorch DDP").unwrap();
         let r = analyze_strategy(
             &cluster,
-            strategy,
+            &Strategy::Ddp,
             &GptConfig::paper_model_with_params(1.4),
             &TrainOptions::single_node(),
             &Calibration::default(),

@@ -21,10 +21,10 @@ pub struct Artifacts<'a> {
     pub plan: Option<&'a WorkloadPlan>,
     /// The strategy's memory placement (ZL001 residency, ZL002 credit).
     pub memory: Option<&'a MemoryPlan>,
-    /// The lowered DAG (ZL005/ZL006).
+    /// The lowered DAG (ZL005/ZL009). ZL006 never reads it: a [`Dag`]
+    /// is acyclic by construction.
     pub dag: Option<&'a Dag>,
-    /// An untrusted dependency graph (ZL006); takes precedence over
-    /// `dag` for the cycle check when present.
+    /// An untrusted dependency graph, the only input ZL006 checks.
     pub graph: Option<&'a GraphView>,
     /// The fault schedule (ZL007).
     pub faults: Option<&'a FaultSchedule>,

@@ -11,18 +11,17 @@
 //! (no plan), the check degrades to structure: zero-cost join markers
 //! that gate nothing. Warn-by-default, not an error.
 //!
-//! ZL006 detects dependency cycles and dangling edges. In-tree DAGs are
-//! acyclic by construction, but lowered plans may arrive from
-//! out-of-tree strategies or serialized artifacts via
-//! [`crate::GraphView::from_edges`], so the analyzer owns the deadlock
-//! check rather than trusting the builder.
+//! ZL006 detects dependency cycles and dangling edges in an untrusted
+//! graph ([`crate::GraphView::from_edges`], attached with
+//! [`Artifacts::with_graph`]). It skips the lowered DAG: a
+//! [`zerosim_simkit::Dag`] is acyclic by construction, because
+//! `DagBuilder::push` requires every dependency to precede its task.
 
 use zerosim_hw::{IoDir, MemLoc};
 use zerosim_simkit::TaskKind;
 use zerosim_strategies::{PhaseStage, PlanOp, WorkloadPlan};
 
 use crate::diag::{LintCode, Site};
-use crate::graph::GraphView;
 use crate::pass::{Artifacts, Pass, Sink};
 
 /// ZL005 (see module docs).
@@ -139,15 +138,8 @@ impl Pass for DagCyclePass {
     }
 
     fn run(&self, art: &Artifacts<'_>, sink: &mut Sink<'_>) {
-        // An explicit untrusted graph takes precedence over the DAG.
-        let owned;
-        let graph: &GraphView = match (art.graph, art.dag) {
-            (Some(g), _) => g,
-            (None, Some(d)) => {
-                owned = GraphView::from_dag(d);
-                &owned
-            }
-            (None, None) => return,
+        let Some(graph) = art.graph else {
+            return;
         };
         if let Some((node, missing)) = graph.first_dangling() {
             sink.report(
@@ -176,6 +168,7 @@ impl Pass for DagCyclePass {
 mod tests {
     use super::*;
     use crate::diag::{LintConfig, Severity};
+    use crate::graph::GraphView;
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_hw::{Cluster, ClusterSpec};
     use zerosim_simkit::{Dag, DagBuilder, ResourceId, SimTime};

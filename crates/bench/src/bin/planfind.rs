@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! planfind [--topology SPEC] [--model B | --model wide:B]
-//!          [--workers N] [--top N] [--json] [--bench PATH]
+//!          [--workers N] [--top N] [--json]
 //! ```
 //!
 //! * `--topology SPEC` — the cluster shape to search against:
@@ -18,9 +18,9 @@
 //! * `--workers N` — simulation fan-out; results are byte-identical at
 //!   any width (only wall-clock changes).
 //! * `--top N` — ranked plans to print (default 5).
-//! * `--json` — machine-readable report instead of text.
-//! * `--bench PATH` — also write a `BENCH_planfind.json` scorecard
-//!   (candidate counts, prune fraction, digest, wall time) to `PATH`.
+//! * `--json` — machine-readable report instead of text: candidate
+//!   counts, prune fraction, digest, wall time, ranking and every
+//!   candidate's outcome.
 //!
 //! Exit status: 0 on success (even when every candidate prunes), 1 when
 //! the topology cannot be built, 2 on usage errors.
@@ -34,7 +34,7 @@ use zerosim_testkit::json::Json;
 fn usage() -> ! {
     eprintln!(
         "usage: planfind [--topology SPEC] [--model B|wide:B] [--workers N] \
-         [--top N] [--json] [--bench PATH]"
+         [--top N] [--json]"
     );
     eprintln!("topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> |");
     eprintln!("            pods:<pods>x<islands>x<gpus>:<pod_over>:<spine_over>");
@@ -100,7 +100,6 @@ fn main() {
     let model = parse_model(&take_value(&mut args, "--model").unwrap_or_else(|| "1.4".into()));
     let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
     let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 5);
-    let bench_path = take_value(&mut args, "--bench");
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");
         usage();
@@ -122,10 +121,5 @@ fn main() {
     } else {
         print!("{}", report.render_text(top));
         eprintln!("[search completed in {wall_secs:.2}s at {workers} worker(s)]");
-    }
-    if let Some(path) = bench_path {
-        std::fs::write(&path, report_json(&report, workers, wall_secs).render())
-            .expect("write bench scorecard");
-        eprintln!("[scorecard written to {path}]");
     }
 }

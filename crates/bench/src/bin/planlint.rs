@@ -14,9 +14,10 @@
 //! * `golden` lints the paper's full strategy matrix (the 12 golden
 //!   configurations `repro`/`verify.sh` reproduce), each on its paper
 //!   cluster shape.
-//! * `<strategy>...` lints named registry strategies (see `planlint
-//!   list`) on a `--nodes N` cluster (default 1; NVMe strategies get a
-//!   two-drive volume on node 0, as in the paper).
+//! * `<strategy>...` lints strategies by registry name (`planlint list`
+//!   prints the table `sweep` and `trace` share) on a `--nodes N`
+//!   cluster (default 1; NVMe strategies get a two-drive volume on
+//!   node 0, as in the paper).
 //! * `--topology SPEC` lints named strategies against a generated
 //!   topology instead — `paper`, `flat:<nodes>`,
 //!   `fat-tree:<racks>x<nodes_per_rack>:<oversub>`, or
@@ -39,16 +40,16 @@
 //! `schema_version` field and the per-config reports under `configs`.
 
 use zerosim_analyzer::{analyze_strategy, AnalysisReport, Artifacts, LintConfig, PassManager};
-use zerosim_bench::cli::{parse_count, parse_topology, take_flag, take_value, usage_error};
+use zerosim_bench::cli::{
+    parse_count, parse_topology, strategy_by_name, strategy_names, take_flag, take_value,
+    usage_error,
+};
 use zerosim_bench::data::golden_matrix;
 use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_core::{RunConfig, SweepSpec};
-use zerosim_hw::{Cluster, ClusterSpec, GpuId, NvmeId, TopologySpec, VolumeId};
+use zerosim_hw::{Cluster, ClusterSpec, GpuId};
 use zerosim_model::GptConfig;
-use zerosim_strategies::{
-    Codec, Dtype, InfinityPlacement, PhaseStage, PlanOp, Strategy, StrategyRegistry, TrainOptions,
-    WorkloadPlan,
-};
+use zerosim_strategies::{Codec, Dtype, PhaseStage, PlanOp, Strategy, TrainOptions, WorkloadPlan};
 use zerosim_testkit::json::Json;
 
 /// Version of the `--json` (and `--bench`) output shape. Bump on any
@@ -58,29 +59,23 @@ const SCHEMA_VERSION: f64 = 2.0;
 /// Jitter seeds the `--bench` mode simulates each config under.
 const BENCH_SEEDS: [u64; 4] = [0, 1, 7, 42];
 
-/// A lintable configuration: the paper's 1.4 B model under `strategy`
-/// on every node of `cluster`.
-fn case(strategy: Strategy, cluster: ClusterSpec) -> SweepSpec {
+/// A lintable configuration: the paper's 1.4 B model under the strategy
+/// named `name` ([`strategy_by_name`]) on every node of `cluster`. Exits
+/// with a usage error when the name is not in the strategy table.
+fn case(name: &str, cluster: ClusterSpec) -> SweepSpec {
     let nodes = cluster.nodes;
-    SweepSpec::new(
-        format!("{} @ {nodes} node(s)", strategy.name()),
-        strategy,
+    let spec = strategy_by_name(
+        name,
         GptConfig::paper_model_with_params(1.4),
         TrainOptions::for_nodes(nodes),
     )
+    .unwrap_or_else(|e| usage_error(&e));
+    SweepSpec {
+        label: format!("{name} @ {nodes} node(s)"),
+        ..spec
+    }
     .with_cluster(cluster)
     .with_run(RunConfig::quick())
-}
-
-/// A [`case`] for ZeRO-Infinity striped over the paper's two-drive volume
-/// on node 0.
-fn infinity_case(offload_params: bool, cluster: ClusterSpec) -> SweepSpec {
-    let strategy = Strategy::ZeroInfinity {
-        offload_params,
-        placement: InfinityPlacement::new(vec![VolumeId(0)]),
-    };
-    let d = |drive| NvmeId { node: 0, drive };
-    case(strategy, cluster).with_volume(vec![d(0), d(1)])
 }
 
 fn paper_cluster(nodes: usize) -> ClusterSpec {
@@ -92,9 +87,9 @@ fn paper_cluster(nodes: usize) -> ClusterSpec {
 fn golden_cases() -> Vec<SweepSpec> {
     let mut cases: Vec<SweepSpec> = golden_matrix()
         .into_iter()
-        .map(|(strategy, nodes)| case(strategy, paper_cluster(nodes)))
+        .map(|(strategy, nodes)| case(&strategy.name(), paper_cluster(nodes)))
         .collect();
-    cases.push(infinity_case(true, paper_cluster(1)));
+    cases.push(case("ZeRO-Infinity (NVME opt+param)", paper_cluster(1)));
     cases
 }
 
@@ -104,50 +99,8 @@ fn golden_cases() -> Vec<SweepSpec> {
 fn zeropp_cases() -> Vec<SweepSpec> {
     [Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]
         .into_iter()
-        .map(|strategy| case(strategy, paper_cluster(2)))
+        .map(|strategy| case(&strategy.name(), paper_cluster(2)))
         .collect()
-}
-
-/// Every strategy `planlint` can lint by name: the paper registry plus
-/// the Megatron shape variants and the NVMe configs the registry leaves
-/// to per-run setup.
-fn lintable_names() -> Vec<String> {
-    let mut names: Vec<String> = StrategyRegistry::paper()
-        .with_zeropp()
-        .names()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    for extra in [
-        Strategy::Megatron { tp: 8, pp: 1 }.name(),
-        Strategy::Megatron { tp: 4, pp: 2 }.name(),
-        "ZeRO-Infinity (NVME opt)".to_string(),
-        "ZeRO-Infinity (NVME opt+param)".to_string(),
-    ] {
-        if !names.contains(&extra) {
-            names.push(extra);
-        }
-    }
-    names
-}
-
-/// A named strategy on a `--nodes N` paper cluster or a `--topology`
-/// generated cluster, spanning all its nodes.
-fn named_case(name: &str, nodes: usize, topology: Option<&TopologySpec>) -> Option<SweepSpec> {
-    let cluster = match topology {
-        Some(t) => t.build().expect("parsed topology builds"),
-        None => paper_cluster(nodes),
-    };
-    // Every golden strategy plus the ZeRO++ family.
-    let mut candidates = golden_matrix()
-        .into_iter()
-        .map(|(strategy, _)| strategy)
-        .chain([Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]);
-    Some(match name {
-        "ZeRO-Infinity (NVME opt)" => infinity_case(false, cluster),
-        "ZeRO-Infinity (NVME opt+param)" => infinity_case(true, cluster),
-        _ => case(candidates.find(|s| s.name() == name)?, cluster),
-    })
 }
 
 /// Lints `spec`'s strategy on the cluster [`SweepSpec::build_sim`] makes.
@@ -322,7 +275,7 @@ fn usage() -> ! {
          golden|<strategy>..."
     );
     eprintln!("       planlint list");
-    eprintln!("strategies: {}", lintable_names().join(", "));
+    eprintln!("strategies: {}", strategy_names().join(", "));
     eprintln!(
         "topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> | \
          pods:<pods>x<islands>x<gpus>:<pod>:<spine>"
@@ -351,7 +304,7 @@ fn main() {
         usage();
     }
     if args.iter().any(|a| a == "list") {
-        for name in lintable_names() {
+        for name in strategy_names() {
             println!("{name}");
         }
         return;
@@ -363,12 +316,12 @@ fn main() {
         }
         golden_cases()
     } else {
+        let cluster = match &topology {
+            Some(t) => t.build().expect("parsed topology builds"),
+            None => paper_cluster(nodes),
+        };
         args.iter()
-            .map(|name| {
-                named_case(name, nodes, topology.as_ref()).unwrap_or_else(|| {
-                    usage_error(&format!("unknown strategy {name:?}; run `planlint list`"))
-                })
-            })
+            .map(|name| case(name, cluster.clone()))
             .collect()
     };
 

@@ -1,11 +1,12 @@
 //! Ad-hoc parameter sweeps over the simulated cluster.
 //!
 //! Usage:
-//! `sweep --strategy zero2 --sizes 0.7,1.4,2.9 --nodes 1 [--batch 16] [--csv]`
+//! `sweep --strategy ZeRO-2 --sizes 0.7,1.4,2.9 --nodes 1 [--batch 16] [--csv]`
 //!
-//! Strategies: ddp, megatron, zero1, zero2, zero3, zero1-cpu, zero2-cpu,
-//! zero3-cpu, infinity. A size below the paper shape's embedding-only
-//! size, or a zero node count or batch, is a usage error (exit 2).
+//! `--strategy` takes a registry name (`planlint list` prints all 16,
+//! e.g. `"PyTorch DDP"`, `"Megatron-LM (MP=4)"`, `"ZeRO-3 (CPU)"`). An
+//! unknown name, a size below the paper shape's embedding-only size, or
+//! a zero node count or batch, is a usage error (exit 2).
 
 use zerosim_bench::cli::{
     parse_billions, parse_count, strategy_by_name, take_flag, take_value, usage_error,
@@ -21,7 +22,7 @@ const USAGE: &str = "usage: sweep --strategy <name> --sizes 0.7,1.4 --nodes 1 [-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let csv = take_flag(&mut args, "--csv");
-    let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "zero2".into());
+    let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "ZeRO-2".into());
     let sizes: Vec<f64> = match take_value(&mut args, "--sizes") {
         Some(raw) => raw
             .split(',')

@@ -3,14 +3,14 @@
 //! counterpart of the paper's nsys captures (Fig. 5).
 //!
 //! Usage: `trace <strategy> <billions> <nodes> [output.json]`
-//! where strategy ∈ {ddp, megatron, zero1, zero2, zero3, zero1-cpu,
-//! zero2-cpu, zero3-cpu, infinity}.
+//! where `<strategy>` is a registry name (`planlint list` prints all 16,
+//! e.g. `ZeRO-3` or `"ZeRO-Infinity (NVME opt)"`).
 //!
 //! Exit status: 0 on success, 1 when the configuration cannot run or the
 //! trace cannot be written, 2 on usage errors.
 
 use zerosim_bench::cli::{
-    parse_billions, parse_count, strategy_by_name, usage_error, STRATEGY_NAMES,
+    parse_billions, parse_count, strategy_by_name, strategy_names, usage_error,
 };
 use zerosim_core::{to_chrome_trace, RunConfig};
 use zerosim_model::GptConfig;
@@ -26,7 +26,7 @@ fn main() {
     if args.len() < 3 {
         usage_error(&format!(
             "usage: trace <strategy> <billions> <nodes> [output.json]\nstrategies: {}",
-            STRATEGY_NAMES.join(" ")
+            strategy_names().join(", ")
         ));
     }
     let billions = parse_billions(&args[1], "<billions>");

@@ -1,12 +1,13 @@
-//! Argument handling shared by the command-line binaries. Every usage
-//! error prints one line to stderr and exits with status 2.
+//! Argument handling shared by the command-line binaries, and the one
+//! strategy table they look strategies up in by [`Strategy::name`].
+//! Every usage error prints one line to stderr and exits with status 2.
 
 use zerosim_core::SweepSpec;
 use zerosim_hw::TopologySpec;
 use zerosim_model::GptConfig;
 use zerosim_strategies::{Strategy, TrainOptions, ZeroStage};
 
-use crate::data::{cpu_offload, paper_infinity};
+use crate::data::{cpu_offload, infinity, paper_infinity};
 
 /// Prints `message` to stderr and exits with the usage-error status 2.
 pub fn usage_error(message: &str) -> ! {
@@ -126,49 +127,65 @@ pub fn parse_topology(raw: Option<String>) -> TopologySpec {
     }
 }
 
-/// The strategy names [`strategy_by_name`] accepts.
-pub const STRATEGY_NAMES: [&str; 9] = [
-    "ddp",
-    "megatron",
-    "zero1",
-    "zero2",
-    "zero3",
-    "zero1-cpu",
-    "zero2-cpu",
-    "zero3-cpu",
-    "infinity",
-];
+/// The one strategy table: every strategy the command-line tools run,
+/// in listing order, each looked up by its [`Strategy::name`]. The
+/// CPU-offload variants keep parameters on the GPU unless the name says
+/// `opt+param`, and ZeRO-Infinity stripes over the volume
+/// [`strategy_by_name`] creates.
+pub fn strategies() -> Vec<Strategy> {
+    let zero = |stage| Strategy::Zero { stage };
+    vec![
+        Strategy::Ddp,
+        Strategy::Megatron { tp: 4, pp: 1 },
+        Strategy::Megatron { tp: 8, pp: 1 },
+        Strategy::Megatron { tp: 4, pp: 2 },
+        zero(ZeroStage::One),
+        zero(ZeroStage::Two),
+        zero(ZeroStage::Three),
+        cpu_offload(ZeroStage::One),
+        cpu_offload(ZeroStage::Two),
+        cpu_offload(ZeroStage::Three),
+        Strategy::ZeroOffload {
+            stage: ZeroStage::Three,
+            offload_params: true,
+        },
+        infinity(false),
+        infinity(true),
+        Strategy::qwz(),
+        Strategy::hpz(),
+        Strategy::qgz(),
+    ]
+}
 
-/// A spec, labelled `name`, training strategy `name` at `model` under
-/// `opts` on the paper cluster: Megatron uses TP = 4 per node, the
-/// CPU-offload variants keep parameters on the GPU, and `infinity`
-/// stripes the optimizer over the two-drive volume on node 0
+/// The names [`strategy_by_name`] accepts, in [`strategies`] order.
+pub fn strategy_names() -> Vec<String> {
+    strategies().iter().map(Strategy::name).collect()
+}
+
+/// A spec, labelled `name`, training the [`strategies`] entry named
+/// `name` at `model` under `opts` on the paper cluster. The ZeRO-Infinity
+/// entries get the two-drive volume on node 0
 /// ([`crate::data::paper_infinity`]).
 ///
 /// # Errors
-/// Names outside [`STRATEGY_NAMES`].
+/// Names outside [`strategy_names`]; the message lists them.
 pub fn strategy_by_name(
     name: &str,
     model: GptConfig,
     opts: TrainOptions,
 ) -> Result<SweepSpec, String> {
-    let zero = |stage| Strategy::Zero { stage };
-    let strategy = match name {
-        "ddp" => Strategy::Ddp,
-        "megatron" => Strategy::Megatron {
-            tp: 4 * opts.nodes,
-            pp: 1,
-        },
-        "zero1" => zero(ZeroStage::One),
-        "zero2" => zero(ZeroStage::Two),
-        "zero3" => zero(ZeroStage::Three),
-        "zero1-cpu" => cpu_offload(ZeroStage::One),
-        "zero2-cpu" => cpu_offload(ZeroStage::Two),
-        "zero3-cpu" => cpu_offload(ZeroStage::Three),
-        "infinity" => return Ok(paper_infinity(name, false, model, opts)),
-        other => return Err(format!("unknown strategy {other:?}")),
+    let Some(strategy) = strategies().into_iter().find(|s| s.name() == name) else {
+        return Err(format!(
+            "unknown strategy {name:?}; strategies: {}",
+            strategy_names().join(", ")
+        ));
     };
-    Ok(SweepSpec::new(name, strategy, model, opts))
+    Ok(match strategy {
+        Strategy::ZeroInfinity { offload_params, .. } => {
+            paper_infinity(name, offload_params, model, opts)
+        }
+        strategy => SweepSpec::new(name, strategy, model, opts),
+    })
 }
 
 #[cfg(test)]
@@ -215,24 +232,33 @@ mod tests {
     }
 
     #[test]
-    fn every_listed_strategy_name_builds() {
+    fn the_strategy_table_is_keyed_by_registry_name() {
         let model = GptConfig::paper_model_with_params(1.4);
-        for name in STRATEGY_NAMES {
-            let spec = strategy_by_name(name, model, TrainOptions::for_nodes(2)).unwrap();
-            assert_eq!(spec.label, name);
+        let names = strategy_names();
+        assert_eq!(names.len(), 16);
+        for name in &names {
+            let spec = strategy_by_name(name, model, TrainOptions::single_node()).unwrap();
+            assert_eq!(&spec.label, name);
+            assert_eq!(&spec.strategy.name(), name);
         }
-        let megatron = strategy_by_name("megatron", model, TrainOptions::for_nodes(2)).unwrap();
-        assert!(matches!(
-            megatron.strategy,
-            Strategy::Megatron { tp: 8, pp: 1 }
-        ));
-        assert!(strategy_by_name("zero4", model, TrainOptions::single_node()).is_err());
+        for (strategy, _) in crate::data::golden_matrix() {
+            assert!(names.contains(&strategy.name()), "{}", strategy.name());
+        }
+        for old in ["megatron", "zero3", "zero1-cpu", "infinity"] {
+            let err = strategy_by_name(old, model, TrainOptions::single_node()).unwrap_err();
+            assert!(err.contains("PyTorch DDP"), "{err}");
+        }
     }
 
     #[test]
     fn infinity_on_two_nodes_is_a_typed_error() {
         let model = GptConfig::paper_model_with_params(1.4);
-        let spec = strategy_by_name("infinity", model, TrainOptions::for_nodes(2)).unwrap();
+        let spec = strategy_by_name(
+            "ZeRO-Infinity (NVME opt)",
+            model,
+            TrainOptions::for_nodes(2),
+        )
+        .unwrap();
         // Node 1's ranks would stripe onto node 0's drives.
         let err = spec.with_run(RunConfig::quick()).execute().unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");

@@ -52,6 +52,15 @@ pub fn spec(
     SweepSpec::new(label, strategy, model, TrainOptions::for_nodes(nodes)).with_run(cfg)
 }
 
+/// ZeRO-Infinity striped over a spec's first volume, which
+/// [`paper_infinity`] makes the paper's scratch volume.
+pub fn infinity(offload_params: bool) -> Strategy {
+    Strategy::ZeroInfinity {
+        offload_params,
+        placement: InfinityPlacement::new(vec![VolumeId(0)]),
+    }
+}
+
 /// ZeRO-Infinity striped over the paper's scratch volume (drives 0 and 1
 /// of node 0, the spec's first volume) on the default paper cluster.
 pub fn paper_infinity(
@@ -60,12 +69,8 @@ pub fn paper_infinity(
     model: GptConfig,
     opts: TrainOptions,
 ) -> SweepSpec {
-    let strategy = Strategy::ZeroInfinity {
-        offload_params,
-        placement: InfinityPlacement::new(vec![VolumeId(0)]),
-    };
     let d = |drive| NvmeId { node: 0, drive };
-    SweepSpec::new(label, strategy, model, opts).with_volume(vec![d(0), d(1)])
+    SweepSpec::new(label, infinity(offload_params), model, opts).with_volume(vec![d(0), d(1)])
 }
 
 /// ZeRO-`stage` with the optimizer offloaded to CPU memory and the

@@ -1,6 +1,7 @@
 //! The usage-error contract of the command-line tools: an argument a tool
-//! cannot honour (an unknown flag, a zero count, an empty or reversed
-//! range, a malformed size) exits with status 2 and a message on stderr.
+//! cannot honour (an unknown flag or strategy name, a zero count, an
+//! empty or reversed range, a malformed size) exits with status 2 and a
+//! message on stderr.
 //! Every row below is rejected while arguments are parsed, so this file
 //! simulates nothing.
 
@@ -33,8 +34,12 @@ const USAGE_ERRORS: &[(&str, &[&str])] = &[
     // Sizes and node counts sweep and trace cannot run.
     (SWEEP, &["--sizes", "-1"]),
     (SWEEP, &["--nodes", "0"]),
-    (TRACE, &["zero3", "abc", "1"]),
-    (TRACE, &["zero3", "1.4", "0"]),
+    (TRACE, &["ZeRO-3", "abc", "1"]),
+    (TRACE, &["ZeRO-3", "1.4", "0"]),
+    // The old short strategy names are gone, with no aliases.
+    (TRACE, &["zero3", "1.4", "1"]),
+    (SWEEP, &["--strategy", "zero3"]),
+    (PLANLINT, &["zero3"]),
     // An unknown flag, on every binary.
     (FLEETPLAN, &["--bogus"]),
     (PLANFIND, &["--bogus"]),

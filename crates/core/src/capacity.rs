@@ -7,7 +7,7 @@ use zerosim_hw::Cluster;
 use zerosim_model::GptConfig;
 use zerosim_strategies::{Calibration, IterCtx, StrategyPlan, TrainOptions};
 
-use crate::error::CoreError;
+use crate::error::{ensure_nodes, CoreError};
 
 /// Result of a capacity search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,9 +32,11 @@ impl CapacityResult {
 /// not fitting.
 ///
 /// # Panics
-/// Panics on [`CoreError::CapacityDiverged`] — the search fitting past
-/// two million layers, which indicates a broken memory model rather than
-/// a property of the configuration. Callers that must stay panic-free
+/// Panics where [`try_max_model_size`] errs: when `opts` spans no nodes
+/// or more nodes than `cluster` has ([`CoreError::InvalidConfig`]), and
+/// on [`CoreError::CapacityDiverged`] — the search fitting past two
+/// million layers, which indicates a broken memory model rather than a
+/// property of the configuration. Callers that must stay panic-free
 /// (e.g. the `planfind` search loop) use [`try_max_model_size`].
 pub fn max_model_size(
     cluster: &Cluster,
@@ -48,18 +50,21 @@ pub fn max_model_size(
     }
 }
 
-/// [`max_model_size`] with the divergence guard surfaced as a typed
-/// error instead of a panic.
+/// [`max_model_size`] with the node-count check and the divergence guard
+/// surfaced as typed errors instead of panics.
 ///
 /// # Errors
-/// [`CoreError::CapacityDiverged`] when the exponential probe still fits
-/// past 2²¹ layers (a memory-model bug, not a configuration property).
+/// [`CoreError::InvalidConfig`] when `opts` spans no nodes or more nodes
+/// than `cluster` has, and [`CoreError::CapacityDiverged`] when the
+/// exponential probe still fits past 2²¹ layers (a memory-model bug, not
+/// a configuration property).
 pub fn try_max_model_size(
     cluster: &Cluster,
     strategy: &dyn StrategyPlan,
     opts: &TrainOptions,
     calib: &Calibration,
 ) -> Result<Option<CapacityResult>, CoreError> {
+    ensure_nodes(opts, cluster)?;
     let fits = |layers: usize| -> bool {
         let model = GptConfig::paper_model(layers);
         let ctx = IterCtx {
@@ -200,6 +205,24 @@ mod tests {
                 try_max_model_size(&cluster, &s, &opts, &calib).unwrap(),
                 max_model_size(&cluster, &s, &opts, &calib)
             );
+        }
+    }
+
+    #[test]
+    fn node_counts_outside_the_cluster_are_typed_errors() {
+        let (cluster, _, calib) = fixtures();
+        for s in [
+            Strategy::Ddp,
+            Strategy::Megatron { tp: 4, pp: 1 },
+            Strategy::Zero {
+                stage: ZeroStage::Three,
+            },
+        ] {
+            for nodes in [0, 3] {
+                let opts = TrainOptions::for_nodes(nodes);
+                let err = try_max_model_size(&cluster, &s, &opts, &calib).unwrap_err();
+                assert!(matches!(err, CoreError::InvalidConfig(_)), "{s:?}: {err}");
+            }
         }
     }
 

@@ -73,5 +73,5 @@ pub use timeline::{profile_tracks, to_chrome_trace, TrackProfile};
 pub use zerosim_simkit::{EngineStats, FaultKind, FaultSchedule};
 pub use zerosim_strategies::{
     Calibration, CheckpointSink, IterCtx, LoweredPlan, RecoveryPolicy, ServingStrategy, Strategy,
-    StrategyError, StrategyPlan, StrategyRegistry, TrainOptions,
+    StrategyError, StrategyPlan, TrainOptions,
 };

@@ -55,7 +55,6 @@ mod memory;
 mod options;
 mod placement;
 mod plan;
-mod registry;
 mod resilience;
 mod serving;
 mod zero;
@@ -72,7 +71,6 @@ pub use plan::{
     Codec, Dtype, OpId, OptimizerDevice, Phase, PhaseStage, PlanNode, PlanOp, WorkloadKind,
     WorkloadPlan,
 };
-pub use registry::StrategyRegistry;
 pub use resilience::{
     plan_checkpoint, plan_restore, snapshot_bytes_per_rank, snapshot_bytes_total, CheckpointSink,
     RecoveryPolicy,
@@ -91,8 +89,9 @@ use zerosim_simkit::Dag;
 /// Implementations describe *what* one training iteration does — as an
 /// [`WorkloadPlan`] of semantic ops plus a [`MemoryPlan`] — and never touch
 /// simkit. The engine lowers the plan once per configuration and
-/// re-stamps durations per iteration; out-of-tree strategies plug in
-/// through a [`StrategyRegistry`].
+/// re-stamps durations per iteration. The engine, the analyzer, the
+/// capacity search and perfbench take `&dyn StrategyPlan`; [`Strategy`]
+/// implements it.
 pub trait StrategyPlan: Debug {
     /// Short display name matching the paper's figure legends.
     fn display_name(&self) -> String;

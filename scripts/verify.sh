@@ -23,8 +23,8 @@
 #                   JSON schema_version, the zl008-selfcheck exit code,
 #                   and the ZL009 bound verdict (BENCH_planlint.json)
 #   7. planfind:    placement search smoke on a capacity-edge scenario;
-#                   asserts the >=50% static-prune floor
-#                   (BENCH_planfind.json) and width-invariant digests
+#                   asserts the >=50% static-prune floor and
+#                   width-invariant digests on its --json report
 #   8. fleetplan:   resilience-economics gate: the dollars-to-train
 #                   search on a pods fleet, plus the Young/Daly
 #                   validation scorecard (BENCH_fleet.json) — every
@@ -159,24 +159,23 @@ grep -q '"all_bounds_hold":true' BENCH_planlint.json \
 echo "== planfind gate: capacity-edge search, honest pruning, width-invariant =="
 # The placement search on a single paper node at 8 B: DDP and the
 # in-HBM sharded plans cannot fit, so the static pass must prune at
-# least half the grid (the ISSUE.md floor) before any simulation runs.
-# Emits BENCH_planfind.json (enumerated/pruned/simulated + wall time).
+# least half the grid before any simulation runs.
+# The --json report carries enumerated/pruned/simulated, the prune
+# fraction, the digest and the wall time.
 cargo run --release -q -p zerosim-bench --bin planfind -- \
-  --topology flat:1 --model 8 --bench BENCH_planfind.json >/dev/null
-if ! grep -qE '"prune_fraction":(0\.[5-9][0-9]*|1)\b' BENCH_planfind.json; then
-  echo "ERROR: BENCH_planfind.json prune_fraction below the 0.5 floor" >&2
-  grep -o '"prune_fraction":[0-9.]*' BENCH_planfind.json >&2 || true
+  --topology flat:1 --model 8 --json > "$SWEEP_TMP/planfind1.json"
+if ! grep -qE '"prune_fraction":(0\.[5-9][0-9]*|1)\b' "$SWEEP_TMP/planfind1.json"; then
+  echo "ERROR: planfind prune_fraction below the 0.5 floor" >&2
+  grep -o '"prune_fraction":[0-9.]*' "$SWEEP_TMP/planfind1.json" >&2 || true
   exit 1
 fi
-echo "planfind scorecard: $(grep -o '"enumerated":[0-9]*' BENCH_planfind.json)," \
-  "$(grep -o '"pruned":[0-9]*' BENCH_planfind.json)," \
-  "$(grep -o '"simulated":[0-9]*' BENCH_planfind.json)," \
-  "$(grep -o '"wall_secs":[0-9.]*' BENCH_planfind.json)"
+echo "planfind scorecard: $(grep -o '"enumerated":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
+  "$(grep -o '"pruned":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
+  "$(grep -o '"simulated":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
+  "$(grep -o '"wall_secs":[0-9.]*' "$SWEEP_TMP/planfind1.json")"
 # The search report must be byte-identical at any --workers width.
 cargo run --release -q -p zerosim-bench --bin planfind -- \
   --topology flat:1 --model 8 --workers 4 --json > "$SWEEP_TMP/planfind4.json"
-cargo run --release -q -p zerosim-bench --bin planfind -- \
-  --topology flat:1 --model 8 --json > "$SWEEP_TMP/planfind1.json"
 PF1_DIGEST="$(grep -o '"digest":"[0-9a-f]*"' "$SWEEP_TMP/planfind1.json")"
 PF4_DIGEST="$(grep -o '"digest":"[0-9a-f]*"' "$SWEEP_TMP/planfind4.json")"
 if [ -z "$PF1_DIGEST" ] || [ "$PF1_DIGEST" != "$PF4_DIGEST" ]; then

@@ -8,13 +8,12 @@
 //! validator enforces, checked per strategy family by the testkit
 //! harness.
 
-use zerosim_bench::data;
+use zerosim_bench::{cli, data};
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagEngine, SimTime};
 use zerosim_strategies::{
-    lower, Calibration, InfinityPlacement, IterCtx, Strategy, StrategyPlan, StrategyRegistry,
-    TrainOptions, ZeroStage,
+    lower, Calibration, InfinityPlacement, IterCtx, Strategy, StrategyPlan, TrainOptions, ZeroStage,
 };
 use zerosim_testkit::gen::{u64_range, usize_range};
 use zerosim_testkit::{prop, prop_assert};
@@ -113,26 +112,36 @@ fn zero3_moves_about_fifty_percent_more_collective_payload_than_ddp() {
     );
 }
 
+/// Every name in the strategy table `sweep`, `trace` and `planlint` share
+/// plans and validates on the spec its resolver builds: at one node,
+/// except the two Megatron shapes that need eight GPUs.
 #[test]
 fn registry_covers_the_paper_matrix_and_all_plans_validate() {
-    let cluster = Cluster::new(ClusterSpec::default()).unwrap();
+    let names = cli::strategy_names();
+    for (strategy, _) in data::golden_matrix() {
+        assert!(names.contains(&strategy.name()), "{}", strategy.name());
+    }
     let model = GptConfig::paper_model_with_params(1.4);
-    let opts = TrainOptions::single_node();
-    let calib = Calibration::default();
-    let ctx = IterCtx {
-        cluster: &cluster,
-        model: &model,
-        opts: &opts,
-        calib: &calib,
-    };
-    let reg = StrategyRegistry::paper();
-    assert!(reg.len() >= 7);
-    for (name, s) in reg.iter() {
-        let plan = s.plan_iteration(&ctx).unwrap_or_else(|e| {
-            panic!("{name}: {e}");
-        });
-        plan.validate(&cluster).unwrap();
-        assert_eq!(s.display_name(), name);
+    for name in names {
+        let nodes = match name.as_str() {
+            "Megatron-LM (MP=8)" | "Megatron-LM (TP=4,PP=2)" => 2,
+            _ => 1,
+        };
+        let spec = cli::strategy_by_name(&name, model, TrainOptions::for_nodes(nodes)).unwrap();
+        let sim = spec.build_sim().unwrap();
+        let ctx = IterCtx {
+            cluster: sim.cluster(),
+            model: &spec.model,
+            opts: &spec.opts,
+            calib: sim.calibration(),
+        };
+        let plan = spec
+            .strategy
+            .plan_iteration(&ctx)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        plan.validate(sim.cluster())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(spec.strategy.display_name(), name);
     }
 }
 
