@@ -131,7 +131,7 @@ impl Pass for BandwidthFeasibilityPass {
                         let (a, b) = (order[w], order[(w + 1) % n]);
                         for ring in 0..rings {
                             let route = ring_route(cluster, a, b, ring, *cap);
-                            add_route(&mut loads, cluster, &route.links, per_ring, route.cap);
+                            add_route(&mut loads, cluster, route.links(), per_ring, route.cap);
                         }
                     }
                 }
@@ -140,7 +140,7 @@ impl Pass for BandwidthFeasibilityPass {
                 } => match cluster.try_route(*src, *dst) {
                     Ok(route) => {
                         let wire_bytes = (bytes * ratio).max(1.0);
-                        add_route(&mut loads, cluster, &route.links, wire_bytes, route.cap);
+                        add_route(&mut loads, cluster, route.links(), wire_bytes, route.cap);
                     }
                     Err(e) => sink.report(
                         LintCode::BandwidthFeasibility,
@@ -160,7 +160,7 @@ impl Pass for BandwidthFeasibilityPass {
                         #[allow(clippy::cast_precision_loss)]
                         let per_drive = (bytes * ratio / routes.len().max(1) as f64).max(1.0);
                         for route in &routes {
-                            add_route(&mut loads, cluster, &route.links, per_drive, route.cap);
+                            add_route(&mut loads, cluster, route.links(), per_drive, route.cap);
                         }
                     }
                     Err(e) => sink.report(

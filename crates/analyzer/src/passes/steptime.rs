@@ -72,7 +72,8 @@ impl Pass for StepTimeBoundPass {
                     latency,
                     cap,
                 } => {
-                    let min_wire = route
+                    let min_wire = dag
+                        .route(*route)
                         .iter()
                         .map(|l| cluster.net().link_capacity(*l))
                         .fold(f64::INFINITY, f64::min);
@@ -228,7 +229,7 @@ mod tests {
             zerosim_hw::MemLoc::Cpu(zerosim_hw::SocketId { node: 0, socket: 0 }),
         );
         let min_wire = route
-            .links
+            .links()
             .iter()
             .map(|l| cluster.net().link_capacity(*l))
             .fold(f64::INFINITY, f64::min);
@@ -238,7 +239,7 @@ mod tests {
 
         let mut b = DagBuilder::new();
         let c = b.compute(zerosim_simkit::ResourceId(0), dur, "k", &[]);
-        b.transfer_capped(route.links.clone(), bytes, route.latency, cap, "x", 0, &[c]);
+        b.transfer_capped(route.links(), bytes, route.latency, cap, "x", 0, &[c]);
         let dag = b.build();
 
         let calib = Calibration::default();

@@ -11,7 +11,8 @@
 //! * `--topology SPEC` — the cluster shape to search against:
 //!   `paper` (default, the two-node testbed), `flat:<nodes>`,
 //!   `fat-tree:<racks>x<nodes_per_rack>:<oversub>`, or
-//!   `pods:<pods>x<islands>x<gpus>:<pod_oversub>:<spine_oversub>`.
+//!   `pods:<pods>x<islands>x<gpus>:<pod_oversub>:<spine_oversub>`, with
+//!   at most 1,024 GPUs (a larger topology is a usage error).
 //! * `--model B` — paper-shaped model of `B` billion parameters
 //!   (depth-scaled, h = 2048); `--model wide:B` uses the fixed-depth
 //!   wide shape for cluster-scale models.

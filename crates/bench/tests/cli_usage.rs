@@ -36,6 +36,9 @@ const USAGE_ERRORS: &[(&str, &[&str])] = &[
     (SWEEP, &["--nodes", "0"]),
     (TRACE, &["ZeRO-3", "abc", "1"]),
     (TRACE, &["ZeRO-3", "1.4", "0"]),
+    // Topologies above the 1,024-GPU limit.
+    (PLANFIND, &["--topology", "flat:100000"]),
+    (PLANFIND, &["--topology", "pods:64x64x64:2:2"]),
     // The old short strategy names are gone, with no aliases.
     (TRACE, &["zero3", "1.4", "1"]),
     (SWEEP, &["--strategy", "zero3"]),

@@ -174,9 +174,8 @@ pub fn wire_bytes(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> f64 {
     if !uses_hierarchical_schedule(group, kind, bytes) {
         return flat(n, kind, bytes);
     }
-    let parts = group.node_partition();
-    let m = parts.len(); // nodes
-    let g = parts[0].len(); // ranks per node
+    let m = group.node_count();
+    let g = n / m; // ranks per node
     let intra = |k: CollectiveKind, s: f64| -> f64 { m as f64 * flat(g, k, s) };
     // Inter-node exchange of `per_rank` bytes per column (see
     // `emit_collective_hierarchical`): pairwise both ways on two nodes,
@@ -255,7 +254,7 @@ pub fn emit_collective_hierarchical(
     let exchange = |dag: &mut DagBuilder,
                     per_rank: f64,
                     ring_kind: CollectiveKind,
-                    label: &str,
+                    label: &'static str,
                     deps: &[TaskId]|
      -> TaskId {
         if parts.len() == 2 {
@@ -280,7 +279,7 @@ pub fn emit_collective_hierarchical(
                     #[allow(clippy::cast_possible_truncation)]
                     let track = cluster.gpu_resource(src).0 as u32;
                     let t = dag.transfer_capped(
-                        route.links,
+                        route.links(),
                         per_rank.max(1.0),
                         route.latency,
                         route.cap,
@@ -393,9 +392,13 @@ pub fn emit_collective_stepwise(
     let chunk = (bytes / (n as f64) / rings as f64).max(1.0);
     let label = kind.label();
 
-    let mut frontier: Vec<TaskId> = deps.to_vec();
-    for step in 0..steps {
-        let mut step_tasks = Vec::with_capacity(n * rings);
+    // Each step waits on the previous step's barrier (the first on
+    // `deps`); one buffer collects every step's transfers.
+    let mut barrier: Option<TaskId> = None;
+    let mut step_tasks = Vec::with_capacity(n * rings);
+    for _ in 0..steps {
+        let frontier = barrier.as_ref().map_or(deps, std::slice::from_ref);
+        step_tasks.clear();
         for ring in 0..rings {
             for (i, &src) in order.iter().enumerate() {
                 // Which ranks actually transmit this step?
@@ -421,23 +424,24 @@ pub fn emit_collective_stepwise(
                 #[allow(clippy::cast_possible_truncation)]
                 let track = cluster.gpu_resource(src).0 as u32;
                 let t = dag.transfer_capped(
-                    route.links,
+                    route.links(),
                     chunk,
                     route.latency,
                     route.cap,
                     label,
                     track,
-                    &frontier,
+                    frontier,
                 );
                 step_tasks.push(t);
             }
         }
         // Barrier between ring steps.
-        frontier = vec![dag.marker(&step_tasks)];
-        let _ = step;
+        barrier = Some(dag.marker(&step_tasks));
     }
 
-    CollectiveHandle { done: frontier[0] }
+    CollectiveHandle {
+        done: barrier.expect("a multi-rank ring takes at least one step"),
+    }
 }
 
 /// Coalesced ring approximation: one aggregate flow per (rank, ring)
@@ -491,7 +495,7 @@ pub fn emit_collective_coalesced(
             #[allow(clippy::cast_possible_truncation)]
             let track = cluster.gpu_resource(src).0 as u32;
             let t = dag.transfer_capped(
-                route.links,
+                route.links(),
                 volume,
                 route.latency * steps,
                 route.cap,

@@ -3,9 +3,16 @@
 use zerosim_hw::{Cluster, GpuId, Route};
 
 /// An ordered set of GPU ranks participating in a collective.
+///
+/// The group keeps its ranks twice: in user order and in NCCL's node-major
+/// ring order, sorted once at construction so that the per-collective
+/// queries ([`CommGroup::ring_order`], [`CommGroup::splits_into_equal_nodes`],
+/// [`CommGroup::node_count`]) allocate nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommGroup {
     ranks: Vec<GpuId>,
+    /// The ranks sorted by (node, GPU index).
+    ring: Vec<GpuId>,
 }
 
 impl CommGroup {
@@ -15,11 +22,14 @@ impl CommGroup {
     /// Panics on an empty rank list or duplicate ranks.
     pub fn new(ranks: Vec<GpuId>) -> Self {
         assert!(!ranks.is_empty(), "a communication group needs ranks");
-        let mut dedup = ranks.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ranks.len(), "duplicate ranks in group");
-        CommGroup { ranks }
+        let mut ring = ranks.clone();
+        // `GpuId` orders by (node, gpu): exactly the ring order.
+        ring.sort_unstable();
+        assert!(
+            ring.windows(2).all(|w| w[0] != w[1]),
+            "duplicate ranks in group"
+        );
+        CommGroup { ranks, ring }
     }
 
     /// All GPUs of the cluster, in NCCL's node-major ring order.
@@ -30,10 +40,8 @@ impl CommGroup {
     /// The ranks in ring order (node-major, GPU index within node), which
     /// minimizes inter-node hops exactly as NCCL's ring search does on this
     /// topology.
-    pub fn ring_order(&self) -> Vec<GpuId> {
-        let mut v = self.ranks.clone();
-        v.sort_by_key(|g| (g.node, g.gpu));
-        v
+    pub fn ring_order(&self) -> &[GpuId] {
+        &self.ring
     }
 
     /// Number of ranks.
@@ -68,35 +76,27 @@ impl CommGroup {
         }
     }
 
-    /// True when the group spans exactly two nodes with the same rank
-    /// count on each.
-    pub fn splits_into_two_equal_nodes(&self) -> bool {
-        let n = self.node_partition();
-        n.len() == 2 && n.iter().all(|p| p.len() == n[0].len())
+    /// The ranks of each node, node-ascending, as runs of the ring order.
+    fn node_runs(&self) -> impl Iterator<Item = &[GpuId]> {
+        self.ring.chunk_by(|a, b| a.node == b.node)
+    }
+
+    /// Number of distinct nodes the group spans.
+    pub fn node_count(&self) -> usize {
+        self.node_runs().count()
     }
 
     /// True when the group spans two or more nodes, each contributing the
     /// same rank count — the precondition of the hierarchical collective
     /// schedule.
     pub fn splits_into_equal_nodes(&self) -> bool {
-        let n = self.node_partition();
-        n.len() >= 2 && n.iter().all(|p| p.len() == n[0].len())
+        let nodes = self.node_count();
+        nodes >= 2 && self.node_runs().all(|r| r.len() * nodes == self.ring.len())
     }
 
     /// The ranks grouped by node, node-ascending, each sorted by GPU index.
     pub fn node_partition(&self) -> Vec<Vec<GpuId>> {
-        let mut nodes: Vec<usize> = self.ranks.iter().map(|g| g.node).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes
-            .into_iter()
-            .map(|n| {
-                let mut v: Vec<GpuId> =
-                    self.ranks.iter().copied().filter(|g| g.node == n).collect();
-                v.sort_by_key(|g| g.gpu);
-                v
-            })
-            .collect()
+        self.node_runs().map(<[GpuId]>::to_vec).collect()
     }
 }
 
@@ -166,6 +166,25 @@ mod tests {
         );
         assert_eq!(inter.cap, 4.0e9);
         assert!(inter.hops() > 4);
+    }
+
+    #[test]
+    fn node_shape_queries_follow_ring_order() {
+        let g = |node, gpu| GpuId { node, gpu };
+        let even = CommGroup::new(vec![g(1, 1), g(0, 2), g(1, 0), g(0, 0)]);
+        assert_eq!(even.ring_order(), &[g(0, 0), g(0, 2), g(1, 0), g(1, 1)]);
+        assert_eq!(even.node_count(), 2);
+        assert!(even.splits_into_equal_nodes());
+        assert_eq!(
+            even.node_partition(),
+            vec![vec![g(0, 0), g(0, 2)], vec![g(1, 0), g(1, 1)]]
+        );
+        let uneven = CommGroup::new(vec![g(0, 0), g(0, 1), g(2, 3)]);
+        assert_eq!(uneven.node_count(), 2);
+        assert!(!uneven.splits_into_equal_nodes());
+        let one_node = CommGroup::new(vec![g(3, 1), g(3, 0)]);
+        assert_eq!(one_node.node_count(), 1);
+        assert!(!one_node.splits_into_equal_nodes());
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl TrainingReport {
             }
         }
         for span in self.spans.spans() {
-            h = mix_str(mix(h, span.track as u64), &span.label);
+            h = mix_str(mix(h, span.track as u64), span.label);
             h = mix(h, span.start.as_nanos());
             h = mix(h, span.end.as_nanos());
         }

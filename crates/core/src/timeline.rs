@@ -11,7 +11,7 @@ pub struct TrackProfile {
     /// Track id (GPU/CPU resource index).
     pub track: u32,
     /// Total busy time per span label, sorted by label.
-    pub by_label: Vec<(String, SimTime)>,
+    pub by_label: Vec<(&'static str, SimTime)>,
     /// Sum over labels.
     pub busy: SimTime,
     /// Track horizon (last span end − first span start).
@@ -33,7 +33,7 @@ impl TrackProfile {
     pub fn label_time(&self, label: &str) -> SimTime {
         self.by_label
             .iter()
-            .find(|(l, _)| l == label)
+            .find(|(l, _)| *l == label)
             .map(|(_, t)| *t)
             .unwrap_or(SimTime::ZERO)
     }
@@ -45,12 +45,13 @@ pub fn profile_tracks(spans: &SpanLog) -> Vec<TrackProfile> {
     // the same entry, so no track can ever hold one without the other
     // (the former two-map layout indexed a bounds map by track and would
     // panic if the maps drifted).
-    let mut tracks: BTreeMap<u32, (BTreeMap<String, SimTime>, SimTime, SimTime)> = BTreeMap::new();
+    let mut tracks: BTreeMap<u32, (BTreeMap<&'static str, SimTime>, SimTime, SimTime)> =
+        BTreeMap::new();
     for s in spans.spans() {
         let (by_label, start, end) = tracks
             .entry(s.track)
             .or_insert_with(|| (BTreeMap::new(), s.start, s.end));
-        *by_label.entry(s.label.clone()).or_insert(SimTime::ZERO) += s.end - s.start;
+        *by_label.entry(s.label).or_insert(SimTime::ZERO) += s.end - s.start;
         *start = (*start).min(s.start);
         *end = (*end).max(s.end);
     }
@@ -84,7 +85,7 @@ pub fn to_chrome_trace(spans: &SpanLog) -> String {
         }
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
-            esc(&s.label),
+            esc(s.label),
             s.start.as_micros(),
             (s.end - s.start).as_micros(),
             s.track

@@ -298,25 +298,25 @@ impl Cluster {
         })
     }
 
-    /// Fabric links (source-side uplinks then destination-side downlinks)
-    /// and the extra latency an inter-node transfer `a_node → b_node`
-    /// traverses above the NIC tier. Empty on the paper's flat switch and
-    /// for nodes sharing their leaf group.
-    fn fabric_path(&self, a_node: usize, b_node: usize) -> (Vec<LinkId>, f64) {
+    /// Appends to `route` the fabric links (source-side uplinks then
+    /// destination-side downlinks) an inter-node transfer `a_node →
+    /// b_node` traverses above the NIC tier, and returns their extra
+    /// latency. Appends nothing on the paper's flat switch and for nodes
+    /// sharing their leaf group.
+    fn fabric_path(&self, route: &mut Route, a_node: usize, b_node: usize) -> f64 {
         let Some(top) = self.spec.fabric.crossing_tier(a_node, b_node) else {
-            return (Vec::new(), 0.0);
+            return 0.0;
         };
-        let mut links = Vec::new();
         let mut lat = 0.0;
         for t in 0..=top {
-            links.push(self.fabric_up[t][self.spec.fabric.group_of(a_node, t)]);
+            route.push(self.fabric_up[t][self.spec.fabric.group_of(a_node, t)]);
             lat += self.spec.fabric.tiers[t].latency_s;
         }
         for t in (0..=top).rev() {
-            links.push(self.fabric_down[t][self.spec.fabric.group_of(b_node, t)]);
+            route.push(self.fabric_down[t][self.spec.fabric.group_of(b_node, t)]);
             lat += self.spec.fabric.tiers[t].latency_s;
         }
-        (links, lat)
+        lat
     }
 
     /// Locality distance between two nodes: 0 for the same node, 1 for
@@ -522,7 +522,7 @@ impl Cluster {
         assert_eq!(a.node, b.node);
         assert_ne!(a.gpu, b.gpu, "route from a GPU to itself");
         let l = self.nvlink[&(a.node, a.gpu, b.gpu)];
-        Route::new(vec![l], SimTime::from_secs(self.spec.lat.nvlink_s))
+        Route::new(&[l], SimTime::from_secs(self.spec.lat.nvlink_s))
     }
 
     fn route_gpu_cpu(&self, g: GpuId, c: SocketId, gpu_to_cpu: bool) -> Route {
@@ -535,45 +535,35 @@ impl Cluster {
         } else {
             self.pcie_gpu_down[n][g.gpu]
         };
+        let dram = self.dram[n][c.socket];
         let mut lat = self.spec.lat.pcie_s;
-        let mut links = Vec::new();
-        if gpu_to_cpu {
-            links.push(pcie);
-        }
+        // GPU -> CPU crosses PCIe first; CPU -> GPU starts at DRAM and
+        // traverses the same sets in the opposite order.
+        let mut route = Route::new(&[if gpu_to_cpu { pcie } else { dram }], SimTime::ZERO);
         if gs.socket != c.socket {
             // Crosses the GPU-side IOD between the GPU PCIe set and xGMI.
-            links.push(self.pair_link(
-                n,
-                gs.socket,
-                SerdesSet::PcieGpu(local_gpu),
-                SerdesSet::Xgmi,
-            ));
-            links.push(self.xgmi_dir(
-                n,
-                if gpu_to_cpu { gs.socket } else { c.socket },
-                if gpu_to_cpu { c.socket } else { gs.socket },
-            ));
+            let pair = self.pair_link(n, gs.socket, SerdesSet::PcieGpu(local_gpu), SerdesSet::Xgmi);
+            if gpu_to_cpu {
+                route.push(pair);
+                route.push(self.xgmi_dir(n, gs.socket, c.socket));
+            } else {
+                route.push(self.xgmi_dir(n, c.socket, gs.socket));
+                route.push(pair);
+            }
             lat += self.spec.lat.xgmi_s + self.spec.iod.crossing_latency_s;
         }
-        links.push(self.dram[n][c.socket]);
-        if !gpu_to_cpu {
-            // CPU -> GPU: traverse in the natural order.
-            links.reverse();
-            links.push(pcie);
-        }
-        Route::new(links, SimTime::from_secs(lat))
+        route.push(if gpu_to_cpu { dram } else { pcie });
+        route.latency = SimTime::from_secs(lat);
+        route
     }
 
     fn route_cpu_cpu(&self, a: SocketId, b: SocketId) -> Route {
         assert_eq!(a.node, b.node);
         if a.socket == b.socket {
-            return Route::new(
-                vec![self.dram[a.node][a.socket]],
-                SimTime::from_secs(0.1e-6),
-            );
+            return Route::new(&[self.dram[a.node][a.socket]], SimTime::from_secs(0.1e-6));
         }
         Route::new(
-            vec![
+            &[
                 self.dram[a.node][a.socket],
                 self.xgmi_dir(a.node, a.socket, b.socket),
                 self.dram[a.node][b.socket],
@@ -585,55 +575,52 @@ impl Cluster {
     /// Explicit inter-node GPU route via chosen NICs (GPUDirect RDMA).
     pub fn route_internode_gpu(&self, a: GpuId, b: GpuId, src_nic: usize, dst_nic: usize) -> Route {
         assert_ne!(a.node, b.node, "use route() for intra-node GPU pairs");
-        let mut links = Vec::new();
         let mut lat = self.spec.lat.pcie_s * 2.0 + self.spec.lat.roce_s;
 
         // Source side: GPU -> NIC.
         let gs = self.gpu_socket(a);
         let local = a.gpu % self.spec.gpus_per_socket();
-        links.push(self.pcie_gpu_up[a.node][a.gpu]);
+        let mut route = Route::new(&[self.pcie_gpu_up[a.node][a.gpu]], SimTime::ZERO);
         if gs.socket == src_nic {
-            links.push(self.pair_link(
+            route.push(self.pair_link(
                 a.node,
                 gs.socket,
                 SerdesSet::PcieGpu(local),
                 SerdesSet::PcieNic,
             ));
         } else {
-            links.push(self.pair_link(
+            route.push(self.pair_link(
                 a.node,
                 gs.socket,
                 SerdesSet::PcieGpu(local),
                 SerdesSet::Xgmi,
             ));
-            links.push(self.xgmi_dir(a.node, gs.socket, src_nic));
-            links.push(self.pair_link(a.node, src_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
+            route.push(self.xgmi_dir(a.node, gs.socket, src_nic));
+            route.push(self.pair_link(a.node, src_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
             lat += self.spec.lat.xgmi_s + 2.0 * self.spec.iod.crossing_latency_s;
         }
-        links.push(self.pcie_nic_tx[a.node][src_nic]);
-        links.push(self.roce_tx[a.node][src_nic]);
+        route.push(self.pcie_nic_tx[a.node][src_nic]);
+        route.push(self.roce_tx[a.node][src_nic]);
 
         // Switch fabric between the NICs (no-op on the flat testbed).
-        let (fabric, fabric_lat) = self.fabric_path(a.node, b.node);
-        links.extend(fabric);
-        lat += fabric_lat;
+        lat += self.fabric_path(&mut route, a.node, b.node);
 
         // Destination side: NIC -> GPU.
-        links.push(self.roce_rx[b.node][dst_nic]);
-        links.push(self.pcie_nic_rx[b.node][dst_nic]);
+        route.push(self.roce_rx[b.node][dst_nic]);
+        route.push(self.pcie_nic_rx[b.node][dst_nic]);
         let ds = self.gpu_socket(b);
         let dlocal = b.gpu % self.spec.gpus_per_socket();
         if ds.socket == dst_nic {
-            links.push(self.pair_link(
+            route.push(self.pair_link(
                 b.node,
                 ds.socket,
                 SerdesSet::PcieGpu(dlocal),
                 SerdesSet::PcieNic,
             ));
         } else {
-            links.push(self.pair_link(b.node, dst_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
-            links.push(self.xgmi_dir(b.node, dst_nic, ds.socket));
-            links.push(self.pair_link(
+            route.push(self.pair_link(b.node, dst_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
+            route.push(self.xgmi_dir(b.node, dst_nic, ds.socket));
+            route.push(self.pair_link(
                 b.node,
                 ds.socket,
                 SerdesSet::PcieGpu(dlocal),
@@ -641,32 +628,32 @@ impl Cluster {
             ));
             lat += self.spec.lat.xgmi_s + 2.0 * self.spec.iod.crossing_latency_s;
         }
-        links.push(self.pcie_gpu_down[b.node][b.gpu]);
+        route.push(self.pcie_gpu_down[b.node][b.gpu]);
 
         if gs.socket == src_nic && ds.socket == dst_nic {
             lat += 2.0 * self.spec.iod.crossing_latency_s;
         }
-        Route::new(links, SimTime::from_secs(lat))
+        route.latency = SimTime::from_secs(lat);
+        route
     }
 
     /// Inter-node CPU-to-CPU route through each side's same-socket NIC.
     fn route_internode_cpu(&self, a: SocketId, b: SocketId) -> Route {
-        let (fabric, fabric_lat) = self.fabric_path(a.node, b.node);
-        let mut links = vec![
-            self.dram[a.node][a.socket],
-            self.pcie_nic_tx[a.node][a.socket],
-            self.roce_tx[a.node][a.socket],
-        ];
-        links.extend(fabric);
-        links.extend([
-            self.roce_rx[b.node][b.socket],
-            self.pcie_nic_rx[b.node][b.socket],
-            self.dram[b.node][b.socket],
-        ]);
-        Route::new(
-            links,
-            SimTime::from_secs(self.spec.lat.roce_s + 2.0 * self.spec.lat.pcie_s + fabric_lat),
-        )
+        let mut route = Route::new(
+            &[
+                self.dram[a.node][a.socket],
+                self.pcie_nic_tx[a.node][a.socket],
+                self.roce_tx[a.node][a.socket],
+            ],
+            SimTime::ZERO,
+        );
+        let fabric_lat = self.fabric_path(&mut route, a.node, b.node);
+        route.push(self.roce_rx[b.node][b.socket]);
+        route.push(self.pcie_nic_rx[b.node][b.socket]);
+        route.push(self.dram[b.node][b.socket]);
+        route.latency =
+            SimTime::from_secs(self.spec.lat.roce_s + 2.0 * self.spec.lat.pcie_s + fabric_lat);
+        route
     }
 
     /// Inter-node CPU route with explicit NIC selection on the source side
@@ -678,28 +665,26 @@ impl Cluster {
         src_nic: usize,
         dst_nic: usize,
     ) -> Route {
-        let mut links = Vec::new();
         let mut lat = self.spec.lat.roce_s + 2.0 * self.spec.lat.pcie_s;
-        links.push(self.dram[a.node][a.socket]);
+        let mut route = Route::new(&[self.dram[a.node][a.socket]], SimTime::ZERO);
         if a.socket != src_nic {
-            links.push(self.xgmi_dir(a.node, a.socket, src_nic));
-            links.push(self.pair_link(a.node, src_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
+            route.push(self.xgmi_dir(a.node, a.socket, src_nic));
+            route.push(self.pair_link(a.node, src_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
             lat += self.spec.lat.xgmi_s + self.spec.iod.crossing_latency_s;
         }
-        links.push(self.pcie_nic_tx[a.node][src_nic]);
-        links.push(self.roce_tx[a.node][src_nic]);
-        let (fabric, fabric_lat) = self.fabric_path(a.node, b.node);
-        links.extend(fabric);
-        lat += fabric_lat;
-        links.push(self.roce_rx[b.node][dst_nic]);
-        links.push(self.pcie_nic_rx[b.node][dst_nic]);
+        route.push(self.pcie_nic_tx[a.node][src_nic]);
+        route.push(self.roce_tx[a.node][src_nic]);
+        lat += self.fabric_path(&mut route, a.node, b.node);
+        route.push(self.roce_rx[b.node][dst_nic]);
+        route.push(self.pcie_nic_rx[b.node][dst_nic]);
         if b.socket != dst_nic {
-            links.push(self.pair_link(b.node, dst_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
-            links.push(self.xgmi_dir(b.node, dst_nic, b.socket));
+            route.push(self.pair_link(b.node, dst_nic, SerdesSet::Xgmi, SerdesSet::PcieNic));
+            route.push(self.xgmi_dir(b.node, dst_nic, b.socket));
             lat += self.spec.lat.xgmi_s + self.spec.iod.crossing_latency_s;
         }
-        links.push(self.dram[b.node][b.socket]);
-        Route::new(links, SimTime::from_secs(lat))
+        route.push(self.dram[b.node][b.socket]);
+        route.latency = SimTime::from_secs(lat);
+        route
     }
 
     fn route_cpu_nvme(&self, c: SocketId, d: NvmeId, dir: IoDir) -> Route {
@@ -707,9 +692,9 @@ impl Cluster {
         let n = c.node;
         let drive_socket = self.spec.nvme_layout[d.drive].socket;
         let mut lat = self.spec.lat.pcie_s + self.spec.nvme_dev.latency_s;
-        let mut links = vec![self.dram[n][c.socket]];
+        let mut route = Route::new(&[self.dram[n][c.socket]], SimTime::ZERO);
         if c.socket != drive_socket {
-            links.push(self.xgmi_dir(
+            route.push(self.xgmi_dir(
                 n,
                 if dir == IoDir::Write {
                     c.socket
@@ -722,7 +707,7 @@ impl Cluster {
                     c.socket
                 },
             ));
-            links.push(self.pair_link(
+            route.push(self.pair_link(
                 n,
                 drive_socket,
                 SerdesSet::Xgmi,
@@ -732,16 +717,17 @@ impl Cluster {
         }
         match dir {
             IoDir::Write => {
-                links.push(self.pcie_nvme_w[n][d.drive]);
-                links.push(self.nvme_dev_w[n][d.drive]);
+                route.push(self.pcie_nvme_w[n][d.drive]);
+                route.push(self.nvme_dev_w[n][d.drive]);
             }
             IoDir::Read => {
-                links.push(self.pcie_nvme_r[n][d.drive]);
-                links.push(self.nvme_dev_r[n][d.drive]);
-                links.reverse();
+                route.push(self.pcie_nvme_r[n][d.drive]);
+                route.push(self.nvme_dev_r[n][d.drive]);
+                route.reverse();
             }
         }
-        Route::new(links, SimTime::from_secs(lat))
+        route.latency = SimTime::from_secs(lat);
+        route
     }
 
     /// Registers a volume striping evenly across `members`.
@@ -960,7 +946,7 @@ mod tests {
             MemLoc::Gpu(GpuId { node: 0, gpu: 2 }),
         );
         assert_eq!(r.hops(), 1);
-        assert_eq!(c.net().link_capacity(r.links[0]), 100e9);
+        assert_eq!(c.net().link_capacity(r.links()[0]), 100e9);
     }
 
     #[test]
@@ -983,7 +969,7 @@ mod tests {
         );
         // pcie + pair + xgmi + dram.
         assert_eq!(r.hops(), 4);
-        let names: Vec<&str> = r.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names: Vec<&str> = r.links().iter().map(|l| c.net().link_name(*l)).collect();
         assert!(names.iter().any(|n| n.contains("iod")), "{names:?}");
     }
 
@@ -994,7 +980,7 @@ mod tests {
             MemLoc::Gpu(GpuId { node: 0, gpu: 0 }),
             MemLoc::Gpu(GpuId { node: 1, gpu: 0 }),
         );
-        let names: Vec<&str> = r.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names: Vec<&str> = r.links().iter().map(|l| c.net().link_name(*l)).collect();
         // GPUDirect: no DRAM on the path.
         assert!(!names.iter().any(|n| n.contains("dram")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("roce.tx")));
@@ -1010,7 +996,7 @@ mod tests {
         let a = GpuId { node: 0, gpu: 0 }; // socket 0
         let b = GpuId { node: 1, gpu: 0 };
         let r = c.route_internode_gpu(a, b, 1, 1); // force remote NICs
-        let names: Vec<&str> = r.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names: Vec<&str> = r.links().iter().map(|l| c.net().link_name(*l)).collect();
         assert!(names.iter().any(|n| n.contains("xgmi")), "{names:?}");
         let iod_count = names.iter().filter(|n| n.contains("iod")).count();
         assert_eq!(iod_count, 4); // two crossings per side
@@ -1024,7 +1010,7 @@ mod tests {
             MemLoc::Cpu(SocketId { node: 0, socket: 1 }),
             MemLoc::Nvme(NvmeId { node: 0, drive: 0 }),
         );
-        let names: Vec<&str> = r.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names: Vec<&str> = r.links().iter().map(|l| c.net().link_name(*l)).collect();
         assert!(!names.iter().any(|n| n.contains("xgmi")), "{names:?}");
         assert!(names.iter().any(|n| n.contains("dev.w")));
 
@@ -1033,7 +1019,7 @@ mod tests {
             MemLoc::Cpu(SocketId { node: 0, socket: 0 }),
             MemLoc::Nvme(NvmeId { node: 0, drive: 0 }),
         );
-        let names2: Vec<&str> = r2.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names2: Vec<&str> = r2.links().iter().map(|l| c.net().link_name(*l)).collect();
         assert!(names2.iter().any(|n| n.contains("xgmi")));
         assert!(names2.iter().any(|n| n.contains("iod")));
     }
@@ -1045,7 +1031,7 @@ mod tests {
             MemLoc::Nvme(NvmeId { node: 0, drive: 1 }),
             MemLoc::Cpu(SocketId { node: 0, socket: 1 }),
         );
-        let names: Vec<&str> = r.links.iter().map(|l| c.net().link_name(*l)).collect();
+        let names: Vec<&str> = r.links().iter().map(|l| c.net().link_name(*l)).collect();
         assert!(names.first().unwrap().contains("dev.r"), "{names:?}");
         assert!(names.last().unwrap().contains("dram"), "{names:?}");
     }
@@ -1181,7 +1167,7 @@ mod tests {
             MemLoc::Gpu(GpuId { node: 1, gpu: 0 }),
         );
         assert!(!r
-            .links
+            .links()
             .iter()
             .any(|l| c.net().link_name(*l).starts_with("fab")));
         assert!(c.links(0, LinkClass::Fabric).is_empty());
@@ -1191,7 +1177,7 @@ mod tests {
     fn tiered_routes_traverse_the_crossing_tiers() {
         let c = tiered_cluster();
         let names = |r: &crate::Route| -> Vec<String> {
-            r.links
+            r.links()
                 .iter()
                 .map(|l| c.net().link_name(*l).to_string())
                 .collect()
@@ -1221,6 +1207,37 @@ mod tests {
             MemLoc::Cpu(SocketId { node: 6, socket: 0 }),
         );
         assert!(names(&cpu).iter().any(|n| n.starts_with("fab1")));
+    }
+
+    #[test]
+    fn the_longest_route_fills_the_inline_capacity() {
+        // Four nested tiers over 32 nodes; crossing the top tier with
+        // both NICs on the far socket builds the longest route there is.
+        let tier = |nodes_per_group| crate::FabricTier {
+            nodes_per_group,
+            up_bytes_per_s: 100e9,
+            latency_s: 1e-6,
+        };
+        let tiers: Vec<_> = [2, 4, 8, 16].into_iter().map(tier).collect();
+        let spec = ClusterSpec::default()
+            .with_nodes(32)
+            .with_fabric(crate::FabricSpec {
+                tiers: tiers.clone(),
+            });
+        let c = Cluster::new(spec).expect("four tiers are within the limit");
+        let r = c.route_internode_gpu(GpuId { node: 0, gpu: 0 }, GpuId { node: 31, gpu: 0 }, 1, 1);
+        assert_eq!(r.hops(), crate::Route::MAX_HOPS);
+        // A fifth tier is rejected before any link is built.
+        let mut five = tiers;
+        five.push(tier(32));
+        let fabric = crate::FabricSpec { tiers: five };
+        assert_eq!(
+            fabric.validate(32),
+            Err(crate::FabricError::TooManyTiers { tiers: 5 })
+        );
+        let msg =
+            Cluster::new(ClusterSpec::default().with_nodes(32).with_fabric(fabric)).unwrap_err();
+        assert!(msg.contains("at most 4"), "{msg}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use error::HwError;
 pub use ids::{GpuId, LinkClass, NicId, NodeId, NvmeId, SerdesSet, SocketId, VolumeId};
 pub use route::{MemLoc, Route};
 pub use spec::{
-    ClusterSpec, FabricSpec, FabricTier, IodModel, LatencyModel, LinkBandwidths, MemoryCapacities,
-    NvmeDeviceModel, NvmeDrivePlacement,
+    ClusterSpec, FabricError, FabricSpec, FabricTier, IodModel, LatencyModel, LinkBandwidths,
+    MemoryCapacities, NvmeDeviceModel, NvmeDrivePlacement,
 };
 pub use topology::TopologySpec;

@@ -1,6 +1,8 @@
 //! Cluster specification: every capacity, latency, and layout knob, with
 //! defaults set to the paper's testbed (Tables II and III).
 
+use std::fmt;
+
 /// Per-direction (or, for DRAM, half-duplex aggregate) link bandwidths in
 /// bytes/second.
 ///
@@ -199,6 +201,11 @@ pub struct FabricSpec {
 }
 
 impl FabricSpec {
+    /// Most aggregation tiers a fabric may have. Every in-tree topology
+    /// uses at most 2; the limit sizes [`crate::Route`]'s inline link
+    /// storage.
+    pub const MAX_TIERS: usize = 4;
+
     /// True when no aggregation tier is modeled (paper-style flat switch).
     pub fn is_flat(&self) -> bool {
         self.tiers.is_empty()
@@ -223,47 +230,129 @@ impl FabricSpec {
             .find(|&t| self.group_of(a, t) != self.group_of(b, t))
     }
 
-    /// Validates tier nesting and capacities against a node count.
+    /// Validates the tier count, nesting and capacities against a node
+    /// count.
     ///
     /// # Errors
-    /// Returns a human-readable description of the first problem found.
-    pub fn validate(&self, nodes: usize) -> Result<(), String> {
+    /// The first problem found, as a [`FabricError`].
+    pub fn validate(&self, nodes: usize) -> Result<(), FabricError> {
+        if self.tiers.len() > Self::MAX_TIERS {
+            return Err(FabricError::TooManyTiers {
+                tiers: self.tiers.len(),
+            });
+        }
         let mut prev = 1usize;
         for (t, tier) in self.tiers.iter().enumerate() {
-            if tier.nodes_per_group < 2 {
-                return Err(format!(
-                    "fabric tier {t}: groups need at least 2 nodes (got {})",
-                    tier.nodes_per_group
-                ));
+            let size = tier.nodes_per_group;
+            if size < 2 {
+                return Err(FabricError::GroupTooSmall { tier: t, size });
             }
-            if t > 0 && (tier.nodes_per_group < prev || !tier.nodes_per_group.is_multiple_of(prev))
-            {
-                return Err(format!(
-                    "fabric tier {t}: group size {} must be a non-descending multiple of the previous tier's {prev}",
-                    tier.nodes_per_group
-                ));
+            if t > 0 && (size < prev || !size.is_multiple_of(prev)) {
+                return Err(FabricError::NotNested {
+                    tier: t,
+                    size,
+                    prev,
+                });
             }
-            if !nodes.is_multiple_of(tier.nodes_per_group) {
-                return Err(format!(
-                    "fabric tier {t}: group size {} does not divide {nodes} nodes",
-                    tier.nodes_per_group
-                ));
+            if !nodes.is_multiple_of(size) {
+                return Err(FabricError::NotDividing {
+                    tier: t,
+                    size,
+                    nodes,
+                });
             }
             if !tier.up_bytes_per_s.is_finite() || tier.up_bytes_per_s <= 0.0 {
-                return Err(format!(
-                    "fabric tier {t}: uplink capacity must be finite and positive"
-                ));
+                return Err(FabricError::BadUplink { tier: t });
             }
             if !tier.latency_s.is_finite() || tier.latency_s < 0.0 {
-                return Err(format!(
-                    "fabric tier {t}: latency must be finite and non-negative"
-                ));
+                return Err(FabricError::BadLatency { tier: t });
             }
-            prev = tier.nodes_per_group;
+            prev = size;
         }
         Ok(())
     }
 }
+
+/// Why [`FabricSpec::validate`] rejects a fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum FabricError {
+    /// More tiers than [`FabricSpec::MAX_TIERS`]: a route crossing them
+    /// all would not fit a [`crate::Route`].
+    TooManyTiers {
+        /// Tiers in the spec.
+        tiers: usize,
+    },
+    /// A tier's groups hold fewer than 2 nodes.
+    GroupTooSmall {
+        /// Tier index, leaf-most first.
+        tier: usize,
+        /// Nodes per group.
+        size: usize,
+    },
+    /// A tier's group size is not a multiple of the tier below it.
+    NotNested {
+        /// Tier index.
+        tier: usize,
+        /// Nodes per group.
+        size: usize,
+        /// The previous tier's nodes per group.
+        prev: usize,
+    },
+    /// A tier's group size does not divide the node count.
+    NotDividing {
+        /// Tier index.
+        tier: usize,
+        /// Nodes per group.
+        size: usize,
+        /// Nodes in the cluster.
+        nodes: usize,
+    },
+    /// A tier's uplink capacity is not finite and positive.
+    BadUplink {
+        /// Tier index.
+        tier: usize,
+    },
+    /// A tier's latency is not finite and non-negative.
+    BadLatency {
+        /// Tier index.
+        tier: usize,
+    },
+}
+
+impl fmt::Display for FabricError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            FabricError::TooManyTiers { tiers } => write!(
+                f,
+                "fabric has {tiers} tiers; at most {} are supported",
+                FabricSpec::MAX_TIERS
+            ),
+            FabricError::GroupTooSmall { tier, size } => write!(
+                f,
+                "fabric tier {tier}: groups need at least 2 nodes (got {size})"
+            ),
+            FabricError::NotNested { tier, size, prev } => write!(
+                f,
+                "fabric tier {tier}: group size {size} must be a non-descending multiple of the previous tier's {prev}"
+            ),
+            FabricError::NotDividing { tier, size, nodes } => write!(
+                f,
+                "fabric tier {tier}: group size {size} does not divide {nodes} nodes"
+            ),
+            FabricError::BadUplink { tier } => write!(
+                f,
+                "fabric tier {tier}: uplink capacity must be finite and positive"
+            ),
+            FabricError::BadLatency { tier } => write!(
+                f,
+                "fabric tier {tier}: latency must be finite and non-negative"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
 
 /// Complete description of a cluster to simulate.
 ///
@@ -401,8 +490,7 @@ impl ClusterSpec {
         if bws.iter().any(|b| !b.is_finite() || *b <= 0.0) {
             return Err("all link bandwidths must be finite and positive".into());
         }
-        self.fabric.validate(self.nodes)?;
-        Ok(())
+        self.fabric.validate(self.nodes).map_err(|e| e.to_string())
     }
 }
 

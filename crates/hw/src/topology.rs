@@ -104,7 +104,14 @@ impl fmt::Display for TopologySpec {
 }
 
 impl TopologySpec {
-    /// Number of nodes this topology generates.
+    /// Most GPUs a generated cluster may have: 8× the largest in-tree
+    /// topology (128 GPUs), which leaves room for 256-GPU studies.
+    /// [`TopologySpec::build`] rejects anything larger before a single
+    /// link is built.
+    pub const MAX_GPUS: usize = 1024;
+
+    /// Number of nodes this topology generates (saturating at
+    /// `usize::MAX` for absurd dimensions).
     pub fn nodes(&self) -> usize {
         match self {
             TopologySpec::Flat { nodes } => *nodes,
@@ -112,12 +119,12 @@ impl TopologySpec {
                 racks,
                 nodes_per_rack,
                 ..
-            } => racks * nodes_per_rack,
+            } => racks.saturating_mul(*nodes_per_rack),
             TopologySpec::NvlinkIslands {
                 pods,
                 islands_per_pod,
                 ..
-            } => pods * islands_per_pod,
+            } => pods.saturating_mul(*islands_per_pod),
         }
     }
 
@@ -131,9 +138,10 @@ impl TopologySpec {
         }
     }
 
-    /// Total GPUs this topology generates.
+    /// Total GPUs this topology generates (saturating, like
+    /// [`TopologySpec::nodes`]).
     pub fn total_gpus(&self) -> usize {
-        self.nodes() * self.gpus_per_node()
+        self.nodes().saturating_mul(self.gpus_per_node())
     }
 
     /// Lowers the topology into a full [`ClusterSpec`] (paper defaults for
@@ -141,8 +149,15 @@ impl TopologySpec {
     ///
     /// # Errors
     /// Returns a human-readable description of the first invalid
-    /// parameter (zero counts, odd pod counts, oversubscription < 1, ...).
+    /// parameter (more than [`TopologySpec::MAX_GPUS`] GPUs, zero counts,
+    /// odd pod counts, oversubscription < 1, ...).
     pub fn build(&self) -> Result<ClusterSpec, String> {
+        if self.total_gpus() > Self::MAX_GPUS {
+            return Err(format!(
+                "topology {self} has more than {} GPUs",
+                Self::MAX_GPUS
+            ));
+        }
         let base = ClusterSpec::default();
         let nic_dir = base.bw.roce_dir;
         let switch_lat = base.lat.roce_s;
@@ -265,8 +280,13 @@ impl TopologySpec {
     /// * `fat-tree:<racks>x<nodes_per_rack>:<oversub>`;
     /// * `pods:<pods>x<islands>x<gpus>:<pod_oversub>:<spine_oversub>`.
     ///
+    /// A topology must have at most [`TopologySpec::MAX_GPUS`] (1,024)
+    /// GPUs; generated fabrics use at most 2 of the
+    /// [`FabricSpec::MAX_TIERS`] tiers a cluster may have.
+    ///
     /// # Errors
-    /// Returns a usage-style description of the malformed field.
+    /// Returns a usage-style description of the malformed field, or of
+    /// the first invalid parameter [`TopologySpec::build`] finds.
     pub fn parse(s: &str) -> Result<Self, String> {
         let fields: Vec<&str> = s.split(':').collect();
         let topo = match fields[0] {
@@ -461,6 +481,22 @@ mod tests {
             "pods:2x4x7:2:2", // odd GPUs per island
         ] {
             assert!(TopologySpec::parse(s).is_err(), "{s} should not parse");
+        }
+    }
+
+    #[test]
+    fn size_limit_is_1024_gpus() {
+        // 256 nodes × 4 GPUs sits exactly at the limit; one more node
+        // does not, and neither do dimensions whose product overflows.
+        assert_eq!(TopologySpec::parse("flat:256").unwrap().total_gpus(), 1024);
+        for s in [
+            "flat:257",
+            "flat:100000",
+            "pods:64x64x64:2:2",
+            "fat-tree:18446744073709551615x2:1",
+        ] {
+            let err = TopologySpec::parse(s).unwrap_err();
+            assert!(err.contains("more than 1024 GPUs"), "{s}: {err}");
         }
     }
 }

@@ -68,7 +68,7 @@ pub fn roce_latency(
 
     let net = cluster.net_mut();
     let before_flows = net.flow_count();
-    net.start_flow_capped(&route.links, msg_bytes.max(1) as f64, route.cap)
+    net.start_flow_capped(route.links(), msg_bytes.max(1) as f64, route.cap)
         .expect("routes from a validated cluster are non-empty and known");
     let mut t = 0.0;
     while net.flow_count() > before_flows {

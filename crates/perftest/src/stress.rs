@@ -81,15 +81,14 @@ pub fn stress_test_on(spec: &ClusterSpec, scenario: StressScenario) -> StressOut
     let emit_chain = |dag: &mut DagBuilder, route: zerosim_hw::Route, track: u32| {
         let mut prev: Option<TaskId> = None;
         for _ in 0..KERNEL_CHUNKS {
-            let deps: Vec<TaskId> = prev.into_iter().collect();
             let t = dag.transfer_capped(
-                route.links.clone(),
+                route.links(),
                 KERNEL_BYTES / KERNEL_CHUNKS as f64,
                 route.latency,
                 route.cap,
                 "stress",
                 track,
-                &deps,
+                prev.as_slice(),
             );
             prev = Some(t);
         }

@@ -5,6 +5,24 @@
 //! edges. The engine executes any such DAG against a [`crate::flow::FlowNet`]
 //! and a set of compute resources; strategies never talk to the event loop
 //! directly.
+//!
+//! # Layout
+//!
+//! A [`Dag`] is a handful of flat arrays, so building and running one
+//! allocates O(1) times per DAG, not per task:
+//!
+//! * one [`TaskSpec`] per task, whose label is a `&'static str`;
+//! * predecessor edges in CSR form: one edge array plus, per task, the
+//!   end offset of its slice. [`DagBuilder`] appends each task's
+//!   dependencies as it is pushed;
+//! * successor edges in the same form, derived once by
+//!   [`DagBuilder::build`] in ascending task order with duplicates kept
+//!   (the engine readies successors in exactly this order);
+//! * one link arena holding every transfer's route back to back; a
+//!   [`TaskKind::Transfer`] names its slice with a [`RouteRange`], read
+//!   through [`Dag::route`].
+
+use std::ops::Range;
 
 use crate::flow::LinkId;
 use crate::time::SimTime;
@@ -25,6 +43,14 @@ impl TaskId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(pub usize);
 
+/// A transfer's route: a range of its [`Dag`]'s link arena, read with
+/// [`Dag::route`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteRange {
+    start: u32,
+    end: u32,
+}
+
 /// What a task does.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
@@ -38,8 +64,8 @@ pub enum TaskKind {
     /// Moves `bytes` along `route` at the max-min fair rate, after an
     /// initial `latency` during which no bandwidth is consumed.
     Transfer {
-        /// Links crossed, in order.
-        route: Vec<LinkId>,
+        /// Links crossed, in order (see [`Dag::route`]).
+        route: RouteRange,
         /// Payload size in bytes.
         bytes: f64,
         /// Startup latency before the first byte moves.
@@ -63,7 +89,7 @@ pub struct TaskSpec {
     /// The work performed.
     pub kind: TaskKind,
     /// Span label for timeline profiling (`None` = not profiled).
-    pub label: Option<String>,
+    pub label: Option<&'static str>,
     /// Timeline track (defaults to the resource index for compute tasks).
     pub track: Option<u32>,
 }
@@ -71,14 +97,35 @@ pub struct TaskSpec {
 /// An immutable task graph.
 ///
 /// Built with [`DagBuilder`]; guaranteed acyclic by construction because
-/// dependencies may only reference previously created tasks.
+/// dependencies may only reference previously created tasks. See the
+/// [module docs](self) for the layout.
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
-    pub(crate) tasks: Vec<TaskSpec>,
-    /// Predecessors of each task.
-    pub(crate) preds: Vec<Vec<TaskId>>,
-    /// Successors of each task (derived).
-    pub(crate) succs: Vec<Vec<TaskId>>,
+    tasks: Vec<TaskSpec>,
+    /// Predecessor edges of every task, back to back.
+    pred_edges: Vec<TaskId>,
+    /// End of each task's slice of `pred_edges`.
+    pred_ends: Vec<u32>,
+    /// Successor edges of every task, back to back (derived).
+    succ_edges: Vec<TaskId>,
+    /// End of each task's slice of `succ_edges`.
+    succ_ends: Vec<u32>,
+    /// Every transfer's route, back to back.
+    links: Vec<LinkId>,
+}
+
+/// The slice of task `i` in a CSR edge array with end offsets `ends`.
+fn csr_slice(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
+}
+
+/// `n` as a CSR offset.
+///
+/// # Panics
+/// Panics if `n` does not fit in a `u32`.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("DAG arrays hold fewer than 2^32 entries")
 }
 
 impl Dag {
@@ -100,14 +147,23 @@ impl Dag {
         &self.tasks[task.0]
     }
 
-    /// Predecessors of `task`.
+    /// Predecessors of `task`, in the order they were declared.
     pub fn preds(&self, task: TaskId) -> &[TaskId] {
-        &self.preds[task.0]
+        &self.pred_edges[csr_slice(&self.pred_ends, task.0)]
     }
 
-    /// Successors of `task`.
+    /// Successors of `task`, in ascending task order (a task that names
+    /// `task` twice appears twice).
     pub fn succs(&self, task: TaskId) -> &[TaskId] {
-        &self.succs[task.0]
+        &self.succ_edges[csr_slice(&self.succ_ends, task.0)]
+    }
+
+    /// The links of a transfer's route, in order.
+    ///
+    /// # Panics
+    /// Panics if `route` does not come from this DAG.
+    pub fn route(&self, route: RouteRange) -> &[LinkId] {
+        &self.links[route.start as usize..route.end as usize]
     }
 
     /// Iterator over all task ids in insertion (topological) order.
@@ -171,6 +227,7 @@ impl Dag {
 /// let dag = b.build();
 /// assert_eq!(dag.len(), 2);
 /// assert_eq!(dag.preds(bwd), &[fwd]);
+/// assert_eq!(dag.succs(fwd), &[bwd]);
 /// ```
 #[derive(Debug, Default)]
 pub struct DagBuilder {
@@ -189,11 +246,8 @@ impl DagBuilder {
             assert!(d.0 < id.0, "dependency {d:?} does not precede task {id:?}");
         }
         self.dag.tasks.push(spec);
-        self.dag.preds.push(deps.to_vec());
-        self.dag.succs.push(Vec::new());
-        for d in deps {
-            self.dag.succs[d.0].push(id);
-        }
+        self.dag.pred_edges.extend_from_slice(deps);
+        self.dag.pred_ends.push(offset(self.dag.pred_edges.len()));
         id
     }
 
@@ -203,13 +257,13 @@ impl DagBuilder {
         &mut self,
         resource: ResourceId,
         duration: SimTime,
-        label: impl Into<String>,
+        label: &'static str,
         deps: &[TaskId],
     ) -> TaskId {
         self.push(
             TaskSpec {
                 kind: TaskKind::Compute { resource, duration },
-                label: Some(label.into()),
+                label: Some(label),
                 track: Some(resource.0 as u32),
             },
             deps,
@@ -233,16 +287,16 @@ impl DagBuilder {
         )
     }
 
-    /// Adds a transfer task.
+    /// Adds a transfer task; `route` is copied into the DAG's link arena.
     ///
     /// # Panics
     /// Panics if the route is empty or `bytes` is not finite and positive.
     pub fn transfer(
         &mut self,
-        route: Vec<LinkId>,
+        route: &[LinkId],
         bytes: f64,
         latency: SimTime,
-        label: impl Into<String>,
+        label: &'static str,
         track: u32,
         deps: &[TaskId],
     ) -> TaskId {
@@ -257,11 +311,11 @@ impl DagBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_capped(
         &mut self,
-        route: Vec<LinkId>,
+        route: &[LinkId],
         bytes: f64,
         latency: SimTime,
         cap: f64,
-        label: impl Into<String>,
+        label: &'static str,
         track: u32,
         deps: &[TaskId],
     ) -> TaskId {
@@ -271,6 +325,12 @@ impl DagBuilder {
             "transfer size must be positive (got {bytes})"
         );
         assert!(cap > 0.0 && !cap.is_nan(), "transfer cap must be positive");
+        let start = offset(self.dag.links.len());
+        self.dag.links.extend_from_slice(route);
+        let route = RouteRange {
+            start,
+            end: offset(self.dag.links.len()),
+        };
         self.push(
             TaskSpec {
                 kind: TaskKind::Transfer {
@@ -279,7 +339,7 @@ impl DagBuilder {
                     latency,
                     cap,
                 },
-                label: Some(label.into()),
+                label: Some(label),
                 track: Some(track),
             },
             deps,
@@ -320,9 +380,38 @@ impl DagBuilder {
         self.dag.tasks.is_empty()
     }
 
-    /// Finalizes the DAG.
+    /// Finalizes the DAG: derives the successor edges and trims every
+    /// array to its length.
     pub fn build(self) -> Dag {
-        self.dag
+        let mut dag = self.dag;
+        let n = dag.tasks.len();
+        // Count each task's successors, turn the counts into start
+        // offsets, then fill in ascending task order: every cursor ends
+        // at its task's end offset.
+        let mut cursor = vec![0u32; n];
+        for p in &dag.pred_edges {
+            cursor[p.0] += 1;
+        }
+        let mut start = 0u32;
+        for c in &mut cursor {
+            let count = *c;
+            *c = start;
+            start += count;
+        }
+        let mut succ_edges = vec![TaskId(0); dag.pred_edges.len()];
+        for t in 0..n {
+            for p in &dag.pred_edges[csr_slice(&dag.pred_ends, t)] {
+                succ_edges[cursor[p.0] as usize] = TaskId(t);
+                cursor[p.0] += 1;
+            }
+        }
+        dag.succ_edges = succ_edges;
+        dag.succ_ends = cursor;
+        dag.tasks.shrink_to_fit();
+        dag.pred_edges.shrink_to_fit();
+        dag.pred_ends.shrink_to_fit();
+        dag.links.shrink_to_fit();
+        dag
     }
 }
 
@@ -350,7 +439,7 @@ mod tests {
         b.compute(r, SimTime::from_ms(2.0), "k1", &[]);
         b.compute(r, SimTime::from_ms(3.0), "k2", &[]);
         b.compute(ResourceId(4), SimTime::from_ms(9.0), "k3", &[]);
-        b.transfer(vec![LinkId(0)], 1024.0, SimTime::ZERO, "xfer", 0, &[]);
+        b.transfer(&[LinkId(0)], 1024.0, SimTime::ZERO, "xfer", 0, &[]);
         let dag = b.build();
         assert_eq!(dag.compute_demand(r), SimTime::from_ms(5.0));
         assert_eq!(dag.total_transfer_bytes(), 1024.0);
@@ -403,6 +492,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_byte_transfer_panics() {
         let mut b = DagBuilder::new();
-        b.transfer(vec![LinkId(0)], 0.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[LinkId(0)], 0.0, SimTime::ZERO, "x", 0, &[]);
     }
 }

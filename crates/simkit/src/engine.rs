@@ -102,7 +102,7 @@ impl RunOutcome {
 /// let link = net.add_link("pcie", 100.0);
 /// let mut b = DagBuilder::new();
 /// let c = b.compute(ResourceId(0), SimTime::from_ms(1.0), "gemm", &[]);
-/// b.transfer(vec![link], 100.0, SimTime::ZERO, "h2d", 0, &[c]);
+/// b.transfer(&[link], 100.0, SimTime::ZERO, "h2d", 0, &[c]);
 /// let dag = b.build();
 ///
 /// let mut engine = DagEngine::new(vec![1]); // one GPU, one slot
@@ -293,8 +293,8 @@ impl DagEngine {
                 let t: TaskId = $t;
                 task_finish[t.0] = now;
                 let spec = dag.task(t);
-                if let (Some(label), Some(track)) = (&spec.label, spec.track) {
-                    self.spans.push(track, label.clone(), task_start[t.0], now);
+                if let (Some(label), Some(track)) = (spec.label, spec.track) {
+                    self.spans.push(track, label, task_start[t.0], now);
                 }
                 if let TaskKind::Compute { resource, .. } = &spec.kind {
                     let rs = &mut resources[resource.0];
@@ -332,7 +332,7 @@ impl DagEngine {
                     route, bytes, cap, ..
                 } = &dag.task(t).kind
                 {
-                    let fid = net.start_flow_capped(route, *bytes, *cap)?;
+                    let fid = net.start_flow_capped(dag.route(*route), *bytes, *cap)?;
                     flow_task.insert(fid, t);
                     self.stats.flows_started += 1;
                 }
@@ -558,7 +558,7 @@ mod tests {
         let mut net = FlowNet::new();
         let l = net.add_link("l", 1000.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 1000.0, ms(5.0), "x", 0, &[]);
+        b.transfer(&[l], 1000.0, ms(5.0), "x", 0, &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![]);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
@@ -573,7 +573,7 @@ mod tests {
         let l = net.add_link("l", 100.0);
         let mut b = DagBuilder::new();
         b.compute(ResourceId(0), SimTime::from_secs(1.0), "gemm", &[]);
-        b.transfer(vec![l], 100.0, SimTime::ZERO, "comm", 0, &[]);
+        b.transfer(&[l], 100.0, SimTime::ZERO, "comm", 0, &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![1]);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
@@ -621,7 +621,7 @@ mod tests {
         let mut net = FlowNet::new();
         let l = net.add_link("l", 1000.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 500.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[l], 500.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
         let mut rec = BandwidthRecorder::new(ms(100.0));
         let mut eng = DagEngine::new(vec![]);
@@ -635,8 +635,8 @@ mod tests {
         let mut net = FlowNet::new();
         let l = net.add_link("l", 100.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 100.0, SimTime::ZERO, "x", 0, &[]);
-        b.transfer(vec![l], 100.0, SimTime::ZERO, "y", 0, &[]);
+        b.transfer(&[l], 100.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[l], 100.0, SimTime::ZERO, "y", 0, &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![]);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
@@ -660,7 +660,7 @@ mod tests {
         let mut joins = Vec::new();
         for i in 0..8 {
             let c = b.compute(ResourceId(i % 2), ms(2.0 + i as f64), "k", &[root]);
-            let t = b.transfer(vec![l], 300.0 + 10.0 * i as f64, ms(0.5), "x", 0, &[c]);
+            let t = b.transfer(&[l], 300.0 + 10.0 * i as f64, ms(0.5), "x", 0, &[c]);
             joins.push(t);
         }
         let m = b.marker(&joins);
@@ -707,7 +707,7 @@ mod budget_tests {
         let shared = net.add_link("shared", 100.0);
         net.start_flow(&[shared], 1_000_000.0).unwrap(); // background
         let mut b = DagBuilder::new();
-        b.transfer(vec![shared], 100.0, SimTime::ZERO, "fg", 0, &[]);
+        b.transfer(&[shared], 100.0, SimTime::ZERO, "fg", 0, &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![]);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
@@ -781,7 +781,7 @@ mod budget_tests {
         let mut net = FlowNet::new();
         let l = net.add_link("roce", 100.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 100.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[l], 100.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
         // Degrade to 50% at t = 0.5 s: 50 bytes move in the first half
         // second, the remaining 50 take 1 s -> 1.5 s total.
@@ -807,7 +807,7 @@ mod budget_tests {
         let mut net = FlowNet::new();
         let l = net.add_link("roce", 100.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 1000.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[l], 1000.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
         let sched = FaultSchedule::new(0).at(2.0, FaultKind::NodeLoss { node: 1 });
         let mut cur = sched.cursor();
@@ -828,7 +828,7 @@ mod budget_tests {
         let mut net = FlowNet::new();
         let l = net.add_link("roce", 100.0);
         let mut b = DagBuilder::new();
-        b.transfer(vec![l], 200.0, SimTime::ZERO, "x", 0, &[]);
+        b.transfer(&[l], 200.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
         // Down (to the flap floor) during [1, 2): ~100 bytes before, ~0.1
         // bytes during, rest after -> just under 3 s total.
@@ -853,7 +853,7 @@ mod budget_tests {
         let l = net.add_link("l", 100.0);
         let mut b = DagBuilder::new();
         let c = b.compute(ResourceId(0), SimTime::from_ms(3.0), "gemm", &[]);
-        b.transfer(vec![l], 150.0, SimTime::from_us(10.0), "x", 0, &[c]);
+        b.transfer(&[l], 150.0, SimTime::from_us(10.0), "x", 0, &[c]);
         let dag = b.build();
         let mut e1 = DagEngine::new(vec![1]);
         let a = e1.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
@@ -926,7 +926,7 @@ mod budget_tests {
         let l = net.add_link("roce", 100.0);
         let c0 = b.compute(ResourceId(0), SimTime::from_ms(4.0), "k0", &[]);
         let c1 = b.compute(ResourceId(0), SimTime::from_ms(4.0), "k1", &[]);
-        b.transfer(vec![l], 400.0, SimTime::ZERO, "x", 0, &[c0, c1]);
+        b.transfer(&[l], 400.0, SimTime::ZERO, "x", 0, &[c0, c1]);
         let dag = b.build();
         let sched = FaultSchedule::new(0)
             .at(

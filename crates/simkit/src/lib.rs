@@ -30,7 +30,7 @@
 //!
 //! let mut b = DagBuilder::new();
 //! let fwd = b.compute(ResourceId(0), SimTime::from_ms(3.0), "fwd", &[]);
-//! b.transfer(vec![nvlink], 100e6, SimTime::from_us(10.0), "allreduce", 0, &[fwd]);
+//! b.transfer(&[nvlink], 100e6, SimTime::from_us(10.0), "allreduce", 0, &[fwd]);
 //!
 //! let mut rec = BandwidthRecorder::new(SimTime::from_ms(1.0));
 //! let mut engine = DagEngine::new(vec![1, 1]);
@@ -53,7 +53,7 @@ pub mod record;
 mod time;
 
 pub use bucket::TokenBucket;
-pub use dag::{Dag, DagBuilder, ResourceId, TaskId, TaskKind};
+pub use dag::{Dag, DagBuilder, ResourceId, RouteRange, TaskId, TaskKind};
 pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};

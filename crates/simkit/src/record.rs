@@ -8,8 +8,6 @@
 //! into fixed-width time buckets, and statistics are computed over the
 //! bucket samples exactly as a periodic hardware counter would observe them.
 
-use std::collections::BTreeMap;
-
 use crate::flow::{FlowObserver, LinkId};
 use crate::time::SimTime;
 
@@ -165,7 +163,9 @@ impl EngineStats {
 #[derive(Debug, Clone)]
 pub struct BandwidthRecorder {
     bucket: SimTime,
-    bytes: BTreeMap<LinkId, Vec<f64>>,
+    /// Bytes per bucket of each link, indexed by [`LinkId::index`]; links
+    /// that never carried traffic hold an empty series.
+    bytes: Vec<Vec<f64>>,
     horizon: SimTime,
     origin: SimTime,
 }
@@ -188,7 +188,7 @@ impl BandwidthRecorder {
         assert!(!bucket.is_zero(), "bucket width must be positive");
         BandwidthRecorder {
             bucket,
-            bytes: BTreeMap::new(),
+            bytes: Vec::new(),
             horizon: SimTime::ZERO,
             origin,
         }
@@ -210,10 +210,8 @@ impl BandwidthRecorder {
         let n = self.bucket_count();
         let width = self.bucket.as_secs();
         let mut out = vec![0.0; n];
-        if let Some(b) = self.bytes.get(&link) {
-            for (i, v) in b.iter().enumerate() {
-                out[i] = v / width;
-            }
+        for (i, v) in self.recorded(link).iter().enumerate() {
+            out[i] = v / width;
         }
         out
     }
@@ -224,11 +222,9 @@ impl BandwidthRecorder {
         let n = self.bucket_count();
         let width = self.bucket.as_secs();
         let mut out = vec![0.0; n];
-        for link in links {
-            if let Some(b) = self.bytes.get(link) {
-                for (i, v) in b.iter().enumerate() {
-                    out[i] += v / width;
-                }
+        for &link in links {
+            for (i, v) in self.recorded(link).iter().enumerate() {
+                out[i] += v / width;
             }
         }
         out
@@ -242,7 +238,12 @@ impl BandwidthRecorder {
 
     /// Total bytes recorded on `link`.
     pub fn total_bytes(&self, link: LinkId) -> f64 {
-        self.bytes.get(&link).map_or(0.0, |b| b.iter().sum())
+        self.recorded(link).iter().sum()
+    }
+
+    /// The recorded bytes per bucket of `link` (empty when idle).
+    fn recorded(&self, link: LinkId) -> &[f64] {
+        self.bytes.get(link.index()).map_or(&[], Vec::as_slice)
     }
 
     #[allow(clippy::cast_possible_truncation)] // bucket counts are small
@@ -276,7 +277,10 @@ impl BandwidthRecorder {
         let width_ns = self.bucket.as_nanos();
         let first = start.as_nanos() / width_ns;
         let last = (end.as_nanos().saturating_sub(1)) / width_ns;
-        let buf = self.bytes.entry(link).or_default();
+        if self.bytes.len() <= link.index() {
+            self.bytes.resize_with(link.index() + 1, Vec::new);
+        }
+        let buf = &mut self.bytes[link.index()];
         if buf.len() <= last as usize {
             buf.resize(last as usize + 1, 0.0);
         }
@@ -308,7 +312,7 @@ pub struct Span {
     /// Device/track the span belongs to (e.g. a GPU index).
     pub track: u32,
     /// Category label (e.g. "gemm", "allreduce").
-    pub label: String,
+    pub label: &'static str,
     /// Span start.
     pub start: SimTime,
     /// Span end.
@@ -331,11 +335,11 @@ impl SpanLog {
     ///
     /// # Panics
     /// Panics in debug builds if `end < start`.
-    pub fn push(&mut self, track: u32, label: impl Into<String>, start: SimTime, end: SimTime) {
+    pub fn push(&mut self, track: u32, label: &'static str, start: SimTime, end: SimTime) {
         debug_assert!(end >= start, "span ends before it starts");
         self.spans.push(Span {
             track,
-            label: label.into(),
+            label,
             start,
             end,
         });
@@ -541,7 +545,7 @@ impl SpanLog {
         let mut intervals: Vec<(SimTime, SimTime)> = self
             .spans
             .iter()
-            .filter(|s| s.track == track && labels.contains(&s.label.as_str()))
+            .filter(|s| s.track == track && labels.contains(&s.label))
             .map(|s| (s.start, s.end))
             .collect();
         intervals.sort();

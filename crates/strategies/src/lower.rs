@@ -19,6 +19,13 @@
 //! The engine therefore performs one full DAG build per run instead of
 //! `warmup + measure` of them; perfbench's traced op reports the two
 //! halves as `lower.s` and `stamp.s`.
+//!
+//! Lowering allocates per DAG, not per task: routes are `Copy` values
+//! whose links are copied into the DAG's link arena, labels are
+//! `&'static str`, collectives query their group's precomputed ring
+//! order, and one dependency buffer is reused across every op.
+//! `tests/lowering_allocs.rs` pins the floor at under 0.5 allocations per
+//! emitted task.
 
 use zerosim_collectives::emit_collective_capped;
 use zerosim_hw::Cluster;
@@ -149,9 +156,14 @@ pub fn lower(
     let mut stamps: Vec<ComputeStamp> = Vec::new();
     // Done-task per op: the TaskId downstream ops hook their deps onto.
     let mut done: Vec<TaskId> = Vec::with_capacity(plan.len());
+    // Buffers reused by every op: its dependencies, then (volume I/O)
+    // its per-drive transfers.
+    let mut deps: Vec<TaskId> = Vec::new();
+    let mut parts: Vec<TaskId> = Vec::new();
 
     for (i, node) in plan.nodes().iter().enumerate() {
-        let deps: Vec<TaskId> = node.deps.iter().map(|d| done[d.index()]).collect();
+        deps.clear();
+        deps.extend(node.deps.iter().map(|d| done[d.index()]));
         // A declared codec means the encoded blob is what moves: scale
         // the payload before the schedule or route prices it.
         let ratio = plan.codec_ratio_at(i);
@@ -163,7 +175,7 @@ pub fn lower(
                 // is judged per kernel.
                 let per_kernel = flops / 6.0;
                 let base_gemm_s = 6.0 * calib.kernel_time_s(per_kernel);
-                let gemm = b.compute(res, SimTime::from_secs(base_gemm_s), *label, &deps);
+                let gemm = b.compute(res, SimTime::from_secs(base_gemm_s), label, &deps);
                 let ew_s = (calib.elementwise_frac * base_gemm_s).max(calib.kernel_overhead_s);
                 let ew = b.compute(res, SimTime::from_secs(ew_s), "elementwise", &[gemm]);
                 stamps.push(ComputeStamp {
@@ -175,7 +187,7 @@ pub fn lower(
             }
             PlanOp::FixedCompute { gpu, secs, label } => {
                 let res = cluster.gpu_resource(*gpu);
-                b.compute(res, SimTime::from_secs(*secs), *label, &deps)
+                b.compute(res, SimTime::from_secs(*secs), label, &deps)
             }
             PlanOp::OptimizerStep { device, params } => match device {
                 OptimizerDevice::Gpu(g) => {
@@ -215,11 +227,11 @@ pub fn lower(
             } => {
                 let route = cluster.route(*src, *dst);
                 b.transfer_capped(
-                    route.links,
+                    route.links(),
                     (bytes * ratio).max(1.0),
                     route.latency,
                     route.cap,
-                    *label,
+                    label,
                     *track,
                     &deps,
                 )
@@ -236,20 +248,18 @@ pub fn lower(
                 // drive plus a join.
                 let routes = cluster.volume_io_routes(*volume, *socket, *dir);
                 let k = routes.len() as f64;
-                let parts: Vec<TaskId> = routes
-                    .into_iter()
-                    .map(|r| {
-                        b.transfer_capped(
-                            r.links,
-                            (bytes * ratio / k).max(1.0),
-                            r.latency,
-                            r.cap,
-                            *label,
-                            *track,
-                            &deps,
-                        )
-                    })
-                    .collect();
+                parts.clear();
+                for r in &routes {
+                    parts.push(b.transfer_capped(
+                        r.links(),
+                        (bytes * ratio / k).max(1.0),
+                        r.latency,
+                        r.cap,
+                        label,
+                        *track,
+                        &deps,
+                    ));
+                }
                 b.marker(&parts)
             }
             PlanOp::Barrier => b.marker(&deps),

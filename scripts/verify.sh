@@ -12,8 +12,9 @@
 #                   oracle on (each incremental max-min solve
 #                   cross-checked against the full reference solver,
 #                   including on every pinned training, fault-matrix and
-#                   serving digest), and the zero-allocation gate on the
-#                   solver hot path
+#                   serving digest), the zero-allocation gate on the
+#                   solver hot path, and the per-task allocation floor of
+#                   lowering and execution
 #   5. sweep:       `repro --workers 4` must render the scorecard and
 #                   sixteen runner artifacts, the ext11 fault matrix
 #                   among them, byte-identically to the serial run
@@ -84,9 +85,11 @@ echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # links-touched-per-solve floor and the CLI usage-error table
 # (crates/bench/tests/cli_usage.rs).
 ZEROSIM_SHADOW=1 cargo test -q --release --workspace
-# Steady-state start -> solve -> advance cycles must allocate nothing
-# (counting global allocator in its own test binary).
+# Steady-state start -> solve -> advance cycles must allocate nothing,
+# and lowering and running a DAG must allocate per DAG, not per task
+# (each a counting global allocator in its own test binary).
 cargo test -q --release -p zerosim-simkit --test solver_allocs
+cargo test -q --release --test lowering_allocs
 
 echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
 # The scorecard, every artifact whose runs moved onto the sweep runner in

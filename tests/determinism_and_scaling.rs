@@ -134,7 +134,7 @@ fn internode_routes_cover_all_nic_choices() {
                     dst_nic,
                 );
                 let names: Vec<&str> = r
-                    .links
+                    .links()
                     .iter()
                     .map(|l| cluster.net().link_name(*l))
                     .collect();

@@ -10,7 +10,7 @@ use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{
     BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FlowNet, FlowObserver, LinkId,
-    NullObserver, ResourceId, SimTime, TokenBucket,
+    NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
 };
 use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
 use zerosim_testkit::domain::{flow_paths, link_caps};
@@ -269,7 +269,7 @@ prop! {
                 0 => b.compute(ResourceId((*dur % 2) as usize), SimTime::from_nanos(*dur), "c", &deps),
                 1 => {
                     expected_bytes += *bytes;
-                    b.transfer(vec![l0, l1], *bytes, SimTime::from_nanos(*dur), "x", 0, &deps)
+                    b.transfer(&[l0, l1], *bytes, SimTime::from_nanos(*dur), "x", 0, &deps)
                 }
                 _ => b.delay(SimTime::from_nanos(*dur), &deps),
             };
@@ -476,12 +476,17 @@ prop! {
 // ---------- DAG executor ----------
 
 /// Shared generator shape for the executor properties: a random mixed DAG
-/// of compute / transfer / delay tasks with random fan-in, built over one
-/// network link. Returns the DAG and the number of transfer tasks.
-fn mixed_random_dag(spec: &[(usize, u64, usize)], link: LinkId) -> (zerosim_simkit::Dag, usize) {
+/// of compute / transfer / delay / marker tasks with random fan-in. Each
+/// transfer crosses a suffix of `links` (1 to 3 links, picked by its
+/// duration); each marker names every dependency twice. Returns the
+/// DAG and every transfer with the route it was given.
+fn mixed_random_dag(
+    spec: &[(usize, u64, usize)],
+    links: &[LinkId],
+) -> (zerosim_simkit::Dag, Vec<(TaskId, Vec<LinkId>)>) {
     let mut b = DagBuilder::new();
     let mut all = Vec::new();
-    let mut transfers = 0;
+    let mut transfers = Vec::new();
     for (kind, dur, fan) in spec {
         let deps: Vec<_> = all.iter().rev().take(*fan).copied().collect();
         let t = match kind {
@@ -492,10 +497,14 @@ fn mixed_random_dag(spec: &[(usize, u64, usize)], link: LinkId) -> (zerosim_simk
                 &deps,
             ),
             1 => {
-                transfers += 1;
-                b.transfer(vec![link], (*dur + 1) as f64, SimTime::ZERO, "x", 0, &deps)
+                let hops = links.len().min(1 + (*dur % 3) as usize);
+                let route = &links[links.len() - hops..];
+                let t = b.transfer(route, (*dur + 1) as f64, SimTime::ZERO, "x", 0, &deps);
+                transfers.push((t, route.to_vec()));
+                t
             }
-            _ => b.delay(SimTime::from_nanos(*dur), &deps),
+            2 => b.delay(SimTime::from_nanos(*dur), &deps),
+            _ => b.marker(&[deps.as_slice(), deps.as_slice()].concat()),
         };
         all.push(t);
     }
@@ -510,14 +519,14 @@ prop! {
     #[cases(64)]
     fn batched_ready_set_preserves_topological_order(
         spec in vec_of(
-            tuple3(usize_range(0, 2), u64_range(1, 500_000), usize_range(0, 3)),
+            tuple3(usize_range(0, 4), u64_range(1, 500_000), usize_range(0, 3)),
             2,
             40,
         ),
     ) {
         let mut net = FlowNet::new();
         let l = net.add_link("l", 1e8);
-        let (dag, _) = mixed_random_dag(&spec, l);
+        let (dag, _) = mixed_random_dag(&spec, &[l]);
         let mut eng = DagEngine::new(vec![2, 2]);
         let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
         for t in dag.task_ids() {
@@ -551,7 +560,7 @@ prop! {
     #[cases(64)]
     fn event_counts_are_conserved_across_executors(
         spec in vec_of(
-            tuple3(usize_range(0, 2), u64_range(1, 500_000), usize_range(0, 3)),
+            tuple3(usize_range(0, 4), u64_range(1, 500_000), usize_range(0, 3)),
             2,
             40,
         ),
@@ -559,10 +568,10 @@ prop! {
         let run = || {
             let mut net = FlowNet::new();
             let l = net.add_link("l", 1e8);
-            let (dag, transfers) = mixed_random_dag(&spec, l);
+            let (dag, transfers) = mixed_random_dag(&spec, &[l]);
             let mut eng = DagEngine::new(vec![2, 2]);
             let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-            (out, eng.stats(), dag.len(), transfers)
+            (out, eng.stats(), dag.len(), transfers.len())
         };
         let (first, first_stats, n, transfers) = run();
         let (second, second_stats, ..) = run();
@@ -571,6 +580,36 @@ prop! {
         prop_assert_eq!(first_stats, second_stats);
         prop_assert_eq!(&first.task_finish, &second.task_finish);
         prop_assert_eq!(first.finished, second.finished);
+    }
+
+    /// The compact layout round-trips: on random mixed DAGs with repeated
+    /// dependencies, `succs(t)` holds exactly the tasks whose `preds` name
+    /// `t`, ascending and with multiplicity, and every transfer reads back
+    /// from the link arena the route it was built with.
+    #[cases(64)]
+    fn csr_successors_invert_preds_and_routes_round_trip(
+        spec in vec_of(
+            tuple3(usize_range(0, 4), u64_range(1, 500_000), usize_range(0, 3)),
+            1,
+            40,
+        ),
+    ) {
+        let mut net = FlowNet::new();
+        let links: Vec<LinkId> = (0..3).map(|i| net.add_link(format!("l{i}"), 1e8)).collect();
+        let (dag, transfers) = mixed_random_dag(&spec, &links);
+        for t in dag.task_ids() {
+            let naming_t: Vec<TaskId> = dag
+                .task_ids()
+                .flat_map(|s| dag.preds(s).iter().filter(|&&p| p == t).map(move |_| s))
+                .collect();
+            prop_assert_eq!(dag.succs(t), naming_t.as_slice());
+        }
+        for (t, route) in &transfers {
+            let TaskKind::Transfer { route: range, .. } = &dag.task(*t).kind else {
+                panic!("task {t:?} was built as a transfer");
+            };
+            prop_assert_eq!(dag.route(*range), route.as_slice());
+        }
     }
 }
 
@@ -594,7 +633,7 @@ prop! {
         let total: f64 = transfers.iter().sum();
         for bytes in &transfers {
             let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(b.transfer(vec![dev], *bytes, SimTime::ZERO, "io", 0, &deps));
+            prev = Some(b.transfer(&[dev], *bytes, SimTime::ZERO, "io", 0, &deps));
         }
         struct Tally(f64);
         impl FlowObserver for Tally {

@@ -161,7 +161,7 @@ prop! {
             let mut b = DagBuilder::new();
             let mut prev: Vec<TaskId> = Vec::new();
             for _ in 0..4 {
-                let t = b.transfer(vec![l], 25.0, SimTime::ZERO, "x", 0, &prev);
+                let t = b.transfer(&[l], 25.0, SimTime::ZERO, "x", 0, &prev);
                 prev = vec![t];
             }
             (net, b.build(), l)

@@ -128,8 +128,8 @@ fn generated_routes_are_symmetric_in_latency_and_hop_count() {
                 "{topo:?}: latency asymmetry {a:?} <-> {b:?}"
             );
             assert_eq!(
-                fwd.links.len(),
-                rev.links.len(),
+                fwd.hops(),
+                rev.hops(),
                 "{topo:?}: hop-count asymmetry {a:?} <-> {b:?}"
             );
         }
