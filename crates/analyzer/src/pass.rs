@@ -499,11 +499,6 @@ impl PassManager {
         &self.config
     }
 
-    /// Mutable access to the lint-level configuration.
-    pub fn config_mut(&mut self) -> &mut LintConfig {
-        &mut self.config
-    }
-
     /// Codes of the registered passes, in run order.
     pub fn pass_codes(&self) -> Vec<LintCode> {
         self.passes.iter().map(|p| p.code()).collect()

@@ -159,7 +159,7 @@ impl Pass for BandwidthFeasibilityPass {
                     Ok(routes) => {
                         #[allow(clippy::cast_precision_loss)]
                         let per_drive = (bytes * ratio / routes.len().max(1) as f64).max(1.0);
-                        for route in &routes {
+                        for route in routes {
                             add_route(&mut loads, cluster, route.links(), per_drive, route.cap);
                         }
                     }

@@ -100,14 +100,6 @@ impl CostModel {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct CostModel {
-        gpu_usd, node_base_usd, nvme_usd, switch_port_usd,
-        nvme_endurance_bytes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

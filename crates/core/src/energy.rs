@@ -114,11 +114,6 @@ impl PowerModel {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct PowerModel { gpu_busy_w, gpu_idle_w, cpu_busy_w, cpu_idle_w, node_base_w }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

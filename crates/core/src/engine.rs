@@ -5,7 +5,7 @@
 
 use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
+use zerosim_simkit::{nearest_rank, BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
     lower, plan_checkpoint, plan_restore, Calibration, CheckpointSink, IterCtx, StrategyPlan,
     TrainOptions,
@@ -13,9 +13,7 @@ use zerosim_strategies::{
 
 use crate::error::{ensure_fits, ensure_nodes, CoreError};
 use crate::faults::FaultConfig;
-use crate::report::{
-    nearest_rank, rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport,
-};
+use crate::report::{rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport};
 
 /// How a characterization run samples and averages.
 #[derive(Debug, Clone, Copy, PartialEq)]

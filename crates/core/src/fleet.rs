@@ -41,7 +41,7 @@
 
 use zerosim_hw::{Cluster, GpuId, LinkClass, TopologySpec};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{FaultKind, FaultSchedule};
+use zerosim_simkit::{mix, FaultKind, FaultSchedule};
 use zerosim_strategies::{CheckpointSink, RecoveryPolicy, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
@@ -50,7 +50,7 @@ use crate::energy::PowerModel;
 use crate::engine::RunConfig;
 use crate::error::CoreError;
 use crate::faults::FaultConfig;
-use crate::report::{mix, mix_str};
+use crate::report::mix_str;
 use crate::search::{search_plans, SearchConfig};
 use crate::sweep::{SweepRunner, SweepSpec};
 
@@ -622,22 +622,22 @@ impl EnsembleConfig {
         self.policy = policy;
         self
     }
-
-    /// Replaces the checkpoint sink.
-    pub fn with_sink(mut self, sink: CheckpointSink) -> Self {
-        self.sink = sink;
-        self
-    }
 }
 
-/// Order statistics of one ensemble metric (nearest-rank percentiles).
+/// Order statistics of one ensemble metric.
+///
+/// Percentiles take the sorted sample at index `round((n − 1)·q)`, the
+/// sample nearest the linearly interpolated position. That is not the
+/// nearest-rank rule ([`zerosim_simkit::nearest_rank`]): for 32 samples
+/// the median is index 16 here and index 15 under nearest rank. Ensemble
+/// digests depend on this formula.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnsembleStats {
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median (nearest rank).
+    /// Median: index `round((n − 1) / 2)` of the sorted samples.
     pub p50: f64,
-    /// 99th percentile (nearest rank).
+    /// 99th percentile: index `round((n − 1)·0.99)`.
     pub p99: f64,
     /// Smallest sample.
     pub min: f64,
@@ -654,7 +654,7 @@ impl EnsembleStats {
         let mut v = values.to_vec();
         v.sort_by(f64::total_cmp);
         let rank = |q: f64| {
-            // Nearest-rank on n samples; the product is < n ≤ isize::MAX.
+            // Nearest index to (n − 1)·q; the product is < n ≤ isize::MAX.
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             let i = ((v.len() - 1) as f64 * q).round() as usize;
             v[i]
@@ -960,12 +960,6 @@ impl FleetCostConfig {
             amortize_years: 3.0,
             run: RunConfig::quick(),
         }
-    }
-
-    /// Replaces the training deadline.
-    pub fn with_deadline_days(mut self, days: f64) -> Self {
-        self.deadline_days = Some(days);
-        self
     }
 
     /// Replaces the worker count.
@@ -1387,7 +1381,7 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
         assert_eq!(s.p99, 4.0);
-        assert_eq!(s.p50, 3.0); // nearest rank on 4 samples
+        assert_eq!(s.p50, 3.0); // index round(3 × 0.5) = 2 of 4 samples
         assert_eq!(EnsembleStats::from_samples(&[]), EnsembleStats::default());
     }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use zerosim_hw::{Cluster, LinkClass};
 use zerosim_simkit::{
-    BandwidthRecorder, BandwidthStats, EngineStats, SimTime, SolverStats, SpanLog,
+    mix, BandwidthRecorder, BandwidthStats, EngineStats, SimTime, SolverStats, SpanLog,
 };
 use zerosim_strategies::MemoryPlan;
 
@@ -122,20 +122,6 @@ pub(crate) fn rank_hot_links(
     hot_links.sort_by(|a, b| b.utilization.total_cmp(&a.utilization));
     hot_links.truncate(HOT_LINKS_TOP);
     hot_links
-}
-
-/// Nearest-rank percentile (`q` in `[0, 1]`) of an already-sorted
-/// sample; [`SimTime::ZERO`] for an empty one.
-pub(crate) fn nearest_rank(sorted: &[SimTime], q: f64) -> SimTime {
-    if sorted.is_empty() {
-        return SimTime::ZERO;
-    }
-    // q in [0,1], so the rank is bounded by len: exact as usize.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    let idx = ((q * sorted.len() as f64).ceil() as usize)
-        .saturating_sub(1)
-        .min(sorted.len() - 1);
-    sorted[idx]
 }
 
 /// Resilience accounting of a training run (see
@@ -318,16 +304,7 @@ impl TrainingReport {
     }
 }
 
-/// SplitMix64-style mixing step used by [`TrainingReport::digest`] (and
-/// [`crate::SearchReport::digest`]).
-pub(crate) fn mix(h: u64, v: u64) -> u64 {
-    let mut z = h ^ v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// Mixes a string's length and bytes into a digest with [`mix`].
 pub(crate) fn mix_str(h: u64, s: &str) -> u64 {
     let mut h = mix(h, s.len() as u64);
     for chunk in s.as_bytes().chunks(8) {

@@ -29,7 +29,7 @@ use std::collections::{HashMap, VecDeque};
 
 use zerosim_hw::{ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{DagEngine, SimTime};
+use zerosim_simkit::{mix, nearest_rank, DagEngine, SimTime};
 use zerosim_strategies::{
     kv_bucket, kv_bytes_per_token, lower, Calibration, IterCtx, LoweredPlan, ServingStrategy,
     TrainOptions,
@@ -38,7 +38,7 @@ use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
 use crate::error::{ensure_fits, ensure_nodes, CoreError};
-use crate::report::{mix, mix_str, nearest_rank};
+use crate::report::mix_str;
 use crate::sweep::{build_sim, Execute};
 
 /// How requests enter the system.

@@ -253,13 +253,6 @@ impl SweepRunner {
         }
     }
 
-    /// A runner as wide as the machine.
-    pub fn auto() -> Self {
-        let pool = ThreadPool::auto();
-        let requested = pool.workers();
-        SweepRunner { pool, requested }
-    }
-
     /// The effective worker count (requested, clamped to the machine).
     pub fn workers(&self) -> usize {
         self.pool.workers()

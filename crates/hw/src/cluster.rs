@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use zerosim_simkit::{FlowNet, LinkId, ResourceId, SimTime, TokenBucket};
 
 use crate::error::HwError;
-use crate::ids::{GpuId, LinkClass, NicId, NvmeId, SerdesSet, SocketId, VolumeId};
+use crate::ids::{GpuId, LinkClass, NvmeId, SerdesSet, SocketId, VolumeId};
 use crate::route::{MemLoc, Route};
 use crate::spec::ClusterSpec;
 
@@ -781,17 +781,10 @@ impl Cluster {
     }
 
     /// Routes for a striped I/O of any size against `volume` issued from
-    /// CPU socket `from`: one route per member, each carrying
-    /// `1 / member_count` of the bytes.
-    ///
-    /// # Panics
-    /// Panics if `volume` is unknown or spans a node other than `from`'s.
-    pub fn volume_io_routes(&self, volume: VolumeId, from: SocketId, dir: IoDir) -> Vec<Route> {
-        self.try_volume_io_routes(volume, from, dir)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Cluster::volume_io_routes`].
+    /// CPU socket `from`: one route per member, in member order, each
+    /// carrying `1 / member_count` of the bytes. Every check runs before
+    /// the first route is yielded, and the routes are built on demand, so
+    /// the call allocates nothing.
     ///
     /// # Errors
     /// [`HwError`] when the socket is off-cluster, the volume is
@@ -801,29 +794,18 @@ impl Cluster {
         volume: VolumeId,
         from: SocketId,
         dir: IoDir,
-    ) -> Result<Vec<Route>, HwError> {
+    ) -> Result<impl ExactSizeIterator<Item = Route> + '_, HwError> {
         self.check_loc(MemLoc::Cpu(from))?;
         let v = self.try_volume(volume)?;
-        for m in &v.members {
-            if m.node != from.node {
-                return Err(HwError::CrossNode {
-                    from: MemLoc::Cpu(from),
-                    to: MemLoc::Nvme(*m),
-                });
-            }
+        if let Some(m) = v.members.iter().find(|m| m.node != from.node) {
+            return Err(HwError::CrossNode {
+                from: MemLoc::Cpu(from),
+                to: MemLoc::Nvme(*m),
+            });
         }
         Ok(v.members
             .iter()
-            .map(|m| self.route_cpu_nvme(from, *m, dir))
-            .collect())
-    }
-
-    /// One NIC per socket: the NIC GPUs on that socket prefer.
-    pub fn nic_for_socket(&self, s: SocketId) -> NicId {
-        NicId {
-            node: s.node,
-            nic: s.socket,
-        }
+            .map(move |m| self.route_cpu_nvme(from, *m, dir)))
     }
 
     /// A human-readable topology dump (Fig. 2 substitute).
@@ -1043,7 +1025,9 @@ mod tests {
             NvmeId { node: 0, drive: 0 },
             NvmeId { node: 0, drive: 1 },
         ]);
-        let routes = c.volume_io_routes(v, SocketId { node: 0, socket: 1 }, IoDir::Write);
+        let routes = c
+            .try_volume_io_routes(v, SocketId { node: 0, socket: 1 }, IoDir::Write)
+            .unwrap();
         assert_eq!(routes.len(), 2);
         assert_eq!(c.volume(v).members.len(), 2);
     }

@@ -494,22 +494,6 @@ impl ClusterSpec {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct LinkBandwidths {
-        dram_socket, xgmi_dir, pcie_gpu_dir, pcie_nic_dir, pcie_nvme_dir,
-        nvlink_pair_dir, roce_dir,
-    }
-    struct IodModel { pcie_pcie, pcie_gpu_xgmi, xgmi_pcie_io, crossing_latency_s }
-    struct NvmeDeviceModel { cache_bytes, burst, sustained_write, sustained_read, latency_s }
-    struct LatencyModel { nvlink_s, pcie_s, xgmi_s, roce_s }
-    struct MemoryCapacities { gpu_bytes, cpu_bytes_per_node, nvme_bytes_per_drive }
-    struct NvmeDrivePlacement { socket }
-    struct FabricTier { nodes_per_group, up_bytes_per_s, latency_s }
-    struct FabricSpec { tiers }
-    struct ClusterSpec { nodes, gpus_per_node, bw, iod, nvme_dev, nvme_layout, lat, mem, fabric }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,20 +580,5 @@ mod tests {
                 tiers: vec![tier(3, 10e9)],
             });
         assert!(spec.validate().is_err());
-    }
-
-    #[test]
-    fn spec_implements_serde_bounds() {
-        // The in-house replacement for the old `serde` bound check: the
-        // spec must satisfy the codec traits *and* survive a full
-        // text round trip (render → parse → decode → compare).
-        fn assert_serde<T: zerosim_testkit::ToJson + zerosim_testkit::FromJson>() {}
-        assert_serde::<ClusterSpec>();
-
-        use zerosim_testkit::{FromJson, ToJson};
-        let spec = ClusterSpec::default();
-        let text = spec.to_json_string();
-        let round = ClusterSpec::from_json_str(&text).expect("spec JSON must decode");
-        assert_eq!(spec, round, "ClusterSpec must round-trip through JSON");
     }
 }

@@ -155,13 +155,6 @@ impl Default for GptConfig {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct GptConfig {
-        num_layers, hidden_size, num_heads, seq_len, max_pos_embeddings, vocab_size,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

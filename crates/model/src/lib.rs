@@ -7,8 +7,11 @@
 //! * [`IterationFlops`] — the DeepSpeed-FLOPS-profiler substitute;
 //! * [`ModelStates`] — FP16/Adam model-state bytes (2/2/12 per parameter)
 //!   and activation-memory estimates;
-//! * [`SyntheticCorpus`] — the WikiExtractor-dump substitute with the same
-//!   token geometry.
+//! * [`ModelPreset`] — named model sizes.
+//!
+//! The paper's training data (a WikiExtractor dump) shapes no result: only
+//! tokens per iteration do, and [`GptConfig::tokens_per_iteration`]
+//! computes them. This crate has no runtime dependencies.
 //!
 //! ```
 //! use zerosim_model::GptConfig;
@@ -22,13 +25,11 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-mod data;
 mod flops;
 mod states;
 mod zoo;
 
 pub use config::GptConfig;
-pub use data::{SyntheticCorpus, TokenBatch};
 pub use flops::IterationFlops;
 pub use states::{ModelStates, ADAM_FP32_BYTES, FP16_BYTES, GPU_FIXED_OVERHEAD_BYTES};
 pub use zoo::ModelPreset;

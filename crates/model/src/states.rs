@@ -77,11 +77,6 @@ impl GptConfig {
 /// jointly with [`GptConfig::activation_bytes`].
 pub const GPU_FIXED_OVERHEAD_BYTES: f64 = 4.0e9;
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct ModelStates { params, grads, optimizer }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -270,23 +270,6 @@ impl DagBuilder {
         )
     }
 
-    /// Adds an unlabelled compute task (not profiled on the timeline).
-    pub fn compute_silent(
-        &mut self,
-        resource: ResourceId,
-        duration: SimTime,
-        deps: &[TaskId],
-    ) -> TaskId {
-        self.push(
-            TaskSpec {
-                kind: TaskKind::Compute { resource, duration },
-                label: None,
-                track: None,
-            },
-            deps,
-        )
-    }
-
     /// Adds a transfer task; `route` is copied into the DAG's link arena.
     ///
     /// # Panics

@@ -246,8 +246,10 @@ impl FaultSchedule {
     }
 }
 
-/// SplitMix64-style mixing step used by [`FaultSchedule::digest`].
-fn mix(h: u64, v: u64) -> u64 {
+/// SplitMix64-style mixing step of every digest in the workspace:
+/// [`FaultSchedule::digest`] here, and the training, search, serving and
+/// fleet digests built on top of it.
+pub fn mix(h: u64, v: u64) -> u64 {
     let mut z = h ^ v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -56,7 +56,9 @@ pub use bucket::TokenBucket;
 pub use dag::{Dag, DagBuilder, ResourceId, RouteRange, TaskId, TaskKind};
 pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;
-pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};
+pub use fault::{mix, FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};
 pub use flow::{FlowId, FlowNet, FlowObserver, LinkId, NullObserver};
-pub use record::{BandwidthRecorder, BandwidthStats, EngineStats, SolverStats, Span, SpanLog};
+pub use record::{
+    nearest_rank, BandwidthRecorder, BandwidthStats, EngineStats, SolverStats, Span, SpanLog,
+};
 pub use time::SimTime;

@@ -22,13 +22,25 @@ pub struct BandwidthStats {
     pub peak: f64,
 }
 
+/// Nearest-rank percentile (`q` in `[0, 1]`) of an already-sorted sample:
+/// the element of 1-based rank `ceil(q·n)`, clamped to `[1, n]`, or
+/// `T::default()` for an empty sample.
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    // q in [0,1], so the rank is bounded by len: exact as usize.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
 impl BandwidthStats {
     /// Computes stats from raw samples in bytes/second.
     ///
     /// Returns all-zero stats for an empty slice. The 90th percentile uses
-    /// the nearest-rank method, matching how the paper post-processes its
-    /// sampled counters.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // rank <= len
+    /// the nearest-rank method ([`nearest_rank`]), matching how the paper
+    /// post-processes its sampled counters.
     pub fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return Self::default();
@@ -36,10 +48,9 @@ impl BandwidthStats {
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN bandwidth sample"));
         let sum: f64 = sorted.iter().sum();
-        let rank = ((0.90 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         BandwidthStats {
             avg: sum / sorted.len() as f64,
-            p90: sorted[rank - 1],
+            p90: nearest_rank(&sorted, 0.90),
             peak: *sorted.last().expect("non-empty"),
         }
     }
@@ -192,11 +203,6 @@ impl BandwidthRecorder {
             horizon: SimTime::ZERO,
             origin,
         }
-    }
-
-    /// The configured bucket width.
-    pub fn bucket_width(&self) -> SimTime {
-        self.bucket
     }
 
     /// Latest instant covered by any recorded transfer.

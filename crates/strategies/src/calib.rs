@@ -170,21 +170,6 @@ impl Calibration {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct Calibration {
-        gpu_peak_flops, gemm_eff_max, gemm_eff_half_flops, iteration_overhead_s,
-        kernel_overhead_s, elementwise_frac, gpu_adam_params_per_s,
-        cpu_adam_params_per_s, act_coeff_ckpt, act_coeff_nockpt, gpu_fixed_bytes,
-        zero12_buffer_bytes, zero3_buffer_bytes, offload_cpu_bytes_per_param,
-        infinity_cpu_bytes_per_param, infinity_nvme_bytes_per_param,
-        host_base_bytes, offload_cross_socket_frac, ds_internode_cap,
-        nccl_internode_cap, megatron_internode_cap, zero3_internode_cap,
-        host_dram_bytes_per_iter, host_pcie_bytes_per_iter,
-        compute_jitter_frac, zero3_hook_s_per_layer, serve_step_overhead_s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -237,15 +237,6 @@ impl Strategy {
         }
     }
 
-    /// Megatron with tensor parallelism spanning all GPUs of the run (the
-    /// paper's configuration).
-    pub fn megatron_for(opts: &TrainOptions, cluster: &Cluster) -> Strategy {
-        Strategy::Megatron {
-            tp: opts.num_gpus(cluster),
-            pp: 1,
-        }
-    }
-
     fn zero_variant(&self) -> Option<zero::ZeroVariant> {
         match self {
             Strategy::Zero { stage } => Some(zero::ZeroVariant {

@@ -145,7 +145,8 @@ fn jitter_factor(amp: f64, seed: u64, position: usize) -> f64 {
 /// [`LoweredPlan::stamp`] before running.
 ///
 /// # Errors
-/// [`StrategyError::InvalidPlan`] when validation rejects the plan.
+/// [`StrategyError::InvalidPlan`] when validation rejects the plan or a
+/// volume I/O op has no route.
 pub fn lower(
     plan: &WorkloadPlan,
     cluster: &Cluster,
@@ -246,10 +247,12 @@ pub fn lower(
             } => {
                 // Striped across the volume's member drives: one flow per
                 // drive plus a join.
-                let routes = cluster.volume_io_routes(*volume, *socket, *dir);
+                let routes = cluster
+                    .try_volume_io_routes(*volume, *socket, *dir)
+                    .map_err(|e| StrategyError::plan(format!("op {i}: volume I/O: {e}")))?;
                 let k = routes.len() as f64;
                 parts.clear();
-                for r in &routes {
+                for r in routes {
                     parts.push(b.transfer_capped(
                         r.links(),
                         (bytes * ratio / k).max(1.0),

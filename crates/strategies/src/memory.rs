@@ -56,14 +56,6 @@ impl MemoryPlan {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct MemoryPlan {
-        per_gpu_bytes, total_gpu_bytes, per_node_cpu_bytes, total_cpu_bytes,
-        nvme_bytes, gpu_breakdown,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

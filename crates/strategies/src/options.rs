@@ -86,11 +86,6 @@ impl TrainOptions {
     }
 }
 
-// JSON codec (in-house serde replacement; see crates/testkit).
-zerosim_testkit::impl_json! {
-    struct TrainOptions { per_gpu_batch, nodes, jitter_seed, grad_accum }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,34 +1,28 @@
 //! Generators for ZeroSim's domain shapes, expressed as plain data.
 //!
-//! The testkit must stay dependency-free (everything else depends on
-//! it), so these generators produce *shape descriptions* — capacity
-//! vectors, index paths, layer counts, node counts — that callers map
-//! onto real `zerosim-hw` / `zerosim-model` types with one-line
-//! constructors. This keeps the dependency graph acyclic while still
-//! giving every property test the same vocabulary.
+//! The testkit must stay dependency-free, so these generators produce
+//! *shape descriptions* (link-capacity vectors and flow paths as index
+//! lists) that callers map onto a real `simkit::FlowNet`. This keeps the
+//! dependency graph acyclic while giving the solver's property tests one
+//! vocabulary.
 
-use crate::gen::{f64_range, tuple2, usize_range, vec_of, Gen, Tuple2, UsizeRange, VecOf};
-use crate::rng::Rng;
+use crate::gen::{f64_range, tuple2, usize_range, vec_of, F64Range, Tuple2, UsizeRange, VecOf};
 
 /// Link-capacity vector in bytes/second: `count` links each in
 /// `[1, 1e9)` — the range the seed proptest suite used for the max-min
 /// fairness invariant.
-pub fn link_caps(min_links: usize, max_links: usize) -> VecOf<crate::gen::F64Range> {
+pub fn link_caps(min_links: usize, max_links: usize) -> VecOf<F64Range> {
     vec_of(f64_range(1.0, 1e9), min_links, max_links)
 }
 
-/// A set of flows: each flow is a path (indices into a link vector,
-/// caller maps them modulo the real link count) plus a byte volume.
-pub type FlowPathSet = Vec<(Vec<usize>, f64)>;
-
-/// Generator of [`FlowPathSet`] values: `min_flows..=max_flows` flows,
-/// each with 1–3 path hops over `link_universe` virtual link indices and
-/// a volume in `[1, 1e9)` bytes.
+/// Generator of flow sets: `min_flows..=max_flows` flows, each a path of
+/// 1–3 hops over `link_universe` virtual link indices (the caller maps
+/// them onto real links) plus a volume in `[1, 1e9)` bytes.
 pub fn flow_paths(
     link_universe: usize,
     min_flows: usize,
     max_flows: usize,
-) -> VecOf<Tuple2<VecOf<UsizeRange>, crate::gen::F64Range>> {
+) -> VecOf<Tuple2<VecOf<UsizeRange>, F64Range>> {
     vec_of(
         tuple2(
             vec_of(usize_range(0, link_universe), 1, 3),
@@ -39,155 +33,11 @@ pub fn flow_paths(
     )
 }
 
-/// Shape of a GPT-2-like model, as plain numbers.
-///
-/// Mirrors the paper's workload (Sec. III-B2): hidden 2048, 16 heads,
-/// sequence 256, with the layer count as the scaling knob. Callers build
-/// a real `GptConfig` via `GptConfig::paper_model(shape.layers)` or use
-/// the fields directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GptShape {
-    /// Transformer layer count (the paper's model-size knob).
-    pub layers: usize,
-    /// Hidden dimension.
-    pub hidden: usize,
-    /// Attention heads.
-    pub heads: usize,
-    /// Sequence length.
-    pub seq_len: usize,
-}
-
-/// Generator of [`GptShape`]s with the paper's fixed dimensions and a
-/// layer count in `[min_layers, max_layers)`.
-#[derive(Debug, Clone, Copy)]
-pub struct GptShapeGen {
-    layers: UsizeRange,
-}
-
-/// GPT shapes with `layers ∈ [min_layers, max_layers)`.
-pub fn gpt_shape(min_layers: usize, max_layers: usize) -> GptShapeGen {
-    GptShapeGen {
-        layers: usize_range(min_layers, max_layers),
-    }
-}
-
-impl Gen for GptShapeGen {
-    type Value = GptShape;
-
-    fn generate(&self, rng: &mut Rng) -> GptShape {
-        GptShape {
-            layers: self.layers.generate(rng),
-            hidden: 2048,
-            heads: 16,
-            seq_len: 256,
-        }
-    }
-
-    fn shrink(&self, value: &GptShape) -> Vec<GptShape> {
-        self.layers
-            .shrink(&value.layers)
-            .into_iter()
-            .map(|layers| GptShape { layers, ..*value })
-            .collect()
-    }
-}
-
-/// Shape of a simulated cluster, as plain numbers.
-///
-/// `gpus_per_node` is always even (the XE8545 splits GPUs across two
-/// sockets), which is exactly the invariant `ClusterSpec::validate`
-/// enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterShape {
-    /// Node count (≥ 1).
-    pub nodes: usize,
-    /// GPUs per node; even, ≥ 2.
-    pub gpus_per_node: usize,
-    /// Scratch NVMe drives per node.
-    pub nvme_drives: usize,
-}
-
-/// Generator of valid [`ClusterShape`]s.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterShapeGen {
-    nodes: UsizeRange,
-    gpu_pairs: UsizeRange,
-    drives: UsizeRange,
-}
-
-/// Cluster shapes with `nodes ∈ [1, max_nodes]`, `gpus_per_node ∈
-/// {2, 4, …, 2·max_gpu_pairs}`, and up to `max_drives` NVMe drives.
-pub fn cluster_shape(max_nodes: usize, max_gpu_pairs: usize, max_drives: usize) -> ClusterShapeGen {
-    assert!(max_nodes >= 1 && max_gpu_pairs >= 1);
-    ClusterShapeGen {
-        nodes: usize_range(1, max_nodes + 1),
-        gpu_pairs: usize_range(1, max_gpu_pairs + 1),
-        drives: usize_range(0, max_drives + 1),
-    }
-}
-
-impl Gen for ClusterShapeGen {
-    type Value = ClusterShape;
-
-    fn generate(&self, rng: &mut Rng) -> ClusterShape {
-        ClusterShape {
-            nodes: self.nodes.generate(rng),
-            gpus_per_node: 2 * self.gpu_pairs.generate(rng),
-            nvme_drives: self.drives.generate(rng),
-        }
-    }
-
-    fn shrink(&self, value: &ClusterShape) -> Vec<ClusterShape> {
-        let mut out = Vec::new();
-        for nodes in self.nodes.shrink(&value.nodes) {
-            out.push(ClusterShape { nodes, ..*value });
-        }
-        for pairs in self.gpu_pairs.shrink(&(value.gpus_per_node / 2)) {
-            out.push(ClusterShape {
-                gpus_per_node: 2 * pairs,
-                ..*value
-            });
-        }
-        for nvme_drives in self.drives.shrink(&value.nvme_drives) {
-            out.push(ClusterShape {
-                nvme_drives,
-                ..*value
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop::{check, Config};
-
-    #[test]
-    fn cluster_shapes_are_always_valid() {
-        check(
-            "cluster_shapes_valid",
-            &Config::from_env(256),
-            &cluster_shape(8, 8, 4),
-            |shape| {
-                crate::prop_assert!(shape.nodes >= 1);
-                crate::prop_assert!(shape.gpus_per_node >= 2);
-                crate::prop_assert!(shape.gpus_per_node % 2 == 0, "odd GPU count {shape:?}");
-                Ok(())
-            },
-        );
-    }
-
-    #[test]
-    fn gpt_shapes_use_paper_dimensions() {
-        let mut rng = Rng::new(11);
-        let g = gpt_shape(1, 100);
-        for _ in 0..100 {
-            let s = g.generate(&mut rng);
-            assert_eq!((s.hidden, s.heads, s.seq_len), (2048, 16, 256));
-            assert!((1..100).contains(&s.layers));
-        }
-    }
+    use crate::gen::Gen;
+    use crate::rng::Rng;
 
     #[test]
     fn flow_paths_stay_in_universe() {
@@ -199,23 +49,6 @@ mod tests {
                 assert!(path.iter().all(|i| *i < 6));
                 assert!(bytes >= 1.0);
             }
-        }
-    }
-
-    #[test]
-    fn cluster_shape_shrink_preserves_evenness() {
-        let g = cluster_shape(8, 8, 4);
-        let v = ClusterShape {
-            nodes: 5,
-            gpus_per_node: 12,
-            nvme_drives: 3,
-        };
-        for cand in g.shrink(&v) {
-            assert!(
-                cand.gpus_per_node % 2 == 0,
-                "shrink broke evenness: {cand:?}"
-            );
-            assert!(cand.nodes >= 1);
         }
     }
 }

@@ -166,49 +166,6 @@ fn shrink_integer(v: u64, lo: u64) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------
-// constants and booleans
-// ---------------------------------------------------------------------
-
-/// Always yields a fixed value (never shrinks).
-#[derive(Debug, Clone, Copy)]
-pub struct Constant<T>(pub T);
-
-/// A generator that always yields `value`.
-pub fn constant<T: Clone + Debug>(value: T) -> Constant<T> {
-    Constant(value)
-}
-
-impl<T: Clone + Debug> Gen for Constant<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut Rng) -> T {
-        self.0.clone()
-    }
-}
-
-/// Uniform boolean; shrinks `true` to `false`.
-#[derive(Debug, Clone, Copy)]
-pub struct BoolGen;
-
-/// Uniform boolean generator.
-pub fn any_bool() -> BoolGen {
-    BoolGen
-}
-
-impl Gen for BoolGen {
-    type Value = bool;
-    fn generate(&self, rng: &mut Rng) -> bool {
-        rng.bool_with(0.5)
-    }
-    fn shrink(&self, value: &bool) -> Vec<bool> {
-        if *value {
-            vec![false]
-        } else {
-            Vec::new()
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // vectors
 // ---------------------------------------------------------------------
 
@@ -317,77 +274,6 @@ mod tuples {
 }
 pub use tuples::{tuple2, tuple3, tuple4, Tuple2, Tuple3, Tuple4};
 
-// ---------------------------------------------------------------------
-// map / choice
-// ---------------------------------------------------------------------
-
-/// Maps a function over a generator's output.
-///
-/// Shrinking maps the *inner* candidates through the function, so
-/// counterexamples stay as simple as the underlying representation
-/// allows. (The mapped value itself cannot be shrunk directly because
-/// the mapping is not invertible.)
-pub struct Map<G, F> {
-    inner: G,
-    f: F,
-}
-
-/// Applies `f` to every generated value.
-pub fn map<G: Gen, T, F>(inner: G, f: F) -> Map<G, F>
-where
-    T: Clone + Debug,
-    F: Fn(G::Value) -> T,
-{
-    Map { inner, f }
-}
-
-impl<G: Gen, T, F> Gen for Map<G, F>
-where
-    T: Clone + Debug,
-    F: Fn(G::Value) -> T,
-{
-    type Value = T;
-
-    fn generate(&self, rng: &mut Rng) -> T {
-        (self.f)(self.inner.generate(rng))
-    }
-    // No shrink: the inner pre-image of `value` is unknown. The runner
-    // keeps the original inner draw for shrinking when possible by
-    // preferring structured generators at the top level.
-}
-
-/// Uniformly picks one of a fixed list of values; shrinks toward the
-/// front of the list.
-#[derive(Debug, Clone)]
-pub struct OneOf<T> {
-    choices: Vec<T>,
-}
-
-/// Uniformly samples from `choices` (must be non-empty).
-pub fn one_of<T: Clone + Debug>(choices: &[T]) -> OneOf<T> {
-    assert!(!choices.is_empty(), "one_of needs at least one choice");
-    OneOf {
-        choices: choices.to_vec(),
-    }
-}
-
-impl<T: Clone + Debug + PartialEq> Gen for OneOf<T> {
-    type Value = T;
-
-    fn generate(&self, rng: &mut Rng) -> T {
-        let i = rng.usize_in(0, self.choices.len());
-        self.choices[i].clone()
-    }
-
-    fn shrink(&self, value: &T) -> Vec<T> {
-        // Earlier choices are "simpler".
-        match self.choices.iter().position(|c| c == value) {
-            Some(0) | None => Vec::new(),
-            Some(i) => vec![self.choices[0].clone(), self.choices[i - 1].clone()],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,12 +321,5 @@ mod tests {
         for (a, b) in g.shrink(&v) {
             assert!((a == v.0) != (b == v.1), "exactly one side must change");
         }
-    }
-
-    #[test]
-    fn one_of_shrinks_toward_front() {
-        let g = one_of(&[1u32, 2, 3]);
-        assert!(g.shrink(&1).is_empty());
-        assert!(g.shrink(&3).contains(&1));
     }
 }

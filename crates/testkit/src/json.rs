@@ -1,8 +1,9 @@
-//! Minimal JSON value, renderer, parser, and serialization traits.
+//! Minimal JSON value, renderer, and parser.
 //!
-//! Replaces the workspace's `serde` + `serde_json` usage. The surface is
-//! deliberately small: enough to round-trip ZeroSim's plain-data config
-//! structs ([`crate::impl_json!`]) and to emit machine-readable reports.
+//! Replaces the workspace's `serde_json` usage. The surface is
+//! deliberately small: the CLIs and the analyzer build [`Json`] trees and
+//! render them as machine-readable reports, and perfbench parses its own
+//! result files back.
 //!
 //! Numbers are IEEE-754 doubles (like JSON itself); integers round-trip
 //! exactly up to 2⁵³, which covers every count and byte figure in the
@@ -28,7 +29,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error produced while parsing or decoding JSON.
+/// Error produced while parsing JSON.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description, with byte offset where relevant.
@@ -58,12 +59,6 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Required-field lookup with a decode error on absence.
-    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::new(format!("missing field '{key}'")))
     }
 
     /// Numeric view.
@@ -363,182 +358,6 @@ impl Parser<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// traits
-// ---------------------------------------------------------------------
-
-/// Serializes a value to a [`Json`] tree (the in-house `Serialize`).
-pub trait ToJson {
-    /// Converts `self` to a JSON value.
-    fn to_json(&self) -> Json;
-
-    /// Convenience: render directly to text.
-    fn to_json_string(&self) -> String {
-        self.to_json().render()
-    }
-}
-
-/// Decodes a value from a [`Json`] tree (the in-house `Deserialize`).
-pub trait FromJson: Sized {
-    /// Reconstructs `Self` from a JSON value.
-    fn from_json(value: &Json) -> Result<Self, JsonError>;
-
-    /// Convenience: parse text and decode.
-    fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-}
-
-macro_rules! impl_json_number {
-    ($($t:ty),+) => {
-        $(
-            impl ToJson for $t {
-                fn to_json(&self) -> Json {
-                    Json::Num(*self as f64)
-                }
-            }
-            impl FromJson for $t {
-                // JSON numbers are f64 by definition; decoding to a
-                // narrower numeric type is saturating-by-contract.
-                #[allow(clippy::cast_possible_truncation)]
-                fn from_json(value: &Json) -> Result<Self, JsonError> {
-                    value
-                        .as_f64()
-                        .map(|n| n as $t)
-                        .ok_or_else(|| JsonError::new(concat!("expected number for ", stringify!($t))))
-                }
-            }
-        )+
-    };
-}
-
-impl_json_number!(f64, f32, u64, u32, usize, i64, i32, isize);
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(JsonError::new("expected bool")),
-        }
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new("expected string"))
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        value
-            .as_arr()
-            .ok_or_else(|| JsonError::new("expected array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value {
-            Json::Null => Ok(None),
-            v => T::from_json(v).map(Some),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(value: &Json) -> Result<Self, JsonError> {
-        match value.as_arr() {
-            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-            _ => Err(JsonError::new("expected 2-element array")),
-        }
-    }
-}
-
-/// Implements [`ToJson`] and [`FromJson`] for a named-field struct — the
-/// replacement for `#[derive(Serialize, Deserialize)]`:
-///
-/// ```
-/// #[derive(Debug, Clone, PartialEq)]
-/// pub struct Knobs { pub rate: f64, pub lanes: usize }
-///
-/// zerosim_testkit::impl_json! {
-///     struct Knobs { rate, lanes }
-/// }
-///
-/// use zerosim_testkit::{FromJson, ToJson};
-/// let k = Knobs { rate: 1.5, lanes: 4 };
-/// let round = Knobs::from_json_str(&k.to_json_string()).unwrap();
-/// assert_eq!(k, round);
-/// ```
-#[macro_export]
-macro_rules! impl_json {
-    ($(struct $name:ident { $($field:ident),+ $(,)? })+) => {
-        $(
-            impl $crate::json::ToJson for $name {
-                fn to_json(&self) -> $crate::json::Json {
-                    $crate::json::Json::Obj(vec![
-                        $((stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)),)+
-                    ])
-                }
-            }
-
-            impl $crate::json::FromJson for $name {
-                fn from_json(value: &$crate::json::Json) -> Result<Self, $crate::json::JsonError> {
-                    Ok($name {
-                        $($field: $crate::json::FromJson::from_json(value.field(stringify!($field))?)?,)+
-                    })
-                }
-            }
-        )+
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,36 +407,5 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
-    }
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct Demo {
-        rate: f64,
-        lanes: usize,
-        label: String,
-        parts: Vec<(String, f64)>,
-    }
-
-    impl_json! {
-        struct Demo { rate, lanes, label, parts }
-    }
-
-    #[test]
-    fn struct_macro_round_trips() {
-        let d = Demo {
-            rate: 0.93 * 25e9,
-            lanes: 16,
-            label: "roce/nic0".into(),
-            parts: vec![("params".into(), 2.0e9), ("grads".into(), 2.0e9)],
-        };
-        let text = d.to_json_string();
-        let back = Demo::from_json_str(&text).unwrap();
-        assert_eq!(d, back);
-    }
-
-    #[test]
-    fn missing_field_is_a_decode_error() {
-        let err = Demo::from_json_str("{\"rate\":1}").unwrap_err();
-        assert!(err.message.contains("missing field"), "{err}");
     }
 }

@@ -11,12 +11,12 @@
 //! * [`prop`](mod@prop) — the property runner: case counts and seeds come from
 //!   `ZEROSIM_PT_CASES` / `ZEROSIM_PT_SEED`, and a failing case prints
 //!   the seed needed to replay it before panicking.
-//! * [`json`] — a minimal JSON value, renderer, parser, and
-//!   [`json::ToJson`]/[`json::FromJson`] traits plus the [`impl_json!`]
-//!   derive-macro replacement (the `serde`+`serde_json` replacement).
-//! * [`domain`] — generators for ZeroSim's domain shapes (link-capacity
-//!   vectors, flow path sets, GPT configs, cluster shapes) expressed as
-//!   plain data so this crate stays dependency-free.
+//! * [`json`] — a minimal JSON value with a renderer and a parser (the
+//!   `serde_json` replacement): the CLIs and the analyzer render reports
+//!   with it, and perfbench reads its result files back.
+//! * [`domain`] — generators for the flow solver's inputs (link-capacity
+//!   vectors and flow paths) expressed as plain data so this crate stays
+//!   dependency-free.
 //! * [`pool`] — a scoped work-stealing thread pool on `std::thread` only
 //!   (the `rayon` replacement) with deterministic input-ordered result
 //!   collection; `core::sweep` fans parallel simulation runs over it.
@@ -53,7 +53,7 @@ pub mod prop;
 pub mod rng;
 
 pub use gen::Gen;
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError};
 pub use pool::ThreadPool;
 pub use prop::{check, Config};
 pub use rng::Rng;

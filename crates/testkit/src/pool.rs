@@ -47,15 +47,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool as wide as the machine
-    /// ([`std::thread::available_parallelism`], 1 if unknown).
-    pub fn auto() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(n)
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
@@ -249,11 +240,6 @@ mod tests {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.map(vec![1, 2], |x| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn auto_pool_has_at_least_one_worker() {
-        assert!(ThreadPool::auto().workers() >= 1);
     }
 
     #[test]

@@ -51,19 +51,6 @@ impl Config {
             max_shrink_steps: 1024,
         }
     }
-
-    /// This config with a different case count (still overridable by the
-    /// environment only through [`Config::from_env`]).
-    pub fn with_cases(mut self, cases: u32) -> Self {
-        self.cases = cases.max(1);
-        self
-    }
-
-    /// This config with an explicit seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for Config {

@@ -7,8 +7,7 @@
 //!   platform and every run (see the golden-sequence test below);
 //! * **splittable**: [`Rng::fork`] derives an independent stream, so
 //!   generators can consume randomness without perturbing their caller;
-//! * **dependency-free**: no `rand`, no `getrandom`, no OS entropy unless
-//!   you explicitly ask for a time-derived seed.
+//! * **dependency-free**: no `rand`, no `getrandom`, no OS entropy.
 //!
 //! This is a *simulation/testing* RNG. It is not cryptographically secure
 //! and must never be used for anything security-sensitive.
@@ -49,23 +48,6 @@ impl Rng {
         // for clarity.
         debug_assert!(s.iter().any(|w| *w != 0));
         Rng { s }
-    }
-
-    /// A seed derived from the wall clock, for exploratory runs only.
-    ///
-    /// Tests should prefer fixed seeds (or `ZEROSIM_PT_SEED`); this
-    /// exists so tools can opt into variability explicitly.
-    pub fn seed_from_time() -> u64 {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        // Truncating the u128 nanosecond count keeps the low (fastest-
-        // moving) bits, which is exactly what a seed wants.
-        #[allow(clippy::cast_possible_truncation)]
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let mut sm = nanos ^ 0xA0761D6478BD642F;
-        splitmix64(&mut sm)
     }
 
     /// Next raw 64-bit output.
@@ -144,12 +126,6 @@ impl Rng {
         } else {
             v
         }
-    }
-
-    /// Bernoulli draw with probability `p` of `true`.
-    #[inline]
-    pub fn bool_with(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 
     /// Derives an independent generator without disturbing this stream's

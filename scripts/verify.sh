@@ -6,8 +6,11 @@
 #   2. tier-1:      cargo build --release && cargo test -q (the root
 #                   package's tests/, including the >=5x
 #                   links-touched-per-solve floor on dual-node ZeRO-3)
-#   3. hermeticity: the same build must succeed with --offline and the
-#                   manifests must declare no registry dependencies
+#   3. hermeticity: the same build must succeed with --offline, the
+#                   manifests must declare no registry dependencies, and
+#                   the simulator's lower layers (simkit, hw, model,
+#                   collectives, strategies) must not link testkit
+#                   outside their tests
 #   4. solver:      every test of every crate in release with the shadow
 #                   oracle on (each incremental max-min solve
 #                   cross-checked against the full reference solver,
@@ -74,6 +77,22 @@ if grep -rn "proptest\|criterion\|serde\|crossbeam\|parking_lot\|rand\b\|bytes =
   exit 1
 fi
 echo "manifests clean: path dependencies only"
+
+echo "== hermeticity: layering =="
+# The test kit is a dev-dependency of the simulator's lower layers, never
+# a normal one: their normal dependency trees must not list it. The tree
+# is captured first so an early-exiting grep cannot mask a match under
+# pipefail.
+LAYERS="simkit hw model collectives strategies"
+for crate in $LAYERS; do
+  tree="$(cargo tree --offline -e normal -p "zerosim-$crate")"
+  if grep -q "zerosim-testkit" <<<"$tree"; then
+    echo "ERROR: zerosim-$crate links zerosim-testkit outside its tests:" >&2
+    echo "$tree" >&2
+    exit 1
+  fi
+done
+echo "layering clean: $LAYERS do not link zerosim-testkit"
 
 echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # ZEROSIM_SHADOW=1 makes every incremental solve run the full reference

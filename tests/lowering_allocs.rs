@@ -4,9 +4,10 @@
 //! heap bytes, made on the test thread while a thread-local flag is set.
 //! Building and running a DAG must allocate per DAG, not per task:
 //!
-//! * `lower` makes fewer than 0.5 allocations per task it emits, on three
-//!   configurations (dual-node ZeRO-3, single-node ZeRO-Infinity with
-//!   volume I/O, and 14 B ZeRO-3 on a 32-GPU pod cluster);
+//! * `lower` makes fewer than 0.5 allocations per task it emits on
+//!   dual-node ZeRO-3 and on 14 B ZeRO-3 on a 32-GPU pod cluster, and
+//!   fewer than 0.06 on single-node ZeRO-Infinity, whose striped volume
+//!   I/O must not allocate per op;
 //! * on the pod cluster the lowered plan holds at most 170 live heap bytes
 //!   per task;
 //! * one `DagEngine::run` of the dual-node ZeRO-3 DAG makes fewer than
@@ -179,16 +180,16 @@ fn lowering_allocates_per_dag_not_per_task() {
         &TrainOptions::for_nodes(pods.nodes()),
     );
 
-    for (name, c) in [
-        ("dual-node ZeRO-3", &dual),
-        ("single-node ZeRO-Infinity", &infinity),
-        ("pods ZeRO-3 14 B", &wide),
+    for (name, c, bound) in [
+        ("dual-node ZeRO-3", &dual, 0.5),
+        ("single-node ZeRO-Infinity", &infinity, 0.06),
+        ("pods ZeRO-3 14 B", &wide, 0.5),
     ] {
         let tasks = c.value.len();
         let rate = per_task(c.allocs as f64, tasks);
         assert!(
-            rate < 0.5,
-            "{name}: lower made {} allocations for {tasks} tasks ({rate:.3} per task)",
+            rate < bound,
+            "{name}: lower made {} allocations for {tasks} tasks ({rate:.3} per task, bound {bound})",
             c.allocs
         );
     }
