@@ -277,6 +277,7 @@ pub fn serve(
         })
         .collect();
 
+    // No serve output reads spans: the log is cleared after every run.
     let mut engine = DagEngine::new(sim.cluster().resource_slots());
     // Plan caches: decode keyed by (batch, KV bucket), prefill by the
     // admitted (total prompt tokens, request count) shape.
@@ -289,6 +290,7 @@ pub fn serve(
     let mut pending: VecDeque<usize> = (0..st.len()).collect();
     let mut waiting: VecDeque<usize> = VecDeque::new();
     let mut running: Vec<usize> = Vec::new();
+    let mut admitted: Vec<usize> = Vec::new();
 
     let mut t = SimTime::ZERO;
     let mut seed = opts.jitter_seed;
@@ -328,7 +330,7 @@ pub fn serve(
 
         if !waiting.is_empty() && running.len() < max_batch {
             // Admission: one batched prefill over the free slots.
-            let mut admitted = Vec::new();
+            admitted.clear();
             while running.len() + admitted.len() < max_batch {
                 match waiting.pop_front() {
                     Some(i) => admitted.push(i),
@@ -353,6 +355,7 @@ pub fn serve(
             let dag = lowered.stamp(seed);
             seed += 1;
             let out = engine.run(sim.cluster_mut().net_mut(), dag, t, None)?;
+            engine.clear_spans();
             t = out.finished;
             prefills += 1;
             for &i in &admitted {
@@ -363,7 +366,7 @@ pub fn serve(
                 tokens_generated += 1;
                 ttft.push(t - st[i].arrival);
             }
-            running.extend(admitted);
+            running.extend_from_slice(&admitted);
         } else {
             // One decode step for the whole running batch.
             let batch = running.len();
@@ -386,11 +389,11 @@ pub fn serve(
             let dag = lowered.stamp(seed);
             seed += 1;
             let out = engine.run(sim.cluster_mut().net_mut(), dag, t, None)?;
+            engine.clear_spans();
             t = out.finished;
             decode_steps += 1;
 
-            let mut still_running = Vec::with_capacity(running.len());
-            for &i in &running {
+            running.retain(|&i| {
                 st[i].generated += 1;
                 st[i].kv_tokens += 1;
                 tokens_generated += 1;
@@ -406,11 +409,11 @@ pub fn serve(
                     if let Some(j) = pending.iter().copied().find(|&j| arrivals[j].is_infinite()) {
                         arrivals[j] = t.as_secs();
                     }
+                    false
                 } else {
-                    still_running.push(i);
+                    true
                 }
-            }
-            running = still_running;
+            });
         }
 
         let kv_now: f64 = running

@@ -20,6 +20,15 @@
 //! the same DAG, network state, and fault cursor always yield the same
 //! completion times, span log, and event sequence numbers. Per-run work
 //! counters are reported via [`EngineStats`].
+//!
+//! # Run state
+//!
+//! The loop's bookkeeping (in-degrees, the ready queue, per-resource free
+//! slots and wait queues, the timer heap, the in-flight flow map, and the
+//! per-task start and finish times) lives as long as the engine. Each run
+//! clears it, keeping its storage, so back-to-back runs on one engine
+//! allocate only when a DAG outgrows every earlier one. Clearing also
+//! drops whatever an interrupted run left behind.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
@@ -59,23 +68,79 @@ impl PartialOrd for Event {
     }
 }
 
+/// One compute resource: its configuration, its service rate, and the
+/// slot bookkeeping of the current run.
 #[derive(Debug)]
 struct ResourceState {
+    /// Concurrent slots the resource was configured with.
+    slots: usize,
+    /// Service-rate factor (1.0 = nominal). Mutated by
+    /// [`FaultKind::SlowResource`] / [`FaultKind::RestoreResource`] events
+    /// and persistent across runs, so a straggler stays slow from iteration
+    /// to iteration until explicitly restored.
+    scale: f64,
+    /// Slots free in the current run.
     free_slots: usize,
+    /// Tasks of the current run queued for a slot, in FIFO order.
     waiting: VecDeque<TaskId>,
 }
 
-/// Result of executing one DAG.
-#[derive(Debug, Clone)]
+/// The event loop's per-run bookkeeping, kept between runs so its storage
+/// is reused. [`RunState::reset`] prepares it for a new DAG.
+#[derive(Debug, Default)]
+struct RunState {
+    /// Unfinished predecessors per task.
+    indeg: Vec<usize>,
+    /// Tasks whose predecessors have all finished, in FIFO order.
+    ready: VecDeque<TaskId>,
+    /// Pending task completions and delayed flow starts.
+    heap: BinaryHeap<Event>,
+    /// The task of each flow this run has in flight.
+    flow_task: HashMap<FlowId, TaskId>,
+    /// Most flows any run has had in flight at once.
+    flows_peak: usize,
+    /// Flows finished by one network step (and, on a node loss, the flows
+    /// to cancel).
+    done_flows: Vec<FlowId>,
+    task_start: Vec<SimTime>,
+    task_finish: Vec<SimTime>,
+}
+
+impl RunState {
+    /// Clears everything an earlier run left behind, keeping the storage,
+    /// and seeds the in-degrees and the ready queue from `dag`.
+    fn reset(&mut self, dag: &Dag) {
+        let n = dag.len();
+        self.indeg.clear();
+        self.indeg
+            .extend((0..n).map(|i| dag.preds(TaskId(i)).len()));
+        self.ready.clear();
+        let indeg = &self.indeg;
+        self.ready
+            .extend((0..n).map(TaskId).filter(|t| indeg[t.0] == 0));
+        self.heap.clear();
+        self.flow_task.clear();
+        // Room for twice the peak: removals leave tombstones, and a map at
+        // most half full clears them by rehashing in place, where a fuller
+        // one would grow.
+        self.flow_task.reserve(2 * self.flows_peak);
+        self.done_flows.clear();
+        self.task_start.clear();
+        self.task_start.resize(n, SimTime::ZERO);
+        self.task_finish.clear();
+        self.task_finish.resize(n, SimTime::ZERO);
+    }
+}
+
+/// Result of executing one DAG. Per-task finish times stay on the engine
+/// ([`DagEngine::task_finish`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Time at which the run began.
     pub started: SimTime,
     /// Time at which the last task finished (or, for an interrupted run,
     /// the time of the interrupting fault).
     pub finished: SimTime,
-    /// Per-task completion times, indexed by [`TaskId::index`]. Tasks that
-    /// never finished (interrupted run) report [`SimTime::ZERO`].
-    pub task_finish: Vec<SimTime>,
     /// True when a [`FaultKind::NodeLoss`] aborted the run before every
     /// task finished. The work of this run is lost; a resilience layer
     /// models restart-from-checkpoint and replay.
@@ -113,15 +178,11 @@ impl RunOutcome {
 /// ```
 #[derive(Debug)]
 pub struct DagEngine {
-    slot_counts: Vec<usize>,
+    resources: Vec<ResourceState>,
     spans: SpanLog,
     seq: u64,
-    /// Per-resource service-rate factor (1.0 = nominal). Mutated by
-    /// [`FaultKind::SlowResource`] / [`FaultKind::RestoreResource`] events
-    /// and persistent across runs, so a straggler stays slow from iteration
-    /// to iteration until explicitly restored.
-    resource_scale: Vec<f64>,
     stats: EngineStats,
+    run: RunState,
 }
 
 /// Stretches a compute duration by the inverse of a service-rate factor.
@@ -149,13 +210,20 @@ impl DagEngine {
             slot_counts.iter().all(|&s| s > 0),
             "every resource needs at least one slot"
         );
-        let n = slot_counts.len();
         DagEngine {
-            slot_counts,
+            resources: slot_counts
+                .into_iter()
+                .map(|slots| ResourceState {
+                    slots,
+                    scale: 1.0,
+                    free_slots: slots,
+                    waiting: VecDeque::new(),
+                })
+                .collect(),
             spans: SpanLog::new(),
             seq: 0,
-            resource_scale: vec![1.0; n],
             stats: EngineStats::default(),
+            run: RunState::default(),
         }
     }
 
@@ -169,7 +237,14 @@ impl DagEngine {
     /// # Panics
     /// Panics if `resource` is out of range.
     pub fn resource_scale(&self, resource: usize) -> f64 {
-        self.resource_scale[resource]
+        self.resources[resource].scale
+    }
+
+    /// Per-task completion times of the last run, indexed by
+    /// [`TaskId::index`]. Tasks that never finished (interrupted run)
+    /// report [`SimTime::ZERO`]; before the first run the slice is empty.
+    pub fn task_finish(&self) -> &[SimTime] {
+        &self.run.task_finish
     }
 
     /// Timeline spans accumulated across all runs so far.
@@ -180,6 +255,12 @@ impl DagEngine {
     /// Takes ownership of the accumulated spans, leaving the log empty.
     pub fn take_spans(&mut self) -> SpanLog {
         std::mem::take(&mut self.spans)
+    }
+
+    /// Empties the span log but keeps its storage, for callers that never
+    /// read spans and run many DAGs on one engine.
+    pub fn clear_spans(&mut self) {
+        self.spans.clear();
     }
 
     /// Executes `dag` starting at `start`, observing transfers with `obs`
@@ -254,31 +335,10 @@ impl DagEngine {
         faults: &mut FaultCursor,
         budget: u64,
     ) -> Result<RunOutcome, SimError> {
-        let n = dag.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| dag.preds(TaskId(i)).len()).collect();
-        let mut ready: VecDeque<TaskId> = (0..n).map(TaskId).filter(|t| indeg[t.0] == 0).collect();
-        let mut resources: Vec<ResourceState> = self
-            .slot_counts
-            .iter()
-            .map(|&s| ResourceState {
-                free_slots: s,
-                waiting: VecDeque::new(),
-            })
-            .collect();
-        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
-        let mut flow_task: HashMap<FlowId, TaskId> = HashMap::new();
-        // Flows finished by one network step; reused for the whole run.
-        let mut done_flows: Vec<FlowId> = Vec::new();
-        let mut task_start: Vec<SimTime> = vec![SimTime::ZERO; n];
-        let mut task_finish: Vec<SimTime> = vec![SimTime::ZERO; n];
-        let mut finished = 0usize;
-        let mut now = start;
-        let mut interrupted = false;
-
         // Validates resources up front so the error is immediate.
         for t in dag.task_ids() {
             if let TaskKind::Compute { resource, .. } = &dag.task(t).kind {
-                if resource.0 >= self.slot_counts.len() {
+                if resource.0 >= self.resources.len() {
                     return Err(SimError::UnknownResource {
                         resource: resource.0,
                     });
@@ -286,7 +346,34 @@ impl DagEngine {
             }
         }
 
-        self.stats.runs += 1;
+        let n = dag.len();
+        self.run.reset(dag);
+        for rs in &mut self.resources {
+            rs.free_slots = rs.slots;
+            rs.waiting.clear();
+        }
+        let DagEngine {
+            resources,
+            spans,
+            seq,
+            stats,
+            run:
+                RunState {
+                    indeg,
+                    ready,
+                    heap,
+                    flow_task,
+                    flows_peak,
+                    done_flows,
+                    task_start,
+                    task_finish,
+                },
+        } = self;
+        let mut finished = 0usize;
+        let mut now = start;
+        let mut interrupted = false;
+
+        stats.runs += 1;
 
         macro_rules! finish_task {
             ($t:expr) => {{
@@ -294,7 +381,7 @@ impl DagEngine {
                 task_finish[t.0] = now;
                 let spec = dag.task(t);
                 if let (Some(label), Some(track)) = (spec.label, spec.track) {
-                    self.spans.push(track, label, task_start[t.0], now);
+                    spans.push(track, label, task_start[t.0], now);
                 }
                 if let TaskKind::Compute { resource, .. } = &spec.kind {
                     let rs = &mut resources[resource.0];
@@ -302,11 +389,10 @@ impl DagEngine {
                         // Hand the slot directly to the next waiter.
                         task_start[next.0] = now;
                         if let TaskKind::Compute { duration, .. } = &dag.task(next).kind {
-                            self.seq += 1;
+                            *seq += 1;
                             heap.push(Event {
-                                at: now
-                                    + scale_duration(self.resource_scale[resource.0], *duration),
-                                seq: self.seq,
+                                at: now + scale_duration(rs.scale, *duration),
+                                seq: *seq,
                                 kind: EventKind::TaskDone(next),
                             });
                         }
@@ -315,7 +401,7 @@ impl DagEngine {
                     }
                 }
                 finished += 1;
-                self.stats.tasks_finished += 1;
+                stats.tasks_finished += 1;
                 for &s in dag.succs(t) {
                     indeg[s.0] -= 1;
                     if indeg[s.0] == 0 {
@@ -334,7 +420,8 @@ impl DagEngine {
                 {
                     let fid = net.start_flow_capped(dag.route(*route), *bytes, *cap)?;
                     flow_task.insert(fid, t);
-                    self.stats.flows_started += 1;
+                    *flows_peak = (*flows_peak).max(flow_task.len());
+                    stats.flows_started += 1;
                 }
             }};
         }
@@ -342,7 +429,7 @@ impl DagEngine {
         let mut events = 0u64;
         loop {
             events += 1;
-            self.stats.ticks += 1;
+            stats.ticks += 1;
             if events > budget {
                 return Err(SimError::EventLimit { budget });
             }
@@ -362,25 +449,25 @@ impl DagEngine {
                     FaultKind::ScaleLink { link, factor } => net.scale_link(*link, *factor)?,
                     FaultKind::RestoreLink { link } => net.restore_link(*link)?,
                     FaultKind::SlowResource { resource, factor } => {
-                        if *resource >= self.resource_scale.len() {
+                        let Some(rs) = resources.get_mut(*resource) else {
                             return Err(SimError::UnknownResource {
                                 resource: *resource,
                             });
-                        }
+                        };
                         if !(factor.is_finite() && *factor > 0.0) {
                             return Err(SimError::BadRateFactor {
                                 resource: *resource,
                             });
                         }
-                        self.resource_scale[*resource] = *factor;
+                        rs.scale = *factor;
                     }
                     FaultKind::RestoreResource { resource } => {
-                        if *resource >= self.resource_scale.len() {
+                        let Some(rs) = resources.get_mut(*resource) else {
                             return Err(SimError::UnknownResource {
                                 resource: *resource,
                             });
-                        }
-                        self.resource_scale[*resource] = 1.0;
+                        };
+                        rs.scale = 1.0;
                     }
                     FaultKind::NodeLoss { .. } => {
                         lost_node = true;
@@ -394,9 +481,10 @@ impl DagEngine {
                 // tasks never finish. Recovery — restart-from-checkpoint and
                 // replay — is modelled by the caller. Flows are cancelled
                 // in id order so the teardown never depends on hash order.
-                let mut lost: Vec<FlowId> = flow_task.into_keys().collect();
-                lost.sort_unstable();
-                for fid in lost {
+                done_flows.clear();
+                done_flows.extend(flow_task.drain().map(|(fid, _)| fid));
+                done_flows.sort_unstable();
+                for &fid in done_flows.iter() {
                     net.cancel_flow(fid);
                 }
                 interrupted = true;
@@ -410,10 +498,10 @@ impl DagEngine {
                 match &dag.task(t).kind {
                     TaskKind::Marker => finish_task!(t),
                     TaskKind::Delay { duration } => {
-                        self.seq += 1;
+                        *seq += 1;
                         heap.push(Event {
                             at: now + *duration,
-                            seq: self.seq,
+                            seq: *seq,
                             kind: EventKind::TaskDone(t),
                         });
                     }
@@ -421,11 +509,10 @@ impl DagEngine {
                         let rs = &mut resources[resource.0];
                         if rs.free_slots > 0 {
                             rs.free_slots -= 1;
-                            self.seq += 1;
+                            *seq += 1;
                             heap.push(Event {
-                                at: now
-                                    + scale_duration(self.resource_scale[resource.0], *duration),
-                                seq: self.seq,
+                                at: now + scale_duration(rs.scale, *duration),
+                                seq: *seq,
                                 kind: EventKind::TaskDone(t),
                             });
                         } else {
@@ -436,10 +523,10 @@ impl DagEngine {
                         if latency.is_zero() {
                             start_flow_for!(t);
                         } else {
-                            self.seq += 1;
+                            *seq += 1;
                             heap.push(Event {
                                 at: now + *latency,
-                                seq: self.seq,
+                                seq: *seq,
                                 kind: EventKind::FlowStart(t),
                             });
                         }
@@ -472,16 +559,11 @@ impl DagEngine {
             let dt_secs = (t_next - now).as_secs();
             done_flows.clear();
             match obs.as_deref_mut() {
-                Some(o) => net.advance(now, dt_secs, o, &mut done_flows),
-                None => net.advance(
-                    now,
-                    dt_secs,
-                    &mut crate::flow::NullObserver,
-                    &mut done_flows,
-                ),
+                Some(o) => net.advance(now, dt_secs, o, done_flows),
+                None => net.advance(now, dt_secs, &mut crate::flow::NullObserver, done_flows),
             }
             now = t_next;
-            for &fid in &done_flows {
+            for &fid in done_flows.iter() {
                 if let Some(t) = flow_task.remove(&fid) {
                     finish_task!(t);
                 }
@@ -506,7 +588,6 @@ impl DagEngine {
         Ok(RunOutcome {
             started: start,
             finished: now,
-            task_finish,
             interrupted,
         })
     }
@@ -684,7 +765,7 @@ mod tests {
         let (a, eng_a) = run();
         let (b, eng_b) = run();
         assert_eq!(a.finished, b.finished);
-        assert_eq!(a.task_finish, b.task_finish);
+        assert_eq!(eng_a.task_finish(), eng_b.task_finish());
         assert_eq!(eng_a.spans().spans(), eng_b.spans().spans());
         assert_eq!(eng_a.stats(), eng_b.stats());
         let s = eng_a.stats();
@@ -868,7 +949,7 @@ mod budget_tests {
             )
             .unwrap();
         assert_eq!(a.finished, b2.finished);
-        assert_eq!(a.task_finish, b2.task_finish);
+        assert_eq!(e1.task_finish(), e2.task_finish());
         assert!(!a.interrupted && !b2.interrupted);
     }
 
@@ -951,8 +1032,8 @@ mod budget_tests {
             .unwrap();
         // k0 launched before the slowdown and keeps its 4 ms; k1 takes the
         // slot at 4 ms at half speed and finishes at 12 ms.
-        assert_eq!(out.task_finish[c0.index()], SimTime::from_ms(4.0));
-        assert_eq!(out.task_finish[c1.index()], SimTime::from_ms(12.0));
+        assert_eq!(eng.task_finish()[c0.index()], SimTime::from_ms(4.0));
+        assert_eq!(eng.task_finish()[c1.index()], SimTime::from_ms(12.0));
         // 98.8 bytes move at 100 B/s before the link drops to 25 B/s at
         // 1 s; the remaining 301.2 bytes take 12.048 s.
         let secs = out.finished.as_secs();

@@ -119,7 +119,10 @@ struct FlowState {
 /// need (time-bucketed utilization, totals, ...). `start` is the simulated
 /// time at which the `dt_secs`-long interval began.
 pub trait FlowObserver {
-    /// Called once per (link, interval) with the bytes moved on that link.
+    /// Called by [`FlowNet::advance`] once per route entry of each flow
+    /// that moved bytes in the interval, with the bytes that flow moved: a
+    /// link crossed by several flows gets one call per flow. All calls
+    /// from one `advance` share `start` and `dt_secs`.
     fn on_transfer(&mut self, link: LinkId, start: SimTime, dt_secs: f64, bytes: f64);
 }
 

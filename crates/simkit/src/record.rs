@@ -7,6 +7,17 @@
 //! reproduces that methodology: bytes moved on each link are accumulated
 //! into fixed-width time buckets, and statistics are computed over the
 //! bucket samples exactly as a periodic hardware counter would observe them.
+//!
+//! The recorder keeps one bucket series per link in a `Vec` indexed by
+//! [`LinkId::index`]. Every callback of one
+//! [`FlowNet::advance`](crate::flow::FlowNet::advance) shares its
+//! `(start, dt_secs)` interval, so the recorder clips the interval at its
+//! origin and finds its first and last bucket once, then only spreads
+//! each callback's bytes.
+//!
+//! [`SpanLog`] holds the timeline spans the DAG engine emits. A caller
+//! that never reads them empties the log after each run with
+//! [`DagEngine::clear_spans`](crate::engine::DagEngine::clear_spans).
 
 use crate::flow::{FlowObserver, LinkId};
 use crate::time::SimTime;
@@ -179,6 +190,33 @@ pub struct BandwidthRecorder {
     bytes: Vec<Vec<f64>>,
     horizon: SimTime,
     origin: SimTime,
+    /// The interval of the last recorded callback.
+    last: Option<Interval>,
+}
+
+/// How an observed interval lies against the recorder's origin.
+#[derive(Debug, Clone, Copy)]
+enum Clip {
+    /// It ends at or before the origin: nothing is recorded.
+    Before,
+    /// It straddles the origin: only the `kept` seconds after it count.
+    Straddles { kept: f64 },
+    /// It starts at or after the origin.
+    After,
+}
+
+/// One observed `(start, dt_secs)` interval in recorder-local time:
+/// clipped at the origin, in nanoseconds, with its first and last bucket.
+#[derive(Debug, Clone, Copy)]
+struct Interval {
+    start: SimTime,
+    /// `dt_secs` as bits, so the memo matches exactly.
+    dt_bits: u64,
+    clip: Clip,
+    start_ns: u64,
+    end_ns: u64,
+    first: u64,
+    last: u64,
 }
 
 impl BandwidthRecorder {
@@ -202,6 +240,7 @@ impl BandwidthRecorder {
             bytes: Vec::new(),
             horizon: SimTime::ZERO,
             origin,
+            last: None,
         }
     }
 
@@ -260,6 +299,48 @@ impl BandwidthRecorder {
             .div_ceil(self.bucket.as_nanos().max(1))) as usize
     }
 
+    /// Resolves `(start, dt_secs)` against the origin and the bucket grid,
+    /// extending the horizon, or returns the last callback's answer when
+    /// the interval repeats.
+    fn interval(&mut self, start: SimTime, dt_secs: f64) -> Interval {
+        let dt_bits = dt_secs.to_bits();
+        if let Some(last) = self.last {
+            if last.start == start && last.dt_bits == dt_bits {
+                return last;
+            }
+        }
+        let mut iv = Interval {
+            start,
+            dt_bits,
+            clip: Clip::Before,
+            start_ns: 0,
+            end_ns: 0,
+            first: 0,
+            last: 0,
+        };
+        // Shift into recorder-local time; clip anything before the origin.
+        let raw_end = start + SimTime::from_secs(dt_secs);
+        if raw_end > self.origin {
+            let (local, dt_secs) = if start < self.origin {
+                let kept = (raw_end - self.origin).as_secs();
+                iv.clip = Clip::Straddles { kept };
+                (SimTime::ZERO, kept)
+            } else {
+                iv.clip = Clip::After;
+                (start - self.origin, dt_secs)
+            };
+            let end = local + SimTime::from_secs(dt_secs);
+            self.horizon = self.horizon.max(end);
+            let width_ns = self.bucket.as_nanos();
+            iv.start_ns = local.as_nanos();
+            iv.end_ns = end.as_nanos();
+            iv.first = iv.start_ns / width_ns;
+            iv.last = iv.end_ns.saturating_sub(1) / width_ns;
+        }
+        self.last = Some(iv);
+        iv
+    }
+
     // Bucket indices are bounded by horizon / bucket width, far below
     // usize::MAX on any supported target.
     #[allow(clippy::cast_possible_truncation)]
@@ -267,39 +348,30 @@ impl BandwidthRecorder {
         if bytes <= 0.0 || dt_secs <= 0.0 {
             return;
         }
-        // Shift into recorder-local time; clip anything before the origin.
-        let raw_end = start + SimTime::from_secs(dt_secs);
-        if raw_end <= self.origin {
-            return;
-        }
-        let (start, bytes, dt_secs) = if start < self.origin {
-            let kept = (raw_end - self.origin).as_secs();
-            (SimTime::ZERO, bytes * kept / dt_secs, kept)
-        } else {
-            (start - self.origin, bytes, dt_secs)
+        let iv = self.interval(start, dt_secs);
+        let bytes = match iv.clip {
+            Clip::Before => return,
+            Clip::Straddles { kept } => bytes * kept / dt_secs,
+            Clip::After => bytes,
         };
-        let end = start + SimTime::from_secs(dt_secs);
-        self.horizon = self.horizon.max(end);
         let width_ns = self.bucket.as_nanos();
-        let first = start.as_nanos() / width_ns;
-        let last = (end.as_nanos().saturating_sub(1)) / width_ns;
         if self.bytes.len() <= link.index() {
             self.bytes.resize_with(link.index() + 1, Vec::new);
         }
         let buf = &mut self.bytes[link.index()];
-        if buf.len() <= last as usize {
-            buf.resize(last as usize + 1, 0.0);
+        if buf.len() <= iv.last as usize {
+            buf.resize(iv.last as usize + 1, 0.0);
         }
-        if first == last {
-            buf[first as usize] += bytes;
+        if iv.first == iv.last {
+            buf[iv.first as usize] += bytes;
             return;
         }
         // Spread proportionally over the covered buckets.
-        let total_ns = (end.as_nanos() - start.as_nanos()) as f64;
-        for b in first..=last {
+        let total_ns = (iv.end_ns - iv.start_ns) as f64;
+        for b in iv.first..=iv.last {
             let b_start = b * width_ns;
             let b_end = b_start + width_ns;
-            let overlap = (end.as_nanos().min(b_end) - start.as_nanos().max(b_start)) as f64;
+            let overlap = (iv.end_ns.min(b_end) - iv.start_ns.max(b_start)) as f64;
             buf[b as usize] += bytes * overlap / total_ns;
         }
     }
@@ -349,6 +421,11 @@ impl SpanLog {
             start,
             end,
         });
+    }
+
+    /// Removes every span, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.spans.clear();
     }
 
     /// All spans in insertion order.
@@ -456,6 +533,26 @@ mod tests {
         let s = rec.series(LinkId(0));
         assert_eq!(s.len(), 2);
         assert!((s[1] - 50.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn each_interval_gets_its_own_buckets() {
+        let secs = SimTime::from_secs;
+        let mut rec = BandwidthRecorder::with_origin(secs(1.0), secs(1.0));
+        // Local [1, 2): 100 bytes in bucket 1.
+        rec.add(LinkId(0), secs(2.0), 1.0, 100.0);
+        // Same start, twice as long: local [1, 3), 50 + 50.
+        rec.add(LinkId(0), secs(2.0), 2.0, 100.0);
+        // Same length, a second later: local [2, 4), 50 + 50.
+        rec.add(LinkId(0), secs(3.0), 2.0, 100.0);
+        // Straddles the origin: half the interval, so half the bytes, in
+        // local [0, 0.5).
+        rec.add(LinkId(0), secs(0.5), 1.0, 100.0);
+        // The same interval again, on another link.
+        rec.add(LinkId(1), secs(0.5), 1.0, 40.0);
+        assert_eq!(rec.series(LinkId(0)), vec![50.0, 150.0, 100.0, 50.0]);
+        assert_eq!(rec.series(LinkId(1)), vec![20.0, 0.0, 0.0, 0.0]);
+        assert_eq!(rec.horizon(), secs(4.0));
     }
 
     #[test]

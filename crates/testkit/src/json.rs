@@ -8,7 +8,9 @@
 //! Numbers are IEEE-754 doubles (like JSON itself); integers round-trip
 //! exactly up to 2⁵³, which covers every count and byte figure in the
 //! simulator. Rendering is deterministic: object keys keep insertion
-//! order and floats use Rust's shortest-round-trip formatting.
+//! order and floats use Rust's shortest-round-trip formatting. Parsing
+//! accepts arrays and objects nested at most [`Json::MAX_DEPTH`] levels
+//! deep and returns a [`JsonError`] beyond that.
 
 use std::fmt;
 
@@ -53,6 +55,12 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
+    /// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+    /// parser recurses once per level, so without a cap a document of a
+    /// hundred thousand `[` would overflow the stack instead of returning
+    /// an error.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Looks up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -124,13 +132,17 @@ impl Json {
     }
 
     /// Parses JSON text.
+    ///
+    /// # Errors
+    /// Returns a [`JsonError`] for malformed text, trailing input, or
+    /// arrays and objects nested deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(JsonError::new(format!("trailing input at byte {}", p.pos)));
@@ -217,14 +229,20 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// Parses one value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth == Json::MAX_DEPTH => Err(JsonError::new(format!(
+                "nesting deeper than {} levels at byte {}",
+                Json::MAX_DEPTH,
+                self.pos
+            ))),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(JsonError::new(format!(
                 "unexpected '{}' at byte {}",
@@ -234,7 +252,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -244,7 +262,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -257,7 +275,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -271,7 +289,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -407,5 +425,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let at_limit = nested(Json::MAX_DEPTH);
+        assert_eq!(Json::parse(&at_limit).unwrap().render(), at_limit);
+        let err = Json::parse(&nested(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        // Far past the limit: a typed error, not a stack overflow.
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 }

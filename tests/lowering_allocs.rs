@@ -11,7 +11,9 @@
 //! * on the pod cluster the lowered plan holds at most 170 live heap bytes
 //!   per task;
 //! * one `DagEngine::run` of the dual-node ZeRO-3 DAG makes fewer than
-//!   0.05 allocations per task.
+//!   0.05 allocations per task;
+//! * once two runs have sized its run state, an engine that clears its
+//!   spans between runs runs that DAG again without allocating.
 //!
 //! Run with `cargo test --release --test lowering_allocs`. It is its own
 //! test binary because the counting allocator is process-global.
@@ -218,5 +220,34 @@ fn one_engine_run_allocates_per_dag_not_per_task() {
         "one run made {} allocations for {} tasks ({rate:.3} per task)",
         run.allocs,
         dag.len()
+    );
+}
+
+#[test]
+fn a_warm_engine_runs_without_allocating() {
+    let (mut cluster, mut lowered) = dual_node_zero3();
+    cluster.net_mut().set_shadow_verify(false);
+    let dag = lowered.value.stamp(0);
+    let mut engine = DagEngine::new(cluster.resource_slots());
+    let mut t = SimTime::ZERO;
+    let mut run = |engine: &mut DagEngine, cluster: &mut Cluster| {
+        let out = engine.run(cluster.net_mut(), dag, t, None);
+        t = out.expect("the DAG runs").finished;
+        engine.clear_spans();
+    };
+    // Two runs size the engine's run state, its span log and the
+    // network's flow slots for this DAG.
+    for _ in 0..2 {
+        run(&mut engine, &mut cluster);
+    }
+    let warm = counted(|| {
+        for _ in 0..3 {
+            run(&mut engine, &mut cluster);
+        }
+    });
+    assert_eq!(
+        warm.allocs, 0,
+        "three warm runs made {} allocations",
+        warm.allocs
     );
 }

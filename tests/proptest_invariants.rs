@@ -9,8 +9,8 @@ use zerosim_core::max_model_size;
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{
-    BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FlowNet, FlowObserver, LinkId,
-    NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
+    BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FaultKind, FaultSchedule, FlowNet,
+    FlowObserver, LinkId, NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
 };
 use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
 use zerosim_testkit::domain::{flow_paths, link_caps};
@@ -528,11 +528,12 @@ prop! {
         let l = net.add_link("l", 1e8);
         let (dag, _) = mixed_random_dag(&spec, &[l]);
         let mut eng = DagEngine::new(vec![2, 2]);
-        let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
+        eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
+        let task_finish = eng.task_finish();
         for t in dag.task_ids() {
             for p in dag.preds(t) {
                 prop_assert!(
-                    out.task_finish[p.index()] <= out.task_finish[t.index()],
+                    task_finish[p.index()] <= task_finish[t.index()],
                     "task {t:?} finished before its predecessor {p:?}"
                 );
             }
@@ -542,11 +543,11 @@ prop! {
                 let latest_pred = dag
                     .preds(t)
                     .iter()
-                    .map(|p| out.task_finish[p.index()])
+                    .map(|p| task_finish[p.index()])
                     .max()
                     .unwrap_or(SimTime::ZERO);
                 prop_assert_eq!(
-                    out.task_finish[t.index()],
+                    task_finish[t.index()],
                     latest_pred + SimTime::from_nanos(dur)
                 );
             }
@@ -571,14 +572,15 @@ prop! {
             let (dag, transfers) = mixed_random_dag(&spec, &[l]);
             let mut eng = DagEngine::new(vec![2, 2]);
             let out = eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-            (out, eng.stats(), dag.len(), transfers.len())
+            (out, eng, dag.len(), transfers.len())
         };
-        let (first, first_stats, n, transfers) = run();
-        let (second, second_stats, ..) = run();
+        let (first, first_eng, n, transfers) = run();
+        let (second, second_eng, ..) = run();
+        let first_stats = first_eng.stats();
         prop_assert_eq!(first_stats.tasks_finished, n as u64);
         prop_assert_eq!(first_stats.flows_started, transfers as u64);
-        prop_assert_eq!(first_stats, second_stats);
-        prop_assert_eq!(&first.task_finish, &second.task_finish);
+        prop_assert_eq!(first_stats, second_eng.stats());
+        prop_assert_eq!(first_eng.task_finish(), second_eng.task_finish());
         prop_assert_eq!(first.finished, second.finished);
     }
 
@@ -610,6 +612,62 @@ prop! {
             };
             prop_assert_eq!(dag.route(*range), route.as_slice());
         }
+    }
+}
+
+prop! {
+    /// Run state does not leak from one run into the next: DAG B, run on
+    /// an engine whose previous run (DAG A) a node loss cut short, matches
+    /// B run on a fresh engine over a copy of the same network in its
+    /// outcome, finish times, spans and work counters. The loss strikes
+    /// at one of A's finish instants, when successors sit in the ready
+    /// queue, timers and flows are pending and, with one slot per
+    /// resource and links fast enough for compute to fill most of the
+    /// run, tasks often wait for a slot.
+    #[cases(64)]
+    fn a_reused_engine_runs_like_a_fresh_one(
+        a in vec_of(
+            tuple3(usize_range(0, 4), u64_range(1, 500_000), usize_range(0, 3)),
+            2,
+            40,
+        ),
+        b in vec_of(
+            tuple3(usize_range(0, 4), u64_range(1, 500_000), usize_range(0, 3)),
+            2,
+            40,
+        ),
+        pick in usize_range(0, 40),
+    ) {
+        let mut net = FlowNet::new();
+        let links: Vec<LinkId> = (0..3).map(|i| net.add_link(format!("l{i}"), 1e10)).collect();
+        let (dag_a, _) = mixed_random_dag(&a, &links);
+        let (dag_b, _) = mixed_random_dag(&b, &links);
+        let mut healthy = DagEngine::new(vec![1, 1]);
+        healthy
+            .run(&mut net.clone(), &dag_a, SimTime::ZERO, None)
+            .unwrap();
+        let finish = healthy.task_finish();
+        let at = finish[pick % finish.len()];
+        let loss = FaultSchedule::new(0).at(at.as_secs(), FaultKind::NodeLoss { node: 0 });
+
+        let mut reused = DagEngine::new(vec![1, 1]);
+        let lost = reused
+            .run_faulted(&mut net, &dag_a, SimTime::ZERO, None, &mut loss.cursor())
+            .unwrap();
+        prop_assert!(lost.interrupted);
+        let spans_before = reused.spans().spans().len();
+        let stats_before = reused.stats();
+        let mut fresh_net = net.clone();
+        let again = reused.run(&mut net, &dag_b, lost.finished, None).unwrap();
+
+        let mut fresh = DagEngine::new(vec![1, 1]);
+        let first = fresh
+            .run(&mut fresh_net, &dag_b, lost.finished, None)
+            .unwrap();
+        prop_assert_eq!(again, first);
+        prop_assert_eq!(reused.task_finish(), fresh.task_finish());
+        prop_assert_eq!(&reused.spans().spans()[spans_before..], fresh.spans().spans());
+        prop_assert_eq!(reused.stats().delta_since(&stats_before), fresh.stats());
     }
 }
 
