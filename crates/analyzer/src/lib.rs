@@ -17,7 +17,7 @@
 //! | ZL002 | byte-conservation      | plan           |
 //! | ZL003 | phase-ordering         | plan           |
 //! | ZL004 | bandwidth-feasibility  | plan + cluster |
-//! | ZL005 | dead-ops               | lowered DAG    |
+//! | ZL005 | dead-ops               | plan           |
 //! | ZL006 | dag-cycle              | graph          |
 //! | ZL007 | fault-schedule         | fault schedule |
 //! | ZL008 | codec-legality         | plan           |

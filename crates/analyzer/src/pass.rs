@@ -17,11 +17,11 @@ use crate::graph::GraphView;
 pub struct Artifacts<'a> {
     /// The hardware model everything is checked against.
     pub cluster: &'a Cluster,
-    /// The iteration-plan IR (ZL001–ZL004).
+    /// The iteration-plan IR (ZL001–ZL005, ZL008).
     pub plan: Option<&'a WorkloadPlan>,
     /// The strategy's memory placement (ZL001 residency, ZL002 credit).
     pub memory: Option<&'a MemoryPlan>,
-    /// The lowered DAG (ZL005/ZL009). ZL006 never reads it: a [`Dag`]
+    /// The lowered DAG (ZL009). ZL006 never reads it: a [`Dag`]
     /// is acyclic by construction.
     pub dag: Option<&'a Dag>,
     /// An untrusted dependency graph, the only input ZL006 checks.

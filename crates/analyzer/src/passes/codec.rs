@@ -116,7 +116,7 @@ impl Pass for CodecLegalityPass {
         // op `i`'s output is encoded bytes awaiting decode.
         let mut tainted = vec![false; nodes.len()];
         for (i, n) in nodes.iter().enumerate() {
-            let incoming = n.deps.iter().any(|d| tainted[d.index()]);
+            let incoming = plan.deps(i).iter().any(|d| tainted[d.index()]);
             let narrows = plan.codec_at(i).is_some_and(Codec::is_narrowing);
             tainted[i] = match &n.op {
                 // Collectives drop incoming taint: their inbound edges are

@@ -1,8 +1,9 @@
 //! ZL002 — per-shard produced/consumed byte conservation.
 //!
-//! Stricter tha `WorkloadPlan::validate`: instead of trusting emission
-//! order, the pass computes exact happens-before ancestor sets
-//! ([`crate::graph::Ancestors`]) and requires that every op reading
+//! Stricter than `WorkloadPlan::validate`: instead of trusting emission
+//! order, the pass computes exact happens-before sets over the plan's
+//! dependency rows ([`crate::graph::Ancestors`], one group per producer)
+//! and requires that every op reading
 //! staged bytes out of host DRAM or the NVMe pool can account for them —
 //! either as resident state from the [`MemoryPlan`] or as bytes some
 //! *ancestor* op actually moved there. An op that consumes bytes nobody
@@ -22,12 +23,14 @@
 //! the decode consumes quantized bytes nobody produced — the deny is
 //! sited at the nearest transfer ancestor (exactly the op whose codec
 //! annotation is missing), which is what separates ZeRO++-style
-//! quantization from a silent byte loss.
+//! quantization from a silent byte loss. That check asks about one group
+//! (the narrowing-codec transfers) and finds the nearest transfer
+//! ancestor with one forward sweep over the dependency rows.
 
 use std::collections::HashSet;
 
 use zerosim_hw::{IoDir, MemLoc};
-use zerosim_strategies::PlanOp;
+use zerosim_strategies::{Codec, PlanNode, PlanOp};
 
 use crate::diag::{LintCode, Site};
 use crate::graph::Ancestors;
@@ -55,6 +58,11 @@ impl Pool {
     }
 }
 
+/// True for a decode marker: a fixed-duration span labeled `dequant*`.
+fn is_dequant(n: &PlanNode) -> bool {
+    matches!(&n.op, PlanOp::FixedCompute { label, .. } if label.starts_with("dequant"))
+}
+
 fn gb(bytes: f64) -> f64 {
     (bytes / 1e8).round() / 10.0
 }
@@ -69,36 +77,39 @@ impl Pass for ByteConservationPass {
             return;
         };
         let nodes = plan.nodes();
-        let anc = Ancestors::compute(
-            |i| nodes[i].deps.iter().map(|d| d.index()).collect(),
-            nodes.len(),
-        );
 
-        // Every op that moves bytes *into* a pool, with its plan index.
-        // Declared codecs shrink the staged volume to the encoded size.
-        let mut producers: Vec<(usize, Pool, f64)> = Vec::new();
+        // Every op that moves bytes *into* a pool, in op order. Declared
+        // codecs shrink the staged volume to the encoded size. Each
+        // producer is its own ancestor group, numbered by its position.
+        let mut producers: Vec<(Pool, f64)> = Vec::new();
+        let mut producer_of: Vec<Option<usize>> = vec![None; nodes.len()];
         for (i, n) in nodes.iter().enumerate() {
             let wire = plan.codec_ratio_at(i);
-            match &n.op {
+            let staged = match &n.op {
                 PlanOp::TierTransfer { dst, bytes, .. } => match dst {
-                    MemLoc::Cpu(s) => producers.push((i, Pool::Cpu(s.node), *bytes * wire)),
-                    MemLoc::Nvme(_) => producers.push((i, Pool::Nvme, *bytes * wire)),
-                    MemLoc::Gpu(_) => {}
+                    MemLoc::Cpu(s) => Some((Pool::Cpu(s.node), *bytes)),
+                    MemLoc::Nvme(_) => Some((Pool::Nvme, *bytes)),
+                    MemLoc::Gpu(_) => None,
                 },
                 PlanOp::VolumeIo {
                     dir: IoDir::Read,
                     socket,
                     bytes,
                     ..
-                } => producers.push((i, Pool::Cpu(socket.node), *bytes * wire)),
+                } => Some((Pool::Cpu(socket.node), *bytes)),
                 PlanOp::VolumeIo {
                     dir: IoDir::Write,
                     bytes,
                     ..
-                } => producers.push((i, Pool::Nvme, *bytes * wire)),
-                _ => {}
+                } => Some((Pool::Nvme, *bytes)),
+                _ => None,
+            };
+            if let Some((pool, bytes)) = staged {
+                producer_of[i] = Some(producers.len());
+                producers.push((pool, bytes * wire));
             }
         }
+        let anc = Ancestors::new(plan, &producer_of);
 
         // Resident state is a legitimate source of bytes.
         let cpu_credit = art.memory.map_or(0.0, |m| m.per_node_cpu_bytes);
@@ -154,8 +165,9 @@ impl Pass for ByteConservationPass {
             };
             let produced: f64 = producers
                 .iter()
-                .filter(|(p, ploc, _)| *ploc == pool && anc.is_ancestor(*p, i))
-                .map(|(_, _, b)| b)
+                .enumerate()
+                .filter(|(k, (ploc, _))| *ploc == pool && anc.reaches(*k, i))
+                .map(|(_, (_, b))| b)
                 .sum();
             // One byte of absolute slack plus relative tolerance keeps
             // f64 accumulation noise out of the verdict.
@@ -179,42 +191,47 @@ impl Pass for ByteConservationPass {
         // bytes, so some transfer-class ancestor must declare a narrowing
         // codec. The deny is sited at the nearest transfer ancestor —
         // exactly the op whose codec declaration went missing.
+        if !nodes.iter().any(is_dequant) {
+            return;
+        }
+        let is_transfer = |p: usize| {
+            matches!(
+                nodes[p].op,
+                PlanOp::Collective { .. } | PlanOp::TierTransfer { .. }
+            )
+        };
+        // Group 0: the transfers that declare a narrowing codec.
+        let encoders: Vec<Option<usize>> = (0..nodes.len())
+            .map(|p| {
+                (is_transfer(p) && plan.codec_at(p).is_some_and(Codec::is_narrowing)).then_some(0)
+            })
+            .collect();
+        let encoded = Ancestors::new(plan, &encoders);
+        // The highest-index transfer ancestor of every op: a dependency
+        // outranks everything it descends from.
+        let mut nearest: Vec<Option<usize>> = Vec::with_capacity(nodes.len());
+        for i in 0..nodes.len() {
+            let best = plan
+                .deps(i)
+                .iter()
+                .map(|d| {
+                    let p = d.index();
+                    if is_transfer(p) {
+                        Some(p)
+                    } else {
+                        nearest[p]
+                    }
+                })
+                .max()
+                .flatten();
+            nearest.push(best);
+        }
         let mut reported_ops: HashSet<usize> = HashSet::new();
         for (i, n) in nodes.iter().enumerate() {
-            let PlanOp::FixedCompute { label, .. } = &n.op else {
-                continue;
-            };
-            if !label.starts_with("dequant") {
+            if !is_dequant(n) || encoded.reaches(0, i) {
                 continue;
             }
-            let mut nearest_transfer: Option<usize> = None;
-            let mut has_encoder = false;
-            for (p, pn) in nodes.iter().enumerate() {
-                if p == i || !anc.is_ancestor(p, i) {
-                    continue;
-                }
-                let transfer_class = matches!(
-                    pn.op,
-                    PlanOp::Collective { .. } | PlanOp::TierTransfer { .. }
-                );
-                if !transfer_class {
-                    continue;
-                }
-                if nearest_transfer.is_none_or(|best| p > best) {
-                    nearest_transfer = Some(p);
-                }
-                if plan
-                    .codec_at(p)
-                    .is_some_and(zerosim_strategies::Codec::is_narrowing)
-                {
-                    has_encoder = true;
-                    break;
-                }
-            }
-            if has_encoder {
-                continue;
-            }
-            let site_op = nearest_transfer.unwrap_or(i);
+            let site_op = nearest[i].unwrap_or(i);
             if reported_ops.insert(site_op) {
                 sink.report(
                     LintCode::ByteConservation,

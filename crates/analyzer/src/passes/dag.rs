@@ -1,15 +1,13 @@
 //! ZL005 / ZL006 — dead-op and deadlock hygiene.
 //!
-//! ZL005 flags *dead* work: ops whose result nothing consumes. With a
-//! plan in the artifacts, the analysis is semantic — every plan op with
-//! no dependents must be a legitimate sink (a weight update, a
-//! persisting write-back, or a step-phase parameter broadcast).
-//! Anything else — a gradient collective nobody waits for, a compute op
-//! feeding nothing, an unconsumed join — is flagged: its cost is
-//! simulated, but the downstream work it should gate can start without
-//! it, so the timeline silently loses a dependency. On a bare DAG
-//! (no plan), the check degrades to structure: zero-cost join markers
-//! that gate nothing. Warn-by-default, not an error.
+//! ZL005 flags *dead* work: ops whose result nothing consumes. It reads
+//! only the plan, so the analysis is semantic — every plan op with no
+//! dependents must be a legitimate sink (a weight update, a persisting
+//! write-back, or a step-phase parameter broadcast). Anything else — a
+//! gradient collective nobody waits for, a compute op feeding nothing,
+//! an unconsumed join — is flagged: its cost is simulated, but the
+//! downstream work it should gate can start without it, so the timeline
+//! silently loses a dependency. Warn-by-default, not an error.
 //!
 //! ZL006 detects dependency cycles and dangling edges in an untrusted
 //! graph ([`crate::GraphView::from_edges`], attached with
@@ -18,8 +16,7 @@
 //! `DagBuilder::push` requires every dependency to precede its task.
 
 use zerosim_hw::{IoDir, MemLoc};
-use zerosim_simkit::TaskKind;
-use zerosim_strategies::{PhaseStage, PlanOp, WorkloadPlan};
+use zerosim_strategies::{PhaseStage, PlanOp};
 
 use crate::diag::{LintCode, Site};
 use crate::pass::{Artifacts, Pass, Sink};
@@ -56,74 +53,47 @@ fn is_legal_sink(op: &PlanOp, stage: PhaseStage) -> bool {
     }
 }
 
-fn dead_plan_ops(plan: &WorkloadPlan, sink: &mut Sink<'_>) {
-    let nodes = plan.nodes();
-    let mut dependents = vec![0usize; nodes.len()];
-    for n in nodes {
-        for d in &n.deps {
-            dependents[d.index()] += 1;
-        }
-    }
-    for (i, n) in nodes.iter().enumerate() {
-        if dependents[i] > 0 || is_legal_sink(&n.op, n.phase.stage) {
-            continue;
-        }
-        // The final op is the plan's completion by convention.
-        if i + 1 == nodes.len() {
-            continue;
-        }
-        let what = match &n.op {
-            PlanOp::Collective { .. } => "collective that no op waits for",
-            PlanOp::Barrier => "join that gates nothing",
-            PlanOp::LayerCompute { .. } | PlanOp::FixedCompute { .. } => {
-                "compute whose result nothing consumes"
-            }
-            PlanOp::VolumeIo { .. } => "volume read that nothing consumes",
-            _ => "op that nothing consumes",
-        };
-        sink.report(
-            LintCode::DeadOps,
-            Site::PlanOp(i),
-            format!("dead op: {what}"),
-            "wire the dependency (downstream work can currently start without \
-             this op) or drop the op"
-                .to_string(),
-        );
-    }
-}
-
 impl Pass for DeadOpsPass {
     fn code(&self) -> LintCode {
         LintCode::DeadOps
     }
 
     fn run(&self, art: &Artifacts<'_>, sink: &mut Sink<'_>) {
-        if let Some(plan) = art.plan {
-            dead_plan_ops(plan, sink);
-            return;
-        }
-        let Some(dag) = art.dag else {
+        let Some(plan) = art.plan else {
             return;
         };
-        let n = dag.len();
-        for t in dag.task_ids() {
-            let spec = dag.task(t);
-            if !matches!(spec.kind, TaskKind::Marker) {
+        let nodes = plan.nodes();
+        let mut consumed = vec![false; nodes.len()];
+        for i in 0..nodes.len() {
+            for d in plan.deps(i) {
+                consumed[d.index()] = true;
+            }
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            if consumed[i] || is_legal_sink(&n.op, n.phase.stage) {
                 continue;
             }
-            // The final task is the plan's completion marker by
-            // convention; everything else must gate something.
-            if dag.succs(t).is_empty() && t.index() + 1 != n {
-                sink.report(
-                    LintCode::DeadOps,
-                    Site::DagTask(t.index()),
-                    format!(
-                        "marker task over {} dependenc(ies) gates nothing",
-                        dag.preds(t).len()
-                    ),
-                    "drop the join or make downstream work depend on it".to_string(),
-                );
+            // The final op is the plan's completion by convention.
+            if i + 1 == nodes.len() {
+                continue;
             }
+            let what = match &n.op {
+                PlanOp::Collective { .. } => "collective that no op waits for",
+                PlanOp::Barrier => "join that gates nothing",
+                PlanOp::LayerCompute { .. } | PlanOp::FixedCompute { .. } => {
+                    "compute whose result nothing consumes"
+                }
+                PlanOp::VolumeIo { .. } => "volume read that nothing consumes",
+                _ => "op that nothing consumes",
+            };
+            sink.report(
+                LintCode::DeadOps,
+                Site::PlanOp(i),
+                format!("dead op: {what}"),
+                "wire the dependency (downstream work can currently start without \
+                 this op) or drop the op"
+                    .to_string(),
+            );
         }
     }
 }
@@ -167,51 +137,16 @@ impl Pass for DagCyclePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::{LintConfig, Severity};
+    use crate::diag::LintConfig;
     use crate::graph::GraphView;
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_hw::{Cluster, ClusterSpec};
-    use zerosim_simkit::{Dag, DagBuilder, ResourceId, SimTime};
-
-    fn run_dag(dag: &Dag) -> AnalysisReport {
-        let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let mut pm = PassManager::new(LintConfig::new());
-        pm.register(Box::new(DeadOpsPass));
-        pm.register(Box::new(DagCyclePass));
-        pm.run(&Artifacts::new(&cluster).with_dag(dag))
-    }
 
     fn run_graph(graph: &GraphView) -> AnalysisReport {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(DagCyclePass));
         pm.run(&Artifacts::new(&cluster).with_graph(graph))
-    }
-
-    #[test]
-    fn live_dag_is_clean() {
-        let mut b = DagBuilder::new();
-        let c = b.compute(ResourceId(0), SimTime::from_secs(1e-3), "gemm", &[]);
-        let m = b.marker(&[c]);
-        let _tail = b.compute(ResourceId(0), SimTime::from_secs(1e-3), "gemm", &[m]);
-        let dag = b.build();
-        let r = run_dag(&dag);
-        assert!(r.is_clean());
-        assert_eq!(r.warning_count(), 0);
-    }
-
-    #[test]
-    fn dead_marker_warns_final_marker_does_not() {
-        let mut b = DagBuilder::new();
-        let c = b.compute(ResourceId(0), SimTime::from_secs(1e-3), "gemm", &[]);
-        let _dead = b.marker(&[c]);
-        let _done = b.marker(&[c]); // final task: exempt by convention
-        let dag = b.build();
-        let r = run_dag(&dag);
-        assert!(r.is_clean(), "ZL005 defaults to warn");
-        assert_eq!(r.warning_count(), 1);
-        assert_eq!(r.diagnostics[0].severity, Severity::Warning);
-        assert_eq!(r.diagnostics[0].site, Site::DagTask(1));
     }
 
     #[test]

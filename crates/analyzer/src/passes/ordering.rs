@@ -24,7 +24,7 @@
 //! this pass checks the actual dependency edges.
 
 use zerosim_hw::MemLoc;
-use zerosim_strategies::{PhaseStage, PlanOp, WorkloadKind};
+use zerosim_strategies::{PhaseStage, PlanNode, PlanOp, WorkloadKind};
 
 use crate::diag::{LintCode, Site};
 use crate::graph::Ancestors;
@@ -114,7 +114,7 @@ impl Pass for PhaseOrderingPass {
 
         // Dependency-edge legality.
         for (i, n) in nodes.iter().enumerate() {
-            for d in &n.deps {
+            for d in plan.deps(i) {
                 let j = d.index();
                 let (pi, pj) = (n.phase, nodes[j].phase);
                 if pj.stage == PhaseStage::Step && pi.stage != PhaseStage::Step {
@@ -168,19 +168,16 @@ impl Pass for PhaseOrderingPass {
         }
 
         // Every optimizer step must be reachable from gradient work.
+        // One ancestor group: the backward ops.
         let has_backward = nodes.iter().any(|n| n.phase.stage == PhaseStage::Backward);
         if has_backward {
-            let anc = Ancestors::compute(
-                |i| nodes[i].deps.iter().map(|d| d.index()).collect(),
-                nodes.len(),
-            );
+            let backward: Vec<Option<usize>> = nodes
+                .iter()
+                .map(|n| (n.phase.stage == PhaseStage::Backward).then_some(0))
+                .collect();
+            let anc = Ancestors::new(plan, &backward);
             for (i, n) in nodes.iter().enumerate() {
-                if !matches!(n.op, PlanOp::OptimizerStep { .. }) {
-                    continue;
-                }
-                let fed = (0..nodes.len())
-                    .any(|j| nodes[j].phase.stage == PhaseStage::Backward && anc.is_ancestor(j, i));
-                if !fed {
+                if matches!(n.op, PlanOp::OptimizerStep { .. }) && !anc.reaches(0, i) {
                     sink.report(
                         LintCode::PhaseOrdering,
                         Site::PlanOp(i),
@@ -195,12 +192,23 @@ impl Pass for PhaseOrderingPass {
         // effect of a step — a KV-cache append or a token emission (the
         // device-to-host copy of sampled token ids) — must descend from
         // that same step's forward compute. `micro` is the decode-step
-        // index, so "same micro" is "same token position".
+        // index, so "same micro" is "same token position": one ancestor
+        // group per step that has compute, holding that compute.
         if kind.is_serving() {
-            let anc = Ancestors::compute(
-                |i| nodes[i].deps.iter().map(|d| d.index()).collect(),
-                nodes.len(),
-            );
+            let is_compute = |n: &PlanNode| matches!(n.op, PlanOp::LayerCompute { .. });
+            let mut steps: Vec<u32> = nodes
+                .iter()
+                .filter(|n| is_compute(n))
+                .map(|n| n.phase.micro)
+                .collect();
+            steps.sort_unstable();
+            steps.dedup();
+            let step_group = |micro: u32| steps.binary_search(&micro).ok();
+            let compute: Vec<Option<usize>> = nodes
+                .iter()
+                .map(|n| step_group(n.phase.micro).filter(|_| is_compute(n)))
+                .collect();
+            let anc = Ancestors::new(plan, &compute);
             for (i, n) in nodes.iter().enumerate() {
                 let (what, help) = match &n.op {
                     PlanOp::KvAppend { .. } => (
@@ -219,12 +227,7 @@ impl Pass for PhaseOrderingPass {
                     ),
                     _ => continue,
                 };
-                let fed = (0..nodes.len()).any(|j| {
-                    matches!(nodes[j].op, PlanOp::LayerCompute { .. })
-                        && nodes[j].phase.micro == n.phase.micro
-                        && anc.is_ancestor(j, i)
-                });
-                if !fed {
+                if !step_group(n.phase.micro).is_some_and(|g| anc.reaches(g, i)) {
                     sink.report(
                         LintCode::PhaseOrdering,
                         Site::PlanOp(i),
@@ -460,7 +463,7 @@ mod tests {
 
     #[test]
     fn checkpoint_kind_rules() {
-        let mut plan = WorkloadPlan::new_checkpoint();
+        let mut plan = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
         plan.set_phase(PhaseStage::Forward, 0);
         plan.push(
             PlanOp::LayerCompute {

@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use zerosim_bench::cli::{
-    parse_count, parse_or_exit, parse_range, take_flag, take_value, usage_error,
+    parse_billions, parse_count, parse_or_exit, parse_range, take_flag, take_value, usage_error,
 };
 use zerosim_bench::experiments::serving::{
     golden_runs, golden_trace, regime_sweep, RegimePoint, SERVE_SEED,
@@ -171,7 +171,8 @@ fn main() {
     }
     let json = take_flag(&mut args, "--json");
     let strategy_name = take_value(&mut args, "--strategy").unwrap_or_else(|| "dense".into());
-    let billions: f64 = parse_or_exit(take_value(&mut args, "--model"), "--model", 1.4);
+    let billions =
+        take_value(&mut args, "--model").map_or(1.4, |raw| parse_billions(&raw, "--model"));
     let nodes = parse_count(take_value(&mut args, "--nodes"), "--nodes", 1);
     let batch = parse_count(take_value(&mut args, "--batch"), "--batch", 8);
     let requests = parse_count(take_value(&mut args, "--requests"), "--requests", 24);
@@ -193,9 +194,6 @@ fn main() {
         return;
     }
 
-    if !(billions > 0.0 && billions.is_finite()) {
-        usage_error("--model: expected a positive size in billions");
-    }
     let model = GptConfig::paper_model_with_params(billions);
     let trace = TraceConfig {
         requests,

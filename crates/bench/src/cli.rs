@@ -52,15 +52,22 @@ where
     }
 }
 
+/// The largest paper-shaped model, in billions of parameters, the tools
+/// accept. The paper shape adds depth as it grows (1,000 B is ~20,000
+/// layers), and planning and lowering every `planfind` candidate at this
+/// size fits in 4 GB of address space.
+pub const MAX_BILLIONS: f64 = 1000.0;
+
 /// Parses a paper-shaped model size in billions of parameters for `what`
 /// (a flag or positional argument). Exits unless it is a finite number
-/// no smaller than the shape's embedding-only size.
+/// from the shape's embedding-only size up to [`MAX_BILLIONS`].
 pub fn parse_billions(raw: &str, what: &str) -> f64 {
     let floor = GptConfig::paper_model(0).num_params();
     match raw.parse::<f64>() {
-        Ok(b) if b.is_finite() && b * 1e9 >= floor => b,
+        Ok(b) if b * 1e9 >= floor && b <= MAX_BILLIONS => b,
         _ => usage_error(&format!(
-            "{what}: expected a model size of at least {:.2} billion parameters, got {raw:?}",
+            "{what}: expected a model size from {:.2} to {MAX_BILLIONS} billion parameters, \
+             got {raw:?}",
             floor / 1e9
         )),
     }

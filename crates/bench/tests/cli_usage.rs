@@ -36,6 +36,14 @@ const USAGE_ERRORS: &[(&str, &[&str])] = &[
     (SWEEP, &["--nodes", "0"]),
     (TRACE, &["ZeRO-3", "abc", "1"]),
     (TRACE, &["ZeRO-3", "1.4", "0"]),
+    // Paper-shaped sizes above the 1,000 B limit (1e5 B is ~2M layers).
+    (TRACE, &["ZeRO-3", "1e5", "1"]),
+    (SWEEP, &["--sizes", "1e5"]),
+    (PLANFIND, &["--topology", "flat:1", "--model", "1e5"]),
+    (FLEETPLAN, &["--model", "1e5"]),
+    (SERVESIM, &["--model", "1e5"]),
+    // Below the paper shape's embedding-only size.
+    (SERVESIM, &["--model", "0.05"]),
     // Topologies above the 1,024-GPU limit.
     (PLANFIND, &["--topology", "flat:100000"]),
     (PLANFIND, &["--topology", "pods:64x64x64:2:2"]),

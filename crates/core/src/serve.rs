@@ -25,6 +25,7 @@
 //! across the hermetic thread pool with input-ordered, width-independent
 //! results, exactly as it does training specs.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use zerosim_hw::{ClusterSpec, NvmeId};
@@ -32,7 +33,7 @@ use zerosim_model::GptConfig;
 use zerosim_simkit::{mix, nearest_rank, DagEngine, SimTime};
 use zerosim_strategies::{
     kv_bucket, kv_bytes_per_token, lower, Calibration, IterCtx, LoweredPlan, ServingStrategy,
-    TrainOptions,
+    TrainOptions, WorkloadKind,
 };
 use zerosim_testkit::rng::Rng;
 
@@ -279,10 +280,9 @@ pub fn serve(
 
     // No serve output reads spans: the log is cleared after every run.
     let mut engine = DagEngine::new(sim.cluster().resource_slots());
-    // Plan caches: decode keyed by (batch, KV bucket), prefill by the
-    // admitted (total prompt tokens, request count) shape.
-    let mut decode_cache: HashMap<(usize, usize), LoweredPlan> = HashMap::new();
-    let mut prefill_cache: HashMap<(usize, usize), LoweredPlan> = HashMap::new();
+    // Lowered plans by kind and shape: a prefill by the admitted (total
+    // prompt tokens, request count), a decode step by (batch, KV bucket).
+    let mut plans: HashMap<(WorkloadKind, usize, usize), LoweredPlan> = HashMap::new();
     let mut plan_lowerings = 0usize;
 
     let max_batch = max_batch.max(1);
@@ -328,8 +328,10 @@ pub fn serve(
             }
         }
 
-        if !waiting.is_empty() && running.len() < max_batch {
-            // Admission: one batched prefill over the free slots.
+        // Admission runs one batched prefill over the free slots;
+        // otherwise the whole running batch takes one decode step.
+        let prefill = !waiting.is_empty() && running.len() < max_batch;
+        let key = if prefill {
             admitted.clear();
             while running.len() + admitted.len() < max_batch {
                 match waiting.pop_front() {
@@ -338,25 +340,37 @@ pub fn serve(
                 }
             }
             let prompt_sum: usize = admitted.iter().map(|&i| st[i].prompt).sum();
-            let lowered = match prefill_cache.entry((prompt_sum, admitted.len())) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let ctx = IterCtx {
-                        cluster: sim.cluster(),
-                        model,
-                        opts,
-                        calib: sim.calibration(),
-                    };
-                    let plan = strategy.plan_prefill(&ctx, prompt_sum, admitted.len())?;
-                    plan_lowerings += 1;
-                    e.insert(lower(&plan, sim.cluster(), sim.calibration())?)
-                }
-            };
-            let dag = lowered.stamp(seed);
-            seed += 1;
-            let out = engine.run(sim.cluster_mut().net_mut(), dag, t, None)?;
-            engine.clear_spans();
-            t = out.finished;
+            (WorkloadKind::Prefill, prompt_sum, admitted.len())
+        } else {
+            let kv_len = running.iter().map(|&i| st[i].kv_tokens).max().unwrap_or(1);
+            (WorkloadKind::Decode, running.len(), kv_bucket(kv_len))
+        };
+        let lowered = match plans.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let ctx = IterCtx {
+                    cluster: sim.cluster(),
+                    model,
+                    opts,
+                    calib: sim.calibration(),
+                };
+                let plan = match key {
+                    (WorkloadKind::Prefill, prompt_sum, count) => {
+                        strategy.plan_prefill(&ctx, prompt_sum, count)?
+                    }
+                    (_, batch, bucket) => strategy.plan_decode(&ctx, 0, batch, bucket)?,
+                };
+                plan_lowerings += 1;
+                e.insert(lower(&plan, sim.cluster(), sim.calibration())?)
+            }
+        };
+        let dag = lowered.stamp(seed);
+        seed += 1;
+        let out = engine.run(sim.cluster_mut().net_mut(), dag, t, None)?;
+        engine.clear_spans();
+        t = out.finished;
+
+        if prefill {
             prefills += 1;
             for &i in &admitted {
                 // Prefill emits each admitted request's first token.
@@ -368,31 +382,7 @@ pub fn serve(
             }
             running.extend_from_slice(&admitted);
         } else {
-            // One decode step for the whole running batch.
-            let batch = running.len();
-            let kv_len = running.iter().map(|&i| st[i].kv_tokens).max().unwrap_or(1);
-            let bucket = kv_bucket(kv_len);
-            let lowered = match decode_cache.entry((batch, bucket)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let ctx = IterCtx {
-                        cluster: sim.cluster(),
-                        model,
-                        opts,
-                        calib: sim.calibration(),
-                    };
-                    let plan = strategy.plan_decode(&ctx, 0, batch, bucket)?;
-                    plan_lowerings += 1;
-                    e.insert(lower(&plan, sim.cluster(), sim.calibration())?)
-                }
-            };
-            let dag = lowered.stamp(seed);
-            seed += 1;
-            let out = engine.run(sim.cluster_mut().net_mut(), dag, t, None)?;
-            engine.clear_spans();
-            t = out.finished;
             decode_steps += 1;
-
             running.retain(|&i| {
                 st[i].generated += 1;
                 st[i].kv_tokens += 1;

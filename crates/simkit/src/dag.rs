@@ -12,18 +12,18 @@
 //! allocates O(1) times per DAG, not per task:
 //!
 //! * one [`TaskSpec`] per task, whose label is a `&'static str`;
-//! * predecessor edges in CSR form: one edge array plus, per task, the
-//!   end offset of its slice. [`DagBuilder`] appends each task's
+//! * predecessor edges in a [`Csr`] edge list, the layout the workload
+//!   plan and the analyzer share. [`DagBuilder`] appends each task's
 //!   dependencies as it is pushed;
-//! * successor edges in the same form, derived once by
-//!   [`DagBuilder::build`] in ascending task order with duplicates kept
-//!   (the engine readies successors in exactly this order);
+//! * successor edges in a second [`Csr`], derived once by
+//!   [`DagBuilder::build`] with [`Csr::transpose`]: ascending task order,
+//!   duplicates kept (the engine readies successors in exactly this
+//!   order);
 //! * one link arena holding every transfer's route back to back; a
 //!   [`TaskKind::Transfer`] names its slice with a [`RouteRange`], read
 //!   through [`Dag::route`].
 
-use std::ops::Range;
-
+use crate::csr::{offset, Csr, NodeIndex};
 use crate::flow::LinkId;
 use crate::time::SimTime;
 
@@ -35,6 +35,16 @@ impl TaskId {
     /// Index of the task in insertion order.
     pub fn index(self) -> usize {
         self.0
+    }
+}
+
+impl NodeIndex for TaskId {
+    fn index(self) -> usize {
+        self.0
+    }
+
+    fn from_index(index: usize) -> Self {
+        TaskId(index)
     }
 }
 
@@ -102,30 +112,12 @@ pub struct TaskSpec {
 #[derive(Debug, Clone, Default)]
 pub struct Dag {
     tasks: Vec<TaskSpec>,
-    /// Predecessor edges of every task, back to back.
-    pred_edges: Vec<TaskId>,
-    /// End of each task's slice of `pred_edges`.
-    pred_ends: Vec<u32>,
-    /// Successor edges of every task, back to back (derived).
-    succ_edges: Vec<TaskId>,
-    /// End of each task's slice of `succ_edges`.
-    succ_ends: Vec<u32>,
+    /// Predecessor edges, one row per task.
+    preds: Csr<TaskId>,
+    /// Successor edges, one row per task (derived).
+    succs: Csr<TaskId>,
     /// Every transfer's route, back to back.
     links: Vec<LinkId>,
-}
-
-/// The slice of task `i` in a CSR edge array with end offsets `ends`.
-fn csr_slice(ends: &[u32], i: usize) -> Range<usize> {
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    start..ends[i] as usize
-}
-
-/// `n` as a CSR offset.
-///
-/// # Panics
-/// Panics if `n` does not fit in a `u32`.
-fn offset(n: usize) -> u32 {
-    u32::try_from(n).expect("DAG arrays hold fewer than 2^32 entries")
 }
 
 impl Dag {
@@ -149,13 +141,13 @@ impl Dag {
 
     /// Predecessors of `task`, in the order they were declared.
     pub fn preds(&self, task: TaskId) -> &[TaskId] {
-        &self.pred_edges[csr_slice(&self.pred_ends, task.0)]
+        self.preds.row(task.0)
     }
 
     /// Successors of `task`, in ascending task order (a task that names
     /// `task` twice appears twice).
     pub fn succs(&self, task: TaskId) -> &[TaskId] {
-        &self.succ_edges[csr_slice(&self.succ_ends, task.0)]
+        self.succs.row(task.0)
     }
 
     /// The links of a transfer's route, in order.
@@ -246,8 +238,7 @@ impl DagBuilder {
             assert!(d.0 < id.0, "dependency {d:?} does not precede task {id:?}");
         }
         self.dag.tasks.push(spec);
-        self.dag.pred_edges.extend_from_slice(deps);
-        self.dag.pred_ends.push(offset(self.dag.pred_edges.len()));
+        self.dag.preds.push_row(deps);
         id
     }
 
@@ -367,32 +358,9 @@ impl DagBuilder {
     /// array to its length.
     pub fn build(self) -> Dag {
         let mut dag = self.dag;
-        let n = dag.tasks.len();
-        // Count each task's successors, turn the counts into start
-        // offsets, then fill in ascending task order: every cursor ends
-        // at its task's end offset.
-        let mut cursor = vec![0u32; n];
-        for p in &dag.pred_edges {
-            cursor[p.0] += 1;
-        }
-        let mut start = 0u32;
-        for c in &mut cursor {
-            let count = *c;
-            *c = start;
-            start += count;
-        }
-        let mut succ_edges = vec![TaskId(0); dag.pred_edges.len()];
-        for t in 0..n {
-            for p in &dag.pred_edges[csr_slice(&dag.pred_ends, t)] {
-                succ_edges[cursor[p.0] as usize] = TaskId(t);
-                cursor[p.0] += 1;
-            }
-        }
-        dag.succ_edges = succ_edges;
-        dag.succ_ends = cursor;
+        dag.succs = dag.preds.transpose();
         dag.tasks.shrink_to_fit();
-        dag.pred_edges.shrink_to_fit();
-        dag.pred_ends.shrink_to_fit();
+        dag.preds.shrink_to_fit();
         dag.links.shrink_to_fit();
         dag
     }

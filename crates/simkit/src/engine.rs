@@ -683,7 +683,12 @@ mod tests {
         let dag = b.build();
         let mut eng = DagEngine::new(vec![1]);
         eng.run(&mut net, &dag, SimTime::ZERO, None).unwrap();
-        assert_eq!(eng.spans().busy_time(0, "gemm"), ms(2.0));
+        let spans = eng.spans().track(0);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(
+            (spans[0].label, spans[0].end - spans[0].start),
+            ("gemm", ms(2.0))
+        );
     }
 
     #[test]

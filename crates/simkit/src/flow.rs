@@ -26,7 +26,7 @@
 //! release builds run the same solver code. [`SolverStats`] counters
 //! expose how much work each event cost.
 //!
-//! Converged state is epoch-stamped ([`FlowNet::solver_epoch`]) and cached
+//! Converged state is epoch-stamped (one epoch per solve) and cached
 //! behind interior mutability, so the read paths ([`FlowNet::flow_rate`],
 //! [`FlowNet::link_demand`], [`FlowNet::next_event_in`]) take `&self`.
 //!
@@ -333,18 +333,6 @@ impl FlowNet {
     /// has done on this network.
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.borrow().stats
-    }
-
-    /// Resets the [`SolverStats`] counters to zero (e.g. at the start of a
-    /// measured window).
-    pub fn reset_solver_stats(&mut self) {
-        self.solver.get_mut().stats = SolverStats::default();
-    }
-
-    /// Monotonic counter stamping the converged rate/demand state; bumped
-    /// once per solve.
-    pub fn solver_epoch(&self) -> u64 {
-        self.solver.borrow().epoch
     }
 
     /// Enables or disables shadow verification: every incremental solve is
@@ -1318,11 +1306,11 @@ mod tests {
         assert!(net.flow_rate(fa).is_some());
         // That last read converged everything; a new flow on the B side
         // must only re-touch the B component.
-        let epoch = net.solver_epoch();
+        let solves = net.solver_stats().solves;
         let fb = net.start_flow(&[b1], 100.0).unwrap();
         assert!(net.flow_rate(fb).is_some());
-        assert_eq!(net.solver_epoch(), epoch + 1);
         let stats = net.solver_stats();
+        assert_eq!(stats.solves, solves + 1);
         assert_eq!(
             stats.last_component_links, 2,
             "B-side event must not touch the A-side links: {stats:?}"
@@ -1344,17 +1332,6 @@ mod tests {
         net.scale_link(l0, 0.5).unwrap();
         net.link_demand(l2);
         assert_eq!(net.solver_stats().last_component_links, 3);
-    }
-
-    #[test]
-    fn solver_stats_reset() {
-        let mut net = FlowNet::new();
-        let l = net.add_link("l", 10.0);
-        net.start_flow(&[l], 100.0).unwrap();
-        net.link_demand(l);
-        assert!(net.solver_stats().solves > 0);
-        net.reset_solver_stats();
-        assert_eq!(net.solver_stats(), SolverStats::default());
     }
 
     #[test]

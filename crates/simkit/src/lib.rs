@@ -6,6 +6,8 @@
 //! * [`SimTime`] — integer-nanosecond virtual time;
 //! * [`flow`] — a flow-level network simulator with max-min fair bandwidth
 //!   sharing (progressive filling) and token-bucket variable-rate links;
+//! * [`csr`] — compressed sparse row edge lists, the one layout of every
+//!   dependency graph (task graphs, workload plans, analyzer graphs);
 //! * [`dag`] — task graphs of compute spans, transfers, and delays;
 //! * [`engine`] — the discrete-event executor that runs a DAG against a
 //!   flow network and a set of compute resources;
@@ -44,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bucket;
+pub mod csr;
 pub mod dag;
 pub mod engine;
 mod error;
@@ -53,6 +56,7 @@ pub mod record;
 mod time;
 
 pub use bucket::TokenBucket;
+pub use csr::{Csr, NodeIndex};
 pub use dag::{Dag, DagBuilder, ResourceId, RouteRange, TaskId, TaskKind};
 pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;

@@ -440,16 +440,6 @@ impl SpanLog {
         v
     }
 
-    /// Total busy time on `track` attributed to spans whose label matches
-    /// `label` exactly.
-    pub fn busy_time(&self, track: u32, label: &str) -> SimTime {
-        self.spans
-            .iter()
-            .filter(|s| s.track == track && s.label == label)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
     /// Latest end time across all tracks ([`SimTime::ZERO`] when empty).
     pub fn horizon(&self) -> SimTime {
         self.spans
@@ -626,15 +616,17 @@ mod tests {
     }
 
     #[test]
-    fn span_log_tracks_and_busy_time() {
+    fn span_log_tracks_and_horizon() {
         let mut log = SpanLog::new();
         log.push(0, "gemm", SimTime::ZERO, SimTime::from_ms(2.0));
         log.push(0, "allreduce", SimTime::from_ms(2.0), SimTime::from_ms(3.0));
         log.push(1, "gemm", SimTime::from_ms(1.0), SimTime::from_ms(4.0));
         assert_eq!(log.spans().len(), 3);
         assert_eq!(log.track(0).len(), 2);
-        assert_eq!(log.busy_time(0, "gemm"), SimTime::from_ms(2.0));
-        assert_eq!(log.busy_time(1, "gemm"), SimTime::from_ms(3.0));
+        assert_eq!(
+            log.track(1)[0].end - log.track(1)[0].start,
+            SimTime::from_ms(3.0)
+        );
         assert_eq!(log.horizon(), SimTime::from_ms(4.0));
     }
 }
@@ -642,8 +634,7 @@ mod tests {
 /// Interval-union coverage utilities over span logs.
 impl SpanLog {
     /// Total time on `track` covered by at least one span whose label is
-    /// in `labels` (overlaps counted once — unlike [`SpanLog::busy_time`],
-    /// which sums durations).
+    /// in `labels`, overlaps counted once.
     pub fn coverage(&self, track: u32, labels: &[&str]) -> SimTime {
         let mut intervals: Vec<(SimTime, SimTime)> = self
             .spans

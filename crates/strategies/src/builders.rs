@@ -13,7 +13,7 @@ use zerosim_model::GptConfig;
 
 use crate::calib::Calibration;
 use crate::options::TrainOptions;
-use crate::plan::{Codec, OpId, PhaseStage, PlanOp, WorkloadPlan};
+use crate::plan::{Codec, OpId, PhaseStage, PlanOp, WorkloadKind, WorkloadPlan};
 
 /// Everything an iteration planner needs to consult.
 #[derive(Debug, Clone, Copy)]
@@ -106,38 +106,14 @@ impl<'a> Deref for PlanCtx<'a> {
 }
 
 impl<'a> PlanCtx<'a> {
-    /// Starts an empty plan (in the input phase) for `ctx`.
-    pub fn new(ctx: IterCtx<'a>) -> Self {
+    /// Starts an empty plan of `kind` for `ctx` (see
+    /// [`WorkloadPlan::of_kind`]): serving plans enter
+    /// [`PhaseStage::Prefill`] or [`PhaseStage::Decode`] before emitting
+    /// compute, checkpoint plans stay in [`PhaseStage::Checkpoint`].
+    pub fn new(ctx: IterCtx<'a>, kind: WorkloadKind) -> Self {
         PlanCtx {
             ctx,
-            plan: WorkloadPlan::new(),
-        }
-    }
-
-    /// Starts an empty checkpoint/restore plan for `ctx`; all emitted ops
-    /// carry the [`PhaseStage::Checkpoint`] phase label.
-    pub fn new_checkpoint(ctx: IterCtx<'a>) -> Self {
-        PlanCtx {
-            ctx,
-            plan: WorkloadPlan::new_checkpoint(),
-        }
-    }
-
-    /// Starts an empty serving-prefill plan for `ctx` (input phase; enter
-    /// [`PhaseStage::Prefill`] before emitting compute).
-    pub fn new_prefill(ctx: IterCtx<'a>) -> Self {
-        PlanCtx {
-            ctx,
-            plan: WorkloadPlan::new_prefill(),
-        }
-    }
-
-    /// Starts an empty serving decode-step plan for `ctx` (input phase;
-    /// enter [`PhaseStage::Decode`] before emitting compute).
-    pub fn new_decode(ctx: IterCtx<'a>) -> Self {
-        PlanCtx {
-            ctx,
-            plan: WorkloadPlan::new_decode(),
+            plan: WorkloadPlan::of_kind(kind),
         }
     }
 
@@ -378,7 +354,7 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let mut p = PlanCtx::new(ctx);
+        let mut p = PlanCtx::new(ctx, WorkloadKind::Iteration);
         assert!(p.is_empty());
         let pro = p.prologue();
         let g = GpuId { node: 0, gpu: 0 };

@@ -10,7 +10,7 @@ use zerosim_model::ModelStates;
 use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
-use crate::plan::{OpId, PhaseStage, WorkloadPlan};
+use crate::plan::{OpId, PhaseStage, WorkloadKind, WorkloadPlan};
 
 /// Builds the memory plan for DDP.
 pub(crate) fn memory_plan(ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError> {
@@ -56,7 +56,7 @@ pub(crate) fn plan_iteration(ctx: &IterCtx<'_>) -> Result<WorkloadPlan, Strategy
     let layers = ctx.model.num_layers;
     let bucket = ctx.comm_bucket_layers();
 
-    let mut p = PlanCtx::new(*ctx);
+    let mut p = PlanCtx::new(*ctx, WorkloadKind::Iteration);
     let prologue = p.prologue();
     let mut prev: Vec<OpId> = gpus.iter().map(|g| p.input_h2d(*g, &[prologue])).collect();
 

@@ -23,9 +23,11 @@
 //! Lowering allocates per DAG, not per task: routes are `Copy` values
 //! whose links are copied into the DAG's link arena, labels are
 //! `&'static str`, collectives query their group's precomputed ring
-//! order, and one dependency buffer is reused across every op.
-//! `tests/lowering_allocs.rs` pins the floor at under 0.5 allocations per
-//! emitted task.
+//! order, and one dependency buffer is reused across every op: it maps
+//! the op's row of [`WorkloadPlan::deps`] to the tasks that finish those
+//! ops, and [`DagBuilder`] appends it to the DAG's own edge list (the
+//! same [`zerosim_simkit::Csr`] layout). `tests/lowering_allocs.rs` pins
+//! the floor at under 0.5 allocations per emitted task.
 
 use zerosim_collectives::emit_collective_capped;
 use zerosim_hw::Cluster;
@@ -164,7 +166,7 @@ pub fn lower(
 
     for (i, node) in plan.nodes().iter().enumerate() {
         deps.clear();
-        deps.extend(node.deps.iter().map(|d| done[d.index()]));
+        deps.extend(plan.deps(i).iter().map(|d| done[d.index()]));
         // A declared codec means the encoded blob is what moves: scale
         // the payload before the schedule or route prices it.
         let ratio = plan.codec_ratio_at(i);

@@ -23,7 +23,7 @@ use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
 use crate::placement::ParallelPlacement;
-use crate::plan::{OpId, PhaseStage, WorkloadPlan};
+use crate::plan::{OpId, PhaseStage, WorkloadKind, WorkloadPlan};
 
 /// Microbatches per iteration for a pipeline depth of `pp` (the paper's
 /// nsys timeline shows four; deeper pipelines need at least `pp` to keep
@@ -129,7 +129,7 @@ pub(crate) fn plan_iteration(
     let fwd_flops = ctx.layer_fwd_flops(tokens_mb, layout.tp);
     let vocab_flops = ctx.embedding_fwd_flops(tokens_mb, layout.tp);
 
-    let mut p = PlanCtx::new(*ctx);
+    let mut p = PlanCtx::new(*ctx, WorkloadKind::Iteration);
     let prologue = p.prologue();
 
     // TP communication groups per (replica, stage).

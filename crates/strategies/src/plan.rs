@@ -28,11 +28,22 @@
 //! 3. **Caching** — plan structure is iteration-invariant, so the engine
 //!    lowers once and re-stamps durations instead of rebuilding the DAG
 //!    `warmup + measure` times per run.
+//!
+//! # Dependency layout
+//!
+//! A plan keeps its ops' dependencies in one [`zerosim_simkit::Csr`] edge
+//! list, the layout the lowered [`zerosim_simkit::Dag`] and the analyzer's
+//! graphs keep their edges in: one row per op, appended by
+//! [`WorkloadPlan::push`] and read through [`WorkloadPlan::deps`]. This
+//! module is the only one that knows how the edges are stored; validation,
+//! lowering and the planlint passes read rows. [`PlanNode`] holds only the
+//! op and its phase, so pushing an op allocates nothing of its own.
 
 use std::collections::BTreeMap;
 
 use zerosim_collectives::{wire_bytes, CollectiveKind, CommGroup};
 use zerosim_hw::{Cluster, GpuId, IoDir, MemLoc, SocketId, VolumeId};
+use zerosim_simkit::Csr;
 
 use crate::error::StrategyError;
 
@@ -48,9 +59,10 @@ impl OpId {
 }
 
 /// Which part of the workload an op belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseStage {
     /// Input pipeline: iteration prologue, host prep, H2D staging.
+    #[default]
     Input,
     /// Forward pass (per micro-step).
     Forward,
@@ -118,8 +130,9 @@ impl WorkloadKind {
     }
 }
 
-/// Phase label: stage plus the gradient-accumulation micro-step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Phase label: stage plus the gradient-accumulation micro-step. The
+/// default is [`Phase::INPUT`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Phase {
     /// Micro-step index (0-based); `Step` ops use the last micro-step.
     pub micro: u32,
@@ -334,13 +347,12 @@ pub enum PlanOp {
     },
 }
 
-/// An op plus its dependencies and phase label.
+/// An op plus its phase label; its dependencies are
+/// [`WorkloadPlan::deps`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     /// The operation.
     pub op: PlanOp,
-    /// Ops that must complete first (all strictly earlier in the plan).
-    pub deps: Vec<OpId>,
     /// Phase label at emission time.
     pub phase: Phase,
 }
@@ -351,11 +363,15 @@ pub struct PlanNode {
 ///
 /// Built by strategies through [`crate::PlanCtx`]; compiled to a task
 /// graph by [`crate::lower::lower`]. Acyclic by construction: deps may
-/// only reference previously pushed ops.
+/// only reference previously pushed ops. The dependencies live in one
+/// [`Csr`] edge list, the layout the lowered [`zerosim_simkit::Dag`]
+/// keeps its edges in, read through [`WorkloadPlan::deps`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadPlan {
     nodes: Vec<PlanNode>,
-    phase: Option<Phase>,
+    /// Dependencies, one row per op.
+    deps: Csr<OpId>,
+    phase: Phase,
     kind: WorkloadKind,
     /// Declared wire codecs, keyed by op index (side table so the op
     /// variants stay codec-agnostic for out-of-tree matchers).
@@ -363,52 +379,25 @@ pub struct WorkloadPlan {
 }
 
 impl WorkloadPlan {
-    /// Creates an empty plan in the [`Phase::INPUT`] phase.
+    /// Creates an empty training-iteration plan in the [`Phase::INPUT`]
+    /// phase.
     pub fn new() -> Self {
-        WorkloadPlan {
-            nodes: Vec::new(),
-            phase: Some(Phase::INPUT),
-            kind: WorkloadKind::Iteration,
-            codecs: BTreeMap::new(),
-        }
+        Self::default()
     }
 
-    /// Creates an empty checkpoint/restore plan. Ops default to the
-    /// [`PhaseStage::Checkpoint`] phase; validation requires state
-    /// movement instead of an optimizer step.
-    pub fn new_checkpoint() -> Self {
+    /// Creates an empty plan of `kind`. Checkpoint plans start in the
+    /// [`PhaseStage::Checkpoint`] phase, every other kind in
+    /// [`Phase::INPUT`]. Validation applies the kind's contract (see
+    /// [`WorkloadKind`]).
+    pub fn of_kind(kind: WorkloadKind) -> Self {
+        let stage = match kind {
+            WorkloadKind::Checkpoint => PhaseStage::Checkpoint,
+            _ => PhaseStage::Input,
+        };
         WorkloadPlan {
-            nodes: Vec::new(),
-            phase: Some(Phase {
-                micro: 0,
-                stage: PhaseStage::Checkpoint,
-            }),
-            kind: WorkloadKind::Checkpoint,
-            codecs: BTreeMap::new(),
-        }
-    }
-
-    /// Creates an empty serving-prefill plan in the [`Phase::INPUT`]
-    /// phase. Validation requires forward compute plus KV-cache appends
-    /// and forbids optimizer steps.
-    pub fn new_prefill() -> Self {
-        WorkloadPlan {
-            nodes: Vec::new(),
-            phase: Some(Phase::INPUT),
-            kind: WorkloadKind::Prefill,
-            codecs: BTreeMap::new(),
-        }
-    }
-
-    /// Creates an empty serving decode-step plan in the [`Phase::INPUT`]
-    /// phase. Same contract as [`WorkloadPlan::new_prefill`]; `micro`
-    /// labels carry the decode-step index.
-    pub fn new_decode() -> Self {
-        WorkloadPlan {
-            nodes: Vec::new(),
-            phase: Some(Phase::INPUT),
-            kind: WorkloadKind::Decode,
-            codecs: BTreeMap::new(),
+            phase: Phase { micro: 0, stage },
+            kind,
+            ..Self::default()
         }
     }
 
@@ -419,7 +408,7 @@ impl WorkloadPlan {
 
     /// Enters a new phase; subsequent ops carry this label.
     pub fn set_phase(&mut self, stage: PhaseStage, micro: u32) {
-        self.phase = Some(Phase { micro, stage });
+        self.phase = Phase { micro, stage };
     }
 
     /// Appends `op` after `deps`.
@@ -434,9 +423,9 @@ impl WorkloadPlan {
         }
         self.nodes.push(PlanNode {
             op,
-            deps: deps.to_vec(),
-            phase: self.phase.unwrap_or(Phase::INPUT),
+            phase: self.phase,
         });
+        self.deps.push_row(deps);
         id
     }
 
@@ -453,6 +442,17 @@ impl WorkloadPlan {
     /// All nodes in emission (topological) order.
     pub fn nodes(&self) -> &[PlanNode] {
         &self.nodes
+    }
+
+    /// The dependencies of the op at `index`, in the order they were
+    /// pushed; every one precedes it. Index-based like
+    /// [`WorkloadPlan::codec_at`], for passes iterating `nodes()` by
+    /// position.
+    ///
+    /// # Panics
+    /// Panics if `index >= self.len()`.
+    pub fn deps(&self, index: usize) -> &[OpId] {
+        self.deps.row(index)
     }
 
     /// The node behind `id`.
@@ -623,7 +623,7 @@ impl WorkloadPlan {
                     format!("{:?} plan contains an optimizer step", self.kind),
                 );
             }
-            for d in &node.deps {
+            for d in self.deps(i) {
                 if d.0 >= i {
                     return err(i, format!("dependency {} does not precede it", d.0));
                 }
@@ -941,7 +941,7 @@ mod tests {
     #[test]
     fn checkpoint_plan_validates_without_optimizer() {
         let c = cluster();
-        let mut p = WorkloadPlan::new_checkpoint();
+        let mut p = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
         assert_eq!(p.kind(), WorkloadKind::Checkpoint);
         let d2h = p.push(
             PlanOp::TierTransfer {
@@ -960,7 +960,7 @@ mod tests {
     #[test]
     fn checkpoint_plan_must_move_state() {
         let c = cluster();
-        let mut p = WorkloadPlan::new_checkpoint();
+        let mut p = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
         p.push(PlanOp::Barrier, &[]);
         let e = p.validate(&c).unwrap_err();
         assert!(e.to_string().contains("moves no state"));
@@ -969,7 +969,7 @@ mod tests {
     #[test]
     fn checkpoint_plan_rejects_optimizer_step() {
         let c = cluster();
-        let mut p = WorkloadPlan::new_checkpoint();
+        let mut p = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
         p.push(
             PlanOp::OptimizerStep {
                 device: OptimizerDevice::Gpu(gpu0()),
@@ -992,10 +992,7 @@ mod tests {
     }
 
     fn minimal_serving_plan(kind: WorkloadKind) -> WorkloadPlan {
-        let mut p = match kind {
-            WorkloadKind::Prefill => WorkloadPlan::new_prefill(),
-            _ => WorkloadPlan::new_decode(),
-        };
+        let mut p = WorkloadPlan::of_kind(kind);
         let stage = if kind == WorkloadKind::Prefill {
             PhaseStage::Prefill
         } else {
@@ -1071,7 +1068,7 @@ mod tests {
     #[test]
     fn serving_plan_must_append_kv_cache() {
         let c = cluster();
-        let mut p = WorkloadPlan::new_prefill();
+        let mut p = WorkloadPlan::of_kind(WorkloadKind::Prefill);
         p.set_phase(PhaseStage::Prefill, 0);
         p.push(
             PlanOp::LayerCompute {

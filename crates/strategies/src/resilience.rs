@@ -127,7 +127,7 @@ enum Direction {
 
 fn plan_state_movement(ctx: &IterCtx<'_>, sink: &CheckpointSink, dir: Direction) -> WorkloadPlan {
     let bytes = snapshot_bytes_per_rank(ctx);
-    let mut p = PlanCtx::new_checkpoint(*ctx);
+    let mut p = PlanCtx::new(*ctx, WorkloadKind::Checkpoint);
     let mut joins = Vec::new();
     for (rank, gpu) in ctx.opts.gpus(ctx.cluster).into_iter().enumerate() {
         let socket = ctx.cluster.gpu_socket(gpu);

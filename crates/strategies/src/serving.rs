@@ -178,10 +178,7 @@ impl ServingStrategy {
         let shard_bytes = m.num_params() * WEIGHT_BYTES_PER_PARAM / tp as f64;
         let bucket_weight_bytes = shard_bytes / n_buckets as f64;
 
-        let mut p = match kind {
-            WorkloadKind::Prefill => PlanCtx::new_prefill(*ctx),
-            _ => PlanCtx::new_decode(*ctx),
-        };
+        let mut p = PlanCtx::new(*ctx, kind);
         // Per-step frontend overhead (scheduler, sampling, launch) on
         // every rank — the fixed cost that makes small-batch decode
         // protocol-bound. Much smaller than the training prologue.

@@ -13,7 +13,7 @@ use zerosim_hw::{GpuId, IoDir, MemLoc, VolumeId};
 use crate::builders::{IterCtx, PlanCtx};
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
-use crate::plan::{Codec, Dtype, OpId, PhaseStage, WorkloadPlan};
+use crate::plan::{Codec, Dtype, OpId, PhaseStage, WorkloadKind, WorkloadPlan};
 
 /// ZeRO optimization stage (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -286,7 +286,7 @@ pub(crate) fn plan_iteration(
     let params = ctx.model.num_params();
     let shard = params / n as f64;
 
-    let mut p = PlanCtx::new(*ctx);
+    let mut p = PlanCtx::new(*ctx, WorkloadKind::Iteration);
     let prologue = p.prologue();
     let mut prev: Vec<OpId> = gpus.iter().map(|g| p.input_h2d(*g, &[prologue])).collect();
 

@@ -27,7 +27,8 @@ use zerosim_model::GptConfig;
 use zerosim_simkit::{FaultKind, FaultSchedule};
 use zerosim_strategies::{
     Calibration, Codec, Dtype, InfinityPlacement, IterCtx, MemoryPlan, OptimizerDevice, PhaseStage,
-    PlanOp, ServingStrategy, Strategy, StrategyPlan, TrainOptions, WorkloadPlan, ZeroStage,
+    PlanOp, ServingStrategy, Strategy, StrategyPlan, TrainOptions, WorkloadKind, WorkloadPlan,
+    ZeroStage,
 };
 use zerosim_testkit::gen::usize_range;
 use zerosim_testkit::{prop, prop_assert};
@@ -336,7 +337,7 @@ fn zl007_events_past_the_horizon_are_advisory_only() {
 /// whether the KV append depends on the forward compute (legal) or only
 /// on the input staging (a decode-effect ordering violation).
 fn decode_fixture(kv_bytes: f64, wire_kv_to_compute: bool) -> WorkloadPlan {
-    let mut plan = WorkloadPlan::new_decode();
+    let mut plan = WorkloadPlan::of_kind(WorkloadKind::Decode);
     let h2d = plan.push(
         PlanOp::TierTransfer {
             src: cpu0(),
@@ -453,7 +454,7 @@ fn zl005_kv_append_is_a_legal_sink_in_serving_phases() {
     // Reorder so the KV append is dependent-less (token d2h hangs off
     // the compute only): the cache write *is* the effect, ZL005 stays
     // silent exactly as it does for checkpoint write-backs.
-    let mut plan = WorkloadPlan::new_decode();
+    let mut plan = WorkloadPlan::of_kind(WorkloadKind::Decode);
     plan.set_phase(PhaseStage::Decode, 0);
     let gemm = plan.push(
         PlanOp::LayerCompute {

@@ -1,9 +1,13 @@
-//! Allocation floor of lowering and execution.
+//! Allocation floor of planning, lowering, execution and linting.
 //!
-//! A counting global allocator tallies the allocations, and the net live
-//! heap bytes, made on the test thread while a thread-local flag is set.
-//! Building and running a DAG must allocate per DAG, not per task:
+//! A counting global allocator tallies the allocations, the net live heap
+//! bytes and their peak, made on the test thread while a thread-local
+//! flag is set. Building and running a DAG must allocate per DAG, not per
+//! task:
 //!
+//! * planning 14 B ZeRO-3 on a 32-GPU pod cluster makes fewer than 0.1
+//!   allocations per plan op: the plan keeps its dependencies in one edge
+//!   list, not one `Vec` per op;
 //! * `lower` makes fewer than 0.5 allocations per task it emits on
 //!   dual-node ZeRO-3 and on 14 B ZeRO-3 on a 32-GPU pod cluster, and
 //!   fewer than 0.06 on single-node ZeRO-Infinity, whose striped volume
@@ -13,7 +17,11 @@
 //! * one `DagEngine::run` of the dual-node ZeRO-3 DAG makes fewer than
 //!   0.05 allocations per task;
 //! * once two runs have sized its run state, an engine that clears its
-//!   spans between runs runs that DAG again without allocating.
+//!   spans between runs runs that DAG again without allocating;
+//! * linting the 8 B Megatron MP=2 candidate of a one-node placement
+//!   search (7,591 plan ops) peaks below 2 MB of live heap: the analyzer's
+//!   ancestor sets keep a bit per group of ops, far below the 7.2 MB per
+//!   pass that one bit per pair of ops takes.
 //!
 //! Run with `cargo test --release --test lowering_allocs`. It is its own
 //! test binary because the counting allocator is process-global.
@@ -21,6 +29,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use zerosim_analyzer::{Artifacts, LintConfig, PassManager};
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagEngine, SimTime};
@@ -35,6 +44,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes allocated minus bytes freed while measured.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` reached while measured.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Records an allocation of `grown` bytes (negative: freed) on a measured
@@ -46,7 +57,11 @@ fn note(fresh: bool, grown: i64) {
             if fresh {
                 let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
             }
-            let _ = LIVE.try_with(|b| b.set(b.get() + grown));
+            let _ = LIVE.try_with(|b| {
+                let live = b.get() + grown;
+                b.set(live);
+                let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+            });
         }
     });
 }
@@ -97,11 +112,14 @@ struct Counted<R> {
     /// Net live heap bytes `f` left behind (what `value` holds, when `f`
     /// frees everything else it allocated).
     live: i64,
+    /// The most net live heap bytes `f` held at any one time.
+    peak: i64,
 }
 
 fn counted<R>(f: impl FnOnce() -> R) -> Counted<R> {
     ALLOCS.with(|n| n.set(0));
     LIVE.with(|b| b.set(0));
+    PEAK.with(|p| p.set(0));
     COUNTING.with(|on| on.set(true));
     let value = f();
     COUNTING.with(|on| on.set(false));
@@ -109,6 +127,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> Counted<R> {
         value,
         allocs: ALLOCS.with(Cell::get),
         live: LIVE.with(Cell::get),
+        peak: PEAK.with(Cell::get),
     }
 }
 
@@ -201,6 +220,67 @@ fn lowering_allocates_per_dag_not_per_task() {
         held <= 170.0,
         "pods ZeRO-3 14 B: the lowered plan holds {} heap bytes for {tasks} tasks ({held:.1} per task)",
         wide.live
+    );
+}
+
+#[test]
+fn planning_allocates_per_plan_not_per_op() {
+    let pods = TopologySpec::parse("pods:2x2x8:2:2").expect("pod topology");
+    let cluster = Cluster::new(pods.build().expect("pod spec")).expect("pod cluster");
+    let model = GptConfig::wide_model_with_params(14.0);
+    let opts = TrainOptions::for_nodes(pods.nodes());
+    let calib = Calibration::default();
+    let ctx = IterCtx {
+        cluster: &cluster,
+        model: &model,
+        opts: &opts,
+        calib: &calib,
+    };
+    let plan = counted(|| {
+        zero3()
+            .plan_iteration(&ctx)
+            .expect("the configuration plans")
+    });
+    let ops = plan.value.len();
+    let rate = per_task(plan.allocs as f64, ops);
+    assert!(
+        rate < 0.1,
+        "planning made {} allocations for {ops} ops ({rate:.3} per op)",
+        plan.allocs
+    );
+}
+
+#[test]
+fn linting_a_search_candidate_keeps_ancestor_sets_small() {
+    let cluster = Cluster::new(TopologySpec::Flat { nodes: 1 }.build().expect("flat spec"))
+        .expect("one-node cluster");
+    let model = GptConfig::paper_model_with_params(8.0);
+    let opts = TrainOptions::for_nodes(1);
+    let calib = Calibration::default();
+    let ctx = IterCtx {
+        cluster: &cluster,
+        model: &model,
+        opts: &opts,
+        calib: &calib,
+    };
+    let megatron = Strategy::Megatron { tp: 2, pp: 1 };
+    let memory = megatron.plan_memory(&ctx).expect("the memory plan");
+    let plan = megatron
+        .plan_iteration(&ctx)
+        .expect("the configuration plans");
+    let lowered = lower(&plan, &cluster, &calib).expect("the plan lowers");
+    let art = Artifacts::new(&cluster)
+        .with_plan(&plan)
+        .with_memory(&memory)
+        .with_dag(lowered.dag())
+        .with_calibration(&calib);
+    let pm = PassManager::with_default_passes(LintConfig::new());
+    let lint = counted(|| pm.run(&art));
+    assert!(
+        lint.peak < 2 << 20,
+        "linting {} plan ops peaked at {} live heap bytes",
+        plan.len(),
+        lint.peak
     );
 }
 

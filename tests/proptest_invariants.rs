@@ -5,6 +5,7 @@
 //! property are unchanged; all now run ≥ 64 cases (the seed suite ran some
 //! at 16–32). Tune with `ZEROSIM_PT_CASES` / replay with `ZEROSIM_PT_SEED`.
 
+use zerosim_analyzer::Ancestors;
 use zerosim_core::max_model_size;
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId};
 use zerosim_model::GptConfig;
@@ -12,7 +13,7 @@ use zerosim_simkit::{
     BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FaultKind, FaultSchedule, FlowNet,
     FlowObserver, LinkId, NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
 };
-use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::{Calibration, PlanOp, Strategy, TrainOptions, WorkloadPlan, ZeroStage};
 use zerosim_testkit::domain::{flow_paths, link_caps};
 use zerosim_testkit::gen::{f64_range, tuple3, u64_range, usize_range, vec_of};
 use zerosim_testkit::{prop, prop_assert, prop_assert_eq};
@@ -668,6 +669,61 @@ prop! {
         prop_assert_eq!(reused.task_finish(), fresh.task_finish());
         prop_assert_eq!(&reused.spans().spans()[spans_before..], fresh.spans().spans());
         prop_assert_eq!(reused.stats().delta_since(&stats_before), fresh.stats());
+    }
+}
+
+// ---------- analyzer ancestor sets ----------
+
+prop! {
+    /// Grouped ancestor queries agree with brute-force reachability: on
+    /// random plans (up to three dependencies per op, repeats allowed),
+    /// group `g` reaches op `i` exactly when a depth-first walk up `i`'s
+    /// dependencies meets an op of group `g`. `wide` spreads the groups
+    /// over 70 ids, so a bitset spans two words; otherwise three groups
+    /// hold many ops each.
+    #[cases(64)]
+    fn grouped_ancestors_match_brute_force_reachability(
+        spec in vec_of(
+            tuple3(usize_range(0, 4), u64_range(0, u64::MAX), usize_range(0, 100)),
+            1,
+            48,
+        ),
+        wide in usize_range(0, 2),
+    ) {
+        let mut plan = WorkloadPlan::new();
+        let mut ids = Vec::new();
+        let mut group_of = Vec::new();
+        for (i, &(fan, salt, group)) in spec.iter().enumerate() {
+            let deps: Vec<_> = (0..if i == 0 { 0 } else { fan })
+                .map(|k| ids[usize::try_from((salt >> (16 * k)) % i as u64).expect("below i")])
+                .collect();
+            ids.push(plan.push(PlanOp::Barrier, &deps));
+            group_of.push(if wide == 1 {
+                (group < 70).then_some(group)
+            } else {
+                (group % 4 < 3).then_some(group % 4)
+            });
+        }
+        let anc = Ancestors::new(&plan, &group_of);
+        let groups = group_of.iter().flatten().max().map_or(0, |g| g + 1);
+        for i in 0..plan.len() {
+            let mut seen = vec![false; plan.len()];
+            let mut stack: Vec<usize> = plan.deps(i).iter().map(|d| d.index()).collect();
+            while let Some(p) = stack.pop() {
+                if !seen[p] {
+                    seen[p] = true;
+                    stack.extend(plan.deps(p).iter().map(|d| d.index()));
+                }
+            }
+            for g in 0..=groups {
+                let brute = (0..plan.len()).any(|p| seen[p] && group_of[p] == Some(g));
+                prop_assert!(
+                    anc.reaches(g, i) == brute,
+                    "group {g} at op {i}: reaches says {}, the walk {brute}",
+                    !brute
+                );
+            }
+        }
     }
 }
 
