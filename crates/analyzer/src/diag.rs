@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use zerosim_strategies::{Phase, PhaseStage};
 use zerosim_testkit::json::Json;
 
 /// Stable identifier of one static analysis.
@@ -174,16 +173,14 @@ impl Severity {
     }
 }
 
-/// Where a finding is anchored: a plan op, a phase, a DAG task, a fault
-/// event, a link, or the configuration as a whole.
+/// Where a finding is anchored: a plan op, a DAG task, a fault event, a
+/// link, or the configuration as a whole.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Site {
     /// The configuration as a whole (e.g. a memory-plan verdict).
     Config,
     /// Iteration-plan op by emission index.
     PlanOp(usize),
-    /// A phase of the iteration.
-    Phase(Phase),
     /// Lowered-DAG task by insertion index.
     DagTask(usize),
     /// Fault-schedule event by insertion index.
@@ -192,24 +189,11 @@ pub enum Site {
     Link(String),
 }
 
-fn stage_label(stage: PhaseStage) -> &'static str {
-    match stage {
-        PhaseStage::Input => "input",
-        PhaseStage::Forward => "forward",
-        PhaseStage::Backward => "backward",
-        PhaseStage::Step => "step",
-        PhaseStage::Checkpoint => "checkpoint",
-        PhaseStage::Prefill => "prefill",
-        PhaseStage::Decode => "decode",
-    }
-}
-
 impl fmt::Display for Site {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Site::Config => write!(f, "config"),
             Site::PlanOp(i) => write!(f, "op {i}"),
-            Site::Phase(p) => write!(f, "phase {}#{}", stage_label(p.stage), p.micro),
             Site::DagTask(i) => write!(f, "task {i}"),
             Site::FaultEvent(i) => write!(f, "fault {i}"),
             Site::Link(name) => write!(f, "link {name}"),
@@ -225,13 +209,6 @@ impl Site {
                 let idx = *i;
                 ("plan-op", Json::Num(to_num(idx)))
             }
-            Site::Phase(p) => (
-                "phase",
-                Json::Obj(vec![
-                    ("stage".into(), Json::Str(stage_label(p.stage).into())),
-                    ("micro".into(), Json::Num(f64::from(p.micro))),
-                ]),
-            ),
             Site::DagTask(i) => ("dag-task", Json::Num(to_num(*i))),
             Site::FaultEvent(i) => ("fault-event", Json::Num(to_num(*i))),
             Site::Link(name) => ("link", Json::Str(name.clone())),
@@ -419,10 +396,5 @@ mod tests {
             Site::Link("n0nic0.roce.tx".into()).to_string(),
             "link n0nic0.roce.tx"
         );
-        let p = Phase {
-            micro: 1,
-            stage: PhaseStage::Backward,
-        };
-        assert_eq!(Site::Phase(p).to_string(), "phase backward#1");
     }
 }

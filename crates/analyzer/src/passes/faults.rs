@@ -65,40 +65,6 @@ impl Pass for FaultSchedulePass {
                 }
             }
             match &ev.kind {
-                FaultKind::SetLinkCap {
-                    link,
-                    bytes_per_sec,
-                } => {
-                    if link.index() >= link_count {
-                        sink.report(
-                            LintCode::FaultSchedule,
-                            site,
-                            format!("targets unknown link {}", link.index()),
-                            format!("the cluster has {link_count} links"),
-                        );
-                    } else if !(bytes_per_sec.is_finite() && *bytes_per_sec > 0.0) {
-                        sink.report(
-                            LintCode::FaultSchedule,
-                            site,
-                            format!("non-physical link capacity {bytes_per_sec} B/s"),
-                            "capacities must be finite and positive; use NodeLoss to kill \
-                             connectivity"
-                                .to_string(),
-                        );
-                    } else if !faulted_links.insert(link.index()) {
-                        sink.report_at_most(
-                            LintCode::FaultSchedule,
-                            Severity::Warning,
-                            site,
-                            format!(
-                                "re-caps link {} that is already degraded (overlapping windows)",
-                                link.index()
-                            ),
-                            "capacities are absolute, not cumulative; merge the windows"
-                                .to_string(),
-                        );
-                    }
-                }
                 FaultKind::ScaleLink { link, factor } => {
                     if link.index() >= link_count {
                         sink.report(

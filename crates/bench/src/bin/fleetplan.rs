@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! fleetplan [--topology SPEC] [--model B | --model wide:B] [--rate L]
-//!           [--days T] [--tokens N] [--workers N] [--top N]
-//!           [--samples N] [--json] [--bench PATH]
+//!           [--days T] [--tokens N] [--workers N] [--top N] [--json]
 //! ```
 //!
 //! * `--topology SPEC` — the fleet shape: `paper` (default), `flat:<nodes>`,
@@ -24,28 +23,25 @@
 //!   any width (only wall-clock changes).
 //! * `--top N` — placements costed in full from the throughput ranking
 //!   (default 4).
-//! * `--samples N` — Monte-Carlo samples per Young/Daly validation
-//!   ensemble in the `--bench` scorecard (default 32; at least 1).
 //! * `--json` — machine-readable report instead of text.
-//! * `--bench PATH` — also write a `BENCH_fleet.json` scorecard: the
-//!   costed ranking plus the Young/Daly bracket validation on the three
-//!   golden configurations, with width-invariant digests.
+//!
+//! The Young/Daly bracket validation on the golden configurations is
+//! `repro ext13`.
 //!
 //! Exit status: 0 on success, 1 when the search fails, 2 on usage errors.
 
 use std::time::Instant;
 
 use zerosim_bench::cli::{
-    parse_count, parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
+    parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
 };
-use zerosim_bench::experiments::fleet::{golden_brackets, ENSEMBLE_SEED};
-use zerosim_core::{fleet_search, FleetCostConfig, FleetReport, YoungDalyBracket};
+use zerosim_core::{fleet_search, FleetCostConfig, FleetReport};
 use zerosim_testkit::json::Json;
 
 fn usage() -> ! {
     eprintln!(
         "usage: fleetplan [--topology SPEC] [--model B|wide:B] [--rate L] [--days T] \
-         [--tokens N] [--workers N] [--top N] [--samples N] [--json] [--bench PATH]"
+         [--tokens N] [--workers N] [--top N] [--json]"
     );
     eprintln!("topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> |");
     eprintln!("            pods:<pods>x<islands>x<gpus>:<pod_over>:<spine_over>");
@@ -102,31 +98,6 @@ fn report_json(report: &FleetReport) -> Json {
     ])
 }
 
-fn bracket_json(name: &str, b: &YoungDalyBracket) -> Json {
-    let point = |p: &zerosim_core::BracketPoint| {
-        Json::Obj(vec![
-            ("interval_iters".into(), Json::Num(p.interval_iters as f64)),
-            (
-                "mean_goodput_tflops".into(),
-                Json::Num(p.mean_goodput_tflops),
-            ),
-            ("failed".into(), Json::Num(p.failed as f64)),
-            ("digest".into(), Json::Str(format!("{:016x}", p.digest))),
-        ])
-    };
-    Json::Obj(vec![
-        ("config".into(), Json::Str(name.into())),
-        ("ckpt_cost_s".into(), Json::Num(b.ckpt_cost_s)),
-        ("mtbf_s".into(), Json::Num(b.mtbf_s)),
-        ("interval_s".into(), Json::Num(b.interval_s)),
-        ("half".into(), point(&b.half)),
-        ("opt".into(), point(&b.opt)),
-        ("double".into(), point(&b.double)),
-        ("yd_win".into(), Json::Bool(b.yd_wins())),
-        ("digest".into(), Json::Str(format!("{:016x}", b.digest()))),
-    ])
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -147,8 +118,6 @@ fn main() {
         take_value(&mut args, "--tokens").map(|raw| parse_or_exit(Some(raw), "--tokens", f64::NAN));
     let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
     let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 4);
-    let samples = parse_count(take_value(&mut args, "--samples"), "--samples", 32);
-    let bench_path = take_value(&mut args, "--bench");
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");
         usage();
@@ -174,36 +143,5 @@ fn main() {
     } else {
         print!("{}", report.render_text());
         eprintln!("[search completed in {wall_secs:.2}s at {workers} worker(s)]");
-    }
-    if let Some(path) = bench_path {
-        // The scorecard adds the Young/Daly validation brackets on the
-        // three golden configurations — the expensive Monte-Carlo stage,
-        // run only when a scorecard is requested.
-        let brackets = golden_brackets(samples, workers);
-        let mut ensemble_digest = 0x424e_4348u64; // "BNCH"
-        for (_, b) in &brackets {
-            ensemble_digest = ensemble_digest.rotate_left(17) ^ b.digest();
-        }
-        let scorecard = Json::Obj(vec![
-            ("report".into(), report_json(&report)),
-            (
-                "brackets".into(),
-                Json::Arr(
-                    brackets
-                        .iter()
-                        .map(|(name, b)| bracket_json(name, b))
-                        .collect(),
-                ),
-            ),
-            ("samples".into(), Json::Num(samples as f64)),
-            ("seed".into(), Json::Num(ENSEMBLE_SEED as f64)),
-            (
-                "ensemble_digest".into(),
-                Json::Str(format!("{ensemble_digest:016x}")),
-            ),
-            ("wall_secs".into(), Json::Num(wall_secs)),
-        ]);
-        std::fs::write(&path, scorecard.render()).expect("write bench scorecard");
-        eprintln!("[scorecard written to {path}]");
     }
 }

@@ -7,8 +7,6 @@
 //! planlint [--json] [--level CODE=LEVEL]... [--nodes N | --topology SPEC] golden
 //! planlint [--json] [--level CODE=LEVEL]... [--nodes N | --topology SPEC] <strategy>...
 //! planlint list
-//! planlint zl008-selfcheck
-//! planlint --bench FILE
 //! ```
 //!
 //! * `golden` lints the paper's full strategy matrix (the 12 golden
@@ -24,40 +22,28 @@
 //!   `pods:<pods>x<islands>x<gpus>:<pod>:<spine>` — spanning all its
 //!   nodes (overrides `--nodes`).
 //! * `--level ZLxxx=allow|warn|deny` overrides a lint's level.
-//! * `zl008-selfcheck` seeds a deliberately illegal codec plan and
-//!   verifies ZL008 catches it, exiting 2 with the ZL008 findings — the
-//!   verify.sh gate asserts that exact exit code, so a silent analyzer
-//!   regression cannot masquerade as a clean run.
-//! * `--bench FILE` writes ZL009 static step-time bounds next to the
-//!   simulated iteration times (seeds 0/1/7/42) for every golden and
-//!   ZeRO++ config into FILE, with an `all_bounds_hold` verdict.
 //!
 //! Exit status: 0 when no deny-level findings, 1 when any config has
-//! deny findings, 2 on usage errors (and, deliberately, for the caught
-//! `zl008-selfcheck` violation).
+//! deny findings, 2 on usage errors.
 //!
 //! JSON output is versioned: the top level is an object with a
 //! `schema_version` field and the per-config reports under `configs`.
 
-use zerosim_analyzer::{analyze_strategy, AnalysisReport, Artifacts, LintConfig, PassManager};
+use zerosim_analyzer::{analyze_strategy, AnalysisReport, LintConfig};
 use zerosim_bench::cli::{
     parse_count, parse_topology, strategy_by_name, strategy_names, take_flag, take_value,
     usage_error,
 };
 use zerosim_bench::data::golden_matrix;
-use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_core::{RunConfig, SweepSpec};
-use zerosim_hw::{Cluster, ClusterSpec, GpuId};
+use zerosim_hw::ClusterSpec;
 use zerosim_model::GptConfig;
-use zerosim_strategies::{Codec, Dtype, PhaseStage, PlanOp, Strategy, TrainOptions, WorkloadPlan};
+use zerosim_strategies::TrainOptions;
 use zerosim_testkit::json::Json;
 
-/// Version of the `--json` (and `--bench`) output shape. Bump on any
-/// structural change so downstream tooling can pin what it parses.
+/// Version of the `--json` output shape. Bump on any structural change
+/// so downstream tooling can pin what it parses.
 const SCHEMA_VERSION: f64 = 2.0;
-
-/// Jitter seeds the `--bench` mode simulates each config under.
-const BENCH_SEEDS: [u64; 4] = [0, 1, 7, 42];
 
 /// A lintable configuration: the paper's 1.4 B model under the strategy
 /// named `name` ([`strategy_by_name`]) on every node of `cluster`. Exits
@@ -91,16 +77,6 @@ fn golden_cases() -> Vec<SweepSpec> {
         .collect();
     cases.push(case("ZeRO-Infinity (NVME opt+param)", paper_cluster(1)));
     cases
-}
-
-/// The three ZeRO++ strategies on the paper's dual-node testbed — the
-/// configurations whose codec-aware accounting this linter exists to
-/// check.
-fn zeropp_cases() -> Vec<SweepSpec> {
-    [Strategy::qwz(), Strategy::hpz(), Strategy::qgz()]
-        .into_iter()
-        .map(|strategy| case(&strategy.name(), paper_cluster(2)))
-        .collect()
 }
 
 /// Lints `spec`'s strategy on the cluster [`SweepSpec::build_sim`] makes.
@@ -138,137 +114,6 @@ fn render_json(results: &[(String, AnalysisReport)]) -> Json {
     ])
 }
 
-/// Builds a deliberately illegal codec plan: a quantized all-gather
-/// whose declared ratio contradicts its dtype pair, feeding compute with
-/// no decode in between. ZL008 must deny both.
-fn seeded_codec_violation() -> WorkloadPlan {
-    let mut plan = WorkloadPlan::new();
-    plan.set_phase(PhaseStage::Forward, 0);
-    let g0 = GpuId { node: 0, gpu: 0 };
-    let g1 = GpuId { node: 0, gpu: 1 };
-    let gather = plan.push(
-        PlanOp::Collective {
-            kind: CollectiveKind::AllGather,
-            group: CommGroup::new(vec![g0, g1]),
-            bytes: 1e9,
-            cap: f64::INFINITY,
-        },
-        &[],
-    );
-    let mut codec = Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048);
-    codec.ratio = 0.25; // contradicts Fp16 -> Int8 (0.5)
-    plan.set_codec(gather, codec);
-    plan.push(
-        PlanOp::LayerCompute {
-            gpu: g0,
-            flops: 1e12,
-            label: "gemm",
-        },
-        &[gather],
-    );
-    plan
-}
-
-/// `zl008-selfcheck`: exits 2 when ZL008 catches the seeded violation.
-fn zl008_selfcheck() -> ! {
-    let cluster = Cluster::new(paper_cluster(1)).expect("paper cluster spec is valid");
-    let plan = seeded_codec_violation();
-    let pm = PassManager::with_default_passes(LintConfig::new());
-    let report = pm.run(&Artifacts::new(&cluster).with_plan(&plan));
-    let zl008_denies = report
-        .with_code(zerosim_analyzer::LintCode::CodecLegality)
-        .len();
-    if zl008_denies > 0 && !report.is_clean() {
-        print!("{}", report.render_text());
-        eprintln!("zl008-selfcheck: seeded codec violation caught ({zl008_denies} ZL008 findings)");
-        std::process::exit(2);
-    }
-    eprintln!("zl008-selfcheck: FAILED — seeded codec violation was not caught");
-    std::process::exit(1);
-}
-
-/// `--bench FILE`: for every golden and ZeRO++ config, emit the ZL009
-/// static bounds next to simulated iteration times at each bench seed.
-fn bench_bounds(path: &str) -> ! {
-    let mut cases = golden_cases();
-    cases.extend(zeropp_cases());
-    let mut rows: Vec<Json> = Vec::new();
-    let mut all_hold = true;
-    for case in &cases {
-        let report = match lint(case, LintConfig::new()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}: cannot plan/lower: {e}", case.label);
-                std::process::exit(1);
-            }
-        };
-        let Some(bound) = report.bound.clone() else {
-            eprintln!("{}: ZL009 emitted no bound", case.label);
-            std::process::exit(1);
-        };
-        let mut sims: Vec<f64> = Vec::new();
-        let mut holds = true;
-        for seed in BENCH_SEEDS {
-            let mut spec = case.clone();
-            spec.opts = spec.opts.with_jitter_seed(seed);
-            match spec.execute() {
-                Ok(run) => {
-                    let t = run.report.iter_time.as_secs();
-                    holds &= bound.protocol_s <= t * (1.0 + 1e-9);
-                    sims.push(t);
-                }
-                Err(e) => {
-                    eprintln!("{} seed {seed}: sim failed: {e}", case.label);
-                    std::process::exit(1);
-                }
-            }
-        }
-        all_hold &= holds;
-        println!(
-            "[{}] {}: bound {:.4}s (wire SoL {:.4}s) vs sim {:.4}-{:.4}s",
-            if holds { "ok" } else { "VIOLATED" },
-            case.label,
-            bound.protocol_s,
-            bound.wire_sol_s,
-            sims.iter().fold(f64::INFINITY, |a, b| a.min(*b)),
-            sims.iter().fold(0.0_f64, |a, b| a.max(*b)),
-        );
-        rows.push(Json::Obj(vec![
-            ("config".into(), Json::Str(case.label.clone())),
-            ("protocol_bound_s".into(), Json::Num(bound.protocol_s)),
-            ("wire_sol_s".into(), Json::Num(bound.wire_sol_s)),
-            (
-                "sim_iter_s".into(),
-                Json::Arr(sims.iter().map(|t| Json::Num(*t)).collect()),
-            ),
-            ("holds".into(), Json::Bool(holds)),
-        ]));
-    }
-    let doc = Json::Obj(vec![
-        ("schema_version".into(), Json::Num(SCHEMA_VERSION)),
-        (
-            "seeds".into(),
-            Json::Arr(
-                BENCH_SEEDS
-                    .iter()
-                    .map(|s| {
-                        #[allow(clippy::cast_precision_loss)]
-                        Json::Num(*s as f64)
-                    })
-                    .collect(),
-            ),
-        ),
-        ("configs".into(), Json::Arr(rows)),
-        ("all_bounds_hold".into(), Json::Bool(all_hold)),
-    ]);
-    if let Err(e) = std::fs::write(path, doc.render() + "\n") {
-        eprintln!("--bench: cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {path} (all_bounds_hold: {all_hold})");
-    std::process::exit(i32::from(!all_hold));
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: planlint [--json] [--level CODE=LEVEL]... [--nodes N | --topology SPEC] \
@@ -285,12 +130,6 @@ fn usage() -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "zl008-selfcheck") {
-        zl008_selfcheck();
-    }
-    if let Some(path) = take_value(&mut args, "--bench") {
-        bench_bounds(&path);
-    }
     let json = take_flag(&mut args, "--json");
     let mut config = LintConfig::new();
     while let Some(directive) = take_value(&mut args, "--level") {

@@ -6,8 +6,7 @@
 //! ```text
 //! servesim [--strategy dense|nvme] [--model B] [--nodes N] [--batch N]
 //!          [--requests N] [--arrivals open:RPS|closed:C]
-//!          [--prompt LO,HI] [--output LO,HI] [--seed S]
-//!          [--workers N] [--json] [--bench PATH]
+//!          [--prompt LO,HI] [--output LO,HI] [--seed S] [--json]
 //! ```
 //!
 //! * `--strategy` — `dense` (weights resident, TP over all GPUs) or
@@ -19,13 +18,9 @@
 //! * `--requests N`, `--arrivals`, `--prompt`, `--output`, `--seed` —
 //!   the synthetic trace (deterministic per seed). `--prompt` and
 //!   `--output` take inclusive token ranges `LO,HI` with `1 <= LO <= HI`.
-//! * `--workers N` — fan-out for the `--bench` scorecard sweeps; results
-//!   are byte-identical at any width (only wall-clock changes).
 //! * `--json` — machine-readable report instead of text.
-//! * `--bench PATH` — instead of the single run, write the serving
-//!   scorecard: the three golden ext14 deployments plus the decode
-//!   regime sweep, with width-invariant digests and the sanity verdict
-//!   `verify.sh` gates on.
+//!
+//! The golden deployments and the decode regime sweep are `repro ext14`.
 //!
 //! Exit status: 0 on success, 1 when the run fails, 2 on usage errors
 //! (including a zero `--nodes`, `--batch` or `--requests`).
@@ -35,9 +30,7 @@ use std::time::Instant;
 use zerosim_bench::cli::{
     parse_billions, parse_count, parse_or_exit, parse_range, take_flag, take_value, usage_error,
 };
-use zerosim_bench::experiments::serving::{
-    golden_runs, golden_trace, regime_sweep, RegimePoint, SERVE_SEED,
-};
+use zerosim_bench::experiments::serving::SERVE_SEED;
 use zerosim_core::{ArrivalProcess, ServeRun, ServeSpec, TraceConfig};
 use zerosim_hw::{ClusterSpec, NvmeId, VolumeId};
 use zerosim_model::GptConfig;
@@ -48,7 +41,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: servesim [--strategy dense|nvme] [--model B] [--nodes N] [--batch N] \
          [--requests N] [--arrivals open:RPS|closed:C] [--prompt LO,HI] [--output LO,HI] \
-         [--seed S] [--workers N] [--json] [--bench PATH]"
+         [--seed S] [--json]"
     );
     std::process::exit(2);
 }
@@ -101,68 +94,6 @@ fn run_json(run: &ServeRun) -> Json {
     ])
 }
 
-fn regime_json(p: &RegimePoint) -> Json {
-    Json::Obj(vec![
-        ("nodes".into(), Json::Num(p.nodes as f64)),
-        ("batch".into(), Json::Num(p.batch as f64)),
-        ("tpot_ms".into(), Json::Num(p.tpot_s * 1e3)),
-        ("overhead_share".into(), Json::Num(p.overhead_share)),
-        ("wire_share".into(), Json::Num(p.wire_share)),
-        ("bound_by".into(), Json::Str(p.verdict().into())),
-    ])
-}
-
-/// The `--bench` scorecard: golden deployments + regime sweep, combined
-/// digest, and the sanity verdict `verify.sh` greps for.
-fn bench_scorecard(workers: usize) -> Json {
-    let t0 = Instant::now();
-    let runs = golden_runs(workers);
-    let points = regime_sweep(workers);
-    let mut serve_digest = 0x5345_5256u64; // "SERV"
-    for run in &runs {
-        serve_digest = serve_digest.rotate_left(17) ^ run.digest;
-    }
-    let trace = golden_trace();
-    // Sanity: every request completes, percentiles are ordered, the plan
-    // cache hits, dense first tokens cost more than dense decode tokens
-    // (prefill pays a whole prompt; NVMe streaming is exempt — there
-    // *every* decode step re-reads the weights prefill amortizes over the
-    // batch), and streaming weights from NVMe costs first-token latency
-    // over keeping them resident.
-    let sane = runs.iter().all(|run| {
-        let r = &run.report;
-        r.requests == trace.requests
-            && r.ttft_p99 >= r.ttft_p50
-            && r.tpot_p99 >= r.tpot_p50
-            && r.decode_steps > r.plan_lowerings
-    }) && runs[..2]
-        .iter()
-        .all(|run| run.report.ttft_p50 > run.report.tpot_p50)
-        && runs[2].report.ttft_p50 > runs[0].report.ttft_p50
-        && runs[2].report.tpot_p50 > runs[0].report.tpot_p50;
-    let nvme_ttft_ratio =
-        runs[2].report.ttft_p50.as_secs() / runs[0].report.ttft_p50.as_secs().max(1e-12);
-    Json::Obj(vec![
-        ("seed".into(), Json::Num(SERVE_SEED as f64)),
-        ("requests".into(), Json::Num(trace.requests as f64)),
-        (
-            "deployments".into(),
-            Json::Arr(runs.iter().map(run_json).collect()),
-        ),
-        (
-            "regime".into(),
-            Json::Arr(points.iter().map(regime_json).collect()),
-        ),
-        ("nvme_ttft_ratio".into(), Json::Num(nvme_ttft_ratio)),
-        ("sane".into(), Json::Bool(sane)),
-        (
-            "serve_digest".into(),
-            Json::Str(format!("{serve_digest:016x}")),
-        ),
-        ("wall_secs".into(), Json::Num(t0.elapsed().as_secs_f64())),
-    ])
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -180,18 +111,9 @@ fn main() {
     let prompt = parse_range(take_value(&mut args, "--prompt"), "--prompt", (128, 512));
     let output = parse_range(take_value(&mut args, "--output"), "--output", (16, 48));
     let seed: u64 = parse_or_exit(take_value(&mut args, "--seed"), "--seed", SERVE_SEED);
-    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
-    let bench_path = take_value(&mut args, "--bench");
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");
         usage();
-    }
-
-    if let Some(path) = bench_path {
-        let scorecard = bench_scorecard(workers);
-        std::fs::write(&path, scorecard.render()).expect("write bench scorecard");
-        eprintln!("[scorecard written to {path}]");
-        return;
     }
 
     let model = GptConfig::paper_model_with_params(billions);

@@ -73,7 +73,7 @@ pub fn parse_billions(raw: &str, what: &str) -> f64 {
     }
 }
 
-/// Parses a count (nodes, batch slots, requests, samples) for `flag`, or
+/// Parses a count (nodes, batch slots, requests) for `flag`, or
 /// returns `default` when the flag was absent. Exits unless it is a
 /// positive integer; a node count above the cluster's is the library's
 /// typed error.

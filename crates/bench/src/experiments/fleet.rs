@@ -14,8 +14,10 @@
 //!    seconds-scale window exercises the same physics as a 50-day one in
 //!    a tractable number of simulated iterations).
 //!
-//! Everything is seed-stamped and byte-identical at any sweep width; the
-//! `fleetplan --bench` scorecard gates on it in `verify.sh`.
+//! Everything is seed-stamped and byte-identical at any sweep width. The
+//! artifact ends with one digest over all three brackets, and
+//! `verify.sh` gates on it: every bracket row must read `yes`, and the
+//! artifact must be byte-identical at `--workers` 1 and 4.
 
 use zerosim_core::{
     fleet_search, young_daly_bracket, CheckpointSink, EnsembleConfig, FleetCostConfig,
@@ -178,7 +180,15 @@ pub fn ext13_search() -> FleetReport {
     fleet_search(&cfg).expect("fleet search runs")
 }
 
-/// Renders the bracket table shared by the artifact and the scorecard.
+/// One fingerprint over every bracket's [`YoungDalyBracket::digest`], in
+/// order.
+fn brackets_digest(brackets: &[(&'static str, YoungDalyBracket)]) -> u64 {
+    brackets
+        .iter()
+        .fold(0x424e_4348, |h, (_, b)| h.rotate_left(17) ^ b.digest())
+}
+
+/// Renders the Young/Daly bracket table.
 pub fn bracket_table(brackets: &[(&'static str, YoungDalyBracket)]) -> String {
     let mut t = Table::new(vec![
         "config",
@@ -217,11 +227,13 @@ pub fn ext13_fleet_economics() -> String {
          per-configuration quantity, not a cluster constant.\n\n\
          Young/Daly validation — mean goodput (TFLOP/s) over {} MTBF-sampled\n\
          fault ensembles per cell, same sampled schedules at every cadence\n\
-         (compressed MTBF, seed {}):\n{}",
+         (compressed MTBF, seed {}):\n{}\
+         bracket digest: {:016x}\n",
         report.render_text(),
         ENSEMBLE_SAMPLES,
         ENSEMBLE_SEED,
         bracket_table(&brackets),
+        brackets_digest(&brackets),
     )
 }
 
@@ -234,8 +246,8 @@ mod tests {
         // Debug-budget bracket: fewer samples, shorter runs. The win
         // assertion is the same physics the release gate checks at 32
         // samples; width-invariance of the digests is gated in release by
-        // `scripts/verify.sh` (fleetplan --workers 1 vs 4) and by the
-        // core ensemble tests.
+        // `scripts/verify.sh` (`repro ext13` at --workers 1 vs 4) and by
+        // the core ensemble tests.
         let (name, strategy, nodes) = golden_configs().remove(0);
         let a = golden_bracket(name, &strategy, nodes, 8, 12, 2);
         assert!(

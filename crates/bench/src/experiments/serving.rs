@@ -21,8 +21,10 @@
 //!    *wire-bound*: every layer's tensor-parallel all-reduce pays the
 //!    RoCE hop, the serving analogue of Megatron's Fig. 7-b collapse.
 //!
-//! Everything is seed-stamped and byte-identical at any worker width; the
-//! `servesim --bench` scorecard gates on it in `verify.sh`.
+//! Everything is seed-stamped and byte-identical at any worker width:
+//! `verify.sh` renders the artifact at `--workers` 1 and 4 and compares
+//! the two, and `tests/serve_determinism.rs` pins the golden digests and
+//! checks that their latencies keep their order.
 
 use zerosim_core::{ArrivalProcess, ServeRun, ServeSpec, SweepRunner, TraceConfig};
 use zerosim_hw::{ClusterSpec, NvmeId, VolumeId};
@@ -101,8 +103,7 @@ fn ms(t: SimTime) -> String {
     format!("{:.1}", t.as_secs() * 1e3)
 }
 
-/// Renders the golden-deployment latency table shared by the artifact and
-/// the `servesim` scorecard.
+/// Renders the golden-deployment latency table.
 pub fn latency_table(runs: &[ServeRun]) -> String {
     let mut t = Table::new(vec![
         "deployment",

@@ -76,16 +76,10 @@ pub fn fig5() -> String {
             Some(p) => {
                 let ext = p.extent.as_secs().max(1e-12);
                 let pct = |s: f64| 100.0 * s / ext;
-                let nccl_s: f64 = [
-                    "allreduce",
-                    "allgather",
-                    "reducescatter",
-                    "reduce",
-                    "broadcast",
-                ]
-                .iter()
-                .map(|l| p.label_time(l).as_secs())
-                .sum();
+                let nccl_s: f64 = ["allreduce", "allgather", "reducescatter"]
+                    .iter()
+                    .map(|l| p.label_time(l).as_secs())
+                    .sum();
                 let staging_s: f64 = ["h2d", "d2h", "nvme_read", "nvme_write"]
                     .iter()
                     .map(|l| p.label_time(l).as_secs())

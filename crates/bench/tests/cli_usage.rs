@@ -16,8 +16,8 @@ const SERVESIM: &str = env!("CARGO_BIN_EXE_servesim");
 const SWEEP: &str = env!("CARGO_BIN_EXE_sweep");
 const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 
-/// Where `fleetplan --samples 0 --bench` would write, were it to run.
-const FLEET_BENCH: &str = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_usage_fleet.json");
+/// Where the `--bench` rows below would write, were they accepted.
+const BENCH_OUT: &str = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_usage_bench.json");
 
 /// (binary, arguments): every invocation must be a usage error.
 const USAGE_ERRORS: &[(&str, &[&str])] = &[
@@ -28,9 +28,17 @@ const USAGE_ERRORS: &[(&str, &[&str])] = &[
     (SERVESIM, &["--output", "5,1"]),
     (SERVESIM, &["--output", "0,0"]),
     (SERVESIM, &["--prompt", "0,0"]),
-    // Zero counts in sweep and fleetplan.
+    // Zero counts in sweep.
     (SWEEP, &["--batch", "0", "--sizes", "1.4"]),
-    (FLEETPLAN, &["--samples", "0", "--bench", FLEET_BENCH]),
+    // No tool writes a scorecard or seeds a self-check: those verdicts
+    // live in the tests and `repro` artifacts that run the same
+    // configurations.
+    (PLANLINT, &["--bench", BENCH_OUT]),
+    (PLANLINT, &["zl008-selfcheck"]),
+    (FLEETPLAN, &["--bench", BENCH_OUT]),
+    (FLEETPLAN, &["--samples", "32"]),
+    (SERVESIM, &["--bench", BENCH_OUT]),
+    (SERVESIM, &["--workers", "4"]),
     // Sizes and node counts sweep and trace cannot run.
     (SWEEP, &["--sizes", "-1"]),
     (SWEEP, &["--nodes", "0"]),

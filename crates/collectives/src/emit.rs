@@ -22,16 +22,6 @@ pub enum CollectiveKind {
     AllGather,
     /// Every rank ends with one reduced shard.
     ReduceScatter,
-    /// One root rank ends with the reduced buffer.
-    Reduce {
-        /// Index (in ring order) of the receiving rank.
-        root: usize,
-    },
-    /// One root rank's buffer ends up everywhere.
-    Broadcast {
-        /// Index (in ring order) of the sending rank.
-        root: usize,
-    },
 }
 
 impl CollectiveKind {
@@ -42,10 +32,7 @@ impl CollectiveKind {
         }
         match self {
             CollectiveKind::AllReduce => 2 * (n - 1),
-            CollectiveKind::AllGather
-            | CollectiveKind::ReduceScatter
-            | CollectiveKind::Reduce { .. }
-            | CollectiveKind::Broadcast { .. } => n - 1,
+            CollectiveKind::AllGather | CollectiveKind::ReduceScatter => n - 1,
         }
     }
 
@@ -59,9 +46,6 @@ impl CollectiveKind {
         match self {
             CollectiveKind::AllReduce => 2.0 * frac * bytes,
             CollectiveKind::AllGather | CollectiveKind::ReduceScatter => frac * bytes,
-            // Pipelined ring reduce/broadcast: interior ranks forward the
-            // full buffer once; averaged per rank this is ≈ bytes.
-            CollectiveKind::Reduce { .. } | CollectiveKind::Broadcast { .. } => frac * bytes,
         }
     }
 
@@ -70,8 +54,6 @@ impl CollectiveKind {
             CollectiveKind::AllReduce => "allreduce",
             CollectiveKind::AllGather => "allgather",
             CollectiveKind::ReduceScatter => "reducescatter",
-            CollectiveKind::Reduce { .. } => "reduce",
-            CollectiveKind::Broadcast { .. } => "broadcast",
         }
     }
 }
@@ -91,8 +73,7 @@ pub struct CollectiveHandle {
 /// the paper's nsys timelines show).
 ///
 /// # Panics
-/// Panics if `bytes` is not positive and finite, or if a `root` index is
-/// out of range.
+/// Panics if `bytes` is not positive and finite.
 pub fn emit_collective(
     dag: &mut DagBuilder,
     cluster: &Cluster,
@@ -117,7 +98,7 @@ pub fn emit_collective_capped(
     deps: &[TaskId],
     internode_cap: f64,
 ) -> CollectiveHandle {
-    if uses_hierarchical_schedule(group, kind, bytes) {
+    if uses_hierarchical_schedule(group, bytes) {
         return emit_collective_hierarchical(dag, cluster, group, kind, bytes, deps, internode_cap);
     }
     let n = group.len().max(1) as f64;
@@ -142,14 +123,9 @@ const HIERARCHICAL_MIN_CHUNK: f64 = 30e6;
 
 /// True when [`emit_collective_capped`] would pick the hierarchical
 /// (intra-node + inter-node exchange) schedule for this collective.
-pub fn uses_hierarchical_schedule(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> bool {
+pub fn uses_hierarchical_schedule(group: &CommGroup, bytes: f64) -> bool {
     let n = group.len().max(1) as f64;
-    group.splits_into_equal_nodes()
-        && bytes / n >= HIERARCHICAL_MIN_CHUNK
-        && matches!(
-            kind,
-            CollectiveKind::AllReduce | CollectiveKind::AllGather | CollectiveKind::ReduceScatter
-        )
+    group.splits_into_equal_nodes() && bytes / n >= HIERARCHICAL_MIN_CHUNK
 }
 
 /// Closed-form total wire volume (bytes summed over every transfer task)
@@ -171,7 +147,7 @@ pub fn wire_bytes(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> f64 {
     let flat = |ranks: usize, k: CollectiveKind, s: f64| -> f64 {
         ranks as f64 * k.bytes_sent_per_rank(ranks, s)
     };
-    if !uses_hierarchical_schedule(group, kind, bytes) {
+    if !uses_hierarchical_schedule(group, bytes) {
         return flat(n, kind, bytes);
     }
     let m = group.node_count();
@@ -205,7 +181,6 @@ pub fn wire_bytes(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> f64 {
             intra(CollectiveKind::ReduceScatter, bytes)
                 + exchange(bytes / n as f64, CollectiveKind::ReduceScatter)
         }
-        other => flat(n, other, bytes),
     }
 }
 
@@ -221,9 +196,8 @@ pub fn wire_bytes(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> f64 {
 /// would.
 ///
 /// # Panics
-/// Panics if `bytes` is not positive/finite, if the group's nodes do not
-/// contribute equal rank counts, or for kinds other than all-reduce /
-/// all-gather / reduce-scatter.
+/// Panics if `bytes` is not positive/finite or if the group's nodes do
+/// not contribute equal rank counts.
 pub fn emit_collective_hierarchical(
     dag: &mut DagBuilder,
     cluster: &Cluster,
@@ -356,7 +330,6 @@ pub fn emit_collective_hierarchical(
                 &[rs],
             )
         }
-        other => panic!("hierarchical schedule does not support {other:?}"),
     };
     CollectiveHandle { done }
 }
@@ -383,9 +356,6 @@ pub fn emit_collective_stepwise(
             done: dag.marker(deps),
         };
     }
-    if let CollectiveKind::Reduce { root } | CollectiveKind::Broadcast { root } = kind {
-        assert!(root < n, "root {root} out of range for {n} ranks");
-    }
 
     let rings = group.ring_count();
     let steps = kind.steps(n);
@@ -401,23 +371,6 @@ pub fn emit_collective_stepwise(
         step_tasks.clear();
         for ring in 0..rings {
             for (i, &src) in order.iter().enumerate() {
-                // Which ranks actually transmit this step?
-                let active = match kind {
-                    CollectiveKind::AllReduce
-                    | CollectiveKind::AllGather
-                    | CollectiveKind::ReduceScatter => true,
-                    CollectiveKind::Reduce { root } => {
-                        // Pipelined ring reduce towards root: the rank
-                        // `step+1` hops upstream of root forwards first;
-                        // model as all ranks except root forwarding each
-                        // step (full-pipeline approximation).
-                        i != root
-                    }
-                    CollectiveKind::Broadcast { root } => i != (root + n - 1) % n,
-                };
-                if !active {
-                    continue;
-                }
                 let dst = order[(i + 1) % n];
                 let route = ring_route(cluster, src, dst, ring, internode_cap);
                 // Resource ids are small (one per GPU on the cluster).
@@ -471,9 +424,6 @@ pub fn emit_collective_coalesced(
             done: dag.marker(deps),
         };
     }
-    if let CollectiveKind::Reduce { root } | CollectiveKind::Broadcast { root } = kind {
-        assert!(root < n, "root {root} out of range for {n} ranks");
-    }
     let rings = group.ring_count();
     let steps = kind.steps(n) as u64;
     let volume = (kind.bytes_sent_per_rank(n, bytes) / rings as f64).max(1.0);
@@ -481,14 +431,6 @@ pub fn emit_collective_coalesced(
     let mut tasks = Vec::with_capacity(n * rings);
     for ring in 0..rings {
         for (i, &src) in order.iter().enumerate() {
-            let skip = match kind {
-                CollectiveKind::Reduce { root } => i == root,
-                CollectiveKind::Broadcast { root } => i == (root + n - 1) % n,
-                _ => false,
-            };
-            if skip {
-                continue;
-            }
             let dst = order[(i + 1) % n];
             let route = ring_route(cluster, src, dst, ring, internode_cap);
             // Resource ids are small (one per GPU on the cluster).
@@ -531,7 +473,7 @@ mod tests {
         assert_eq!(ar.steps(4), 6);
         assert_eq!(ar.steps(1), 0);
         assert_eq!(CollectiveKind::AllGather.steps(8), 7);
-        assert_eq!(CollectiveKind::Reduce { root: 0 }.steps(4), 3);
+        assert_eq!(CollectiveKind::ReduceScatter.steps(4), 3);
     }
 
     #[test]

@@ -9,13 +9,7 @@ use crate::report::TrainingReport;
 /// Span labels counted as GPU compute.
 const COMPUTE: [&str; 4] = ["gemm", "elementwise", "weight_update", "transform"];
 /// Span labels counted as collective communication.
-const COMM: [&str; 5] = [
-    "allreduce",
-    "allgather",
-    "reducescatter",
-    "reduce",
-    "broadcast",
-];
+const COMM: [&str; 3] = ["allreduce", "allgather", "reducescatter"];
 /// Span labels counted as host/NVMe staging.
 const STAGING: [&str; 6] = [
     "h2d",

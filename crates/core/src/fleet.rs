@@ -41,7 +41,7 @@
 
 use zerosim_hw::{Cluster, GpuId, LinkClass, TopologySpec};
 use zerosim_model::GptConfig;
-use zerosim_simkit::{mix, FaultKind, FaultSchedule};
+use zerosim_simkit::{mix, nearest_rank, FaultKind, FaultSchedule};
 use zerosim_strategies::{CheckpointSink, RecoveryPolicy, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
@@ -624,20 +624,15 @@ impl EnsembleConfig {
     }
 }
 
-/// Order statistics of one ensemble metric.
-///
-/// Percentiles take the sorted sample at index `round((n − 1)·q)`, the
-/// sample nearest the linearly interpolated position. That is not the
-/// nearest-rank rule ([`zerosim_simkit::nearest_rank`]): for 32 samples
-/// the median is index 16 here and index 15 under nearest rank. Ensemble
-/// digests depend on this formula.
+/// Order statistics of one ensemble metric. Percentiles are nearest-rank
+/// ([`nearest_rank`]), like every other percentile in the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnsembleStats {
     /// Arithmetic mean.
     pub mean: f64,
-    /// Median: index `round((n − 1) / 2)` of the sorted samples.
+    /// Median: the sorted sample of rank `ceil(n / 2)`.
     pub p50: f64,
-    /// 99th percentile: index `round((n − 1)·0.99)`.
+    /// 99th percentile: the sorted sample of rank `ceil(0.99·n)`.
     pub p99: f64,
     /// Smallest sample.
     pub min: f64,
@@ -653,16 +648,10 @@ impl EnsembleStats {
         }
         let mut v = values.to_vec();
         v.sort_by(f64::total_cmp);
-        let rank = |q: f64| {
-            // Nearest index to (n − 1)·q; the product is < n ≤ isize::MAX.
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let i = ((v.len() - 1) as f64 * q).round() as usize;
-            v[i]
-        };
         EnsembleStats {
             mean: v.iter().sum::<f64>() / v.len() as f64,
-            p50: rank(0.5),
-            p99: rank(0.99),
+            p50: nearest_rank(&v, 0.5),
+            p99: nearest_rank(&v, 0.99),
             min: v[0],
             max: v[v.len() - 1],
         }
@@ -1381,7 +1370,7 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
         assert_eq!(s.p99, 4.0);
-        assert_eq!(s.p50, 3.0); // index round(3 × 0.5) = 2 of 4 samples
+        assert_eq!(s.p50, 2.0); // rank ceil(4 × 0.5) = 2 of 4 samples
         assert_eq!(EnsembleStats::from_samples(&[]), EnsembleStats::default());
     }
 

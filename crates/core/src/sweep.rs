@@ -17,7 +17,7 @@
 //!   runs on 1 worker or 8.
 //! * **Parallel** — fan-out rides on
 //!   [`zerosim_testkit::pool::ThreadPool`], the workspace's hermetic
-//!   `std::thread`-only work-stealing pool.
+//!   `std::thread`-only pool.
 //!
 //! The runner takes any [`Execute`] spec, so serving sweeps over
 //! [`crate::ServeSpec`] share the same contract.

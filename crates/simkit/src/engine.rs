@@ -305,9 +305,9 @@ impl DagEngine {
     ///
     /// # Errors
     /// Same conditions as [`DagEngine::run`], plus the [`SimError`]s of
-    /// [`FlowNet::scale_link`] / [`FlowNet::set_link_cap`] for malformed
-    /// link events and [`SimError::BadRateFactor`] /
-    /// [`SimError::UnknownResource`] for malformed resource events.
+    /// [`FlowNet::scale_link`] for malformed link events and
+    /// [`SimError::BadRateFactor`] / [`SimError::UnknownResource`] for
+    /// malformed resource events.
     pub fn run_faulted(
         &mut self,
         net: &mut FlowNet,
@@ -442,10 +442,6 @@ impl DagEngine {
             let mut lost_node = false;
             while let Some(ev) = faults.next_due(now) {
                 match &ev.kind {
-                    FaultKind::SetLinkCap {
-                        link,
-                        bytes_per_sec,
-                    } => net.set_link_cap(*link, *bytes_per_sec)?,
                     FaultKind::ScaleLink { link, factor } => net.scale_link(*link, *factor)?,
                     FaultKind::RestoreLink { link } => net.restore_link(*link)?,
                     FaultKind::SlowResource { resource, factor } => {

@@ -33,13 +33,6 @@ pub const FLAP_FLOOR: f64 = 1e-3;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FaultKind {
-    /// Set a link to an absolute capacity in bytes/second.
-    SetLinkCap {
-        /// The link to rescale.
-        link: LinkId,
-        /// New absolute capacity (sustained rate for bucketed links).
-        bytes_per_sec: f64,
-    },
     /// Scale a link to `factor` × its nominal capacity (absolute w.r.t.
     /// nominal, not cumulative).
     ScaleLink {
@@ -214,11 +207,9 @@ impl FaultSchedule {
         let mut h = mix(0x9e37_79b9_7f4a_7c15, self.seed);
         for ev in &self.events {
             h = mix(h, ev.at.as_nanos());
+            // Each kind mixes in its own fixed tag (2-6), so a schedule's
+            // digest never depends on how the enum is laid out.
             h = match &ev.kind {
-                FaultKind::SetLinkCap {
-                    link,
-                    bytes_per_sec,
-                } => mix(mix(mix(h, 1), link.index() as u64), bytes_per_sec.to_bits()),
                 FaultKind::ScaleLink { link, factor } => {
                     mix(mix(mix(h, 2), link.index() as u64), factor.to_bits())
                 }

@@ -485,27 +485,6 @@ impl FlowNet {
         Ok(())
     }
 
-    /// Sets the capacity of `link` to an absolute `bytes_per_sec`. For
-    /// fixed links this replaces the rate; for token-bucket links the value
-    /// is interpreted as the new *sustained* rate and the burst rate is
-    /// scaled proportionally (token fill preserved).
-    ///
-    /// # Errors
-    /// Same conditions as [`FlowNet::scale_link`].
-    pub fn set_link_cap(&mut self, link: LinkId, bytes_per_sec: f64) -> Result<(), SimError> {
-        if link.0 >= self.links.len() {
-            return Err(SimError::UnknownLink { link: link.0 });
-        }
-        if !(bytes_per_sec.is_finite() && bytes_per_sec > 0.0) {
-            return Err(SimError::BadCapacity { link: link.0 });
-        }
-        let nominal = match &self.links[link.0].nominal {
-            Capacity::Fixed(c) => *c,
-            Capacity::Bucketed(b) => b.sustained_rate(),
-        };
-        self.scale_link(link, bytes_per_sec / nominal)
-    }
-
     /// Restores `link` to its nominal capacity (equivalent to
     /// `scale_link(link, 1.0)`).
     ///
@@ -1223,15 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn set_link_cap_is_absolute() {
-        let mut net = FlowNet::new();
-        let l = net.add_link("roce", 10.0);
-        net.set_link_cap(l, 2.5).unwrap();
-        assert_eq!(net.link_capacity(l), 2.5);
-        assert_eq!(net.link_scale(l), 0.25);
-    }
-
-    #[test]
     fn scale_bucketed_link_preserves_tokens() {
         let mut net = FlowNet::new();
         let l = net.add_bucketed_link("nvme", TokenBucket::new(10.0, 10.0, 2.0));
@@ -1257,10 +1227,6 @@ mod tests {
         assert_eq!(
             net.scale_link(LinkId(7), 0.5).unwrap_err(),
             SimError::UnknownLink { link: 7 }
-        );
-        assert_eq!(
-            net.set_link_cap(l, f64::INFINITY).unwrap_err(),
-            SimError::BadCapacity { link: l.index() }
         );
     }
 

@@ -164,8 +164,6 @@ pub enum Dtype {
     Fp32,
     /// 16-bit IEEE float.
     Fp16,
-    /// bfloat16.
-    Bf16,
     /// 8-bit block-quantized integer.
     Int8,
     /// 4-bit block-quantized integer (two elements per byte).
@@ -177,7 +175,7 @@ impl Dtype {
     pub fn bytes(self) -> f64 {
         match self {
             Dtype::Fp32 => 4.0,
-            Dtype::Fp16 | Dtype::Bf16 => 2.0,
+            Dtype::Fp16 => 2.0,
             Dtype::Int8 => 1.0,
             Dtype::Int4 => 0.5,
         }
@@ -194,7 +192,6 @@ impl Dtype {
         match self {
             Dtype::Fp32 => "fp32",
             Dtype::Fp16 => "fp16",
-            Dtype::Bf16 => "bf16",
             Dtype::Int8 => "int8",
             Dtype::Int4 => "int4",
         }

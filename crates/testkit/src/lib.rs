@@ -17,7 +17,7 @@
 //! * [`domain`] — generators for the flow solver's inputs (link-capacity
 //!   vectors and flow paths) expressed as plain data so this crate stays
 //!   dependency-free.
-//! * [`pool`] — a scoped work-stealing thread pool on `std::thread` only
+//! * [`pool`] — a scoped thread pool on `std::thread` only
 //!   (the `rayon` replacement) with deterministic input-ordered result
 //!   collection; `core::sweep` fans parallel simulation runs over it.
 //!

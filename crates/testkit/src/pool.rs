@@ -1,4 +1,4 @@
-//! A scoped work-stealing thread pool built on `std::thread` only.
+//! A scoped thread pool built on `std::thread` only.
 //!
 //! The workspace's hermetic no-registry-deps invariant rules out `rayon`
 //! and `crossbeam`, so parallel sweeps get their fan-out from this module
@@ -7,11 +7,10 @@
 //! * **Scoped** — workers are spawned inside [`std::thread::scope`], so
 //!   closures may borrow from the caller's stack and nothing outlives the
 //!   call.
-//! * **Work-stealing** — each worker owns a deque of item indices seeded
-//!   with a contiguous block of the input. Owners pop from the *front* of
-//!   their deque; when empty they steal from the *back* of a victim's,
-//!   which keeps block locality for the owner while letting fast workers
-//!   drain stragglers.
+//! * **One shared cursor** — the items sit behind one mutex, and each
+//!   worker takes the next one, releases the lock and runs it. Sweep
+//!   items are whole simulations, so a worker that finishes early simply
+//!   takes more of them.
 //! * **Deterministic collection** — results are tagged with their input
 //!   index and reassembled in input order, so callers observe the same
 //!   output vector no matter how the items were scheduled or how many
@@ -29,7 +28,6 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A fixed-width scoped thread pool; see the [module docs](self).
@@ -53,101 +51,53 @@ impl ThreadPool {
     }
 
     /// Applies `f` to every item, in parallel, returning results in input
-    /// order. See [`ThreadPool::map_indexed`] for the indexed variant.
+    /// order regardless of worker count or scheduling.
+    ///
+    /// # Panics
+    /// Re-raises the first worker panic on the calling thread after the
+    /// scope joins.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        self.map_indexed(items, |_, item| f(item))
-    }
-
-    /// Applies `f(index, item)` to every item, in parallel, returning
-    /// results in input order regardless of worker count or scheduling.
-    ///
-    /// # Panics
-    /// Re-raises the first worker panic on the calling thread after the
-    /// scope joins.
-    pub fn map_indexed<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let width = self.workers.min(n);
         if width <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
+            return items.into_iter().map(f).collect();
         }
 
-        // Items live in per-index cells so any worker can claim any index.
-        let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-
-        // Block-partitioned deques: worker w starts with indices
-        // [w*n/width, (w+1)*n/width).
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..width)
-            .map(|w| {
-                let lo = w * n / width;
-                let hi = (w + 1) * n / width;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        let mut results: Vec<Option<(usize, R)>> = Vec::new();
+        let cursor = Mutex::new(items.into_iter().enumerate());
+        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
         let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
 
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(width);
-            for w in 0..width {
-                let f = &f;
-                let cells = &cells;
-                let queues = &queues;
-                handles.push(scope.spawn(move || {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // Own queue first (front = block order).
-                        let mut idx = queues[w].lock().expect("pool queue poisoned").pop_front();
-                        if idx.is_none() {
-                            // Steal from the back of the others, round-robin
-                            // starting at our right-hand neighbour.
-                            for off in 1..width {
-                                let victim = (w + off) % width;
-                                if let Some(stolen) = queues[victim]
-                                    .lock()
-                                    .expect("pool queue poisoned")
-                                    .pop_back()
-                                {
-                                    idx = Some(stolen);
-                                    break;
-                                }
-                            }
+            let handles: Vec<_> = (0..width)
+                .map(|_| {
+                    let (f, cursor) = (&f, &cursor);
+                    scope.spawn(move || {
+                        let mut local: Vec<(usize, R)> = Vec::new();
+                        loop {
+                            // The guard drops at the end of this statement,
+                            // before `f` runs.
+                            let next = cursor.lock().expect("pool cursor poisoned").next();
+                            let Some((i, item)) = next else { break };
+                            local.push((i, f(item)));
                         }
-                        let Some(i) = idx else { break };
-                        let item = cells[i]
-                            .lock()
-                            .expect("pool item poisoned")
-                            .take()
-                            .expect("pool item claimed twice");
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                }));
-            }
+                        local
+                    })
+                })
+                .collect();
             for h in handles {
                 match h.join() {
-                    Ok(local) => results.extend(local.into_iter().map(Some)),
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
+                    Ok(local) => {
+                        for (i, r) in local {
+                            out[i] = Some(r);
                         }
+                    }
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
                     }
                 }
             }
@@ -155,14 +105,6 @@ impl ThreadPool {
 
         if let Some(payload) = first_panic {
             std::panic::resume_unwind(payload);
-        }
-
-        // Reassemble in input order.
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for slot in results.into_iter().flatten() {
-            let (i, r) = slot;
-            assert!(out[i].is_none(), "pool produced index {i} twice");
-            out[i] = Some(r);
         }
         out.into_iter()
             .enumerate()
@@ -191,13 +133,6 @@ mod tests {
             let pool = ThreadPool::new(width);
             assert_eq!(pool.map(items.clone(), |x| x * 3 + 1), expect, "w={width}");
         }
-    }
-
-    #[test]
-    fn map_indexed_exposes_input_indices() {
-        let pool = ThreadPool::new(3);
-        let out = pool.map_indexed(vec!["a", "b", "c", "d"], |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c", "3d"]);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus the hermeticity and hygiene gates.
+# Tier-1 verification plus the hermeticity and hygiene gates. Each gate
+# runs once; the script writes nothing into the tree.
 #
 #   1. hygiene:     cargo fmt --check && cargo clippy -D warnings &&
 #                   cargo doc -D warnings
 #   2. tier-1:      cargo build --release && cargo test -q (the root
-#                   package's tests/, including the >=5x
-#                   links-touched-per-solve floor on dual-node ZeRO-3)
+#                   package's tests/: the 48 golden digests, each with
+#                   ZL009's static bound <= its simulated iteration, the
+#                   ZeRO++ bounds, ZL008's deny under the default pass
+#                   set, the golden serving digests and their latency
+#                   order, and the >=5x links-touched-per-solve floor)
 #   3. hermeticity: the same build must succeed with --offline, the
 #                   manifests must declare no registry dependencies, and
 #                   the simulator's lower layers (simkit, hw, model,
@@ -19,27 +23,21 @@
 #                   solver hot path, and the per-task allocation floor of
 #                   lowering and execution
 #   5. sweep:       `repro --workers 4` must render the scorecard and
-#                   sixteen runner artifacts, the ext11 fault matrix
-#                   among them, byte-identically to the serial run
+#                   eighteen runner artifacts byte-identically to the
+#                   serial run: the ext11 fault matrix, ext13's fleet
+#                   search and Young/Daly brackets (all three rows must
+#                   read `yes`; its last line is one digest over the
+#                   brackets) and ext14's serving latencies among them
 #   6. planlint:    static analysis (ZL001-ZL009) over the 12 golden
-#                   paper configurations; any deny-level finding fails.
-#                   The v2 gate additionally pins zero warnings, the
-#                   JSON schema_version, the zl008-selfcheck exit code,
-#                   and the ZL009 bound verdict (BENCH_planlint.json)
+#                   paper configurations: zero deny and zero warnings,
+#                   and a `--json` document that leads with its
+#                   schema_version
 #   7. planfind:    placement search smoke on a capacity-edge scenario;
 #                   asserts the >=50% static-prune floor and
 #                   width-invariant digests on its --json report
-#   8. fleetplan:   resilience-economics gate: the dollars-to-train
-#                   search on a pods fleet, plus the Young/Daly
-#                   validation scorecard (BENCH_fleet.json) — every
-#                   golden config's analytic interval must beat both the
-#                   2x and 0.5x cadence on ensemble goodput, with
-#                   digests byte-identical at --workers 1 vs 4
-#   9. servesim:    serving gate: TTFT/TPOT scorecard on the three
-#                   golden deployments plus the decode regime sweep
-#                   (BENCH_serve.json) — the in-binary sanity verdict
-#                   must hold and digests must be byte-identical at
-#                   --workers 1 vs 4
+#   8. fleetplan:   the dollars-to-train search on a pods fleet must find
+#                   a feasible configuration
+#   9. servesim:    one dense serving run must complete all 24 requests
 #
 # Host-time performance is perfbench's job (BENCHMARK.json), not this
 # script's. The workspace must never require network/registry access;
@@ -112,9 +110,9 @@ cargo test -q --release --test lowering_allocs
 
 echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
 # The scorecard, every artifact whose runs moved onto the sweep runner in
-# v0.15.0, and the ext11 fault matrix (ext13's fleet search is covered by
-# the fleetplan gate).
-WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8 ext11"
+# v0.15.0, the ext11 fault matrix, ext13's fleet economics (32-sample
+# Young/Daly ensembles) and ext14's serving latencies.
+WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8 ext11 ext13 ext14"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 cargo run --release -q -p zerosim-bench --bin repro -- \
@@ -129,54 +127,45 @@ for id in $WIDTH_ARTIFACTS; do
   fi
 done
 echo "$(echo $WIDTH_ARTIFACTS | wc -w) artifacts byte-identical at widths 1 and 4"
+# Young/Daly: at the 32-sample floor the analytic interval must beat both
+# the 0.5x and the 2x cadence on mean goodput for all three golden
+# configurations, i.e. every bracket row's last column reads `yes`.
+EXT13="$SWEEP_TMP/serial/ext13.txt"
+YD_WINS="$(grep -cE '[[:space:]]yes[[:space:]]*$' "$EXT13" || true)"
+if [ "$YD_WINS" != "3" ] || grep -qE '[[:space:]]NO[[:space:]]*$' "$EXT13"; then
+  echo "ERROR: ext13 Young/Daly win floor violated ($YD_WINS/3)" >&2
+  cat "$EXT13" >&2
+  exit 1
+fi
+BRACKET_DIGEST="$(grep -E '^bracket digest: [0-9a-f]{16}$' "$EXT13" || true)"
+if [ -z "$BRACKET_DIGEST" ]; then
+  echo "ERROR: ext13 prints no bracket digest line" >&2
+  exit 1
+fi
+echo "ext13: $YD_WINS/3 Young/Daly wins, $BRACKET_DIGEST (same at widths 1 and 4)"
 
-echo "== planlint gate: golden configs must be deny-clean =="
-# Static analysis (ZL001-ZL009) over the 12 golden paper configurations;
-# planlint exits non-zero on any deny-level finding. The lint fixtures
-# and simulator-consistency checks live in tests/analyzer_lints.rs (run
-# by the tier-1 step).
-cargo run --release -q -p zerosim-bench --bin planlint -- golden
-
-echo "== planlint v2 gate: codec legality + static step-time bounds =="
-# The golden dozen must lint at zero deny AND zero warnings — every
-# config's status reads [  ok] and every summary line reports
-# "0 deny, 0 warning(s)" — and the JSON document must lead with its
-# schema version so downstream parsers get a contract.
+echo "== planlint gate: golden configs lint at zero deny and zero warnings =="
+# Static analysis (ZL001-ZL009) over the 12 golden paper configurations.
+# planlint exits non-zero on any deny-level finding; beyond that every
+# config's status must read [  ok] and every summary line must report
+# "0 deny, 0 warning(s)". The JSON document must lead with its schema
+# version so downstream parsers get a contract. The lint fixtures and the
+# simulator-consistency checks (ZL009's bound <= simulated time, ZL008's
+# deny) live in the tier-1 tests.
 planlint_golden=$(cargo run --release -q -p zerosim-bench --bin planlint -- golden)
+printf '%s\n' "$planlint_golden"
 if printf '%s\n' "$planlint_golden" | grep -Eq '^\[(warn|DENY)\]'; then
     echo "planlint golden: a config linted at warn or DENY"
-    printf '%s\n' "$planlint_golden"
     exit 1
 fi
 if printf '%s\n' "$planlint_golden" | grep 'planlint:' \
         | grep -vq '0 deny, 0 warning(s)'; then
     echo "planlint golden: expected zero deny and zero warnings everywhere"
-    printf '%s\n' "$planlint_golden"
     exit 1
 fi
 cargo run --release -q -p zerosim-bench --bin planlint -- golden --json \
     | grep -q '^{"schema_version":2' \
     || { echo "planlint --json: missing top-level schema_version"; exit 1; }
-# A deliberately illegal codec plan (wrong ratio for its dtype pair,
-# compute fed encoded bytes with no decode) must exit 2 with ZL008
-# findings — a silently disabled analyzer cannot pass this gate.
-rc=0
-cargo run --release -q -p zerosim-bench --bin planlint -- zl008-selfcheck \
-    > planlint_selfcheck.log 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-    echo "zl008-selfcheck: expected exit code 2, got $rc"
-    cat planlint_selfcheck.log
-    exit 1
-fi
-grep -q "ZL008" planlint_selfcheck.log \
-    || { echo "zl008-selfcheck: no ZL008 finding in output"; exit 1; }
-rm -f planlint_selfcheck.log
-# ZL009's static wire/protocol bounds must lower-bound the simulated
-# iteration time for the golden matrix and the ZeRO++ family across
-# jitter seeds (the binary exits non-zero if any bound is violated).
-cargo run --release -q -p zerosim-bench --bin planlint -- --bench BENCH_planlint.json
-grep -q '"all_bounds_hold":true' BENCH_planlint.json \
-    || { echo "BENCH_planlint.json: all_bounds_hold is not true"; exit 1; }
 
 echo "== planfind gate: capacity-edge search, honest pruning, width-invariant =="
 # The placement search on a single paper node at 8 B: DDP and the
@@ -207,9 +196,10 @@ if [ -z "$PF1_DIGEST" ] || [ "$PF1_DIGEST" != "$PF4_DIGEST" ]; then
 fi
 echo "planfind digest width-invariant: $PF1_DIGEST"
 
-echo "== fleetplan gate: cost ranking + Young/Daly validation, width-invariant =="
+echo "== fleetplan gate: the costed ranking finds a feasible configuration =="
 # The acceptance CLI shape: rank (strategy x placement x interval) by
 # dollars-to-train on a pods fleet under a failure rate and a deadline.
+# The Young/Daly validation is ext13 in the sweep step.
 cargo run --release -q -p zerosim-bench --bin fleetplan -- \
   --topology pods:2x2x4:2:1.5 --model 11.4 --rate 0.1 --days 365 --json \
   > "$SWEEP_TMP/fleetcli.json"
@@ -217,51 +207,19 @@ if ! grep -q '"feasible":true' "$SWEEP_TMP/fleetcli.json"; then
   echo "ERROR: fleetplan found no feasible configuration for the acceptance shape" >&2
   exit 1
 fi
-# The scorecard: the costed ranking plus the Young/Daly brackets on the
-# three golden configs at the 32-sample Monte-Carlo floor. Every bracket
-# must show the analytic interval strictly beating both naive cadences.
-cargo run --release -q -p zerosim-bench --bin fleetplan -- \
-  --bench BENCH_fleet.json >/dev/null
-YD_WINS="$(grep -o '"yd_win":true' BENCH_fleet.json | wc -l | tr -d ' ')"
-if [ "$YD_WINS" != "3" ] || grep -q '"yd_win":false' BENCH_fleet.json; then
-  echo "ERROR: BENCH_fleet.json Young/Daly win floor violated ($YD_WINS/3)" >&2
-  exit 1
-fi
-# Ensemble and ranking digests must be byte-identical at any width.
-cargo run --release -q -p zerosim-bench --bin fleetplan -- \
-  --workers 4 --bench "$SWEEP_TMP/fleet4.json" >/dev/null
-FP1="$(grep -o '"ensemble_digest":"[0-9a-f]*"\|"digest":"[0-9a-f]*"' BENCH_fleet.json)"
-FP4="$(grep -o '"ensemble_digest":"[0-9a-f]*"\|"digest":"[0-9a-f]*"' "$SWEEP_TMP/fleet4.json")"
-if [ -z "$FP1" ] || [ "$FP1" != "$FP4" ]; then
-  echo "ERROR: fleetplan digests differ between --workers 1 and --workers 4" >&2
-  exit 1
-fi
-echo "fleetplan scorecard: $YD_WINS/3 Young/Daly wins," \
-  "$(grep -o '"ensemble_digest":"[0-9a-f]*"' BENCH_fleet.json)"
+echo "fleetplan: $(grep -o '"digest":"[0-9a-f]*"' "$SWEEP_TMP/fleetcli.json")"
 
-echo "== servesim gate: serving latencies sane, width-invariant =="
-# The TTFT/TPOT scorecard on the three golden serving deployments (dense
-# 1-node, dense 2-node, NVMe-streamed) plus the decode regime sweep.
-# `sane` is computed in-binary: every request completes, percentiles are
-# ordered, the (batch x KV-bucket) plan cache hits, dense TTFT exceeds
-# dense TPOT, and NVMe streaming costs first-token latency over dense.
-cargo run --release -q -p zerosim-bench --bin servesim -- \
-  --bench BENCH_serve.json >/dev/null
-if ! grep -q '"sane":true' BENCH_serve.json; then
-  echo "ERROR: BENCH_serve.json does not report sane:true" >&2
+echo "== servesim gate: one serving run completes every request =="
+# The binary's own run path on its default trace (24 closed-loop
+# requests). The golden deployments, their pinned digests and latency
+# order are tier-1 tests; the regime sweep is ext14 in the sweep step.
+cargo run --release -q -p zerosim-bench --bin servesim -- --json \
+  > "$SWEEP_TMP/serve.json"
+if ! grep -q '"requests":24,' "$SWEEP_TMP/serve.json"; then
+  echo "ERROR: servesim did not complete all 24 requests" >&2
+  cat "$SWEEP_TMP/serve.json" >&2
   exit 1
 fi
-# Serving digests must be byte-identical at any --workers width.
-cargo run --release -q -p zerosim-bench --bin servesim -- \
-  --workers 4 --bench "$SWEEP_TMP/serve4.json" >/dev/null
-SV1="$(grep -o '"serve_digest":"[0-9a-f]*"' BENCH_serve.json)"
-SV4="$(grep -o '"serve_digest":"[0-9a-f]*"' "$SWEEP_TMP/serve4.json")"
-if [ -z "$SV1" ] || [ "$SV1" != "$SV4" ]; then
-  echo "ERROR: servesim digests differ between --workers 1 and --workers 4" >&2
-  echo "  serial: $SV1  fanned: $SV4" >&2
-  exit 1
-fi
-echo "servesim scorecard: $SV1," \
-  "$(grep -o '"nvme_ttft_ratio":[0-9.]*' BENCH_serve.json)"
+echo "servesim: $(grep -o '"digest":"[0-9a-f]*"' "$SWEEP_TMP/serve.json")"
 
 echo "VERIFY OK"

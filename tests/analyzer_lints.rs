@@ -774,7 +774,8 @@ fn qgz_cuts_static_internode_gradient_volume_over_3_5x() {
 
 /// ZL009's protocol bound must lower-bound the simulated iteration time
 /// for the whole ZeRO++ family across jitter seeds (the golden dozen is
-/// swept the same way by `planlint --bench`, which verify.sh gates on).
+/// swept the same way by `golden_dozen_digests_survive_the_workload_ir_refactor`
+/// in `tests/plan_equivalence.rs`).
 #[test]
 fn zl009_bound_lower_bounds_simulation_for_the_zeropp_family() {
     let model = GptConfig::paper_model_with_params(1.4);

@@ -15,7 +15,7 @@
 //! 4. **Young/Daly** — the analytic checkpoint interval beats both a 2×
 //!    and a 0.5× cadence on simulated ensemble goodput for all three
 //!    golden configurations (the debug-budget twin of the release
-//!    `fleetplan --bench` gate in `scripts/verify.sh`).
+//!    `repro ext13` gate in `scripts/verify.sh`).
 
 use zerosim_analyzer::{Artifacts, LintConfig, PassManager};
 use zerosim_bench::experiments::fleet::{golden_bracket, golden_configs};

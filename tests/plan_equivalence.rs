@@ -8,6 +8,7 @@
 //! validator enforces, checked per strategy family by the testkit
 //! harness.
 
+use zerosim_analyzer::{analyze_strategy, LintConfig};
 use zerosim_bench::{cli, data};
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
@@ -224,11 +225,31 @@ const GOLDEN_DIGESTS: [(u64, &str, u64); 48] = [
     (42, "golden-11 ZeRO-Infinity 1n", 0x4122fcd3e53ce4af),
 ];
 
+/// ZL009's static step time must also lower-bound every one of these
+/// simulated iterations; each config is linted once, on the cluster its
+/// runs use. The ZeRO++ family's bounds are checked in
+/// `tests/analyzer_lints.rs`.
 #[test]
 fn golden_dozen_digests_survive_the_workload_ir_refactor() {
+    let bounds: Vec<f64> = data::golden_specs()
+        .iter()
+        .map(|spec| {
+            let sim = spec.build_sim().expect("golden spec builds");
+            let report = analyze_strategy(
+                sim.cluster(),
+                &spec.strategy,
+                &spec.model,
+                &spec.opts,
+                sim.calibration(),
+                LintConfig::new(),
+            )
+            .expect("golden spec lints");
+            report.bound.expect("ZL009 emitted a bound").protocol_s
+        })
+        .collect();
     let mut it = GOLDEN_DIGESTS.iter();
     for seed in [0u64, 1, 7, 42] {
-        for mut spec in data::golden_specs() {
+        for (mut spec, &bound_s) in data::golden_specs().into_iter().zip(&bounds) {
             spec.opts.jitter_seed = seed;
             let run = spec.execute().expect("golden spec runs");
             let &(want_seed, want_label, want_digest) = it
@@ -250,6 +271,12 @@ fn golden_dozen_digests_survive_the_workload_ir_refactor() {
             // Equal up to the nanosecond truncation of the mean iteration time.
             let rel = (m.goodput_flops - run.report.throughput_flops()).abs() / m.goodput_flops;
             assert!(rel < 1e-6, "{}: goodput deviates by {rel}", run.label);
+            let iter_s = run.report.iter_time.as_secs();
+            assert!(
+                bound_s <= iter_s * (1.0 + 1e-9),
+                "{} seed {seed}: ZL009 bound {bound_s} s above the simulated {iter_s} s",
+                run.label
+            );
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Serving runs are deterministic: the golden ext14 deployments (shared
-//! with the `servesim --bench` scorecard via
-//! [`zerosim_bench::experiments::serving::golden_deployments`]) yield
-//! pinned digests and the same ordered label and digest vectors at any
-//! worker width, trace sampling is a pure function of its seed, and
-//! re-executing a spec reproduces its report byte-for-byte — scheduling
-//! must never leak into serving results.
+//! Serving runs are deterministic: the golden ext14 deployments
+//! ([`zerosim_bench::experiments::serving::golden_deployments`]) yield
+//! pinned digests, latencies in their expected order, and the same
+//! ordered label and digest vectors at any worker width; trace sampling
+//! is a pure function of its seed, and re-executing a spec reproduces its
+//! report byte-for-byte — scheduling must never leak into serving
+//! results.
 
 use zerosim_bench::experiments::serving::{golden_deployments, golden_trace};
 use zerosim_core::{SweepRunner, TraceConfig};
@@ -37,14 +37,40 @@ fn golden_serving_sweep_is_width_invariant() {
         pinned, GOLDEN_SERVE_DIGESTS,
         "golden serving digests drifted"
     );
+    // Every request completes, percentiles are ordered, and the
+    // (batch x KV-bucket) plan cache hits.
     for run in &reference {
+        let r = &run.report;
         assert_eq!(
-            run.report.requests,
+            r.requests,
             golden_trace().requests,
             "{}: every request must complete",
             run.label
         );
+        assert!(r.ttft_p99 >= r.ttft_p50, "{}: TTFT p99 < p50", run.label);
+        assert!(r.tpot_p99 >= r.tpot_p50, "{}: TPOT p99 < p50", run.label);
+        assert!(
+            r.decode_steps > r.plan_lowerings,
+            "{}: {} decode steps took {} lowerings; the plan cache never hit",
+            run.label,
+            r.decode_steps,
+            r.plan_lowerings
+        );
     }
+    // A dense first token pays a whole prompt, so it costs more than a
+    // dense decode token. NVMe streaming is exempt: there every decode
+    // step re-reads the weights that prefill amortizes over the batch.
+    for run in &reference[..2] {
+        assert!(
+            run.report.ttft_p50 > run.report.tpot_p50,
+            "{}: dense TTFT p50 must exceed TPOT p50",
+            run.label
+        );
+    }
+    // Streaming weights from NVMe costs latency over keeping them resident.
+    let (dense, nvme) = (&reference[0].report, &reference[2].report);
+    assert!(nvme.ttft_p50 > dense.ttft_p50, "NVMe TTFT p50 <= dense");
+    assert!(nvme.tpot_p50 > dense.tpot_p50, "NVMe TPOT p50 <= dense");
 
     for workers in [2usize, 4] {
         let runs = SweepRunner::new(workers)
