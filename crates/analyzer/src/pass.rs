@@ -409,11 +409,6 @@ impl AnalysisReport {
         self.deny_count() == 0
     }
 
-    /// Findings with a given code.
-    pub fn with_code(&self, code: LintCode) -> Vec<&Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.code == code).collect()
-    }
-
     /// Renders every diagnostic plus a one-line summary.
     pub fn render_text(&self) -> String {
         let mut out = String::new();

@@ -14,15 +14,18 @@
 //!   `pods:<pods>x<islands>x<gpus>:<pod_oversub>:<spine_oversub>`.
 //! * `--model B` — paper-shaped model of `B` billion parameters;
 //!   `--model wide:B` uses the fixed-depth wide shape.
-//! * `--rate L` — aggregate failures per node per day (default 0.05);
-//!   `0` reduces the ranking to healthy cost-to-train.
-//! * `--days T` — training deadline; configurations that cannot finish
-//!   in `T` days rank last and are flagged.
-//! * `--tokens N` — training tokens (default Chinchilla 20/parameter).
-//! * `--workers N` — simulation fan-out; results are byte-identical at
-//!   any width (only wall-clock changes).
-//! * `--top N` — placements costed in full from the throughput ranking
-//!   (default 4).
+//! * `--rate L` — aggregate failures per node per day (default 0.05), a
+//!   finite number ≥ 0; only its 40% node-fatal share enters the cost,
+//!   and `0` reduces the ranking to healthy cost-to-train.
+//! * `--days T` — training deadline, a finite number of days > 0;
+//!   configurations that cannot finish in `T` days rank last and are
+//!   flagged.
+//! * `--tokens N` — training tokens, a finite number > 0 (default
+//!   Chinchilla 20/parameter).
+//! * `--workers N` — simulation fan-out, N ≥ 1; results are
+//!   byte-identical at any width (only wall-clock changes).
+//! * `--top N` — placements costed in full from the throughput ranking,
+//!   N ≥ 1 (default 4).
 //! * `--json` — machine-readable report instead of text.
 //!
 //! The Young/Daly bracket validation on the golden configurations is
@@ -33,7 +36,7 @@
 use std::time::Instant;
 
 use zerosim_bench::cli::{
-    parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
+    parse_count, parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
 };
 use zerosim_core::{fleet_search, FleetCostConfig, FleetReport};
 use zerosim_testkit::json::Json;
@@ -46,6 +49,17 @@ fn usage() -> ! {
     eprintln!("topologies: paper | flat:<nodes> | fat-tree:<racks>x<npr>:<over> |");
     eprintln!("            pods:<pods>x<islands>x<gpus>:<pod_over>:<spine_over>");
     std::process::exit(2);
+}
+
+/// Parses `raw` for `flag` as a finite number above zero. Exits with a
+/// usage error otherwise.
+fn parse_positive(raw: &str, flag: &str) -> f64 {
+    match raw.parse::<f64>() {
+        Ok(value) if value.is_finite() && value > 0.0 => value,
+        _ => usage_error(&format!(
+            "{flag}: expected a finite positive number, got {raw:?}"
+        )),
+    }
 }
 
 fn report_json(report: &FleetReport) -> Json {
@@ -112,12 +126,10 @@ fn main() {
             "--rate: expected a non-negative failure rate, got {rate}"
         ));
     }
-    let days: Option<f64> =
-        take_value(&mut args, "--days").map(|raw| parse_or_exit(Some(raw), "--days", f64::NAN));
-    let tokens: Option<f64> =
-        take_value(&mut args, "--tokens").map(|raw| parse_or_exit(Some(raw), "--tokens", f64::NAN));
-    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
-    let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 4);
+    let days = take_value(&mut args, "--days").map(|raw| parse_positive(&raw, "--days"));
+    let tokens = take_value(&mut args, "--tokens").map(|raw| parse_positive(&raw, "--tokens"));
+    let workers = parse_count(take_value(&mut args, "--workers"), "--workers", 1);
+    let top = parse_count(take_value(&mut args, "--top"), "--top", 4);
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");
         usage();

@@ -16,9 +16,9 @@
 //! * `--model B` — paper-shaped model of `B` billion parameters
 //!   (depth-scaled, h = 2048); `--model wide:B` uses the fixed-depth
 //!   wide shape for cluster-scale models.
-//! * `--workers N` — simulation fan-out; results are byte-identical at
-//!   any width (only wall-clock changes).
-//! * `--top N` — ranked plans to print (default 5).
+//! * `--workers N` — simulation fan-out, N ≥ 1; results are
+//!   byte-identical at any width (only wall-clock changes).
+//! * `--top N` — ranked plans to print, N ≥ 1 (default 5).
 //! * `--json` — machine-readable report instead of text: candidate
 //!   counts, prune fraction, digest, wall time, ranking and every
 //!   candidate's outcome.
@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use zerosim_bench::cli::{parse_model, parse_or_exit, parse_topology, take_flag, take_value};
+use zerosim_bench::cli::{parse_count, parse_model, parse_topology, take_flag, take_value};
 use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SearchReport};
 use zerosim_testkit::json::Json;
 
@@ -99,8 +99,8 @@ fn main() {
     let json = take_flag(&mut args, "--json");
     let topology = parse_topology(take_value(&mut args, "--topology"));
     let model = parse_model(&take_value(&mut args, "--model").unwrap_or_else(|| "1.4".into()));
-    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
-    let top: usize = parse_or_exit(take_value(&mut args, "--top"), "--top", 5);
+    let workers = parse_count(take_value(&mut args, "--workers"), "--workers", 1);
+    let top = parse_count(take_value(&mut args, "--top"), "--top", 5);
     if !args.is_empty() {
         eprintln!("unexpected arguments: {args:?}");
         usage();

@@ -3,17 +3,17 @@
 //! Usage: `repro [--out DIR] [--workers N] <artifact>...` where artifact
 //! ∈ {fig1..fig13, table1..table6, ext1..ext15, scorecard, all}. With
 //! `--out`, each artifact is also written to `DIR/<id>.txt`. `--workers N`
-//! fans every artifact's simulation runs across N threads — output is
-//! byte-identical at any width.
+//! (N ≥ 1) fans every artifact's simulation runs across N threads —
+//! output is byte-identical at any width.
 
 use std::time::Instant;
 
-use zerosim_bench::cli::{parse_or_exit, take_value, usage_error};
+use zerosim_bench::cli::{parse_count, take_value, usage_error};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let out_dir = take_value(&mut args, "--out");
-    let workers: usize = parse_or_exit(take_value(&mut args, "--workers"), "--workers", 1);
+    let workers = parse_count(take_value(&mut args, "--workers"), "--workers", 1);
     zerosim_bench::data::set_sweep_workers(workers);
     {
         // Report both the requested and the (clamped) effective width so

@@ -73,10 +73,10 @@ pub fn parse_billions(raw: &str, what: &str) -> f64 {
     }
 }
 
-/// Parses a count (nodes, batch slots, requests) for `flag`, or
-/// returns `default` when the flag was absent. Exits unless it is a
-/// positive integer; a node count above the cluster's is the library's
-/// typed error.
+/// Parses a count (nodes, batch slots, requests, workers, ranked rows)
+/// for `flag`, or returns `default` when the flag was absent. Exits
+/// unless it is a positive integer; a node count above the cluster's is
+/// the library's typed error.
 pub fn parse_count(raw: Option<String>, flag: &str, default: usize) -> usize {
     let count = parse_or_exit(raw, flag, default);
     if count == 0 {

@@ -20,8 +20,8 @@
 //! artifact must be byte-identical at `--workers` 1 and 4.
 
 use zerosim_core::{
-    fleet_search, young_daly_bracket, CheckpointSink, EnsembleConfig, FleetCostConfig,
-    FleetProfile, FleetReport, RecoveryPolicy, RunConfig, SweepSpec, YoungDalyBracket,
+    fleet_search, young_daly_bracket, EnsembleConfig, FleetCostConfig, FleetProfile, FleetReport,
+    RecoveryPolicy, RunConfig, SweepSpec, YoungDalyBracket,
 };
 use zerosim_hw::{ClusterSpec, TopologySpec};
 use zerosim_model::GptConfig;
@@ -104,7 +104,7 @@ pub fn golden_bracket(
 
     let ckpt_cost_s = base
         .build_sim()
-        .and_then(|mut sim| sim.checkpoint_cost(&model, &opts, &CheckpointSink::Dram))
+        .and_then(|mut sim| sim.checkpoint_cost(&model, &opts))
         .expect("checkpoint plan lowers");
 
     // Compress the fatal MTBF so τ_young = √(2·C·M) = K_TARGET

@@ -16,8 +16,7 @@
 //! RoCE@10% brownout column collapses.
 
 use zerosim_core::{
-    CheckpointSink, FaultConfig, FaultScenario, RecoveryPolicy, RunConfig, SweepSpec,
-    TrainingReport,
+    FaultConfig, FaultScenario, RecoveryPolicy, RunConfig, SweepSpec, TrainingReport,
 };
 use zerosim_hw::{GpuId, LinkClass};
 use zerosim_model::GptConfig;
@@ -88,11 +87,9 @@ fn with_matrix_faults(spec: SweepSpec, scenario: &FaultScenario) -> SweepSpec {
     let probe = spec.build_sim().expect("matrix clusters build");
     let schedule = scenario.compile(probe.cluster(), MATRIX_SEED);
     let faults = match scenario {
-        FaultScenario::NodeLoss { .. } => FaultConfig::new(
-            schedule,
-            RecoveryPolicy::every(2).with_restart_delay(1.0),
-            CheckpointSink::Dram,
-        ),
+        FaultScenario::NodeLoss { .. } => {
+            FaultConfig::new(schedule, RecoveryPolicy::every(2).with_restart_delay(1.0))
+        }
         _ => FaultConfig::without_checkpoints(schedule),
     };
     spec.with_faults(faults)

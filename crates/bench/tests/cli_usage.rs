@@ -1,6 +1,7 @@
 //! The usage-error contract of the command-line tools: an argument a tool
 //! cannot honour (an unknown flag or strategy name, a zero count, an
-//! empty or reversed range, a malformed size) exits with status 2 and a
+//! empty or reversed range, a malformed size, a deadline or token budget
+//! that is not a finite positive number) exits with status 2 and a
 //! message on stderr.
 //! Every row below is rejected while arguments are parsed, so this file
 //! simulates nothing.
@@ -30,6 +31,19 @@ const USAGE_ERRORS: &[(&str, &[&str])] = &[
     (SERVESIM, &["--prompt", "0,0"]),
     // Zero counts in sweep.
     (SWEEP, &["--batch", "0", "--sizes", "1.4"]),
+    // Zero worker and row counts in fleetplan, planfind and repro.
+    (FLEETPLAN, &["--workers", "0"]),
+    (FLEETPLAN, &["--top", "0"]),
+    (PLANFIND, &["--workers", "0"]),
+    (PLANFIND, &["--top", "0"]),
+    (REPRO, &["--workers", "0", "fig1"]),
+    // Token budgets and deadlines fleetplan cannot cost.
+    (FLEETPLAN, &["--tokens", "nan"]),
+    (FLEETPLAN, &["--tokens", "0"]),
+    (FLEETPLAN, &["--tokens", "-5"]),
+    (FLEETPLAN, &["--days", "nan"]),
+    (FLEETPLAN, &["--days", "0"]),
+    (FLEETPLAN, &["--days", "-3"]),
     // No tool writes a scorecard or seeds a self-check: those verdicts
     // live in the tests and `repro` artifacts that run the same
     // configurations.

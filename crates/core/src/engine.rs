@@ -7,8 +7,7 @@ use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{nearest_rank, BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
-    lower, plan_checkpoint, plan_restore, Calibration, CheckpointSink, IterCtx, StrategyPlan,
-    TrainOptions,
+    lower, plan_checkpoint, plan_restore, Calibration, IterCtx, StrategyPlan, TrainOptions,
 };
 
 use crate::error::{ensure_fits, ensure_nodes, CoreError};
@@ -150,14 +149,12 @@ impl TrainingSim {
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] when `opts` spans no node or more
-    /// nodes than the cluster has, or when the checkpoint plan does not
-    /// validate against the cluster (e.g. an NVMe sink whose volumes do
-    /// not exist); [`CoreError::Sim`] if the DAG cannot execute.
+    /// nodes than the cluster has; [`CoreError::Sim`] if the DAG cannot
+    /// execute.
     pub fn checkpoint_cost(
         &mut self,
         model: &GptConfig,
         opts: &TrainOptions,
-        sink: &CheckpointSink,
     ) -> Result<f64, CoreError> {
         ensure_nodes(opts, &self.cluster)?;
         let ctx = IterCtx {
@@ -166,7 +163,7 @@ impl TrainingSim {
             opts,
             calib: &self.calib,
         };
-        let save = plan_checkpoint(&ctx, sink);
+        let save = plan_checkpoint(&ctx);
         let dag = lower(&save, &self.cluster, &self.calib)?.into_dag();
         let mut engine = DagEngine::new(self.cluster.resource_slots());
         let out = engine.run(self.cluster.net_mut(), &dag, SimTime::ZERO, None)?;
@@ -191,8 +188,8 @@ impl TrainingSim {
     ///   shared across all iterations, so the virtual clock and the fault
     ///   clock stay aligned;
     /// * every `policy.checkpoint_interval` committed iterations, the
-    ///   strategy's checkpoint plan (state snapshot to `sink`) runs on the
-    ///   same engine — lowered once, like the iteration plan;
+    ///   checkpoint plan (a DRAM snapshot of the state) runs on the same
+    ///   engine — lowered once, like the iteration plan;
     /// * a node loss aborts the in-flight iteration; the run restarts
     ///   after `policy.restart_delay_s`, replays the restore plan if a
     ///   snapshot exists, rolls back to the last committed checkpoint,
@@ -236,8 +233,8 @@ impl TrainingSim {
         let mut lowered = lower(&plan, &self.cluster, &self.calib)?;
         let plan_lowerings = 1usize;
         let ckpt_dags: Option<(Dag, Dag)> = if faults.policy.checkpoint_interval > 0 {
-            let save = plan_checkpoint(&ctx, &faults.sink);
-            let restore = plan_restore(&ctx, &faults.sink);
+            let save = plan_checkpoint(&ctx);
+            let restore = plan_restore(&ctx);
             Some((
                 lower(&save, &self.cluster, &self.calib)?.into_dag(),
                 lower(&restore, &self.cluster, &self.calib)?.into_dag(),
@@ -493,9 +490,7 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
             assert!(err.to_string().contains("the cluster has 2"), "{err}");
-            let err = sim()
-                .checkpoint_cost(&model, &opts, &CheckpointSink::Dram)
-                .unwrap_err();
+            let err = sim().checkpoint_cost(&model, &opts).unwrap_err();
             assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
         }
     }
@@ -554,7 +549,7 @@ mod tests {
     #[test]
     fn node_loss_recovers_from_checkpoint_and_replays() {
         use crate::faults::{FaultConfig, FaultScenario};
-        use zerosim_strategies::{CheckpointSink, RecoveryPolicy};
+        use zerosim_strategies::RecoveryPolicy;
 
         let model = GptConfig::paper_model_with_params(1.4);
         let opts = TrainOptions::single_node();
@@ -574,11 +569,7 @@ mod tests {
             at_s: 0.55 * wall,
         }
         .compile(s.cluster(), 42);
-        let faults = FaultConfig::new(
-            schedule,
-            RecoveryPolicy::every(2).with_restart_delay(0.5),
-            CheckpointSink::Dram,
-        );
+        let faults = FaultConfig::new(schedule, RecoveryPolicy::every(2).with_restart_delay(0.5));
         let mut s2 = sim();
         let faulted = s2
             .run_resilient(&Strategy::Ddp, &model, &opts, &cfg, &faults)

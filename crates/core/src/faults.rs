@@ -4,15 +4,15 @@
 //! "GPU 3 is a straggler", "node 1 dies at t = 4 s" — compiled down to
 //! the simkit [`FaultSchedule`] of raw link/resource events by resolving
 //! link classes and GPU ids against the hardware model. [`FaultConfig`]
-//! bundles a schedule with the checkpoint/restart machinery
-//! ([`RecoveryPolicy`] + [`CheckpointSink`]) consumed by
+//! bundles a schedule with the checkpoint/restart policy
+//! ([`RecoveryPolicy`]; snapshots go to host DRAM) consumed by
 //! [`crate::TrainingSim::run_resilient`].
 
 use std::borrow::Cow;
 
 use zerosim_hw::{Cluster, GpuId, LinkClass};
 use zerosim_simkit::{FaultKind, FaultSchedule};
-use zerosim_strategies::{CheckpointSink, RecoveryPolicy};
+use zerosim_strategies::RecoveryPolicy;
 
 use crate::error::CoreError;
 
@@ -23,8 +23,6 @@ pub struct FaultConfig {
     pub schedule: FaultSchedule,
     /// Checkpoint cadence and restart charging.
     pub policy: RecoveryPolicy,
-    /// Where checkpoint snapshots land.
-    pub sink: CheckpointSink,
 }
 
 impl FaultConfig {
@@ -35,7 +33,6 @@ impl FaultConfig {
         FaultConfig {
             schedule: FaultSchedule::default(),
             policy: RecoveryPolicy::none(),
-            sink: CheckpointSink::Dram,
         }
     }
 
@@ -45,17 +42,12 @@ impl FaultConfig {
         FaultConfig {
             schedule,
             policy: RecoveryPolicy::none(),
-            sink: CheckpointSink::Dram,
         }
     }
 
     /// A full resilient configuration.
-    pub fn new(schedule: FaultSchedule, policy: RecoveryPolicy, sink: CheckpointSink) -> Self {
-        FaultConfig {
-            schedule,
-            policy,
-            sink,
-        }
+    pub fn new(schedule: FaultSchedule, policy: RecoveryPolicy) -> Self {
+        FaultConfig { schedule, policy }
     }
 }
 

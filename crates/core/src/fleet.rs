@@ -1,6 +1,6 @@
-//! Fleet-scale resilience economics: per-component hazard models sampled
-//! into [`FaultSchedule`]s, Young/Daly checkpoint-interval selection, and
-//! the Monte-Carlo ensemble runner behind the `fleetplan` cost search.
+//! Fleet-scale resilience economics: node losses sampled into
+//! [`FaultSchedule`]s, Young/Daly checkpoint-interval selection, and the
+//! Monte-Carlo ensemble runner behind the `fleetplan` cost search.
 //!
 //! The fault layer so far (PR 3) answered "what does *one* fault cost"
 //! with hand-written scenarios. At production scale the question becomes
@@ -8,17 +8,14 @@
 //! cluster configuration minimize dollars-to-train? This module provides
 //! the three pieces:
 //!
-//! 1. **Hazard sampling** — [`FleetProfile`] holds per-component
-//!    ([`ComponentHazard`]) failure-rate distributions ([`HazardDist`]:
-//!    exponential or Weibull) with mean-time-to-repair, and
-//!    [`FleetProfile::sample_schedule`] draws a renewal process per
-//!    component into an ordinary [`FaultSchedule`]. Sampling is
-//!    deterministic: each component owns an RNG stream forked from the
-//!    schedule seed and a stable component tag, so the same seed yields a
-//!    byte-identical schedule regardless of which other hazards are
-//!    enabled, and sampled schedules pass planlint ZL007 clean by
-//!    construction (windows never overlap per component, restores never
-//!    precede degradations, events never exceed the horizon).
+//! 1. **Node-loss sampling** — [`FleetProfile`] holds one optional
+//!    per-node MTBF, and [`FleetProfile::sample_schedule`] draws each
+//!    node's exponential time to its one fatal failure into an ordinary
+//!    [`FaultSchedule`]. Sampling is deterministic: each node owns an RNG
+//!    stream forked from the schedule seed and a stable tag, so the same
+//!    seed yields a byte-identical schedule, and sampled schedules pass
+//!    planlint ZL007 clean by construction (one loss per node, no
+//!    degradation windows).
 //! 2. **Young/Daly** — [`young_interval_s`] (τ = √(2·C·M)) and the
 //!    higher-order [`daly_interval_s`] refinement convert a *measured*
 //!    checkpoint cost ([`crate::TrainingSim::checkpoint_cost`]) and a
@@ -39,10 +36,10 @@
 //! ROADMAP item 5's "cheapest configuration to train model X in T days
 //! at failure rate λ".
 
-use zerosim_hw::{Cluster, GpuId, LinkClass, TopologySpec};
+use zerosim_hw::{Cluster, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{mix, nearest_rank, FaultKind, FaultSchedule};
-use zerosim_strategies::{CheckpointSink, RecoveryPolicy, TrainOptions};
+use zerosim_strategies::{RecoveryPolicy, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
 use crate::cost::CostModel;
@@ -58,231 +55,42 @@ use crate::sweep::{SweepRunner, SweepSpec};
 /// into MTBF seconds.
 const SECS_PER_DAY: f64 = 86_400.0;
 
-/// Runaway guard: a single component never samples more than this many
-/// outage windows into one schedule (a pathological sub-second MTBF would
-/// otherwise spin forever). Hitting the cap truncates deterministically.
-const MAX_WINDOWS_PER_COMPONENT: usize = 4_096;
-
-/// A failure-rate distribution for one component class.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum HazardDist {
-    /// Memoryless failures at a constant rate (the classic MTBF model).
-    Exponential {
-        /// Mean time between failures, seconds.
-        mtbf_s: f64,
-    },
-    /// Weibull-distributed failures: `shape < 1` models infant mortality
-    /// (burn-in), `shape > 1` wear-out.
-    Weibull {
-        /// Scale parameter η, seconds.
-        scale_s: f64,
-        /// Shape parameter β (dimensionless, > 0).
-        shape: f64,
-    },
-}
-
-impl HazardDist {
-    /// Draws one time-to-failure (seconds) by inverse-CDF sampling.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        // `next_f64` is in [0, 1); `1 - u` is in (0, 1], so the log is
-        // finite and the sampled time non-negative.
-        let u = rng.next_f64();
-        match *self {
-            HazardDist::Exponential { mtbf_s } => -mtbf_s * (1.0 - u).ln(),
-            HazardDist::Weibull { scale_s, shape } => scale_s * (-(1.0 - u).ln()).powf(1.0 / shape),
-        }
-    }
-
-    /// The distribution mean (MTBF), seconds.
-    pub fn mean_s(&self) -> f64 {
-        match *self {
-            HazardDist::Exponential { mtbf_s } => mtbf_s,
-            HazardDist::Weibull { scale_s, shape } => scale_s * gamma(1.0 + 1.0 / shape),
-        }
-    }
-
-    /// The same distribution with every time scaled by `f` (used to
-    /// compress fleet-scale MTBFs into a seconds-scale simulation window
-    /// for Monte-Carlo validation).
-    pub fn scale_time(&self, f: f64) -> Self {
-        match *self {
-            HazardDist::Exponential { mtbf_s } => HazardDist::Exponential { mtbf_s: mtbf_s * f },
-            HazardDist::Weibull { scale_s, shape } => HazardDist::Weibull {
-                scale_s: scale_s * f,
-                shape,
-            },
-        }
-    }
-
-    fn digest_into(&self, h: u64) -> u64 {
-        match *self {
-            HazardDist::Exponential { mtbf_s } => mix(mix(h, 1), mtbf_s.to_bits()),
-            HazardDist::Weibull { scale_s, shape } => {
-                mix(mix(mix(h, 2), scale_s.to_bits()), shape.to_bits())
-            }
-        }
-    }
-}
-
-/// Lanczos approximation of the gamma function (g = 7, n = 9), used for
-/// the Weibull mean. Accurate to ~15 significant digits for the x > 1
-/// arguments the hazard models produce.
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula keeps small shapes (β < 1 ⇒ 1 + 1/β > 2,
-        // so this branch is defensive).
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        let t = x + G + 0.5;
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-/// One component class's failure behaviour: when it breaks
-/// ([`HazardDist`]), how long the outage lasts (`mttr_s`), and how hard
-/// the degradation bites while it lasts (`factor`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComponentHazard {
-    /// Time-to-failure distribution.
-    pub dist: HazardDist,
-    /// Mean time to repair: the degradation window length, seconds.
-    /// Ignored for node-fatal hazards (recovery is the checkpoint/restart
-    /// machinery's job, not the schedule's).
-    pub mttr_s: f64,
-    /// Capacity/speed fraction of nominal during the outage, in `(0, 1]`.
-    /// Ignored for node-fatal hazards.
-    pub factor: f64,
-}
-
-impl ComponentHazard {
-    /// A memoryless hazard with the given MTBF.
-    pub fn exponential(mtbf_s: f64, mttr_s: f64, factor: f64) -> Self {
-        ComponentHazard {
-            dist: HazardDist::Exponential { mtbf_s },
-            mttr_s,
-            factor,
-        }
-    }
-
-    /// A Weibull hazard *targeted at* a mean time between failures: the
-    /// scale is chosen so the distribution mean equals `mtbf_s` at the
-    /// given shape.
-    pub fn weibull(mtbf_s: f64, shape: f64, mttr_s: f64, factor: f64) -> Self {
-        ComponentHazard {
-            dist: HazardDist::Weibull {
-                scale_s: mtbf_s / gamma(1.0 + 1.0 / shape),
-                shape,
-            },
-            mttr_s,
-            factor,
-        }
-    }
-
-    /// The hazard with failure times *and* repair times scaled by `f`.
-    pub fn scale_time(&self, f: f64) -> Self {
-        ComponentHazard {
-            dist: self.dist.scale_time(f),
-            mttr_s: self.mttr_s * f,
-            factor: self.factor,
-        }
-    }
-
-    fn digest_into(&self, h: u64) -> u64 {
-        mix(
-            mix(self.dist.digest_into(h), self.mttr_s.to_bits()),
-            self.factor.to_bits(),
-        )
-    }
-}
-
-/// Per-component hazard models for a fleet: which classes fail, how
-/// often, and how hard. `None` disables a class.
+/// The node-loss process a fleet samples: exponential node-fatal
+/// failures (kernel panic, PSU, baseboard) at one per-node MTBF. Each
+/// node fails at most once, and a loss aborts the run into the
+/// checkpoint/restart path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FleetProfile {
-    /// Node-fatal failures (kernel panic, PSU, baseboard): one
-    /// [`FaultKind::NodeLoss`] per node at most, aborting the run into
-    /// the checkpoint/restart path.
-    pub node: Option<ComponentHazard>,
-    /// Per-node network (NIC) outages: every RoCE link of the node runs
-    /// at `factor` × nominal for `mttr_s` seconds.
-    pub link: Option<ComponentHazard>,
-    /// Per-GPU stragglers: the GPU computes at `factor` × nominal for
-    /// `mttr_s` seconds (thermal throttling, ECC retirement storms).
-    pub gpu: Option<ComponentHazard>,
-    /// Per-node NVMe stalls: the node's NVMe device-service links run at
-    /// `factor` × nominal for `mttr_s` seconds (write-cache exhaustion,
-    /// GC pauses).
-    pub nvme: Option<ComponentHazard>,
+    /// Per-node mean time between node-fatal failures, seconds; `None`
+    /// samples no failures.
+    pub node: Option<f64>,
 }
 
-/// Fraction of per-node failures that are node-fatal in
-/// [`FleetProfile::from_node_rate`]'s canonical mix.
+/// The node-fatal share of the aggregate per-node failure rate
+/// [`FleetProfile::from_node_rate`] takes.
 const FATAL_FRACTION: f64 = 0.4;
 
 impl FleetProfile {
-    /// No hazards: every sampled schedule is empty.
+    /// No node losses: every sampled schedule is empty.
     pub fn healthy() -> Self {
         FleetProfile::default()
     }
 
-    /// Only node-fatal failures, exponentially distributed with the given
-    /// per-node MTBF — the profile Young/Daly analysis assumes, and the
-    /// one the bracket validation uses.
+    /// Node-fatal failures, exponentially distributed with the given
+    /// per-node MTBF — the process Young/Daly analysis assumes, and the
+    /// one the bracket validation samples.
     pub fn node_only(mtbf_s: f64) -> Self {
-        FleetProfile {
-            node: Some(ComponentHazard::exponential(mtbf_s, 0.0, 1.0)),
-            ..FleetProfile::default()
-        }
+        FleetProfile { node: Some(mtbf_s) }
     }
 
-    /// A canonical production mix for an aggregate failure rate of
-    /// `failures_per_node_day` (failures per node per day, all classes
-    /// combined): 40% node-fatal, 25% NIC outages (12.5% of nominal for
-    /// 2 minutes), 20% GPU stragglers (Weibull β = 0.7 infant-mortality
-    /// shape, half speed for 5 minutes), 15% NVMe stalls (25% of nominal
-    /// service for 1 minute). The split follows the fleet-incident
-    /// breakdowns reported for large GPU training clusters: roughly half
-    /// the incidents kill the job, the rest degrade it.
+    /// Node losses at the node-fatal share of an aggregate failure rate
+    /// of `failures_per_node_day` (failures per node per day, all classes
+    /// combined). 40% of the failures kill the node, following the
+    /// fleet-incident breakdowns reported for large GPU training clusters
+    /// (roughly half the incidents kill the job); the rest degrade a run
+    /// without rolling it back and are not sampled.
     pub fn from_node_rate(failures_per_node_day: f64) -> Self {
-        let mtbf = |fraction: f64| SECS_PER_DAY / (failures_per_node_day * fraction);
-        FleetProfile {
-            node: Some(ComponentHazard::exponential(mtbf(FATAL_FRACTION), 0.0, 1.0)),
-            link: Some(ComponentHazard::exponential(mtbf(0.25), 120.0, 0.125)),
-            gpu: Some(ComponentHazard::weibull(mtbf(0.20), 0.7, 300.0, 0.5)),
-            nvme: Some(ComponentHazard::exponential(mtbf(0.15), 60.0, 0.25)),
-        }
-    }
-
-    /// The profile with every time constant scaled by `f`: MTBFs and
-    /// MTTRs alike. Used to compress day-scale failure rates into a
-    /// seconds-scale simulation window — Young/Daly is self-similar in
-    /// `√(C·M)`, so the compressed system exercises the same trade-off.
-    pub fn scale_time(&self, f: f64) -> Self {
-        let s = |c: &Option<ComponentHazard>| c.as_ref().map(|h| h.scale_time(f));
-        FleetProfile {
-            node: s(&self.node),
-            link: s(&self.link),
-            gpu: s(&self.gpu),
-            nvme: s(&self.nvme),
-        }
+        FleetProfile::node_only(SECS_PER_DAY / (failures_per_node_day * FATAL_FRACTION))
     }
 
     /// System MTBF for *fatal* (node-loss) failures across `nodes` nodes:
@@ -291,9 +99,7 @@ impl FleetProfile {
     /// consumes at fleet scale, where losses are far rarer than the
     /// sampling horizon.
     pub fn fatal_mtbf_s(&self, nodes: usize) -> Option<f64> {
-        self.node
-            .as_ref()
-            .map(|h| h.dist.mean_s() / nodes.max(1) as f64)
+        self.node.map(|mtbf_s| mtbf_s / nodes.max(1) as f64)
     }
 
     /// The *effective* fatal MTBF the sampled process realizes over a
@@ -303,11 +109,9 @@ impl FleetProfile {
     /// uncapped `n·W/M_node` once `W` is comparable to the per-node mean.
     /// Young/Daly must be fed the rate the run will actually face;
     /// [`young_daly_bracket`] uses this, and it converges to
-    /// [`FleetProfile::fatal_mtbf_s`] as `W/M_node → 0` (exact for
-    /// exponential hazards, first-order otherwise).
+    /// [`FleetProfile::fatal_mtbf_s`] as `W/M_node → 0`.
     pub fn effective_fatal_mtbf_s(&self, nodes: usize, horizon_s: f64) -> Option<f64> {
-        let h = self.node.as_ref()?;
-        let mtbf_node = h.dist.mean_s();
+        let mtbf_node = self.node?;
         if !positive(horizon_s) || !positive(mtbf_node) {
             return Some(f64::INFINITY);
         }
@@ -338,64 +142,16 @@ impl FleetProfile {
         Some(-horizon_s / (1.0 - frac).ln())
     }
 
-    /// Expected fault *events* a sampled schedule of `horizon_s` seconds
-    /// carries (degradation onsets plus their restores plus node losses),
-    /// to first order — repair windows and the one-loss-per-node cap make
-    /// the true mean slightly smaller. Used by statistical-bounds tests.
-    pub fn expected_events(&self, nodes: usize, gpus_per_node: usize, horizon_s: f64) -> f64 {
-        let n = nodes as f64;
-        let per = |h: &Option<ComponentHazard>, components: f64, events_per_window: f64| {
-            h.as_ref().map_or(0.0, |h| {
-                components * (horizon_s / h.dist.mean_s()).min(1.0) * events_per_window
-            })
-        };
-        // Node losses emit one event and are capped at one per node; the
-        // degradation classes emit a scale + restore pair per window.
-        per(&self.node, n, 1.0)
-            + self
-                .link
-                .as_ref()
-                .map_or(0.0, |h| n * (horizon_s / h.dist.mean_s()) * 2.0)
-            + self.gpu.as_ref().map_or(0.0, |h| {
-                n * gpus_per_node as f64 * (horizon_s / h.dist.mean_s()) * 2.0
-            })
-            + self
-                .nvme
-                .as_ref()
-                .map_or(0.0, |h| n * (horizon_s / h.dist.mean_s()) * 2.0)
-    }
-
-    /// A stable fingerprint of the profile's hazard parameters.
-    pub fn digest(&self) -> u64 {
-        let mut h = 0x464c_4545_5450_524f; // "FLEETPRO"
-        for (tag, c) in [
-            (1u64, &self.node),
-            (2, &self.link),
-            (3, &self.gpu),
-            (4, &self.nvme),
-        ] {
-            h = mix(h, tag);
-            h = match c {
-                Some(hz) => hz.digest_into(h),
-                None => mix(h, 0),
-            };
-        }
-        h
-    }
-
     /// Samples this profile against `cluster` into a seed-stamped
     /// [`FaultSchedule`] covering `[0, horizon_s)`.
     ///
-    /// Determinism contract: each component (a node's fatal hazard, a
-    /// node's NIC group, one GPU, a node's NVMe group) draws from its own
-    /// RNG stream seeded by `mix(seed, class tag, component index)`, so
-    /// the sampled events of one component never depend on which other
-    /// hazards are enabled, and the same `(profile, cluster, horizon,
-    /// seed)` always yields a digest-identical schedule. Windows are
-    /// renewal processes (repair completes before the next failure of the
-    /// same component), restores are clamped to the horizon, and each
-    /// node dies at most once — the schedules pass planlint ZL007 with no
-    /// findings.
+    /// Determinism contract: each node draws its time to failure from its
+    /// own RNG stream seeded by `mix(mix(seed, node tag), node index)`, so
+    /// the same `(profile, cluster, horizon, seed)` always yields a
+    /// digest-identical schedule. Each node dies at most once — a lost
+    /// node stays lost for the rest of the schedule (ZL007 denies a
+    /// second loss, and the restart machinery models the recovery) — so
+    /// the schedules pass planlint ZL007 with no findings.
     ///
     /// # Errors
     /// [`CoreError::BadScenario`] when `horizon_s` is not finite and
@@ -412,97 +168,28 @@ impl FleetProfile {
             )));
         }
         const TAG_NODE: u64 = 0x6e6f_6465; // "node"
-        const TAG_LINK: u64 = 0x6c69_6e6b; // "link"
-        const TAG_GPU: u64 = 0x2e67_7075; // ".gpu"
-        const TAG_NVME: u64 = 0x6e76_6d65; // "nvme"
-        let spec = cluster.spec();
         let mut s = FaultSchedule::new(seed);
-        let stream = |tag: u64, idx: usize| Rng::new(mix(mix(seed, tag), idx as u64));
-        for node in 0..spec.nodes {
-            if let Some(h) = &self.node {
-                // At most one fatal loss per node: a lost node stays lost
-                // for the rest of the schedule (ZL007 denies a second
-                // loss, and the restart machinery models the recovery).
-                let mut rng = stream(TAG_NODE, node);
-                let t = h.dist.sample(&mut rng);
-                if t < horizon_s {
-                    s = s.try_at(t, FaultKind::NodeLoss { node })?;
-                }
-            }
-            if let Some(h) = &self.link {
-                let mut rng = stream(TAG_LINK, node);
-                for (start, end) in windows(h, horizon_s, &mut rng) {
-                    for &link in cluster.links(node, LinkClass::Roce) {
-                        s = s
-                            .try_at(
-                                start,
-                                FaultKind::ScaleLink {
-                                    link,
-                                    factor: h.factor,
-                                },
-                            )?
-                            .try_at(end, FaultKind::RestoreLink { link })?;
-                    }
-                }
-            }
-            if let Some(h) = &self.gpu {
-                for g in 0..spec.gpus_per_node {
-                    let mut rng = stream(TAG_GPU, node * spec.gpus_per_node + g);
-                    let resource = cluster.gpu_resource(GpuId { node, gpu: g }).0;
-                    for (start, end) in windows(h, horizon_s, &mut rng) {
-                        s = s
-                            .try_at(
-                                start,
-                                FaultKind::SlowResource {
-                                    resource,
-                                    factor: h.factor,
-                                },
-                            )?
-                            .try_at(end, FaultKind::RestoreResource { resource })?;
-                    }
-                }
-            }
-            if let Some(h) = &self.nvme {
-                let mut rng = stream(TAG_NVME, node);
-                for (start, end) in windows(h, horizon_s, &mut rng) {
-                    for &link in cluster.links(node, LinkClass::NvmeDev) {
-                        s = s
-                            .try_at(
-                                start,
-                                FaultKind::ScaleLink {
-                                    link,
-                                    factor: h.factor,
-                                },
-                            )?
-                            .try_at(end, FaultKind::RestoreLink { link })?;
-                    }
-                }
+        let Some(mtbf_s) = self.node else {
+            return Ok(s);
+        };
+        for node in 0..cluster.spec().nodes {
+            let mut rng = Rng::new(mix(mix(seed, TAG_NODE), node as u64));
+            let t = time_to_failure(mtbf_s, &mut rng);
+            if t < horizon_s {
+                s = s.try_at(t, FaultKind::NodeLoss { node })?;
             }
         }
         Ok(s)
     }
 }
 
-/// Renewal sampling of one component's outage windows over
-/// `[0, horizon_s)`: failure, repair for `mttr_s` (clamped to the
-/// horizon), next failure measured from repair completion. Windows never
-/// overlap by construction.
-fn windows(h: &ComponentHazard, horizon_s: f64, rng: &mut Rng) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    let mut t = 0.0;
-    while out.len() < MAX_WINDOWS_PER_COMPONENT {
-        t += h.dist.sample(rng);
-        if t >= horizon_s {
-            break;
-        }
-        let end = (t + h.mttr_s.max(0.0)).min(horizon_s);
-        // A zero-length window (mttr 0 exactly at the horizon) would emit
-        // a degrade/restore pair at the same instant; keep it — the
-        // cursor fires them in insertion order, so it is a no-op.
-        out.push((t, end));
-        t = end;
-    }
-    out
+/// Draws one exponential time to failure (seconds) with mean `mtbf_s` by
+/// inverse-CDF sampling.
+fn time_to_failure(mtbf_s: f64, rng: &mut Rng) -> f64 {
+    // `next_f64` is in [0, 1); `1 - u` is in (0, 1], so the log is finite
+    // and the sampled time non-negative.
+    let u = rng.next_f64();
+    -mtbf_s * (1.0 - u).ln()
 }
 
 /// NaN-safe strict positivity: false for NaN, zero, and negatives.
@@ -586,8 +273,6 @@ pub struct EnsembleConfig {
     pub workers: usize,
     /// Checkpoint cadence and restart charging for every sample.
     pub policy: RecoveryPolicy,
-    /// Where checkpoint snapshots land.
-    pub sink: CheckpointSink,
 }
 
 impl EnsembleConfig {
@@ -601,7 +286,6 @@ impl EnsembleConfig {
             seed: 0,
             workers: 1,
             policy: RecoveryPolicy::every(4).with_max_recoveries(64),
-            sink: CheckpointSink::Dram,
         }
     }
 
@@ -700,8 +384,8 @@ pub struct EnsembleReport {
 
 /// Runs `cfg.samples` sampled schedules of `profile` against the training
 /// configuration in `base` (its `faults` field is ignored — the policy
-/// and sink come from `cfg`, the schedule from the sampler), fanning the
-/// samples across a [`SweepRunner`].
+/// comes from `cfg`, the schedule from the sampler), fanning the samples
+/// across a [`SweepRunner`].
 ///
 /// Results are input-ordered, so the report — including its digest — is
 /// byte-identical at any `cfg.workers` width.
@@ -724,7 +408,7 @@ pub fn run_ensemble(
         schedule_digests.push(schedule.digest());
         let mut spec = base.clone();
         spec.label = format!("{} / s{i:02}", base.label);
-        spec.faults = FaultConfig::new(schedule, cfg.policy.clone(), cfg.sink.clone());
+        spec.faults = FaultConfig::new(schedule, cfg.policy.clone());
         specs.push(spec);
     }
     let outcomes = SweepRunner::new(cfg.workers.max(1)).run_each(specs);
@@ -737,7 +421,6 @@ pub fn run_ensemble(
     let mut replayed = 0usize;
     let mut checkpoints = 0usize;
     let mut h = mix_str(0x464c_4545_u64, &base.label);
-    h = mix(h, profile.digest());
     h = mix(h, cfg.samples as u64);
     h = mix(h, cfg.horizon_s.to_bits());
     h = mix(h, cfg.seed);
@@ -1130,11 +813,7 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
     // on the strategy: one measurement on a fresh simulator prices every
     // candidate.
     let ckpt_cost_s = match specs.first() {
-        Some(first) => {
-            first
-                .build_sim()?
-                .checkpoint_cost(&cfg.model, &opts, &CheckpointSink::Dram)?
-        }
+        Some(first) => first.build_sim()?.checkpoint_cost(&cfg.model, &opts)?,
         None => 0.0,
     };
     let runs = SweepRunner::new(cfg.workers).run_parallel(specs)?;
@@ -1211,90 +890,23 @@ mod tests {
 
     #[test]
     fn exponential_sampling_matches_mtbf() {
-        let dist = HazardDist::Exponential { mtbf_s: 50.0 };
         let mut rng = Rng::new(7);
         let n = 4000;
-        let mean = (0..n).map(|_| dist.sample(&mut rng)).sum::<f64>() / n as f64;
+        let mean = (0..n).map(|_| time_to_failure(50.0, &mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 50.0).abs() < 5.0, "mean {mean}");
-        assert_eq!(dist.mean_s(), 50.0);
-    }
-
-    #[test]
-    fn weibull_mean_targets_mtbf() {
-        for shape in [0.7, 1.0, 1.5] {
-            let h = ComponentHazard::weibull(120.0, shape, 1.0, 0.5);
-            assert!(
-                (h.dist.mean_s() - 120.0).abs() < 1e-6,
-                "shape {shape}: {}",
-                h.dist.mean_s()
-            );
-            let mut rng = Rng::new(11);
-            let n = 4000;
-            let mean = (0..n).map(|_| h.dist.sample(&mut rng)).sum::<f64>() / n as f64;
-            assert!((mean - 120.0).abs() < 15.0, "shape {shape}: sampled {mean}");
-        }
-    }
-
-    #[test]
-    fn gamma_hits_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-12);
-        assert!((gamma(2.0) - 1.0).abs() < 1e-12);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-9);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-12);
+        assert_eq!(FleetProfile::node_only(50.0).fatal_mtbf_s(1), Some(50.0));
     }
 
     #[test]
     fn sampled_schedules_are_seed_deterministic() {
         let c = cluster();
-        let p = FleetProfile::from_node_rate(1.0).scale_time(1.0 / SECS_PER_DAY * 40.0);
+        let p = FleetProfile::node_only(8.0);
         let a = p.sample_schedule(&c, 20.0, 42).unwrap();
         let b = p.sample_schedule(&c, 20.0, 42).unwrap();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.events(), b.events());
         let other = p.sample_schedule(&c, 20.0, 43).unwrap();
         assert_ne!(a.digest(), other.digest());
-    }
-
-    #[test]
-    fn component_streams_are_independent() {
-        // Disabling one hazard class must not shift another's samples.
-        let c = cluster();
-        let full = FleetProfile::from_node_rate(1.0).scale_time(40.0 / SECS_PER_DAY);
-        let gpu_only = FleetProfile {
-            gpu: full.gpu,
-            ..FleetProfile::healthy()
-        };
-        let full_s = full.sample_schedule(&c, 20.0, 9).unwrap();
-        let gpu_s = gpu_only.sample_schedule(&c, 20.0, 9).unwrap();
-        let gpu_events = |s: &FaultSchedule| {
-            s.events()
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        FaultKind::SlowResource { .. } | FaultKind::RestoreResource { .. }
-                    )
-                })
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(gpu_events(&full_s), gpu_events(&gpu_s));
-        assert!(!gpu_events(&gpu_s).is_empty());
-    }
-
-    #[test]
-    fn windows_never_overlap_and_respect_horizon() {
-        let h = ComponentHazard::exponential(2.0, 1.5, 0.5);
-        let mut rng = Rng::new(3);
-        let ws = windows(&h, 30.0, &mut rng);
-        assert!(!ws.is_empty());
-        let mut last_end = 0.0;
-        for (start, end) in ws {
-            assert!(start >= last_end, "windows overlap");
-            assert!(end <= 30.0 + 1e-9, "window past horizon");
-            assert!(end >= start);
-            last_end = end;
-        }
     }
 
     #[test]
@@ -1309,29 +921,6 @@ mod tests {
             .filter(|e| matches!(e.kind, FaultKind::NodeLoss { .. }))
             .count();
         assert_eq!(losses, c.spec().nodes);
-    }
-
-    #[test]
-    fn event_counts_track_the_configured_rate() {
-        let c = cluster();
-        let horizon = 200.0;
-        let p = FleetProfile {
-            gpu: Some(ComponentHazard::exponential(20.0, 1.0, 0.5)),
-            ..FleetProfile::healthy()
-        };
-        // 8 GPUs × 200 s / (20 s MTBF + 1 s MTTR) ≈ 76 windows ⇒ ~152
-        // events. Average over seeds and ask for ±30%.
-        let expected = p.expected_events(c.spec().nodes, c.spec().gpus_per_node, horizon);
-        let mut total = 0usize;
-        let seeds = 8;
-        for seed in 0..seeds {
-            total += p.sample_schedule(&c, horizon, seed).unwrap().len();
-        }
-        let mean = total as f64 / seeds as f64;
-        assert!(
-            (mean - expected).abs() < expected * 0.3,
-            "mean {mean} vs expected {expected}"
-        );
     }
 
     #[test]
@@ -1423,10 +1012,9 @@ mod tests {
     fn from_node_rate_splits_the_rate() {
         let p = FleetProfile::from_node_rate(2.0);
         // 40% of 2/day fatal ⇒ MTBF = 86400 / 0.8.
-        let m = p.node.unwrap().dist.mean_s();
+        let m = p.node.unwrap();
         assert!((m - SECS_PER_DAY / 0.8).abs() < 1e-6);
         // System fatal MTBF divides by node count.
         assert!((p.fatal_mtbf_s(4).unwrap() - m / 4.0).abs() < 1e-6);
-        assert!(p.digest() != FleetProfile::from_node_rate(1.0).digest());
     }
 }

@@ -59,9 +59,8 @@ pub use error::CoreError;
 pub use faults::{FaultConfig, FaultScenario};
 pub use fleet::{
     daly_interval_s, fleet_search, interval_iters, run_ensemble, waste_fraction,
-    young_daly_bracket, young_interval_s, BracketPoint, ComponentHazard, EnsembleConfig,
-    EnsembleReport, EnsembleStats, FleetCandidate, FleetCostConfig, FleetProfile, FleetReport,
-    HazardDist, YoungDalyBracket,
+    young_daly_bracket, young_interval_s, BracketPoint, EnsembleConfig, EnsembleReport,
+    EnsembleStats, FleetCandidate, FleetCostConfig, FleetProfile, FleetReport, YoungDalyBracket,
 };
 pub use report::{BandwidthReport, HotLink, ResilienceMetrics, TrainingReport};
 pub use search::{search_plans, CandidateOutcome, PlanCandidate, SearchConfig, SearchReport};
@@ -72,6 +71,6 @@ pub use timeline::{profile_tracks, to_chrome_trace, TrackProfile};
 // Re-export the pieces callers need alongside the engine.
 pub use zerosim_simkit::{EngineStats, FaultKind, FaultSchedule};
 pub use zerosim_strategies::{
-    Calibration, CheckpointSink, IterCtx, LoweredPlan, RecoveryPolicy, ServingStrategy, Strategy,
-    StrategyError, StrategyPlan, TrainOptions,
+    Calibration, IterCtx, LoweredPlan, RecoveryPolicy, ServingStrategy, Strategy, StrategyError,
+    StrategyPlan, TrainOptions,
 };

@@ -71,10 +71,7 @@ pub use plan::{
     Codec, Dtype, OpId, OptimizerDevice, Phase, PhaseStage, PlanNode, PlanOp, WorkloadKind,
     WorkloadPlan,
 };
-pub use resilience::{
-    plan_checkpoint, plan_restore, snapshot_bytes_per_rank, snapshot_bytes_total, CheckpointSink,
-    RecoveryPolicy,
-};
+pub use resilience::{plan_checkpoint, plan_restore, snapshot_bytes_per_rank, RecoveryPolicy};
 pub use serving::{kv_bucket, kv_bytes_per_token, ServingStrategy};
 pub use zero::{InfinityPlacement, StateTier, ZeroPlusPlusFlags, ZeroStage};
 

@@ -2,27 +2,24 @@
 //!
 //! Resilient training periodically snapshots the model states that cannot
 //! be recomputed — the FP16 parameters and the FP32 optimizer state
-//! (14 bytes/parameter; gradients are transient and re-derived) — to a
-//! durable tier, and on node loss restarts from the last snapshot,
-//! replaying the iterations committed since. This module provides:
+//! (14 bytes/parameter; gradients are transient and re-derived) — to host
+//! DRAM, and on node loss restarts from the last snapshot, replaying the
+//! iterations committed since. This module provides:
 //!
 //! * [`RecoveryPolicy`] — how often to checkpoint and how restart is
 //!   charged (relaunch delay, attempt budget);
-//! * [`CheckpointSink`] — where snapshots land (host DRAM or striped
-//!   NVMe volumes via an [`InfinityPlacement`]);
 //! * [`plan_checkpoint`] / [`plan_restore`] — [`WorkloadKind::Checkpoint`]
-//!   plans emitting the per-rank snapshot traffic, lowered once and run
-//!   by the core engine between iterations.
+//!   plans emitting the per-rank GPU↔DRAM snapshot traffic, lowered once
+//!   and run by the core engine between iterations.
 //!
 //! Snapshots are sharded: each data-parallel rank writes `14 P / world`
 //! bytes (a ZeRO-style partitioned checkpoint), so checkpoint cost scales
 //! down with the cluster exactly as DeepSpeed's `save_checkpoint` does.
 
-use zerosim_hw::{IoDir, MemLoc};
+use zerosim_hw::MemLoc;
 
 use crate::builders::{IterCtx, PlanCtx};
 use crate::plan::{WorkloadKind, WorkloadPlan};
-use crate::zero::InfinityPlacement;
 
 /// How a resilient run checkpoints and recovers from node loss.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,17 +74,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Where checkpoint snapshots are written.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckpointSink {
-    /// Snapshots stay in host DRAM on each rank's socket (fast, lost
-    /// with the node — models in-memory checkpointing).
-    Dram,
-    /// Snapshots are striped onto NVMe volumes, one volume per rank via
-    /// the same round-robin placement ZeRO-Infinity uses for offload.
-    Nvme(InfinityPlacement),
-}
-
 /// Bytes of durable state each rank snapshots: FP16 parameters plus FP32
 /// optimizer state (14 bytes/parameter), sharded across the world size.
 /// Gradients are transient and excluded.
@@ -97,26 +83,17 @@ pub fn snapshot_bytes_per_rank(ctx: &IterCtx<'_>) -> f64 {
     (states.params + states.optimizer) / world
 }
 
-/// Bytes a full checkpoint moves cluster-wide: every rank's shard summed
-/// back up. Independent of world size (the shards partition the durable
-/// state); the fleet layer uses it to sanity-scale measured checkpoint
-/// cost against sink bandwidth.
-pub fn snapshot_bytes_total(ctx: &IterCtx<'_>) -> f64 {
-    let world = ctx.opts.num_gpus(ctx.cluster).max(1) as f64;
-    snapshot_bytes_per_rank(ctx) * world
-}
-
 /// Builds the checkpoint-snapshot plan: every rank drains its state shard
-/// GPU→DRAM (and onward to NVMe for [`CheckpointSink::Nvme`]), joined by
-/// a final barrier so the snapshot commits atomically.
-pub fn plan_checkpoint(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> WorkloadPlan {
-    plan_state_movement(ctx, sink, Direction::Save)
+/// GPU→DRAM, joined by a final barrier so the snapshot commits
+/// atomically.
+pub fn plan_checkpoint(ctx: &IterCtx<'_>) -> WorkloadPlan {
+    plan_state_movement(ctx, Direction::Save)
 }
 
-/// Builds the restore plan: the mirror of [`plan_checkpoint`] (NVMe→DRAM
-/// →GPU reads), run once after a restart before training resumes.
-pub fn plan_restore(ctx: &IterCtx<'_>, sink: &CheckpointSink) -> WorkloadPlan {
-    plan_state_movement(ctx, sink, Direction::Restore)
+/// Builds the restore plan: the mirror of [`plan_checkpoint`] (DRAM→GPU
+/// copies), run once after a restart before training resumes.
+pub fn plan_restore(ctx: &IterCtx<'_>) -> WorkloadPlan {
+    plan_state_movement(ctx, Direction::Restore)
 }
 
 #[derive(Clone, Copy)]
@@ -125,70 +102,18 @@ enum Direction {
     Restore,
 }
 
-fn plan_state_movement(ctx: &IterCtx<'_>, sink: &CheckpointSink, dir: Direction) -> WorkloadPlan {
+fn plan_state_movement(ctx: &IterCtx<'_>, dir: Direction) -> WorkloadPlan {
     let bytes = snapshot_bytes_per_rank(ctx);
     let mut p = PlanCtx::new(*ctx, WorkloadKind::Checkpoint);
     let mut joins = Vec::new();
-    for (rank, gpu) in ctx.opts.gpus(ctx.cluster).into_iter().enumerate() {
-        let socket = ctx.cluster.gpu_socket(gpu);
-        let track = ctx.gpu_track(gpu);
-        let tail = match (dir, sink) {
-            (Direction::Save, CheckpointSink::Dram) => p.transfer(
-                MemLoc::Gpu(gpu),
-                MemLoc::Cpu(socket),
-                bytes,
-                "ckpt_d2h",
-                track,
-                &[],
-            ),
-            (Direction::Save, CheckpointSink::Nvme(placement)) => {
-                let d2h = p.transfer(
-                    MemLoc::Gpu(gpu),
-                    MemLoc::Cpu(socket),
-                    bytes,
-                    "ckpt_d2h",
-                    track,
-                    &[],
-                );
-                p.volume_io(
-                    placement.volume_for(rank),
-                    socket,
-                    IoDir::Write,
-                    bytes,
-                    "ckpt_write",
-                    track,
-                    &[d2h],
-                )
-            }
-            (Direction::Restore, CheckpointSink::Dram) => p.transfer(
-                MemLoc::Cpu(socket),
-                MemLoc::Gpu(gpu),
-                bytes,
-                "ckpt_h2d",
-                track,
-                &[],
-            ),
-            (Direction::Restore, CheckpointSink::Nvme(placement)) => {
-                let read = p.volume_io(
-                    placement.volume_for(rank),
-                    socket,
-                    IoDir::Read,
-                    bytes,
-                    "ckpt_read",
-                    track,
-                    &[],
-                );
-                p.transfer(
-                    MemLoc::Cpu(socket),
-                    MemLoc::Gpu(gpu),
-                    bytes,
-                    "ckpt_h2d",
-                    track,
-                    &[read],
-                )
-            }
+    for gpu in ctx.opts.gpus(ctx.cluster) {
+        let device = MemLoc::Gpu(gpu);
+        let host = MemLoc::Cpu(ctx.cluster.gpu_socket(gpu));
+        let (src, dst, label) = match dir {
+            Direction::Save => (device, host, "ckpt_d2h"),
+            Direction::Restore => (host, device, "ckpt_h2d"),
         };
-        joins.push(tail);
+        joins.push(p.transfer(src, dst, bytes, label, ctx.gpu_track(gpu), &[]));
     }
     p.barrier(&joins);
     let plan = p.finish();
@@ -202,7 +127,7 @@ mod tests {
     use crate::calib::Calibration;
     use crate::lower::lower;
     use crate::options::TrainOptions;
-    use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
+    use zerosim_hw::{Cluster, ClusterSpec};
     use zerosim_model::GptConfig;
 
     fn fixtures() -> (Cluster, GptConfig, TrainOptions, Calibration) {
@@ -226,8 +151,6 @@ mod tests {
         let world = o.num_gpus(&c) as f64;
         let expect = 14.0 * m.num_params() / world;
         assert!((snapshot_bytes_per_rank(&ctx) - expect).abs() < 1.0);
-        // The cluster-wide total is world-size invariant.
-        assert!((snapshot_bytes_total(&ctx) - 14.0 * m.num_params()).abs() < world);
     }
 
     #[test]
@@ -239,7 +162,7 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let plan = plan_checkpoint(&ctx, &CheckpointSink::Dram);
+        let plan = plan_checkpoint(&ctx);
         assert_eq!(plan.kind(), WorkloadKind::Checkpoint);
         // One d2h per rank plus the commit barrier.
         assert_eq!(plan.len(), o.num_gpus(&c) + 1);
@@ -247,30 +170,11 @@ mod tests {
         let lowered = lower(&plan, &c, &k).unwrap();
         // Pure state movement: nothing to re-stamp per iteration.
         assert_eq!(lowered.stamped_tasks(), 0);
-    }
-
-    #[test]
-    fn nvme_checkpoint_round_trips() {
-        let (mut c, m, o, k) = fixtures();
-        let vol = c.create_volume(vec![
-            NvmeId { node: 0, drive: 0 },
-            NvmeId { node: 0, drive: 1 },
-        ]);
-        let sink = CheckpointSink::Nvme(InfinityPlacement::new(vec![vol]));
-        let ctx = IterCtx {
-            cluster: &c,
-            model: &m,
-            opts: &o,
-            calib: &k,
-        };
-        let save = plan_checkpoint(&ctx, &sink);
-        let restore = plan_restore(&ctx, &sink);
-        save.validate(&c).unwrap();
+        // The restore plan mirrors the save: one h2d per rank, same bytes.
+        let restore = plan_restore(&ctx);
         restore.validate(&c).unwrap();
-        // d2h + nvme write per rank, plus the barrier.
-        assert_eq!(save.len(), 2 * o.num_gpus(&c) + 1);
-        assert_eq!(save.staging_bytes(), restore.staging_bytes());
-        lower(&save, &c, &k).unwrap();
+        assert_eq!(restore.len(), plan.len());
+        assert_eq!(restore.staging_bytes(), plan.staging_bytes());
         lower(&restore, &c, &k).unwrap();
     }
 

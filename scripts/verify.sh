@@ -19,15 +19,17 @@
 #                   oracle on (each incremental max-min solve
 #                   cross-checked against the full reference solver,
 #                   including on every pinned training, fault-matrix and
-#                   serving digest), the zero-allocation gate on the
-#                   solver hot path, and the per-task allocation floor of
-#                   lowering and execution
+#                   serving digest), and the allocation floors of the
+#                   solver hot path (zero in steady state), planning,
+#                   lowering, execution and linting
 #   5. sweep:       `repro --workers 4` must render the scorecard and
 #                   eighteen runner artifacts byte-identically to the
 #                   serial run: the ext11 fault matrix, ext13's fleet
 #                   search and Young/Daly brackets (all three rows must
 #                   read `yes`; its last line is one digest over the
-#                   brackets) and ext14's serving latencies among them
+#                   brackets) and ext14's serving latencies among them.
+#                   The runner clamps the width to the machine's cores;
+#                   the verdict names the width repro actually ran
 #   6. planlint:    static analysis (ZL001-ZL009) over the 12 golden
 #                   paper configurations: zero deny and zero warnings,
 #                   and a `--json` document that leads with its
@@ -103,9 +105,8 @@ echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # (crates/bench/tests/cli_usage.rs).
 ZEROSIM_SHADOW=1 cargo test -q --release --workspace
 # Steady-state start -> solve -> advance cycles must allocate nothing,
-# and lowering and running a DAG must allocate per DAG, not per task
-# (each a counting global allocator in its own test binary).
-cargo test -q --release -p zerosim-simkit --test solver_allocs
+# and planning, lowering and running a DAG must allocate per plan or DAG,
+# not per op or task (a counting global allocator in its own test binary).
 cargo test -q --release --test lowering_allocs
 
 echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
@@ -117,16 +118,29 @@ SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 cargo run --release -q -p zerosim-bench --bin repro -- \
   --out "$SWEEP_TMP/serial" $WIDTH_ARTIFACTS >/dev/null
-cargo run --release -q -p zerosim-bench --bin repro -- \
-  --out "$SWEEP_TMP/wide" --workers 4 $WIDTH_ARTIFACTS >/dev/null
+if ! cargo run --release -q -p zerosim-bench --bin repro -- \
+  --out "$SWEEP_TMP/wide" --workers 4 $WIDTH_ARTIFACTS >/dev/null 2>"$SWEEP_TMP/wide.err"; then
+  cat "$SWEEP_TMP/wide.err" >&2
+  exit 1
+fi
+# repro reports the width it ran: `[sweep workers: 4]`, or `[sweep
+# workers: requested 4 -> effective N (clamped to machine)]` on a machine
+# with fewer cores.
+WIDE="$(sed -nE 's/^\[sweep workers: (requested [0-9]+ -> effective )?([0-9]+).*$/\2/p' \
+  "$SWEEP_TMP/wide.err" | head -n 1)"
+if [ -z "$WIDE" ]; then
+  echo "ERROR: repro --workers 4 did not report its sweep width" >&2
+  cat "$SWEEP_TMP/wide.err" >&2
+  exit 1
+fi
 for id in $WIDTH_ARTIFACTS; do
   if ! cmp -s "$SWEEP_TMP/serial/$id.txt" "$SWEEP_TMP/wide/$id.txt"; then
-    echo "ERROR: $id differs between --workers 1 and --workers 4" >&2
+    echo "ERROR: $id differs between widths 1 and $WIDE" >&2
     diff "$SWEEP_TMP/serial/$id.txt" "$SWEEP_TMP/wide/$id.txt" >&2 || true
     exit 1
   fi
 done
-echo "$(echo $WIDTH_ARTIFACTS | wc -w) artifacts byte-identical at widths 1 and 4"
+echo "$(echo $WIDTH_ARTIFACTS | wc -w) artifacts byte-identical at widths 1 and $WIDE (requested 4)"
 # Young/Daly: at the 32-sample floor the analytic interval must beat both
 # the 0.5x and the 2x cadence on mean goodput for all three golden
 # configurations, i.e. every bracket row's last column reads `yes`.
@@ -142,7 +156,7 @@ if [ -z "$BRACKET_DIGEST" ]; then
   echo "ERROR: ext13 prints no bracket digest line" >&2
   exit 1
 fi
-echo "ext13: $YD_WINS/3 Young/Daly wins, $BRACKET_DIGEST (same at widths 1 and 4)"
+echo "ext13: $YD_WINS/3 Young/Daly wins, $BRACKET_DIGEST (same at widths 1 and $WIDE)"
 
 echo "== planlint gate: golden configs lint at zero deny and zero warnings =="
 # Static analysis (ZL001-ZL009) over the 12 golden paper configurations.

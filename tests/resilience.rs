@@ -7,9 +7,7 @@
 //! `tests/plan_equivalence.rs`.)
 
 use zerosim_bench::experiments::resilience::{cell_spec, fault_matrix_scenarios, MATRIX_BILLIONS};
-use zerosim_core::{
-    CheckpointSink, FaultConfig, FaultScenario, RecoveryPolicy, RunConfig, TrainingSim,
-};
+use zerosim_core::{FaultConfig, FaultScenario, RecoveryPolicy, RunConfig, TrainingSim};
 use zerosim_hw::{ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagBuilder, DagEngine, FaultKind, FaultSchedule, FlowNet, SimTime, TaskId};
@@ -229,7 +227,6 @@ prop! {
         let faults = FaultConfig::new(
             schedule,
             RecoveryPolicy::every(interval).with_restart_delay(0.25),
-            CheckpointSink::Dram,
         );
         let lost = sim
             .run_resilient(&strategy, &model, &opts, &cfg, &faults)
