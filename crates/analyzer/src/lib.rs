@@ -65,7 +65,9 @@ pub use passes::{
 
 use zerosim_hw::Cluster;
 use zerosim_model::GptConfig;
-use zerosim_strategies::{lower, Calibration, IterCtx, StrategyError, StrategyPlan, TrainOptions};
+use zerosim_strategies::{
+    lower, Calibration, IterCtx, Strategy, StrategyError, StrategyPlan, TrainOptions,
+};
 
 /// Plans, lowers, and lints one strategy end to end: memory plan +
 /// iteration plan + lowered DAG through every default pass.
@@ -80,7 +82,7 @@ use zerosim_strategies::{lower, Calibration, IterCtx, StrategyError, StrategyPla
 /// finding.
 pub fn analyze_strategy(
     cluster: &Cluster,
-    strategy: &dyn StrategyPlan,
+    strategy: &Strategy,
     model: &GptConfig,
     opts: &TrainOptions,
     calib: &Calibration,
@@ -108,7 +110,6 @@ pub fn analyze_strategy(
 mod tests {
     use super::*;
     use zerosim_hw::ClusterSpec;
-    use zerosim_strategies::Strategy;
 
     #[test]
     fn analyze_strategy_runs_the_full_stack() {

@@ -215,7 +215,9 @@ mod tests {
                     factor: 0.25,
                 },
             )
-            .at(2.0, FaultKind::RestoreLink { link: link(&c) });
+            .unwrap()
+            .at(2.0, FaultKind::RestoreLink { link: link(&c) })
+            .unwrap();
         let r = run(&s, Some(10.0));
         assert!(r.is_clean(), "{}", r.render_text());
         assert_eq!(r.warning_count(), 0);
@@ -228,13 +230,15 @@ mod tests {
         // t=1 *before* the degrade at t=5, so it restores nothing.
         let s = FaultSchedule::new(7)
             .at(1.0, FaultKind::RestoreLink { link: link(&c) })
+            .unwrap()
             .at(
                 5.0,
                 FaultKind::ScaleLink {
                     link: link(&c),
                     factor: 0.5,
                 },
-            );
+            )
+            .unwrap();
         let r = run(&s, None);
         assert_eq!(r.warning_count(), 1);
         assert_eq!(r.diagnostics[0].site, Site::FaultEvent(0));
@@ -245,7 +249,9 @@ mod tests {
         let c = Cluster::new(ClusterSpec::default()).unwrap();
         let s = FaultSchedule::new(7)
             .at(1.0, FaultKind::NodeLoss { node: 1 })
+            .unwrap()
             .at(2.0, FaultKind::NodeLoss { node: 1 })
+            .unwrap()
             .at(
                 3.0,
                 FaultKind::ScaleLink {
@@ -253,13 +259,15 @@ mod tests {
                     factor: 0.0,
                 },
             )
+            .unwrap()
             .at(
                 4.0,
                 FaultKind::SlowResource {
                     resource: 999,
                     factor: 0.5,
                 },
-            );
+            )
+            .unwrap();
         let r = run(&s, None);
         assert_eq!(r.deny_count(), 3);
         assert!(r.diagnostics[0].message.contains("lost twice"));
@@ -278,6 +286,7 @@ mod tests {
                     factor: 0.5,
                 },
             )
+            .unwrap()
             .at(
                 2.0,
                 FaultKind::ScaleLink {
@@ -285,7 +294,9 @@ mod tests {
                     factor: 0.25,
                 },
             )
+            .unwrap()
             .at(3.0, FaultKind::RestoreLink { link: link(&c) })
+            .unwrap()
             .at(
                 1.0,
                 FaultKind::SlowResource {
@@ -293,22 +304,31 @@ mod tests {
                     factor: 0.5,
                 },
             )
+            .unwrap()
             .at(
                 2.0,
                 FaultKind::SlowResource {
                     resource: 0,
                     factor: 0.7,
                 },
-            );
+            )
+            .unwrap();
         let r = run(&s, None);
         assert!(r.is_clean(), "{}", r.render_text());
         assert_eq!(r.warning_count(), 2);
         assert!(r.diagnostics[0].message.contains("re-degrades link"));
         assert!(r.diagnostics[1].message.contains("re-slows resource 0"));
         // Sequential (restore-separated) windows on the same target are fine.
+        let (l, factor) = (link(&c), 0.5);
         let sequential = FaultSchedule::new(7)
-            .degrade_window(link(&c), 1.0, 0.5, 1.0)
-            .degrade_window(link(&c), 5.0, 0.5, 1.0);
+            .at(1.0, FaultKind::ScaleLink { link: l, factor })
+            .unwrap()
+            .at(2.0, FaultKind::RestoreLink { link: l })
+            .unwrap()
+            .at(5.0, FaultKind::ScaleLink { link: l, factor })
+            .unwrap()
+            .at(6.0, FaultKind::RestoreLink { link: l })
+            .unwrap();
         let r = run(&sequential, Some(10.0));
         assert!(r.is_clean());
         assert_eq!(r.warning_count(), 0);
@@ -317,13 +337,15 @@ mod tests {
     #[test]
     fn event_past_horizon_warns() {
         let c = Cluster::new(ClusterSpec::default()).unwrap();
-        let s = FaultSchedule::new(7).at(
-            50.0,
-            FaultKind::ScaleLink {
-                link: link(&c),
-                factor: 0.5,
-            },
-        );
+        let s = FaultSchedule::new(7)
+            .at(
+                50.0,
+                FaultKind::ScaleLink {
+                    link: link(&c),
+                    factor: 0.5,
+                },
+            )
+            .unwrap();
         let r = run(&s, Some(10.0));
         assert!(r.is_clean());
         assert_eq!(r.warning_count(), 1);

@@ -22,8 +22,9 @@
 //!   flagged.
 //! * `--tokens N` — training tokens, a finite number > 0 (default
 //!   Chinchilla 20/parameter).
-//! * `--workers N` — simulation fan-out, N ≥ 1; results are
-//!   byte-identical at any width (only wall-clock changes).
+//! * `--workers N` — simulation fan-out, N ≥ 1, clamped to the machine's
+//!   cores; results are byte-identical at any width (only wall-clock
+//!   changes).
 //! * `--top N` — placements costed in full from the throughput ranking,
 //!   N ≥ 1 (default 4).
 //! * `--json` — machine-readable report instead of text.
@@ -37,6 +38,7 @@ use std::time::Instant;
 
 use zerosim_bench::cli::{
     parse_count, parse_model, parse_or_exit, parse_topology, take_flag, take_value, usage_error,
+    workers_ran,
 };
 use zerosim_core::{fleet_search, FleetCostConfig, FleetReport};
 use zerosim_testkit::json::Json;
@@ -154,6 +156,9 @@ fn main() {
         println!("{}", report_json(&report).render());
     } else {
         print!("{}", report.render_text());
-        eprintln!("[search completed in {wall_secs:.2}s at {workers} worker(s)]");
+        eprintln!(
+            "[search completed in {wall_secs:.2}s at {}]",
+            workers_ran(workers)
+        );
     }
 }

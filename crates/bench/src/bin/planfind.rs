@@ -16,20 +16,24 @@
 //! * `--model B` — paper-shaped model of `B` billion parameters
 //!   (depth-scaled, h = 2048); `--model wide:B` uses the fixed-depth
 //!   wide shape for cluster-scale models.
-//! * `--workers N` — simulation fan-out, N ≥ 1; results are
-//!   byte-identical at any width (only wall-clock changes).
+//! * `--workers N` — simulation fan-out, N ≥ 1, clamped to the machine's
+//!   cores; results are byte-identical at any width (only wall-clock
+//!   changes).
 //! * `--top N` — ranked plans to print, N ≥ 1 (default 5).
 //! * `--json` — machine-readable report instead of text: candidate
-//!   counts, prune fraction, digest, wall time, ranking and every
-//!   candidate's outcome.
+//!   counts, prune fraction, the worker count the search ran at (and the
+//!   requested one, when the machine clamped it), digest, wall time,
+//!   ranking and every candidate's outcome.
 //!
 //! Exit status: 0 on success (even when every candidate prunes), 1 when
 //! the topology cannot be built, 2 on usage errors.
 
 use std::time::Instant;
 
-use zerosim_bench::cli::{parse_count, parse_model, parse_topology, take_flag, take_value};
-use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SearchReport};
+use zerosim_bench::cli::{
+    parse_count, parse_model, parse_topology, take_flag, take_value, workers_ran,
+};
+use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SearchReport, SweepRunner};
 use zerosim_testkit::json::Json;
 
 fn usage() -> ! {
@@ -68,7 +72,7 @@ fn report_json(report: &SearchReport, workers: usize, wall_secs: f64) -> Json {
         .into_iter()
         .map(|c| Json::Str(format!("{} {}", c.strategy_name, c.placement())))
         .collect();
-    Json::Obj(vec![
+    let mut fields = vec![
         ("topology".into(), Json::Str(report.topology.clone())),
         ("total_gpus".into(), Json::Num(report.total_gpus as f64)),
         (
@@ -80,7 +84,13 @@ fn report_json(report: &SearchReport, workers: usize, wall_secs: f64) -> Json {
         ("simulated".into(), Json::Num(report.simulated() as f64)),
         ("failed".into(), Json::Num(report.failed() as f64)),
         ("prune_fraction".into(), Json::Num(report.prune_fraction())),
-        ("workers".into(), Json::Num(workers as f64)),
+    ];
+    let effective = SweepRunner::effective_workers(workers);
+    fields.push(("workers".into(), Json::Num(effective as f64)));
+    if effective != workers {
+        fields.push(("requested_workers".into(), Json::Num(workers as f64)));
+    }
+    fields.extend([
         ("wall_secs".into(), Json::Num(wall_secs)),
         (
             "digest".into(),
@@ -88,7 +98,8 @@ fn report_json(report: &SearchReport, workers: usize, wall_secs: f64) -> Json {
         ),
         ("ranking".into(), Json::Arr(ranking)),
         ("candidates".into(), Json::Arr(candidates)),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 fn main() {
@@ -121,6 +132,9 @@ fn main() {
         println!("{}", report_json(&report, workers, wall_secs).render());
     } else {
         print!("{}", report.render_text(top));
-        eprintln!("[search completed in {wall_secs:.2}s at {workers} worker(s)]");
+        eprintln!(
+            "[search completed in {wall_secs:.2}s at {}]",
+            workers_ran(workers)
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! strategy table they look strategies up in by [`Strategy::name`].
 //! Every usage error prints one line to stderr and exits with status 2.
 
-use zerosim_core::SweepSpec;
+use zerosim_core::{SweepRunner, SweepSpec};
 use zerosim_hw::TopologySpec;
 use zerosim_model::GptConfig;
 use zerosim_strategies::{Strategy, TrainOptions, ZeroStage};
@@ -83,6 +83,18 @@ pub fn parse_count(raw: Option<String>, flag: &str, default: usize) -> usize {
         usage_error(&format!("{flag}: expected a positive integer, got 0"));
     }
     count
+}
+
+/// `N worker(s)` for the width a search asked for `requested` workers
+/// runs at ([`SweepRunner::effective_workers`]), naming the request when
+/// the machine clamped it, for the tools' completion lines.
+pub fn workers_ran(requested: usize) -> String {
+    let effective = SweepRunner::effective_workers(requested);
+    if effective == requested {
+        format!("{effective} worker(s)")
+    } else {
+        format!("{effective} worker(s), requested {requested} (clamped to machine)")
+    }
 }
 
 /// Parses an inclusive token range `LO,HI` (a single `N` means `N,N`) for

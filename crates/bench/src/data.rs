@@ -115,6 +115,7 @@ pub fn baselines(nodes: usize) -> Vec<(&'static str, Strategy)> {
 pub fn capacity_of(spec: &SweepSpec) -> CapacityResult {
     let sim = spec.build_sim().expect("experiment clusters build");
     max_model_size(sim.cluster(), &spec.strategy, &spec.opts, sim.calibration())
+        .expect("experiment node counts are on the cluster")
         .expect("every experiment strategy fits at least one layer")
 }
 

@@ -85,7 +85,9 @@ pub fn fault_matrix_scenarios(wall_secs: f64) -> Vec<FaultScenario> {
 /// unprotected).
 fn with_matrix_faults(spec: SweepSpec, scenario: &FaultScenario) -> SweepSpec {
     let probe = spec.build_sim().expect("matrix clusters build");
-    let schedule = scenario.compile(probe.cluster(), MATRIX_SEED);
+    let schedule = scenario
+        .compile(probe.cluster(), MATRIX_SEED)
+        .expect("matrix scenarios resolve against the matrix clusters");
     let faults = match scenario {
         FaultScenario::NodeLoss { .. } => {
             FaultConfig::new(schedule, RecoveryPolicy::every(2).with_restart_delay(1.0))

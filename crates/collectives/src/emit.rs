@@ -2,11 +2,12 @@
 //!
 //! Every collective is compiled to the classic ring algorithm: `k` steps,
 //! each step being one concurrent chunk flow per participating rank, with a
-//! barrier between steps. This yields both the textbook communication
-//! volumes (all-reduce moves `2 (n−1)/n · S` per rank) and realistic
-//! utilization *patterns*: bursts on NVLink within a node, sustained
-//! pressure on RoCE across nodes — the distinction Sec. IV-E of the paper
-//! builds its analysis on.
+//! barrier between steps; large multi-node buffers take the two-level
+//! schedule built from node-local rings. Each schedule moves the textbook
+//! communication volume (all-reduce moves `2 (n−1)/n · S` per rank) and
+//! yields realistic utilization *patterns*: bursts on NVLink within a
+//! node, sustained pressure on RoCE across nodes — the distinction
+//! Sec. IV-E of the paper builds its analysis on.
 
 use zerosim_hw::Cluster;
 use zerosim_simkit::{DagBuilder, TaskId};
@@ -66,7 +67,17 @@ pub struct CollectiveHandle {
 }
 
 /// Appends the task fragment for `kind` over a `bytes`-sized buffer shared
-/// by `group` to `dag`, starting after `deps`.
+/// by `group` to `dag`, starting after `deps`, with a per-flow rate
+/// ceiling of `internode_cap` on inter-node hops (the effective NCCL
+/// efficiency of the issuing engine, see [`crate::ring_route`];
+/// `f64::INFINITY` leaves the wires as the only limit).
+///
+/// The schedule follows the buffer: hierarchical for a group spanning
+/// nodes with equal rank counts once a rank's chunk reaches 30 MB,
+/// otherwise a flat ring, coalesced below 8 MB chunks. Every schedule
+/// moves the ring's closed form in total, `n · bytes_sent_per_rank(n, S)`
+/// over a group of `n` ranks; the schedules differ in which links carry
+/// the bytes.
 ///
 /// Tracks in the span log are the GPU resource indices of the ranks; spans
 /// are labelled with the collective name (matching the NCCL kernel names
@@ -75,21 +86,6 @@ pub struct CollectiveHandle {
 /// # Panics
 /// Panics if `bytes` is not positive and finite.
 pub fn emit_collective(
-    dag: &mut DagBuilder,
-    cluster: &Cluster,
-    group: &CommGroup,
-    kind: CollectiveKind,
-    bytes: f64,
-    deps: &[TaskId],
-) -> CollectiveHandle {
-    emit_collective_capped(dag, cluster, group, kind, bytes, deps, f64::INFINITY)
-}
-
-/// Like [`emit_collective`], with a per-flow rate ceiling on inter-node
-/// hops (the effective NCCL efficiency of the issuing engine; see
-/// [`crate::ring_route`]).
-#[allow(clippy::too_many_arguments)]
-pub fn emit_collective_capped(
     dag: &mut DagBuilder,
     cluster: &Cluster,
     group: &CommGroup,
@@ -121,67 +117,11 @@ const COALESCE_BELOW_CHUNK: f64 = 8e6;
 /// go hierarchical.
 const HIERARCHICAL_MIN_CHUNK: f64 = 30e6;
 
-/// True when [`emit_collective_capped`] would pick the hierarchical
-/// (intra-node + inter-node exchange) schedule for this collective.
-pub fn uses_hierarchical_schedule(group: &CommGroup, bytes: f64) -> bool {
+/// True when [`emit_collective`] picks the hierarchical (intra-node +
+/// inter-node exchange) schedule for this collective.
+fn uses_hierarchical_schedule(group: &CommGroup, bytes: f64) -> bool {
     let n = group.len().max(1) as f64;
     group.splits_into_equal_nodes() && bytes / n >= HIERARCHICAL_MIN_CHUNK
-}
-
-/// Closed-form total wire volume (bytes summed over every transfer task)
-/// that [`emit_collective_capped`] emits for this collective — the
-/// machine-checkable conservation law behind the paper's Table IV
-/// analysis.
-///
-/// Flat ring schedules move `n · bytes_sent_per_rank(n, S)` in total
-/// (all-reduce: `2 (n−1) · S / n` per rank). The hierarchical schedule is
-/// accounted by mirroring its recursion: per-node intra collectives plus
-/// the inter-node exchange. Per-flow 1-byte floors for degenerate sizes
-/// are ignored; callers comparing against an emitted DAG should allow a
-/// few KiB of slack.
-pub fn wire_bytes(group: &CommGroup, kind: CollectiveKind, bytes: f64) -> f64 {
-    let n = group.len();
-    if n <= 1 {
-        return 0.0;
-    }
-    let flat = |ranks: usize, k: CollectiveKind, s: f64| -> f64 {
-        ranks as f64 * k.bytes_sent_per_rank(ranks, s)
-    };
-    if !uses_hierarchical_schedule(group, bytes) {
-        return flat(n, kind, bytes);
-    }
-    let m = group.node_count();
-    let g = n / m; // ranks per node
-    let intra = |k: CollectiveKind, s: f64| -> f64 { m as f64 * flat(g, k, s) };
-    // Inter-node exchange of `per_rank` bytes per column (see
-    // `emit_collective_hierarchical`): pairwise both ways on two nodes,
-    // a ring per column beyond that.
-    let exchange = |per_rank: f64, ring_kind: CollectiveKind| -> f64 {
-        if m == 2 {
-            2.0 * g as f64 * per_rank
-        } else {
-            let col_size = match ring_kind {
-                CollectiveKind::AllReduce => per_rank,
-                _ => per_rank * m as f64,
-            };
-            g as f64 * flat(m, ring_kind, col_size)
-        }
-    };
-    match kind {
-        CollectiveKind::AllReduce => {
-            intra(CollectiveKind::ReduceScatter, bytes)
-                + exchange(bytes / g as f64, CollectiveKind::AllReduce)
-                + intra(CollectiveKind::AllGather, bytes)
-        }
-        CollectiveKind::AllGather => {
-            exchange(bytes / n as f64, CollectiveKind::AllGather)
-                + intra(CollectiveKind::AllGather, bytes)
-        }
-        CollectiveKind::ReduceScatter => {
-            intra(CollectiveKind::ReduceScatter, bytes)
-                + exchange(bytes / n as f64, CollectiveKind::ReduceScatter)
-        }
-    }
 }
 
 /// Two-level schedule for groups spanning nodes (the NCCL production
@@ -297,7 +237,7 @@ pub fn emit_collective_hierarchical(
     let intra = |dag: &mut DagBuilder, k: CollectiveKind, b: f64, deps: &[TaskId]| -> TaskId {
         let dones: Vec<TaskId> = node_groups
             .iter()
-            .map(|ng| emit_collective_capped(dag, cluster, ng, k, b, deps, internode_cap).done)
+            .map(|ng| emit_collective(dag, cluster, ng, k, b, deps, internode_cap).done)
             .collect();
         dag.marker(&dones)
     };
@@ -524,9 +464,25 @@ mod tests {
         let c = cluster();
         let g = single_node_group(&c);
         let mut small = DagBuilder::new();
-        emit_collective(&mut small, &c, &g, CollectiveKind::AllReduce, 4e6, &[]);
+        emit_collective(
+            &mut small,
+            &c,
+            &g,
+            CollectiveKind::AllReduce,
+            4e6,
+            &[],
+            f64::INFINITY,
+        );
         let mut big = DagBuilder::new();
-        emit_collective(&mut big, &c, &g, CollectiveKind::AllReduce, 400e6, &[]);
+        emit_collective(
+            &mut big,
+            &c,
+            &g,
+            CollectiveKind::AllReduce,
+            400e6,
+            &[],
+            f64::INFINITY,
+        );
         // Coalesced: 4 flows + 1 marker; stepwise: 6 steps × (4 flows + marker).
         assert!(small.len() < 8, "small collective should coalesce");
         assert!(big.len() > 20, "large collective should stay stepwise");
@@ -560,7 +516,15 @@ mod tests {
         let mut c = cluster();
         let g = CommGroup::new(vec![GpuId { node: 0, gpu: 0 }]);
         let mut b = DagBuilder::new();
-        emit_collective(&mut b, &c, &g, CollectiveKind::AllReduce, 1e6, &[]);
+        emit_collective(
+            &mut b,
+            &c,
+            &g,
+            CollectiveKind::AllReduce,
+            1e6,
+            &[],
+            f64::INFINITY,
+        );
         let dag = b.build();
         assert_eq!(dag.total_transfer_bytes(), 0.0);
         let mut eng = DagEngine::new(c.resource_slots());
@@ -573,7 +537,15 @@ mod tests {
         let mut c = cluster();
         let g = CommGroup::world(&c);
         let mut b = DagBuilder::new();
-        emit_collective(&mut b, &c, &g, CollectiveKind::AllReduce, 8e6, &[]);
+        emit_collective(
+            &mut b,
+            &c,
+            &g,
+            CollectiveKind::AllReduce,
+            8e6,
+            &[],
+            f64::INFINITY,
+        );
         let dag = b.build();
         let mut rec = zerosim_simkit::BandwidthRecorder::new(T::from_ms(1.0));
         let mut eng = DagEngine::new(c.resource_slots());
@@ -608,7 +580,15 @@ mod tests {
         let g = single_node_group(&c);
         let mut time_for = |bytes: f64| {
             let mut b = DagBuilder::new();
-            emit_collective(&mut b, &c, &g, CollectiveKind::AllReduce, bytes, &[]);
+            emit_collective(
+                &mut b,
+                &c,
+                &g,
+                CollectiveKind::AllReduce,
+                bytes,
+                &[],
+                f64::INFINITY,
+            );
             let dag = b.build();
             let mut eng = DagEngine::new(c.resource_slots());
             eng.run(c.net_mut(), &dag, T::ZERO, None)
@@ -627,6 +607,14 @@ mod tests {
         let mut b = DagBuilder::new();
         let c = cluster();
         let g = single_node_group(&c);
-        emit_collective(&mut b, &c, &g, CollectiveKind::AllReduce, 0.0, &[]);
+        emit_collective(
+            &mut b,
+            &c,
+            &g,
+            CollectiveKind::AllReduce,
+            0.0,
+            &[],
+            f64::INFINITY,
+        );
     }
 }

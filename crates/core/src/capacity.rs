@@ -1,11 +1,13 @@
 //! Achieved-model-size search (Fig. 6 / Fig. 13-a methodology): grow the
 //! layer count until the configuration no longer fits, exactly as the
 //! paper varies layers "until it reaches the maximum size that particular
-//! hardware/software configuration can handle".
+//! hardware/software configuration can handle". [`max_model_size`] is the
+//! one entry point: a node count outside the cluster and a probe that
+//! never stops fitting come back as typed errors, never as panics.
 
 use zerosim_hw::Cluster;
 use zerosim_model::GptConfig;
-use zerosim_strategies::{Calibration, IterCtx, StrategyPlan, TrainOptions};
+use zerosim_strategies::{Calibration, IterCtx, Strategy, StrategyPlan, TrainOptions};
 
 use crate::error::{ensure_nodes, CoreError};
 
@@ -27,40 +29,18 @@ impl CapacityResult {
 
 /// Finds the largest paper-shaped model `strategy` can fit.
 ///
-/// Returns `None` when even a single layer does not fit. Configurations
-/// the strategy rejects ([`zerosim_strategies::StrategyError`]) count as
-/// not fitting.
-///
-/// # Panics
-/// Panics where [`try_max_model_size`] errs: when `opts` spans no nodes
-/// or more nodes than `cluster` has ([`CoreError::InvalidConfig`]), and
-/// on [`CoreError::CapacityDiverged`] — the search fitting past two
-/// million layers, which indicates a broken memory model rather than a
-/// property of the configuration. Callers that must stay panic-free
-/// (e.g. the `planfind` search loop) use [`try_max_model_size`].
-pub fn max_model_size(
-    cluster: &Cluster,
-    strategy: &dyn StrategyPlan,
-    opts: &TrainOptions,
-    calib: &Calibration,
-) -> Option<CapacityResult> {
-    match try_max_model_size(cluster, strategy, opts, calib) {
-        Ok(cap) => cap,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`max_model_size`] with the node-count check and the divergence guard
-/// surfaced as typed errors instead of panics.
+/// Returns `Ok(None)` when even a single layer does not fit.
+/// Configurations the strategy rejects
+/// ([`zerosim_strategies::StrategyError`]) count as not fitting.
 ///
 /// # Errors
 /// [`CoreError::InvalidConfig`] when `opts` spans no nodes or more nodes
 /// than `cluster` has, and [`CoreError::CapacityDiverged`] when the
 /// exponential probe still fits past 2²¹ layers (a memory-model bug, not
 /// a configuration property).
-pub fn try_max_model_size(
+pub fn max_model_size(
     cluster: &Cluster,
-    strategy: &dyn StrategyPlan,
+    strategy: &Strategy,
     opts: &TrainOptions,
     calib: &Calibration,
 ) -> Result<Option<CapacityResult>, CoreError> {
@@ -111,7 +91,7 @@ pub fn try_max_model_size(
 mod tests {
     use super::*;
     use zerosim_hw::ClusterSpec;
-    use zerosim_strategies::{Strategy, ZeroStage};
+    use zerosim_strategies::ZeroStage;
 
     fn fixtures() -> (Cluster, TrainOptions, Calibration) {
         (
@@ -126,6 +106,7 @@ mod tests {
         let (cluster, opts, calib) = fixtures();
         let cap = |s: &Strategy| {
             max_model_size(&cluster, s, &opts, &calib)
+                .unwrap()
                 .expect("fits at least one layer")
                 .billions()
         };
@@ -168,6 +149,7 @@ mod tests {
             &calib,
         )
         .unwrap()
+        .unwrap()
         .billions();
         let z3_dual = max_model_size(
             &cluster,
@@ -178,34 +160,21 @@ mod tests {
             &calib,
         )
         .unwrap()
+        .unwrap()
         .billions();
         assert!(z3_dual > 1.6 * z3_single, "{z3_dual} vs {z3_single}");
         let ddp_single = max_model_size(&cluster, &Strategy::Ddp, &single, &calib)
             .unwrap()
+            .unwrap()
             .billions();
         let ddp_dual = max_model_size(&cluster, &Strategy::Ddp, &dual, &calib)
+            .unwrap()
             .unwrap()
             .billions();
         assert!(
             (ddp_single - ddp_dual).abs() < 1e-9,
             "DDP capacity is replica-bound"
         );
-    }
-
-    #[test]
-    fn try_variant_agrees_with_the_panicking_wrapper() {
-        let (cluster, opts, calib) = fixtures();
-        for s in [
-            Strategy::Ddp,
-            Strategy::Zero {
-                stage: ZeroStage::Three,
-            },
-        ] {
-            assert_eq!(
-                try_max_model_size(&cluster, &s, &opts, &calib).unwrap(),
-                max_model_size(&cluster, &s, &opts, &calib)
-            );
-        }
     }
 
     #[test]
@@ -220,7 +189,7 @@ mod tests {
         ] {
             for nodes in [0, 3] {
                 let opts = TrainOptions::for_nodes(nodes);
-                let err = try_max_model_size(&cluster, &s, &opts, &calib).unwrap_err();
+                let err = max_model_size(&cluster, &s, &opts, &calib).unwrap_err();
                 assert!(matches!(err, CoreError::InvalidConfig(_)), "{s:?}: {err}");
             }
         }
@@ -238,6 +207,7 @@ mod tests {
             &calib,
         )
         .unwrap()
+        .unwrap()
         .billions();
         let offload = max_model_size(
             &cluster,
@@ -248,6 +218,7 @@ mod tests {
             &opts,
             &calib,
         )
+        .unwrap()
         .unwrap()
         .billions();
         assert!(offload > 1.5 * plain, "offload {offload} vs plain {plain}");

@@ -7,7 +7,8 @@ use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{nearest_rank, BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
-    lower, plan_checkpoint, plan_restore, Calibration, IterCtx, StrategyPlan, TrainOptions,
+    lower, plan_checkpoint, plan_restore, Calibration, IterCtx, Strategy, StrategyPlan,
+    TrainOptions,
 };
 
 use crate::error::{ensure_fits, ensure_nodes, CoreError};
@@ -130,7 +131,7 @@ impl TrainingSim {
     /// built-in strategies).
     pub fn run(
         &mut self,
-        strategy: &dyn StrategyPlan,
+        strategy: &Strategy,
         model: &GptConfig,
         opts: &TrainOptions,
         cfg: &RunConfig,
@@ -209,7 +210,7 @@ impl TrainingSim {
     /// recovery budget.
     pub fn run_resilient(
         &mut self,
-        strategy: &dyn StrategyPlan,
+        strategy: &Strategy,
         model: &GptConfig,
         opts: &TrainOptions,
         cfg: &RunConfig,
@@ -411,7 +412,7 @@ impl TrainingSim {
         };
 
         Ok(TrainingReport {
-            strategy: strategy.display_name(),
+            strategy: strategy.name(),
             model_params: model.num_params(),
             nodes: opts.nodes,
             iter_time,
@@ -568,7 +569,8 @@ mod tests {
             node: 0,
             at_s: 0.55 * wall,
         }
-        .compile(s.cluster(), 42);
+        .compile(s.cluster(), 42)
+        .unwrap();
         let faults = FaultConfig::new(schedule, RecoveryPolicy::every(2).with_restart_delay(0.5));
         let mut s2 = sim();
         let faulted = s2
@@ -608,7 +610,9 @@ mod tests {
         let model = GptConfig::paper_model_with_params(1.4);
         let opts = TrainOptions::single_node();
         let mut s = sim();
-        let schedule = FaultScenario::NodeLoss { node: 0, at_s: 0.1 }.compile(s.cluster(), 0);
+        let schedule = FaultScenario::NodeLoss { node: 0, at_s: 0.1 }
+            .compile(s.cluster(), 0)
+            .unwrap();
         let err = s
             .run_resilient(
                 &Strategy::Ddp,
@@ -642,7 +646,8 @@ mod tests {
             factor: 0.5,
             at_s: 0.0,
         }
-        .compile(s.cluster(), 0);
+        .compile(s.cluster(), 0)
+        .unwrap();
         let mut s2 = sim();
         let slow = s2
             .run_resilient(

@@ -24,7 +24,7 @@ pub enum CoreError {
     BadCluster(String),
     /// A fault scenario did not resolve against the cluster (unknown
     /// node/GPU, non-physical factor, invalid time). See
-    /// [`crate::FaultScenario::try_compile`].
+    /// [`crate::FaultScenario::compile`].
     BadScenario(String),
     /// The strategy rejected the training configuration (bad parallel
     /// layout, state placement violating Table I, invalid plan).
@@ -37,7 +37,7 @@ pub enum CoreError {
     },
     /// The achieved-model-size search kept fitting past any physical model
     /// scale, which means the memory model (not the configuration) is
-    /// broken. See [`crate::try_max_model_size`].
+    /// broken. See [`crate::max_model_size`].
     CapacityDiverged {
         /// The layer count the exponential probe reached before giving up.
         probed_layers: usize,

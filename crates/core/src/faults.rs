@@ -3,10 +3,10 @@
 //! [`FaultScenario`] is the cluster-level vocabulary — "RoCE at 50%",
 //! "GPU 3 is a straggler", "node 1 dies at t = 4 s" — compiled down to
 //! the simkit [`FaultSchedule`] of raw link/resource events by resolving
-//! link classes and GPU ids against the hardware model. [`FaultConfig`]
-//! bundles a schedule with the checkpoint/restart policy
-//! ([`RecoveryPolicy`]; snapshots go to host DRAM) consumed by
-//! [`crate::TrainingSim::run_resilient`].
+//! link classes and GPU ids against the hardware model; a scenario that
+//! does not resolve is a typed error. [`FaultConfig`] bundles a schedule
+//! with the checkpoint/restart policy ([`RecoveryPolicy`]; snapshots go
+//! to host DRAM) consumed by [`crate::TrainingSim::run_resilient`].
 
 use std::borrow::Cow;
 
@@ -134,23 +134,13 @@ impl FaultScenario {
     /// Compiles the scenario against `cluster` into a seed-stamped
     /// [`FaultSchedule`] of raw link/resource events.
     ///
-    /// # Panics
-    /// Panics when the scenario does not resolve against the cluster (bad
-    /// node/GPU index, non-physical factor, invalid times). Use
-    /// [`FaultScenario::try_compile`] for scenarios built from external
-    /// input.
-    pub fn compile(&self, cluster: &Cluster, seed: u64) -> FaultSchedule {
-        match self.try_compile(cluster, seed) {
-            Ok(s) => s,
-            Err(e) => panic!("FaultScenario::compile: {e}"),
-        }
-    }
-
-    /// Fallible variant of [`FaultScenario::compile`]: validates node and
-    /// GPU indices against the cluster shape and factors/times for
-    /// physicality, returning [`CoreError::BadScenario`] instead of
-    /// panicking or silently compiling to nothing.
-    pub fn try_compile(&self, cluster: &Cluster, seed: u64) -> Result<FaultSchedule, CoreError> {
+    /// # Errors
+    /// [`CoreError::BadScenario`] when the scenario does not resolve
+    /// against the cluster (node or GPU index out of range, a factor that
+    /// is not finite and positive), and [`CoreError::Sim`] for an event
+    /// time that is negative or not finite; a bad scenario never compiles
+    /// to nothing.
+    pub fn compile(&self, cluster: &Cluster, seed: u64) -> Result<FaultSchedule, CoreError> {
         let nodes = cluster.spec().nodes;
         let check_node = |node: usize| -> Result<(), CoreError> {
             if node >= nodes {
@@ -181,7 +171,7 @@ impl FaultScenario {
                 check_node(*node)?;
                 check_factor(*factor)?;
                 for &link in cluster.links(*node, *class) {
-                    s = s.try_at(
+                    s = s.at(
                         *at_s,
                         FaultKind::ScaleLink {
                             link,
@@ -189,7 +179,7 @@ impl FaultScenario {
                         },
                     )?;
                     if let Some(dur) = dur_s {
-                        s = s.try_at(*at_s + *dur, FaultKind::RestoreLink { link })?;
+                        s = s.at(*at_s + *dur, FaultKind::RestoreLink { link })?;
                     }
                 }
             }
@@ -203,7 +193,7 @@ impl FaultScenario {
                         gpu.gpu
                     )));
                 }
-                s = s.try_at(
+                s = s.at(
                     *at_s,
                     FaultKind::SlowResource {
                         resource: cluster.gpu_resource(*gpu).0,
@@ -220,19 +210,19 @@ impl FaultScenario {
                 check_node(*node)?;
                 check_factor(*factor)?;
                 for &link in cluster.links(*node, LinkClass::NvmeDev) {
-                    s = s.try_at(
+                    s = s.at(
                         *at_s,
                         FaultKind::ScaleLink {
                             link,
                             factor: *factor,
                         },
                     )?;
-                    s = s.try_at(*at_s + *dur_s, FaultKind::RestoreLink { link })?;
+                    s = s.at(*at_s + *dur_s, FaultKind::RestoreLink { link })?;
                 }
             }
             FaultScenario::NodeLoss { node, at_s } => {
                 check_node(*node)?;
-                s = s.try_at(*at_s, FaultKind::NodeLoss { node: *node })?;
+                s = s.at(*at_s, FaultKind::NodeLoss { node: *node })?;
             }
         }
         Ok(s)
@@ -251,7 +241,7 @@ mod tests {
     #[test]
     fn healthy_compiles_to_empty() {
         let c = cluster();
-        let s = FaultScenario::Healthy.compile(&c, 7);
+        let s = FaultScenario::Healthy.compile(&c, 7).unwrap();
         assert!(s.is_empty());
         assert_eq!(s.seed(), 7);
         assert_eq!(FaultConfig::default(), FaultConfig::healthy());
@@ -269,7 +259,8 @@ mod tests {
             at_s: 1.0,
             dur_s: Some(2.0),
         }
-        .compile(&c, 0);
+        .compile(&c, 0)
+        .unwrap();
         assert_eq!(windowed.len(), 2 * links);
         let permanent = FaultScenario::DegradeClass {
             node: 0,
@@ -278,7 +269,8 @@ mod tests {
             at_s: 1.0,
             dur_s: None,
         }
-        .compile(&c, 0);
+        .compile(&c, 0)
+        .unwrap();
         assert_eq!(permanent.len(), links);
     }
 
@@ -291,7 +283,8 @@ mod tests {
             factor: 0.7,
             at_s: 0.5,
         }
-        .compile(&c, 0);
+        .compile(&c, 0)
+        .unwrap();
         assert_eq!(s.len(), 1);
         match &s.events()[0].kind {
             FaultKind::SlowResource { resource, factor } => {
@@ -312,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn try_compile_rejects_bad_scenarios() {
+    fn compile_rejects_bad_scenarios() {
         let c = cluster();
         let nodes = c.spec().nodes;
         let bad_node = FaultScenario::NodeLoss {
@@ -320,7 +313,7 @@ mod tests {
             at_s: 1.0,
         };
         assert!(matches!(
-            bad_node.try_compile(&c, 0),
+            bad_node.compile(&c, 0),
             Err(CoreError::BadScenario(_))
         ));
         let bad_gpu = FaultScenario::Straggler {
@@ -332,7 +325,7 @@ mod tests {
             at_s: 0.0,
         };
         assert!(matches!(
-            bad_gpu.try_compile(&c, 0),
+            bad_gpu.compile(&c, 0),
             Err(CoreError::BadScenario(_))
         ));
         let bad_factor = FaultScenario::DegradeClass {
@@ -343,7 +336,7 @@ mod tests {
             dur_s: None,
         };
         assert!(matches!(
-            bad_factor.try_compile(&c, 0),
+            bad_factor.compile(&c, 0),
             Err(CoreError::BadScenario(_))
         ));
         let bad_time = FaultScenario::NodeLoss {
@@ -351,20 +344,8 @@ mod tests {
             at_s: -1.0,
         };
         assert!(matches!(
-            bad_time.try_compile(&c, 0),
+            bad_time.compile(&c, 0),
             Err(CoreError::BadScenario(_)) | Err(CoreError::Sim(_))
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "FaultScenario::compile")]
-    fn compile_panics_on_unknown_node() {
-        let c = cluster();
-        let nodes = c.spec().nodes;
-        let _ = FaultScenario::NodeLoss {
-            node: nodes + 3,
-            at_s: 1.0,
-        }
-        .compile(&c, 0);
     }
 }

@@ -39,7 +39,7 @@
 use zerosim_hw::{Cluster, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{mix, nearest_rank, FaultKind, FaultSchedule};
-use zerosim_strategies::{RecoveryPolicy, TrainOptions};
+use zerosim_strategies::{RecoveryPolicy, StrategyError, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
 use crate::cost::CostModel;
@@ -176,7 +176,7 @@ impl FleetProfile {
             let mut rng = Rng::new(mix(mix(seed, TAG_NODE), node as u64));
             let t = time_to_failure(mtbf_s, &mut rng);
             if t < horizon_s {
-                s = s.try_at(t, FaultKind::NodeLoss { node })?;
+                s = s.at(t, FaultKind::NodeLoss { node })?;
             }
         }
         Ok(s)
@@ -586,19 +586,22 @@ pub struct FleetCostConfig {
     pub topology: TopologySpec,
     /// The model to train.
     pub model: GptConfig,
-    /// Aggregate failures per node per day (λ); 0 disables the hazard
-    /// model and reduces the ranking to healthy cost-to-train.
+    /// Aggregate failures per node per day (λ), finite and ≥ 0; 0
+    /// disables the hazard model and reduces the ranking to healthy
+    /// cost-to-train.
     pub rate_per_node_day: f64,
-    /// Optional training deadline in days; configurations that cannot
-    /// finish in time are marked infeasible and ranked last.
+    /// Optional training deadline in days, finite and positive;
+    /// configurations that cannot finish in time are marked infeasible
+    /// and ranked last.
     pub deadline_days: Option<f64>,
-    /// Total training tokens; defaults to the Chinchilla-style
-    /// 20 tokens/parameter when `None`.
+    /// Total training tokens, finite and positive; defaults to the
+    /// Chinchilla-style 20 tokens/parameter when `None`.
     pub tokens: Option<f64>,
     /// Worker threads for the placement-search stage.
     pub workers: usize,
     /// How many ranked placements to cost in full (checkpoint-cost
-    /// measurement + economics), from the top of the throughput ranking.
+    /// measurement + economics), from the top of the throughput ranking;
+    /// at least 1.
     pub top: usize,
     /// Capital-cost constants.
     pub cost: CostModel,
@@ -774,10 +777,13 @@ impl FleetReport {
 /// cheapest-feasible first.
 ///
 /// # Errors
-/// [`CoreError::BadCluster`] when the topology does not build, plus any
-/// error re-simulating a ranked candidate (the search stage itself
-/// isolates per-candidate failures).
+/// [`CoreError::InvalidConfig`], before anything is simulated, when `top`
+/// is 0, the failure rate is negative or not finite, or the token budget
+/// or deadline is not finite and positive; [`CoreError::BadCluster`] when
+/// the topology does not build; and any error re-simulating a ranked
+/// candidate (the search stage itself isolates per-candidate failures).
 pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
+    check_costable(cfg)?;
     let search = search_plans(
         &SearchConfig::new(cfg.topology, cfg.model)
             .with_run(cfg.run)
@@ -801,7 +807,7 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
     let (placements, specs): (Vec<String>, Vec<SweepSpec>) = search
         .ranking()
         .into_iter()
-        .take(cfg.top.max(1))
+        .take(cfg.top)
         .map(|c| {
             let run = SweepSpec::new(c.strategy_name.clone(), c.strategy.clone(), cfg.model, opts)
                 .with_cluster(spec.clone())
@@ -877,6 +883,33 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
         candidates,
         search_digest: search.digest(),
     })
+}
+
+/// Rejects the [`FleetCostConfig`] values the cost model cannot honour:
+/// they would cost no placement, or price a run at NaN, zero or negative
+/// days and dollars.
+fn check_costable(cfg: &FleetCostConfig) -> Result<(), CoreError> {
+    let reject = |msg: String| Err(CoreError::InvalidConfig(StrategyError::plan(msg)));
+    if cfg.top == 0 {
+        return reject("a fleet search must cost at least one placement (top = 0)".into());
+    }
+    let rate = cfg.rate_per_node_day;
+    if !(rate.is_finite() && rate >= 0.0) {
+        return reject(format!(
+            "failure rate must be finite and non-negative, got {rate}"
+        ));
+    }
+    if let Some(tokens) = cfg.tokens.filter(|t| !finite_positive(*t)) {
+        return reject(format!(
+            "token budget must be finite and positive, got {tokens}"
+        ));
+    }
+    if let Some(days) = cfg.deadline_days.filter(|d| !finite_positive(*d)) {
+        return reject(format!(
+            "deadline must be finite and positive days, got {days}"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1006,6 +1039,48 @@ mod tests {
         let p = FleetProfile::node_only(1000.0);
         let eff = p.effective_fatal_mtbf_s(2, 1.0).unwrap();
         assert!((eff - 500.0).abs() / 500.0 < 1e-3, "eff {eff}");
+    }
+
+    #[test]
+    fn fleet_search_rejects_configurations_it_cannot_cost() {
+        let base = FleetCostConfig::new(
+            TopologySpec::parse("flat:1").unwrap(),
+            GptConfig::paper_model_with_params(1.4),
+            0.05,
+        );
+        let rate = |rate_per_node_day| FleetCostConfig {
+            rate_per_node_day,
+            ..base.clone()
+        };
+        let tokens = |t| FleetCostConfig {
+            tokens: Some(t),
+            ..base.clone()
+        };
+        let deadline = |d| FleetCostConfig {
+            deadline_days: Some(d),
+            ..base.clone()
+        };
+        let rows = [
+            ("top 0", base.clone().with_top(0)),
+            ("negative rate", rate(-0.1)),
+            ("NaN rate", rate(f64::NAN)),
+            ("infinite rate", rate(f64::INFINITY)),
+            ("NaN tokens", tokens(f64::NAN)),
+            ("zero tokens", tokens(0.0)),
+            ("negative tokens", tokens(-5.0)),
+            ("infinite tokens", tokens(f64::INFINITY)),
+            ("NaN deadline", deadline(f64::NAN)),
+            ("zero deadline", deadline(0.0)),
+            ("negative deadline", deadline(-3.0)),
+            ("infinite deadline", deadline(f64::INFINITY)),
+        ];
+        for (what, cfg) in rows {
+            let result = fleet_search(&cfg);
+            assert!(
+                matches!(result, Err(CoreError::InvalidConfig(_))),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]

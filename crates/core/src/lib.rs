@@ -27,7 +27,8 @@
 //!     &Strategy::Zero { stage: ZeroStage::Three },
 //!     &TrainOptions::single_node(),
 //!     sim.calibration(),
-//! ).expect("fits");
+//! )?
+//! .expect("fits");
 //! assert!(cap.billions() > 5.0);
 //! # Ok(())
 //! # }
@@ -51,7 +52,7 @@ mod sweep;
 mod timeline;
 
 pub use analysis::{attribute_all_gpus, attribute_gpu, attribute_worst_gpu, TimeBreakdown};
-pub use capacity::{max_model_size, try_max_model_size, CapacityResult};
+pub use capacity::{max_model_size, CapacityResult};
 pub use cost::{CostModel, CostReport};
 pub use energy::{EnergyReport, PowerModel};
 pub use engine::{RunConfig, TrainingSim};

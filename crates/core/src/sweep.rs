@@ -245,12 +245,17 @@ impl SweepRunner {
     /// width — and [`SweepRunner::requested_workers`] preserves the
     /// caller's ask for reporting.
     pub fn new(workers: usize) -> Self {
-        let requested = workers.max(1);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         SweepRunner {
-            pool: ThreadPool::new(requested.min(cores)),
-            requested,
+            pool: ThreadPool::new(SweepRunner::effective_workers(workers)),
+            requested: workers.max(1),
         }
+    }
+
+    /// The width a runner asked for `requested` workers runs at: at least
+    /// one, and no more than [`std::thread::available_parallelism`].
+    pub fn effective_workers(requested: usize) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        requested.clamp(1, cores)
     }
 
     /// The effective worker count (requested, clamped to the machine).

@@ -227,7 +227,10 @@ impl Cluster {
                 }
             }
 
-            // SerDes-pair virtual links used by the IOD contention model.
+            // SerDes-pair virtual links used by the IOD contention model:
+            // only the pairs a route crosses (GPU–xGMI, GPU–NIC, xGMI–NIC
+            // and xGMI–NVMe). Socket-local GPU–GPU traffic takes NVLink and
+            // no route pairs a drive with a GPU or a NIC.
             let gps = spec.gpus_per_socket();
             for s in 0..spn {
                 let mut sets: Vec<SerdesSet> = Vec::new();
@@ -244,6 +247,9 @@ impl Cluster {
                 for x in 0..sets.len() {
                     for y in (x + 1)..sets.len() {
                         let (a, b) = (sets[x].min(sets[y]), sets[x].max(sets[y]));
+                        if !Self::routed_pair(a, b) {
+                            continue;
+                        }
                         let cap = Self::pair_capacity(&spec, a, b);
                         let id = net.add_link(format!("n{n}s{s}.iod.{a:?}-{b:?}"), cap);
                         reg(&mut class_links, n, LinkClass::IodPair, id);
@@ -364,6 +370,18 @@ impl Cluster {
             bw = bw.min(cap);
         }
         Some(bw)
+    }
+
+    /// True when some route crosses the IOD between SerDes sets `a` and
+    /// `b`: every pair with the xGMI sets, and a GPU with its socket's NIC.
+    fn routed_pair(a: SerdesSet, b: SerdesSet) -> bool {
+        matches!(
+            (a, b),
+            (SerdesSet::Xgmi, _)
+                | (_, SerdesSet::Xgmi)
+                | (SerdesSet::PcieGpu(_), SerdesSet::PcieNic)
+                | (SerdesSet::PcieNic, SerdesSet::PcieGpu(_))
+        )
     }
 
     /// Capacity of the virtual pair link between SerDes sets `a` and `b`
@@ -908,16 +926,23 @@ mod tests {
     fn builds_expected_link_groups() {
         let c = cluster();
         // Per node: 2 DRAM, 2 xGMI, 8 PCIe-GPU (4 GPUs × 2 dirs), 4 PCIe-NIC,
-        // 4 PCIe-NVMe (2 drives × 2 dirs), 12 NVLink (4P2 ordered pairs), 4 RoCE.
+        // 4 PCIe-NVMe (2 drives × 2 dirs), 4 NVMe device services (2 drives
+        // × read/write), 12 NVLink (4P2 ordered pairs), 4 RoCE, and 12 IOD
+        // pairs: on each socket, xGMI with every other set (2 GPUs, the NIC
+        // and socket 1's 2 drives) plus the 2 GPU–NIC pairs, 5 + 7.
         assert_eq!(c.links(0, LinkClass::Dram).len(), 2);
         assert_eq!(c.links(0, LinkClass::Xgmi).len(), 2);
         assert_eq!(c.links(0, LinkClass::PcieGpu).len(), 8);
         assert_eq!(c.links(0, LinkClass::PcieNic).len(), 4);
         assert_eq!(c.links(0, LinkClass::PcieNvme).len(), 4);
+        assert_eq!(c.links(0, LinkClass::NvmeDev).len(), 4);
         assert_eq!(c.links(0, LinkClass::NvLink).len(), 12);
         assert_eq!(c.links(0, LinkClass::Roce).len(), 4);
+        assert_eq!(c.links(0, LinkClass::IodPair).len(), 12);
         assert_eq!(c.links(1, LinkClass::NvLink).len(), 12);
+        assert_eq!(c.links(1, LinkClass::IodPair).len(), 12);
         assert!(c.links(2, LinkClass::Dram).is_empty());
+        assert_eq!(c.net().link_count(), 2 * 52);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Terminal charts: sparklines for utilization patterns, horizontal bars
-//! for figure panels, scatter plots for trade-off figures.
+//! Terminal charts: sparklines for utilization patterns, scatter plots
+//! for trade-off figures.
 
 const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
@@ -48,42 +48,6 @@ pub fn downsample(series: &[f64], width: usize) -> Vec<f64> {
             series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
         })
         .collect()
-}
-
-/// Renders labelled horizontal bars, scaled to the maximum value.
-///
-/// ```
-/// use zerosim_report::bar_chart;
-/// let s = bar_chart(&[("DDP", 438.0), ("ZeRO-2", 524.0)], 20, "TFLOP/s");
-/// assert!(s.contains("DDP"));
-/// assert!(s.contains("524.0"));
-/// ```
-pub fn bar_chart(items: &[(&str, f64)], width: usize, unit: &str) -> String {
-    if items.is_empty() {
-        return String::new();
-    }
-    let label_w = items
-        .iter()
-        .map(|(l, _)| l.chars().count())
-        .max()
-        .unwrap_or(0);
-    let max = items
-        .iter()
-        .map(|(_, v)| *v)
-        .fold(0.0, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let mut out = String::new();
-    for (label, value) in items {
-        // value/max in [0,1], so bars <= width: exact as usize.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let bars = ((value / max) * width as f64).round() as usize;
-        out.push_str(&format!(
-            "{label:<label_w$} |{}{} {value:.1} {unit}\n",
-            "█".repeat(bars),
-            " ".repeat(width - bars.min(width)),
-        ));
-    }
-    out
 }
 
 /// Renders an (x, y) scatter with point labels, for trade-off plots like
@@ -155,14 +119,6 @@ mod tests {
         assert!(d[9] > d[0]);
         assert_eq!(downsample(&series, 200).len(), 100);
         assert!(downsample(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn bar_chart_renders_all_items() {
-        let s = bar_chart(&[("a", 1.0), ("bb", 2.0)], 10, "u");
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("2.0 u"));
-        assert_eq!(bar_chart(&[], 10, "u"), "");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub fn gb(bytes: f64) -> String {
 }
 
 /// Three significant digits, like the paper's Table IV.
-pub fn sig3(v: f64) -> String {
+fn sig3(v: f64) -> String {
     if v == 0.0 {
         return "0.00".into();
     }

@@ -1,6 +1,7 @@
 //! `zerosim-report` — presentation utilities for paper-style output:
-//! aligned text tables (with CSV export), terminal sparklines and bar
-//! charts for utilization patterns, and the paper's number formats.
+//! aligned text tables (with CSV export), terminal sparklines for
+//! utilization patterns, scatter plots for trade-off figures, and the
+//! paper's number formats.
 //!
 //! ```
 //! use zerosim_report::{sparkline, Table};
@@ -17,6 +18,6 @@ mod chart;
 mod fmt;
 mod table;
 
-pub use chart::{bar_chart, downsample, scatter, sparkline};
-pub use fmt::{billions, gb, gbps, sig3, tflops};
-pub use table::{ReportError, Table};
+pub use chart::{downsample, scatter, sparkline};
+pub use fmt::{billions, gb, gbps, tflops};
+pub use table::Table;

@@ -2,24 +2,6 @@
 
 use std::fmt::Write as _;
 
-/// Errors from constructing presentation artifacts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ReportError {
-    /// A table was constructed with no columns.
-    EmptyHeaders,
-}
-
-impl std::fmt::Display for ReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReportError::EmptyHeaders => write!(f, "a table needs at least one column"),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
 /// A simple aligned text table.
 ///
 /// ```
@@ -41,26 +23,14 @@ impl Table {
     /// Creates a table with the given column headers.
     ///
     /// # Panics
-    /// Panics on an empty header list; [`Table::try_new`] is the
-    /// non-panicking form.
+    /// Panics on an empty header list: every caller names its columns.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        Table::try_new(headers).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Creates a table with the given column headers, or
-    /// [`ReportError::EmptyHeaders`] when there are none.
-    ///
-    /// # Errors
-    /// [`ReportError::EmptyHeaders`] on an empty header list.
-    pub fn try_new<S: Into<String>>(headers: Vec<S>) -> Result<Self, ReportError> {
         let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        if headers.is_empty() {
-            return Err(ReportError::EmptyHeaders);
-        }
-        Ok(Table {
+        assert!(!headers.is_empty(), "a table needs at least one column");
+        Table {
             headers,
             rows: Vec::new(),
-        })
+        }
     }
 
     /// Appends a row, padding or truncating to the column count.
@@ -194,13 +164,5 @@ mod tests {
     #[should_panic(expected = "at least one column")]
     fn empty_headers_panic() {
         Table::new(Vec::<String>::new());
-    }
-
-    #[test]
-    fn try_new_returns_typed_error() {
-        let e = Table::try_new(Vec::<String>::new()).unwrap_err();
-        assert_eq!(e, ReportError::EmptyHeaders);
-        assert!(e.to_string().contains("at least one column"));
-        assert!(Table::try_new(vec!["a"]).is_ok());
     }
 }

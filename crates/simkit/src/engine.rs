@@ -835,13 +835,15 @@ mod budget_tests {
         b.compute(ResourceId(0), SimTime::from_ms(10.0), "k", &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![1]);
-        let sched = FaultSchedule::new(0).at(
-            0.0,
-            FaultKind::SlowResource {
-                resource: 0,
-                factor: 0.5,
-            },
-        );
+        let sched = FaultSchedule::new(0)
+            .at(
+                0.0,
+                FaultKind::SlowResource {
+                    resource: 0,
+                    factor: 0.5,
+                },
+            )
+            .unwrap();
         let mut cur = sched.cursor();
         let out = eng
             .run_faulted(&mut net, &dag, SimTime::ZERO, None, &mut cur)
@@ -867,13 +869,15 @@ mod budget_tests {
         let dag = b.build();
         // Degrade to 50% at t = 0.5 s: 50 bytes move in the first half
         // second, the remaining 50 take 1 s -> 1.5 s total.
-        let sched = FaultSchedule::new(0).at(
-            0.5,
-            FaultKind::ScaleLink {
-                link: l,
-                factor: 0.5,
-            },
-        );
+        let sched = FaultSchedule::new(0)
+            .at(
+                0.5,
+                FaultKind::ScaleLink {
+                    link: l,
+                    factor: 0.5,
+                },
+            )
+            .unwrap();
         let mut cur = sched.cursor();
         let mut eng = DagEngine::new(vec![]);
         let out = eng
@@ -891,7 +895,9 @@ mod budget_tests {
         let mut b = DagBuilder::new();
         b.transfer(&[l], 1000.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
-        let sched = FaultSchedule::new(0).at(2.0, FaultKind::NodeLoss { node: 1 });
+        let sched = FaultSchedule::new(0)
+            .at(2.0, FaultKind::NodeLoss { node: 1 })
+            .unwrap();
         let mut cur = sched.cursor();
         let mut eng = DagEngine::new(vec![]);
         let out = eng
@@ -905,16 +911,26 @@ mod budget_tests {
     }
 
     #[test]
-    fn flap_window_recovers() {
-        use crate::fault::FaultSchedule;
+    fn link_outage_window_recovers() {
+        use crate::fault::{FaultKind, FaultSchedule};
         let mut net = FlowNet::new();
         let l = net.add_link("roce", 100.0);
         let mut b = DagBuilder::new();
         b.transfer(&[l], 200.0, SimTime::ZERO, "x", 0, &[]);
         let dag = b.build();
-        // Down (to the flap floor) during [1, 2): ~100 bytes before, ~0.1
-        // bytes during, rest after -> just under 3 s total.
-        let sched = FaultSchedule::new(0).flap(l, 1.0, 1.0);
+        // Down to a thousandth of nominal during [1, 2): ~100 bytes
+        // before, ~0.1 bytes during, rest after -> just under 3 s total.
+        let sched = FaultSchedule::new(0)
+            .at(
+                1.0,
+                FaultKind::ScaleLink {
+                    link: l,
+                    factor: 1e-3,
+                },
+            )
+            .unwrap()
+            .at(2.0, FaultKind::RestoreLink { link: l })
+            .unwrap();
         let mut cur = sched.cursor();
         let mut eng = DagEngine::new(vec![]);
         let out = eng
@@ -962,24 +978,28 @@ mod budget_tests {
         b.compute(ResourceId(0), SimTime::from_ms(1.0), "k", &[]);
         let dag = b.build();
         let mut eng = DagEngine::new(vec![1]);
-        let sched = FaultSchedule::new(0).at(
-            0.0,
-            FaultKind::SlowResource {
-                resource: 9,
-                factor: 0.5,
-            },
-        );
+        let sched = FaultSchedule::new(0)
+            .at(
+                0.0,
+                FaultKind::SlowResource {
+                    resource: 9,
+                    factor: 0.5,
+                },
+            )
+            .unwrap();
         let err = eng
             .run_faulted(&mut net, &dag, SimTime::ZERO, None, &mut sched.cursor())
             .unwrap_err();
         assert_eq!(err, SimError::UnknownResource { resource: 9 });
-        let sched = FaultSchedule::new(0).at(
-            0.0,
-            FaultKind::SlowResource {
-                resource: 0,
-                factor: 0.0,
-            },
-        );
+        let sched = FaultSchedule::new(0)
+            .at(
+                0.0,
+                FaultKind::SlowResource {
+                    resource: 0,
+                    factor: 0.0,
+                },
+            )
+            .unwrap();
         let err = eng
             .run_faulted(&mut net, &dag, SimTime::ZERO, None, &mut sched.cursor())
             .unwrap_err();
@@ -1018,13 +1038,15 @@ mod budget_tests {
                     factor: 0.5,
                 },
             )
+            .unwrap()
             .at(
                 1.0,
                 FaultKind::ScaleLink {
                     link: l,
                     factor: 0.25,
                 },
-            );
+            )
+            .unwrap();
 
         let mut eng = DagEngine::new(vec![1]);
         let mut cur = sched.cursor();

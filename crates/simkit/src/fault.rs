@@ -10,6 +10,10 @@
 //! service rates at task-launch granularity, and a node loss aborts the run
 //! so a higher layer can model checkpoint/restart.
 //!
+//! A schedule is built with [`FaultSchedule::at`], one event at a time; an
+//! event time that is negative or not finite is a typed error, so
+//! schedules sampled or parsed at run time never panic.
+//!
 //! Determinism contract: a schedule is plain data — the same seed and the
 //! same events replayed against the same simulation produce byte-identical
 //! results. [`FaultSchedule::digest`] provides a stable fingerprint that
@@ -18,16 +22,6 @@
 use crate::error::SimError;
 use crate::flow::LinkId;
 use crate::time::SimTime;
-
-/// Residual capacity factor used for a "down" link during a flap.
-///
-/// A flapping NIC is modelled as retaining a trickle of capacity rather
-/// than exactly zero: with a zero-rate link the max-min allocation of flows
-/// pinned to it would be 0 B/s and the network would stop generating
-/// events, turning a transient fault into an artificial deadlock. One
-/// thousandth of nominal keeps rates well-defined while being slow enough
-/// to dominate any realistic makespan.
-pub const FLAP_FLOOR: f64 = 1e-3;
 
 /// One kind of perturbation.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,79 +118,13 @@ impl FaultSchedule {
     /// Schedules `kind` at `secs` seconds and returns the schedule for
     /// chaining.
     ///
-    /// # Panics
-    /// Panics if `secs` is negative or not finite. Use
-    /// [`FaultSchedule::try_at`] when the time comes from external input.
-    pub fn at(self, secs: f64, kind: FaultKind) -> Self {
-        match self.try_at(secs, kind) {
-            Ok(s) => s,
-            Err(_) => panic!("FaultSchedule::at: invalid event time {secs}"),
-        }
-    }
-
-    /// Fallible variant of [`FaultSchedule::at`]: rejects negative, NaN, or
-    /// infinite times with [`SimError::BadFaultTime`] instead of panicking.
-    pub fn try_at(mut self, secs: f64, kind: FaultKind) -> Result<Self, SimError> {
+    /// # Errors
+    /// [`SimError::BadFaultTime`] when `secs` is negative, NaN, or
+    /// infinite.
+    pub fn at(mut self, secs: f64, kind: FaultKind) -> Result<Self, SimError> {
         let at = SimTime::checked_from_secs(secs).ok_or(SimError::BadFaultTime)?;
-        self.push(at, kind);
-        Ok(self)
-    }
-
-    /// Schedules `kind` at an absolute [`SimTime`].
-    pub fn push(&mut self, at: SimTime, kind: FaultKind) {
         self.events.push(FaultEvent { at, kind });
-    }
-
-    /// Sugar: a link flap — the link drops to [`FLAP_FLOOR`] × nominal at
-    /// `at_secs` and is restored `down_secs` later.
-    ///
-    /// # Panics
-    /// Panics if either time is negative or not finite. Use
-    /// [`FaultSchedule::try_flap`] for external input.
-    pub fn flap(self, link: LinkId, at_secs: f64, down_secs: f64) -> Self {
-        match self.try_flap(link, at_secs, down_secs) {
-            Ok(s) => s,
-            Err(_) => panic!("FaultSchedule::flap: invalid window [{at_secs}, +{down_secs}]"),
-        }
-    }
-
-    /// Fallible variant of [`FaultSchedule::flap`].
-    pub fn try_flap(self, link: LinkId, at_secs: f64, down_secs: f64) -> Result<Self, SimError> {
-        self.try_at(
-            at_secs,
-            FaultKind::ScaleLink {
-                link,
-                factor: FLAP_FLOOR,
-            },
-        )?
-        .try_at(at_secs + down_secs, FaultKind::RestoreLink { link })
-    }
-
-    /// Sugar: degrade `link` to `factor` × nominal at `at_secs` and restore
-    /// it `dur_secs` later.
-    ///
-    /// # Panics
-    /// Panics if either time is negative or not finite. Use
-    /// [`FaultSchedule::try_degrade_window`] for external input.
-    pub fn degrade_window(self, link: LinkId, at_secs: f64, factor: f64, dur_secs: f64) -> Self {
-        match self.try_degrade_window(link, at_secs, factor, dur_secs) {
-            Ok(s) => s,
-            Err(_) => {
-                panic!("FaultSchedule::degrade_window: invalid window [{at_secs}, +{dur_secs}]")
-            }
-        }
-    }
-
-    /// Fallible variant of [`FaultSchedule::degrade_window`].
-    pub fn try_degrade_window(
-        self,
-        link: LinkId,
-        at_secs: f64,
-        factor: f64,
-        dur_secs: f64,
-    ) -> Result<Self, SimError> {
-        self.try_at(at_secs, FaultKind::ScaleLink { link, factor })?
-            .try_at(at_secs + dur_secs, FaultKind::RestoreLink { link })
+        Ok(self)
     }
 
     /// A stable 64-bit fingerprint of the seed and every event (kind,
@@ -293,17 +221,28 @@ mod tests {
         LinkId(i)
     }
 
+    /// `link` degraded to `factor` at `at` and restored `dur` later.
+    fn window(seed: u64, link: LinkId, at: f64, factor: f64, dur: f64) -> FaultSchedule {
+        FaultSchedule::new(seed)
+            .at(at, FaultKind::ScaleLink { link, factor })
+            .unwrap()
+            .at(at + dur, FaultKind::RestoreLink { link })
+            .unwrap()
+    }
+
     #[test]
     fn cursor_fires_in_time_order() {
         let s = FaultSchedule::new(7)
             .at(5.0, FaultKind::RestoreLink { link: link(0) })
+            .unwrap()
             .at(
                 1.0,
                 FaultKind::ScaleLink {
                     link: link(0),
                     factor: 0.5,
                 },
-            );
+            )
+            .unwrap();
         let mut c = s.cursor();
         assert_eq!(c.remaining(), 2);
         assert_eq!(c.peek_at(), Some(SimTime::from_secs(1.0)));
@@ -320,13 +259,15 @@ mod tests {
     fn ties_fire_in_insertion_order() {
         let s = FaultSchedule::new(0)
             .at(1.0, FaultKind::RestoreResource { resource: 0 })
+            .unwrap()
             .at(
                 1.0,
                 FaultKind::SlowResource {
                     resource: 0,
                     factor: 0.7,
                 },
-            );
+            )
+            .unwrap();
         let mut c = s.cursor();
         let t = SimTime::from_secs(1.0);
         assert!(matches!(
@@ -340,68 +281,28 @@ mod tests {
     }
 
     #[test]
-    fn flap_expands_to_scale_and_restore() {
-        let s = FaultSchedule::new(0).flap(link(3), 2.0, 0.5);
-        assert_eq!(s.len(), 2);
-        assert!(matches!(
-            s.events()[0].kind,
-            FaultKind::ScaleLink { factor, .. } if factor == FLAP_FLOOR
-        ));
-        assert_eq!(s.events()[1].at, SimTime::from_secs(2.5));
-    }
-
-    #[test]
     fn digest_is_stable_and_sensitive() {
-        let a = FaultSchedule::new(1).flap(link(0), 1.0, 1.0);
-        let b = FaultSchedule::new(1).flap(link(0), 1.0, 1.0);
+        let a = window(1, link(0), 1.0, 1e-3, 1.0);
+        let b = window(1, link(0), 1.0, 1e-3, 1.0);
         assert_eq!(a.digest(), b.digest());
-        let c = FaultSchedule::new(2).flap(link(0), 1.0, 1.0);
+        let c = window(2, link(0), 1.0, 1e-3, 1.0);
         assert_ne!(a.digest(), c.digest());
-        let d = FaultSchedule::new(1).flap(link(1), 1.0, 1.0);
+        let d = window(1, link(1), 1.0, 1e-3, 1.0);
         assert_ne!(a.digest(), d.digest());
-        let e = FaultSchedule::new(1).flap(link(0), 1.0, 2.0);
+        let e = window(1, link(0), 1.0, 1e-3, 2.0);
         assert_ne!(a.digest(), e.digest());
         assert_ne!(FaultSchedule::new(0).digest(), 0);
     }
 
     #[test]
-    fn try_builders_reject_bad_times() {
-        let healthy = FaultSchedule::new(0);
-        assert_eq!(
-            healthy
-                .clone()
-                .try_at(-1.0, FaultKind::RestoreLink { link: link(0) })
-                .unwrap_err(),
-            SimError::BadFaultTime
-        );
-        assert_eq!(
-            healthy
-                .clone()
-                .try_flap(link(0), f64::NAN, 1.0)
-                .unwrap_err(),
-            SimError::BadFaultTime
-        );
-        assert_eq!(
-            healthy
-                .clone()
-                .try_degrade_window(link(0), 1.0, 0.5, f64::INFINITY)
-                .unwrap_err(),
-            SimError::BadFaultTime
-        );
-        let ok = healthy.try_degrade_window(link(0), 1.0, 0.5, 2.0).unwrap();
+    fn at_rejects_bad_times() {
+        for secs in [-1.0, f64::NAN, f64::INFINITY] {
+            let bad = FaultSchedule::new(0).at(secs, FaultKind::RestoreLink { link: link(0) });
+            assert_eq!(bad.unwrap_err(), SimError::BadFaultTime, "{secs}");
+        }
+        let ok = window(0, link(0), 1.0, 0.5, 2.0);
         assert_eq!(ok.len(), 2);
-        assert_eq!(
-            ok.digest(),
-            FaultSchedule::new(0)
-                .degrade_window(link(0), 1.0, 0.5, 2.0)
-                .digest()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid event time")]
-    fn at_panics_on_negative_time() {
-        let _ = FaultSchedule::new(0).at(-0.5, FaultKind::RestoreLink { link: link(0) });
+        assert_eq!(ok.events()[1].at, SimTime::from_secs(3.0));
     }
 
     #[test]

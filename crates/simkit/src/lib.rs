@@ -60,7 +60,7 @@ pub use csr::{Csr, NodeIndex};
 pub use dag::{Dag, DagBuilder, ResourceId, RouteRange, TaskId, TaskKind};
 pub use engine::{DagEngine, RunOutcome};
 pub use error::SimError;
-pub use fault::{mix, FaultCursor, FaultEvent, FaultKind, FaultSchedule, FLAP_FLOOR};
+pub use fault::{mix, FaultCursor, FaultEvent, FaultKind, FaultSchedule};
 pub use flow::{FlowId, FlowNet, FlowObserver, LinkId, NullObserver};
 pub use record::{
     nearest_rank, BandwidthRecorder, BandwidthStats, EngineStats, SolverStats, Span, SpanLog,

@@ -20,9 +20,9 @@ pub enum StrategyError {
     /// A state placement violates Table I (e.g. parameter offload
     /// without ZeRO-3, NVMe tiers without a volume placement).
     InvalidPlacement(String),
-    /// The emitted iteration plan failed validation against the paper's
-    /// conservation laws (collective closed forms, route feasibility,
-    /// phase ordering).
+    /// The emitted iteration plan failed validation against the cluster
+    /// (collective payloads and ranks, route feasibility, phase
+    /// ordering).
     InvalidPlan(String),
 }
 

@@ -4,37 +4,39 @@
 //!
 //! Strategy compilation is a two-stage pipeline:
 //!
-//! 1. **Planning** — a [`StrategyPlan`] implementation (the [`Strategy`]
-//!    enum covers the paper's matrix) compiles model + cluster + options
-//!    into a [`MemoryPlan`] (bytes per tier) and a [`WorkloadPlan`]: a typed
-//!    IR of semantic operations (layer compute, collectives, tier
-//!    transfers, optimizer steps) with explicit dependencies and phase
-//!    labels. [`WorkloadPlan::validate`] machine-checks the paper's
-//!    conservation laws against the cluster.
+//! 1. **Planning** — a [`Strategy`] (the enum covers the paper's matrix)
+//!    compiles model + cluster + options, bundled as an [`IterCtx`], into
+//!    a [`MemoryPlan`] (bytes per tier, [`StrategyPlan::plan_memory`]) and
+//!    a [`WorkloadPlan`] ([`StrategyPlan::plan_iteration`]): a typed IR of
+//!    semantic operations (layer compute, collectives, tier transfers,
+//!    optimizer steps) with explicit dependencies and phase labels.
+//!    [`WorkloadPlan::validate`] checks the plan against the cluster.
 //! 2. **Lowering** — [`lower`] compiles the plan once per configuration
 //!    to a simkit task graph; [`LoweredPlan::stamp`] re-stamps only the
 //!    jitter-seeded compute durations per iteration.
 //!
-//! The simulation engine is strategy-agnostic: it sees `&dyn
-//! StrategyPlan` and the lowered DAG, so adding a strategy never touches
-//! the event loop.
+//! The simulation engine sees only the plan and the lowered DAG, so
+//! adding a strategy never touches the event loop. [`Strategy::name`] is
+//! each strategy's one name: the paper's figure legend, and the key the
+//! command-line tools look strategies up by.
 //!
 //! ```
 //! use zerosim_hw::{Cluster, ClusterSpec};
 //! use zerosim_model::GptConfig;
-//! use zerosim_strategies::{Calibration, Strategy, TrainOptions, ZeroStage};
+//! use zerosim_strategies::{
+//!     Calibration, IterCtx, Strategy, StrategyPlan, TrainOptions, ZeroStage,
+//! };
 //!
 //! # fn main() -> Result<(), String> {
 //! let cluster = Cluster::new(ClusterSpec::default().with_nodes(1))?;
 //! let model = GptConfig::paper_model_with_params(1.4);
 //! let opts = TrainOptions::single_node();
 //! let calib = Calibration::default();
+//! let ctx = IterCtx { cluster: &cluster, model: &model, opts: &opts, calib: &calib };
 //!
-//! let ddp = Strategy::Ddp
-//!     .memory_plan(&cluster, &model, &opts, &calib)
-//!     .map_err(|e| e.to_string())?;
+//! let ddp = Strategy::Ddp.plan_memory(&ctx).map_err(|e| e.to_string())?;
 //! let z3 = Strategy::Zero { stage: ZeroStage::Three }
-//!     .memory_plan(&cluster, &model, &opts, &calib)
+//!     .plan_memory(&ctx)
 //!     .map_err(|e| e.to_string())?;
 //! assert!(z3.per_gpu_bytes < ddp.per_gpu_bytes);
 //! # Ok(())
@@ -77,22 +79,15 @@ pub use zero::{InfinityPlacement, StateTier, ZeroPlusPlusFlags, ZeroStage};
 
 use std::fmt::Debug;
 
-use zerosim_hw::Cluster;
-use zerosim_model::GptConfig;
-use zerosim_simkit::Dag;
-
-/// The seam between strategy semantics and the simulation engine.
-///
-/// Implementations describe *what* one training iteration does — as an
-/// [`WorkloadPlan`] of semantic ops plus a [`MemoryPlan`] — and never touch
-/// simkit. The engine lowers the plan once per configuration and
-/// re-stamps durations per iteration. The engine, the analyzer, the
-/// capacity search and perfbench take `&dyn StrategyPlan`; [`Strategy`]
-/// implements it.
+/// The two planning questions a strategy answers: *where* its state lives
+/// ([`MemoryPlan`]) and *what* one training iteration does (a
+/// [`WorkloadPlan`] of semantic ops). Neither touches simkit; the engine
+/// lowers the plan once per configuration and re-stamps durations per
+/// iteration. [`Strategy`] is the one implementation; the engine, the
+/// analyzer and the capacity search take `&Strategy`, and the benchmark
+/// harness (`zerosim-perfbench`) times these two calls through a trait
+/// object.
 pub trait StrategyPlan: Debug {
-    /// Short display name matching the paper's figure legends.
-    fn display_name(&self) -> String;
-
     /// Memory placement for the context's (cluster, model, options).
     ///
     /// # Errors
@@ -105,11 +100,6 @@ pub trait StrategyPlan: Debug {
     /// # Errors
     /// [`StrategyError`] when the configuration is infeasible.
     fn plan_iteration(&self, ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError>;
-
-    /// The ZeRO capability row (Table I), for ZeRO-family strategies.
-    fn capability(&self) -> Option<ZeroCapability> {
-        None
-    }
 }
 
 /// A distributed training strategy.
@@ -281,77 +271,9 @@ impl Strategy {
             _ => None,
         }
     }
-
-    /// Memory placement for training `model` on `cluster` under `opts`.
-    ///
-    /// # Errors
-    /// [`StrategyError`] when the configuration is infeasible.
-    pub fn memory_plan(
-        &self,
-        cluster: &Cluster,
-        model: &GptConfig,
-        opts: &TrainOptions,
-        calib: &Calibration,
-    ) -> Result<MemoryPlan, StrategyError> {
-        let ctx = IterCtx {
-            cluster,
-            model,
-            opts,
-            calib,
-        };
-        self.plan_memory(&ctx)
-    }
-
-    /// Builds the task graph of one training iteration by planning,
-    /// lowering, and stamping with `opts.jitter_seed`.
-    ///
-    /// One-shot convenience: the characterization engine instead lowers
-    /// once and re-stamps per iteration (see [`lower`] /
-    /// [`LoweredPlan::stamp`]).
-    ///
-    /// # Errors
-    /// [`StrategyError`] when the configuration is infeasible (e.g.
-    /// Megatron `tp × pp` not dividing the GPU count, or NVMe offload
-    /// without volumes).
-    pub fn build_iteration(
-        &self,
-        cluster: &Cluster,
-        model: &GptConfig,
-        opts: &TrainOptions,
-        calib: &Calibration,
-    ) -> Result<Dag, StrategyError> {
-        let ctx = IterCtx {
-            cluster,
-            model,
-            opts,
-            calib,
-        };
-        let plan = self.plan_iteration(&ctx)?;
-        let mut lowered = lower(&plan, cluster, calib)?;
-        lowered.stamp(opts.jitter_seed);
-        Ok(lowered.into_dag())
-    }
-
-    /// The ZeRO capability row (Table I), if this is a ZeRO-family
-    /// strategy.
-    pub fn capability(&self) -> Option<ZeroCapability> {
-        match self {
-            Strategy::Zero { stage } | Strategy::ZeroOffload { stage, .. } => {
-                Some(ZeroCapability::for_stage(*stage))
-            }
-            Strategy::ZeroInfinity { .. } | Strategy::ZeroPlusPlus { .. } => {
-                Some(ZeroCapability::for_stage(ZeroStage::Three))
-            }
-            _ => None,
-        }
-    }
 }
 
 impl StrategyPlan for Strategy {
-    fn display_name(&self) -> String {
-        self.name()
-    }
-
     fn plan_memory(&self, ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError> {
         match self {
             Strategy::Ddp => ddp::memory_plan(ctx),
@@ -377,61 +299,13 @@ impl StrategyPlan for Strategy {
             }
         }
     }
-
-    fn capability(&self) -> Option<ZeroCapability> {
-        Strategy::capability(self)
-    }
 }
 
 #[cfg(test)]
 mod strategy_plan_tests {
     use super::*;
-    use zerosim_hw::ClusterSpec;
-
-    #[test]
-    fn trait_and_inherent_apis_agree() {
-        let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let model = GptConfig::default();
-        let opts = TrainOptions::single_node();
-        let calib = Calibration::default();
-        let ctx = IterCtx {
-            cluster: &cluster,
-            model: &model,
-            opts: &opts,
-            calib: &calib,
-        };
-        let s = Strategy::Zero {
-            stage: ZeroStage::Three,
-        };
-        let dyn_s: &dyn StrategyPlan = &s;
-        assert_eq!(dyn_s.display_name(), s.name());
-        let m1 = dyn_s.plan_memory(&ctx).unwrap();
-        let m2 = s.memory_plan(&cluster, &model, &opts, &calib).unwrap();
-        assert_eq!(m1.per_gpu_bytes, m2.per_gpu_bytes);
-        assert!(dyn_s.capability().is_some());
-        assert!(StrategyPlan::capability(&Strategy::Ddp).is_none());
-    }
-
-    #[test]
-    fn build_iteration_stamps_with_the_options_seed() {
-        let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let model = GptConfig::default();
-        let opts = TrainOptions::single_node();
-        let calib = Calibration::default();
-        let dag = Strategy::Ddp
-            .build_iteration(&cluster, &model, &opts, &calib)
-            .unwrap();
-        let ctx = IterCtx {
-            cluster: &cluster,
-            model: &model,
-            opts: &opts,
-            calib: &calib,
-        };
-        let plan = Strategy::Ddp.plan_iteration(&ctx).unwrap();
-        let mut lowered = lower(&plan, &cluster, &calib).unwrap();
-        let stamped = lowered.stamp(opts.jitter_seed);
-        assert_eq!(dag.len(), stamped.len());
-    }
+    use zerosim_hw::{Cluster, ClusterSpec};
+    use zerosim_model::GptConfig;
 
     #[test]
     fn megatron_infeasible_layout_is_an_error_not_a_panic() {
@@ -439,8 +313,14 @@ mod strategy_plan_tests {
         let model = GptConfig::default();
         let opts = TrainOptions::single_node();
         let calib = Calibration::default();
+        let ctx = IterCtx {
+            cluster: &cluster,
+            model: &model,
+            opts: &opts,
+            calib: &calib,
+        };
         let s = Strategy::Megatron { tp: 3, pp: 1 };
-        assert!(s.build_iteration(&cluster, &model, &opts, &calib).is_err());
-        assert!(s.memory_plan(&cluster, &model, &opts, &calib).is_err());
+        assert!(s.plan_iteration(&ctx).is_err());
+        assert!(s.plan_memory(&ctx).is_err());
     }
 }

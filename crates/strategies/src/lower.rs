@@ -29,7 +29,7 @@
 //! same [`zerosim_simkit::Csr`] layout). `tests/lowering_allocs.rs` pins
 //! the floor at under 0.5 allocations per emitted task.
 
-use zerosim_collectives::emit_collective_capped;
+use zerosim_collectives::emit_collective;
 use zerosim_hw::Cluster;
 use zerosim_simkit::{Dag, DagBuilder, SimTime, TaskId};
 
@@ -217,10 +217,7 @@ pub fn lower(
                 group,
                 bytes,
                 cap,
-            } => {
-                emit_collective_capped(&mut b, cluster, group, *kind, *bytes * ratio, &deps, *cap)
-                    .done
-            }
+            } => emit_collective(&mut b, cluster, group, *kind, *bytes * ratio, &deps, *cap).done,
             PlanOp::TierTransfer {
                 src,
                 dst,

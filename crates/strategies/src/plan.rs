@@ -20,11 +20,12 @@
 //! Putting a typed IR between strategy semantics and DAG emission buys
 //! three things the seed implementation lacked:
 //!
-//! 1. **Extensibility** — out-of-tree strategies implement
-//!    [`crate::StrategyPlan`] and emit ops; they never touch `TaskSpec`.
-//! 2. **Validation** — [`WorkloadPlan::validate`] machine-checks the paper's
-//!    conservation laws (collective wire-volume closed forms, route
-//!    feasibility, phase ordering) on every plan.
+//! 1. **Separation** — strategies emit semantic ops; they never touch
+//!    simkit's `TaskSpec`, and only `zerosim-collectives` knows which
+//!    schedule a collective gets.
+//! 2. **Validation** — [`WorkloadPlan::validate`] machine-checks every
+//!    plan against the cluster (collective payloads and ranks, route
+//!    feasibility, phase ordering).
 //! 3. **Caching** — plan structure is iteration-invariant, so the engine
 //!    lowers once and re-stamps durations instead of rebuilding the DAG
 //!    `warmup + measure` times per run.
@@ -41,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use zerosim_collectives::{wire_bytes, CollectiveKind, CommGroup};
+use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_hw::{Cluster, GpuId, IoDir, MemLoc, SocketId, VolumeId};
 use zerosim_simkit::Csr;
 
@@ -237,11 +238,6 @@ impl Codec {
     /// whose declared `ratio` disagrees with this).
     pub fn expected_ratio(&self) -> f64 {
         self.dtype_out.bytes() / self.dtype_in.bytes()
-    }
-
-    /// Encoded (on-the-wire / in-pool) size of a `bytes`-sized payload.
-    pub fn wire_bytes(&self, bytes: f64) -> f64 {
-        bytes * self.ratio
     }
 
     /// True when the codec shrinks bytes (a quantizer, not an expander).
@@ -514,9 +510,10 @@ impl WorkloadPlan {
             .sum()
     }
 
-    /// Total collective wire bytes under the schedules lowering will pick
-    /// (closed form; see [`zerosim_collectives::wire_bytes`]). Codec-aware:
-    /// a declared codec scales the payload before the schedule prices it.
+    /// Total collective wire bytes, summed over every rank: the ring's
+    /// closed form `n · bytes_sent_per_rank(n, S)`, which every schedule
+    /// lowering picks moves. Codec-aware: a declared codec scales the
+    /// payload before it is priced.
     pub fn collective_wire_bytes(&self) -> f64 {
         self.nodes
             .iter()
@@ -524,7 +521,11 @@ impl WorkloadPlan {
             .filter_map(|(i, n)| match &n.op {
                 PlanOp::Collective {
                     kind, group, bytes, ..
-                } => Some(wire_bytes(group, *kind, *bytes * self.codec_ratio_at(i))),
+                } => {
+                    let ranks = group.len();
+                    let payload = *bytes * self.codec_ratio_at(i);
+                    Some(ranks as f64 * kind.bytes_sent_per_rank(ranks, payload))
+                }
                 _ => None,
             })
             .sum()
@@ -568,9 +569,7 @@ impl WorkloadPlan {
     ///   node, so every `TierTransfer` and `VolumeIo` has a resolvable
     ///   route;
     /// * collective payloads are positive and finite with all ranks on
-    ///   the cluster, and their wire volumes obey the ring closed forms
-    ///   (all-reduce `2 (n−1)/n · S` per rank; the hierarchical schedule
-    ///   never exceeds the flat-ring volume);
+    ///   the cluster;
     /// * optimizer steps carry positive parameter counts, run in the
     ///   `Step` phase, and at least one exists
     ///   ([`WorkloadKind::Iteration`] plans only);
@@ -667,28 +666,12 @@ impl WorkloadPlan {
                         return err(i, "optimizer step outside the Step phase".into());
                     }
                 }
-                PlanOp::Collective {
-                    kind, group, bytes, ..
-                } => {
+                PlanOp::Collective { group, bytes, .. } => {
                     if !(bytes.is_finite() && *bytes > 0.0) {
                         return err(i, format!("non-positive collective bytes {bytes}"));
                     }
                     if let Some(g) = group.ranks().iter().find(|g| !gpu_ok(g)) {
                         return err(i, format!("collective rank {g:?} not on cluster"));
-                    }
-                    // Conservation: wire volume follows the ring closed
-                    // form; the hierarchical schedule may only shrink it.
-                    let n = group.len();
-                    let flat = n as f64 * kind.bytes_sent_per_rank(n, *bytes);
-                    let wire = wire_bytes(group, *kind, *bytes);
-                    if wire > flat * (1.0 + 1e-9) {
-                        return err(
-                            i,
-                            format!("wire volume {wire} exceeds flat-ring closed form {flat}"),
-                        );
-                    }
-                    if n > 1 && wire <= 0.0 {
-                        return err(i, "multi-rank collective moves no bytes".into());
                     }
                 }
                 PlanOp::TierTransfer {

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             TrainOptions::dual_node()
         };
-        let cap = max_model_size(sim.cluster(), &strategy, &opts, sim.calibration());
+        let cap = max_model_size(sim.cluster(), &strategy, &opts, sim.calibration())?;
         let (max_b, fits) = match cap {
             Some(c) => (billions(c.params), c.billions() >= target),
             None => ("-".into(), false),
@@ -94,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         placement: InfinityPlacement::new(vec![vol]),
     };
     let opts = TrainOptions::single_node();
-    let cap = max_model_size(sim.cluster(), &strategy, &opts, sim.calibration())
+    let cap = max_model_size(sim.cluster(), &strategy, &opts, sim.calibration())?
         .expect("infinity fits something");
     let fits = cap.billions() >= target;
     let tput = if fits {

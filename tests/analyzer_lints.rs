@@ -303,7 +303,9 @@ fn zl007_fires_once_on_overlapping_node_loss() {
     let cluster = default_cluster();
     let schedule = FaultSchedule::new(7)
         .at(1.0, FaultKind::NodeLoss { node: 1 })
-        .at(2.0, FaultKind::NodeLoss { node: 1 });
+        .unwrap()
+        .at(2.0, FaultKind::NodeLoss { node: 1 })
+        .unwrap();
     let r = lint(&Artifacts::new(&cluster).with_faults(&schedule));
     assert_eq!(r.diagnostics.len(), 1, "{}", r.render_text());
     let d = &r.diagnostics[0];
@@ -316,7 +318,9 @@ fn zl007_fires_once_on_overlapping_node_loss() {
 #[test]
 fn zl007_events_past_the_horizon_are_advisory_only() {
     let cluster = default_cluster();
-    let schedule = FaultSchedule::new(7).at(50.0, FaultKind::NodeLoss { node: 1 });
+    let schedule = FaultSchedule::new(7)
+        .at(50.0, FaultKind::NodeLoss { node: 1 })
+        .unwrap();
     let r = lint(
         &Artifacts::new(&cluster)
             .with_faults(&schedule)
@@ -593,6 +597,7 @@ fn zl001_verdict_flips_at_the_simulated_capacity_edge() {
     for idx in 0..GOLDEN_COUNT {
         let (cluster, strategy, opts) = golden_case(idx);
         let cap = max_model_size(&cluster, &strategy, &opts, &calib)
+            .unwrap()
             .unwrap_or_else(|| panic!("{} fits at least one layer", strategy.name()));
         let verdict_fits = |layers: usize| -> Option<bool> {
             let model = GptConfig::paper_model(layers);

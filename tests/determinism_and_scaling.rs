@@ -10,7 +10,9 @@
 use zerosim_core::{RunConfig, TrainingSim};
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, NvmeId, SocketId};
 use zerosim_model::GptConfig;
-use zerosim_strategies::{Calibration, InfinityPlacement, Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::{
+    lower, Calibration, InfinityPlacement, IterCtx, Strategy, StrategyPlan, TrainOptions, ZeroStage,
+};
 
 #[test]
 fn identical_runs_are_bit_identical() {
@@ -43,14 +45,20 @@ fn jitter_seed_changes_timing_slightly() {
         let model = GptConfig::paper_model_with_params(1.4);
         let opts = TrainOptions::single_node().with_jitter_seed(seed);
         let calib = Calibration::default();
-        let dag = Strategy::Ddp
-            .build_iteration(&cluster, &model, &opts, &calib)
-            .unwrap();
+        let ctx = IterCtx {
+            cluster: &cluster,
+            model: &model,
+            opts: &opts,
+            calib: &calib,
+        };
+        let plan = Strategy::Ddp.plan_iteration(&ctx).unwrap();
+        let mut lowered = lower(&plan, &cluster, &calib).unwrap();
+        let dag = lowered.stamp(opts.jitter_seed);
         let mut net_cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let mut eng = zerosim_simkit::DagEngine::new(net_cluster.resource_slots());
         eng.run(
             net_cluster.net_mut(),
-            &dag,
+            dag,
             zerosim_simkit::SimTime::ZERO,
             None,
         )
@@ -160,10 +168,13 @@ fn per_gpu_memory_shrinks_with_cluster_size_for_zero_only() {
         } else {
             TrainOptions::dual_node()
         };
-        strategy
-            .memory_plan(&cluster, &model, &opts, &calib)
-            .unwrap()
-            .per_gpu_bytes
+        let ctx = IterCtx {
+            cluster: &cluster,
+            model: &model,
+            opts: &opts,
+            calib: &calib,
+        };
+        strategy.plan_memory(&ctx).unwrap().per_gpu_bytes
     };
     for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
         let s = Strategy::Zero { stage };
@@ -213,15 +224,15 @@ fn zero3_cpu_param_offload_runs_end_to_end() {
     let calib = Calibration::default();
     let model = GptConfig::paper_model_with_params(1.4);
     let opts = TrainOptions::single_node();
+    let ctx = IterCtx {
+        cluster: &cluster,
+        model: &model,
+        opts: &opts,
+        calib: &calib,
+    };
     assert!(
-        strategy
-            .memory_plan(&cluster, &model, &opts, &calib)
-            .unwrap()
-            .per_gpu_bytes
-            < resident
-                .memory_plan(&cluster, &model, &opts, &calib)
-                .unwrap()
-                .per_gpu_bytes
+        strategy.plan_memory(&ctx).unwrap().per_gpu_bytes
+            < resident.plan_memory(&ctx).unwrap().per_gpu_bytes
     );
 }
 

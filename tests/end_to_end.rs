@@ -254,7 +254,7 @@ fn incremental_solves_touch_5x_fewer_links_than_full_solves() {
     // link, so the reduction is link_count / mean links per solve, read
     // off one run. SolverStats counts are the same in debug and release
     // and with the shadow oracle on or off. Dual-node ZeRO-3 at 11.4 B
-    // touches ~10.3 of 122 links per solve (~12x); the floor is 5x.
+    // touches ~10.3 of 104 links per solve (~10x); the floor is 5x.
     let mut sim = TrainingSim::new(ClusterSpec::default()).unwrap();
     let cfg = RunConfig {
         allow_overflow: true,

@@ -12,7 +12,7 @@ use zerosim_core::{max_model_size, RunConfig, TrainingSim};
 use zerosim_hw::{ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_perftest::{stress_test, StressScenario};
-use zerosim_strategies::{Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::{IterCtx, Strategy, StrategyPlan, TrainOptions, ZeroStage};
 
 fn capacity_b(strategy: &Strategy, nodes: usize) -> f64 {
     let sim = TrainingSim::new(ClusterSpec::default()).unwrap();
@@ -22,6 +22,7 @@ fn capacity_b(strategy: &Strategy, nodes: usize) -> f64 {
         TrainOptions::dual_node()
     };
     max_model_size(sim.cluster(), strategy, &opts, sim.calibration())
+        .unwrap()
         .unwrap()
         .billions()
 }
@@ -33,7 +34,9 @@ fn throughput_at_capacity(strategy: &Strategy, nodes: usize) -> f64 {
     } else {
         TrainOptions::dual_node()
     };
-    let cap = max_model_size(sim.cluster(), strategy, &opts, sim.calibration()).unwrap();
+    let cap = max_model_size(sim.cluster(), strategy, &opts, sim.calibration())
+        .unwrap()
+        .unwrap();
     let model = GptConfig::paper_model(cap.num_layers);
     sim.run(strategy, &model, &opts, &RunConfig::quick())
         .unwrap()
@@ -176,12 +179,12 @@ fn cpu_offload_consolidates_dual_node() {
         offload_params: false,
     };
     let plan = offload
-        .memory_plan(
-            sim.cluster(),
-            &model,
-            &TrainOptions::single_node(),
-            sim.calibration(),
-        )
+        .plan_memory(&IterCtx {
+            cluster: sim.cluster(),
+            model: &model,
+            opts: &TrainOptions::single_node(),
+            calib: sim.calibration(),
+        })
         .unwrap();
     assert!(plan.fits(sim.cluster()), "11.4B must fit with CPU offload");
     let z2_cpu = sim
@@ -218,6 +221,7 @@ fn zero_infinity_fits_6x_megatron_single_node() {
         &TrainOptions::single_node(),
         sim.calibration(),
     )
+    .unwrap()
     .unwrap()
     .billions();
     let ratio = cap / megatron;

@@ -60,10 +60,11 @@ fn assert_equivalent(cluster: &Cluster, strategy: &Strategy, opts: &TrainOptions
         // Fresh: full plan → lower → stamp pipeline per seed (what the
         // seed implementation did every iteration).
         let o = opts.with_jitter_seed(seed);
-        let dag = strategy
-            .build_iteration(cluster, &model, &o, &calib)
+        let fresh = strategy
+            .plan_iteration(&IterCtx { opts: &o, ..ctx })
             .unwrap();
-        let (mk_b, bytes_b, len_b) = observe(cluster, &dag);
+        let mut lowered = lower(&fresh, cluster, &calib).unwrap();
+        let (mk_b, bytes_b, len_b) = observe(cluster, lowered.stamp(o.jitter_seed));
         // Tolerance 0: bit-identical structure and timing.
         assert_eq!(len_a, len_b, "{} task count", strategy.name());
         assert_eq!(bytes_a, bytes_b, "{} wire bytes", strategy.name());
@@ -142,7 +143,7 @@ fn registry_covers_the_paper_matrix_and_all_plans_validate() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         plan.validate(sim.cluster())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(spec.strategy.display_name(), name);
+        assert_eq!(spec.strategy.name(), name);
     }
 }
 

@@ -7,13 +7,15 @@
 
 use zerosim_analyzer::Ancestors;
 use zerosim_core::max_model_size;
-use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId};
+use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{
     BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FaultKind, FaultSchedule, FlowNet,
     FlowObserver, LinkId, NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
 };
-use zerosim_strategies::{Calibration, PlanOp, Strategy, TrainOptions, WorkloadPlan, ZeroStage};
+use zerosim_strategies::{
+    Calibration, IterCtx, PlanOp, Strategy, StrategyPlan, TrainOptions, WorkloadPlan, ZeroStage,
+};
 use zerosim_testkit::domain::{flow_paths, link_caps};
 use zerosim_testkit::gen::{f64_range, tuple3, u64_range, usize_range, vec_of};
 use zerosim_testkit::{prop, prop_assert, prop_assert_eq};
@@ -311,22 +313,18 @@ prop! {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
         let opts = TrainOptions::single_node();
         let calib = Calibration::default();
+        let memory = |strategy: &Strategy, layers: usize| {
+            let model = GptConfig::paper_model(layers);
+            let ctx = IterCtx { cluster: &cluster, model: &model, opts: &opts, calib: &calib };
+            strategy.plan_memory(&ctx).unwrap()
+        };
         for strategy in [
             Strategy::Ddp,
             Strategy::Megatron { tp: 4, pp: 1 },
             Strategy::Zero { stage: ZeroStage::Three },
         ] {
-            let small = strategy
-                .memory_plan(&cluster, &GptConfig::paper_model(layers), &opts, &calib)
-                .unwrap();
-            let large = strategy
-                .memory_plan(
-                    &cluster,
-                    &GptConfig::paper_model(layers + 1),
-                    &opts,
-                    &calib,
-                )
-                .unwrap();
+            let small = memory(&strategy, layers);
+            let large = memory(&strategy, layers + 1);
             prop_assert!(large.per_gpu_bytes > small.per_gpu_bytes);
         }
     }
@@ -343,8 +341,10 @@ prop! {
         let strategy = Strategy::Zero { stage: ZeroStage::Two };
         let a = max_model_size(&Cluster::new(base).unwrap(), &strategy, &opts, &calib)
             .unwrap()
+            .unwrap()
             .params;
         let b = max_model_size(&Cluster::new(bigger).unwrap(), &strategy, &opts, &calib)
+            .unwrap()
             .unwrap()
             .params;
         prop_assert!(b >= a);
@@ -378,15 +378,17 @@ prop! {
 // ---------- collectives ----------
 
 prop! {
-    /// Stepwise and coalesced expansions move identical total bytes for
-    /// every collective kind and buffer size.
+    /// Stepwise, coalesced and hierarchical expansions move the ring's
+    /// closed-form total, `n · bytes_sent_per_rank(n, S)`, for every
+    /// collective kind and buffer size.
     #[cases(64)]
     fn collective_emitters_agree_on_volume(
         bytes in f64_range(1e6, 2e9),
         kind_idx in usize_range(0, 3),
     ) {
         use zerosim_collectives::{
-            emit_collective_coalesced, emit_collective_stepwise, CollectiveKind, CommGroup,
+            emit_collective_coalesced, emit_collective_hierarchical, emit_collective_stepwise,
+            CollectiveKind, CommGroup,
         };
         let kind = [
             CollectiveKind::AllReduce,
@@ -405,6 +407,25 @@ prop! {
         // And the analytic per-rank volume matches.
         let expected = 4.0 * kind.bytes_sent_per_rank(4, bytes);
         prop_assert!((v1 - expected).abs() < 16.0, "{v1} vs analytic {expected}");
+        // The hierarchical schedule moves the same closed form over the
+        // whole world: on two nodes (pairwise exchange) and on four
+        // (column rings).
+        let four_nodes = TopologySpec::parse("flat:4").unwrap().build().unwrap();
+        for spec in [ClusterSpec::default(), four_nodes] {
+            let cluster = Cluster::new(spec).unwrap();
+            let world = CommGroup::world(&cluster);
+            let mut b = DagBuilder::new();
+            emit_collective_hierarchical(
+                &mut b, &cluster, &world, kind, bytes, &[], f64::INFINITY,
+            );
+            let v = b.build().total_transfer_bytes();
+            let n = world.len();
+            let expected = n as f64 * kind.bytes_sent_per_rank(n, bytes);
+            prop_assert!(
+                (v - expected).abs() < 16.0,
+                "{kind:?} over {n} ranks: {v} vs analytic {expected}"
+            );
+        }
     }
 
     /// The hierarchical schedule crosses RoCE with at most the flat ring's
@@ -453,14 +474,12 @@ prop! {
     /// cap (a slower effective NCCL never finishes earlier).
     #[cases(64)]
     fn collective_time_monotone_in_cap(cap_gb in f64_range(1.0, 12.0)) {
-        use zerosim_collectives::{emit_collective_capped, CollectiveKind, CommGroup};
+        use zerosim_collectives::{emit_collective, CollectiveKind, CommGroup};
         let time_with = |cap: f64| {
             let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
             let group = CommGroup::world(&cluster);
             let mut b = DagBuilder::new();
-            emit_collective_capped(
-                &mut b, &cluster, &group, CollectiveKind::AllGather, 1e9, &[], cap,
-            );
+            emit_collective(&mut b, &cluster, &group, CollectiveKind::AllGather, 1e9, &[], cap);
             let dag = b.build();
             let mut eng = DagEngine::new(cluster.resource_slots());
             eng.run(cluster.net_mut(), &dag, SimTime::ZERO, None)
@@ -649,7 +668,9 @@ prop! {
             .unwrap();
         let finish = healthy.task_finish();
         let at = finish[pick % finish.len()];
-        let loss = FaultSchedule::new(0).at(at.as_secs(), FaultKind::NodeLoss { node: 0 });
+        let loss = FaultSchedule::new(0)
+            .at(at.as_secs(), FaultKind::NodeLoss { node: 0 })
+            .unwrap();
 
         let mut reused = DagEngine::new(vec![1, 1]);
         let lost = reused

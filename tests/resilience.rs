@@ -115,7 +115,7 @@ fn deep_roce_brownout_slows_dual_node_megatron_deterministically() {
         at_s: 0.25 * hm.wall_time.as_secs(),
         dur_s: None,
     };
-    let schedule = scenario.compile(sim.cluster(), 42);
+    let schedule = scenario.compile(sim.cluster(), 42).unwrap();
     let run = |sim: &mut TrainingSim| {
         sim.run_resilient(
             &strategy,
@@ -173,7 +173,9 @@ prop! {
         let (mut net2, dag2, link) = build();
         let sched = FaultSchedule::new(1)
             .at(at, FaultKind::ScaleLink { link, factor })
-            .at(at + dur, FaultKind::RestoreLink { link });
+            .unwrap()
+            .at(at + dur, FaultKind::RestoreLink { link })
+            .unwrap();
         let mut cur = sched.cursor();
         let mut eng2 = DagEngine::new(vec![]);
         let faulted = eng2
@@ -223,7 +225,8 @@ prop! {
             node: 1,
             at_s: frac * hm.wall_time.as_secs(),
         }
-        .compile(sim.cluster(), 9);
+        .compile(sim.cluster(), 9)
+        .unwrap();
         let faults = FaultConfig::new(
             schedule,
             RecoveryPolicy::every(interval).with_restart_delay(0.25),
