@@ -34,7 +34,7 @@ impl CapacityResult {
 /// ([`zerosim_strategies::StrategyError`]) count as not fitting.
 ///
 /// # Errors
-/// [`CoreError::InvalidConfig`] when `opts` spans no nodes or more nodes
+/// [`CoreError::BadConfig`] when `opts` spans no nodes or more nodes
 /// than `cluster` has, and [`CoreError::CapacityDiverged`] when the
 /// exponential probe still fits past 2²¹ layers (a memory-model bug, not
 /// a configuration property).
@@ -190,7 +190,7 @@ mod tests {
             for nodes in [0, 3] {
                 let opts = TrainOptions::for_nodes(nodes);
                 let err = max_model_size(&cluster, &s, &opts, &calib).unwrap_err();
-                assert!(matches!(err, CoreError::InvalidConfig(_)), "{s:?}: {err}");
+                assert!(matches!(err, CoreError::BadConfig(_)), "{s:?}: {err}");
             }
         }
     }

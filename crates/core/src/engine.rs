@@ -7,8 +7,8 @@ use zerosim_hw::{Cluster, ClusterSpec, LinkClass};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{nearest_rank, BandwidthRecorder, Dag, DagEngine, FlowObserver, SimTime};
 use zerosim_strategies::{
-    lower, plan_checkpoint, plan_restore, Calibration, IterCtx, Strategy, StrategyPlan,
-    TrainOptions,
+    lower, plan_checkpoint, plan_restore, Calibration, IterCtx, LoweredPlan, MemoryPlan, Strategy,
+    StrategyPlan, TrainOptions,
 };
 
 use crate::error::{ensure_fits, ensure_nodes, CoreError};
@@ -123,10 +123,10 @@ impl TrainingSim {
     /// recoveries.
     ///
     /// # Errors
-    /// [`CoreError::InvalidConfig`] if `opts` spans no node or more nodes
-    /// than the cluster has, or the strategy rejects the configuration;
-    /// [`CoreError::DoesNotFit`] if the memory plan
-    /// overflows a tier (and `cfg.allow_overflow` is false);
+    /// [`CoreError::BadConfig`] if `opts` spans no node or more nodes than
+    /// the cluster has; [`CoreError::InvalidConfig`] if the strategy
+    /// rejects the configuration; [`CoreError::DoesNotFit`] if the memory
+    /// plan overflows a tier (and `cfg.allow_overflow` is false);
     /// [`CoreError::Sim`] if the DAG deadlocks (cannot happen for the
     /// built-in strategies).
     pub fn run(
@@ -149,9 +149,8 @@ impl TrainingSim {
     /// checkpoint, not estimated from bandwidth math.
     ///
     /// # Errors
-    /// [`CoreError::InvalidConfig`] when `opts` spans no node or more
-    /// nodes than the cluster has; [`CoreError::Sim`] if the DAG cannot
-    /// execute.
+    /// [`CoreError::BadConfig`] when `opts` spans no node or more nodes
+    /// than the cluster has; [`CoreError::Sim`] if the DAG cannot execute.
     pub fn checkpoint_cost(
         &mut self,
         model: &GptConfig,
@@ -227,11 +226,36 @@ impl TrainingSim {
         if !cfg.allow_overflow {
             ensure_fits(&memory, &self.cluster)?;
         }
+        // Plan + lower once: structure is iteration-invariant. The plan is
+        // dropped here; only its lowering lives through the run.
+        let lowered = lower(&strategy.plan_iteration(&ctx)?, &self.cluster, &self.calib)?;
+        self.run_lowered(strategy, model, opts, cfg, faults, memory, lowered)
+    }
 
-        // Plan + lower once: structure is iteration-invariant. Checkpoint
-        // and restore plans are likewise lowered exactly once.
-        let plan = strategy.plan_iteration(&ctx)?;
-        let mut lowered = lower(&plan, &self.cluster, &self.calib)?;
+    /// The run half of [`TrainingSim::run_resilient`]: the training loop
+    /// over a plan the caller has already checked and lowered on this
+    /// cluster. `memory` is the strategy's memory plan, reported as is.
+    /// The placement search lowers each candidate once for its lint
+    /// passes and runs that same lowering here.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_lowered(
+        &mut self,
+        strategy: &Strategy,
+        model: &GptConfig,
+        opts: &TrainOptions,
+        cfg: &RunConfig,
+        faults: &FaultConfig,
+        memory: MemoryPlan,
+        mut lowered: LoweredPlan,
+    ) -> Result<TrainingReport, CoreError> {
+        let ctx = IterCtx {
+            cluster: &self.cluster,
+            model,
+            opts,
+            calib: &self.calib,
+        };
+        // Checkpoint and restore plans are lowered exactly once, like the
+        // iteration plan.
         let plan_lowerings = 1usize;
         let ckpt_dags: Option<(Dag, Dag)> = if faults.policy.checkpoint_interval > 0 {
             let save = plan_checkpoint(&ctx);
@@ -489,10 +513,10 @@ mod tests {
             let err = sim()
                 .run(&Strategy::Ddp, &model, &opts, &RunConfig::quick())
                 .unwrap_err();
-            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
             assert!(err.to_string().contains("the cluster has 2"), "{err}");
             let err = sim().checkpoint_cost(&model, &opts).unwrap_err();
-            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
         }
     }
 

@@ -26,6 +26,10 @@ pub enum CoreError {
     /// node/GPU, non-physical factor, invalid time). See
     /// [`crate::FaultScenario::compile`].
     BadScenario(String),
+    /// A run or search setting that no strategy judges was out of range:
+    /// a run spanning no node or more nodes than the cluster has, or a
+    /// fleet search it cannot cost (see [`crate::fleet_search`]).
+    BadConfig(String),
     /// The strategy rejected the training configuration (bad parallel
     /// layout, state placement violating Table I, invalid plan).
     InvalidConfig(StrategyError),
@@ -55,6 +59,7 @@ impl fmt::Display for CoreError {
             ),
             CoreError::BadCluster(msg) => write!(f, "invalid cluster: {msg}"),
             CoreError::BadScenario(msg) => write!(f, "invalid fault scenario: {msg}"),
+            CoreError::BadConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
             CoreError::RecoveryExhausted { budget } => write!(
                 f,
@@ -92,14 +97,14 @@ impl From<StrategyError> for CoreError {
 
 /// The node-count check shared by training, checkpointing and serving: a
 /// run spans at least one node and no more than `cluster` has, else
-/// [`CoreError::InvalidConfig`].
+/// [`CoreError::BadConfig`].
 pub(crate) fn ensure_nodes(opts: &TrainOptions, cluster: &Cluster) -> Result<(), CoreError> {
     let have = cluster.spec().nodes;
     if opts.nodes == 0 || opts.nodes > have {
-        return Err(CoreError::InvalidConfig(StrategyError::layout(format!(
+        return Err(CoreError::BadConfig(format!(
             "run spans {} nodes; the cluster has {have}",
             opts.nodes
-        ))));
+        )));
     }
     Ok(())
 }
@@ -136,6 +141,9 @@ mod tests {
         assert!(CoreError::BadScenario("node 9".into())
             .to_string()
             .contains("fault scenario: node 9"));
+        let b = CoreError::BadConfig("top = 0".into());
+        assert_eq!(b.to_string(), "invalid configuration: top = 0");
+        assert!(Error::source(&b).is_none());
         let c = CoreError::from(StrategyError::layout("tp=3"));
         assert!(c.to_string().contains("tp=3"));
         assert!(Error::source(&c).is_some());
@@ -147,5 +155,31 @@ mod tests {
         };
         assert!(d.to_string().contains("4194304 layers"));
         assert!(Error::source(&d).is_none());
+    }
+
+    #[test]
+    fn configuration_errors_do_not_pose_as_strategy_errors() {
+        use zerosim_hw::{ClusterSpec, TopologySpec};
+        use zerosim_model::GptConfig;
+
+        let cluster = Cluster::new(ClusterSpec::default()).unwrap();
+        let nodes = ensure_nodes(&TrainOptions::for_nodes(3), &cluster).unwrap_err();
+        let top = crate::fleet_search(
+            &crate::FleetCostConfig::new(
+                TopologySpec::Flat { nodes: 1 },
+                GptConfig::paper_model_with_params(1.4),
+                0.05,
+            )
+            .with_top(0),
+        )
+        .unwrap_err();
+        let messages = [nodes.to_string(), top.to_string()];
+        assert!(
+            messages
+                .iter()
+                .all(|m| !m.contains("invalid parallel layout")
+                    && !m.contains("invalid iteration plan")),
+            "{messages:?}"
+        );
     }
 }

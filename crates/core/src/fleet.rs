@@ -39,7 +39,7 @@
 use zerosim_hw::{Cluster, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{mix, nearest_rank, FaultKind, FaultSchedule};
-use zerosim_strategies::{RecoveryPolicy, StrategyError, TrainOptions};
+use zerosim_strategies::{RecoveryPolicy, TrainOptions};
 use zerosim_testkit::rng::Rng;
 
 use crate::cost::CostModel;
@@ -112,9 +112,11 @@ impl FleetProfile {
     /// [`FleetProfile::fatal_mtbf_s`] as `W/M_node → 0`.
     pub fn effective_fatal_mtbf_s(&self, nodes: usize, horizon_s: f64) -> Option<f64> {
         let mtbf_node = self.node?;
-        if !positive(horizon_s) || !positive(mtbf_node) {
+        if !positive(horizon_s) || !non_negative(mtbf_node) {
             return Some(f64::INFINITY);
         }
+        // A per-node MTBF of 0 loses every node at once: `e^{−W/0} = 0`,
+        // so `n` losses over the horizon.
         let expected = nodes.max(1) as f64 * (1.0 - (-horizon_s / mtbf_node).exp());
         if expected <= 0.0 {
             return Some(f64::INFINITY);
@@ -197,17 +199,29 @@ fn positive(x: f64) -> bool {
     x > 0.0
 }
 
+/// NaN-safe non-negativity: false for NaN and negatives.
+fn non_negative(x: f64) -> bool {
+    x >= 0.0
+}
+
 /// NaN-safe finite strict positivity (rejects `+∞` too).
 fn finite_positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
 
+/// A system MTBF the interval formulas can use: finite and non-negative.
+/// `0` means failures without pause; `+∞` means no failures at all.
+fn finite_mtbf(mtbf_s: f64) -> bool {
+    mtbf_s.is_finite() && non_negative(mtbf_s)
+}
+
 /// Young's optimal checkpoint interval `τ = √(2·C·M)` for a checkpoint
 /// that costs `ckpt_cost_s` seconds under a system MTBF of `mtbf_s`
-/// seconds. Returns `+∞` (never checkpoint) when either input is
-/// non-positive or the MTBF is infinite.
+/// seconds. Returns `+∞` (never checkpoint) when the cost is not
+/// positive or the MTBF is negative or infinite; an MTBF of 0 (failures
+/// without pause) gives `τ = 0`.
 pub fn young_interval_s(ckpt_cost_s: f64, mtbf_s: f64) -> f64 {
-    if !positive(ckpt_cost_s) || !finite_positive(mtbf_s) {
+    if !positive(ckpt_cost_s) || !finite_mtbf(mtbf_s) {
         return f64::INFINITY;
     }
     (2.0 * ckpt_cost_s * mtbf_s).sqrt()
@@ -218,9 +232,10 @@ pub fn young_interval_s(ckpt_cost_s: f64, mtbf_s: f64) -> f64 {
 /// `τ = M` once checkpoints cost more than the mean failure interval can
 /// amortize. Agrees with Young to first order and stays accurate when
 /// `C` is a non-trivial fraction of `M` — exactly the compressed-MTBF
-/// regime the Monte-Carlo validation runs in.
+/// regime the Monte-Carlo validation runs in. Degenerate inputs map as in
+/// [`young_interval_s`]; `M = 0` takes the `τ = M` branch.
 pub fn daly_interval_s(ckpt_cost_s: f64, mtbf_s: f64) -> f64 {
-    if !positive(ckpt_cost_s) || !finite_positive(mtbf_s) {
+    if !positive(ckpt_cost_s) || !finite_mtbf(mtbf_s) {
         return f64::INFINITY;
     }
     if ckpt_cost_s >= 2.0 * mtbf_s {
@@ -233,8 +248,12 @@ pub fn daly_interval_s(ckpt_cost_s: f64, mtbf_s: f64) -> f64 {
 /// First-order expected waste fraction of a checkpointed run: checkpoint
 /// overhead `C/τ` plus expected rework-and-recovery `(τ/2 + R)/M` per
 /// failure interval, clamped to `[0, 1]`. `R` is the time lost per
-/// failure beyond rework (restart delay + restore traffic).
+/// failure beyond rework (restart delay + restore traffic). An MTBF of 0
+/// (failures without pause) wastes everything; an infinite one, nothing.
 pub fn waste_fraction(ckpt_cost_s: f64, interval_s: f64, mtbf_s: f64, recover_s: f64) -> f64 {
+    if mtbf_s == 0.0 {
+        return 1.0;
+    }
     if !positive(interval_s) || !finite_positive(mtbf_s) {
         return 0.0;
     }
@@ -777,7 +796,7 @@ impl FleetReport {
 /// cheapest-feasible first.
 ///
 /// # Errors
-/// [`CoreError::InvalidConfig`], before anything is simulated, when `top`
+/// [`CoreError::BadConfig`], before anything is simulated, when `top`
 /// is 0, the failure rate is negative or not finite, or the token budget
 /// or deadline is not finite and positive; [`CoreError::BadCluster`] when
 /// the topology does not build; and any error re-simulating a ranked
@@ -889,7 +908,7 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
 /// they would cost no placement, or price a run at NaN, zero or negative
 /// days and dollars.
 fn check_costable(cfg: &FleetCostConfig) -> Result<(), CoreError> {
-    let reject = |msg: String| Err(CoreError::InvalidConfig(StrategyError::plan(msg)));
+    let reject = |msg: String| Err(CoreError::BadConfig(msg));
     if cfg.top == 0 {
         return reject("a fleet search must cost at least one placement (top = 0)".into());
     }
@@ -968,6 +987,15 @@ mod tests {
         assert_eq!(daly_interval_s(1.0, f64::INFINITY), f64::INFINITY);
         // C ≥ 2M pins τ to M.
         assert_eq!(daly_interval_s(50.0, 10.0), 10.0);
+        // M = 0 is failures without pause: checkpoint continuously, and
+        // everything is waste. M = ∞ never fails: never checkpoint, and
+        // nothing is waste.
+        assert_eq!(young_interval_s(10.0, 0.0), 0.0);
+        assert_eq!(daly_interval_s(10.0, 0.0), 0.0);
+        assert_eq!(waste_fraction(10.0, 100.0, 0.0, 1.0), 1.0);
+        assert_eq!(young_interval_s(10.0, f64::INFINITY), f64::INFINITY);
+        assert_eq!(daly_interval_s(10.0, f64::INFINITY), f64::INFINITY);
+        assert_eq!(waste_fraction(10.0, 100.0, f64::INFINITY, 1.0), 0.0);
         // The analytic waste is minimized near τ_young.
         let c = 0.1;
         let m = 8.0;
@@ -1039,6 +1067,11 @@ mod tests {
         let p = FleetProfile::node_only(1000.0);
         let eff = p.effective_fatal_mtbf_s(2, 1.0).unwrap();
         assert!((eff - 500.0).abs() / 500.0 < 1e-3, "eff {eff}");
+        // A per-node MTBF of 0 loses all n nodes at once: horizon / n. An
+        // infinite one loses none.
+        let eff = |m: f64| FleetProfile::node_only(m).effective_fatal_mtbf_s(4, 10.0);
+        assert_eq!(eff(0.0), Some(2.5));
+        assert_eq!(eff(f64::INFINITY), Some(f64::INFINITY));
     }
 
     #[test]
@@ -1077,7 +1110,7 @@ mod tests {
         for (what, cfg) in rows {
             let result = fleet_search(&cfg);
             assert!(
-                matches!(result, Err(CoreError::InvalidConfig(_))),
+                matches!(result, Err(CoreError::BadConfig(_))),
                 "{what}: {result:?}"
             );
         }

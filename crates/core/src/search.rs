@@ -3,16 +3,32 @@
 //!
 //! Given a model and a [`TopologySpec`], the search enumerates the
 //! (DP, TP, PP, ZeRO-stage, offload) configurations the cluster shape
-//! admits, prunes the ones planlint can reject *statically* (plan/layout
-//! errors, memory residency via ZL001, deny-level bandwidth findings via
-//! ZL004 — all without running a single simulated flow), simulates the
-//! survivors on the deterministic [`SweepRunner`], and ranks them by
-//! achieved throughput. The split matters at scale: static analysis costs
-//! microseconds per candidate, simulation costs seconds, and on
-//! capacity-edge models most of the grid dies in the static pass.
+//! admits and vets each one in verdict order, cheapest verdict first:
+//!
+//! 1. **Memory**, serially, on one shared cluster: the strategy's
+//!    [`MemoryPlan`] against every memory tier, the verdict planlint's
+//!    ZL001 denies on. A candidate whose memory plan errs (`cannot plan:
+//!    …`) or does not fit (`does not fit (<tier> tier)`) is pruned here and
+//!    is never planned, lowered or linted.
+//! 2. **Plan, lower and lint**, one job per remaining candidate on the
+//!    deterministic [`SweepRunner`]: the iteration plan is lowered once
+//!    and planlint's default passes read both. A plan or lowering error
+//!    (`cannot plan: …`) or the first deny-level finding (`ZLxxx: …`)
+//!    prunes the candidate.
+//! 3. **Simulate**, in the same job, the lowering the passes read; the
+//!    survivors rank by achieved throughput.
+//!
+//! So a failed memory verdict outranks a plan or lowering error, which
+//! outranks a deny-level finding. The order matters at scale: a candidate
+//! pruned on memory costs one closed-form memory plan (all ten candidates
+//! of a one-node 1,000 B search take ~0.2 ms and a few hundred
+//! allocations), a vetted one costs one plan, one lowering and one lint
+//! run (milliseconds at 8 B), and simulation costs milliseconds to
+//! seconds. On capacity-edge models most of the grid dies at the memory
+//! verdict.
 //!
 //! Results are deterministic: candidate enumeration order is fixed,
-//! simulation is input-ordered at any worker width, and
+//! vetting and simulation are input-ordered at any worker width, and
 //! [`SearchReport::digest`] fingerprints the whole outcome so `verify.sh`
 //! can assert byte-identical searches across `--workers` widths.
 //!
@@ -38,16 +54,19 @@
 //! # }
 //! ```
 
-use zerosim_analyzer::{analyze_strategy, LintConfig, Severity};
+use zerosim_analyzer::{Artifacts, LintConfig, PassManager, Severity};
 use zerosim_hw::{Cluster, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::mix;
-use zerosim_strategies::{Calibration, ParallelPlacement, Strategy, TrainOptions, ZeroStage};
+use zerosim_strategies::{
+    lower, Calibration, IterCtx, MemoryPlan, ParallelPlacement, Strategy, StrategyPlan,
+    TrainOptions, ZeroStage,
+};
 
 use crate::engine::RunConfig;
 use crate::error::CoreError;
 use crate::report::mix_str;
-use crate::sweep::{SweepRunner, SweepSpec};
+use crate::sweep::{Execute, SweepRunner, SweepSpec};
 
 /// What to search: a model on a topology, plus run/parallelism knobs.
 #[derive(Debug, Clone)]
@@ -60,8 +79,9 @@ pub struct SearchConfig {
     pub calibration: Calibration,
     /// Sampling configuration for the simulated survivors.
     pub run: RunConfig,
-    /// Worker threads for the simulation stage (results are input-ordered
-    /// and byte-identical at any width).
+    /// Worker threads that vet and simulate the candidates that fit in
+    /// memory (results are input-ordered and byte-identical at any
+    /// width).
     pub workers: usize,
 }
 
@@ -84,7 +104,7 @@ impl SearchConfig {
         self
     }
 
-    /// Replaces the simulation worker count.
+    /// Replaces the vetting and simulation worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -350,39 +370,101 @@ fn enumerate_candidates(gpus_per_node: usize, total_gpus: usize) -> Vec<Strategy
     out
 }
 
-/// Statically vets one candidate; `Some(reason)` means prune.
-fn static_prune(
-    cluster: &Cluster,
-    strategy: &Strategy,
-    model: &GptConfig,
-    opts: &TrainOptions,
-    calib: &Calibration,
-) -> Option<String> {
-    let report = match analyze_strategy(cluster, strategy, model, opts, calib, LintConfig::new()) {
-        Ok(r) => r,
-        Err(e) => return Some(format!("cannot plan: {e}")),
-    };
-    if let Some(m) = &report.memory {
-        if !m.fits {
-            return Some(format!(
-                "does not fit ({} tier)",
-                m.bottleneck.unwrap_or("memory")
-            ));
-        }
+/// The memory verdict of one candidate on the search's shared cluster:
+/// `Err(reason)` prunes it before anything is planned; `Ok(memory)` is
+/// the memory plan its [`Vet`] job carries.
+fn memory_verdict(ctx: &IterCtx<'_>, strategy: &Strategy) -> Result<MemoryPlan, String> {
+    let memory = strategy
+        .plan_memory(ctx)
+        .map_err(|e| format!("cannot plan: {e}"))?;
+    if !memory.fits(ctx.cluster) {
+        return Err(format!(
+            "does not fit ({} tier)",
+            memory.bottleneck(ctx.cluster).unwrap_or("memory")
+        ));
     }
-    if report.deny_count() > 0 {
-        let first = report
+    Ok(memory)
+}
+
+/// One candidate that fits in memory, vetted and simulated on one worker:
+/// its iteration plan is lowered once, the analyzer's default passes lint
+/// that plan and lowering, and the run replays the same lowering.
+struct Vet {
+    /// The candidate's run on the search's cluster.
+    spec: SweepSpec,
+    /// Its memory plan, from the memory verdict.
+    memory: MemoryPlan,
+}
+
+impl Execute for Vet {
+    type Run = CandidateOutcome;
+
+    /// A plan or lowering error or a deny-level finding prunes the
+    /// candidate; an error building the simulator or running it is the
+    /// caller's [`CandidateOutcome::Failed`].
+    fn execute(&self) -> Result<CandidateOutcome, CoreError> {
+        let spec = &self.spec;
+        let mut sim = spec.build_sim()?;
+        let ctx = IterCtx {
+            cluster: sim.cluster(),
+            model: &spec.model,
+            opts: &spec.opts,
+            calib: sim.calibration(),
+        };
+        let compiled = spec
+            .strategy
+            .plan_iteration(&ctx)
+            .and_then(|plan| Ok((lower(&plan, ctx.cluster, ctx.calib)?, plan)));
+        let (lowered, plan) = match compiled {
+            Ok(compiled) => compiled,
+            Err(e) => {
+                return Ok(CandidateOutcome::Pruned {
+                    reason: format!("cannot plan: {e}"),
+                })
+            }
+        };
+        let art = Artifacts::new(ctx.cluster)
+            .with_plan(&plan)
+            .with_memory(&self.memory)
+            .with_dag(lowered.dag())
+            .with_calibration(ctx.calib);
+        let lint = PassManager::with_default_passes(LintConfig::new()).run(&art);
+        if let Some(d) = lint
             .diagnostics
             .iter()
             .find(|d| d.severity == Severity::Deny)
-            .map(|d| format!("{}: {}", d.code, d.message))
-            .unwrap_or_else(|| "deny-level finding".into());
-        return Some(first);
+        {
+            return Ok(CandidateOutcome::Pruned {
+                reason: format!("{}: {}", d.code, d.message),
+            });
+        }
+        // The run needs only the lowering.
+        drop(plan);
+        let report = sim.run_lowered(
+            &spec.strategy,
+            &spec.model,
+            &spec.opts,
+            &spec.run,
+            &spec.faults,
+            self.memory.clone(),
+            lowered,
+        )?;
+        Ok(CandidateOutcome::Simulated {
+            throughput_flops: report.throughput_flops(),
+            digest: report.digest(),
+        })
     }
-    None
 }
 
-/// Runs the full enumerate → statically prune → simulate → rank pipeline.
+/// Runs the full enumerate → vet → simulate → rank pipeline, cheapest
+/// verdict first. The memory verdict runs serially, and a candidate that
+/// fails it (`cannot plan: …` from its memory plan, or `does not fit
+/// (<tier> tier)`) is never planned, lowered or linted. Each other
+/// candidate is planned and lowered once on one of `cfg.workers` workers;
+/// a plan or lowering error (`cannot plan: …`) or the first deny-level
+/// lint (`ZLxxx: …`) prunes it, and otherwise that lowering is simulated.
+/// A failed memory verdict thus outranks a plan error, which outranks a
+/// deny-level lint.
 ///
 /// # Errors
 /// [`CoreError::BadCluster`] when the topology does not lower to a valid
@@ -395,63 +477,61 @@ pub fn search_plans(cfg: &SearchConfig) -> Result<SearchReport, CoreError> {
     let nodes = cfg.topology.nodes();
     let opts = TrainOptions::for_nodes(nodes);
     let total_gpus = opts.num_gpus(&cluster);
+    let ctx = IterCtx {
+        cluster: &cluster,
+        model: &cfg.model,
+        opts: &opts,
+        calib: &cfg.calibration,
+    };
 
     let grid = enumerate_candidates(spec.gpus_per_node, total_gpus);
-    let mut candidates: Vec<PlanCandidate> = Vec::with_capacity(grid.len());
-    let mut survivors: Vec<usize> = Vec::new();
-    for strategy in grid {
-        let (tp, pp) = degrees(&strategy);
-        let spans = ParallelPlacement::resolve(opts.gpus(&cluster), tp, pp)
-            .map(|p| p.spans(&cluster).describe(&cluster))
-            .unwrap_or_else(|e| format!("unplaceable: {e}"));
-        let outcome = match static_prune(&cluster, &strategy, &cfg.model, &opts, &cfg.calibration) {
-            Some(reason) => CandidateOutcome::Pruned { reason },
-            // Placeholder; overwritten by the simulation stage below.
-            None => {
-                survivors.push(candidates.len());
-                CandidateOutcome::Failed {
-                    error: "not simulated".into(),
-                }
+    // `None` marks a candidate whose outcome its `Vet` job returns.
+    let mut verdicts = Vec::with_capacity(grid.len());
+    let mut jobs = Vec::new();
+    for strategy in &grid {
+        verdicts.push(match memory_verdict(&ctx, strategy) {
+            Err(reason) => Some(CandidateOutcome::Pruned { reason }),
+            Ok(memory) => {
+                jobs.push(Vet {
+                    spec: SweepSpec::new(strategy.name(), strategy.clone(), cfg.model, opts)
+                        .with_cluster(spec.clone())
+                        .with_calibration(cfg.calibration)
+                        .with_run(cfg.run),
+                    memory,
+                });
+                None
             }
-        };
-        candidates.push(PlanCandidate {
-            strategy_name: strategy.name(),
-            strategy,
-            dp: total_gpus / (tp * pp),
-            tp,
-            pp,
-            spans,
-            outcome,
         });
     }
+    let mut vetted = SweepRunner::new(cfg.workers).run_each(jobs).into_iter();
 
-    let specs: Vec<SweepSpec> = survivors
-        .iter()
-        .map(|&i| {
-            let c = &candidates[i];
-            SweepSpec::new(
-                format!("{} {}", c.strategy_name, c.placement()),
-                c.strategy.clone(),
-                cfg.model,
-                opts,
-            )
-            .with_cluster(spec.clone())
-            .with_calibration(cfg.calibration)
-            .with_run(cfg.run)
+    let candidates = grid
+        .into_iter()
+        .zip(verdicts)
+        .map(|(strategy, verdict)| {
+            let outcome = verdict.unwrap_or_else(|| {
+                match vetted.next().expect("one outcome per vetted candidate") {
+                    Ok(outcome) => outcome,
+                    Err(e) => CandidateOutcome::Failed {
+                        error: e.to_string(),
+                    },
+                }
+            });
+            let (tp, pp) = degrees(&strategy);
+            let spans = ParallelPlacement::resolve(opts.gpus(&cluster), tp, pp)
+                .map(|p| p.spans(&cluster).describe(&cluster))
+                .unwrap_or_else(|e| format!("unplaceable: {e}"));
+            PlanCandidate {
+                strategy_name: strategy.name(),
+                strategy,
+                dp: total_gpus / (tp * pp),
+                tp,
+                pp,
+                spans,
+                outcome,
+            }
         })
         .collect();
-    let outcomes = SweepRunner::new(cfg.workers).run_each(specs);
-    for (&i, outcome) in survivors.iter().zip(outcomes) {
-        candidates[i].outcome = match outcome {
-            Ok(run) => CandidateOutcome::Simulated {
-                throughput_flops: run.report.throughput_flops(),
-                digest: run.digest,
-            },
-            Err(e) => CandidateOutcome::Failed {
-                error: e.to_string(),
-            },
-        };
-    }
 
     Ok(SearchReport {
         topology: cfg.topology.to_string(),

@@ -228,9 +228,9 @@ struct ReqState {
 ///
 /// # Errors
 /// [`CoreError::DoesNotFit`] when the strategy's resident footprint
-/// overflows a tier; [`CoreError::InvalidConfig`] when `opts` spans no
-/// node or more nodes than the cluster has, or a plan fails validation;
-/// [`CoreError::Sim`] if a DAG cannot execute.
+/// overflows a tier; [`CoreError::BadConfig`] when `opts` spans no node
+/// or more nodes than the cluster has; [`CoreError::InvalidConfig`] when
+/// a plan fails validation; [`CoreError::Sim`] if a DAG cannot execute.
 #[allow(clippy::too_many_lines)]
 pub fn serve(
     sim: &mut TrainingSim,
@@ -641,7 +641,7 @@ mod tests {
             let mut spec = dense_spec(0);
             spec.opts = TrainOptions::for_nodes(nodes);
             let err = spec.execute().unwrap_err();
-            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
         }
     }
 

@@ -284,8 +284,8 @@ impl SweepRunner {
 
     /// Executes every spec, in parallel, returning each spec's individual
     /// outcome in **input order** — one failed configuration does not mask
-    /// the others. This is what `planfind` uses to simulate a candidate
-    /// set where some survivors may still fail at run time.
+    /// the others. This is what `planfind` uses to vet and simulate the
+    /// candidates that fit in memory, some of which may still fail.
     pub fn run_each<S: Execute>(&self, specs: Vec<S>) -> Vec<Result<S::Run, CoreError>> {
         self.pool.map(specs, |spec| Execute::execute(&spec))
     }

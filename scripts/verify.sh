@@ -37,7 +37,10 @@
 #   7. planfind:    placement search smoke on a capacity-edge scenario;
 #                   asserts the >=50% static-prune floor and
 #                   width-invariant digests on its --json report, naming
-#                   the width the search ran at
+#                   the width the search ran at (the lint passes run on
+#                   the search's workers too, so the width gate covers
+#                   them), and that a 1,000 B search prunes all ten
+#                   candidates on memory without simulating one
 #   8. fleetplan:   the dollars-to-train search on a pods fleet must find
 #                   a feasible configuration
 #   9. servesim:    one dense serving run must complete all 24 requests
@@ -195,10 +198,21 @@ if ! grep -qE '"prune_fraction":(0\.[5-9][0-9]*|1)\b' "$SWEEP_TMP/planfind1.json
   grep -o '"prune_fraction":[0-9.]*' "$SWEEP_TMP/planfind1.json" >&2 || true
   exit 1
 fi
+# At 1,000 B (the CLI's largest size) no candidate fits one node: the
+# memory verdict prunes all ten before anything is planned or lowered.
+cargo run --release -q -p zerosim-bench --bin planfind -- \
+  --topology flat:1 --model 1000 --json > "$SWEEP_TMP/planfind_1000.json"
+if ! grep -q '"pruned":10,' "$SWEEP_TMP/planfind_1000.json" \
+  || ! grep -q '"simulated":0,' "$SWEEP_TMP/planfind_1000.json"; then
+  echo "ERROR: planfind at 1,000 B must prune 10 of 10 candidates and simulate none" >&2
+  cat "$SWEEP_TMP/planfind_1000.json" >&2
+  exit 1
+fi
 echo "planfind scorecard: $(grep -o '"enumerated":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
   "$(grep -o '"pruned":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
   "$(grep -o '"simulated":[0-9]*' "$SWEEP_TMP/planfind1.json")," \
-  "$(grep -o '"wall_secs":[0-9.]*' "$SWEEP_TMP/planfind1.json")"
+  "$(grep -o '"wall_secs":[0-9.e-]*' "$SWEEP_TMP/planfind1.json");" \
+  "all-pruned 1,000 B search: $(grep -o '"wall_secs":[0-9.e-]*' "$SWEEP_TMP/planfind_1000.json")"
 # The search report must be byte-identical at any --workers width. The
 # report's "workers" field is the width the search ran at: the runner
 # clamps the requested 4 to the machine's cores.

@@ -25,7 +25,14 @@
 //! * linting the 8 B Megatron MP=2 candidate of a one-node placement
 //!   search (7,591 plan ops) peaks below 2 MB of live heap: the analyzer's
 //!   ancestor sets keep a bit per group of ops, far below the 7.2 MB per
-//!   pass that one bit per pair of ops takes.
+//!   pass that one bit per pair of ops takes;
+//! * a placement search pays only for the verdicts it needs: on one node
+//!   at 1,000 B and at 10,000 B, where every candidate fails the memory
+//!   verdict, the whole search makes fewer than 1,000 allocations and
+//!   peaks below 100 KB, since nothing is planned or lowered; at 8 B,
+//!   where seven of ten candidates fail it and three are planned, linted
+//!   and run once each, fewer than 6,000 allocations and a peak below
+//!   2 MB.
 //!
 //! Run with `cargo test --release --test lowering_allocs`. It is its own
 //! test binary because the counting allocator is process-global; a guard
@@ -35,6 +42,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use zerosim_analyzer::{Artifacts, LintConfig, PassManager};
+use zerosim_core::{search_plans, SearchConfig};
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_simkit::flow::{FlowId, FlowNet, LinkId, NullObserver};
@@ -287,6 +295,38 @@ fn linting_a_search_candidate_keeps_ancestor_sets_small() {
         "linting {} plan ops peaked at {} live heap bytes",
         plan.len(),
         lint.peak
+    );
+}
+
+#[test]
+fn a_search_allocates_per_verdict_it_needs() {
+    // The floor is the production path's: the shadow oracle
+    // (`ZEROSIM_SHADOW=1`) allocates a reference solve per solve. The
+    // search builds its own networks, so the oracle's switch is the only
+    // way to turn it off for them. No other test here depends on it: the
+    // ones that solve turn the oracle off on the networks they build.
+    std::env::remove_var("ZEROSIM_SHADOW");
+    let search = |billions: f64| {
+        let cfg = SearchConfig::new(
+            TopologySpec::Flat { nodes: 1 },
+            GptConfig::paper_model_with_params(billions),
+        );
+        let run = counted(|| search_plans(&cfg).expect("the search runs"));
+        (run.value.pruned(), run.allocs, run.peak)
+    };
+    for billions in [1_000.0, 10_000.0] {
+        let (pruned, allocs, peak) = search(billions);
+        assert_eq!(pruned, 10, "{billions} B fits nowhere");
+        assert!(
+            allocs < 1_000 && peak < 100 << 10,
+            "the all-pruned {billions} B search made {allocs} allocations and peaked at {peak} live heap bytes"
+        );
+    }
+    let (pruned, allocs, peak) = search(8.0);
+    assert_eq!(pruned, 7, "8 B prunes seven of ten on memory");
+    assert!(
+        allocs < 6_000 && peak < 2 << 20,
+        "the 8 B search made {allocs} allocations and peaked at {peak} live heap bytes"
     );
 }
 

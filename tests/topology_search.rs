@@ -7,11 +7,11 @@
 //! anchor — the default topology is *the* paper cluster, byte-identical
 //! digests included. On top of that sit the `planfind` acceptance
 //! checks: the capacity edge between DDP and the sharded plans on the
-//! paper testbed, and width-invariant search results.
+//! paper testbed, and pinned, width-invariant search digests.
 
 use zerosim_analyzer::{analyze_strategy, LintConfig};
 use zerosim_bench::data::golden_specs;
-use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SweepRunner};
+use zerosim_core::{search_plans, CandidateOutcome, SearchConfig, SearchReport, SweepRunner};
 use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, NvmeId, SocketId, TopologySpec};
 use zerosim_model::GptConfig;
 use zerosim_strategies::{Calibration, Strategy, TrainOptions};
@@ -261,16 +261,50 @@ fn zl004_covers_fabric_links_on_an_oversubscribed_fat_tree() {
     );
 }
 
+/// Runs `config` at widths 1 and 2 (the memory verdicts run serially,
+/// the vetting and simulation on the runner), checks that both reports
+/// carry `digest` and render alike, and returns the serial report.
+fn pinned_search(config: &SearchConfig, digest: u64) -> SearchReport {
+    let serial = search_plans(config).expect("search runs serially");
+    let fanned = search_plans(&config.clone().with_workers(2)).expect("search runs fanned");
+    for (width, report) in [(1, &serial), (2, &fanned)] {
+        assert_eq!(
+            report.digest(),
+            digest,
+            "{} at {:.1} B drifted at width {width}:\n{}",
+            report.topology,
+            report.model_params / 1e9,
+            report.render_text(usize::MAX)
+        );
+    }
+    assert_eq!(
+        serial.render_text(usize::MAX),
+        fanned.render_text(usize::MAX)
+    );
+    serial
+}
+
+/// How many candidates `report` pruned for exactly `reason`.
+fn pruned_for(report: &SearchReport, reason: &str) -> usize {
+    report
+        .candidates
+        .iter()
+        .filter(|c| matches!(&c.outcome, CandidateOutcome::Pruned { reason: r } if r == reason))
+        .count()
+}
+
 #[test]
 fn planfind_prunes_ddp_at_the_capacity_edge_on_the_paper_testbed() {
     // 5.6 B on the two-node testbed: a full replica no longer fits a
     // single GPU, so the static pass must reject DDP on memory grounds
     // while the sharded plans survive to simulation and win the ranking.
-    let report = search_plans(&SearchConfig::new(
-        TopologySpec::default(),
-        GptConfig::paper_model_with_params(5.6),
-    ))
-    .expect("search runs on the paper testbed");
+    let report = pinned_search(
+        &SearchConfig::new(
+            TopologySpec::default(),
+            GptConfig::paper_model_with_params(5.6),
+        ),
+        0x9008_7bfc_48d2_e6ad,
+    );
     let ddp = report
         .candidates
         .iter()
@@ -296,20 +330,43 @@ fn planfind_ranks_ddp_first_and_stays_width_invariant_on_the_paper_testbed() {
     // 1.4 B everywhere-fits: the known-best golden strategy is plain
     // DDP, and fanning the survivor sweeps across workers must not
     // change a byte of the report.
-    let config = SearchConfig::new(
-        TopologySpec::default(),
-        GptConfig::paper_model_with_params(1.4),
+    let report = pinned_search(
+        &SearchConfig::new(
+            TopologySpec::default(),
+            GptConfig::paper_model_with_params(1.4),
+        ),
+        0x5558_2127_5941_c82c,
     );
-    let serial = search_plans(&config).expect("search runs serially");
     assert_eq!(
-        serial.best().expect("1.4 B fits").strategy_name,
+        report.best().expect("1.4 B fits").strategy_name,
         "PyTorch DDP"
     );
-    let fanned = search_plans(&config.clone().with_workers(2)).expect("search runs fanned");
-    assert_eq!(
-        serial.digest(),
-        fanned.digest(),
-        "digest drifted with width"
+}
+
+#[test]
+fn planfind_pins_the_one_node_capacity_edge_and_the_all_pruned_grid() {
+    // 8 B on one node (perfbench's planfind_edge search): seven of ten
+    // candidates die on the memory verdict, three are vetted and run.
+    let edge = pinned_search(
+        &SearchConfig::new(
+            TopologySpec::Flat { nodes: 1 },
+            GptConfig::paper_model_with_params(8.0),
+        ),
+        0x1120_3657_bda7_5bba,
     );
-    assert_eq!(serial.render_text(5), fanned.render_text(5));
+    assert_eq!(edge.enumerated(), 10);
+    assert_eq!(pruned_for(&edge, "does not fit (gpu tier)"), 7);
+    assert_eq!((edge.simulated(), edge.failed()), (3, 0));
+
+    // 1,000 B (the CLI's largest size) fits nowhere: every candidate is
+    // pruned on memory alone.
+    let all = pinned_search(
+        &SearchConfig::new(
+            TopologySpec::Flat { nodes: 1 },
+            GptConfig::paper_model_with_params(1000.0),
+        ),
+        0xd522_301a_6658_1e98,
+    );
+    assert_eq!(all.enumerated(), 10);
+    assert_eq!(pruned_for(&all, "does not fit (gpu tier)"), 10);
 }
