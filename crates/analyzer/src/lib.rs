@@ -23,6 +23,14 @@
 //! | ZL008 | codec-legality         | plan           |
 //! | ZL009 | step-time-bound        | DAG + calib    |
 //!
+//! Each invariant has one owner. `ClusterSpec::validate` checks every
+//! rate, latency and capacity the hardware model is built from, and
+//! `WorkloadPlan::validate` owns a plan's ranks, routes, caps and phase
+//! rules; both run before any pass (see [`Artifacts::with_plan`]). The
+//! passes lint only what those checks cannot see: residency against
+//! capacity, byte provenance, micro-step order and reachability, link
+//! classification, dead ops, codec legality and the step-time bound.
+//!
 //! ```
 //! use zerosim_analyzer::{analyze_strategy, LintConfig};
 //! use zerosim_hw::{Cluster, ClusterSpec};
@@ -73,8 +81,10 @@ use zerosim_strategies::{
 /// iteration plan + lowered DAG through every default pass.
 ///
 /// This is the `planlint` entry point for named strategies; callers
-/// holding raw artifacts (a bare schedule, an untrusted graph) build an
-/// [`Artifacts`] and run a [`PassManager`] directly.
+/// holding other artifacts (a bare schedule, an untrusted graph) build an
+/// [`Artifacts`] and run a [`PassManager`] directly. Lowering validates
+/// the plan before any pass sees it, the contract
+/// [`Artifacts::with_plan`] states.
 ///
 /// # Errors
 /// Returns the [`StrategyError`] if the strategy itself cannot plan or

@@ -11,13 +11,14 @@ use crate::diag::{Diagnostic, LintCode, LintConfig, LintLevel, Severity, Site};
 use crate::graph::GraphView;
 
 /// Everything a lint run may inspect. Passes skip silently when their
-/// input layer is absent, so callers lint whatever artifacts they have:
-/// a bare fault schedule, a plan without a lowering, or the full stack.
+/// input layer is absent, so one manager serves a bare fault schedule, a
+/// memory plan, an untrusted graph, or the full stack; a plan, though,
+/// comes validated (see [`Artifacts::with_plan`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Artifacts<'a> {
     /// The hardware model everything is checked against.
     pub cluster: &'a Cluster,
-    /// The iteration-plan IR (ZL001–ZL005, ZL008).
+    /// The iteration-plan IR (ZL001–ZL005, ZL008), valid on `cluster`.
     pub plan: Option<&'a WorkloadPlan>,
     /// The strategy's memory placement (ZL001 residency, ZL002 credit).
     pub memory: Option<&'a MemoryPlan>,
@@ -50,7 +51,16 @@ impl<'a> Artifacts<'a> {
         }
     }
 
-    /// Attaches the iteration plan.
+    /// Attaches the iteration plan, which must pass
+    /// [`WorkloadPlan::validate`] on this cluster.
+    ///
+    /// Validation owns the plan's rank, route, cap and phase rules, so the
+    /// plan passes do not repeat them: ZL004 expands collectives over
+    /// their ranks' routes, for one. Every production lint path lowers the
+    /// plan, which validates it, before the passes run
+    /// ([`crate::analyze_strategy`], the placement search's vetting, the
+    /// benchmark's traced search); a raw plan reaches this call only in
+    /// tests.
     #[must_use]
     pub fn with_plan(mut self, plan: &'a WorkloadPlan) -> Self {
         self.plan = Some(plan);

@@ -7,9 +7,9 @@
 //! ([`PlanOp::TierTransfer`] / [`PlanOp::VolumeIo`] destinations). The
 //! result is a static peak bound that can never be below what the
 //! simulator observes, so an OOM config is flagged without running a
-//! single flow — and the deny verdict reuses [`MemoryPlan::fits`]
-//! verbatim, keeping ZL001 in exact agreement with the simulator's
-//! capacity probe (`core::capacity`).
+//! single flow — and the fit verdict is [`MemoryPlan::bottleneck`], the
+//! one check [`MemoryPlan::fits`] delegates to, keeping ZL001 in exact
+//! agreement with the simulator's capacity probe (`core::capacity`).
 //!
 //! Serving plans add a third byte class: [`PlanOp::KvAppend`] is
 //! *cumulative* residency, not transient staging — the KV cache grows
@@ -93,8 +93,7 @@ fn transients(plan: &WorkloadPlan) -> Transients {
 
 fn verdict(cluster: &Cluster, memory: &MemoryPlan, t: Transients) -> MemoryVerdict {
     let mem = &cluster.spec().mem;
-    #[allow(clippy::cast_precision_loss)]
-    let nvme_capacity = cluster.spec().nvme_layout.len() as f64 * mem.nvme_bytes_per_drive;
+    let bottleneck = memory.bottleneck(cluster);
     MemoryVerdict {
         per_gpu_resident: memory.per_gpu_bytes,
         kv_growth: t.kv,
@@ -105,9 +104,9 @@ fn verdict(cluster: &Cluster, memory: &MemoryPlan, t: Transients) -> MemoryVerdi
         cpu_capacity: mem.cpu_bytes_per_node,
         nvme_resident: memory.nvme_bytes,
         nvme_peak: memory.nvme_bytes + t.nvme,
-        nvme_capacity,
-        fits: memory.fits(cluster),
-        bottleneck: memory.bottleneck(cluster),
+        nvme_capacity: cluster.spec().nvme_bytes_per_node(),
+        fits: bottleneck.is_none(),
+        bottleneck,
     }
 }
 

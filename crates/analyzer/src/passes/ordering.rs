@@ -7,11 +7,9 @@
 //! micro-step must respect forward → backward → step. Cross-stage deps
 //! across micro-steps are free — backward of micro 0 waiting on the
 //! forward of micro 3 is exactly what a non-pipelined schedule does, and
-//! 1F1B makes forward of micro 1 wait on backward of micro 0. Two
-//! stages are special: nothing except step-phase work may depend on a
-//! step op (the weight update is iteration-final), and input-phase ops
-//! may only depend on other input ops (the input pipeline precedes the
-//! iteration). Checkpoint plans must stay inside the checkpoint phase.
+//! 1F1B makes forward of micro 1 wait on backward of micro 0. Input-phase
+//! ops sit at micro-step 0, and every optimizer step must be fed by
+//! backward work.
 //!
 //! Serving plans reuse the same machinery with `micro` reinterpreted as
 //! the decode-step index: ascending-micro ordering *is* autoregressive
@@ -20,11 +18,16 @@
 //! own step's forward compute (a cache write or emitted token with no
 //! compute behind it is meaningless in any schedule).
 //!
-//! `WorkloadPlan::validate` checks a subset of this from emission order;
-//! this pass checks the actual dependency edges.
+//! `WorkloadPlan::validate` owns the rules it can check one edge or one
+//! op at a time, and every plan the analyzer is given has passed it (see
+//! `Artifacts::with_plan`): the stages each workload kind allows, no
+//! optimizer step outside iteration plans, nothing but step work waiting
+//! on a step op, and input ops waiting only on input ops. This pass adds
+//! the rules that compare micro-step labels across an edge or need
+//! reachability.
 
 use zerosim_hw::MemLoc;
-use zerosim_strategies::{PhaseStage, PlanNode, PlanOp, WorkloadKind};
+use zerosim_strategies::{PhaseStage, PlanNode, PlanOp};
 
 use crate::diag::{LintCode, Site};
 use crate::graph::Ancestors;
@@ -58,15 +61,6 @@ fn stage_name(stage: PhaseStage) -> &'static str {
     }
 }
 
-fn kind_name(kind: WorkloadKind) -> &'static str {
-    match kind {
-        WorkloadKind::Iteration => "iteration",
-        WorkloadKind::Checkpoint => "checkpoint",
-        WorkloadKind::Prefill => "prefill",
-        WorkloadKind::Decode => "decode",
-    }
-}
-
 impl Pass for PhaseOrderingPass {
     fn code(&self) -> LintCode {
         LintCode::PhaseOrdering
@@ -78,30 +72,7 @@ impl Pass for PhaseOrderingPass {
         };
         let nodes = plan.nodes();
 
-        // Plan-kind rules: each workload kind owns a set of legal stages,
-        // and only training iterations may update weights.
-        let kind = plan.kind();
         for (i, n) in nodes.iter().enumerate() {
-            if !kind.allowed_stages().contains(&n.phase.stage) {
-                sink.report(
-                    LintCode::PhaseOrdering,
-                    Site::PlanOp(i),
-                    format!(
-                        "{} plan contains a {}-phase op",
-                        kind_name(kind),
-                        stage_name(n.phase.stage)
-                    ),
-                    "move the op into a plan of the matching workload kind".to_string(),
-                );
-            }
-            if kind != WorkloadKind::Iteration && matches!(n.op, PlanOp::OptimizerStep { .. }) {
-                sink.report(
-                    LintCode::PhaseOrdering,
-                    Site::PlanOp(i),
-                    format!("{} plan runs an optimizer step", kind_name(kind)),
-                    "weight updates belong to iteration plans".to_string(),
-                );
-            }
             if n.phase.stage == PhaseStage::Input && n.phase.micro != 0 {
                 sink.report(
                     LintCode::PhaseOrdering,
@@ -117,29 +88,7 @@ impl Pass for PhaseOrderingPass {
             for d in plan.deps(i) {
                 let j = d.index();
                 let (pi, pj) = (n.phase, nodes[j].phase);
-                if pj.stage == PhaseStage::Step && pi.stage != PhaseStage::Step {
-                    sink.report(
-                        LintCode::PhaseOrdering,
-                        Site::PlanOp(i),
-                        format!(
-                            "{}-phase op depends on step-phase op {j}",
-                            stage_name(pi.stage)
-                        ),
-                        "the weight update is iteration-final; nothing inside the \
-                         iteration may wait on it"
-                            .to_string(),
-                    );
-                } else if pi.stage == PhaseStage::Input && pj.stage != PhaseStage::Input {
-                    sink.report(
-                        LintCode::PhaseOrdering,
-                        Site::PlanOp(i),
-                        format!(
-                            "input-phase op depends on {}-phase op {j}",
-                            stage_name(pj.stage)
-                        ),
-                        "the input pipeline precedes the iteration".to_string(),
-                    );
-                } else if pj.stage == pi.stage && pj.micro > pi.micro {
+                if pj.stage == pi.stage && pj.micro > pi.micro {
                     sink.report(
                         LintCode::PhaseOrdering,
                         Site::PlanOp(i),
@@ -194,7 +143,7 @@ impl Pass for PhaseOrderingPass {
         // that same step's forward compute. `micro` is the decode-step
         // index, so "same micro" is "same token position": one ancestor
         // group per step that has compute, holding that compute.
-        if kind.is_serving() {
+        if plan.kind().is_serving() {
             let is_compute = |n: &PlanNode| matches!(n.op, PlanOp::LayerCompute { .. });
             let mut steps: Vec<u32> = nodes
                 .iter()
@@ -401,41 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn nothing_inside_the_iteration_may_wait_on_the_step() {
-        let mut plan = WorkloadPlan::new();
-        plan.set_phase(PhaseStage::Backward, 0);
-        let b = plan.push(
-            PlanOp::LayerCompute {
-                gpu: g0(),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[],
-        );
-        plan.set_phase(PhaseStage::Step, 0);
-        let s = plan.push(
-            PlanOp::OptimizerStep {
-                device: OptimizerDevice::Gpu(g0()),
-                params: 1e9,
-            },
-            &[b],
-        );
-        plan.set_phase(PhaseStage::Forward, 1);
-        plan.push(
-            PlanOp::LayerCompute {
-                gpu: g0(),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[s],
-        );
-        let r = run(&plan);
-        assert_eq!(r.deny_count(), 1);
-        assert_eq!(r.diagnostics[0].site, Site::PlanOp(2));
-        assert!(r.diagnostics[0].message.contains("step-phase op"));
-    }
-
-    #[test]
     fn unfed_optimizer_step_fires() {
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
@@ -459,22 +373,5 @@ mod tests {
         assert_eq!(r.deny_count(), 1);
         assert_eq!(r.diagnostics[0].site, Site::PlanOp(1));
         assert!(r.diagnostics[0].message.contains("optimizer step"));
-    }
-
-    #[test]
-    fn checkpoint_kind_rules() {
-        let mut plan = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
-        plan.set_phase(PhaseStage::Forward, 0);
-        plan.push(
-            PlanOp::LayerCompute {
-                gpu: g0(),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[],
-        );
-        let r = run(&plan);
-        assert_eq!(r.deny_count(), 1);
-        assert!(r.diagnostics[0].message.contains("checkpoint plan"));
     }
 }

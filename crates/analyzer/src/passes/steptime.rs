@@ -16,12 +16,13 @@
 //!
 //! Both are true lower bounds: the simulator adds contention (max-min
 //! fair sharing), resource-slot queueing, and upward jitter on top.
-//! A non-finite price (a transfer routed across a zero-capacity link)
-//! is a deny — the plan can never finish, so no bound exists.
+//! Every price is finite: `ClusterSpec::validate` keeps every link rate
+//! finite and positive, and `DagBuilder` refuses empty routes and
+//! non-positive sizes and caps.
 
 use zerosim_simkit::TaskKind;
 
-use crate::diag::{LintCode, Site};
+use crate::diag::LintCode;
 use crate::pass::{Artifacts, Pass, Sink, StepTimeBound};
 
 /// ZL009 (see module docs).
@@ -44,14 +45,12 @@ impl Pass for StepTimeBoundPass {
         let jitter_floor = (1.0 - calib.compute_jitter_frac).max(0.0);
 
         let n = dag.len();
-        // Earliest-finish times under each pricing; `None` poisons the
-        // bound (a task that can never finish).
+        // Earliest-finish times under each pricing.
         let mut wire_finish = vec![0.0_f64; n];
         let mut proto_finish = vec![0.0_f64; n];
         // Per-task protocol-path bookkeeping for the verdict breakdown.
         let mut proto_pred: Vec<Option<usize>> = vec![None; n];
         let mut is_transfer = vec![false; n];
-        let mut poisoned = false;
 
         for id in dag.task_ids() {
             let i = id.index();
@@ -79,22 +78,6 @@ impl Pass for StepTimeBoundPass {
                         .fold(f64::INFINITY, f64::min);
                     let wire = latency.as_secs() + bytes / min_wire;
                     let proto = latency.as_secs() + bytes / min_wire.min(*cap);
-                    if !proto.is_finite() {
-                        if !poisoned {
-                            sink.report(
-                                LintCode::StepTimeBound,
-                                Site::DagTask(i),
-                                format!(
-                                    "transfer of {:.2} GB crosses a zero-capacity link: \
-                                     no finite step-time bound exists",
-                                    bytes / 1e9
-                                ),
-                                "the flow can never finish; fix the route or the link rate"
-                                    .to_string(),
-                            );
-                        }
-                        poisoned = true;
-                    }
                     (wire, proto, true)
                 }
             };
@@ -112,7 +95,7 @@ impl Pass for StepTimeBoundPass {
             is_transfer[i] = transfer;
         }
 
-        if poisoned || n == 0 {
+        if n == 0 {
             return;
         }
 

@@ -278,9 +278,15 @@ mod tests {
             TrainOptions::for_nodes(2),
         )
         .unwrap();
-        // Node 1's ranks would stripe onto node 0's drives.
+        // Node 1's ranks would stripe onto node 0's drives: `hw` names the
+        // issuing socket and the drive.
         let err = spec.with_run(RunConfig::quick()).execute().unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
-        assert!(err.to_string().contains("is not on node 1"), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("cross-node route Cpu(SocketId { node: 1"),
+            "{msg}"
+        );
+        assert!(msg.contains("Nvme(NvmeId { node: 0, drive: 0 })"), "{msg}");
     }
 }

@@ -163,7 +163,7 @@ impl TrainingSim {
             opts,
             calib: &self.calib,
         };
-        let save = plan_checkpoint(&ctx);
+        let save = plan_checkpoint(&ctx)?;
         let dag = lower(&save, &self.cluster, &self.calib)?.into_dag();
         let mut engine = DagEngine::new(self.cluster.resource_slots());
         let out = engine.run(self.cluster.net_mut(), &dag, SimTime::ZERO, None)?;
@@ -258,8 +258,8 @@ impl TrainingSim {
         // iteration plan.
         let plan_lowerings = 1usize;
         let ckpt_dags: Option<(Dag, Dag)> = if faults.policy.checkpoint_interval > 0 {
-            let save = plan_checkpoint(&ctx);
-            let restore = plan_restore(&ctx);
+            let save = plan_checkpoint(&ctx)?;
+            let restore = plan_restore(&ctx)?;
             Some((
                 lower(&save, &self.cluster, &self.calib)?.into_dag(),
                 lower(&restore, &self.cluster, &self.calib)?.into_dag(),

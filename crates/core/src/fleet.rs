@@ -622,23 +622,21 @@ pub struct FleetCostConfig {
     /// measurement + economics), from the top of the throughput ranking;
     /// at least 1.
     pub top: usize,
-    /// Capital-cost constants.
-    pub cost: CostModel,
-    /// Power-model constants.
-    pub power: PowerModel,
-    /// Electricity price, USD per kWh.
-    pub energy_usd_per_kwh: f64,
-    /// Capital amortization horizon, years: a run is charged
-    /// `capital × train_days / (365 × amortize_years)`.
-    pub amortize_years: f64,
-    /// Sampling configuration for the search's simulation stage.
-    pub run: RunConfig,
 }
 
+/// Electricity price the fleet search charges, USD per kWh.
+const ENERGY_USD_PER_KWH: f64 = 0.12;
+
+/// Capital amortization horizon, years: a run is charged
+/// `capital × train_days / (365 × AMORTIZE_YEARS)`.
+const AMORTIZE_YEARS: f64 = 3.0;
+
 impl FleetCostConfig {
-    /// A search with default economics (list-price capital, 0.12 $/kWh,
-    /// 3-year amortization), the quick run configuration, one worker, and
-    /// the top 4 placements costed.
+    /// A search with one worker and the top 4 placements costed. Every
+    /// search prices runs with the default [`CostModel`] and
+    /// [`PowerModel`] (list-price capital), 0.12 $/kWh and 3-year
+    /// amortization, and samples each placement with
+    /// [`RunConfig::quick`].
     pub fn new(topology: TopologySpec, model: GptConfig, rate_per_node_day: f64) -> Self {
         FleetCostConfig {
             topology,
@@ -648,11 +646,6 @@ impl FleetCostConfig {
             tokens: None,
             workers: 1,
             top: 4,
-            cost: CostModel::default(),
-            power: PowerModel::default(),
-            energy_usd_per_kwh: 0.12,
-            amortize_years: 3.0,
-            run: RunConfig::quick(),
         }
     }
 
@@ -803,9 +796,10 @@ impl FleetReport {
 /// candidate (the search stage itself isolates per-candidate failures).
 pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
     check_costable(cfg)?;
+    let run_cfg = RunConfig::quick();
     let search = search_plans(
         &SearchConfig::new(cfg.topology, cfg.model)
-            .with_run(cfg.run)
+            .with_run(run_cfg)
             .with_workers(cfg.workers),
     )?;
     let spec = cfg.topology.build().map_err(CoreError::BadCluster)?;
@@ -830,7 +824,7 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
         .map(|c| {
             let run = SweepSpec::new(c.strategy_name.clone(), c.strategy.clone(), cfg.model, opts)
                 .with_cluster(spec.clone())
-                .with_run(cfg.run);
+                .with_run(run_cfg);
             (c.placement(), run)
         })
         .unzip();
@@ -854,18 +848,17 @@ pub fn fleet_search(cfg: &FleetCostConfig) -> Result<FleetReport, CoreError> {
         let waste = waste_fraction(ckpt_cost_s, interval_s, mtbf_s, recover_s);
         let goodput_flops = report.throughput_flops() * (1.0 - waste);
         let train_days = train_flops / goodput_flops / SECS_PER_DAY;
-        let cost = cfg
-            .cost
-            .estimate(&report, spec.gpus_per_node, spec.nvme_layout.len());
+        let cost =
+            CostModel::default().estimate(&report, spec.gpus_per_node, spec.nvme_layout.len());
         let capital_usd = cost.capital_usd;
-        let energy = cfg.power.estimate(&report, spec.gpus_per_node);
+        let energy = PowerModel::default().estimate(&report, spec.gpus_per_node);
         let energy_usd =
-            energy.avg_power_w() * (train_days * SECS_PER_DAY) / 3.6e6 * cfg.energy_usd_per_kwh;
+            energy.avg_power_w() * (train_days * SECS_PER_DAY) / 3.6e6 * ENERGY_USD_PER_KWH;
         // Flash endurance is a consumable like energy: NVMe-offload
         // candidates pay for the drive lifetime their write traffic buys.
         let wear_usd = cost.wear_usd(train_days * SECS_PER_DAY);
         let dollars_to_train =
-            capital_usd * train_days / (365.0 * cfg.amortize_years) + energy_usd + wear_usd;
+            capital_usd * train_days / (365.0 * AMORTIZE_YEARS) + energy_usd + wear_usd;
         let feasible = cfg.deadline_days.is_none_or(|d| train_days <= d);
         candidates.push(FleetCandidate {
             strategy_name: run.label,

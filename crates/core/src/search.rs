@@ -518,7 +518,9 @@ pub fn search_plans(cfg: &SearchConfig) -> Result<SearchReport, CoreError> {
                 }
             });
             let (tp, pp) = degrees(&strategy);
-            let spans = ParallelPlacement::resolve(opts.gpus(&cluster), tp, pp)
+            let spans = opts
+                .gpus(&cluster)
+                .and_then(|gpus| ParallelPlacement::resolve(gpus, tp, pp))
                 .map(|p| p.spans(&cluster).describe(&cluster))
                 .unwrap_or_else(|e| format!("unplaceable: {e}"));
             PlanCandidate {

@@ -84,10 +84,6 @@ pub struct Cluster {
     /// Per-(node, class) link groups for reporting.
     class_links: HashMap<(usize, LinkClass), Vec<LinkId>>,
     volumes: Vec<NvmeVolume>,
-    /// Lazily rendered [`Cluster::describe`] text. The topology is fixed at
-    /// construction, so the dump is rendered once and borrowed thereafter
-    /// (fleet ensembles call `describe` per sample).
-    describe_cache: std::sync::OnceLock<String>,
 }
 
 impl Cluster {
@@ -300,7 +296,6 @@ impl Cluster {
             fabric_down,
             class_links,
             volumes: Vec::new(),
-            describe_cache: std::sync::OnceLock::new(),
         })
     }
 
@@ -478,14 +473,14 @@ impl Cluster {
     ///
     /// # Panics
     /// Panics on unsupported endpoint combinations (e.g. NVMe on a remote
-    /// node): the training strategies never generate them. Untrusted
-    /// plans should use [`Cluster::try_route`].
+    /// node), which plan validation rejects through [`Cluster::try_route`]
+    /// before a plan is lowered.
     pub fn route(&self, from: MemLoc, to: MemLoc) -> Route {
         self.try_route(from, to).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`Cluster::route`] for untrusted endpoint pairs
-    /// (static analysis, serialized plans).
+    /// Fallible form of [`Cluster::route`]: plan validation resolves
+    /// every tier transfer through it.
     ///
     /// # Errors
     /// [`HwError`] describing why the pair has no modeled path: endpoints
@@ -832,14 +827,7 @@ impl Cluster {
     /// per-tier oversubscription and the contiguous-cut bisection
     /// bandwidth, then a node template (nodes are identical, so large
     /// clusters show the first two and summarize the rest).
-    ///
-    /// The topology cannot change after construction, so the dump is
-    /// rendered once per cluster and cached; repeated calls borrow it.
-    pub fn describe(&self) -> &str {
-        self.describe_cache.get_or_init(|| self.render_describe())
-    }
-
-    fn render_describe(&self) -> String {
+    pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let spec = &self.spec;
         let spn = ClusterSpec::SOCKETS_PER_NODE;
@@ -1136,14 +1124,6 @@ mod tests {
         assert!(d.contains("node 0"));
         assert!(d.contains("node 1"));
         assert!(d.contains("NVLink"));
-    }
-
-    #[test]
-    fn describe_is_rendered_once_and_borrowed() {
-        let c = cluster();
-        let first: *const str = c.describe();
-        let second: *const str = c.describe();
-        assert!(std::ptr::eq(first, second));
     }
 
     fn tiered_cluster() -> Cluster {

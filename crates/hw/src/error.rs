@@ -1,9 +1,13 @@
 //! Typed errors for routing and volume queries.
 //!
-//! The training strategies construct only feasible endpoint pairs, so
-//! the panicking [`crate::Cluster::route`] family stays ergonomic for
-//! them; static analysis and other consumers of *untrusted* plans use
-//! the `try_*` counterparts and turn these errors into diagnostics.
+//! `hw` owns the answer to "can this endpoint pair be routed": the
+//! `try_*` queries ([`crate::Cluster::try_route`],
+//! [`crate::Cluster::try_volume_io_routes`]) return these errors, and
+//! plan validation in `zerosim-strategies` calls them for every tier
+//! transfer and volume I/O before a plan is lowered. The panicking
+//! [`crate::Cluster::route`] family serves callers whose endpoints are
+//! feasible by construction: lowering a validated plan, and the
+//! collective schedules' rings.
 
 use std::fmt;
 

@@ -455,7 +455,17 @@ impl ClusterSpec {
         self.nodes * Self::SOCKETS_PER_NODE
     }
 
-    /// Validates internal consistency.
+    /// Scratch NVMe capacity of one node: its drive count times the
+    /// per-drive capacity, in bytes. The NVMe tier's fit check compares
+    /// against it.
+    pub fn nvme_bytes_per_node(&self) -> f64 {
+        self.nvme_layout.len() as f64 * self.mem.nvme_bytes_per_drive
+    }
+
+    /// Validates internal consistency: the node layout, and every rate,
+    /// latency and capacity [`crate::Cluster::new`] builds links from or
+    /// the memory-fit check reads. A spec that passes builds without a
+    /// panic.
     ///
     /// # Errors
     /// Returns a human-readable description of the first problem found.
@@ -478,17 +488,50 @@ impl ClusterSpec {
                 ));
             }
         }
-        let bws = [
-            self.bw.dram_socket,
-            self.bw.xgmi_dir,
-            self.bw.pcie_gpu_dir,
-            self.bw.pcie_nic_dir,
-            self.bw.pcie_nvme_dir,
-            self.bw.nvlink_pair_dir,
-            self.bw.roce_dir,
+        let (bw, iod, nvme, lat, mem) = (&self.bw, &self.iod, &self.nvme_dev, &self.lat, &self.mem);
+        let positive = [
+            ("bw.dram_socket", bw.dram_socket),
+            ("bw.xgmi_dir", bw.xgmi_dir),
+            ("bw.pcie_gpu_dir", bw.pcie_gpu_dir),
+            ("bw.pcie_nic_dir", bw.pcie_nic_dir),
+            ("bw.pcie_nvme_dir", bw.pcie_nvme_dir),
+            ("bw.nvlink_pair_dir", bw.nvlink_pair_dir),
+            ("bw.roce_dir", bw.roce_dir),
+            ("iod.pcie_pcie", iod.pcie_pcie),
+            ("iod.pcie_gpu_xgmi", iod.pcie_gpu_xgmi),
+            ("iod.xgmi_pcie_io", iod.xgmi_pcie_io),
+            ("nvme_dev.sustained_write", nvme.sustained_write),
+            ("nvme_dev.sustained_read", nvme.sustained_read),
+            ("mem.gpu_bytes", mem.gpu_bytes),
+            ("mem.cpu_bytes_per_node", mem.cpu_bytes_per_node),
+            ("mem.nvme_bytes_per_drive", mem.nvme_bytes_per_drive),
         ];
-        if bws.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-            return Err("all link bandwidths must be finite and positive".into());
+        if let Some((name, v)) = positive.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            return Err(format!("{name} must be finite and positive (got {v})"));
+        }
+        let non_negative = [
+            ("iod.crossing_latency_s", iod.crossing_latency_s),
+            ("nvme_dev.cache_bytes", nvme.cache_bytes),
+            ("nvme_dev.latency_s", nvme.latency_s),
+            ("lat.nvlink_s", lat.nvlink_s),
+            ("lat.pcie_s", lat.pcie_s),
+            ("lat.xgmi_s", lat.xgmi_s),
+            ("lat.roce_s", lat.roce_s),
+        ];
+        if let Some((name, v)) = non_negative
+            .iter()
+            .find(|(_, v)| !(v.is_finite() && *v >= 0.0))
+        {
+            return Err(format!("{name} must be finite and non-negative (got {v})"));
+        }
+        // Each drive's write and read token buckets serve at the burst
+        // rate until its cache fills, then at a sustained rate.
+        if !(nvme.burst.is_finite() && nvme.burst >= nvme.sustained_write.max(nvme.sustained_read))
+        {
+            return Err(format!(
+                "nvme_dev.burst must be finite and at least both sustained rates (got {})",
+                nvme.burst
+            ));
         }
         self.fabric.validate(self.nodes).map_err(|e| e.to_string())
     }
@@ -532,9 +575,61 @@ mod tests {
         let bad_drive =
             ClusterSpec::default().with_nvme_layout(vec![NvmeDrivePlacement { socket: 5 }]);
         assert!(bad_drive.validate().is_err());
-        let mut bad_bw = ClusterSpec::default();
-        bad_bw.bw.roce_dir = -1.0;
-        assert!(bad_bw.validate().is_err());
+    }
+
+    /// One row per rate, latency and capacity `Cluster::new` or the fit
+    /// check reads: each bad value is a typed error from both `validate`
+    /// and `Cluster::new`, never a panic while the links are built.
+    #[test]
+    fn every_rate_latency_and_capacity_is_checked() {
+        type Row = (&'static str, fn(&mut ClusterSpec));
+        let rows: [Row; 24] = [
+            ("NaN DRAM", |s| s.bw.dram_socket = f64::NAN),
+            ("zero xGMI", |s| s.bw.xgmi_dir = 0.0),
+            ("negative GPU PCIe", |s| s.bw.pcie_gpu_dir = -1.0),
+            ("infinite NIC PCIe", |s| s.bw.pcie_nic_dir = f64::INFINITY),
+            ("zero NVMe PCIe", |s| s.bw.pcie_nvme_dir = 0.0),
+            ("NaN NVLink", |s| s.bw.nvlink_pair_dir = f64::NAN),
+            ("negative RoCE", |s| s.bw.roce_dir = -1.0),
+            ("NaN IOD PCIe pair", |s| s.iod.pcie_pcie = f64::NAN),
+            ("zero IOD GPU-xGMI pair", |s| s.iod.pcie_gpu_xgmi = 0.0),
+            ("negative IOD xGMI-I/O pair", |s| s.iod.xgmi_pcie_io = -1.0),
+            ("NaN IOD crossing latency", |s| {
+                s.iod.crossing_latency_s = f64::NAN
+            }),
+            ("negative NVMe cache", |s| s.nvme_dev.cache_bytes = -1.0),
+            ("burst below sustained write", |s| s.nvme_dev.burst = 1e9),
+            ("burst below sustained read", |s| s.nvme_dev.burst = 3e9),
+            ("NaN NVMe burst", |s| s.nvme_dev.burst = f64::NAN),
+            ("zero sustained write", |s| s.nvme_dev.sustained_write = 0.0),
+            ("NaN sustained read", |s| {
+                s.nvme_dev.sustained_read = f64::NAN
+            }),
+            ("negative NVMe latency", |s| s.nvme_dev.latency_s = -1e-6),
+            ("NaN NVLink latency", |s| s.lat.nvlink_s = f64::NAN),
+            ("negative PCIe latency", |s| s.lat.pcie_s = -1e-6),
+            ("infinite xGMI latency", |s| s.lat.xgmi_s = f64::INFINITY),
+            ("NaN RoCE latency", |s| s.lat.roce_s = f64::NAN),
+            ("zero HBM", |s| s.mem.gpu_bytes = 0.0),
+            ("NaN NVMe drive capacity", |s| {
+                s.mem.nvme_bytes_per_drive = f64::NAN
+            }),
+        ];
+        for (what, spoil) in rows {
+            let mut spec = ClusterSpec::default();
+            spoil(&mut spec);
+            assert!(spec.validate().is_err(), "{what}");
+            assert!(crate::Cluster::new(spec).is_err(), "{what}");
+        }
+        let mut dram = ClusterSpec::default();
+        dram.mem.cpu_bytes_per_node = -1.0;
+        let msg = dram.validate().unwrap_err();
+        assert!(msg.contains("mem.cpu_bytes_per_node"), "{msg}");
+        // A zero latency is legal: the ideal-IOD ablation uses one.
+        let mut ideal = ClusterSpec::default();
+        ideal.iod.crossing_latency_s = 0.0;
+        assert!(ideal.validate().is_ok());
+        assert_eq!(ClusterSpec::default().nvme_bytes_per_node(), 6.4e12);
     }
 
     #[test]

@@ -383,7 +383,7 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let gpus = o.gpus(&c);
+        let gpus = o.gpus(&c).unwrap();
         let misplaced = gpus
             .iter()
             .enumerate()

@@ -50,7 +50,7 @@ fn act_bytes(ctx: &IterCtx<'_>) -> f64 {
 // Micro-step indices are tiny (grad-accum counts): fit u32.
 #[allow(clippy::cast_possible_truncation)]
 pub(crate) fn plan_iteration(ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError> {
-    let gpus = ctx.opts.gpus(ctx.cluster);
+    let gpus = ctx.opts.gpus(ctx.cluster)?;
     let group = CommGroup::new(gpus.clone());
     let tokens_gpu = (ctx.opts.per_gpu_batch * ctx.model.seq_len) as f64;
     let layers = ctx.model.num_layers;

@@ -140,15 +140,14 @@ fn jitter_factor(amp: f64, seed: u64, position: usize) -> f64 {
 /// Compiles `plan` against `cluster` and `calib`.
 ///
 /// The plan is first machine-checked by [`WorkloadPlan::validate`]
-/// (collective wire-volume closed forms, route feasibility, phase
-/// ordering), so lowering never meets an op it cannot route.
+/// (ranks, routes, collective caps, phase ordering), so lowering never
+/// meets an op it cannot route or a task `DagBuilder` would refuse.
 ///
 /// GEMM durations in the returned [`LoweredPlan`] are un-jittered; call
 /// [`LoweredPlan::stamp`] before running.
 ///
 /// # Errors
-/// [`StrategyError::InvalidPlan`] when validation rejects the plan or a
-/// volume I/O op has no route.
+/// [`StrategyError::InvalidPlan`] when validation rejects the plan.
 pub fn lower(
     plan: &WorkloadPlan,
     cluster: &Cluster,
@@ -248,7 +247,7 @@ pub fn lower(
                 // drive plus a join.
                 let routes = cluster
                     .try_volume_io_routes(*volume, *socket, *dir)
-                    .map_err(|e| StrategyError::plan(format!("op {i}: volume I/O: {e}")))?;
+                    .expect("validate resolved every volume I/O route");
                 let k = routes.len() as f64;
                 parts.clear();
                 for r in routes {

@@ -35,7 +35,7 @@ pub(crate) fn microbatches(pp: usize) -> usize {
 /// Resolves the locality-aware `(replica, stage, tp-rank)` placement for
 /// this context's GPU set (TP innermost — see [`ParallelPlacement`]).
 fn resolve(ctx: &IterCtx<'_>, tp: usize, pp: usize) -> Result<ParallelPlacement, StrategyError> {
-    ParallelPlacement::resolve(ctx.opts.gpus(ctx.cluster), tp, pp)
+    ParallelPlacement::resolve(ctx.opts.gpus(ctx.cluster)?, tp, pp)
 }
 
 /// Builds the memory plan for Megatron with the given degrees.

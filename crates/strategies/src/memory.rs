@@ -32,27 +32,22 @@ impl MemoryPlan {
 
     /// True when every tier fits its capacity on `cluster`.
     pub fn fits(&self, cluster: &Cluster) -> bool {
-        let mem = &cluster.spec().mem;
-        let nvme_capacity = cluster.spec().nvme_layout.len() as f64 * mem.nvme_bytes_per_drive;
-        self.per_gpu_bytes <= mem.gpu_bytes
-            && self.per_node_cpu_bytes <= mem.cpu_bytes_per_node
-            && self.nvme_bytes <= nvme_capacity
+        self.bottleneck(cluster).is_none()
     }
 
-    /// The tier that overflows first, if any.
+    /// The tier that overflows first (`"gpu"`, `"cpu"`, then `"nvme"`),
+    /// if any.
     pub fn bottleneck(&self, cluster: &Cluster) -> Option<&'static str> {
-        let mem = &cluster.spec().mem;
-        if self.per_gpu_bytes > mem.gpu_bytes {
-            return Some("gpu");
+        let spec = cluster.spec();
+        if self.per_gpu_bytes > spec.mem.gpu_bytes {
+            Some("gpu")
+        } else if self.per_node_cpu_bytes > spec.mem.cpu_bytes_per_node {
+            Some("cpu")
+        } else if self.nvme_bytes > spec.nvme_bytes_per_node() {
+            Some("nvme")
+        } else {
+            None
         }
-        if self.per_node_cpu_bytes > mem.cpu_bytes_per_node {
-            return Some("cpu");
-        }
-        let nvme_capacity = cluster.spec().nvme_layout.len() as f64 * mem.nvme_bytes_per_drive;
-        if self.nvme_bytes > nvme_capacity {
-            return Some("nvme");
-        }
-        None
     }
 }
 

@@ -2,6 +2,8 @@
 
 use zerosim_hw::{Cluster, GpuId};
 
+use crate::error::StrategyError;
+
 /// Options for a simulated training run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrainOptions {
@@ -68,16 +70,18 @@ impl TrainOptions {
 
     /// The GPUs participating in this run, node-major.
     ///
-    /// # Panics
-    /// Panics if the cluster has fewer nodes than requested.
-    pub fn gpus(&self, cluster: &Cluster) -> Vec<GpuId> {
-        assert!(
-            self.nodes <= cluster.spec().nodes,
-            "run wants {} nodes, cluster has {}",
-            self.nodes,
-            cluster.spec().nodes
-        );
-        (0..self.nodes).flat_map(|n| cluster.node_gpus(n)).collect()
+    /// # Errors
+    /// [`StrategyError::InvalidLayout`] when the run spans no node or more
+    /// nodes than the cluster has.
+    pub fn gpus(&self, cluster: &Cluster) -> Result<Vec<GpuId>, StrategyError> {
+        let have = cluster.spec().nodes;
+        if self.nodes == 0 || self.nodes > have {
+            return Err(StrategyError::layout(format!(
+                "run wants {} nodes, cluster has {have}",
+                self.nodes
+            )));
+        }
+        Ok((0..self.nodes).flat_map(|n| cluster.node_gpus(n)).collect())
     }
 
     /// Total participating GPUs.
@@ -94,15 +98,21 @@ mod tests {
     #[test]
     fn gpu_selection() {
         let c = Cluster::new(ClusterSpec::default()).unwrap();
-        assert_eq!(TrainOptions::single_node().gpus(&c).len(), 4);
-        assert_eq!(TrainOptions::dual_node().gpus(&c).len(), 8);
+        assert_eq!(TrainOptions::single_node().gpus(&c).unwrap().len(), 4);
+        assert_eq!(TrainOptions::dual_node().gpus(&c).unwrap().len(), 8);
         assert_eq!(TrainOptions::dual_node().num_gpus(&c), 8);
     }
 
     #[test]
-    #[should_panic(expected = "wants 2 nodes")]
-    fn too_many_nodes_panics() {
+    fn node_counts_outside_the_cluster_are_layout_errors() {
         let c = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
-        TrainOptions::dual_node().gpus(&c);
+        for nodes in [0, 2] {
+            let err = TrainOptions::for_nodes(nodes).gpus(&c).unwrap_err();
+            assert!(matches!(err, StrategyError::InvalidLayout(_)), "{err}");
+            assert!(
+                err.to_string().contains(&format!("wants {nodes} nodes")),
+                "{err}"
+            );
+        }
     }
 }

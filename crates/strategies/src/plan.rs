@@ -556,20 +556,23 @@ impl WorkloadPlan {
             .sum()
     }
 
-    /// Machine-checks the plan against `cluster`:
+    /// Machine-checks the plan against `cluster`. This is the one owner
+    /// of the plan's rank, route, cap and phase rules; [`crate::lower`]
+    /// runs it first, and the planlint passes lint only what it cannot
+    /// see. Dependencies precede their ops by construction
+    /// ([`WorkloadPlan::push`]).
     ///
-    /// * structural acyclicity (every dep precedes its op);
     /// * phase ordering: `Input` ops depend only on `Input` ops, and only
     ///   `Step` ops may depend on `Step` ops (the optimizer is a sink);
     /// * per-kind phase membership: every op's stage must be one of
     ///   [`WorkloadKind::allowed_stages`] for the plan's kind, so training
     ///   plans cannot carry serving stages and vice versa;
-    /// * every referenced GPU / socket / volume physically exists, and
-    ///   every volume a `VolumeIo` touches sits on the issuing socket's
-    ///   node, so every `TierTransfer` and `VolumeIo` has a resolvable
-    ///   route;
-    /// * collective payloads are positive and finite with all ranks on
-    ///   the cluster;
+    /// * every referenced GPU and socket physically exists, and `hw`
+    ///   routes every `TierTransfer` ([`Cluster::try_route`]) and every
+    ///   `VolumeIo` ([`Cluster::try_volume_io_routes`]: a registered
+    ///   volume whose drives sit on the issuing socket's node);
+    /// * collective payloads are positive and finite, per-flow caps are
+    ///   positive (or `+∞`), and all ranks are on the cluster;
     /// * optimizer steps carry positive parameter counts, run in the
     ///   `Step` phase, and at least one exists
     ///   ([`WorkloadKind::Iteration`] plans only);
@@ -586,15 +589,13 @@ impl WorkloadPlan {
     ///   codec legality (ratio vs. dtypes, decode placement, double
     ///   quantization) is planlint ZL008's domain, so a plan carrying a
     ///   *mis-declared* codec still lowers and lints.
+    ///
+    /// # Errors
+    /// [`StrategyError::InvalidPlan`] naming the first offending op.
     pub fn validate(&self, cluster: &Cluster) -> Result<(), StrategyError> {
         let spec = cluster.spec();
         let gpu_ok = |g: &GpuId| g.node < spec.nodes && g.gpu < spec.gpus_per_node;
         let socket_ok = |s: &SocketId| s.node < spec.nodes && s.socket < 2;
-        let loc_ok = |l: &MemLoc| match l {
-            MemLoc::Gpu(g) => gpu_ok(g),
-            MemLoc::Cpu(s) => socket_ok(s),
-            MemLoc::Nvme(d) => d.node < spec.nodes && d.drive < spec.nvme_layout.len(),
-        };
         let err = |i: usize, msg: String| Err(StrategyError::plan(format!("op {i}: {msg}")));
 
         let mut optimizer_steps = 0usize;
@@ -620,9 +621,6 @@ impl WorkloadPlan {
                 );
             }
             for d in self.deps(i) {
-                if d.0 >= i {
-                    return err(i, format!("dependency {} does not precede it", d.0));
-                }
                 let dep = &self.nodes[d.0];
                 if node.phase.stage == PhaseStage::Input && dep.phase.stage != PhaseStage::Input {
                     return err(i, "input-phase op depends on a later phase".into());
@@ -666,9 +664,16 @@ impl WorkloadPlan {
                         return err(i, "optimizer step outside the Step phase".into());
                     }
                 }
-                PlanOp::Collective { group, bytes, .. } => {
+                PlanOp::Collective {
+                    group, bytes, cap, ..
+                } => {
                     if !(bytes.is_finite() && *bytes > 0.0) {
                         return err(i, format!("non-positive collective bytes {bytes}"));
+                    }
+                    // `+∞` leaves the wires as the only limit; NaN would
+                    // vanish in the route's `f64::min`.
+                    if cap.is_nan() || *cap <= 0.0 {
+                        return err(i, format!("non-positive collective cap {cap}"));
                     }
                     if let Some(g) = group.ranks().iter().find(|g| !gpu_ok(g)) {
                         return err(i, format!("collective rank {g:?} not on cluster"));
@@ -677,8 +682,8 @@ impl WorkloadPlan {
                 PlanOp::TierTransfer {
                     src, dst, bytes, ..
                 } => {
-                    if !loc_ok(src) || !loc_ok(dst) {
-                        return err(i, format!("no physical route {src:?} -> {dst:?}"));
+                    if let Err(e) = cluster.try_route(*src, *dst) {
+                        return err(i, format!("transfer has no route: {e}"));
                     }
                     if !(bytes.is_finite() && *bytes >= 0.0) {
                         return err(i, format!("bad transfer bytes {bytes}"));
@@ -690,25 +695,12 @@ impl WorkloadPlan {
                 PlanOp::VolumeIo {
                     volume,
                     socket,
+                    dir,
                     bytes,
                     ..
                 } => {
-                    let Ok(v) = cluster.try_volume(*volume) else {
-                        return err(i, format!("volume {volume:?} not registered"));
-                    };
-                    if !socket_ok(socket) {
-                        return err(i, format!("socket {socket:?} not on cluster"));
-                    }
-                    // Volume I/O stays on the issuing node: no route
-                    // reaches another node's drives.
-                    if let Some(m) = v.members.iter().find(|m| m.node != socket.node) {
-                        return err(
-                            i,
-                            format!(
-                                "volume {volume:?} drive {m:?} is not on node {}",
-                                socket.node
-                            ),
-                        );
+                    if let Err(e) = cluster.try_volume_io_routes(*volume, *socket, *dir) {
+                        return err(i, format!("volume I/O has no route: {e}"));
                     }
                     if !(bytes.is_finite() && *bytes >= 0.0) {
                         return err(i, format!("bad volume I/O bytes {bytes}"));
@@ -830,29 +822,89 @@ mod tests {
         assert!(e.to_string().contains("no optimizer step"));
     }
 
-    #[test]
-    fn step_phase_is_a_sink() {
-        let c = cluster();
+    /// One op in `stage` feeding the iteration's optimizer step.
+    fn feeding_the_step(stage: PhaseStage, op: PlanOp) -> WorkloadPlan {
         let mut p = WorkloadPlan::new();
+        p.set_phase(stage, 0);
+        let o = p.push(op, &[]);
         p.set_phase(PhaseStage::Step, 0);
-        let opt = p.push(
+        p.push(
             PlanOp::OptimizerStep {
                 device: OptimizerDevice::Gpu(gpu0()),
                 params: 1.0,
             },
-            &[],
+            &[o],
         );
-        p.set_phase(PhaseStage::Forward, 0);
-        p.push(
-            PlanOp::LayerCompute {
-                gpu: gpu0(),
-                flops: 1.0,
-                label: "gemm",
-            },
-            &[opt],
-        );
-        let e = p.validate(&c).unwrap_err();
-        assert!(e.to_string().contains("optimizer-step"));
+        p
+    }
+
+    /// Every plan shape `lower` cannot run is a typed error from both
+    /// `validate` and `lower`: transfers `hw` cannot route, collective
+    /// caps that are not positive, off-cluster ranks, and the two
+    /// dependency-edge rules (only step ops wait on a step op; input ops
+    /// wait only on input ops).
+    #[test]
+    fn shapes_lowering_cannot_run_are_errors_from_validate_and_lower() {
+        let c = cluster();
+        let calib = crate::Calibration::default();
+        let gpu = |node| MemLoc::Gpu(GpuId { node, gpu: 0 });
+        let cpu = |node| MemLoc::Cpu(SocketId { node, socket: 0 });
+        let nvme = |node| MemLoc::Nvme(NvmeId { node, drive: 0 });
+        let transfer = |src, dst| {
+            let op = PlanOp::TierTransfer {
+                src,
+                dst,
+                bytes: 1e6,
+                label: "x",
+                track: 0,
+            };
+            feeding_the_step(PhaseStage::Forward, op)
+        };
+        let collective = |node, cap| {
+            let group = CommGroup::new(vec![gpu0(), GpuId { node, gpu: 0 }]);
+            let kind = CollectiveKind::AllReduce;
+            let op = PlanOp::Collective {
+                kind,
+                group,
+                bytes: 1e9,
+                cap,
+            };
+            feeding_the_step(PhaseStage::Backward, op)
+        };
+        let compute = PlanOp::LayerCompute {
+            gpu: gpu0(),
+            flops: 1e12,
+            label: "gemm",
+        };
+        // Forward of the next micro-batch waiting on the weight update.
+        let mut waits_on_step = feeding_the_step(PhaseStage::Backward, compute.clone());
+        waits_on_step.set_phase(PhaseStage::Forward, 1);
+        waits_on_step.push(compute.clone(), &[OpId(1)]);
+        // Input staging waiting on the forward pass.
+        let mut input_waits = feeding_the_step(PhaseStage::Forward, compute);
+        input_waits.set_phase(PhaseStage::Input, 0);
+        input_waits.push(PlanOp::Overhead, &[OpId(0)]);
+
+        let rows = [
+            (transfer(gpu(0), nvme(0)), "unsupported route"),
+            (transfer(gpu(0), gpu(0)), "to itself"),
+            (transfer(gpu(0), cpu(1)), "cross-node"),
+            (transfer(cpu(0), nvme(1)), "cross-node"),
+            (collective(1, 0.0), "collective cap 0"),
+            (collective(1, -1.0), "collective cap -1"),
+            (collective(1, f64::NAN), "collective cap NaN"),
+            (collective(2, 1e9), "rank GpuId { node: 2"),
+            (waits_on_step, "depends on an optimizer-step op"),
+            (input_waits, "input-phase op depends"),
+        ];
+        for (plan, msg) in rows {
+            let e = plan.validate(&c).unwrap_err().to_string();
+            assert!(e.contains(msg), "{msg}: {e}");
+            assert!(crate::lower(&plan, &c, &calib).is_err(), "{msg}");
+        }
+        for cap in [1e9, f64::INFINITY] {
+            assert!(crate::lower(&collective(1, cap), &c, &calib).is_ok());
+        }
     }
 
     #[test]
@@ -897,18 +949,17 @@ mod tests {
         };
         let mut c = cluster();
         let e = read_from(0).validate(&c).unwrap_err();
-        assert!(e.to_string().contains("not registered"), "{e}");
+        assert!(e.to_string().contains("unknown volume"), "{e}");
 
         c.create_volume(vec![NvmeId { node: 0, drive: 0 }]);
         assert!(read_from(0).validate(&c).is_ok());
-        // Node 1 cannot reach node 0's drive: a typed error, not the
-        // routing panic lowering would otherwise hit.
-        let e = read_from(1).validate(&c).unwrap_err();
-        assert!(
-            e.to_string()
-                .contains("drive NvmeId { node: 0, drive: 0 } is not on node 1"),
-            "{e}"
-        );
+        // Node 1 cannot reach node 0's drive: a typed error naming the
+        // issuing socket and the drive, not the routing panic lowering
+        // would otherwise hit.
+        let e = read_from(1).validate(&c).unwrap_err().to_string();
+        assert!(e.contains("cross-node"), "{e}");
+        assert!(e.contains("SocketId { node: 1, socket: 0 }"), "{e}");
+        assert!(e.contains("NvmeId { node: 0, drive: 0 }"), "{e}");
     }
 
     #[test]
@@ -959,6 +1010,18 @@ mod tests {
         );
         let e = p.validate(&c).unwrap_err();
         assert!(e.to_string().contains("optimizer step"));
+    }
+
+    #[test]
+    fn checkpoint_plan_rejects_forward_work() {
+        let c = cluster();
+        let mut p = WorkloadPlan::of_kind(WorkloadKind::Checkpoint);
+        p.set_phase(PhaseStage::Forward, 0);
+        p.push(PlanOp::Overhead, &[]);
+        let e = p.validate(&c).unwrap_err();
+        assert!(e
+            .to_string()
+            .contains("Checkpoint-plan op in the Forward phase"));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use zerosim_hw::MemLoc;
 
 use crate::builders::{IterCtx, PlanCtx};
+use crate::error::StrategyError;
 use crate::plan::{WorkloadKind, WorkloadPlan};
 
 /// How a resilient run checkpoints and recovers from node loss.
@@ -86,13 +87,20 @@ pub fn snapshot_bytes_per_rank(ctx: &IterCtx<'_>) -> f64 {
 /// Builds the checkpoint-snapshot plan: every rank drains its state shard
 /// GPU→DRAM, joined by a final barrier so the snapshot commits
 /// atomically.
-pub fn plan_checkpoint(ctx: &IterCtx<'_>) -> WorkloadPlan {
+///
+/// # Errors
+/// [`StrategyError::InvalidLayout`] when the options span no node or more
+/// nodes than the cluster has.
+pub fn plan_checkpoint(ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError> {
     plan_state_movement(ctx, Direction::Save)
 }
 
 /// Builds the restore plan: the mirror of [`plan_checkpoint`] (DRAM→GPU
 /// copies), run once after a restart before training resumes.
-pub fn plan_restore(ctx: &IterCtx<'_>) -> WorkloadPlan {
+///
+/// # Errors
+/// As [`plan_checkpoint`].
+pub fn plan_restore(ctx: &IterCtx<'_>) -> Result<WorkloadPlan, StrategyError> {
     plan_state_movement(ctx, Direction::Restore)
 }
 
@@ -102,11 +110,11 @@ enum Direction {
     Restore,
 }
 
-fn plan_state_movement(ctx: &IterCtx<'_>, dir: Direction) -> WorkloadPlan {
+fn plan_state_movement(ctx: &IterCtx<'_>, dir: Direction) -> Result<WorkloadPlan, StrategyError> {
     let bytes = snapshot_bytes_per_rank(ctx);
     let mut p = PlanCtx::new(*ctx, WorkloadKind::Checkpoint);
     let mut joins = Vec::new();
-    for gpu in ctx.opts.gpus(ctx.cluster) {
+    for gpu in ctx.opts.gpus(ctx.cluster)? {
         let device = MemLoc::Gpu(gpu);
         let host = MemLoc::Cpu(ctx.cluster.gpu_socket(gpu));
         let (src, dst, label) = match dir {
@@ -118,7 +126,7 @@ fn plan_state_movement(ctx: &IterCtx<'_>, dir: Direction) -> WorkloadPlan {
     p.barrier(&joins);
     let plan = p.finish();
     debug_assert_eq!(plan.kind(), WorkloadKind::Checkpoint);
-    plan
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -162,7 +170,7 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let plan = plan_checkpoint(&ctx);
+        let plan = plan_checkpoint(&ctx).unwrap();
         assert_eq!(plan.kind(), WorkloadKind::Checkpoint);
         // One d2h per rank plus the commit barrier.
         assert_eq!(plan.len(), o.num_gpus(&c) + 1);
@@ -171,7 +179,7 @@ mod tests {
         // Pure state movement: nothing to re-stamp per iteration.
         assert_eq!(lowered.stamped_tasks(), 0);
         // The restore plan mirrors the save: one h2d per rank, same bytes.
-        let restore = plan_restore(&ctx);
+        let restore = plan_restore(&ctx).unwrap();
         restore.validate(&c).unwrap();
         assert_eq!(restore.len(), plan.len());
         assert_eq!(restore.staging_bytes(), plan.staging_bytes());

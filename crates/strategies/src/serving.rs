@@ -100,7 +100,8 @@ impl ServingStrategy {
     /// with each request's first generated token emitted to the host.
     ///
     /// # Errors
-    /// [`StrategyError::InvalidLayout`] when the context grants no GPUs.
+    /// [`StrategyError::InvalidLayout`] when the options span no node or
+    /// more nodes than the cluster has.
     pub fn plan_prefill(
         &self,
         ctx: &IterCtx<'_>,
@@ -130,7 +131,8 @@ impl ServingStrategy {
     /// (batch, bucket) pair across steps and requests.
     ///
     /// # Errors
-    /// [`StrategyError::InvalidLayout`] when the context grants no GPUs.
+    /// [`StrategyError::InvalidLayout`] when the options span no node or
+    /// more nodes than the cluster has.
     pub fn plan_decode(
         &self,
         ctx: &IterCtx<'_>,
@@ -154,11 +156,8 @@ impl ServingStrategy {
         attn_ctx: usize,
         emitting: usize,
     ) -> Result<WorkloadPlan, StrategyError> {
-        let gpus = ctx.opts.gpus(ctx.cluster);
+        let gpus = ctx.opts.gpus(ctx.cluster)?;
         let tp = gpus.len();
-        if tp == 0 {
-            return Err(StrategyError::layout("serving world has no GPUs"));
-        }
         let stage = match kind {
             WorkloadKind::Prefill => PhaseStage::Prefill,
             _ => PhaseStage::Decode,

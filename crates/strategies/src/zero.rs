@@ -277,7 +277,7 @@ pub(crate) fn plan_iteration(
             ctx.offload_socket(rank, g)
         }
     };
-    let gpus = ctx.opts.gpus(ctx.cluster);
+    let gpus = ctx.opts.gpus(ctx.cluster)?;
     let n = gpus.len();
     let group = CommGroup::new(gpus.clone());
     let tokens_gpu = (ctx.opts.per_gpu_batch * ctx.model.seq_len) as f64;

@@ -19,9 +19,12 @@
 #                   oracle on (each incremental max-min solve
 #                   cross-checked against the full reference solver,
 #                   including on every pinned training, fault-matrix and
-#                   serving digest), and the allocation floors of the
-#                   solver hot path (zero in steady state), planning,
-#                   lowering, execution and linting
+#                   serving digest); the same pass runs the root
+#                   package's allocation floors (tests/lowering_allocs.rs:
+#                   the solver hot path allocates nothing in steady state,
+#                   and planning, lowering, execution and linting
+#                   allocate per plan or DAG), each of which turns the
+#                   oracle off on the networks it measures
 #   5. sweep:       `repro --workers 4` must render the scorecard and
 #                   eighteen runner artifacts byte-identically to the
 #                   serial run: the ext11 fault matrix, ext13's fleet
@@ -105,13 +108,12 @@ echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # this one command runs every test of every crate under it, including the
 # 48 golden training digests, the ext11 fault-matrix cells, the golden
 # serving digests, the randomized solver property, the >=5x
-# links-touched-per-solve floor and the CLI usage-error table
-# (crates/bench/tests/cli_usage.rs).
+# links-touched-per-solve floor, the CLI usage-error table
+# (crates/bench/tests/cli_usage.rs) and the allocation floors
+# (tests/lowering_allocs.rs, a counting global allocator in its own test
+# binary: steady-state start -> solve -> advance cycles allocate nothing,
+# and planning, lowering and running a DAG allocate per plan or DAG).
 ZEROSIM_SHADOW=1 cargo test -q --release --workspace
-# Steady-state start -> solve -> advance cycles must allocate nothing,
-# and planning, lowering and running a DAG must allocate per plan or DAG,
-# not per op or task (a counting global allocator in its own test binary).
-cargo test -q --release --test lowering_allocs
 
 echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically =="
 # The scorecard, every artifact whose runs moved onto the sweep runner in

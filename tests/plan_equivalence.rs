@@ -14,7 +14,8 @@ use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagEngine, SimTime};
 use zerosim_strategies::{
-    lower, Calibration, InfinityPlacement, IterCtx, Strategy, StrategyPlan, TrainOptions, ZeroStage,
+    lower, plan_checkpoint, plan_restore, Calibration, InfinityPlacement, IterCtx, ServingStrategy,
+    Strategy, StrategyError, StrategyPlan, TrainOptions, ZeroStage,
 };
 use zerosim_testkit::gen::{u64_range, usize_range};
 use zerosim_testkit::{prop, prop_assert};
@@ -145,6 +146,57 @@ fn registry_covers_the_paper_matrix_and_all_plans_validate() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(spec.strategy.name(), name);
     }
+}
+
+/// Planning for more nodes than the cluster has is a typed layout error
+/// from every planner, never a panic: each `cli::strategies` entry
+/// through `plan_iteration` and `analyze_strategy`, both serving
+/// strategies through prefill and decode, and the checkpoint planners.
+#[test]
+fn every_planner_rejects_more_nodes_than_the_cluster_has() {
+    let (cluster, infinity) = infinity_cluster();
+    let Strategy::ZeroInfinity { placement, .. } = infinity else {
+        unreachable!("infinity_cluster returns ZeRO-Infinity")
+    };
+    let model = GptConfig::paper_model_with_params(1.4);
+    let opts = TrainOptions::for_nodes(3);
+    let calib = Calibration::default();
+    let ctx = IterCtx {
+        cluster: &cluster,
+        model: &model,
+        opts: &opts,
+        calib: &calib,
+    };
+    let layout_error = |what: &str, result: Result<(), StrategyError>| {
+        let err = result.expect_err(what);
+        assert!(
+            matches!(&err, StrategyError::InvalidLayout(m) if m.contains("wants 3 nodes")),
+            "{what}: {err}"
+        );
+    };
+    for strategy in cli::strategies() {
+        let name = strategy.name();
+        layout_error(&name, strategy.plan_iteration(&ctx).map(drop));
+        let lint = analyze_strategy(
+            &cluster,
+            &strategy,
+            &model,
+            &opts,
+            &calib,
+            LintConfig::new(),
+        );
+        layout_error(&name, lint.map(drop));
+    }
+    for serving in [
+        ServingStrategy::Dense,
+        ServingStrategy::NvmeStreamed { placement },
+    ] {
+        let name = serving.display_name();
+        layout_error(name, serving.plan_prefill(&ctx, 512, 4).map(drop));
+        layout_error(name, serving.plan_decode(&ctx, 0, 4, 512).map(drop));
+    }
+    layout_error("checkpoint", plan_checkpoint(&ctx).map(drop));
+    layout_error("restore", plan_restore(&ctx).map(drop));
 }
 
 // ---------- golden-dozen digest pin across the workload-IR refactor ----------

@@ -5,16 +5,22 @@
 //! property are unchanged; all now run ≥ 64 cases (the seed suite ran some
 //! at 16–32). Tune with `ZEROSIM_PT_CASES` / replay with `ZEROSIM_PT_SEED`.
 
+use std::panic::AssertUnwindSafe;
+
 use zerosim_analyzer::Ancestors;
+use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_core::max_model_size;
-use zerosim_hw::{Cluster, ClusterSpec, GpuId, MemLoc, SocketId, TopologySpec};
+use zerosim_hw::{
+    Cluster, ClusterSpec, GpuId, IoDir, MemLoc, NvmeId, SocketId, TopologySpec, VolumeId,
+};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{
     BandwidthRecorder, BandwidthStats, DagBuilder, DagEngine, FaultKind, FaultSchedule, FlowNet,
     FlowObserver, LinkId, NullObserver, ResourceId, SimTime, TaskId, TaskKind, TokenBucket,
 };
 use zerosim_strategies::{
-    Calibration, IterCtx, PlanOp, Strategy, StrategyPlan, TrainOptions, WorkloadPlan, ZeroStage,
+    lower, Calibration, IterCtx, OptimizerDevice, PhaseStage, PlanOp, Strategy, StrategyPlan,
+    TrainOptions, WorkloadPlan, ZeroStage,
 };
 use zerosim_testkit::domain::{flow_paths, link_caps};
 use zerosim_testkit::gen::{f64_range, tuple3, u64_range, usize_range, vec_of};
@@ -372,6 +378,105 @@ prop! {
             MemLoc::Nvme(zerosim_hw::NvmeId { node: 0, drive: 0 }),
         );
         prop_assert!(r.hops() >= 3);
+    }
+}
+
+// ---------- plan validity vs lowerability ----------
+
+/// The `k`-th of 33 memory locations: on each of nodes 0..=2, indices up
+/// to one past the default two-node cluster's (5 GPUs, 3 sockets, 3
+/// drives).
+fn memloc(k: usize) -> MemLoc {
+    let (node, i) = (k / 11, k % 11);
+    match i {
+        0..=4 => MemLoc::Gpu(GpuId { node, gpu: i }),
+        5..=7 => MemLoc::Cpu(SocketId {
+            node,
+            socket: i - 5,
+        }),
+        _ => MemLoc::Nvme(NvmeId { node, drive: i - 8 }),
+    }
+}
+
+/// A one-op iteration plan: `op` in the backward phase feeding the
+/// optimizer step.
+fn one_op_iteration(op: PlanOp) -> WorkloadPlan {
+    let mut plan = WorkloadPlan::new();
+    plan.set_phase(PhaseStage::Backward, 0);
+    let o = plan.push(op, &[]);
+    plan.set_phase(PhaseStage::Step, 0);
+    plan.push(
+        PlanOp::OptimizerStep {
+            device: OptimizerDevice::Gpu(GpuId { node: 0, gpu: 0 }),
+            params: 1e9,
+        },
+        &[o],
+    );
+    plan
+}
+
+prop! {
+    /// `validate` accepts exactly the plans `lower` can compile, and
+    /// neither panics: tier transfers between locations of every kind
+    /// with indices up to one past the cluster, two-rank collectives with
+    /// caps from {0, −1, NaN, 1e9, +∞}, and volume I/O from any socket
+    /// against a node-0 volume, a node-1 volume or an unregistered one.
+    #[cases(64)]
+    fn validity_and_lowerability_agree(
+        src in usize_range(0, 33),
+        dst in usize_range(0, 33),
+        coll in tuple3(usize_range(0, 15), usize_range(0, 15), usize_range(0, 5)),
+        io in tuple3(usize_range(0, 9), usize_range(0, 3), usize_range(0, 2)),
+    ) {
+        let mut cluster = Cluster::new(ClusterSpec::default()).unwrap();
+        let drive = |node, drive| NvmeId { node, drive };
+        cluster.create_volume(vec![drive(0, 0), drive(0, 1)]);
+        cluster.create_volume(vec![drive(1, 0)]);
+        let calib = Calibration::default();
+
+        let (a, b, cap) = coll;
+        let gpu = |k: usize| GpuId { node: k / 5, gpu: k % 5 };
+        let ranks = if a == b { vec![gpu(a)] } else { vec![gpu(a), gpu(b)] };
+        let (socket, volume, dir) = io;
+        let plans = [
+            one_op_iteration(PlanOp::TierTransfer {
+                src: memloc(src),
+                dst: memloc(dst),
+                bytes: 1e6,
+                label: "x",
+                track: 0,
+            }),
+            one_op_iteration(PlanOp::Collective {
+                kind: CollectiveKind::AllReduce,
+                group: CommGroup::new(ranks),
+                bytes: 1e9,
+                cap: [0.0, -1.0, f64::NAN, 1e9, f64::INFINITY][cap],
+            }),
+            one_op_iteration(PlanOp::VolumeIo {
+                volume: VolumeId(volume),
+                socket: SocketId {
+                    node: socket / 3,
+                    socket: socket % 3,
+                },
+                dir: if dir == 0 { IoDir::Write } else { IoDir::Read },
+                bytes: 1e6,
+                label: "nvme",
+                track: 0,
+            }),
+        ];
+        for plan in &plans {
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                (plan.validate(&cluster).is_ok(), lower(plan, &cluster, &calib).is_ok())
+            }));
+            let Ok((valid, lowers)) = outcome else {
+                return Err(format!("validate or lower panicked on {:?}", plan.nodes()[0].op));
+            };
+            prop_assert!(
+                valid == lowers,
+                "validate {valid}, lower {lowers}: {:?}",
+                plan.nodes()[0].op
+            );
+        }
     }
 }
 
