@@ -16,7 +16,7 @@
 //! | ZL001 | memory-residency       | plan + memory  |
 //! | ZL002 | byte-conservation      | plan           |
 //! | ZL003 | phase-ordering         | plan           |
-//! | ZL004 | bandwidth-feasibility  | plan + cluster |
+//! | ZL004 | bandwidth-feasibility  | DAG + cluster  |
 //! | ZL005 | dead-ops               | plan           |
 //! | ZL006 | dag-cycle              | graph          |
 //! | ZL007 | fault-schedule         | fault schedule |
@@ -27,6 +27,8 @@
 //! rate, latency and capacity the hardware model is built from, and
 //! `WorkloadPlan::validate` owns a plan's ranks, routes, caps and phase
 //! rules; both run before any pass (see [`Artifacts::with_plan`]). The
+//! collective schedule belongs to `zerosim-collectives`, so ZL004 reads
+//! link loads off the lowered DAG rather than re-deriving them. The
 //! passes lint only what those checks cannot see: residency against
 //! capacity, byte provenance, micro-step order and reachability, link
 //! classification, dead ops, codec legality and the step-time bound.

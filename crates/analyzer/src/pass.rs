@@ -18,12 +18,14 @@ use crate::graph::GraphView;
 pub struct Artifacts<'a> {
     /// The hardware model everything is checked against.
     pub cluster: &'a Cluster,
-    /// The iteration-plan IR (ZL001–ZL005, ZL008), valid on `cluster`.
+    /// The iteration-plan IR (ZL001–ZL003, ZL005, ZL008), valid on
+    /// `cluster`.
     pub plan: Option<&'a WorkloadPlan>,
     /// The strategy's memory placement (ZL001 residency, ZL002 credit).
     pub memory: Option<&'a MemoryPlan>,
-    /// The lowered DAG (ZL009). ZL006 never reads it: a [`Dag`]
-    /// is acyclic by construction.
+    /// The lowered DAG: ZL004 loads links with its transfers, ZL009
+    /// bounds its critical path. ZL006 never reads it: a [`Dag`] is
+    /// acyclic by construction.
     pub dag: Option<&'a Dag>,
     /// An untrusted dependency graph, the only input ZL006 checks.
     pub graph: Option<&'a GraphView>,
@@ -55,12 +57,13 @@ impl<'a> Artifacts<'a> {
     /// [`WorkloadPlan::validate`] on this cluster.
     ///
     /// Validation owns the plan's rank, route, cap and phase rules, so the
-    /// plan passes do not repeat them: ZL004 expands collectives over
-    /// their ranks' routes, for one. Every production lint path lowers the
-    /// plan, which validates it, before the passes run
+    /// plan passes do not repeat them. Every production lint path lowers
+    /// the plan, which validates it, before the passes run
     /// ([`crate::analyze_strategy`], the placement search's vetting, the
-    /// benchmark's traced search); a raw plan reaches this call only in
-    /// tests.
+    /// benchmark's traced search) and attaches that lowering with
+    /// [`Artifacts::with_dag`]; a raw plan reaches this call only in
+    /// tests. Link loads are not the plan's to answer: ZL004 reads the
+    /// lowered DAG, where the collective schedule is already decided.
     #[must_use]
     pub fn with_plan(mut self, plan: &'a WorkloadPlan) -> Self {
         self.plan = Some(plan);
@@ -74,7 +77,8 @@ impl<'a> Artifacts<'a> {
         self
     }
 
-    /// Attaches the lowered DAG.
+    /// Attaches the lowered DAG (ZL004, ZL009): with a plan, its
+    /// lowering.
     #[must_use]
     pub fn with_dag(mut self, dag: &'a Dag) -> Self {
         self.dag = Some(dag);
@@ -139,11 +143,13 @@ pub struct MemoryVerdict {
     pub nvme_peak: f64,
     /// Aggregate NVMe capacity.
     pub nvme_capacity: f64,
-    /// Whether the resident placement fits every tier (exactly
-    /// [`MemoryPlan::fits`] semantics, so ZL001 agrees with the
-    /// simulator's capacity probe).
+    /// Whether the resident placement, KV-cache growth included, fits
+    /// every tier: the comparison ZL001's residency findings make.
+    /// Without KV growth this is [`MemoryPlan::fits`], so ZL001 agrees
+    /// with the simulator's capacity probe.
     pub fits: bool,
-    /// First overflowing tier (`"gpu"` / `"cpu"` / `"nvme"`), if any.
+    /// First tier ZL001 finds over capacity (`"gpu"` / `"cpu"` /
+    /// `"nvme"`, in that order), if any.
     pub bottleneck: Option<&'static str>,
 }
 
@@ -209,9 +215,11 @@ pub struct LinkVerdict {
     /// Tightest per-flow cap among flows crossing the link
     /// (`f64::INFINITY` when uncapped).
     pub flow_cap: f64,
-    /// Total bytes the plan pushes across the link.
+    /// Total bytes the lowered DAG's transfers push across the link:
+    /// what one healthy simulated iteration records on it.
     pub demand_bytes: f64,
-    /// Number of distinct flows crossing the link.
+    /// Number of transfer tasks whose route crosses the link, i.e. the
+    /// flows the simulator starts on it per iteration.
     pub flows: usize,
     /// Wire-bound vs protocol-bound.
     pub bound: BoundKind,

@@ -1,34 +1,28 @@
 //! ZL004 — bandwidth feasibility and wire- vs protocol-bound link
 //! classification.
 //!
-//! Statically expands every flow-generating op (collectives along their
-//! ring routes, tier transfers along `hw` routes, striped volume I/O)
-//! and aggregates per-link demand. Each loaded link is then classified:
+//! Walks the transfer tasks of the lowered DAG and aggregates per-link
+//! demand: every [`TaskKind::Transfer`] adds its bytes and its per-flow
+//! cap to each link of its route. The DAG is what the simulator runs, so
+//! the pass sees exactly the flows the engine starts. That covers the
+//! collective schedule `zerosim-collectives` picked (flat ring, coalesced
+//! or hierarchical, and which NIC each ring crosses), `hw`'s tier-transfer
+//! routes and the striped volume I/O. Lowering has already shrunk each
+//! codec-carrying op to its encoded wire size, so a qwZ/qgZ plan's
+//! inter-node volume drops below plain ZeRO-3's here without the pass
+//! knowing about codecs. Each loaded link is then classified:
 //! **wire-bound** when the physical rate is the binding constraint, or
 //! **protocol-bound** when a per-flow engine-efficiency ceiling (the
 //! paper's DeepSpeed/NCCL caps) binds below the wire — statically
 //! reproducing the paper's headline observation that the RoCE fabric is
 //! protocol-bound for ZeRO while NVLink stays wire-bound.
 //!
-//! The pass denies nothing: routability, ranks and link rates are checked
-//! where their data enters — `WorkloadPlan::validate` asks `hw` to route
-//! every transfer and volume I/O, and `ClusterSpec::validate` keeps every
-//! link rate finite and positive — so every plan the analyzer is given
-//! loads real links (see `Artifacts::with_plan`). A transfer that does
-//! not resolve adds no load. Its one finding is the dark-wire advisory.
-//!
-//! Codec-aware pricing: ops carrying a declared
-//! [`zerosim_strategies::Codec`] put only `bytes x ratio` on the wire, so
-//! demand is accumulated at the encoded size — this is how a qwZ/qgZ
-//! plan's statically-reported inter-node volume drops below plain
-//! ZeRO-3's without any change to the payload semantics.
+//! The pass denies nothing: `DagBuilder` refuses empty routes and
+//! non-positive sizes and caps, and `ClusterSpec::validate` keeps every
+//! link rate finite and positive. Its one finding is the dark-wire
+//! advisory.
 
-use std::collections::HashMap;
-
-use zerosim_collectives::ring_route;
-use zerosim_hw::Cluster;
-use zerosim_simkit::LinkId;
-use zerosim_strategies::PlanOp;
+use zerosim_simkit::{LinkId, TaskKind};
 
 use crate::diag::{LintCode, Severity, Site};
 use crate::pass::{Artifacts, BoundKind, LinkVerdict, Pass, Sink};
@@ -44,7 +38,7 @@ pub struct BandwidthFeasibilityPass;
 /// ~3.7% on the RoCE bottleneck, so golden configs sit above this line.
 const DARK_WIRE_ATTAINMENT: f64 = 0.02;
 
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct Load {
     demand_bytes: f64,
     flows: usize,
@@ -56,34 +50,13 @@ struct Load {
     route_bottleneck: bool,
 }
 
-/// Accumulates one flow's demand across its route. The per-flow cap and
-/// the route's minimum wire capacity come from the caller so the
-/// bottleneck hop can be identified.
-fn add_route(
-    loads: &mut HashMap<LinkId, Load>,
-    cluster: &Cluster,
-    links: &[LinkId],
-    bytes: f64,
-    cap: f64,
-) {
-    let min_wire = links
-        .iter()
-        .map(|l| cluster.net().link_capacity(*l))
-        .fold(f64::INFINITY, f64::min);
-    for link in links {
-        let wire = cluster.net().link_capacity(*link);
-        let e = loads.entry(*link).or_insert(Load {
-            demand_bytes: 0.0,
-            flows: 0,
-            flow_cap: f64::INFINITY,
-            route_bottleneck: false,
-        });
-        e.demand_bytes += bytes;
-        e.flows += 1;
-        e.flow_cap = e.flow_cap.min(cap);
-        // Tolerant equality: equal-capacity wires are all bottlenecks.
-        e.route_bottleneck |= wire <= min_wire * (1.0 + 1e-9);
-    }
+impl Load {
+    const IDLE: Load = Load {
+        demand_bytes: 0.0,
+        flows: 0,
+        flow_cap: f64::INFINITY,
+        route_bottleneck: false,
+    };
 }
 
 impl Pass for BandwidthFeasibilityPass {
@@ -92,79 +65,53 @@ impl Pass for BandwidthFeasibilityPass {
     }
 
     fn run(&self, art: &Artifacts<'_>, sink: &mut Sink<'_>) {
-        let Some(plan) = art.plan else {
+        let Some(dag) = art.dag else {
             return;
         };
-        let cluster = art.cluster;
-        let mut loads: HashMap<LinkId, Load> = HashMap::new();
-
-        for (i, node) in plan.nodes().iter().enumerate() {
-            // Declared codecs shrink the wire volume to the encoded size.
-            let ratio = plan.codec_ratio_at(i);
-            match &node.op {
-                PlanOp::Collective {
-                    kind,
-                    group,
-                    bytes,
-                    cap,
-                } => {
-                    let n = group.len();
-                    if n <= 1 {
-                        continue;
-                    }
-                    // Static ring model: each rank sends its wire share to
-                    // its ring successor, split evenly across the rings.
-                    let order = group.ring_order();
-                    let rings = group.ring_count().max(1);
-                    #[allow(clippy::cast_precision_loss)]
-                    let per_ring = kind.bytes_sent_per_rank(n, *bytes * ratio) / rings as f64;
-                    for w in 0..n {
-                        let (a, b) = (order[w], order[(w + 1) % n]);
-                        for ring in 0..rings {
-                            let route = ring_route(cluster, a, b, ring, *cap);
-                            add_route(&mut loads, cluster, route.links(), per_ring, route.cap);
-                        }
-                    }
+        let net = art.cluster.net();
+        // Dense by link index; `loaded` names the links in first-touch
+        // order.
+        let mut loads = vec![Load::IDLE; net.link_count()];
+        let mut loaded: Vec<LinkId> = Vec::new();
+        for id in dag.task_ids() {
+            let TaskKind::Transfer {
+                route, bytes, cap, ..
+            } = dag.task(id).kind
+            else {
+                continue;
+            };
+            let links = dag.route(route);
+            let min_wire = links
+                .iter()
+                .map(|l| net.link_capacity(*l))
+                .fold(f64::INFINITY, f64::min);
+            for &link in links {
+                let wire = net.link_capacity(link);
+                let load = &mut loads[link.index()];
+                if load.flows == 0 {
+                    loaded.push(link);
                 }
-                PlanOp::TierTransfer {
-                    src, dst, bytes, ..
-                } => {
-                    if let Ok(route) = cluster.try_route(*src, *dst) {
-                        let wire_bytes = (bytes * ratio).max(1.0);
-                        add_route(&mut loads, cluster, route.links(), wire_bytes, route.cap);
-                    }
-                }
-                PlanOp::VolumeIo {
-                    volume,
-                    socket,
-                    dir,
-                    bytes,
-                    ..
-                } => {
-                    if let Ok(routes) = cluster.try_volume_io_routes(*volume, *socket, *dir) {
-                        #[allow(clippy::cast_precision_loss)]
-                        let per_drive = (bytes * ratio / routes.len().max(1) as f64).max(1.0);
-                        for route in routes {
-                            add_route(&mut loads, cluster, route.links(), per_drive, route.cap);
-                        }
-                    }
-                }
-                _ => {}
+                load.demand_bytes += bytes;
+                load.flows += 1;
+                load.flow_cap = load.flow_cap.min(cap);
+                // Tolerant equality: equal-capacity wires are all bottlenecks.
+                load.route_bottleneck |= wire <= min_wire * (1.0 + 1e-9);
             }
         }
 
         // Classify every loaded link; hottest first so the verdict order
         // can be cross-checked against the simulated hot-link ranking.
-        let mut entries: Vec<(LinkId, Load)> = loads.into_iter().collect();
-        entries.sort_by(|a, b| {
-            b.1.demand_bytes
-                .partial_cmp(&a.1.demand_bytes)
+        loaded.sort_by(|a, b| {
+            loads[b.index()]
+                .demand_bytes
+                .partial_cmp(&loads[a.index()].demand_bytes)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.index().cmp(&b.0.index()))
+                .then(a.index().cmp(&b.index()))
         });
-        for (link, load) in entries {
-            let wire = cluster.net().link_capacity(link);
-            let name = cluster.net().link_name(link).to_string();
+        for link in loaded {
+            let load = loads[link.index()];
+            let wire = net.link_capacity(link);
+            let name = net.link_name(link).to_string();
             let bound = if load.flow_cap < wire {
                 BoundKind::Protocol
             } else {
@@ -207,28 +154,46 @@ mod tests {
     use crate::diag::LintConfig;
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_collectives::{CollectiveKind, CommGroup};
-    use zerosim_hw::{ClusterSpec, IoDir, NvmeId, SocketId};
-    use zerosim_strategies::{PhaseStage, WorkloadPlan};
+    use zerosim_hw::{Cluster, ClusterSpec, GpuId, IoDir, NvmeId, SocketId};
+    use zerosim_strategies::{
+        lower, Calibration, OptimizerDevice, PhaseStage, PlanOp, WorkloadPlan,
+    };
+
+    /// `op` in `stage`, feeding the iteration's optimizer step: the
+    /// smallest plan `lower` accepts around one transfer-class op.
+    fn feeding_the_step(stage: PhaseStage, op: PlanOp) -> WorkloadPlan {
+        let mut plan = WorkloadPlan::new();
+        plan.set_phase(stage, 0);
+        let o = plan.push(op, &[]);
+        plan.set_phase(PhaseStage::Step, 0);
+        plan.push(
+            PlanOp::OptimizerStep {
+                device: OptimizerDevice::Gpu(GpuId { node: 0, gpu: 0 }),
+                params: 1e9,
+            },
+            &[o],
+        );
+        plan
+    }
 
     fn run(cluster: &Cluster, plan: &WorkloadPlan) -> AnalysisReport {
+        let lowered = lower(plan, cluster, &Calibration::default()).unwrap();
         let mut pm = PassManager::new(LintConfig::new());
         pm.register(Box::new(BandwidthFeasibilityPass));
-        pm.run(&Artifacts::new(cluster).with_plan(plan))
+        pm.run(&Artifacts::new(cluster).with_dag(lowered.dag()))
     }
 
     #[test]
     fn single_node_allreduce_is_wire_bound_on_nvlink() {
         let cluster = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
-        let mut plan = WorkloadPlan::new();
-        plan.set_phase(PhaseStage::Backward, 0);
-        plan.push(
+        let plan = feeding_the_step(
+            PhaseStage::Backward,
             PlanOp::Collective {
                 kind: CollectiveKind::AllReduce,
                 group: CommGroup::world(&cluster),
                 bytes: 2.8e9,
                 cap: f64::INFINITY,
             },
-            &[],
         );
         let r = run(&cluster, &plan);
         assert!(r.is_clean());
@@ -242,16 +207,14 @@ mod tests {
     #[test]
     fn capped_internode_collective_is_protocol_bound_on_roce() {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let mut plan = WorkloadPlan::new();
-        plan.set_phase(PhaseStage::Backward, 0);
-        plan.push(
+        let plan = feeding_the_step(
+            PhaseStage::Backward,
             PlanOp::Collective {
                 kind: CollectiveKind::AllReduce,
                 group: CommGroup::world(&cluster),
                 bytes: 2.8e9,
                 cap: 1.3e9, // DeepSpeed engine efficiency
             },
-            &[],
         );
         let r = run(&cluster, &plan);
         assert!(r.is_clean(), "{}", r.render_text());
@@ -261,7 +224,7 @@ mod tests {
             assert_eq!(v.bound, BoundKind::Protocol, "{}", v.name);
             assert!(v.flow_cap <= 1.3e9);
         }
-        // Intra-node NVLink hops of the same ring stay wire-bound.
+        // Intra-node NVLink hops of the same collective stay wire-bound.
         assert!(r
             .links
             .iter()
@@ -276,9 +239,8 @@ mod tests {
             NvmeId { node: 0, drive: 0 },
             NvmeId { node: 0, drive: 1 },
         ]);
-        let mut plan = WorkloadPlan::new();
-        plan.set_phase(PhaseStage::Step, 0);
-        plan.push(
+        let plan = feeding_the_step(
+            PhaseStage::Step,
             PlanOp::VolumeIo {
                 volume: v,
                 socket: SocketId { node: 0, socket: 1 },
@@ -287,7 +249,6 @@ mod tests {
                 label: "nvme_write",
                 track: 0,
             },
-            &[],
         );
         let r = run(&cluster, &plan);
         assert!(r.is_clean());
@@ -299,6 +260,7 @@ mod tests {
         assert_eq!(dev.len(), 2);
         for d in dev {
             assert!((d.demand_bytes - 4e9).abs() < 1.0);
+            assert_eq!(d.flows, 1, "one striped flow per drive");
         }
     }
 }

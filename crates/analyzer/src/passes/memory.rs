@@ -1,15 +1,18 @@
 //! ZL001 — per-tier memory residency vs. hardware capacities.
 //!
 //! An abstract interpretation of byte liveness: the resident footprint
-//! comes from the strategy's [`MemoryPlan`]; on top of it the pass
-//! replays the workload plan phase by phase and adds the worst
-//! single-phase *transient* staging bytes each tier receives
+//! comes from the strategy's [`zerosim_strategies::MemoryPlan`]; on top
+//! of it the pass replays the workload plan phase by phase and adds the
+//! worst single-phase *transient* staging bytes each tier receives
 //! ([`PlanOp::TierTransfer`] / [`PlanOp::VolumeIo`] destinations). The
 //! result is a static peak bound that can never be below what the
 //! simulator observes, so an OOM config is flagged without running a
-//! single flow — and the fit verdict is [`MemoryPlan::bottleneck`], the
-//! one check [`MemoryPlan::fits`] delegates to, keeping ZL001 in exact
-//! agreement with the simulator's capacity probe (`core::capacity`).
+//! single flow. The fit verdict is the deny loop's own comparison: the
+//! first tier whose residency exceeds its capacity, in gpu → cpu → nvme
+//! order. Without KV-cache growth that is exactly
+//! `MemoryPlan::bottleneck`, the check `MemoryPlan::fits` delegates
+//! to, keeping ZL001 in exact agreement with the simulator's capacity
+//! probe (`core::capacity`).
 //!
 //! Serving plans add a third byte class: [`PlanOp::KvAppend`] is
 //! *cumulative* residency, not transient staging — the KV cache grows
@@ -20,8 +23,8 @@
 
 use std::collections::HashMap;
 
-use zerosim_hw::{Cluster, IoDir, MemLoc};
-use zerosim_strategies::{MemoryPlan, Phase, PlanOp, WorkloadPlan};
+use zerosim_hw::{IoDir, MemLoc};
+use zerosim_strategies::{Phase, PlanOp, WorkloadPlan};
 
 use crate::diag::{LintCode, Severity, Site};
 use crate::pass::{Artifacts, MemoryVerdict, Pass, Sink};
@@ -91,25 +94,6 @@ fn transients(plan: &WorkloadPlan) -> Transients {
     }
 }
 
-fn verdict(cluster: &Cluster, memory: &MemoryPlan, t: Transients) -> MemoryVerdict {
-    let mem = &cluster.spec().mem;
-    let bottleneck = memory.bottleneck(cluster);
-    MemoryVerdict {
-        per_gpu_resident: memory.per_gpu_bytes,
-        kv_growth: t.kv,
-        per_gpu_peak: memory.per_gpu_bytes + t.kv + t.gpu,
-        gpu_capacity: mem.gpu_bytes,
-        per_node_cpu_resident: memory.per_node_cpu_bytes,
-        per_node_cpu_peak: memory.per_node_cpu_bytes + t.cpu,
-        cpu_capacity: mem.cpu_bytes_per_node,
-        nvme_resident: memory.nvme_bytes,
-        nvme_peak: memory.nvme_bytes + t.nvme,
-        nvme_capacity: cluster.spec().nvme_bytes_per_node(),
-        fits: bottleneck.is_none(),
-        bottleneck,
-    }
-}
-
 fn gb(bytes: f64) -> f64 {
     (bytes / 1e8).round() / 10.0
 }
@@ -124,14 +108,28 @@ impl Pass for MemoryResidencyPass {
             return;
         };
         let t = art.plan.map(transients).unwrap_or_default();
-        let v = verdict(art.cluster, memory, t);
+        let spec = art.cluster.spec();
+        let mut v = MemoryVerdict {
+            per_gpu_resident: memory.per_gpu_bytes,
+            kv_growth: t.kv,
+            per_gpu_peak: memory.per_gpu_bytes + t.kv + t.gpu,
+            gpu_capacity: spec.mem.gpu_bytes,
+            per_node_cpu_resident: memory.per_node_cpu_bytes,
+            per_node_cpu_peak: memory.per_node_cpu_bytes + t.cpu,
+            cpu_capacity: spec.mem.cpu_bytes_per_node,
+            nvme_resident: memory.nvme_bytes,
+            nvme_peak: memory.nvme_bytes + t.nvme,
+            nvme_capacity: spec.nvme_bytes_per_node(),
+            fits: true,
+            bottleneck: None,
+        };
 
-        // Deny findings replicate MemoryPlan::fits exactly, one per
-        // overflowing tier (checked in gpu -> cpu -> nvme order like
-        // MemoryPlan::bottleneck).
-        // KV-cache growth is genuine residency (decode steps only ever
-        // append), so it rides in the GPU tier's deny bound — a serving
-        // batch whose cache outgrows HBM is statically OOM.
+        // One deny per overflowing tier, checked in gpu -> cpu -> nvme
+        // order like MemoryPlan::bottleneck; the first one is the
+        // verdict's bottleneck. KV-cache growth is genuine residency
+        // (decode steps only ever append), so it rides in the GPU tier's
+        // deny bound — a serving batch whose cache outgrows HBM is
+        // statically OOM.
         let gpu_help = if v.kv_growth > 0.0 {
             "shrink the running batch / generation length or shard the KV cache \
              across more GPUs (higher TP)"
@@ -167,8 +165,9 @@ impl Pass for MemoryResidencyPass {
                 "add scratch drives to the volume or shrink the model",
             ),
         ];
-        for (_, what, tier, resident, peak, cap, help) in tiers {
+        for (name, what, tier, resident, peak, cap, help) in tiers {
             if resident > cap {
+                v.bottleneck = v.bottleneck.or(Some(name));
                 sink.report(
                     LintCode::MemoryResidency,
                     Site::Config,
@@ -199,6 +198,7 @@ impl Pass for MemoryResidencyPass {
                 );
             }
         }
+        v.fits = v.bottleneck.is_none();
         sink.set_memory_verdict(v);
     }
 }
@@ -208,8 +208,8 @@ mod tests {
     use super::*;
     use crate::diag::LintConfig;
     use crate::pass::PassManager;
-    use zerosim_hw::{ClusterSpec, GpuId, SocketId};
-    use zerosim_strategies::PhaseStage;
+    use zerosim_hw::{Cluster, ClusterSpec, GpuId, SocketId};
+    use zerosim_strategies::{MemoryPlan, PhaseStage};
 
     fn run(
         cluster: &Cluster,

@@ -69,7 +69,8 @@ pub struct CollectiveHandle {
 /// Appends the task fragment for `kind` over a `bytes`-sized buffer shared
 /// by `group` to `dag`, starting after `deps`, with a per-flow rate
 /// ceiling of `internode_cap` on inter-node hops (the effective NCCL
-/// efficiency of the issuing engine, see [`crate::ring_route`];
+/// efficiency of the issuing engine: a lower value models the
+/// partitioned small-bucket traffic DeepSpeed's ZeRO engine issues;
 /// `f64::INFINITY` leaves the wires as the only limit).
 ///
 /// The schedule follows the buffer: hierarchical for a group spanning

@@ -6,8 +6,9 @@ use zerosim_hw::{Cluster, GpuId, Route};
 ///
 /// The group keeps its ranks twice: in user order and in NCCL's node-major
 /// ring order, sorted once at construction so that the per-collective
-/// queries ([`CommGroup::ring_order`], [`CommGroup::splits_into_equal_nodes`],
-/// [`CommGroup::node_count`]) allocate nothing.
+/// queries (the emitters' ring order, [`CommGroup::splits_into_equal_nodes`],
+/// [`CommGroup::node_count`]) allocate nothing. Which rings a collective
+/// builds, and over which NICs, is the emitters' decision alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommGroup {
     ranks: Vec<GpuId>,
@@ -40,7 +41,7 @@ impl CommGroup {
     /// The ranks in ring order (node-major, GPU index within node), which
     /// minimizes inter-node hops exactly as NCCL's ring search does on this
     /// topology.
-    pub fn ring_order(&self) -> &[GpuId] {
+    pub(crate) fn ring_order(&self) -> &[GpuId] {
         &self.ring
     }
 
@@ -68,7 +69,7 @@ impl CommGroup {
     /// Number of parallel rings to build: one per NIC (two) when the group
     /// spans nodes, otherwise one (NVLink rings are already full-bandwidth
     /// per GPU pair in this model).
-    pub fn ring_count(&self) -> usize {
+    pub(crate) fn ring_count(&self) -> usize {
         if self.is_single_node() {
             1
         } else {
@@ -106,7 +107,13 @@ impl CommGroup {
 /// `f64::INFINITY` for raw RDMA-grade efficiency (large-bucket NCCL rings,
 /// as plain PyTorch DDP achieves) or a lower value for the partitioned
 /// small-bucket traffic DeepSpeed's ZeRO engine issues.
-pub fn ring_route(cluster: &Cluster, a: GpuId, b: GpuId, ring: usize, internode_cap: f64) -> Route {
+pub(crate) fn ring_route(
+    cluster: &Cluster,
+    a: GpuId,
+    b: GpuId,
+    ring: usize,
+    internode_cap: f64,
+) -> Route {
     if a.node == b.node {
         cluster.route(zerosim_hw::MemLoc::Gpu(a), zerosim_hw::MemLoc::Gpu(b))
     } else {

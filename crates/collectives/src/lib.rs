@@ -40,4 +40,4 @@ pub use emit::{
     emit_collective, emit_collective_coalesced, emit_collective_hierarchical,
     emit_collective_stepwise, CollectiveHandle, CollectiveKind,
 };
-pub use group::{ring_route, CommGroup};
+pub use group::CommGroup;

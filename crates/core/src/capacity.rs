@@ -9,7 +9,7 @@ use zerosim_hw::Cluster;
 use zerosim_model::GptConfig;
 use zerosim_strategies::{Calibration, IterCtx, Strategy, StrategyPlan, TrainOptions};
 
-use crate::error::{ensure_nodes, CoreError};
+use crate::error::CoreError;
 
 /// Result of a capacity search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +34,9 @@ impl CapacityResult {
 /// ([`zerosim_strategies::StrategyError`]) count as not fitting.
 ///
 /// # Errors
-/// [`CoreError::BadConfig`] when `opts` spans no nodes or more nodes
-/// than `cluster` has, and [`CoreError::CapacityDiverged`] when the
+/// [`CoreError::InvalidConfig`] with [`TrainOptions::gpus`]' layout error
+/// when `opts` spans no node or more nodes than `cluster` has, and
+/// [`CoreError::CapacityDiverged`] when the
 /// exponential probe still fits past 2²¹ layers (a memory-model bug, not
 /// a configuration property).
 pub fn max_model_size(
@@ -44,7 +45,9 @@ pub fn max_model_size(
     opts: &TrainOptions,
     calib: &Calibration,
 ) -> Result<Option<CapacityResult>, CoreError> {
-    ensure_nodes(opts, cluster)?;
+    // The node-count rule is `TrainOptions::gpus`'; the memory planners
+    // count GPUs unchecked.
+    opts.gpus(cluster)?;
     let fits = |layers: usize| -> bool {
         let model = GptConfig::paper_model(layers);
         let ctx = IterCtx {
@@ -190,7 +193,7 @@ mod tests {
             for nodes in [0, 3] {
                 let opts = TrainOptions::for_nodes(nodes);
                 let err = max_model_size(&cluster, &s, &opts, &calib).unwrap_err();
-                assert!(matches!(err, CoreError::BadConfig(_)), "{s:?}: {err}");
+                assert!(matches!(err, CoreError::InvalidConfig(_)), "{s:?}: {err}");
             }
         }
     }

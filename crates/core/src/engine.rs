@@ -11,7 +11,7 @@ use zerosim_strategies::{
     StrategyPlan, TrainOptions,
 };
 
-use crate::error::{ensure_fits, ensure_nodes, CoreError};
+use crate::error::{ensure_fits, CoreError};
 use crate::faults::FaultConfig;
 use crate::report::{rank_hot_links, BandwidthReport, ResilienceMetrics, TrainingReport};
 
@@ -123,8 +123,8 @@ impl TrainingSim {
     /// recoveries.
     ///
     /// # Errors
-    /// [`CoreError::BadConfig`] if `opts` spans no node or more nodes than
-    /// the cluster has; [`CoreError::InvalidConfig`] if the strategy
+    /// [`CoreError::InvalidConfig`] if `opts` spans no node or more nodes
+    /// than the cluster has ([`TrainOptions::gpus`]) or the strategy
     /// rejects the configuration; [`CoreError::DoesNotFit`] if the memory
     /// plan overflows a tier (and `cfg.allow_overflow` is false);
     /// [`CoreError::Sim`] if the DAG deadlocks (cannot happen for the
@@ -149,14 +149,14 @@ impl TrainingSim {
     /// checkpoint, not estimated from bandwidth math.
     ///
     /// # Errors
-    /// [`CoreError::BadConfig`] when `opts` spans no node or more nodes
-    /// than the cluster has; [`CoreError::Sim`] if the DAG cannot execute.
+    /// [`CoreError::InvalidConfig`] when `opts` spans no node or more
+    /// nodes than the cluster has ([`TrainOptions::gpus`]);
+    /// [`CoreError::Sim`] if the DAG cannot execute.
     pub fn checkpoint_cost(
         &mut self,
         model: &GptConfig,
         opts: &TrainOptions,
     ) -> Result<f64, CoreError> {
-        ensure_nodes(opts, &self.cluster)?;
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -215,7 +215,9 @@ impl TrainingSim {
         cfg: &RunConfig,
         faults: &FaultConfig,
     ) -> Result<TrainingReport, CoreError> {
-        ensure_nodes(opts, &self.cluster)?;
+        // The node-count rule is `TrainOptions::gpus`'; the memory planners
+        // count GPUs unchecked, so it runs before `plan_memory`.
+        opts.gpus(&self.cluster)?;
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -513,10 +515,10 @@ mod tests {
             let err = sim()
                 .run(&Strategy::Ddp, &model, &opts, &RunConfig::quick())
                 .unwrap_err();
-            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
-            assert!(err.to_string().contains("the cluster has 2"), "{err}");
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains("cluster has 2"), "{err}");
             let err = sim().checkpoint_cost(&model, &opts).unwrap_err();
-            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
         }
     }
 

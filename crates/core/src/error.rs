@@ -5,7 +5,7 @@ use std::fmt;
 
 use zerosim_hw::Cluster;
 use zerosim_simkit::SimError;
-use zerosim_strategies::{MemoryPlan, StrategyError, TrainOptions};
+use zerosim_strategies::{MemoryPlan, StrategyError};
 
 /// Errors from running a training characterization.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,12 +26,12 @@ pub enum CoreError {
     /// node/GPU, non-physical factor, invalid time). See
     /// [`crate::FaultScenario::compile`].
     BadScenario(String),
-    /// A run or search setting that no strategy judges was out of range:
-    /// a run spanning no node or more nodes than the cluster has, or a
+    /// A search setting that no strategy judges was out of range: a
     /// fleet search it cannot cost (see [`crate::fleet_search`]).
     BadConfig(String),
-    /// The strategy rejected the training configuration (bad parallel
-    /// layout, state placement violating Table I, invalid plan).
+    /// The strategy layer rejected the training configuration (a node
+    /// count outside the cluster, bad parallel layout, state placement
+    /// violating Table I, invalid plan).
     InvalidConfig(StrategyError),
     /// Node losses outran the recovery budget of the fault policy (see
     /// [`crate::FaultConfig`]).
@@ -95,20 +95,6 @@ impl From<StrategyError> for CoreError {
     }
 }
 
-/// The node-count check shared by training, checkpointing and serving: a
-/// run spans at least one node and no more than `cluster` has, else
-/// [`CoreError::BadConfig`].
-pub(crate) fn ensure_nodes(opts: &TrainOptions, cluster: &Cluster) -> Result<(), CoreError> {
-    let have = cluster.spec().nodes;
-    if opts.nodes == 0 || opts.nodes > have {
-        return Err(CoreError::BadConfig(format!(
-            "run spans {} nodes; the cluster has {have}",
-            opts.nodes
-        )));
-    }
-    Ok(())
-}
-
 /// The memory-fit check shared by training and serving: the first tier
 /// `memory` overflows on `cluster` becomes [`CoreError::DoesNotFit`].
 pub(crate) fn ensure_fits(memory: &MemoryPlan, cluster: &Cluster) -> Result<(), CoreError> {
@@ -159,11 +145,9 @@ mod tests {
 
     #[test]
     fn configuration_errors_do_not_pose_as_strategy_errors() {
-        use zerosim_hw::{ClusterSpec, TopologySpec};
+        use zerosim_hw::TopologySpec;
         use zerosim_model::GptConfig;
 
-        let cluster = Cluster::new(ClusterSpec::default()).unwrap();
-        let nodes = ensure_nodes(&TrainOptions::for_nodes(3), &cluster).unwrap_err();
         let top = crate::fleet_search(
             &crate::FleetCostConfig::new(
                 TopologySpec::Flat { nodes: 1 },
@@ -173,13 +157,11 @@ mod tests {
             .with_top(0),
         )
         .unwrap_err();
-        let messages = [nodes.to_string(), top.to_string()];
+        let message = top.to_string();
         assert!(
-            messages
-                .iter()
-                .all(|m| !m.contains("invalid parallel layout")
-                    && !m.contains("invalid iteration plan")),
-            "{messages:?}"
+            !message.contains("invalid parallel layout")
+                && !message.contains("invalid iteration plan"),
+            "{message}"
         );
     }
 }

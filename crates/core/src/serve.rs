@@ -38,7 +38,7 @@ use zerosim_strategies::{
 use zerosim_testkit::rng::Rng;
 
 use crate::engine::TrainingSim;
-use crate::error::{ensure_fits, ensure_nodes, CoreError};
+use crate::error::{ensure_fits, CoreError};
 use crate::report::mix_str;
 use crate::sweep::{build_sim, Execute};
 
@@ -228,9 +228,9 @@ struct ReqState {
 ///
 /// # Errors
 /// [`CoreError::DoesNotFit`] when the strategy's resident footprint
-/// overflows a tier; [`CoreError::BadConfig`] when `opts` spans no node
-/// or more nodes than the cluster has; [`CoreError::InvalidConfig`] when
-/// a plan fails validation; [`CoreError::Sim`] if a DAG cannot execute.
+/// overflows a tier; [`CoreError::InvalidConfig`] when `opts` spans no
+/// node or more nodes than the cluster has ([`TrainOptions::gpus`]) or a
+/// plan fails validation; [`CoreError::Sim`] if a DAG cannot execute.
 #[allow(clippy::too_many_lines)]
 pub fn serve(
     sim: &mut TrainingSim,
@@ -240,7 +240,9 @@ pub fn serve(
     trace: &TraceConfig,
     max_batch: usize,
 ) -> Result<ServeReport, CoreError> {
-    ensure_nodes(opts, sim.cluster())?;
+    // The node-count rule is `TrainOptions::gpus`'; the memory planner
+    // counts GPUs unchecked, so it runs first.
+    opts.gpus(sim.cluster())?;
     let memory = strategy.plan_memory(&IterCtx {
         cluster: sim.cluster(),
         model,
@@ -641,7 +643,7 @@ mod tests {
             let mut spec = dense_spec(0);
             spec.opts = TrainOptions::for_nodes(nodes);
             let err = spec.execute().unwrap_err();
-            assert!(matches!(err, CoreError::BadConfig(_)), "{err}");
+            assert!(matches!(err, CoreError::InvalidConfig(_)), "{err}");
         }
     }
 

@@ -517,8 +517,13 @@ impl Cluster {
         }
     }
 
-    /// Checks that `loc` names a device this cluster actually has.
-    fn check_loc(&self, loc: MemLoc) -> Result<(), HwError> {
+    /// Checks that `loc` names a device this cluster actually has: the
+    /// one device-existence rule routing and plan validation share.
+    ///
+    /// # Errors
+    /// [`HwError::OffCluster`] when the node, GPU, socket or drive index
+    /// is out of range.
+    pub fn check_loc(&self, loc: MemLoc) -> Result<(), HwError> {
         let ok = match loc {
             MemLoc::Gpu(g) => g.node < self.spec.nodes && g.gpu < self.spec.gpus_per_node,
             MemLoc::Cpu(s) => s.node < self.spec.nodes && s.socket < ClusterSpec::SOCKETS_PER_NODE,

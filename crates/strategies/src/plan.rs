@@ -567,7 +567,8 @@ impl WorkloadPlan {
     /// * per-kind phase membership: every op's stage must be one of
     ///   [`WorkloadKind::allowed_stages`] for the plan's kind, so training
     ///   plans cannot carry serving stages and vice versa;
-    /// * every referenced GPU and socket physically exists, and `hw`
+    /// * every referenced GPU and socket physically exists
+    ///   ([`Cluster::check_loc`], the rule routing applies too), and `hw`
     ///   routes every `TierTransfer` ([`Cluster::try_route`]) and every
     ///   `VolumeIo` ([`Cluster::try_volume_io_routes`]: a registered
     ///   volume whose drives sit on the issuing socket's node);
@@ -593,10 +594,13 @@ impl WorkloadPlan {
     /// # Errors
     /// [`StrategyError::InvalidPlan`] naming the first offending op.
     pub fn validate(&self, cluster: &Cluster) -> Result<(), StrategyError> {
-        let spec = cluster.spec();
-        let gpu_ok = |g: &GpuId| g.node < spec.nodes && g.gpu < spec.gpus_per_node;
-        let socket_ok = |s: &SocketId| s.node < spec.nodes && s.socket < 2;
         let err = |i: usize, msg: String| Err(StrategyError::plan(format!("op {i}: {msg}")));
+        // `hw` owns which devices exist; the message keeps op and device.
+        let exists = |i: usize, what: &str, device: &dyn std::fmt::Debug, loc: MemLoc| {
+            cluster
+                .check_loc(loc)
+                .or_else(|e| err(i, format!("{what} {device:?}: {e}")))
+        };
 
         let mut optimizer_steps = 0usize;
         let mut state_moves = 0usize;
@@ -633,30 +637,24 @@ impl WorkloadPlan {
                 PlanOp::Overhead | PlanOp::Barrier => {}
                 PlanOp::LayerCompute { gpu, flops, .. } => {
                     compute_spans += 1;
-                    if !gpu_ok(gpu) {
-                        return err(i, format!("gpu {gpu:?} not on cluster"));
-                    }
+                    exists(i, "compute gpu", gpu, MemLoc::Gpu(*gpu))?;
                     if !(flops.is_finite() && *flops > 0.0) {
                         return err(i, format!("non-positive flops {flops}"));
                     }
                 }
                 PlanOp::FixedCompute { gpu, secs, .. } => {
-                    if !gpu_ok(gpu) {
-                        return err(i, format!("gpu {gpu:?} not on cluster"));
-                    }
+                    exists(i, "compute gpu", gpu, MemLoc::Gpu(*gpu))?;
                     if !(secs.is_finite() && *secs >= 0.0) {
                         return err(i, format!("bad duration {secs}"));
                     }
                 }
                 PlanOp::OptimizerStep { device, params } => {
                     optimizer_steps += 1;
-                    let ok = match device {
-                        OptimizerDevice::Gpu(g) => gpu_ok(g),
-                        OptimizerDevice::Cpu(s) => socket_ok(s),
+                    let loc = match device {
+                        OptimizerDevice::Gpu(g) => MemLoc::Gpu(*g),
+                        OptimizerDevice::Cpu(s) => MemLoc::Cpu(*s),
                     };
-                    if !ok {
-                        return err(i, format!("optimizer device {device:?} not on cluster"));
-                    }
+                    exists(i, "optimizer device", device, loc)?;
                     if !(params.is_finite() && *params > 0.0) {
                         return err(i, format!("non-positive params {params}"));
                     }
@@ -675,8 +673,8 @@ impl WorkloadPlan {
                     if cap.is_nan() || *cap <= 0.0 {
                         return err(i, format!("non-positive collective cap {cap}"));
                     }
-                    if let Some(g) = group.ranks().iter().find(|g| !gpu_ok(g)) {
-                        return err(i, format!("collective rank {g:?} not on cluster"));
+                    for g in group.ranks() {
+                        exists(i, "collective rank", g, MemLoc::Gpu(*g))?;
                     }
                 }
                 PlanOp::TierTransfer {
@@ -710,9 +708,7 @@ impl WorkloadPlan {
                     }
                 }
                 PlanOp::KvAppend { gpu, bytes } => {
-                    if !gpu_ok(gpu) {
-                        return err(i, format!("gpu {gpu:?} not on cluster"));
-                    }
+                    exists(i, "KV-append gpu", gpu, MemLoc::Gpu(*gpu))?;
                     if !(bytes.is_finite() && *bytes >= 0.0) {
                         return err(i, format!("bad KV-append bytes {bytes}"));
                     }
@@ -838,11 +834,12 @@ mod tests {
         p
     }
 
-    /// Every plan shape `lower` cannot run is a typed error from both
-    /// `validate` and `lower`: transfers `hw` cannot route, collective
-    /// caps that are not positive, off-cluster ranks, and the two
-    /// dependency-edge rules (only step ops wait on a step op; input ops
-    /// wait only on input ops).
+    /// Every plan shape `lower` cannot run is the same typed error from
+    /// both `validate` and `lower`: transfers `hw` cannot route,
+    /// collective caps that are not positive, devices `hw` does not have
+    /// (a collective rank, a compute GPU, a CPU optimizer's socket), and
+    /// the two dependency-edge rules (only step ops wait on a step op;
+    /// input ops wait only on input ops).
     #[test]
     fn shapes_lowering_cannot_run_are_errors_from_validate_and_lower() {
         let c = cluster();
@@ -884,6 +881,20 @@ mod tests {
         let mut input_waits = feeding_the_step(PhaseStage::Forward, compute);
         input_waits.set_phase(PhaseStage::Input, 0);
         input_waits.push(PlanOp::Overhead, &[OpId(0)]);
+        let far_compute = PlanOp::LayerCompute {
+            gpu: GpuId { node: 2, gpu: 0 },
+            flops: 1e12,
+            label: "gemm",
+        };
+        let mut third_socket = WorkloadPlan::new();
+        third_socket.set_phase(PhaseStage::Step, 0);
+        third_socket.push(
+            PlanOp::OptimizerStep {
+                device: OptimizerDevice::Cpu(SocketId { node: 0, socket: 2 }),
+                params: 1.0,
+            },
+            &[],
+        );
 
         let rows = [
             (transfer(gpu(0), nvme(0)), "unsupported route"),
@@ -894,13 +905,22 @@ mod tests {
             (collective(1, -1.0), "collective cap -1"),
             (collective(1, f64::NAN), "collective cap NaN"),
             (collective(2, 1e9), "rank GpuId { node: 2"),
+            (
+                feeding_the_step(PhaseStage::Forward, far_compute),
+                "Gpu(GpuId { node: 2, gpu: 0 }) does not exist on this cluster",
+            ),
+            (
+                third_socket,
+                "Cpu(SocketId { node: 0, socket: 2 }) does not exist on this cluster",
+            ),
             (waits_on_step, "depends on an optimizer-step op"),
             (input_waits, "input-phase op depends"),
         ];
         for (plan, msg) in rows {
             let e = plan.validate(&c).unwrap_err().to_string();
             assert!(e.contains(msg), "{msg}: {e}");
-            assert!(crate::lower(&plan, &c, &calib).is_err(), "{msg}");
+            let e = crate::lower(&plan, &c, &calib).unwrap_err().to_string();
+            assert!(e.contains(msg), "{msg}: {e}");
         }
         for cap in [1e9, f64::INFINITY] {
             assert!(crate::lower(&collective(1, cap), &c, &calib).is_ok());

@@ -11,10 +11,11 @@
 #                   set, the golden serving digests and their latency
 #                   order, and the >=5x links-touched-per-solve floor)
 #   3. hermeticity: the same build must succeed with --offline, the
-#                   manifests must declare no registry dependencies, and
-#                   the simulator's lower layers (simkit, hw, model,
+#                   manifests must declare no registry dependencies, the
+#                   simulator's lower layers (simkit, hw, model,
 #                   collectives, strategies) must not link testkit
-#                   outside their tests
+#                   outside their tests, and the analyzer must not depend
+#                   on collectives outside its tests
 #   4. solver:      every test of every crate in release with the shadow
 #                   oracle on (each incremental max-min solve
 #                   cross-checked against the full reference solver,
@@ -100,6 +101,16 @@ for crate in $LAYERS; do
   fi
 done
 echo "layering clean: $LAYERS do not link zerosim-testkit"
+# The collective schedule is decided in zerosim-collectives alone: the
+# analyzer reads link loads off the lowered DAG and uses the crate only
+# in its tests, so its direct normal dependencies must not list it.
+tree="$(cargo tree --offline -e normal --depth 1 -p zerosim-analyzer)"
+if grep -q "zerosim-collectives" <<<"$tree"; then
+  echo "ERROR: zerosim-analyzer depends on zerosim-collectives outside its tests:" >&2
+  echo "$tree" >&2
+  exit 1
+fi
+echo "layering clean: zerosim-analyzer uses zerosim-collectives only in tests"
 
 echo "== solver-equivalence gate: every test with the shadow oracle on =="
 # ZEROSIM_SHADOW=1 makes every incremental solve run the full reference

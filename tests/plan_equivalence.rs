@@ -10,6 +10,9 @@
 
 use zerosim_analyzer::{analyze_strategy, LintConfig};
 use zerosim_bench::{cli, data};
+use zerosim_core::{
+    max_model_size, serve, CoreError, FaultConfig, RunConfig, TraceConfig, TrainingSim,
+};
 use zerosim_hw::{Cluster, ClusterSpec, NvmeId};
 use zerosim_model::GptConfig;
 use zerosim_simkit::{DagEngine, SimTime};
@@ -197,6 +200,61 @@ fn every_planner_rejects_more_nodes_than_the_cluster_has() {
     }
     layout_error("checkpoint", plan_checkpoint(&ctx).map(drop));
     layout_error("restore", plan_restore(&ctx).map(drop));
+}
+
+/// The node-count rule has one owner, `TrainOptions::gpus`: training,
+/// checkpoint costing, serving and the capacity search all return its
+/// layout error for a run spanning more nodes than the cluster has,
+/// before planning anything.
+#[test]
+fn every_core_entry_point_returns_the_node_count_error_of_train_options() {
+    let cluster = Cluster::new(ClusterSpec::default()).unwrap();
+    let model = GptConfig::paper_model_with_params(1.4);
+    let opts = TrainOptions::for_nodes(3);
+    let expected = CoreError::InvalidConfig(opts.gpus(&cluster).unwrap_err());
+    assert!(
+        expected
+            .to_string()
+            .contains("run wants 3 nodes, cluster has 2"),
+        "{expected}"
+    );
+    let mut sim = TrainingSim::new(ClusterSpec::default()).unwrap();
+    let results = [
+        (
+            "run_resilient",
+            sim.run_resilient(
+                &Strategy::Ddp,
+                &model,
+                &opts,
+                &RunConfig::quick(),
+                &FaultConfig::healthy(),
+            )
+            .map(drop),
+        ),
+        (
+            "checkpoint_cost",
+            sim.checkpoint_cost(&model, &opts).map(drop),
+        ),
+        (
+            "serve",
+            serve(
+                &mut sim,
+                &ServingStrategy::Dense,
+                &model,
+                &opts,
+                &TraceConfig::quick(0),
+                4,
+            )
+            .map(drop),
+        ),
+        (
+            "max_model_size",
+            max_model_size(&cluster, &Strategy::Ddp, &opts, &Calibration::default()).map(drop),
+        ),
+    ];
+    for (what, result) in results {
+        assert_eq!(result.expect_err(what), expected, "{what}");
+    }
 }
 
 // ---------- golden-dozen digest pin across the workload-IR refactor ----------
