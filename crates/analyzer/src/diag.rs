@@ -25,7 +25,8 @@ pub enum LintCode {
     DagCycle,
     /// ZL007 — fault-schedule sanity.
     FaultSchedule,
-    /// ZL008 — codec legality on transfer ops.
+    /// ZL008 — codec pairing: encoded bytes reach compute only through a
+    /// decode, and every decode is fed encoded bytes.
     CodecLegality,
     /// ZL009 — static step-time lower bound vs. link ceilings.
     StepTimeBound,
@@ -72,35 +73,6 @@ impl LintCode {
             LintCode::FaultSchedule => "fault-schedule",
             LintCode::CodecLegality => "codec-legality",
             LintCode::StepTimeBound => "step-time-bound",
-        }
-    }
-
-    /// One-line summary for `planlint --explain`-style listings.
-    pub fn summary(self) -> &'static str {
-        match self {
-            LintCode::MemoryResidency => {
-                "statically bounds per-tier (HBM/DRAM/NVMe) peak residency against capacities"
-            }
-            LintCode::ByteConservation => {
-                "no op may consume staged bytes that were never produced or resident"
-            }
-            LintCode::PhaseOrdering => {
-                "forward -> backward -> step legality and checkpoint-plan kind rules"
-            }
-            LintCode::BandwidthFeasibility => {
-                "op demand vs. link caps; classifies links wire-bound vs protocol-bound"
-            }
-            LintCode::DeadOps => "zero-cost tasks whose completion gates nothing",
-            LintCode::DagCycle => "dependency cycles and dangling edges in task graphs",
-            LintCode::FaultSchedule => {
-                "restore-without-fault, overlapping node loss, events past the horizon"
-            }
-            LintCode::CodecLegality => {
-                "declared codecs: ratio matches dtypes, decode before full-precision use, no double-quantization"
-            }
-            LintCode::StepTimeBound => {
-                "critical-path lower bound on step time at wire speed-of-light vs. protocol ceilings"
-            }
         }
     }
 
@@ -345,7 +317,6 @@ mod tests {
             assert_eq!(LintCode::parse(c.code()), Some(c));
             assert_eq!(LintCode::parse(c.name()), Some(c));
             assert!(c.code().starts_with("ZL"));
-            assert!(!c.summary().is_empty());
         }
         assert_eq!(LintCode::parse("ZL999"), None);
         assert_eq!(LintCode::MemoryResidency.code(), "ZL001");

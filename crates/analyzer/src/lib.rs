@@ -25,13 +25,15 @@
 //!
 //! Each invariant has one owner. `ClusterSpec::validate` checks every
 //! rate, latency and capacity the hardware model is built from, and
-//! `WorkloadPlan::validate` owns a plan's ranks, routes, caps and phase
-//! rules; both run before any pass (see [`Artifacts::with_plan`]). The
-//! collective schedule belongs to `zerosim-collectives`, so ZL004 reads
-//! link loads off the lowered DAG rather than re-deriving them. The
-//! passes lint only what those checks cannot see: residency against
-//! capacity, byte provenance, micro-step order and reachability, link
-//! classification, dead ops, codec legality and the step-time bound.
+//! `WorkloadPlan::validate` owns a plan's ranks, routes, caps, phase
+//! rules and codecs (each quantizes a full-precision payload); both run
+//! before any pass (see [`Artifacts::with_plan`]). The collective
+//! schedule belongs to `zerosim-collectives`, so ZL004 reads link loads
+//! off the lowered DAG rather than re-deriving them. The passes lint only
+//! what those checks cannot see: residency against capacity, byte
+//! provenance, micro-step order and reachability, link classification,
+//! dead ops, the pairing of quantized collectives with their decodes, and
+//! the step-time bound.
 //!
 //! ```
 //! use zerosim_analyzer::{analyze_strategy, LintConfig};

@@ -8,7 +8,7 @@
 //! collective schedule `zerosim-collectives` picked (flat ring, coalesced
 //! or hierarchical, and which NIC each ring crosses), `hw`'s tier-transfer
 //! routes and the striped volume I/O. Lowering has already shrunk each
-//! codec-carrying op to its encoded wire size, so a qwZ/qgZ plan's
+//! codec'd collective to its encoded wire size, so a qwZ/qgZ plan's
 //! inter-node volume drops below plain ZeRO-3's here without the pass
 //! knowing about codecs. Each loaded link is then classified:
 //! **wire-bound** when the physical rate is the binding constraint, or
@@ -193,6 +193,7 @@ mod tests {
                 group: CommGroup::world(&cluster),
                 bytes: 2.8e9,
                 cap: f64::INFINITY,
+                codec: None,
             },
         );
         let r = run(&cluster, &plan);
@@ -214,6 +215,7 @@ mod tests {
                 group: CommGroup::world(&cluster),
                 bytes: 2.8e9,
                 cap: 1.3e9, // DeepSpeed engine efficiency
+                codec: None,
             },
         );
         let r = run(&cluster, &plan);

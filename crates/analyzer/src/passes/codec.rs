@@ -1,30 +1,35 @@
-//! ZL008 — codec legality on transfer ops.
+//! ZL008 — codec pairing.
 //!
-//! A declared [`Codec`] is a *claim* about what an op puts on the wire;
-//! this pass checks the claim is internally consistent and that the plan
-//! respects the encoded/decoded state of the bytes downstream:
+//! A collective's [`zerosim_strategies::Codec`] puts encoded bytes on the
+//! wire, and a [`PlanOp::Dequant`] turns them back into full precision.
+//! `WorkloadPlan::validate` owns each codec's own rule (full-precision
+//! input, strictly narrower output), so this pass checks only how
+//! encoders and decodes pair up, in both directions, with one forward
+//! walk over the plan:
 //!
-//! 1. **Declaration checks** — the codec sits on a transfer-class op
-//!    (collective, tier transfer, volume I/O), its ratio matches the
-//!    declared dtype pair, its block size is positive, and its input
-//!    dtype is full-precision (re-encoding an already-quantized stream
-//!    is double-quantization, statically visible in the dtypes).
-//! 2. **Abstract taint walk** — each op is abstractly either *encoded*
-//!    (a narrowing codec ran, no decode yet) or *decoded*. Compute that
-//!    consumes full-precision bytes ([`PlanOp::LayerCompute`],
-//!    [`PlanOp::OptimizerStep`]) must never see encoded input — that is
-//!    a missing decode. A codec'd transfer fed encoded input is
-//!    double-quantization on the dataflow.
+//! * **missing decode** — compute that reads full-precision bytes
+//!   ([`PlanOp::LayerCompute`], [`PlanOp::OptimizerStep`]) must never be
+//!   fed encoded bytes;
+//! * **decode without encoder** — every [`PlanOp::Dequant`] must be fed
+//!   encoded bytes, or it claims quantized bytes nobody produced. The
+//!   deny is sited at the decode's nearest transfer ancestor (the
+//!   highest-index collective or tier transfer it depends on): exactly
+//!   the op whose codec went missing.
 //!
-//! Collectives are a deliberate exception in the walk: they neither
-//! receive nor forward incoming taint. Strategy planners chain
-//! collectives with serialization edges (`comm_chain`) that model stream
-//! ordering, not buffer dataflow — propagating taint across them would
-//! flag e.g. consecutive qgZ reduces as double-quantization when each
-//! operates on a distinct bucket. Double-quantization *through* a
-//! collective is still caught statically by the dtype check in (1).
+//! The walk tracks whether each op's output is *encoded* (a codec'd
+//! collective ran, no decode yet). Transfers, joins and other neutral
+//! ops forward what they are fed; a decode or a compute op ends it.
+//! Collectives are a deliberate exception: they neither receive nor
+//! forward what they are fed. Strategy planners chain collectives with
+//! serialization edges (`comm_chain`) that model stream ordering, not
+//! buffer dataflow — forwarding across them would flag e.g. consecutive
+//! qgZ reduces as double quantization when each operates on a distinct
+//! bucket. Re-encoding quantized bytes is caught by `validate` instead,
+//! which rejects a codec whose input dtype is already quantized.
 
-use zerosim_strategies::{Codec, PlanOp};
+use std::collections::HashSet;
+
+use zerosim_strategies::PlanOp;
 
 use crate::diag::{LintCode, Site};
 use crate::pass::{Artifacts, Pass, Sink};
@@ -32,69 +37,6 @@ use crate::pass::{Artifacts, Pass, Sink};
 /// ZL008 (see module docs).
 #[derive(Debug)]
 pub struct CodecLegalityPass;
-
-/// Relative tolerance on the declared ratio vs. the dtype-implied ratio.
-const RATIO_TOLERANCE: f64 = 1e-9;
-
-fn is_transfer_class(op: &PlanOp) -> bool {
-    matches!(
-        op,
-        PlanOp::Collective { .. } | PlanOp::TierTransfer { .. } | PlanOp::VolumeIo { .. }
-    )
-}
-
-fn declaration_diagnostics(i: usize, op: &PlanOp, codec: &Codec, sink: &mut Sink<'_>) -> bool {
-    let mut ok = true;
-    if !is_transfer_class(op) {
-        sink.report(
-            LintCode::CodecLegality,
-            Site::PlanOp(i),
-            "codec declared on a non-transfer op".to_string(),
-            "codecs describe wire encodings; attach them to collectives, tier \
-             transfers, or volume I/O"
-                .to_string(),
-        );
-        ok = false;
-    }
-    let expected = codec.expected_ratio();
-    if !codec.ratio.is_finite() || (codec.ratio - expected).abs() > expected * RATIO_TOLERANCE {
-        sink.report(
-            LintCode::CodecLegality,
-            Site::PlanOp(i),
-            format!(
-                "codec ratio {} is inconsistent with {} -> {} (expected {})",
-                codec.ratio,
-                codec.dtype_in.label(),
-                codec.dtype_out.label(),
-                expected
-            ),
-            "declare the ratio implied by the dtype pair (Codec::quantize does)".to_string(),
-        );
-        ok = false;
-    }
-    if codec.block == 0 {
-        sink.report(
-            LintCode::CodecLegality,
-            Site::PlanOp(i),
-            "codec block size is zero".to_string(),
-            "blockwise quantization needs at least one element per block".to_string(),
-        );
-        ok = false;
-    }
-    if codec.dtype_in.is_quantized() {
-        sink.report(
-            LintCode::CodecLegality,
-            Site::PlanOp(i),
-            format!(
-                "codec input dtype {} is already quantized: double-quantization",
-                codec.dtype_in.label()
-            ),
-            "decode to full precision before re-encoding, or fuse the codecs".to_string(),
-        );
-        ok = false;
-    }
-    ok
-}
 
 impl Pass for CodecLegalityPass {
     fn code(&self) -> LintCode {
@@ -106,54 +48,73 @@ impl Pass for CodecLegalityPass {
             return;
         };
         let nodes = plan.nodes();
-
-        for (id, codec) in plan.codecs() {
-            declaration_diagnostics(id.index(), &nodes[id.index()].op, codec, sink);
-        }
-
-        // Abstract interpretation over emission order (deps only point
-        // backwards, so this is a topological sweep). `tainted[i]` means
-        // op `i`'s output is encoded bytes awaiting decode.
-        let mut tainted = vec![false; nodes.len()];
+        let is_transfer = |p: usize| {
+            matches!(
+                nodes[p].op,
+                PlanOp::Collective { .. } | PlanOp::TierTransfer { .. }
+            )
+        };
+        // Per op, in emission order (deps only point backwards): whether
+        // its output is encoded bytes awaiting decode, and its
+        // highest-index transfer ancestor (a dependency outranks
+        // everything it descends from).
+        let mut flow: Vec<(bool, Option<usize>)> = Vec::with_capacity(nodes.len());
+        let mut reported: HashSet<usize> = HashSet::new();
         for (i, n) in nodes.iter().enumerate() {
-            let incoming = plan.deps(i).iter().any(|d| tainted[d.index()]);
-            let narrows = plan.codec_at(i).is_some_and(Codec::is_narrowing);
-            tainted[i] = match &n.op {
-                // Collectives drop incoming taint: their inbound edges are
-                // stream-serialization, not buffer dataflow (module docs).
-                PlanOp::Collective { .. } => narrows,
-                PlanOp::TierTransfer { .. } | PlanOp::VolumeIo { .. } => {
-                    if narrows && incoming {
+            let deps = plan.deps(i);
+            let fed = deps.iter().any(|d| flow[d.index()].0);
+            let nearest = deps
+                .iter()
+                .map(|d| {
+                    let p = d.index();
+                    if is_transfer(p) {
+                        Some(p)
+                    } else {
+                        flow[p].1
+                    }
+                })
+                .max()
+                .flatten();
+            let encoded = match &n.op {
+                // Collectives drop what they are fed: their inbound edges
+                // are stream serialization, not buffer dataflow.
+                PlanOp::Collective { codec, .. } => codec.is_some(),
+                PlanOp::Dequant { .. } => {
+                    let site = nearest.unwrap_or(i);
+                    if !fed && reported.insert(site) {
                         sink.report(
                             LintCode::CodecLegality,
-                            Site::PlanOp(i),
-                            "transfer re-encodes bytes that are already encoded: \
-                             double-quantization"
+                            Site::PlanOp(site),
+                            format!(
+                                "dequantize op {i} is not fed encoded bytes: no quantized \
+                                 collective precedes it, so the decoded bytes were never \
+                                 produced"
+                            ),
+                            "declare the codec on the quantized collective, or drop the \
+                             decode"
                                 .to_string(),
-                            "insert a dequantize marker before this transfer".to_string(),
                         );
                     }
-                    narrows || incoming
+                    false
                 }
-                PlanOp::FixedCompute { label, .. } if label.starts_with("dequant") => false,
                 PlanOp::LayerCompute { .. } | PlanOp::OptimizerStep { .. } => {
-                    if incoming {
+                    if fed {
                         sink.report(
                             LintCode::CodecLegality,
                             Site::PlanOp(i),
                             "compute consumes encoded bytes without a decode: the codec's \
                              output dtype never reached full precision"
                                 .to_string(),
-                            "add a dequantize marker (FixedCompute labeled 'dequant*') \
-                             between the encoded transfer and this op"
+                            "add a PlanOp::Dequant between the quantized collective and \
+                             this op"
                                 .to_string(),
                         );
                     }
                     false
                 }
-                // Joins and neutral spans forward the abstract state.
-                _ => incoming,
+                _ => fed,
             };
+            flow.push((encoded, nearest));
         }
     }
 }
@@ -165,7 +126,7 @@ mod tests {
     use crate::pass::{AnalysisReport, PassManager};
     use zerosim_collectives::{CollectiveKind, CommGroup};
     use zerosim_hw::{Cluster, ClusterSpec, GpuId};
-    use zerosim_strategies::{Dtype, PhaseStage, WorkloadPlan};
+    use zerosim_strategies::{Codec, Dtype, OpId, OptimizerDevice, PhaseStage, WorkloadPlan};
 
     fn run(plan: &WorkloadPlan) -> AnalysisReport {
         let cluster = Cluster::new(ClusterSpec::default()).unwrap();
@@ -178,46 +139,50 @@ mod tests {
         GpuId { node: 0, gpu }
     }
 
-    fn gather(plan: &mut WorkloadPlan, codec: Option<Codec>) -> zerosim_strategies::OpId {
-        let id = plan.push(
-            PlanOp::Collective {
-                kind: CollectiveKind::AllGather,
-                group: CommGroup::new(vec![g(0), g(1)]),
-                bytes: 1e9,
-                cap: f64::INFINITY,
-            },
-            &[],
-        );
-        if let Some(c) = codec {
-            plan.set_codec(id, c);
-        }
-        id
+    fn codec(dtype_out: Dtype) -> Option<Codec> {
+        Some(Codec {
+            dtype_in: Dtype::Fp16,
+            dtype_out,
+        })
+    }
+
+    fn collective(
+        plan: &mut WorkloadPlan,
+        kind: CollectiveKind,
+        codec: Option<Codec>,
+        deps: &[OpId],
+    ) -> OpId {
+        let op = PlanOp::Collective {
+            kind,
+            group: CommGroup::new(vec![g(0), g(1)]),
+            bytes: 1e9,
+            cap: f64::INFINITY,
+            codec,
+        };
+        plan.push(op, deps)
+    }
+
+    fn gemm(plan: &mut WorkloadPlan, deps: &[OpId]) -> OpId {
+        let op = PlanOp::LayerCompute {
+            gpu: g(0),
+            flops: 1e12,
+            label: "gemm",
+        };
+        plan.push(op, deps)
     }
 
     #[test]
     fn quantize_then_dequant_then_compute_is_clean() {
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
-        let h = gather(
+        let h = collective(
             &mut plan,
-            Some(Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048)),
+            CollectiveKind::AllGather,
+            codec(Dtype::Int8),
+            &[],
         );
-        let dq = plan.push(
-            PlanOp::FixedCompute {
-                gpu: g(0),
-                secs: 1e-5,
-                label: "dequant",
-            },
-            &[h],
-        );
-        plan.push(
-            PlanOp::LayerCompute {
-                gpu: g(0),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[dq],
-        );
+        let dq = plan.push(PlanOp::Dequant { gpu: g(0) }, &[h]);
+        gemm(&mut plan, &[dq]);
         assert!(run(&plan).is_clean());
     }
 
@@ -225,90 +190,59 @@ mod tests {
     fn compute_on_encoded_bytes_is_a_missing_decode() {
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
-        let h = gather(
+        let h = collective(
             &mut plan,
-            Some(Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048)),
+            CollectiveKind::AllGather,
+            codec(Dtype::Int8),
+            &[],
         );
-        plan.push(
-            PlanOp::LayerCompute {
-                gpu: g(0),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[h],
-        );
+        gemm(&mut plan, &[h]);
         let r = run(&plan);
         assert_eq!(r.deny_count(), 1);
         assert!(r.diagnostics[0].message.contains("without a decode"));
         assert_eq!(r.diagnostics[0].site, Site::PlanOp(1));
     }
 
+    /// A decode fed no encoded bytes is denied once per transfer it
+    /// decodes, sited at that transfer: its codec is the one missing.
     #[test]
-    fn inconsistent_ratio_and_zero_block_fire() {
+    fn decode_without_encoder_fires_once_at_the_nearest_transfer() {
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
-        let mut bad = Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048);
-        bad.ratio = 0.25; // Fp16 -> Int8 implies 0.5
-        bad.block = 0;
-        gather(&mut plan, Some(bad));
+        let earlier = collective(&mut plan, CollectiveKind::AllGather, None, &[]);
+        let fwd = gemm(&mut plan, &[earlier]);
+        let h = collective(&mut plan, CollectiveKind::AllGather, None, &[]);
+        for gpu in [0, 1] {
+            plan.push(PlanOp::Dequant { gpu: g(gpu) }, &[fwd, h]);
+        }
         let r = run(&plan);
-        assert_eq!(r.deny_count(), 2, "{}", r.render_text());
-        assert!(r.diagnostics[0].message.contains("inconsistent"));
-        assert!(r.diagnostics[1].message.contains("block size is zero"));
-    }
-
-    #[test]
-    fn quantized_input_dtype_is_double_quantization() {
+        assert_eq!(r.deny_count(), 1, "{}", r.render_text());
+        let d = &r.diagnostics[0];
+        assert_eq!(d.site, Site::PlanOp(h.index()));
+        assert!(d.message.contains("dequantize op 3"), "{}", d.message);
+        // A decode with no transfer upstream is sited at itself.
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Forward, 0);
-        gather(
-            &mut plan,
-            Some(Codec::quantize(Dtype::Int8, Dtype::Int4, 512)),
-        );
+        plan.push(PlanOp::Dequant { gpu: g(0) }, &[]);
         let r = run(&plan);
         assert_eq!(r.deny_count(), 1);
-        assert!(r.diagnostics[0].message.contains("double-quantization"));
+        assert_eq!(r.diagnostics[0].site, Site::PlanOp(0));
     }
 
     #[test]
-    fn chained_collectives_do_not_propagate_taint() {
+    fn chained_collectives_do_not_propagate_encoding() {
         // comm_chain-style serialization: a second codec'd reduce depends
         // on the first, but operates on a distinct bucket. Must be clean.
         let mut plan = WorkloadPlan::new();
         plan.set_phase(PhaseStage::Backward, 0);
-        let c = Codec::quantize(Dtype::Fp16, Dtype::Int4, 512);
-        let h1 = plan.push(
-            PlanOp::Collective {
-                kind: CollectiveKind::ReduceScatter,
-                group: CommGroup::new(vec![g(0), g(1)]),
-                bytes: 1e9,
-                cap: f64::INFINITY,
-            },
-            &[],
-        );
-        plan.set_codec(h1, c);
-        let h2 = plan.push(
-            PlanOp::Collective {
-                kind: CollectiveKind::ReduceScatter,
-                group: CommGroup::new(vec![g(0), g(1)]),
-                bytes: 1e9,
-                cap: f64::INFINITY,
-            },
-            &[h1],
-        );
-        plan.set_codec(h2, c);
+        let qgz = codec(Dtype::Int4);
+        let h1 = collective(&mut plan, CollectiveKind::ReduceScatter, qgz, &[]);
+        let h2 = collective(&mut plan, CollectiveKind::ReduceScatter, qgz, &[h1]);
         for h in [h1, h2] {
-            let dq = plan.push(
-                PlanOp::FixedCompute {
-                    gpu: g(0),
-                    secs: 1e-5,
-                    label: "dequant_grad",
-                },
-                &[h],
-            );
+            let dq = plan.push(PlanOp::Dequant { gpu: g(0) }, &[h]);
             plan.push(
                 PlanOp::OptimizerStep {
-                    device: zerosim_strategies::OptimizerDevice::Gpu(g(0)),
+                    device: OptimizerDevice::Gpu(g(0)),
                     params: 1e9,
                 },
                 &[dq],

@@ -13,24 +13,11 @@
 //! GPU-sourced transfers are exempt (compute materializes activations
 //! and gradients), as are same-node host-to-host copies (the input
 //! pipeline's `host_prep` stages fresh batch bytes from the data loader).
-//!
-//! Codec-aware accounting: an op's `bytes` field is the full-precision
-//! payload, but a declared [`zerosim_strategies::Codec`] means only
-//! `bytes x ratio` encoded bytes actually move — pools are debited and
-//! credited at the encoded size. The dual obligation: every `dequant`
-//! marker asserts its inputs are encoded bytes, so some transfer-class
-//! ancestor must *declare* the narrowing codec. Without the declaration
-//! the decode consumes quantized bytes nobody produced — the deny is
-//! sited at the nearest transfer ancestor (exactly the op whose codec
-//! annotation is missing), which is what separates ZeRO++-style
-//! quantization from a silent byte loss. That check asks about one group
-//! (the narrowing-codec transfers) and finds the nearest transfer
-//! ancestor with one forward sweep over the dependency rows.
 
 use std::collections::HashSet;
 
 use zerosim_hw::{IoDir, MemLoc};
-use zerosim_strategies::{Codec, PlanNode, PlanOp};
+use zerosim_strategies::PlanOp;
 
 use crate::diag::{LintCode, Site};
 use crate::graph::Ancestors;
@@ -58,11 +45,6 @@ impl Pool {
     }
 }
 
-/// True for a decode marker: a fixed-duration span labeled `dequant*`.
-fn is_dequant(n: &PlanNode) -> bool {
-    matches!(&n.op, PlanOp::FixedCompute { label, .. } if label.starts_with("dequant"))
-}
-
 fn gb(bytes: f64) -> f64 {
     (bytes / 1e8).round() / 10.0
 }
@@ -78,13 +60,11 @@ impl Pass for ByteConservationPass {
         };
         let nodes = plan.nodes();
 
-        // Every op that moves bytes *into* a pool, in op order. Declared
-        // codecs shrink the staged volume to the encoded size. Each
+        // Every op that moves bytes *into* a pool, in op order. Each
         // producer is its own ancestor group, numbered by its position.
         let mut producers: Vec<(Pool, f64)> = Vec::new();
         let mut producer_of: Vec<Option<usize>> = vec![None; nodes.len()];
         for (i, n) in nodes.iter().enumerate() {
-            let wire = plan.codec_ratio_at(i);
             let staged = match &n.op {
                 PlanOp::TierTransfer { dst, bytes, .. } => match dst {
                     MemLoc::Cpu(s) => Some((Pool::Cpu(s.node), *bytes)),
@@ -106,7 +86,7 @@ impl Pass for ByteConservationPass {
             };
             if let Some((pool, bytes)) = staged {
                 producer_of[i] = Some(producers.len());
-                producers.push((pool, bytes * wire));
+                producers.push((pool, bytes));
             }
         }
         let anc = Ancestors::new(plan, &producer_of);
@@ -121,7 +101,6 @@ impl Pass for ByteConservationPass {
         let mut reported: HashSet<Pool> = HashSet::new();
 
         for (i, n) in nodes.iter().enumerate() {
-            let wire = plan.codec_ratio_at(i);
             let consumed: Option<(Pool, f64)> = match &n.op {
                 PlanOp::TierTransfer {
                     src: MemLoc::Cpu(s),
@@ -158,7 +137,6 @@ impl Pass for ByteConservationPass {
             let Some((pool, bytes)) = consumed else {
                 continue;
             };
-            let bytes = bytes * wire;
             let credit = match pool {
                 Pool::Cpu(_) => cpu_credit,
                 Pool::Nvme => nvme_credit,
@@ -183,66 +161,6 @@ impl Pass for ByteConservationPass {
                         gb(credit + produced)
                     ),
                     "add the producing transfer (or a dependency on it) before this op".to_string(),
-                );
-            }
-        }
-
-        // Decode-without-encoder: a `dequant` marker consumes encoded
-        // bytes, so some transfer-class ancestor must declare a narrowing
-        // codec. The deny is sited at the nearest transfer ancestor —
-        // exactly the op whose codec declaration went missing.
-        if !nodes.iter().any(is_dequant) {
-            return;
-        }
-        let is_transfer = |p: usize| {
-            matches!(
-                nodes[p].op,
-                PlanOp::Collective { .. } | PlanOp::TierTransfer { .. }
-            )
-        };
-        // Group 0: the transfers that declare a narrowing codec.
-        let encoders: Vec<Option<usize>> = (0..nodes.len())
-            .map(|p| {
-                (is_transfer(p) && plan.codec_at(p).is_some_and(Codec::is_narrowing)).then_some(0)
-            })
-            .collect();
-        let encoded = Ancestors::new(plan, &encoders);
-        // The highest-index transfer ancestor of every op: a dependency
-        // outranks everything it descends from.
-        let mut nearest: Vec<Option<usize>> = Vec::with_capacity(nodes.len());
-        for i in 0..nodes.len() {
-            let best = plan
-                .deps(i)
-                .iter()
-                .map(|d| {
-                    let p = d.index();
-                    if is_transfer(p) {
-                        Some(p)
-                    } else {
-                        nearest[p]
-                    }
-                })
-                .max()
-                .flatten();
-            nearest.push(best);
-        }
-        let mut reported_ops: HashSet<usize> = HashSet::new();
-        for (i, n) in nodes.iter().enumerate() {
-            if !is_dequant(n) || encoded.reaches(0, i) {
-                continue;
-            }
-            let site_op = nearest[i].unwrap_or(i);
-            if reported_ops.insert(site_op) {
-                sink.report(
-                    LintCode::ByteConservation,
-                    Site::PlanOp(site_op),
-                    format!(
-                        "dequantize marker at op {i} has no ancestor transfer declaring \
-                         a narrowing codec: the decoded bytes were never produced"
-                    ),
-                    "declare the codec on the quantized transfer (set_codec) or drop \
-                     the decode marker"
-                        .to_string(),
                 );
             }
         }

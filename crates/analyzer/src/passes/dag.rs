@@ -80,9 +80,9 @@ impl Pass for DeadOpsPass {
             let what = match &n.op {
                 PlanOp::Collective { .. } => "collective that no op waits for",
                 PlanOp::Barrier => "join that gates nothing",
-                PlanOp::LayerCompute { .. } | PlanOp::FixedCompute { .. } => {
-                    "compute whose result nothing consumes"
-                }
+                PlanOp::LayerCompute { .. }
+                | PlanOp::FixedCompute { .. }
+                | PlanOp::Dequant { .. } => "compute whose result nothing consumes",
                 PlanOp::VolumeIo { .. } => "volume read that nothing consumes",
                 _ => "op that nothing consumes",
             };
@@ -174,6 +174,7 @@ mod tests {
                 group: CommGroup::world(&cluster),
                 bytes: 1e9,
                 cap: 1.3e9,
+                codec: None,
             },
             &[b],
         );
@@ -192,6 +193,7 @@ mod tests {
                 group: CommGroup::world(&cluster),
                 bytes: 1e9,
                 cap: 1.3e9,
+                codec: None,
             },
             &[s],
         );

@@ -34,7 +34,7 @@ impl CapacityResult {
 /// ([`zerosim_strategies::StrategyError`]) count as not fitting.
 ///
 /// # Errors
-/// [`CoreError::InvalidConfig`] with [`TrainOptions::gpus`]' layout error
+/// [`CoreError::InvalidConfig`] with [`TrainOptions::num_gpus`]' layout error
 /// when `opts` spans no node or more nodes than `cluster` has, and
 /// [`CoreError::CapacityDiverged`] when the
 /// exponential probe still fits past 2²¹ layers (a memory-model bug, not
@@ -45,9 +45,9 @@ pub fn max_model_size(
     opts: &TrainOptions,
     calib: &Calibration,
 ) -> Result<Option<CapacityResult>, CoreError> {
-    // The node-count rule is `TrainOptions::gpus`'; the memory planners
-    // count GPUs unchecked.
-    opts.gpus(cluster)?;
+    // A planner error below reads as "does not fit", so the node-count
+    // rule is checked first, by its owner.
+    opts.num_gpus(cluster)?;
     let fits = |layers: usize| -> bool {
         let model = GptConfig::paper_model(layers);
         let ctx = IterCtx {

@@ -124,7 +124,7 @@ impl TrainingSim {
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] if `opts` spans no node or more nodes
-    /// than the cluster has ([`TrainOptions::gpus`]) or the strategy
+    /// than the cluster has ([`TrainOptions::num_gpus`]) or the strategy
     /// rejects the configuration; [`CoreError::DoesNotFit`] if the memory
     /// plan overflows a tier (and `cfg.allow_overflow` is false);
     /// [`CoreError::Sim`] if the DAG deadlocks (cannot happen for the
@@ -150,7 +150,7 @@ impl TrainingSim {
     ///
     /// # Errors
     /// [`CoreError::InvalidConfig`] when `opts` spans no node or more
-    /// nodes than the cluster has ([`TrainOptions::gpus`]);
+    /// nodes than the cluster has ([`TrainOptions::num_gpus`]);
     /// [`CoreError::Sim`] if the DAG cannot execute.
     pub fn checkpoint_cost(
         &mut self,
@@ -215,9 +215,6 @@ impl TrainingSim {
         cfg: &RunConfig,
         faults: &FaultConfig,
     ) -> Result<TrainingReport, CoreError> {
-        // The node-count rule is `TrainOptions::gpus`'; the memory planners
-        // count GPUs unchecked, so it runs before `plan_memory`.
-        opts.gpus(&self.cluster)?;
         let ctx = IterCtx {
             cluster: &self.cluster,
             model,
@@ -414,7 +411,7 @@ impl TrainingSim {
         }
         let hot_links = rank_hot_links(&self.cluster, opts.nodes, &rec, measured_wall.as_secs());
 
-        let tokens = model.tokens_per_iteration(opts.per_gpu_batch, opts.num_gpus(&self.cluster))
+        let tokens = model.tokens_per_iteration(opts.per_gpu_batch, opts.num_gpus(&self.cluster)?)
             * opts.grad_accum as f64;
         let flops_per_iteration = model.iteration_flops(tokens).total();
 

@@ -10,7 +10,7 @@
 
 use std::borrow::Cow;
 
-use zerosim_hw::{Cluster, GpuId, LinkClass};
+use zerosim_hw::{Cluster, GpuId, LinkClass, MemLoc};
 use zerosim_simkit::{FaultKind, FaultSchedule};
 use zerosim_strategies::RecoveryPolicy;
 
@@ -184,15 +184,10 @@ impl FaultScenario {
                 }
             }
             FaultScenario::Straggler { gpu, factor, at_s } => {
-                check_node(gpu.node)?;
+                cluster
+                    .check_loc(MemLoc::Gpu(*gpu))
+                    .map_err(|e| CoreError::BadScenario(e.to_string()))?;
                 check_factor(*factor)?;
-                let gpn = cluster.spec().gpus_per_node;
-                if gpu.gpu >= gpn {
-                    return Err(CoreError::BadScenario(format!(
-                        "gpu {} out of range (node has {gpn} GPUs)",
-                        gpu.gpu
-                    )));
-                }
                 s = s.at(
                     *at_s,
                     FaultKind::SlowResource {

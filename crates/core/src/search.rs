@@ -476,7 +476,7 @@ pub fn search_plans(cfg: &SearchConfig) -> Result<SearchReport, CoreError> {
     let cluster = Cluster::new(spec.clone()).map_err(CoreError::BadCluster)?;
     let nodes = cfg.topology.nodes();
     let opts = TrainOptions::for_nodes(nodes);
-    let total_gpus = opts.num_gpus(&cluster);
+    let total_gpus = opts.num_gpus(&cluster)?;
     let ctx = IterCtx {
         cluster: &cluster,
         model: &cfg.model,

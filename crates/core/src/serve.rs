@@ -229,7 +229,7 @@ struct ReqState {
 /// # Errors
 /// [`CoreError::DoesNotFit`] when the strategy's resident footprint
 /// overflows a tier; [`CoreError::InvalidConfig`] when `opts` spans no
-/// node or more nodes than the cluster has ([`TrainOptions::gpus`]) or a
+/// node or more nodes than the cluster has ([`TrainOptions::num_gpus`]) or a
 /// plan fails validation; [`CoreError::Sim`] if a DAG cannot execute.
 #[allow(clippy::too_many_lines)]
 pub fn serve(
@@ -240,15 +240,12 @@ pub fn serve(
     trace: &TraceConfig,
     max_batch: usize,
 ) -> Result<ServeReport, CoreError> {
-    // The node-count rule is `TrainOptions::gpus`'; the memory planner
-    // counts GPUs unchecked, so it runs first.
-    opts.gpus(sim.cluster())?;
     let memory = strategy.plan_memory(&IterCtx {
         cluster: sim.cluster(),
         model,
         opts,
         calib: sim.calibration(),
-    });
+    })?;
     ensure_fits(&memory, sim.cluster())?;
 
     let requests = trace.sample();

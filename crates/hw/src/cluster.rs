@@ -505,7 +505,9 @@ impl Cluster {
             (MemLoc::Gpu(g), MemLoc::Cpu(c)) => Ok(self.route_gpu_cpu(g, c, true)),
             (MemLoc::Cpu(c), MemLoc::Gpu(g)) => Ok(self.route_gpu_cpu(g, c, false)),
             (MemLoc::Cpu(a), MemLoc::Cpu(b)) if a.node == b.node => Ok(self.route_cpu_cpu(a, b)),
-            (MemLoc::Cpu(a), MemLoc::Cpu(b)) => Ok(self.route_internode_cpu(a, b)),
+            (MemLoc::Cpu(a), MemLoc::Cpu(b)) => {
+                Ok(self.route_internode_cpu_via(a, b, a.socket, b.socket))
+            }
             (MemLoc::Cpu(c), MemLoc::Nvme(d)) | (MemLoc::Nvme(d), MemLoc::Cpu(c))
                 if c.node != d.node =>
             {
@@ -655,27 +657,9 @@ impl Cluster {
         route
     }
 
-    /// Inter-node CPU-to-CPU route through each side's same-socket NIC.
-    fn route_internode_cpu(&self, a: SocketId, b: SocketId) -> Route {
-        let mut route = Route::new(
-            &[
-                self.dram[a.node][a.socket],
-                self.pcie_nic_tx[a.node][a.socket],
-                self.roce_tx[a.node][a.socket],
-            ],
-            SimTime::ZERO,
-        );
-        let fabric_lat = self.fabric_path(&mut route, a.node, b.node);
-        route.push(self.roce_rx[b.node][b.socket]);
-        route.push(self.pcie_nic_rx[b.node][b.socket]);
-        route.push(self.dram[b.node][b.socket]);
-        route.latency =
-            SimTime::from_secs(self.spec.lat.roce_s + 2.0 * self.spec.lat.pcie_s + fabric_lat);
-        route
-    }
-
-    /// Inter-node CPU route with explicit NIC selection on the source side
-    /// (used by the perftest cross-socket scenarios).
+    /// Inter-node CPU route via chosen NICs; [`Cluster::route`] picks
+    /// each side's same-socket NIC, the perftest cross-socket scenarios
+    /// pick others.
     pub fn route_internode_cpu_via(
         &self,
         a: SocketId,

@@ -5,8 +5,9 @@
 //!
 //! * [`GptConfig`] — the model shape (Sec. III-B2) and parameter counting;
 //! * [`IterationFlops`] — the DeepSpeed-FLOPS-profiler substitute;
-//! * [`ModelStates`] — FP16/Adam model-state bytes (2/2/12 per parameter)
-//!   and activation-memory estimates;
+//! * [`ModelStates`] — FP16/Adam model-state bytes (2/2/12 per parameter);
+//!   the strategies' memory planners add activations and fixed overheads
+//!   from their calibration;
 //! * [`ModelPreset`] — named model sizes.
 //!
 //! The paper's training data (a WikiExtractor dump) shapes no result: only
@@ -31,5 +32,5 @@ mod zoo;
 
 pub use config::GptConfig;
 pub use flops::IterationFlops;
-pub use states::{ModelStates, ADAM_FP32_BYTES, FP16_BYTES, GPU_FIXED_OVERHEAD_BYTES};
+pub use states::{ModelStates, ADAM_FP32_BYTES, FP16_BYTES};
 pub use zoo::ModelPreset;

@@ -1,4 +1,4 @@
-//! Mixed-precision model-state and activation memory accounting.
+//! Mixed-precision model-state memory accounting.
 //!
 //! With FP16 training and Adam, the model states per parameter are (ZeRO
 //! paper / Sec. II-C):
@@ -10,7 +10,8 @@
 //! ZeRO stages partition these across the data-parallel degree; Megatron
 //! tensor/pipeline parallelism slices all of them by the model-parallel
 //! degree. This module provides the raw byte quantities; the `strategies`
-//! crate applies partitioning.
+//! crate applies partitioning and owns the activation and fixed-overhead
+//! model (`Calibration`'s activation coefficients and `gpu_fixed_bytes`).
 
 use crate::config::GptConfig;
 
@@ -51,31 +52,7 @@ impl GptConfig {
     pub fn model_states(&self) -> ModelStates {
         ModelStates::for_params(self.num_params())
     }
-
-    /// Activation memory per GPU in bytes, assuming activation
-    /// checkpointing at layer boundaries (the Megatron/DeepSpeed default
-    /// for the paper's model sizes).
-    ///
-    /// Stored: the layer-boundary activations (`s·b·h` FP16 values per
-    /// layer) plus a working set for the layer being recomputed, folded
-    /// into the `ACT_COEFF` calibration constant.
-    pub fn activation_bytes(&self, per_gpu_batch: usize) -> f64 {
-        /// Effective FP16 values stored per (layer, token, hidden-unit),
-        /// calibrated so PyTorch DDP tops out at the paper's 1.4 B model on
-        /// a 40 GB A100 (Fig. 6-a).
-        const ACT_COEFF: f64 = 3.0;
-        let s = self.seq_len as f64;
-        let b = per_gpu_batch as f64;
-        let h = self.hidden_size as f64;
-        let l = self.num_layers as f64;
-        ACT_COEFF * l * s * b * h * FP16_BYTES
-    }
 }
-
-/// Fixed per-GPU memory overhead that does not scale with the model: CUDA
-/// context, framework allocator slack, cuBLAS/NCCL workspaces. Calibrated
-/// jointly with [`GptConfig::activation_bytes`].
-pub const GPU_FIXED_OVERHEAD_BYTES: f64 = 4.0e9;
 
 #[cfg(test)]
 mod tests {
@@ -88,27 +65,5 @@ mod tests {
         assert_eq!(s.grads, 2e9);
         assert_eq!(s.optimizer, 12e9);
         assert_eq!(s.total(), 16e9);
-    }
-
-    #[test]
-    fn ddp_capacity_matches_paper() {
-        // The paper's DDP tops out at 1.4 B params on a 40 GB A100
-        // (Fig. 6-a): the 26-layer model must fit, the next size (2.9 B)
-        // must not.
-        let fits = |layers: usize| {
-            let c = GptConfig::paper_model(layers);
-            let need = c.model_states().total() + c.activation_bytes(16) + GPU_FIXED_OVERHEAD_BYTES;
-            need <= 40e9
-        };
-        assert!(fits(26), "1.4B model should fit under DDP");
-        assert!(!fits(55), "2.9B model should not fit under DDP");
-    }
-
-    #[test]
-    fn activations_scale_with_batch_and_layers() {
-        let c = GptConfig::default();
-        assert_eq!(c.activation_bytes(32), 2.0 * c.activation_bytes(16));
-        let deeper = GptConfig::paper_model(52);
-        assert_eq!(deeper.activation_bytes(16), 2.0 * c.activation_bytes(16));
     }
 }

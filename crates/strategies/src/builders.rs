@@ -12,6 +12,7 @@ use zerosim_hw::{Cluster, GpuId, IoDir, MemLoc, SocketId, VolumeId};
 use zerosim_model::GptConfig;
 
 use crate::calib::Calibration;
+use crate::error::StrategyError;
 use crate::options::TrainOptions;
 use crate::plan::{Codec, OpId, PhaseStage, PlanOp, WorkloadKind, WorkloadPlan};
 
@@ -31,10 +32,29 @@ pub struct IterCtx<'a> {
 impl<'a> IterCtx<'a> {
     /// Tokens processed per iteration across the whole run, including all
     /// gradient-accumulation micro-steps.
-    pub fn total_tokens(&self) -> f64 {
-        self.model
-            .tokens_per_iteration(self.opts.per_gpu_batch, self.opts.num_gpus(self.cluster))
-            * self.opts.grad_accum as f64
+    ///
+    /// # Errors
+    /// [`TrainOptions::num_gpus`]' layout error.
+    pub fn total_tokens(&self) -> Result<f64, StrategyError> {
+        let gpus = self.opts.num_gpus(self.cluster)?;
+        Ok(self
+            .model
+            .tokens_per_iteration(self.opts.per_gpu_batch, gpus)
+            * self.opts.grad_accum as f64)
+    }
+
+    /// Activation bytes per GPU at `coeff` stored FP16 values per
+    /// (layer, token, hidden unit): `coeff · L · s · b · h · 2`. The
+    /// calibration holds the coefficients with and without activation
+    /// checkpointing.
+    pub(crate) fn activation_bytes(&self, coeff: f64) -> f64 {
+        let m = self.model;
+        coeff
+            * m.num_layers as f64
+            * m.seq_len as f64
+            * self.opts.per_gpu_batch as f64
+            * m.hidden_size as f64
+            * 2.0
     }
 
     /// Forward FLOPs of one transformer layer over `tokens` tokens,
@@ -155,6 +175,12 @@ impl<'a> PlanCtx<'a> {
             .push(PlanOp::LayerCompute { gpu, flops, label }, deps)
     }
 
+    /// Decodes a quantized collective's output on `gpu` (see
+    /// [`PlanOp::Dequant`]).
+    pub fn dequant(&mut self, gpu: GpuId, deps: &[OpId]) -> OpId {
+        self.plan.push(PlanOp::Dequant { gpu }, deps)
+    }
+
     /// A fixed-duration (un-jittered) GPU span.
     pub fn fixed_compute(
         &mut self,
@@ -199,34 +225,32 @@ impl<'a> PlanCtx<'a> {
         cap: f64,
         deps: &[OpId],
     ) -> OpId {
-        self.plan.push(
-            PlanOp::Collective {
-                kind,
-                group,
-                bytes,
-                cap,
-            },
-            deps,
-        )
+        self.collective_with_codec(kind, group, bytes, cap, None, deps)
     }
 
-    /// A collective whose payload moves through a declared wire codec
+    /// A collective whose payload moves through `codec`, when set
     /// (ZeRO++-style quantized communication). `bytes` stays the
-    /// full-precision payload; lowering and the analyzer price the wire
-    /// at `bytes × codec.ratio`.
-    #[allow(clippy::too_many_arguments)]
+    /// full-precision payload; lowering prices the wire at
+    /// `bytes × codec.ratio()`.
     pub fn collective_with_codec(
         &mut self,
         kind: CollectiveKind,
         group: CommGroup,
         bytes: f64,
         cap: f64,
-        codec: Codec,
+        codec: Option<Codec>,
         deps: &[OpId],
     ) -> OpId {
-        let id = self.collective(kind, group, bytes, cap, deps);
-        self.plan.set_codec(id, codec);
-        id
+        self.plan.push(
+            PlanOp::Collective {
+                kind,
+                group,
+                bytes,
+                cap,
+                codec,
+            },
+            deps,
+        )
     }
 
     /// A point-to-point transfer between memory tiers; the route is
@@ -342,7 +366,7 @@ mod tests {
         let f1 = ctx.layer_fwd_flops(4096.0, 1);
         let f4 = ctx.layer_fwd_flops(4096.0, 4);
         assert!((f1 / f4 - 4.0).abs() < 1e-12);
-        assert_eq!(ctx.total_tokens(), 16384.0 * o.grad_accum as f64);
+        assert_eq!(ctx.total_tokens().unwrap(), 16384.0 * o.grad_accum as f64);
     }
 
     #[test]

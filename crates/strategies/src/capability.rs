@@ -1,6 +1,6 @@
 //! The ZeRO stage / offload capability matrix (Table I of the paper).
 
-use crate::zero::ZeroStage;
+use crate::zero::{StateTier, ZeroStage};
 
 /// What a DeepSpeed ZeRO stage partitions and where it may offload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +57,24 @@ impl ZeroCapability {
                 parameter_cpu_offload: true,
                 parameter_nvme_offload: true,
             },
+        }
+    }
+
+    /// Whether this row lets the optimizer states live on `tier`.
+    pub(crate) fn allows_optimizer_on(&self, tier: StateTier) -> bool {
+        match tier {
+            StateTier::Gpu => true,
+            StateTier::Cpu => self.optimizer_cpu_offload,
+            StateTier::Nvme => self.optimizer_nvme_offload,
+        }
+    }
+
+    /// Whether this row lets the parameters live on `tier`.
+    pub(crate) fn allows_parameters_on(&self, tier: StateTier) -> bool {
+        match tier {
+            StateTier::Gpu => true,
+            StateTier::Cpu => self.parameter_cpu_offload,
+            StateTier::Nvme => self.parameter_nvme_offload,
         }
     }
 

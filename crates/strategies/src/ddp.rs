@@ -16,9 +16,10 @@ use crate::plan::{OpId, PhaseStage, WorkloadKind, WorkloadPlan};
 pub(crate) fn memory_plan(ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError> {
     let p = ctx.model.num_params();
     let states = ModelStates::for_params(p);
-    let act = act_bytes(ctx);
+    // Plain DDP scripts do not enable activation checkpointing.
+    let act = ctx.activation_bytes(ctx.calib.act_coeff_nockpt);
     let per_gpu = states.total() + act + ctx.calib.gpu_fixed_bytes;
-    let n = ctx.opts.num_gpus(ctx.cluster) as f64;
+    let n = ctx.opts.num_gpus(ctx.cluster)? as f64;
     Ok(MemoryPlan {
         per_gpu_bytes: per_gpu,
         total_gpu_bytes: per_gpu * n,
@@ -33,17 +34,6 @@ pub(crate) fn memory_plan(ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError
             ("fixed".into(), ctx.calib.gpu_fixed_bytes),
         ],
     })
-}
-
-fn act_bytes(ctx: &IterCtx<'_>) -> f64 {
-    // Plain DDP scripts do not enable activation checkpointing.
-    let m = ctx.model;
-    ctx.calib.act_coeff_nockpt
-        * m.num_layers as f64
-        * m.seq_len as f64
-        * ctx.opts.per_gpu_batch as f64
-        * m.hidden_size as f64
-        * 2.0
 }
 
 /// Describes one DDP training iteration as a [`WorkloadPlan`].

@@ -166,9 +166,6 @@ pub fn lower(
     for (i, node) in plan.nodes().iter().enumerate() {
         deps.clear();
         deps.extend(plan.deps(i).iter().map(|d| done[d.index()]));
-        // A declared codec means the encoded blob is what moves: scale
-        // the payload before the schedule or route prices it.
-        let ratio = plan.codec_ratio_at(i);
         let task = match &node.op {
             PlanOp::Overhead => b.delay(SimTime::from_secs(calib.iteration_overhead_s), &deps),
             PlanOp::LayerCompute { gpu, flops, label } => {
@@ -190,6 +187,12 @@ pub fn lower(
             PlanOp::FixedCompute { gpu, secs, label } => {
                 let res = cluster.gpu_resource(*gpu);
                 b.compute(res, SimTime::from_secs(*secs), label, &deps)
+            }
+            // A fused decode kernel, priced as one kernel launch.
+            PlanOp::Dequant { gpu } => {
+                let res = cluster.gpu_resource(*gpu);
+                let secs = SimTime::from_secs(calib.kernel_overhead_s);
+                b.compute(res, secs, "dequant", &deps)
             }
             PlanOp::OptimizerStep { device, params } => match device {
                 OptimizerDevice::Gpu(g) => {
@@ -216,7 +219,13 @@ pub fn lower(
                 group,
                 bytes,
                 cap,
-            } => emit_collective(&mut b, cluster, group, *kind, *bytes * ratio, &deps, *cap).done,
+                codec,
+            } => {
+                // A codec means the encoded blob is what moves: scale the
+                // payload before the schedule prices it.
+                let wire = codec.map_or(*bytes, |c| bytes * c.ratio());
+                emit_collective(&mut b, cluster, group, *kind, wire, &deps, *cap).done
+            }
             PlanOp::TierTransfer {
                 src,
                 dst,
@@ -227,7 +236,7 @@ pub fn lower(
                 let route = cluster.route(*src, *dst);
                 b.transfer_capped(
                     route.links(),
-                    (bytes * ratio).max(1.0),
+                    bytes.max(1.0),
                     route.latency,
                     route.cap,
                     label,
@@ -253,7 +262,7 @@ pub fn lower(
                 for r in routes {
                     parts.push(b.transfer_capped(
                         r.links(),
-                        (bytes * ratio / k).max(1.0),
+                        (bytes / k).max(1.0),
                         r.latency,
                         r.cap,
                         label,

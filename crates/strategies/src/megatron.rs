@@ -52,16 +52,9 @@ pub(crate) fn memory_plan(
     // in-flight microbatches put the per-microbatch share back up to
     // roughly the single-stage figure, so mp slicing is the right
     // first-order model for both TP and PP.
-    let m = ctx.model;
-    let act = ctx.calib.act_coeff_nockpt
-        * m.num_layers as f64
-        * m.seq_len as f64
-        * ctx.opts.per_gpu_batch as f64
-        * m.hidden_size as f64
-        * 2.0
-        / mp;
+    let act = ctx.activation_bytes(ctx.calib.act_coeff_nockpt) / mp;
     let per_gpu = states.total() + act + ctx.calib.gpu_fixed_bytes;
-    let n = ctx.opts.num_gpus(ctx.cluster) as f64;
+    let n = ctx.opts.num_gpus(ctx.cluster)? as f64;
     Ok(MemoryPlan {
         per_gpu_bytes: per_gpu,
         total_gpu_bytes: per_gpu * n,
@@ -105,7 +98,7 @@ pub(crate) fn plan_iteration(
     // run for every one of them.
     let mb_count = microbatches(layout.pp) * ctx.opts.grad_accum;
     // Same global token count as DDP for a fair FLOP comparison.
-    let tokens_mb = ctx.total_tokens() / (layout.dp * mb_count) as f64;
+    let tokens_mb = ctx.total_tokens()? / (layout.dp * mb_count) as f64;
     let seqs_mb = tokens_mb / ctx.model.seq_len as f64;
     // Two fused tensor-parallel all-reduces per layer over the activation
     // tensor of one microbatch.

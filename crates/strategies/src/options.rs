@@ -68,12 +68,14 @@ impl TrainOptions {
         self
     }
 
-    /// The GPUs participating in this run, node-major.
+    /// Total participating GPUs: every GPU of the run's nodes. This is
+    /// the one owner of the node-count rule; [`TrainOptions::gpus`] and
+    /// every planner ask it.
     ///
     /// # Errors
     /// [`StrategyError::InvalidLayout`] when the run spans no node or more
     /// nodes than the cluster has.
-    pub fn gpus(&self, cluster: &Cluster) -> Result<Vec<GpuId>, StrategyError> {
+    pub fn num_gpus(&self, cluster: &Cluster) -> Result<usize, StrategyError> {
         let have = cluster.spec().nodes;
         if self.nodes == 0 || self.nodes > have {
             return Err(StrategyError::layout(format!(
@@ -81,12 +83,16 @@ impl TrainOptions {
                 self.nodes
             )));
         }
-        Ok((0..self.nodes).flat_map(|n| cluster.node_gpus(n)).collect())
+        Ok(self.nodes * cluster.spec().gpus_per_node)
     }
 
-    /// Total participating GPUs.
-    pub fn num_gpus(&self, cluster: &Cluster) -> usize {
-        self.nodes * cluster.spec().gpus_per_node
+    /// The GPUs participating in this run, node-major.
+    ///
+    /// # Errors
+    /// [`TrainOptions::num_gpus`]' layout error.
+    pub fn gpus(&self, cluster: &Cluster) -> Result<Vec<GpuId>, StrategyError> {
+        self.num_gpus(cluster)?;
+        Ok((0..self.nodes).flat_map(|n| cluster.node_gpus(n)).collect())
     }
 }
 
@@ -100,19 +106,21 @@ mod tests {
         let c = Cluster::new(ClusterSpec::default()).unwrap();
         assert_eq!(TrainOptions::single_node().gpus(&c).unwrap().len(), 4);
         assert_eq!(TrainOptions::dual_node().gpus(&c).unwrap().len(), 8);
-        assert_eq!(TrainOptions::dual_node().num_gpus(&c), 8);
+        assert_eq!(TrainOptions::dual_node().num_gpus(&c).unwrap(), 8);
     }
 
     #[test]
     fn node_counts_outside_the_cluster_are_layout_errors() {
         let c = Cluster::new(ClusterSpec::default().with_nodes(1)).unwrap();
         for nodes in [0, 2] {
-            let err = TrainOptions::for_nodes(nodes).gpus(&c).unwrap_err();
+            let opts = TrainOptions::for_nodes(nodes);
+            let err = opts.num_gpus(&c).unwrap_err();
             assert!(matches!(err, StrategyError::InvalidLayout(_)), "{err}");
             assert!(
                 err.to_string().contains(&format!("wants {nodes} nodes")),
                 "{err}"
             );
+            assert_eq!(opts.gpus(&c).unwrap_err(), err);
         }
     }
 }

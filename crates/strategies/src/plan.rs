@@ -40,8 +40,6 @@
 //! lowering and the planlint passes read rows. [`PlanNode`] holds only the
 //! op and its phase, so pushing an op allocates nothing of its own.
 
-use std::collections::BTreeMap;
-
 use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_hw::{Cluster, GpuId, IoDir, MemLoc, SocketId, VolumeId};
 use zerosim_simkit::Csr;
@@ -199,50 +197,29 @@ impl Dtype {
     }
 }
 
-/// A declared on-the-wire codec for one transfer-class op (collective,
-/// tier transfer, or volume I/O).
+/// A quantizing wire codec on one [`PlanOp::Collective`] (ZeRO++'s qwZ
+/// and qgZ).
 ///
-/// Semantics: the op's `bytes` field keeps describing the *full-precision
-/// payload*; a declared codec states that what actually moves (and lands
-/// in the destination pool) is `bytes × ratio`. Decoding back to full
-/// precision is an explicit compute op whose label starts with
-/// `"dequant"` — the analyzer's ZL008 pass checks that every consumer of
-/// quantized bytes sits behind such a decode, and ZL002 checks that every
-/// decode has a declared encoder upstream (shrinkage without a codec is
-/// a conservation bug, exactly as before).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The collective's `bytes` field keeps describing the *full-precision
+/// payload*; the codec states that what moves is `bytes × ratio()`.
+/// [`WorkloadPlan::validate`] requires a full-precision input and a
+/// strictly narrower output, so every legal codec quantizes. Decoding
+/// back to full precision is an explicit [`PlanOp::Dequant`], and
+/// planlint ZL008 checks the pairing: every consumer of encoded bytes
+/// sits behind a decode, and every decode is fed encoded bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codec {
     /// Element dtype entering the encoder (e.g. FP16 weights).
     pub dtype_in: Dtype,
     /// Element dtype on the wire (e.g. INT8 for qwZ, INT4 for qgZ).
     pub dtype_out: Dtype,
-    /// Quantization block size in elements (one scale per block). Purely
-    /// declarative; ZL008 sanity-checks it, lowering does not use it.
-    pub block: usize,
-    /// Declared wire-size ratio: encoded bytes = payload bytes × ratio.
-    pub ratio: f64,
 }
 
 impl Codec {
-    /// A block quantizer whose ratio follows from the dtype pair.
-    pub fn quantize(dtype_in: Dtype, dtype_out: Dtype, block: usize) -> Codec {
-        Codec {
-            dtype_in,
-            dtype_out,
-            block,
-            ratio: dtype_out.bytes() / dtype_in.bytes(),
-        }
-    }
-
-    /// The ratio implied by the dtype pair alone (ZL008 denies codecs
-    /// whose declared `ratio` disagrees with this).
-    pub fn expected_ratio(&self) -> f64 {
+    /// Wire-size ratio implied by the dtype pair: encoded bytes =
+    /// payload bytes × ratio.
+    pub fn ratio(&self) -> f64 {
         self.dtype_out.bytes() / self.dtype_in.bytes()
-    }
-
-    /// True when the codec shrinks bytes (a quantizer, not an expander).
-    pub fn is_narrowing(&self) -> bool {
-        self.ratio < 1.0
     }
 }
 
@@ -292,6 +269,16 @@ pub enum PlanOp {
         /// Per-flow inter-node rate ceiling (engine efficiency);
         /// `f64::INFINITY` for raw RDMA-grade NCCL.
         cap: f64,
+        /// The wire codec quantizing the payload, if any: lowering
+        /// schedules `bytes × codec.ratio()`.
+        codec: Option<Codec>,
+    },
+    /// Decodes a quantized collective's output back to full precision on
+    /// `gpu`: one fused kernel launch. Consumers of encoded bytes must
+    /// wait on one (planlint ZL008).
+    Dequant {
+        /// GPU running the decode kernel.
+        gpu: GpuId,
     },
     /// A point-to-point transfer between memory tiers, routed by the
     /// hardware model at lowering time.
@@ -366,9 +353,6 @@ pub struct WorkloadPlan {
     deps: Csr<OpId>,
     phase: Phase,
     kind: WorkloadKind,
-    /// Declared wire codecs, keyed by op index (side table so the op
-    /// variants stay codec-agnostic for out-of-tree matchers).
-    codecs: BTreeMap<usize, Codec>,
 }
 
 impl WorkloadPlan {
@@ -438,9 +422,8 @@ impl WorkloadPlan {
     }
 
     /// The dependencies of the op at `index`, in the order they were
-    /// pushed; every one precedes it. Index-based like
-    /// [`WorkloadPlan::codec_at`], for passes iterating `nodes()` by
-    /// position.
+    /// pushed; every one precedes it. Index-based, for passes iterating
+    /// `nodes()` by position.
     ///
     /// # Panics
     /// Panics if `index >= self.len()`.
@@ -456,45 +439,15 @@ impl WorkloadPlan {
         &self.nodes[id.0]
     }
 
-    /// Declares a wire codec on `id`, which must be a transfer-class op
-    /// ([`PlanOp::Collective`] / [`PlanOp::TierTransfer`] /
-    /// [`PlanOp::VolumeIo`]; enforced by [`WorkloadPlan::validate`]).
-    ///
-    /// # Panics
-    /// Panics if `id` does not belong to this plan.
-    pub fn set_codec(&mut self, id: OpId, codec: Codec) {
-        assert!(id.0 < self.nodes.len(), "codec on unknown op {id:?}");
-        self.codecs.insert(id.0, codec);
-    }
-
-    /// The codec declared on `id`, if any.
-    pub fn codec(&self, id: OpId) -> Option<&Codec> {
-        self.codecs.get(&id.0)
-    }
-
-    /// The codec declared on the op at `index`, if any. Index-based twin
-    /// of [`WorkloadPlan::codec`] for passes iterating `nodes()` by
-    /// position.
-    pub fn codec_at(&self, index: usize) -> Option<&Codec> {
-        self.codecs.get(&index)
-    }
-
-    /// The wire-size ratio of the op at `index`: the declared codec's
-    /// ratio, or 1.0 when the op moves raw bytes.
-    pub fn codec_ratio_at(&self, index: usize) -> f64 {
-        self.codecs.get(&index).map_or(1.0, |c| c.ratio)
-    }
-
-    /// All declared codecs as `(op id, codec)` in op order.
-    pub fn codecs(&self) -> impl Iterator<Item = (OpId, &Codec)> {
-        self.codecs.iter().map(|(&i, c)| (OpId(i), c))
-    }
-
-    /// Removes every codec declaration, leaving the ops untouched — the
-    /// "forgot to declare the quantizer" fault planlint's ZL002/ZL008
-    /// property tests inject.
+    /// Removes every collective's codec, leaving the rest of each op
+    /// untouched — the "forgot to declare the quantizer" fault planlint's
+    /// ZL008 property test injects.
     pub fn strip_codecs(&mut self) {
-        self.codecs.clear();
+        for node in &mut self.nodes {
+            if let PlanOp::Collective { codec, .. } = &mut node.op {
+                *codec = None;
+            }
+        }
     }
 
     /// Total collective payload bytes (buffer sizes summed, not wire
@@ -512,18 +465,21 @@ impl WorkloadPlan {
 
     /// Total collective wire bytes, summed over every rank: the ring's
     /// closed form `n · bytes_sent_per_rank(n, S)`, which every schedule
-    /// lowering picks moves. Codec-aware: a declared codec scales the
+    /// lowering picks moves. Codec-aware: a collective's codec scales the
     /// payload before it is priced.
     pub fn collective_wire_bytes(&self) -> f64 {
         self.nodes
             .iter()
-            .enumerate()
-            .filter_map(|(i, n)| match &n.op {
+            .filter_map(|n| match &n.op {
                 PlanOp::Collective {
-                    kind, group, bytes, ..
+                    kind,
+                    group,
+                    bytes,
+                    codec,
+                    ..
                 } => {
                     let ranks = group.len();
-                    let payload = *bytes * self.codec_ratio_at(i);
+                    let payload = codec.map_or(*bytes, |c| bytes * c.ratio());
                     Some(ranks as f64 * kind.bytes_sent_per_rank(ranks, payload))
                 }
                 _ => None,
@@ -585,11 +541,10 @@ impl WorkloadPlan {
     ///   at least one byte of KV cache (residency is the serving
     ///   contract); `KvAppend` ops are serving-only and must run in the
     ///   `Prefill`/`Decode` stage;
-    /// * declared codecs sit on transfer-class ops (collective / tier
-    ///   transfer / volume I/O) with a finite positive ratio. Deeper
-    ///   codec legality (ratio vs. dtypes, decode placement, double
-    ///   quantization) is planlint ZL008's domain, so a plan carrying a
-    ///   *mis-declared* codec still lowers and lints.
+    /// * a collective's codec quantizes: its input dtype is full
+    ///   precision (re-encoding quantized bytes is double quantization)
+    ///   and its output dtype is strictly narrower. Whether every decode
+    ///   pairs with an encoder is planlint ZL008's dataflow question.
     ///
     /// # Errors
     /// [`StrategyError::InvalidPlan`] naming the first offending op.
@@ -648,6 +603,7 @@ impl WorkloadPlan {
                         return err(i, format!("bad duration {secs}"));
                     }
                 }
+                PlanOp::Dequant { gpu } => exists(i, "dequant gpu", gpu, MemLoc::Gpu(*gpu))?,
                 PlanOp::OptimizerStep { device, params } => {
                     optimizer_steps += 1;
                     let loc = match device {
@@ -663,7 +619,11 @@ impl WorkloadPlan {
                     }
                 }
                 PlanOp::Collective {
-                    group, bytes, cap, ..
+                    group,
+                    bytes,
+                    cap,
+                    codec,
+                    ..
                 } => {
                     if !(bytes.is_finite() && *bytes > 0.0) {
                         return err(i, format!("non-positive collective bytes {bytes}"));
@@ -675,6 +635,18 @@ impl WorkloadPlan {
                     }
                     for g in group.ranks() {
                         exists(i, "collective rank", g, MemLoc::Gpu(*g))?;
+                    }
+                    if let Some(c) = codec {
+                        let (from, to) = (c.dtype_in.label(), c.dtype_out.label());
+                        if c.dtype_in.is_quantized() {
+                            return err(
+                                i,
+                                format!("codec input {from} is quantized: double quantization"),
+                            );
+                        }
+                        if c.ratio() >= 1.0 {
+                            return err(i, format!("codec {from} -> {to} does not narrow"));
+                        }
                     }
                 }
                 PlanOp::TierTransfer {
@@ -719,25 +691,6 @@ impl WorkloadPlan {
                         kv_appends += 1;
                     }
                 }
-            }
-        }
-        for (&i, codec) in &self.codecs {
-            let Some(node) = self.nodes.get(i) else {
-                return Err(StrategyError::plan(format!(
-                    "codec declared on unknown op {i}"
-                )));
-            };
-            if !matches!(
-                node.op,
-                PlanOp::Collective { .. } | PlanOp::TierTransfer { .. } | PlanOp::VolumeIo { .. }
-            ) {
-                return err(i, "codec declared on a non-transfer op".into());
-            }
-            if !(codec.ratio.is_finite() && codec.ratio > 0.0) {
-                return err(
-                    i,
-                    format!("codec ratio {} not finite-positive", codec.ratio),
-                );
             }
         }
         match self.kind {
@@ -834,12 +787,23 @@ mod tests {
         p
     }
 
+    /// The five dtype pairs a codec may convert: full precision in,
+    /// strictly narrower out.
+    const LEGAL_CODECS: [(Dtype, Dtype); 5] = [
+        (Dtype::Fp32, Dtype::Fp16),
+        (Dtype::Fp32, Dtype::Int8),
+        (Dtype::Fp32, Dtype::Int4),
+        (Dtype::Fp16, Dtype::Int8),
+        (Dtype::Fp16, Dtype::Int4),
+    ];
+
     /// Every plan shape `lower` cannot run is the same typed error from
     /// both `validate` and `lower`: transfers `hw` cannot route,
     /// collective caps that are not positive, devices `hw` does not have
-    /// (a collective rank, a compute GPU, a CPU optimizer's socket), and
-    /// the two dependency-edge rules (only step ops wait on a step op;
-    /// input ops wait only on input ops).
+    /// (a collective rank, a compute GPU, a CPU optimizer's socket),
+    /// codecs that re-encode quantized bytes or do not narrow, and the
+    /// two dependency-edge rules (only step ops wait on a step op; input
+    /// ops wait only on input ops).
     #[test]
     fn shapes_lowering_cannot_run_are_errors_from_validate_and_lower() {
         let c = cluster();
@@ -857,7 +821,7 @@ mod tests {
             };
             feeding_the_step(PhaseStage::Forward, op)
         };
-        let collective = |node, cap| {
+        let coded = |node, cap, codec| {
             let group = CommGroup::new(vec![gpu0(), GpuId { node, gpu: 0 }]);
             let kind = CollectiveKind::AllReduce;
             let op = PlanOp::Collective {
@@ -865,8 +829,20 @@ mod tests {
                 group,
                 bytes: 1e9,
                 cap,
+                codec,
             };
             feeding_the_step(PhaseStage::Backward, op)
+        };
+        let collective = |node, cap| coded(node, cap, None);
+        let codec = |dtype_in, dtype_out| {
+            coded(
+                1,
+                1e9,
+                Some(Codec {
+                    dtype_in,
+                    dtype_out,
+                }),
+            )
         };
         let compute = PlanOp::LayerCompute {
             gpu: gpu0(),
@@ -906,6 +882,18 @@ mod tests {
             (collective(1, f64::NAN), "collective cap NaN"),
             (collective(2, 1e9), "rank GpuId { node: 2"),
             (
+                codec(Dtype::Int8, Dtype::Int4),
+                "codec input int8 is quantized: double quantization",
+            ),
+            (
+                codec(Dtype::Fp16, Dtype::Fp32),
+                "codec fp16 -> fp32 does not narrow",
+            ),
+            (
+                codec(Dtype::Fp16, Dtype::Fp16),
+                "codec fp16 -> fp16 does not narrow",
+            ),
+            (
                 feeding_the_step(PhaseStage::Forward, far_compute),
                 "Gpu(GpuId { node: 2, gpu: 0 }) does not exist on this cluster",
             ),
@@ -924,6 +912,9 @@ mod tests {
         }
         for cap in [1e9, f64::INFINITY] {
             assert!(crate::lower(&collective(1, cap), &c, &calib).is_ok());
+        }
+        for (dtype_in, dtype_out) in LEGAL_CODECS {
+            assert!(crate::lower(&codec(dtype_in, dtype_out), &c, &calib).is_ok());
         }
     }
 
@@ -1172,78 +1163,30 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrip_and_strip() {
+    fn codec_scales_the_wire_and_strips() {
         let c = cluster();
-        let mut p = WorkloadPlan::new();
-        p.set_phase(PhaseStage::Forward, 0);
-        let coll = p.push(
-            PlanOp::Collective {
-                kind: zerosim_collectives::CollectiveKind::AllGather,
-                group: CommGroup::new(vec![GpuId { node: 0, gpu: 0 }, GpuId { node: 0, gpu: 1 }]),
+        let codec = Codec {
+            dtype_in: Dtype::Fp16,
+            dtype_out: Dtype::Int8,
+        };
+        assert_eq!(codec.ratio(), 0.5);
+        let with = |codec| {
+            let op = PlanOp::Collective {
+                kind: CollectiveKind::AllGather,
+                group: CommGroup::new(vec![gpu0(), GpuId { node: 0, gpu: 1 }]),
                 bytes: 1e6,
                 cap: f64::INFINITY,
-            },
-            &[],
-        );
-        p.set_phase(PhaseStage::Step, 0);
-        p.push(
-            PlanOp::OptimizerStep {
-                device: OptimizerDevice::Gpu(gpu0()),
-                params: 1.0,
-            },
-            &[coll],
-        );
-        let plain_wire = p.collective_wire_bytes();
-        let codec = Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048);
-        assert_eq!(codec.ratio, 0.5);
-        assert!(codec.is_narrowing());
-        p.set_codec(coll, codec);
+                codec,
+            };
+            feeding_the_step(PhaseStage::Forward, op)
+        };
+        let plain_wire = with(None).collective_wire_bytes();
+        let mut p = with(Some(codec));
         assert!(p.validate(&c).is_ok());
-        assert_eq!(p.codec(coll).unwrap().dtype_out, Dtype::Int8);
-        assert_eq!(p.codec_ratio_at(coll.index()), 0.5);
-        assert_eq!(p.codecs().count(), 1);
         // Halving the payload halves the scheduled wire volume.
         assert!((p.collective_wire_bytes() - plain_wire * 0.5).abs() < 1.0);
         p.strip_codecs();
-        assert!(p.codec(coll).is_none());
-        assert_eq!(p.collective_wire_bytes(), plain_wire);
-    }
-
-    #[test]
-    fn codec_on_compute_op_rejected() {
-        let c = cluster();
-        let mut p = WorkloadPlan::new();
-        p.set_phase(PhaseStage::Forward, 0);
-        let fwd = p.push(
-            PlanOp::LayerCompute {
-                gpu: gpu0(),
-                flops: 1e12,
-                label: "gemm",
-            },
-            &[],
-        );
-        p.set_phase(PhaseStage::Step, 0);
-        p.push(
-            PlanOp::OptimizerStep {
-                device: OptimizerDevice::Gpu(gpu0()),
-                params: 1.0,
-            },
-            &[fwd],
-        );
-        p.set_codec(fwd, Codec::quantize(Dtype::Fp16, Dtype::Int8, 64));
-        let e = p.validate(&c).unwrap_err();
-        assert!(e.to_string().contains("non-transfer"));
-    }
-
-    #[test]
-    fn non_finite_codec_ratio_rejected() {
-        let c = cluster();
-        let mut p = minimal_serving_plan(WorkloadKind::Prefill);
-        let mut codec = Codec::quantize(Dtype::Fp16, Dtype::Int4, 128);
-        codec.ratio = f64::NAN;
-        p.set_codec(OpId(0), codec);
-        let e = p.validate(&c).unwrap_err();
-        assert!(e.to_string().contains("finite-positive"));
+        assert_eq!(p, with(None));
     }
 
     #[test]

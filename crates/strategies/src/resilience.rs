@@ -78,10 +78,14 @@ impl Default for RecoveryPolicy {
 /// Bytes of durable state each rank snapshots: FP16 parameters plus FP32
 /// optimizer state (14 bytes/parameter), sharded across the world size.
 /// Gradients are transient and excluded.
-pub fn snapshot_bytes_per_rank(ctx: &IterCtx<'_>) -> f64 {
+///
+/// # Errors
+/// [`StrategyError::InvalidLayout`] when the options span no node or more
+/// nodes than the cluster has.
+pub fn snapshot_bytes_per_rank(ctx: &IterCtx<'_>) -> Result<f64, StrategyError> {
     let states = ctx.model.model_states();
-    let world = ctx.opts.num_gpus(ctx.cluster).max(1) as f64;
-    (states.params + states.optimizer) / world
+    let world = ctx.opts.num_gpus(ctx.cluster)? as f64;
+    Ok((states.params + states.optimizer) / world)
 }
 
 /// Builds the checkpoint-snapshot plan: every rank drains its state shard
@@ -111,7 +115,7 @@ enum Direction {
 }
 
 fn plan_state_movement(ctx: &IterCtx<'_>, dir: Direction) -> Result<WorkloadPlan, StrategyError> {
-    let bytes = snapshot_bytes_per_rank(ctx);
+    let bytes = snapshot_bytes_per_rank(ctx)?;
     let mut p = PlanCtx::new(*ctx, WorkloadKind::Checkpoint);
     let mut joins = Vec::new();
     for gpu in ctx.opts.gpus(ctx.cluster)? {
@@ -156,9 +160,9 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let world = o.num_gpus(&c) as f64;
+        let world = o.num_gpus(&c).unwrap() as f64;
         let expect = 14.0 * m.num_params() / world;
-        assert!((snapshot_bytes_per_rank(&ctx) - expect).abs() < 1.0);
+        assert!((snapshot_bytes_per_rank(&ctx).unwrap() - expect).abs() < 1.0);
     }
 
     #[test]
@@ -173,7 +177,7 @@ mod tests {
         let plan = plan_checkpoint(&ctx).unwrap();
         assert_eq!(plan.kind(), WorkloadKind::Checkpoint);
         // One d2h per rank plus the commit barrier.
-        assert_eq!(plan.len(), o.num_gpus(&c) + 1);
+        assert_eq!(plan.len(), o.num_gpus(&c).unwrap() + 1);
         plan.validate(&c).unwrap();
         let lowered = lower(&plan, &c, &k).unwrap();
         // Pure state movement: nothing to re-stamp per iteration.

@@ -68,8 +68,12 @@ impl ServingStrategy {
     /// runtime footprint. KV-cache growth is *not* in here — it is
     /// plan-carried ([`crate::plan::PlanOp::KvAppend`]) because it grows
     /// per decode step; planlint adds it on top of this resident base.
-    pub fn plan_memory(&self, ctx: &IterCtx<'_>) -> MemoryPlan {
-        let tp = ctx.opts.num_gpus(ctx.cluster) as f64;
+    ///
+    /// # Errors
+    /// [`StrategyError::InvalidLayout`] when the options span no node or
+    /// more nodes than the cluster has.
+    pub fn plan_memory(&self, ctx: &IterCtx<'_>) -> Result<MemoryPlan, StrategyError> {
+        let tp = ctx.opts.num_gpus(ctx.cluster)? as f64;
         let weights = ctx.model.num_params() * WEIGHT_BYTES_PER_PARAM;
         let (gpu_weights, nvme_bytes, cpu_stage) = match self {
             ServingStrategy::Dense => (weights / tp, 0.0, 0.0),
@@ -82,7 +86,7 @@ impl ServingStrategy {
             }
         };
         let per_gpu = gpu_weights + ctx.calib.gpu_fixed_bytes;
-        MemoryPlan {
+        Ok(MemoryPlan {
             per_gpu_bytes: per_gpu,
             total_gpu_bytes: per_gpu * tp,
             per_node_cpu_bytes: ctx.calib.host_base_bytes + cpu_stage,
@@ -92,7 +96,7 @@ impl ServingStrategy {
                 ("weights".into(), gpu_weights),
                 ("fixed".into(), ctx.calib.gpu_fixed_bytes),
             ],
-        }
+        })
     }
 
     /// Describes prompt processing for one admitted batch:
@@ -405,11 +409,12 @@ mod tests {
             opts: &o,
             calib: &k,
         };
-        let dense = ServingStrategy::Dense.plan_memory(&ctx);
+        let dense = ServingStrategy::Dense.plan_memory(&ctx).unwrap();
         let streamed = ServingStrategy::NvmeStreamed {
             placement: InfinityPlacement::new(vec![VolumeId(0)]),
         }
-        .plan_memory(&ctx);
+        .plan_memory(&ctx)
+        .unwrap();
         assert!(dense.per_gpu_bytes > streamed.per_gpu_bytes);
         assert_eq!(dense.nvme_bytes, 0.0);
         assert!(streamed.nvme_bytes > 0.0);

@@ -9,8 +9,10 @@
 
 use zerosim_collectives::{CollectiveKind, CommGroup};
 use zerosim_hw::{GpuId, IoDir, MemLoc, VolumeId};
+use zerosim_model::ModelStates;
 
 use crate::builders::{IterCtx, PlanCtx};
+use crate::capability::ZeroCapability;
 use crate::error::StrategyError;
 use crate::memory::MemoryPlan;
 use crate::plan::{Codec, Dtype, OpId, PhaseStage, WorkloadKind, WorkloadPlan};
@@ -36,14 +38,14 @@ impl ZeroStage {
         }
     }
 
-    /// True when gradients are partitioned (stages 2 and 3).
+    /// True when gradients are partitioned (stages 2 and 3; Table I).
     pub fn partitions_gradients(self) -> bool {
-        self >= ZeroStage::Two
+        ZeroCapability::for_stage(self).partitions_gradients
     }
 
-    /// True when parameters are partitioned (stage 3).
+    /// True when parameters are partitioned (stage 3; Table I).
     pub fn partitions_parameters(self) -> bool {
-        self == ZeroStage::Three
+        ZeroCapability::for_stage(self).partitions_parameters
     }
 }
 
@@ -107,10 +109,16 @@ impl ZeroPlusPlusFlags {
     }
 }
 
-/// qwZ weight quantization block size in elements (one scale per block).
-const QWZ_BLOCK: usize = 2048;
-/// qgZ gradient quantization block size in elements.
-const QGZ_BLOCK: usize = 512;
+/// qwZ: FP16 weights gathered as INT8 blocks.
+const QWZ: Codec = Codec {
+    dtype_in: Dtype::Fp16,
+    dtype_out: Dtype::Int8,
+};
+/// qgZ: FP16 gradients reduced as INT4 blocks.
+const QGZ: Codec = Codec {
+    dtype_in: Dtype::Fp16,
+    dtype_out: Dtype::Int4,
+};
 
 /// Fully-resolved ZeRO variant: stage plus state placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,20 +131,41 @@ pub(crate) struct ZeroVariant {
 }
 
 impl ZeroVariant {
-    /// Checks the placement against Table I; every violation the seed
-    /// implementation asserted on is now a typed [`StrategyError`].
+    /// Checks the placement against the stage's Table I row
+    /// ([`ZeroCapability`]); every violation the seed implementation
+    /// asserted on is now a typed [`StrategyError`].
     pub(crate) fn validate(&self) -> Result<(), StrategyError> {
-        if self.params_tier != StateTier::Gpu && self.stage != ZeroStage::Three {
-            return Err(StrategyError::placement(format!(
-                "parameter offload requires ZeRO-3 (Table I), got stage {}",
-                self.stage.number()
-            )));
-        }
-        if self.optimizer_tier == StateTier::Nvme && self.stage != ZeroStage::Three {
-            return Err(StrategyError::placement(format!(
-                "NVMe optimizer offload requires ZeRO-3 (Table I), got stage {}",
-                self.stage.number()
-            )));
+        type Allows = fn(&ZeroCapability, StateTier) -> bool;
+        let rules: [(&str, StateTier, Allows); 2] = [
+            (
+                "parameter",
+                self.params_tier,
+                ZeroCapability::allows_parameters_on,
+            ),
+            (
+                "optimizer",
+                self.optimizer_tier,
+                ZeroCapability::allows_optimizer_on,
+            ),
+        ];
+        let row = ZeroCapability::for_stage(self.stage);
+        for (state, tier, allows) in rules {
+            if !allows(&row, tier) {
+                let needs = ZeroCapability::table()
+                    .into_iter()
+                    .find(|r| allows(r, tier))
+                    .expect("Table I's stage-3 row allows every tier")
+                    .stage;
+                let tier = if tier == StateTier::Cpu {
+                    "CPU"
+                } else {
+                    "NVMe"
+                };
+                return Err(StrategyError::placement(format!(
+                    "{tier} {state} offload requires ZeRO-{needs} (Table I), got stage {}",
+                    row.stage
+                )));
+            }
         }
         let needs_placement =
             self.optimizer_tier == StateTier::Nvme || self.params_tier == StateTier::Nvme;
@@ -170,42 +199,37 @@ const NVME_RW_BYTES_PER_PARAM: f64 = 8.0;
 pub(crate) fn memory_plan(ctx: &IterCtx<'_>, v: &ZeroVariant) -> Result<MemoryPlan, StrategyError> {
     v.validate()?;
     let p = ctx.model.num_params();
-    let n = ctx.opts.num_gpus(ctx.cluster) as f64;
-    let m = ctx.model;
+    let n = ctx.opts.num_gpus(ctx.cluster)? as f64;
+    let states = ModelStates::for_params(p);
 
     let params_gpu = if v.params_tier == StateTier::Gpu {
         if v.stage.partitions_parameters() {
-            let primary = 2.0 * p / n;
+            let primary = states.params / n;
             if v.zeropp.hierarchical_params {
                 // hpZ trades HBM for NVLink-local re-gathers: a secondary
                 // fp16 shard partitioned within the node rides next to
                 // the global primary shard.
-                primary + 2.0 * p / ctx.cluster.spec().gpus_per_node as f64
+                primary + states.params / ctx.cluster.spec().gpus_per_node as f64
             } else {
                 primary
             }
         } else {
-            2.0 * p
+            states.params
         }
     } else {
         0.0
     };
     let grads_gpu = if v.stage.partitions_gradients() {
-        2.0 * p / n
+        states.grads / n
     } else {
-        2.0 * p
+        states.grads
     };
     let optimizer_gpu = if v.optimizer_tier == StateTier::Gpu {
-        12.0 * p / n
+        states.optimizer / n
     } else {
         0.0
     };
-    let act_full = ctx.calib.act_coeff_ckpt
-        * m.num_layers as f64
-        * m.seq_len as f64
-        * ctx.opts.per_gpu_batch as f64
-        * m.hidden_size as f64
-        * 2.0;
+    let act_full = ctx.activation_bytes(ctx.calib.act_coeff_ckpt);
     // Offload variants also checkpoint activations to host memory
     // (DeepSpeed `cpu_checkpointing`), keeping only a working set on GPU.
     let offloaded = v.optimizer_tier != StateTier::Gpu;
@@ -239,7 +263,7 @@ pub(crate) fn memory_plan(ctx: &IterCtx<'_>, v: &ZeroVariant) -> Result<MemoryPl
         nvme += ctx.calib.infinity_nvme_bytes_per_param * p;
     }
     if v.params_tier == StateTier::Nvme {
-        nvme += 2.0 * p;
+        nvme += states.params;
     }
 
     Ok(MemoryPlan {
@@ -328,9 +352,6 @@ pub(crate) fn plan_iteration(
                 .expect("every rank belongs to a node group")
         })
         .collect();
-    // Explicit decode span after a quantized collective: a fused dequant
-    // kernel, priced as one kernel launch.
-    let dequant_s = ctx.calib.kernel_overhead_s;
 
     // Helper to fetch a bucket's parameters before use under ZeRO-3.
     // `secondary` marks the backward re-gather, which hpZ serves from the
@@ -417,12 +438,12 @@ pub(crate) fn plan_iteration(
                 group.clone(),
                 bytes,
                 gather_cap,
-                Codec::quantize(Dtype::Fp16, Dtype::Int8, QWZ_BLOCK),
+                Some(QWZ),
                 &deps,
             );
             comm_chain.push(h);
             for (i, t) in prev.iter_mut().enumerate() {
-                *t = p.fixed_compute(gpus[i], dequant_s, "dequant", &[*t, h]);
+                *t = p.dequant(gpus[i], &[*t, h]);
             }
         } else {
             let h = p.collective(
@@ -440,15 +461,65 @@ pub(crate) fn plan_iteration(
         }
     };
 
+    // Gradient reduction after `prev` on the comm stream (ZeRO-2/3
+    // reduce-scatter; ZeRO-1 all-reduce). Every reduction gates the
+    // optimizer step through `grad_comms` (each accumulates into the
+    // shards it updates, so not just the final one), and an offloaded
+    // optimizer copies each boundary reduction's shard to the host.
+    let grad_kind = if v.stage.partitions_gradients() {
+        CollectiveKind::ReduceScatter
+    } else {
+        CollectiveKind::AllReduce
+    };
+    let grad_codec = v.zeropp.quantize_gradients.then_some(QGZ);
+    let reduce_grads = |p: &mut PlanCtx<'_>,
+                        prev: &[OpId],
+                        comm_chain: &mut Vec<OpId>,
+                        grad_comms: &mut Vec<OpId>,
+                        grad_d2h: &mut [Vec<OpId>],
+                        grad_bytes: f64,
+                        boundary: bool| {
+        let mut deps: Vec<OpId> = prev.to_vec();
+        deps.extend(comm_chain.last().copied());
+        let h = p.collective_with_codec(
+            grad_kind,
+            group.clone(),
+            grad_bytes,
+            ds_cap,
+            grad_codec,
+            &deps,
+        );
+        comm_chain.push(h);
+        if grad_codec.is_some() {
+            // qgZ: INT4 blocks on the wire; each rank decodes its received
+            // shard before the optimizer reads it.
+            let dq: Vec<OpId> = gpus.iter().map(|g| p.dequant(*g, &[h])).collect();
+            grad_comms.push(p.barrier(&dq));
+        } else {
+            grad_comms.push(h);
+        }
+        if boundary && v.optimizer_tier != StateTier::Gpu {
+            for (rank, g) in gpus.iter().enumerate() {
+                let socket = rank_socket(rank, *g);
+                let track = ctx.gpu_track(*g);
+                let t = p.transfer(
+                    MemLoc::Gpu(*g),
+                    MemLoc::Cpu(socket),
+                    grad_bytes / n as f64,
+                    "d2h",
+                    track,
+                    &[h],
+                );
+                grad_d2h[rank].push(t);
+            }
+        }
+    };
+
     // ---- Micro-steps (gradient accumulation) ----
     // ZeRO-3 reduce-scatters every micro-step (partitioned gradients
     // accumulate in the shards); ZeRO-1/2 and the embedding sync only at
     // the accumulation boundary.
     let mut grad_d2h: Vec<Vec<OpId>> = vec![Vec::new(); n];
-    // Every gradient collective: the optimizer step must wait for all of
-    // them (each accumulates into the shards it updates), not just the
-    // final one — intermediate reductions overlap with backward compute
-    // but still gate the weight update.
     let mut grad_comms: Vec<OpId> = Vec::new();
     for micro in 0..ctx.opts.grad_accum {
         let boundary = micro + 1 == ctx.opts.grad_accum;
@@ -505,106 +576,30 @@ pub(crate) fn plan_iteration(
                     }
                 }
             }
-            if !reduce_now {
-                continue;
-            }
-            // Gradient reduction, overlapped with the remaining backward
-            // compute (ZeRO-2/3 reduce-scatter; ZeRO-1 all-reduce).
-            let grad_bytes = 2.0 * bucket_params;
-            let kind = if v.stage.partitions_gradients() {
-                CollectiveKind::ReduceScatter
-            } else {
-                CollectiveKind::AllReduce
-            };
-            let mut deps: Vec<OpId> = prev.clone();
-            deps.extend(comm_chain.last().copied());
-            let h = if v.zeropp.quantize_gradients {
-                // qgZ: INT4 blocks on the wire; each rank decodes its
-                // received shard before the optimizer reads it.
-                p.collective_with_codec(
-                    kind,
-                    group.clone(),
-                    grad_bytes,
-                    ds_cap,
-                    Codec::quantize(Dtype::Fp16, Dtype::Int4, QGZ_BLOCK),
-                    &deps,
-                )
-            } else {
-                p.collective(kind, group.clone(), grad_bytes, ds_cap, &deps)
-            };
-            comm_chain.push(h);
-            if v.zeropp.quantize_gradients {
-                let dq: Vec<OpId> = gpus
-                    .iter()
-                    .map(|g| p.fixed_compute(*g, dequant_s, "dequant", &[h]))
-                    .collect();
-                grad_comms.push(p.barrier(&dq));
-            } else {
-                grad_comms.push(h);
-            }
-            if boundary && v.optimizer_tier != StateTier::Gpu {
-                for (rank, g) in gpus.iter().enumerate() {
-                    let socket = rank_socket(rank, *g);
-                    let track = ctx.gpu_track(*g);
-                    let t = p.transfer(
-                        MemLoc::Gpu(*g),
-                        MemLoc::Cpu(socket),
-                        grad_bytes / n as f64,
-                        "d2h",
-                        track,
-                        &[h],
-                    );
-                    grad_d2h[rank].push(t);
-                }
+            if reduce_now {
+                // Overlapped with the remaining backward compute.
+                reduce_grads(
+                    &mut p,
+                    &prev,
+                    &mut comm_chain,
+                    &mut grad_comms,
+                    &mut grad_d2h,
+                    2.0 * bucket_params,
+                    boundary,
+                );
             }
         }
     }
     // Embedding gradients.
-    let emb_bytes = 2.0 * ctx.model.embedding_params();
-    let kind = if v.stage.partitions_gradients() {
-        CollectiveKind::ReduceScatter
-    } else {
-        CollectiveKind::AllReduce
-    };
-    let mut deps: Vec<OpId> = prev.clone();
-    deps.extend(comm_chain.last().copied());
-    let h = if v.zeropp.quantize_gradients {
-        p.collective_with_codec(
-            kind,
-            group.clone(),
-            emb_bytes,
-            ds_cap,
-            Codec::quantize(Dtype::Fp16, Dtype::Int4, QGZ_BLOCK),
-            &deps,
-        )
-    } else {
-        p.collective(kind, group.clone(), emb_bytes, ds_cap, &deps)
-    };
-    comm_chain.push(h);
-    if v.zeropp.quantize_gradients {
-        let dq: Vec<OpId> = gpus
-            .iter()
-            .map(|g| p.fixed_compute(*g, dequant_s, "dequant", &[h]))
-            .collect();
-        grad_comms.push(p.barrier(&dq));
-    } else {
-        grad_comms.push(h);
-    }
-    if v.optimizer_tier != StateTier::Gpu {
-        for (rank, g) in gpus.iter().enumerate() {
-            let socket = rank_socket(rank, *g);
-            let track = ctx.gpu_track(*g);
-            let t = p.transfer(
-                MemLoc::Gpu(*g),
-                MemLoc::Cpu(socket),
-                emb_bytes / n as f64,
-                "d2h",
-                track,
-                &[h],
-            );
-            grad_d2h[rank].push(t);
-        }
-    }
+    reduce_grads(
+        &mut p,
+        &prev,
+        &mut comm_chain,
+        &mut grad_comms,
+        &mut grad_d2h,
+        2.0 * ctx.model.embedding_params(),
+        true,
+    );
 
     // ---- Optimizer ----
     p.set_phase(
@@ -990,6 +985,53 @@ mod tests {
         v.optimizer_tier = StateTier::Cpu;
         let e = v.validate().unwrap_err();
         assert!(e.to_string().contains("on GPU"), "{e}");
+    }
+
+    /// `validate` accepts exactly the state placements the stage's
+    /// Table I row allows: 2 each at stages 1 and 2 (optimizer on GPU or
+    /// CPU, parameters on GPU), all 9 at stage 3.
+    #[test]
+    fn validate_accepts_exactly_what_the_table_i_row_allows() {
+        let tiers = [StateTier::Gpu, StateTier::Cpu, StateTier::Nvme];
+        let mut accepted = 0;
+        for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+            let row = ZeroCapability::for_stage(stage);
+            for optimizer_tier in tiers {
+                for params_tier in tiers {
+                    let nvme = optimizer_tier == StateTier::Nvme || params_tier == StateTier::Nvme;
+                    let v = ZeroVariant {
+                        stage,
+                        optimizer_tier,
+                        params_tier,
+                        placement: nvme.then(|| InfinityPlacement::new(vec![VolumeId(0)])),
+                        zeropp: ZeroPlusPlusFlags::default(),
+                    };
+                    let allowed = |tier, cpu, nvme| match tier {
+                        StateTier::Gpu => true,
+                        StateTier::Cpu => cpu,
+                        StateTier::Nvme => nvme,
+                    };
+                    let expect = allowed(
+                        optimizer_tier,
+                        row.optimizer_cpu_offload,
+                        row.optimizer_nvme_offload,
+                    ) && allowed(
+                        params_tier,
+                        row.parameter_cpu_offload,
+                        row.parameter_nvme_offload,
+                    );
+                    let got = v.validate();
+                    assert_eq!(got.is_ok(), expect, "{v:?}: {got:?}");
+                    if let Err(e) = got {
+                        let e = e.to_string();
+                        assert!(e.contains("requires ZeRO-3 (Table I)"), "{e}");
+                        assert!(e.contains(&format!("got stage {}", stage.number())), "{e}");
+                    }
+                    accepted += usize::from(expect);
+                }
+            }
+        }
+        assert_eq!(accepted, 13);
     }
 
     #[test]

@@ -27,11 +27,13 @@
 #                   allocate per plan or DAG), each of which turns the
 #                   oracle off on the networks it measures
 #   5. sweep:       `repro --workers 4` must render the scorecard and
-#                   eighteen runner artifacts byte-identically to the
+#                   nineteen runner artifacts byte-identically to the
 #                   serial run: the ext11 fault matrix, ext13's fleet
 #                   search and Young/Daly brackets (all three rows must
 #                   read `yes`; its last line is one digest over the
-#                   brackets) and ext14's serving latencies among them.
+#                   brackets), ext14's serving latencies and ext15's
+#                   ZeRO++ sweep (the one artifact whose plans carry
+#                   codecs) among them.
 #                   The runner clamps the width to the machine's cores;
 #                   the verdict names the width repro actually ran
 #   6. planlint:    static analysis (ZL001-ZL009) over the 12 golden
@@ -130,7 +132,7 @@ echo "== sweep smoke: --workers 4 renders every runner artifact byte-identically
 # The scorecard, every artifact whose runs moved onto the sweep runner in
 # v0.15.0, the ext11 fault matrix, ext13's fleet economics (32-sample
 # Young/Daly ensembles) and ext14's serving latencies.
-WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8 ext11 ext13 ext14"
+WIDTH_ARTIFACTS="scorecard fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table4 table5 table6 ext2 ext3 ext7 ext8 ext11 ext13 ext14 ext15"
 SWEEP_TMP="$(mktemp -d)"
 trap 'rm -rf "$SWEEP_TMP"' EXIT
 cargo run --release -q -p zerosim-bench --bin repro -- \

@@ -195,6 +195,7 @@ fn zl004_warns_once_per_dark_bottleneck_wire() {
             group: CommGroup::new(vec![g0(), far]),
             bytes: 1e9,
             cap: 0.2e9,
+            codec: None,
         },
         &[b],
     );
@@ -250,6 +251,7 @@ fn zl005_warns_once_on_a_dead_gradient_collective() {
             group: CommGroup::world(&cluster),
             bytes: 1e9,
             cap: 1e12,
+            codec: None,
         },
         &[b],
     );
@@ -268,6 +270,7 @@ fn zl005_warns_once_on_a_dead_gradient_collective() {
             group: CommGroup::world(&cluster),
             bytes: 1e9,
             cap: 1e12,
+            codec: None,
         },
         &[s],
     );
@@ -538,7 +541,7 @@ fn serving_strategy_plans_lint_clean() {
             opts: &opts,
             calib: &calib,
         };
-        let memory = strategy.plan_memory(&ctx);
+        let memory = strategy.plan_memory(&ctx).unwrap();
         let prefill = strategy.plan_prefill(&ctx, 512, 4).unwrap();
         let decode = strategy.plan_decode(&ctx, 0, 4, 640).unwrap();
         for (what, plan) in [("prefill", &prefill), ("decode", &decode)] {
@@ -817,10 +820,13 @@ fn zl008_fires_once_on_compute_consuming_encoded_bytes() {
             group: CommGroup::new(vec![g0(), GpuId { node: 0, gpu: 1 }]),
             bytes: 1e9,
             cap: 1e12,
+            codec: Some(Codec {
+                dtype_in: Dtype::Fp16,
+                dtype_out: Dtype::Int8,
+            }),
         },
         &[],
     );
-    plan.set_codec(gather, Codec::quantize(Dtype::Fp16, Dtype::Int8, 2048));
     // The compute consumes the Int8 wire bytes directly: missing decode.
     plan.push(
         PlanOp::LayerCompute {
@@ -862,15 +868,16 @@ fn qgz_cuts_static_internode_gradient_volume_over_3_5x() {
         let plan = strategy.plan_iteration(&ctx).unwrap();
         plan.nodes()
             .iter()
-            .enumerate()
-            .map(|(i, n)| match &n.op {
+            .map(|n| match &n.op {
                 PlanOp::Collective {
                     kind: kind @ CollectiveKind::ReduceScatter,
                     group,
                     bytes,
+                    codec,
                     ..
                 } if n.phase.stage == PhaseStage::Backward && !group.is_single_node() => {
-                    kind.bytes_sent_per_rank(group.len(), bytes * plan.codec_ratio_at(i))
+                    let wire = codec.map_or(*bytes, |c| bytes * c.ratio());
+                    kind.bytes_sent_per_rank(group.len(), wire)
                 }
                 _ => 0.0,
             })
@@ -890,10 +897,54 @@ fn qgz_cuts_static_internode_gradient_volume_over_3_5x() {
     );
 }
 
+/// Run digests of dual-node ZeRO-3 and the three single-flag ZeRO++
+/// variants at jitter seeds {0, 1, 7, 42}, captured before codecs moved
+/// onto the collectives they quantize: the qwZ and qgZ runs are the only
+/// pinned runs whose plans carry codecs. ZeRO-3's four equal golden-08's.
+const ZEROPP_DIGESTS: [(&str, [u64; 4]); 4] = [
+    (
+        "ZeRO-3",
+        [
+            0x857688ce45f1c8e1,
+            0x2dbc5be2960c17e8,
+            0x651bdfe9c90bcac0,
+            0xf97a7526848e22a2,
+        ],
+    ),
+    (
+        "ZeRO++ (qwZ)",
+        [
+            0x6c46eb91d2459f59,
+            0x8642ae9eac49035b,
+            0x5e734fe1c3982218,
+            0x031a5cd92c3b41e4,
+        ],
+    ),
+    (
+        "ZeRO++ (hpZ)",
+        [
+            0x3cf8e5833ff7cca4,
+            0xbee8742994aa56b4,
+            0x13bfead40cc3e237,
+            0x5f439ebf674c4328,
+        ],
+    ),
+    (
+        "ZeRO++ (qgZ)",
+        [
+            0x293d68a75dc8414f,
+            0x94649e54d3bcd50f,
+            0x67bcc3d0d78b137b,
+            0x0eaf96adb9bec20a,
+        ],
+    ),
+];
+
 /// ZL009's protocol bound must lower-bound the simulated iteration time
 /// for the whole ZeRO++ family across jitter seeds (the golden dozen is
 /// swept the same way by `golden_dozen_digests_survive_the_workload_ir_refactor`
-/// in `tests/plan_equivalence.rs`).
+/// in `tests/plan_equivalence.rs`), and every run reproduces its pinned
+/// digest.
 #[test]
 fn zl009_bound_lower_bounds_simulation_for_the_zeropp_family() {
     let model = GptConfig::paper_model_with_params(1.4);
@@ -907,7 +958,8 @@ fn zl009_bound_lower_bounds_simulation_for_the_zeropp_family() {
         Strategy::hpz(),
         Strategy::qgz(),
     ];
-    for strategy in &strategies {
+    for (strategy, (name, digests)) in strategies.iter().zip(ZEROPP_DIGESTS) {
+        assert_eq!(strategy.name(), name);
         let cluster = default_cluster();
         let r =
             analyze_strategy(&cluster, strategy, &model, &opts, &calib, LintConfig::new()).unwrap();
@@ -931,18 +983,23 @@ fn zl009_bound_lower_bounds_simulation_for_the_zeropp_family() {
             "{}: wire SoL must not exceed the protocol bound",
             strategy.name()
         );
-        for seed in [0u64, 1, 7, 42] {
+        for (seed, digest) in [0u64, 1, 7, 42].into_iter().zip(digests) {
             let mut sim = TrainingSim::new(ClusterSpec::default()).unwrap();
-            let t = sim
+            let report = sim
                 .run(
                     strategy,
                     &model,
                     &opts.with_jitter_seed(seed),
                     &RunConfig::quick(),
                 )
-                .unwrap()
-                .iter_time
-                .as_secs();
+                .unwrap();
+            assert_eq!(
+                report.digest(),
+                digest,
+                "{} seed {seed}: digest drifted",
+                strategy.name()
+            );
+            let t = report.iter_time.as_secs();
             assert!(
                 b.protocol_s <= t * (1.0 + 1e-9),
                 "{} seed {seed}: static bound {} above simulated {t}",
@@ -1000,69 +1057,72 @@ prop! {
             prop_assert!(r.is_clean() == v.fits);
         }
     }
-    /// Codec-aware pool accounting: a narrowing d2h stages exactly
-    /// `bytes x ratio` encoded bytes into host DRAM, for every dtype
-    /// pair and block size — a downstream read of exactly that many
-    /// bytes is clean, and an oversized read denies at the consumer.
+    /// A codec'd collective lowers to transfers totalling the ring's
+    /// closed form over the encoded payload, `n · bytes_sent_per_rank(n,
+    /// bytes · ratio)`, for each of the five legal dtype pairs, every
+    /// collective kind, and the one-node ring as well as the two-node
+    /// hierarchical schedule.
     #[cases(24)]
-    fn zl002_pools_credit_encoded_bytes_at_ratio(
+    fn codec_collectives_lower_to_the_encoded_ring_volume(
         pair in usize_range(0, 5),
-        block_pow in usize_range(4, 13),
+        kind in usize_range(0, 3),
+        nodes in usize_range(1, 3),
         gbs in usize_range(1, 9),
     ) {
-        let (din, dout) = [
+        let (dtype_in, dtype_out) = [
             (Dtype::Fp32, Dtype::Fp16),
             (Dtype::Fp32, Dtype::Int8),
             (Dtype::Fp32, Dtype::Int4),
             (Dtype::Fp16, Dtype::Int8),
             (Dtype::Fp16, Dtype::Int4),
         ][pair];
-        let codec = Codec::quantize(din, dout, 1 << block_pow);
+        let codec = Codec { dtype_in, dtype_out };
+        let kind = [
+            CollectiveKind::AllReduce,
+            CollectiveKind::AllGather,
+            CollectiveKind::ReduceScatter,
+        ][kind];
+        let cluster = default_cluster();
+        let ranks: Vec<GpuId> = (0..nodes).flat_map(|n| cluster.node_gpus(n)).collect();
+        let n = ranks.len();
         #[allow(clippy::cast_precision_loss)]
         let bytes = gbs as f64 * 1e9;
-        let staged = bytes * codec.ratio;
-        let build = |consume: f64| {
-            let mut plan = WorkloadPlan::new();
-            plan.set_phase(PhaseStage::Backward, 0);
-            let d2h = plan.push(
-                PlanOp::TierTransfer {
-                    src: MemLoc::Gpu(g0()),
-                    dst: cpu0(),
-                    bytes,
-                    label: "d2h",
-                    track: 0,
-                },
-                &[],
-            );
-            plan.set_codec(d2h, codec);
-            plan.set_phase(PhaseStage::Step, 0);
-            plan.push(
-                PlanOp::TierTransfer {
-                    src: cpu0(),
-                    dst: MemLoc::Gpu(g0()),
-                    bytes: consume,
-                    label: "h2d",
-                    track: 0,
-                },
-                &[d2h],
-            );
-            plan
-        };
-        let cluster = default_cluster();
-        let clean = lint(&Artifacts::new(&cluster).with_plan(&build(staged)));
-        prop_assert!(clean.is_clean());
-        let over = lint(&Artifacts::new(&cluster).with_plan(&build(staged * 1.5 + 16.0)));
-        prop_assert!(over.deny_count() == 1);
-        prop_assert!(over.diagnostics[0].code == LintCode::ByteConservation);
-        prop_assert!(over.diagnostics[0].site == Site::PlanOp(1));
+        let mut plan = WorkloadPlan::new();
+        plan.set_phase(PhaseStage::Backward, 0);
+        let coll = plan.push(
+            PlanOp::Collective {
+                kind,
+                group: CommGroup::new(ranks),
+                bytes,
+                cap: f64::INFINITY,
+                codec: Some(codec),
+            },
+            &[],
+        );
+        plan.set_phase(PhaseStage::Step, 0);
+        plan.push(
+            PlanOp::OptimizerStep {
+                device: OptimizerDevice::Gpu(g0()),
+                params: 1e9,
+            },
+            &[coll],
+        );
+        let lowered = lower(&plan, &cluster, &Calibration::default()).unwrap();
+        let moved = lowered.dag().total_transfer_bytes();
+        let expected = n as f64 * kind.bytes_sent_per_rank(n, bytes * codec.ratio());
+        prop_assert!(
+            (moved - expected).abs() <= 1e-9 * expected,
+            "{kind:?} over {n} ranks: {moved} vs {expected}"
+        );
+        prop_assert!((plan.collective_wire_bytes() - expected).abs() <= 1e-9 * expected);
     }
 
-    /// Stripping the codec declarations off a ZeRO++ quantized plan
-    /// flips ZL002 from clean to deny, sited at exactly the formerly
-    /// quantized transfers: their dequant markers now claim encoded
-    /// bytes nobody produced.
+    /// Stripping the codecs off a ZeRO++ quantized plan flips ZL008 from
+    /// clean to deny, sited at exactly the formerly quantized
+    /// collectives: their decodes now claim encoded bytes nobody
+    /// produced.
     #[cases(8)]
-    fn zl002_denies_stripped_zeropp_codec_at_the_quantized_op(
+    fn zl008_denies_stripped_zeropp_codec_at_the_quantized_op(
         which in usize_range(0, 2),
         nodes in usize_range(1, 3),
     ) {
@@ -1083,7 +1143,13 @@ prop! {
         };
         let memory = strategy.plan_memory(&ctx).unwrap();
         let mut plan = strategy.plan_iteration(&ctx).unwrap();
-        let quantized: HashSet<usize> = plan.codecs().map(|(id, _)| id.index()).collect();
+        let quantized: HashSet<usize> = plan
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| matches!(n.op, PlanOp::Collective { codec: Some(_), .. }))
+            .map(|(i, _)| i)
+            .collect();
         prop_assert!(!quantized.is_empty());
         let clean = lint(
             &Artifacts::new(&cluster)
@@ -1099,7 +1165,7 @@ prop! {
         );
         prop_assert!(r.deny_count() >= 1);
         for d in r.diagnostics.iter().filter(|d| d.severity == Severity::Deny) {
-            prop_assert!(d.code == LintCode::ByteConservation);
+            prop_assert!(d.code == LintCode::CodecLegality);
             match &d.site {
                 Site::PlanOp(op) => prop_assert!(quantized.contains(op)),
                 other => prop_assert!(false, "unexpected site {other:?}"),

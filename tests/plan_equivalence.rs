@@ -153,8 +153,9 @@ fn registry_covers_the_paper_matrix_and_all_plans_validate() {
 
 /// Planning for more nodes than the cluster has is a typed layout error
 /// from every planner, never a panic: each `cli::strategies` entry
-/// through `plan_iteration` and `analyze_strategy`, both serving
-/// strategies through prefill and decode, and the checkpoint planners.
+/// through `plan_memory`, `plan_iteration` and `analyze_strategy`, both
+/// serving strategies through `plan_memory`, prefill and decode, and the
+/// checkpoint planners.
 #[test]
 fn every_planner_rejects_more_nodes_than_the_cluster_has() {
     let (cluster, infinity) = infinity_cluster();
@@ -179,6 +180,7 @@ fn every_planner_rejects_more_nodes_than_the_cluster_has() {
     };
     for strategy in cli::strategies() {
         let name = strategy.name();
+        layout_error(&name, strategy.plan_memory(&ctx).map(drop));
         layout_error(&name, strategy.plan_iteration(&ctx).map(drop));
         let lint = analyze_strategy(
             &cluster,
@@ -195,6 +197,7 @@ fn every_planner_rejects_more_nodes_than_the_cluster_has() {
         ServingStrategy::NvmeStreamed { placement },
     ] {
         let name = serving.display_name();
+        layout_error(name, serving.plan_memory(&ctx).map(drop));
         layout_error(name, serving.plan_prefill(&ctx, 512, 4).map(drop));
         layout_error(name, serving.plan_decode(&ctx, 0, 4, 512).map(drop));
     }

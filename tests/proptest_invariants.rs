@@ -451,6 +451,7 @@ prop! {
                 group: CommGroup::new(ranks),
                 bytes: 1e9,
                 cap: [0.0, -1.0, f64::NAN, 1e9, f64::INFINITY][cap],
+                codec: None,
             }),
             one_op_iteration(PlanOp::VolumeIo {
                 volume: VolumeId(volume),
